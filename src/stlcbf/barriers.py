@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import mul
 
 GAMMA_MIN = 1e-3  # per second; used when the engagement state is already safe
 
@@ -96,15 +98,12 @@ class FcbfParams:
 
 @dataclass(frozen=True)
 class HalfspaceConstraint:
-    """Affine input constraint a.u <= b; zero `a` with b < 0 marks infeasible."""
+    """Affine input constraint a.u <= b; zero `a` with b < 0 marks infeasible.
+    `qp.solve_qp` checks finiteness where constraints enter it."""
 
     a: tuple
     b: float
     label: str = ""
-
-    def __post_init__(self):
-        if not all(math.isfinite(ai) for ai in self.a) or not math.isfinite(self.b):
-            raise BarrierError(f"non-finite constraint {self.a} . u <= {self.b}")
 
     def violation(self, u) -> float:
         return sum(ai * ui for ai, ui in zip(self.a, u)) - self.b
@@ -135,6 +134,11 @@ class Barrier:
 
     def grad_x(self, t: float, x) -> tuple:
         raise NotImplementedError
+
+    def terms(self, t: float, x) -> tuple:
+        """(h, dh_dt, grad_x) at (t, x) in one call, bit-identical to the three
+        separate methods; templates override it to share their lookups."""
+        return self.h(t, x), self.dh_dt(t, x), self.grad_x(t, x)
 
     def affine_at(self, t: float, side: str = "right"):
         """(coeffs, offset) with h = coeffs.x + offset when affine at t, else None."""
@@ -189,31 +193,31 @@ class AffineBarrier(Barrier):
         starts = [p[0] for p in self.pieces]
         if starts != sorted(starts) or len(set(starts)) != len(starts):
             raise BarrierError("offset pieces must have strictly increasing start times")
+        self._starts = starts
 
     def _offset(self, t: float, side: str = "right") -> float:
-        idx = 0
-        for i, (t0, _) in enumerate(self.pieces):
-            if (t0 <= t) if side == "right" else (t0 < t):
-                idx = i
-            else:
-                break
-        return self.pieces[idx][1]
+        """Last piece starting at t or before (strictly before on the left)."""
+        find = bisect_right if side == "right" else bisect_left
+        return self.pieces[max(find(self._starts, t) - 1, 0)][1]
 
     @property
     def switch_times(self) -> tuple:
         return tuple(t0 for t0, _ in self.pieces[1:])
 
     def h(self, t, x):
-        return sum(c * xi for c, xi in zip(self.coeffs, x)) + self._offset(t)
+        return sum(map(mul, self.coeffs, x)) + self._offset(t)
 
     def h_left(self, t, x):
-        return sum(c * xi for c, xi in zip(self.coeffs, x)) + self._offset(t, side="left")
+        return sum(map(mul, self.coeffs, x)) + self._offset(t, side="left")
 
     def dh_dt(self, t, x):
         return 0.0
 
     def grad_x(self, t, x):
         return self.coeffs
+
+    def terms(self, t, x):
+        return self.h(t, x), 0.0, self.coeffs
 
     def affine_at(self, t, side="right"):
         return self.coeffs, self._offset(t, side)
@@ -312,30 +316,30 @@ class BarrierRegistry:
 # ---------------------------------------------------------------------------
 
 
-def _lie_terms(bar: Barrier, sys, t: float, x):
-    """(−grad.g row vector, dh_dt + grad.f) shared by both constraint forms."""
-    grad = bar.grad_x(t, x)
-    fv = sys.f(t, x)
-    gm = sys.g(t, x)
-    drift = bar.dh_dt(t, x) + sum(gi * fi for gi, fi in zip(grad, fv))
-    a = tuple(-sum(grad[i] * gm[i][j] for i in range(len(grad))) for j in range(sys.m))
-    return a, drift
+def _lie_terms(bar: Barrier, sys, t: float, x, dyn=None):
+    """(h, −grad.g row vector, dh_dt + grad.f) shared by both constraint forms;
+    `dyn` is (f(t, x), g(t, x)) when the caller has evaluated them already."""
+    h, dh, grad = bar.terms(t, x)
+    fv, gm = dyn if dyn is not None else (sys.f(t, x), sys.g(t, x))
+    a = tuple([-sum(map(mul, grad, col)) for col in zip(*gm)])
+    return h, a, dh + sum(map(mul, grad, fv))
 
 
-def cbf_constraint(bar: Barrier, sys, alpha: AlphaFn, t: float, x) -> HalfspaceConstraint:
+def cbf_constraint(bar: Barrier, sys, alpha: AlphaFn, t: float, x,
+                   dyn=None) -> HalfspaceConstraint:
     """Invariance constraint at (t, x): any u with a.u <= b keeps
     dh/dt + grad.(f + g u) >= -alpha(h)."""
-    a, drift = _lie_terms(bar, sys, t, x)
-    return HalfspaceConstraint(a, drift + alpha(bar.h(t, x)), label=f"cbf:{bar.id}")
+    h, a, drift = _lie_terms(bar, sys, t, x, dyn)
+    return HalfspaceConstraint(a, drift + alpha(h), "cbf:" + bar.id)
 
 
-def fcbf_constraint(bar: Barrier, sys, p: FcbfParams, t: float, x) -> HalfspaceConstraint:
+def fcbf_constraint(bar: Barrier, sys, p: FcbfParams, t: float, x,
+                    dyn=None) -> HalfspaceConstraint:
     """Finite-time constraint at (t, x) with drift gamma sign(h)|h|^rho
     (sign(0) = 0: on the boundary the invariance half handles the rest)."""
-    a, drift = _lie_terms(bar, sys, t, x)
-    hv = bar.h(t, x)
+    hv, a, drift = _lie_terms(bar, sys, t, x, dyn)
     pull = 0.0 if hv == 0 else p.gamma * math.copysign(abs(hv) ** p.rho, hv)
-    return HalfspaceConstraint(a, drift + pull, label=f"fcbf:{bar.id}")
+    return HalfspaceConstraint(a, drift + pull, "fcbf:" + bar.id)
 
 
 def convergence_time(h0: float, p: FcbfParams) -> float:

@@ -265,14 +265,17 @@ class ScheduleConfig:
 @dataclass
 class ContractSchedule:
     """Invariance segments tiling [0, horizon) plus per-boundary verdicts.
-    Immutable after construction; queries are pure."""
+    Immutable after construction; queries are pure apart from the segment
+    cursor, which only speeds up the lookup."""
 
     label: str
     segments: list
     boundaries: list
 
     def __post_init__(self):
-        self._starts = [seg.interval.start for seg in self.segments]
+        # segment i covers [bounds[i], bounds[i + 1]); bounds[-1] ends the span
+        self._bounds = [seg.interval.start for seg in self.segments] + [self.span.end]
+        self._cursor = 0
 
     @property
     def span(self) -> TimeInterval:
@@ -295,12 +298,16 @@ class ContractSchedule:
         return out
 
     def _segment_index(self, t: float) -> int:
-        span = self.span
-        if not (span.start <= t < span.end):
-            raise ScheduleQueryError(
-                f"{self.label}: t={t:g} outside schedule span {span}"
-            )
-        return bisect_right(self._starts, t) - 1
+        """Index of the segment holding t. The loop's time moves forward, so
+        the cursor's segment usually holds it; otherwise bisect and move."""
+        b, i = self._bounds, self._cursor
+        if not (b[i] <= t < b[i + 1]):
+            if not (b[0] <= t < b[-1]):
+                raise ScheduleQueryError(
+                    f"{self.label}: t={t:g} outside schedule span {self.span}"
+                )
+            i = self._cursor = bisect_right(b, t) - 1
+        return i
 
     def segment_at(self, t: float) -> ContractSegment:
         return self.segments[self._segment_index(t)]
@@ -314,23 +321,24 @@ class ContractSchedule:
         bar = registry.resolve(seg.pred)
         return seg.barrier_id, bar.h(seg.interval.start, x0)
 
-    def constraints_at(self, t, x, sys, registry, engagements=None):
+    def constraints_at(self, t, x, sys, registry, engagements=None, dyn=None):
         """Active halfspace constraints at (t, x) per the schedule case split:
         the current segment's invariance constraint, plus the upcoming
         barrier's finite-time constraint strictly inside (tau_i, t_i) of an
-        overlap boundary. gamma is fixed at first engagement."""
+        overlap boundary. gamma is fixed at first engagement. `dyn` is
+        (f(t, x), g(t, x)) when the caller has evaluated them already."""
         idx = self._segment_index(t)
         seg = self.segments[idx]
         out = []
         if not seg.vacuous:
             bar = registry.resolve(seg.pred)
-            out.append(cbf_constraint(bar, sys, bar.alpha, t, x))
+            out.append(cbf_constraint(bar, sys, bar.alpha, t, x, dyn))
         if idx < len(self.boundaries):
             bd = self.boundaries[idx]
             if bd.verdict is Verdict.OVERLAP_DEADLINE and bd.tau < t < bd.time:
                 nxt = registry.resolve(self.segments[idx + 1].pred)
                 params = _engaged_params(self.label, idx, bd, nxt, t, x, engagements)
-                out.append(fcbf_constraint(nxt, sys, params, t, x))
+                out.append(fcbf_constraint(nxt, sys, params, t, x, dyn))
         return out
 
 
@@ -464,10 +472,10 @@ def active_constraints(schedule: ContractSchedule, t, x, sys, registry, engageme
     return schedule.constraints_at(t, x, sys, registry, engagements)
 
 
-def conjoin_groups(schedules, t, x, sys, registry, engagements=None):
+def conjoin_groups(schedules, t, x, sys, registry, engagements=None, dyn=None):
     """Conjunction of group contracts = intersection of safe input sets,
     realized as the concatenation of every schedule's active constraints."""
     out = []
     for sched in schedules:
-        out.extend(sched.constraints_at(t, x, sys, registry, engagements))
+        out.extend(sched.constraints_at(t, x, sys, registry, engagements, dyn))
     return out

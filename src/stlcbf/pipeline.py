@@ -62,7 +62,7 @@ class ScenarioBundle:
 
     def nominal(self, t, x):
         h1 = self.registry.get("h1").h(t, x)
-        v_r = self.exo.lead.velocity(t) - x[1]
+        v_r = self.exo.lead.cached_velocity(t) - x[1]
         return pid_nominal(h1, v_r, self.pid, self.cfg.dt, self.cfg.vp.mass,
                            friction_force(x[1], self.cfg.vp))
 
@@ -137,10 +137,10 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
         margin_barriers.append("hpos")
 
     extra_channels = {
-        "V_l": lambda t, x: lead.velocity(t),
+        "V_l": lambda t, x: lead.cached_velocity(t),
         "V_max": (lambda t, x: limits.value(t)) if limits else (lambda t, x: math.inf),
-        "active_signal": (lambda t, x: float(exo.active_signal_index(x[0]) + 1)
-                          if exo.active_signal_index(x[0]) < len(signals) else 0.0),
+        "active_signal": lambda t, x: (
+            float(k + 1) if (k := exo.active_signal_index(x[0])) < len(signals) else 0.0),
         "signal_phase": _phase_channel(exo, signals),
     }
 
@@ -219,7 +219,6 @@ def run_pipeline(cfg: ScenarioConfig) -> PipelineOutcome:
         extra_channels=bundle.extra_channels,
         metadata={"scenario": cfg.name, "hash": cfg.scenario_hash(),
                   "dt": cfg.dt, "seed": cfg.seed},
-        tol=cfg.margin_tol,
     )
     report.engagements = [rec.describe() for rec in result.engagements.all_records()]
     _fill_summary(report, result.trace, bundle)

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .barriers import HalfspaceConstraint
+from .barriers import BarrierError, HalfspaceConstraint
 
 _FEAS_TOL = 1e-9
 _DUAL_TOL = 1e-9
@@ -58,17 +58,19 @@ class InputBox:
 
 def solve_qp(u_nom, constraints: Sequence[HalfspaceConstraint], box: InputBox):
     """Euclidean projection of u_nom onto the constraint polytope, or None
-    when it is empty. Output is a tuple of floats (length box.dim)."""
-    u_nom = tuple(float(v) for v in (u_nom if isinstance(u_nom, (tuple, list)) else (u_nom,)))
+    when it is empty. Output is a tuple of floats (length box.dim). Each
+    constraint's dimension and finiteness are checked here, in order."""
+    u_nom = u_nom if isinstance(u_nom, (tuple, list)) else (u_nom,)
     m = box.dim
     if len(u_nom) != m:
         raise QpError(f"u_nom has dimension {len(u_nom)}, box has {m}")
+    if m == 1:
+        return _solve_1d(float(u_nom[0]), constraints, box)
 
     rows = []
     seen = set()
     for c in constraints:
-        if len(c.a) != m:
-            raise QpError(f"constraint {c.label or c.a} has wrong input dimension")
+        _check_entry(c, m)
         if c.is_infeasible_marker():
             return None
         if c.is_vacuous():
@@ -78,9 +80,7 @@ def solve_qp(u_nom, constraints: Sequence[HalfspaceConstraint], box: InputBox):
             seen.add(key)
             rows.append((c.a, c.b))
 
-    if m == 1:
-        return _solve_1d(u_nom[0], rows, box)
-
+    u_nom = tuple(float(v) for v in u_nom)
     for i in range(m):  # box faces as ordinary halfspaces
         e = tuple(1.0 if j == i else 0.0 for j in range(m))
         rows.append((e, box.upper[i]))
@@ -88,13 +88,26 @@ def solve_qp(u_nom, constraints: Sequence[HalfspaceConstraint], box: InputBox):
     return _solve_active_set(np.asarray(u_nom), rows, m)
 
 
-def _solve_1d(u: float, rows, box: InputBox):
+def _check_entry(c: HalfspaceConstraint, m: int):
+    if len(c.a) != m:
+        raise QpError(f"constraint {c.label or c.a} has wrong input dimension")
+    if not (math.isfinite(c.b) and all(map(math.isfinite, c.a))):
+        raise BarrierError(f"non-finite constraint {c.a} . u <= {c.b}")
+
+
+def _solve_1d(u: float, constraints, box: InputBox):
+    """Clip a scalar u between the largest lower and smallest upper bound b/a;
+    a zero `a` is vacuous, or the infeasible marker when b < 0."""
     lo, hi = box.lower[0], box.upper[0]
-    for (a,), b in rows:
+    for c in constraints:
+        _check_entry(c, 1)
+        (a,), b = c.a, c.b
         if a > 0:
             hi = min(hi, b / a)
         elif a < 0:
             lo = max(lo, b / a)
+        elif b < 0:
+            return None
     if lo > hi:
         return None
     return (min(max(u, lo), hi),)

@@ -6,12 +6,20 @@ group schedules, projects the nominal input through the QP filter, integrates
 one step, and records state, inputs, per-barrier margins and QP status. An
 empty safe input set or a domain exit aborts the run with a timestamped
 failure; the trace prefix up to that point is preserved.
+
+Each step evaluates f and g once, for every constraint's Lie terms and as
+RK4's k1 (f runs 4 times a step); barriers give (h, dh/dt, grad h) in one
+`terms` call, schedules keep a forward segment cursor, and `solve_qp` checks
+finiteness as constraints enter it. Float operations keep their order: the
+tests compare the reference mission's trace and report byte for byte.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import add, mul
 from typing import Callable, Optional, Sequence
 
 from .barriers import StateBox
@@ -19,7 +27,6 @@ from .contracts import EngagementLedger, conjoin_groups
 from .qp import InputBox, solve_qp
 
 DEFAULT_DT = 0.01
-MARGIN_TOL = 1e-3
 
 
 class SimError(ValueError):
@@ -34,8 +41,9 @@ class InitialConditionError(SimError):
 class ControlSystem:
     """dx/dt = f(t, x) + g(t, x) u on the box domain D.
 
-    f returns an n-tuple, g an n x m matrix as nested tuples; both must be
-    locally Lipschitz on D (the shipped templates are). Time enters only
+    f returns an n-tuple, g an n x m matrix as nested tuples (immutable, so
+    RK4 reuses g u while g returns the same object); both must be locally
+    Lipschitz on D (the shipped templates are). Time enters only
     through exogenous signals bound into f. State components listed in
     `clamp_min_dims` are clamped at the domain floor instead of failing the
     run (a vehicle at rest is meaningful; a negative speed is not).
@@ -53,27 +61,34 @@ class ControlSystem:
             raise SimError(f"domain dimension {self.domain.dim} != n={self.n}")
 
 
-def integrate_step(sys: ControlSystem, t: float, x, u, dt: float):
+def integrate_step(sys: ControlSystem, t: float, x, u, dt: float, dyn=None):
     """One classical 4th-order step of dx/dt = f(t,x) + g(t,x) u with u held
-    constant over the step."""
+    constant over the step. `dyn` is (f(t, x), g(t, x)) when the caller has
+    evaluated them already; they then give k1 without a second evaluation."""
     if dt <= 0:
         raise SimError(f"dt must be positive, got {dt}")
+    f, g = sys.f, sys.g
+    g_seen = gu = None
 
-    def rate(ti, xi):
-        fv = sys.f(ti, xi)
-        gm = sys.g(ti, xi)
-        return tuple(
-            fv[i] + sum(gm[i][j] * u[j] for j in range(sys.m)) for i in range(sys.n)
-        )
+    def rate(fv, gm):
+        nonlocal g_seen, gu
+        if gm is not g_seen:  # g is nested tuples: the same object gives the same g u
+            g_seen, gu = gm, [sum(map(mul, row, u)) for row in gm]
+        return tuple(map(add, fv, gu))
 
-    k1 = rate(t, x)
-    k2 = rate(t + dt / 2, tuple(xi + dt / 2 * ki for xi, ki in zip(x, k1)))
-    k3 = rate(t + dt / 2, tuple(xi + dt / 2 * ki for xi, ki in zip(x, k2)))
-    k4 = rate(t + dt, tuple(xi + dt * ki for xi, ki in zip(x, k3)))
-    return tuple(
-        xi + dt / 6 * (a + 2 * b + 2 * c + d)
+    half = dt / 2
+    k1 = rate(*(dyn if dyn is not None else (f(t, x), g(t, x))))
+    xs = tuple([xi + half * ki for xi, ki in zip(x, k1)])
+    k2 = rate(f(t + half, xs), g(t + half, xs))
+    xs = tuple([xi + half * ki for xi, ki in zip(x, k2)])
+    k3 = rate(f(t + half, xs), g(t + half, xs))
+    xs = tuple([xi + dt * ki for xi, ki in zip(x, k3)])
+    k4 = rate(f(t + dt, xs), g(t + dt, xs))
+    sixth = dt / 6
+    return tuple([
+        xi + sixth * (a + 2 * b + 2 * c + d)
         for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
-    )
+    ])
 
 
 @dataclass
@@ -138,7 +153,6 @@ def run_simulation(
     margin_barriers: Sequence[str] = (),
     extra_channels: Optional[dict] = None,
     metadata: Optional[dict] = None,
-    tol: float = MARGIN_TOL,
 ) -> RunResult:
     """Run the synthesis loop over [0, t_max] with step dt.
 
@@ -164,19 +178,18 @@ def run_simulation(
                 )
 
     trace = Trace(dt=dt, metadata=dict(metadata or {}))
-    bars = [(bid, registry.get(bid)) for bid in margin_barriers]
-    for bid, _ in bars:
-        trace.margins[bid] = []
-    extra_channels = extra_channels or {}
-    for name in extra_channels:
-        trace.extras[name] = []
+    bars = [(registry.get(bid), trace.margins.setdefault(bid, []))
+            for bid in margin_barriers]
+    channels = [(fn, trace.extras.setdefault(name, []))
+                for name, fn in (extra_channels or {}).items()]
 
+    f, g, lower = sys.f, sys.g, sys.domain.lower
     engagements = EngagementLedger()
     n_steps = round(t_max / dt)
     zero_u = (0.0,) * sys.m
     last_u_nom, last_u_safe = zero_u, zero_u
     clamped_prev = [False] * sys.n
-    logged_engagements = set()
+    n_logged = 0  # engagement records already turned into events
 
     def record(t, status, active, u_n, u_s):
         trace.ts.append(t)
@@ -185,10 +198,10 @@ def run_simulation(
         trace.u_safe.append(u_s)
         trace.active_counts.append(active)
         trace.qp_status.append(status)
-        for bid, bar in bars:
-            trace.margins[bid].append(bar.h(t, x))
-        for name, fn in extra_channels.items():
-            trace.extras[name].append(fn(t, x))
+        for bar, col in bars:
+            col.append(bar.h(t, x))
+        for fn, col in channels:
+            col.append(fn(t, x))
 
     for k in range(n_steps + 1):
         t = k * dt
@@ -196,18 +209,18 @@ def run_simulation(
             record(t, "ok", 0, last_u_nom, last_u_safe)
             break
 
-        cons = conjoin_groups(schedules, t, x, sys, registry, engagements)
-        if len(engagements.records) > len(logged_engagements):
-            for key, rec in engagements.records.items():
-                if key not in logged_engagements:
-                    trace.events.append((t, rec.describe()))
-                    if rec.time + rec.t_conv_bound > rec.boundary_time + 1e-9:
-                        # late engagement: the bound lands past the switch
-                        trace.events.append((t, f"deadline-risk {rec.describe()}"))
-                    logged_engagements.add(key)
+        dyn = (f(t, x), g(t, x))
+        cons = conjoin_groups(schedules, t, x, sys, registry, engagements, dyn)
+        if len(engagements.records) > n_logged:
+            for rec in islice(engagements.records.values(), n_logged, None):
+                trace.events.append((t, rec.describe()))
+                if rec.time + rec.t_conv_bound > rec.boundary_time + 1e-9:
+                    # late engagement: the bound lands past the switch
+                    trace.events.append((t, f"deadline-risk {rec.describe()}"))
+            n_logged = len(engagements.records)
 
         u_n = nominal(t, x)
-        u_n = tuple(float(v) for v in (u_n if isinstance(u_n, (tuple, list)) else (u_n,)))
+        u_n = tuple(map(float, u_n)) if isinstance(u_n, (tuple, list)) else (float(u_n),)
         u_s = solve_qp(u_n, cons, box)
         if u_s is None:
             record(t, "infeasible", len(cons), u_n, (math.nan,) * sys.m)
@@ -218,23 +231,21 @@ def run_simulation(
         record(t, "ok", len(cons), u_n, u_s)
         last_u_nom, last_u_safe = u_n, u_s
 
-        x = integrate_step(sys, t, x, u_s, dt)
-        if any(not math.isfinite(v) for v in x):
+        x = integrate_step(sys, t, x, u_s, dt, dyn)
+        if not all(map(math.isfinite, x)):
             return RunResult(trace, SimFailure(t + dt, "non_finite_state"), engagements)
-        xl = list(x)
         for i in sys.clamp_min_dims:
-            if xl[i] < sys.domain.lower[i]:
-                xl[i] = sys.domain.lower[i]
+            if x[i] < lower[i]:
+                x = x[:i] + (lower[i],) + x[i + 1:]
                 if not clamped_prev[i]:
                     trace.events.append((t + dt, f"state[{i}] clamped at domain floor"))
                 clamped_prev[i] = True
             else:
                 clamped_prev[i] = False
-        x = tuple(xl)
         if not sys.domain.contains(x, pad=1e-9):
             bad = [
                 f"x[{i}]={v:g} outside [{lo:g},{hi:g}]"
-                for i, (v, lo, hi) in enumerate(zip(x, sys.domain.lower, sys.domain.upper))
+                for i, (v, lo, hi) in enumerate(zip(x, lower, sys.domain.upper))
                 if not (lo - 1e-9 <= v <= hi + 1e-9)
             ]
             return RunResult(trace, SimFailure(t + dt, "domain_exit", tuple(bad)), engagements)

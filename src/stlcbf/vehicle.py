@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .barriers import (
@@ -115,6 +115,7 @@ class LeadProfile:
                 t = t_next
         self._bps = bps
         self._times = [b[0] for b in bps]
+        self._last = (math.nan, 0.0)  # t and V_l(t) of the last cached query
 
     def _piece(self, t: float):
         return self._bps[max(bisect_right(self._times, t) - 1, 0)]
@@ -122,6 +123,15 @@ class LeadProfile:
     def velocity(self, t: float) -> float:
         t0, _, v, a = self._piece(t)
         return v + a * (t - t0)
+
+    def cached_velocity(self, t: float) -> float:
+        """velocity(t), evaluated only for a new t: within a step the dynamics,
+        h1, the nominal controller and the trace all read V_l at one t."""
+        last_t, v = self._last
+        if t != last_t:
+            v = self.velocity(t)
+            self._last = (t, v)
+        return v
 
     def accel(self, t: float) -> float:
         return self._piece(t)[3]
@@ -248,10 +258,14 @@ class ExogenousSignals:
     lead: LeadProfile
     limits: Optional[SpeedLimitSchedule] = None
     signals: tuple = ()
+    positions: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "positions", tuple(s.position for s in self.signals))
 
     def active_signal_index(self, x_f: float) -> int:
         """0-based index of the signal at or ahead of X_f (== len past the last)."""
-        return bisect_left([s.position for s in self.signals], x_f)
+        return bisect_left(self.positions, x_f)
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +285,22 @@ class SpacingBarrier(Barrier):
         self.vp = vp
         self.lead = lead
 
-    def h(self, t, x):
-        vl = self.lead.velocity(t)
+    def _h(self, vl, x):
         return ((x[2] - x[0]) - self.vp.t_headway * x[1] - self.vp.s0
                 - (x[1] * x[1] - vl * vl) / (2 * self.vp.a_max))
 
+    def h(self, t, x):
+        return self._h(self.lead.cached_velocity(t), x)
+
     def dh_dt(self, t, x):
-        return self.lead.velocity(t) * self.lead.accel(t) / self.vp.a_max
+        return self.lead.cached_velocity(t) * self.lead.accel(t) / self.vp.a_max
 
     def grad_x(self, t, x):
         return (-1.0, -self.vp.t_headway - x[1] / self.vp.a_max, 1.0)
+
+    def terms(self, t, x):
+        vl = self.lead.cached_velocity(t)
+        return self._h(vl, x), vl * self.lead.accel(t) / self.vp.a_max, self.grad_x(t, x)
 
     def is_smooth_at(self, t, x, t_pad=0.0, x_pad=0.0):
         return all(abs(t - ts) > t_pad for ts in self.lead.switch_times)
@@ -328,25 +348,29 @@ class TrafficSignalBarrier(Barrier):
             return self.positions[k]
         return self.positions[k + 1] if k + 1 < len(self.signals) else None
 
-    def h(self, t, x):
-        line = self._stop_line(t, x)
+    def _h(self, line, x):
         if line is None:
             return math.inf
         return line - x[0] - self.vp.beta * x[1] - self.vp.s0
 
+    def h(self, t, x):
+        return self._h(self._stop_line(t, x), x)
+
     def h_left(self, t, x):
-        line = self._stop_line(t, x, side="left")
-        if line is None:
-            return math.inf
-        return line - x[0] - self.vp.beta * x[1] - self.vp.s0
+        return self._h(self._stop_line(t, x, side="left"), x)
 
     def dh_dt(self, t, x):
         return 0.0
 
+    def _grad(self, line):
+        return (0.0, 0.0, 0.0) if line is None else (-1.0, -self.vp.beta, 0.0)
+
     def grad_x(self, t, x):
-        if self._stop_line(t, x) is None:
-            return (0.0, 0.0, 0.0)
-        return (-1.0, -self.vp.beta, 0.0)
+        return self._grad(self._stop_line(t, x))
+
+    def terms(self, t, x):
+        line = self._stop_line(t, x)
+        return self._h(line, x), 0.0, self._grad(line)
 
     def is_smooth_at(self, t, x, t_pad=0.0, x_pad=0.0):
         k = bisect_left(self.positions, x[0])
@@ -383,7 +407,7 @@ def make_vehicle_system(vp: VehicleParams, lead: LeadProfile,
     g_mat = ((0.0,), (inv_m,), (0.0,))
 
     def f(t, x):
-        return (x[1], -friction_force(x[1], vp) * inv_m, lead.velocity(t))
+        return (x[1], -friction_force(x[1], vp) * inv_m, lead.cached_velocity(t))
 
     def g(t, x):
         return g_mat
@@ -475,11 +499,11 @@ class SignalContractSet:
             return None
         return self.schedules[k].assumption_margin(x0, registry)
 
-    def constraints_at(self, t, x, sys, registry, engagements=None):
+    def constraints_at(self, t, x, sys, registry, engagements=None, dyn=None):
         k = self._active(x[0])
         if k >= len(self.schedules):
             return []
-        return self.schedules[k].constraints_at(t, x, sys, registry, engagements)
+        return self.schedules[k].constraints_at(t, x, sys, registry, engagements, dyn)
 
 
 def build_signal_contracts(signals: Sequence[SignalTimings], vp: VehicleParams,

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,13 @@ from stlcbf.barriers import (
     gamma_for_deadline,
 )
 from stlcbf.sim import ControlSystem
+from stlcbf.vehicle import (
+    LeadProfile,
+    SignalTimings,
+    VehicleParams,
+    signal_barriers,
+    spacing_barrier,
+)
 
 
 def scalar_system():
@@ -203,3 +212,71 @@ class TestPiecewiseAffine:
         assert SafeSet(bar, 10.0).margin(x) == pytest.approx(3.0)
         assert not SafeSet(bar, 50.0).membership(x)          # new piece: 25
         assert SafeSet(bar, 50.0, side="left").membership(x)  # left limit: 30
+
+    @pytest.mark.parametrize("side,t,offset", [
+        ("right", 5.0, 30.0),                           # before the first piece
+        ("left", 5.0, 30.0),
+        ("right", 10.0, 30.0),                          # at the first piece's start
+        ("left", 10.0, 30.0),
+        ("right", math.nextafter(50.0, 0.0), 30.0),     # just before a switch
+        ("left", math.nextafter(50.0, 0.0), 30.0),
+        ("right", 50.0, 25.0),                          # at the switch
+        ("left", 50.0, 30.0),
+        ("right", math.nextafter(50.0, math.inf), 25.0),  # just after it
+        ("left", math.nextafter(50.0, math.inf), 25.0),
+    ])
+    def test_offset_lookup_around_piece_starts(self, side, t, offset):
+        bar = AffineBarrier("hv", coeffs=(0.0, -1.0), pieces=[(10.0, 30.0), (50.0, 25.0)])
+        assert bar.affine_at(t, side=side)[1] == offset
+        h = bar.h_left(t, (0.0, 0.0)) if side == "left" else bar.h(t, (0.0, 0.0))
+        assert h == offset
+
+
+# ---------------------------------------------------------------------------
+# Fused terms: (h, dh_dt, grad_x) in one call, bit for bit
+# ---------------------------------------------------------------------------
+
+VP = VehicleParams()
+# two signals with cycles green [0,20) -> yellow [20,24) -> red [24,40)
+SIGNALS = [SignalTimings(200.0, 20.0, 4.0, 16.0), SignalTimings(500.0, 20.0, 4.0, 16.0)]
+
+
+def _templates():
+    lead = LeadProfile(55.0, 3.0, [(0.0, 1.2), (10.0, 0.0), (20.0, -1.5), (40.0, 0.5)])
+    base = [
+        AffineBarrier("hv", coeffs=(0.0, -1.0, 0.0), pieces=[(0.0, 30.0), (25.0, 10.0)]),
+        AffineBarrier("lin", coeffs=(0.4, -1.0, 0.2), offset=5.0),
+        TopBarrier(3),
+        spacing_barrier(VP, lead),
+        signal_barriers(SIGNALS, VP),
+    ]
+    return base + [bar.negate() for bar in base]
+
+
+TEMPLATES = _templates()
+
+
+def _bits(h, dh, grad):
+    """Exact identity of floats: float.hex tells -0.0 from 0.0."""
+    return (h.hex(), dh.hex(), tuple(g.hex() for g in grad))
+
+
+def assert_terms_match(bar, t, x):
+    expected = _bits(bar.h(t, x), bar.dh_dt(t, x), bar.grad_x(t, x))
+    assert _bits(*bar.terms(t, x)) == expected, (bar, t, x)
+
+
+class TestFusedTerms:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(TEMPLATES), st.floats(0.0, 60.0),
+           st.floats(0.0, 700.0), st.floats(0.0, 40.0), st.floats(0.0, 800.0))
+    def test_terms_equal_separate_methods(self, bar, t, x_f, v_f, x_l):
+        assert_terms_match(bar, t, (x_f, v_f, x_l))
+
+    @pytest.mark.parametrize("bar", [TEMPLATES[4], TEMPLATES[9]], ids=["hpos", "!hpos"])
+    @pytest.mark.parametrize("t,phase", [(10.0, "green"), (22.0, "yellow"), (30.0, "red")])
+    @pytest.mark.parametrize("x_f", [150.0, 200.0, 250.0, 480.0, 520.0],
+                             ids=["before1", "on1", "after1", "before2", "past_last"])
+    def test_signal_terms_across_stop_lines_and_phases(self, bar, t, phase, x_f):
+        assert SIGNALS[0].phase(t) == phase
+        assert_terms_match(bar, t, (x_f, 8.0, 0.0))

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from dataclasses import replace
@@ -108,12 +109,47 @@ class TestConfigParsing:
         assert cfg.scenario_hash() == parse_config(MINIMAL).scenario_hash()
 
 
+# sha256 of the paper_sec6 trace CSV and report, as perfbench/workloads.py
+# records them: the README's determinism contract, guarded byte for byte.
+REF_CSV_SHA256 = "c2b6f78492063c4b8a764f56faf8d8b76b5543c0e819d5f5f12527d9849fc9e2"
+REF_REPORT_SHA256 = "57b2fc2b4652b1e2cc16a94c18f250e11260abc502aeb494d21878d40504f98f"
+
+# Every window on this mission whose engagement margin is negative is flagged
+# deadline-risk: gamma is sized for t_target, but the window engages one step
+# after tau, so the bound lands dt past the switch.
+REF_EVENTS = [
+    (45.01, "engage G1#0 t=45.01 h=6.99978 gamma=0.001 T_bound=0 deadline=50"),
+    (67.75, "engage G3.s3#2 t=67.75 h=36.6717 gamma=0.001 T_bound=0 deadline=73.729"),
+    (92.77, "engage G3.s4#3 t=92.77 h=712.682 gamma=0.001 T_bound=0 deadline=97.1785"),
+    (95.01, "engage G1#1 t=95.01 h=3.95055 gamma=0.001 T_bound=0 deadline=100"),
+    (148.68, "engage G3.s4#5 t=148.68 h=217.792 gamma=0.001 T_bound=0 deadline=153.09"),
+    (195.01, "engage G1#3 t=195.01 h=-4.99955 gamma=2.56857 T_bound=5 deadline=200"),
+    (195.01, "deadline-risk engage G1#3 t=195.01 h=-4.99955 gamma=2.56857 T_bound=5 "
+             "deadline=200"),
+    (231.46, "engage G3.s7#8 t=231.46 h=11.6786 gamma=0.001 T_bound=0 deadline=236.834"),
+    (245.01, "engage G1#4 t=245.01 h=9.77772 gamma=0.001 T_bound=0 deadline=250"),
+    (259.83, "engage G3.s8#8 t=259.83 h=256.226 gamma=0.001 T_bound=0 deadline=265.546"),
+    (345.01, "engage G1#6 t=345.01 h=-4.98905 gamma=2.56808 T_bound=5 deadline=350"),
+    (345.01, "deadline-risk engage G1#6 t=345.01 h=-4.98905 gamma=2.56808 T_bound=5 "
+             "deadline=350"),
+    (395.01, "engage G1#7 t=395.01 h=-15 gamma=2.83554 T_bound=5 deadline=400"),
+    (395.01, "deadline-risk engage G1#7 t=395.01 h=-15 gamma=2.83554 T_bound=5 "
+             "deadline=400"),
+]
+
+
 class TestPipelineOutcomes:
-    def test_reference_preset_succeeds(self):
+    def test_reference_preset_succeeds(self, tmp_path):
         out = run_pipeline(load_config("paper_sec6"))
         assert out.exit_code == 0
         assert out.report.monitor.satisfied
         assert out.report.summary["rows"] == 50001
+        csv_path = tmp_path / "trace.csv"
+        write_trace_csv(out.trace, str(csv_path))
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == REF_CSV_SHA256
+        report = format_report(out.report).encode("utf-8")
+        assert hashlib.sha256(report).hexdigest() == REF_REPORT_SHA256
+        assert out.trace.events == REF_EVENTS
 
     def test_static_incompatibility_names_boundary(self):
         out = run_pipeline(load_config("incompatible_static"))

@@ -251,6 +251,13 @@ class TestActiveConstraints:
         with pytest.raises(ScheduleQueryError):
             active_constraints(sched, -0.5, (0.0, 0.0), ScalarSys, reg)
 
+    def test_segment_lookup_in_any_order(self):
+        # the lookup cursor follows forward time; other queries must agree too
+        _, sched = self._sched()
+        for t in (0.0, 49.99, 50.0, 120.0, 10.0, 149.9, 0.0, 100.0, 99.999, 100.0):
+            want = max(i for i, seg in enumerate(sched.segments) if seg.interval.start <= t)
+            assert sched.segment_at(t) is sched.segments[want]
+
     def test_vacuous_segment_contributes_nothing(self):
         reg = registry_with(vbar(10))
         group = TaskGroup("G1", ((TimeInterval(20, 30), PredicateRef("v10")),))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import grid_qp
-from stlcbf.barriers import HalfspaceConstraint
+from stlcbf.barriers import BarrierError, HalfspaceConstraint
 from stlcbf.qp import InputBox, PidState, QpError, pid_nominal, solve_qp
 
 BOX1 = InputBox((-6000.0,), (6000.0,))
@@ -41,6 +41,37 @@ class TestSolveQp1D:
 
     def test_box_clamp(self):
         assert solve_qp(9000.0, [], BOX1) == (6000.0,)
+
+
+class TestQpEntry:
+    """Constraints are validated where they enter solve_qp, for every m."""
+
+    BOXES = {1: BOX1, 2: InputBox((-2.0, -2.0), (2.0, 2.0))}
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("bad", ["a_inf", "a_nan", "b_inf", "b_nan"])
+    def test_non_finite_constraint_raises(self, m, bad):
+        a = [1.0] * m
+        b = 1.0
+        if bad.startswith("a"):
+            a[-1] = math.inf if bad == "a_inf" else math.nan
+        else:
+            b = -math.inf if bad == "b_inf" else math.nan
+        c = HalfspaceConstraint(tuple(a), b, "cbf:bad")  # building it does not check
+        with pytest.raises(BarrierError, match="non-finite constraint"):
+            solve_qp((0.0,) * m, [hs([0.5] * m, 3.0), c], self.BOXES[m])
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_zero_a_infeasible_marker_returns_none(self, m):
+        cons = [hs([1.0] * m, 5.0), hs([0.0] * m, -1.0)]
+        assert solve_qp((0.0,) * m, cons, self.BOXES[m]) is None
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_vacuous_zero_a_constraint_ignored(self, m):
+        cons = [hs([1.0] * m, 0.5)]
+        u_nom = (1.5,) * m
+        plain = solve_qp(u_nom, cons, self.BOXES[m])
+        assert solve_qp(u_nom, cons + [hs([0.0] * m, 2.0)], self.BOXES[m]) == plain
 
 
 class TestSolveQp2D:
