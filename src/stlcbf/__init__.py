@@ -12,7 +12,6 @@ from .barriers import (
     BarrierRegistry,
     FcbfParams,
     HalfspaceConstraint,
-    SafeSet,
     StateBox,
     cbf_constraint,
     convergence_time,
@@ -26,7 +25,6 @@ from .contracts import (
     EngagementLedger,
     ScheduleConfig,
     Verdict,
-    active_constraints,
     build_schedule,
     check_intersection,
     check_subset,
@@ -50,7 +48,6 @@ from .vehicle import (
     SignalTimings,
     SpeedLimitSchedule,
     VehicleParams,
-    closed_form_bound,
     friction_force,
     generate_signal_plan,
     make_vehicle_system,

@@ -24,6 +24,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import mul
 
+import numpy as np
+
 GAMMA_MIN = 1e-3  # per second; used when the engagement state is already safe
 
 
@@ -129,6 +131,18 @@ class Barrier:
         """Left time-limit h(t-, x); differs from h only at time jumps."""
         return self.h(t, x)
 
+    def h_grid(self, t: float, cols, side: str = "right"):
+        """h(t, x), or h_left on side="left", at every point of broadcastable
+        coordinate arrays `cols`, one per state axis. Point by point here;
+        templates override it with arrays, in the scalar method's float order."""
+        fn = self.h_left if side == "left" else self.h
+        shape = np.broadcast_shapes(*map(np.shape, cols))
+        cols = [np.broadcast_to(c, shape) for c in cols]
+        out = np.empty(shape)
+        for idx in np.ndindex(shape):
+            out[idx] = fn(t, tuple(float(c[idx]) for c in cols))
+        return out
+
     def dh_dt(self, t: float, x) -> float:
         raise NotImplementedError
 
@@ -152,27 +166,6 @@ class Barrier:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.id}>"
-
-
-@dataclass(frozen=True)
-class SafeSet:
-    """Superlevel set {x : h(t, x) >= 0} of a barrier frozen at a query time.
-
-    side="left" queries the left time-limit C(t-), which differs from C(t)
-    exactly at the barrier's jump instants.
-    """
-
-    barrier: "Barrier"
-    t: float
-    side: str = "right"
-
-    def margin(self, x) -> float:
-        if self.side == "left":
-            return self.barrier.h_left(self.t, x)
-        return self.barrier.h(self.t, x)
-
-    def membership(self, x) -> bool:
-        return self.margin(x) >= 0
 
 
 class AffineBarrier(Barrier):
@@ -210,6 +203,12 @@ class AffineBarrier(Barrier):
     def h_left(self, t, x):
         return sum(map(mul, self.coeffs, x)) + self._offset(t, side="left")
 
+    def h_grid(self, t, cols, side="right"):
+        acc = 0  # sum() starts from the integer 0, so 0 + (-0.0) gives 0.0
+        for c, col in zip(self.coeffs, cols):
+            acc = acc + c * col
+        return acc + self._offset(t, side)
+
     def dh_dt(self, t, x):
         return 0.0
 
@@ -236,6 +235,9 @@ class TopBarrier(Barrier):
     def h(self, t, x):
         return 1.0
 
+    def h_grid(self, t, cols, side="right"):
+        return 1.0
+
     def dh_dt(self, t, x):
         return 0.0
 
@@ -258,6 +260,9 @@ class NegatedBarrier(Barrier):
 
     def h_left(self, t, x):
         return -self.inner.h_left(t, x)
+
+    def h_grid(self, t, cols, side="right"):
+        return -self.inner.h_grid(t, cols, side)
 
     def dh_dt(self, t, x):
         return -self.inner.dh_dt(t, x)

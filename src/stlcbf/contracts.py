@@ -14,7 +14,9 @@ Each internal boundary t_i is classified:
 
 Subset / intersection checks are exact for affine-in-state barriers (vertex
 enumeration of the box-and-halfspace polytope); other templates fall back to
-deterministic grid sampling with the method recorded in the verdict.
+a deterministic N-per-axis grid, `sampled(N)` in the verdict, that numpy
+evaluates one slab per value of the first axis (`Barrier.h_grid`). A sampled
+verdict is evidence, not a proof: a violation can hide between grid points.
 """
 
 from __future__ import annotations
@@ -22,9 +24,12 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from .barriers import (
     Barrier,
@@ -89,15 +94,41 @@ def _cut_vertices(box: StateBox, coeffs, offset, tol: float = 1e-12):
     return verts
 
 
+def _check_resolution(resolution) -> None:
+    if not (isinstance(resolution, numbers.Integral) and resolution >= 1):
+        raise ContractError(f"grid resolution must be an integer >= 1, got {resolution!r}")
+
+
 def _grid_points(box: StateBox, resolution: int):
+    """The grid, one slab per value of the first axis: that value and one
+    array per other axis, broadcastable, in itertools.product's order when
+    read in C order. Point k of an axis is lo + k * step (midpoint at 1)."""
+    _check_resolution(resolution)
     axes = []
     for lo, hi in zip(box.lower, box.upper):
         if resolution == 1:
-            axes.append([0.5 * (lo + hi)])
+            axes.append(np.array([0.5 * (lo + hi)]))
         else:
-            step = (hi - lo) / (resolution - 1)
-            axes.append([lo + k * step for k in range(resolution)])
-    return itertools.product(*axes)
+            axes.append(lo + np.arange(resolution) * ((hi - lo) / (resolution - 1)))
+    rest = np.ix_(*axes[1:])
+    return (head + rest for head in itertools.product(*axes[:1]))
+
+
+def _first_best(vals, slab, fill, pick):
+    """(C-order index, value) of the first point where `pick` (np.argmax or
+    np.argmin) finds the extreme of values on a slab (or a scalar), NaN read
+    as `fill`: the point a point-by-point scan with strict comparisons keeps."""
+    vals = np.broadcast_to(vals, np.broadcast_shapes(*map(np.shape, slab))).ravel()
+    i = int(pick(vals))
+    if np.isnan(vals[i]):  # argmax and argmin stop at the first NaN
+        vals = np.where(np.isnan(vals), fill, vals)
+        i = int(pick(vals))
+    return i, vals[i]
+
+
+def _slab_point(slab, flat_index: int) -> tuple:
+    """The grid point at a C-order index of a slab, as a tuple of floats."""
+    return tuple(float(c.flat[flat_index]) for c in np.broadcast_arrays(*slab))
 
 
 @dataclass(frozen=True)
@@ -136,9 +167,11 @@ def check_subset(h_prev: Barrier, h_next: Barrier, t: float, domain: StateBox,
         return SubsetCheck(False, EXACT, counterexample=worst)
 
     method = f"sampled({resolution})"
-    for pt in _grid_points(domain, resolution):
-        if h_prev.h_left(t, pt) >= 0 and h_next.h(t, pt) < -1e-9:
-            return SubsetCheck(False, method, counterexample=pt)
+    for slab in _grid_points(domain, resolution):
+        i, bad = _first_best((h_prev.h_grid(t, slab, "left") >= 0)
+                             & (h_next.h_grid(t, slab) < -1e-9), slab, False, np.argmax)
+        if bad:
+            return SubsetCheck(False, method, counterexample=_slab_point(slab, i))
     return SubsetCheck(True, method)
 
 
@@ -160,11 +193,12 @@ def check_intersection(h_prev: Barrier, h_next: Barrier, t: float, domain: State
 
     method = f"sampled({resolution})"
     best_pt, best_val = None, -math.inf
-    for pt in _grid_points(domain, resolution):
-        if h_prev.h_left(t, pt) >= 0:
-            val = h_next.h(t, pt)
-            if val > best_val:
-                best_pt, best_val = pt, val
+    for slab in _grid_points(domain, resolution):
+        inside = h_prev.h_grid(t, slab, "left") >= 0
+        i, val = _first_best(np.where(inside, h_next.h_grid(t, slab), -math.inf),
+                             slab, -math.inf, np.argmax)
+        if val > best_val:
+            best_pt, best_val = _slab_point(slab, i), float(val)
     if best_pt is not None and best_val >= -1e-12:
         return IntersectionCheck(best_pt, method, margin=best_val)
     return IntersectionCheck(None, method)
@@ -181,9 +215,12 @@ def _worst_engage_margin(h_prev, h_next, tau, domain, resolution):
         return min(_affine_value(*next_aff, v) for v in cand), EXACT
     method = f"sampled({resolution})"
     worst = math.inf
-    for pt in _grid_points(domain, resolution):
-        if h_prev.h(tau, pt) >= 0:
-            worst = min(worst, h_next.h(tau, pt))
+    for slab in _grid_points(domain, resolution):
+        inside = h_prev.h_grid(tau, slab) >= 0
+        _, val = _first_best(np.where(inside, h_next.h_grid(tau, slab), math.inf),
+                             slab, math.inf, np.argmin)
+        if val < worst:
+            worst = float(val)
     return (0.0 if math.isinf(worst) else worst), method
 
 
@@ -260,6 +297,9 @@ class ScheduleConfig:
     boundary_windows: dict = field(default_factory=dict)
     grid_resolution: int = 101
     deadline_slack: float = 1e-9
+
+    def __post_init__(self):
+        _check_resolution(self.grid_resolution)
 
 
 @dataclass
@@ -465,11 +505,6 @@ def _classify_boundary(segments, idx, registry, cfg: ScheduleConfig) -> Boundary
         tau=tau, t_target=t_target, rho=cfg.rho, gamma_min=cfg.gamma_min,
         worst_engage_margin=worst, worst_t_conv=worst_t, **base,
     )
-
-
-def active_constraints(schedule: ContractSchedule, t, x, sys, registry, engagements=None):
-    """Constraints of one schedule at (t, x); see ContractSchedule.constraints_at."""
-    return schedule.constraints_at(t, x, sys, registry, engagements)
 
 
 def conjoin_groups(schedules, t, x, sys, registry, engagements=None, dyn=None):

@@ -1,6 +1,5 @@
-"""Longitudinal vehicle scenario: dynamics, barrier templates, traffic
-signals, and closed-form safe-input bounds used to cross-check the generic
-constraint generators.
+"""Longitudinal vehicle scenario: dynamics, barrier templates and traffic
+signals.
 
 State is x = (X_f, V_f, X_l): ego position, ego speed, lead position. The
 lead vehicle's speed and acceleration arrive over V2V as exogenous signals;
@@ -24,6 +23,8 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .barriers import (
     AffineBarrier,
@@ -292,6 +293,9 @@ class SpacingBarrier(Barrier):
     def h(self, t, x):
         return self._h(self.lead.cached_velocity(t), x)
 
+    def h_grid(self, t, cols, side="right"):
+        return self._h(self.lead.cached_velocity(t), cols)
+
     def dh_dt(self, t, x):
         return self.lead.cached_velocity(t) * self.lead.accel(t) / self.vp.a_max
 
@@ -359,6 +363,14 @@ class TrafficSignalBarrier(Barrier):
     def h_left(self, t, x):
         return self._h(self._stop_line(t, x, side="left"), x)
 
+    def h_grid(self, t, cols, side="right"):
+        # _stop_line over arrays: k is each X_f's active signal; a red k stops
+        # at line k, any other at line k + 1; lines past the last read +inf
+        red = [sig.phase(t, side) == RED for sig in self.signals] + [False]
+        k = np.searchsorted(self.positions, cols[0])
+        lines = np.array(self.positions + [math.inf, math.inf])
+        return self._h(lines[np.where(np.take(red, k), k, k + 1)], cols)
+
     def dh_dt(self, t, x):
         return 0.0
 
@@ -413,57 +425,6 @@ def make_vehicle_system(vp: VehicleParams, lead: LeadProfile,
         return g_mat
 
     return ControlSystem(n=3, m=1, f=f, g=g, domain=domain, clamp_min_dims=(1,))
-
-
-# ---------------------------------------------------------------------------
-# Closed-form safe-input bounds (cross-checks for the generic generators)
-# ---------------------------------------------------------------------------
-
-_KINDS = ("h1", "rbar", "v", "r_fcbf", "v_fcbf")
-
-
-def closed_form_bound(kind: str, t: float, x, vp: VehicleParams, *,
-                      v_l: float = 0.0, a_l: float = 0.0, v_max: float = 0.0,
-                      p_signal: float = 0.0, p_next: float = 0.0,
-                      gamma: float = 0.0, rho: float = 0.0) -> float:
-    """Upper bound on u derived by expanding the barrier condition by hand.
-
-    Derived from first principles for each template; these must coincide with
-    the generic constraint generators to machine precision (the invariance
-    bounds also match the published case-study forms; the published finite-
-    time forms drop the -V_f drift term for the signal case and carry a
-    spurious 1/beta for the speed case, so those two are reproduced from the
-    defining inequality instead).
-    """
-    fr = friction_force(x[1], vp)
-    v_f = x[1]
-    if kind == "h1":
-        h1 = (x[2] - x[0]) - vp.t_headway * v_f - vp.s0 - (v_f * v_f - v_l * v_l) / (2 * vp.a_max)
-        v_r = v_l - v_f
-        return (vp.mass * vp.a_max / (vp.t_headway * vp.a_max + v_f)) * (
-            h1 + v_r + v_l * a_l / vp.a_max) + fr
-    if kind == "rbar":
-        h = p_next - x[0] - vp.beta * v_f - vp.s0
-        return (vp.mass / vp.beta) * (h - v_f) + fr
-    if kind == "v":
-        return (vp.mass / vp.beta) * (v_max - v_f) + fr
-    if kind == "r_fcbf":
-        h = p_signal - x[0] - vp.beta * v_f - vp.s0
-        return (vp.mass / vp.beta) * (_pull(h, gamma, rho) - v_f) + fr
-    if kind == "v_fcbf":
-        return vp.mass * _pull(v_max - v_f, gamma, rho) + fr
-    raise VehicleError(f"unknown bound kind {kind!r}; expected one of {_KINDS}")
-
-
-def _pull(h: float, gamma: float, rho: float) -> float:
-    return 0.0 if h == 0 else gamma * math.copysign(abs(h) ** rho, h)
-
-
-def constraint_upper_bound(c) -> float:
-    """b/a of a single-input halfspace a u <= b with a > 0."""
-    if len(c.a) != 1 or c.a[0] <= 0:
-        raise VehicleError(f"constraint {c.label} is not an upper bound on a scalar input")
-    return c.b / c.a[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,18 @@
 """Independent oracles used by the tests: deliberately brute-force and kept
-separate from the implementation paths they check."""
+separate from the implementation paths they check. Also the few helpers that
+only the tests use."""
 
 from __future__ import annotations
 
+import itertools
+import math
+from dataclasses import dataclass
+
 import numpy as np
+
+from stlcbf.barriers import Barrier
+from stlcbf.contracts import ContractSchedule, IntersectionCheck, SubsetCheck
+from stlcbf.vehicle import VehicleError, VehicleParams, friction_force
 
 
 def max_overlap_depth(intervals) -> int:
@@ -64,3 +73,131 @@ def simulate_scalar_pull(h0: float, gamma: float, rho: float, dt: float = 1e-4,
         h += dt * rate
         t += dt
     return t
+
+
+# ---------------------------------------------------------------------------
+# Scalar grid checks: the per-point reference for contracts' array grid
+# ---------------------------------------------------------------------------
+
+
+def scalar_grid_points(box, resolution: int):
+    """Grid points one by one, in itertools.product order over the axes."""
+    axes = []
+    for lo, hi in zip(box.lower, box.upper):
+        if resolution == 1:
+            axes.append([0.5 * (lo + hi)])
+        else:
+            step = (hi - lo) / (resolution - 1)
+            axes.append([lo + k * step for k in range(resolution)])
+    return itertools.product(*axes)
+
+
+def scalar_check_subset(h_prev, h_next, t, domain, resolution) -> SubsetCheck:
+    """The sampled path of `check_subset`, one h call per point."""
+    method = f"sampled({resolution})"
+    for pt in scalar_grid_points(domain, resolution):
+        if h_prev.h_left(t, pt) >= 0 and h_next.h(t, pt) < -1e-9:
+            return SubsetCheck(False, method, counterexample=pt)
+    return SubsetCheck(True, method)
+
+
+def scalar_check_intersection(h_prev, h_next, t, domain, resolution) -> IntersectionCheck:
+    """The sampled path of `check_intersection`, one h call per point."""
+    method = f"sampled({resolution})"
+    best_pt, best_val = None, -math.inf
+    for pt in scalar_grid_points(domain, resolution):
+        if h_prev.h_left(t, pt) >= 0:
+            val = h_next.h(t, pt)
+            if val > best_val:
+                best_pt, best_val = pt, val
+    if best_pt is not None and best_val >= -1e-12:
+        return IntersectionCheck(best_pt, method, margin=best_val)
+    return IntersectionCheck(None, method)
+
+
+def scalar_worst_engage_margin(h_prev, h_next, tau, domain, resolution):
+    """The sampled path of `_worst_engage_margin`, one h call per point."""
+    method = f"sampled({resolution})"
+    worst = math.inf
+    for pt in scalar_grid_points(domain, resolution):
+        if h_prev.h(tau, pt) >= 0:
+            worst = min(worst, h_next.h(tau, pt))
+    return (0.0 if math.isinf(worst) else worst), method
+
+
+# ---------------------------------------------------------------------------
+# Helpers only the tests use
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SafeSet:
+    """Superlevel set {x : h(t, x) >= 0} of a barrier frozen at a query time.
+
+    side="left" queries the left time-limit C(t-), which differs from C(t)
+    exactly at the barrier's jump instants.
+    """
+
+    barrier: Barrier
+    t: float
+    side: str = "right"
+
+    def margin(self, x) -> float:
+        if self.side == "left":
+            return self.barrier.h_left(self.t, x)
+        return self.barrier.h(self.t, x)
+
+    def membership(self, x) -> bool:
+        return self.margin(x) >= 0
+
+
+def active_constraints(schedule: ContractSchedule, t, x, sys, registry, engagements=None):
+    """Constraints of one schedule at (t, x); see ContractSchedule.constraints_at."""
+    return schedule.constraints_at(t, x, sys, registry, engagements)
+
+
+_KINDS = ("h1", "rbar", "v", "r_fcbf", "v_fcbf")
+
+
+def closed_form_bound(kind: str, t: float, x, vp: VehicleParams, *,
+                      v_l: float = 0.0, a_l: float = 0.0, v_max: float = 0.0,
+                      p_signal: float = 0.0, p_next: float = 0.0,
+                      gamma: float = 0.0, rho: float = 0.0) -> float:
+    """Upper bound on u derived by expanding the barrier condition by hand.
+
+    Derived from first principles for each template; these must coincide with
+    the generic constraint generators to machine precision (the invariance
+    bounds also match the published case-study forms; the published finite-
+    time forms drop the -V_f drift term for the signal case and carry a
+    spurious 1/beta for the speed case, so those two are reproduced from the
+    defining inequality instead).
+    """
+    fr = friction_force(x[1], vp)
+    v_f = x[1]
+    if kind == "h1":
+        h1 = (x[2] - x[0]) - vp.t_headway * v_f - vp.s0 - (v_f * v_f - v_l * v_l) / (2 * vp.a_max)
+        v_r = v_l - v_f
+        return (vp.mass * vp.a_max / (vp.t_headway * vp.a_max + v_f)) * (
+            h1 + v_r + v_l * a_l / vp.a_max) + fr
+    if kind == "rbar":
+        h = p_next - x[0] - vp.beta * v_f - vp.s0
+        return (vp.mass / vp.beta) * (h - v_f) + fr
+    if kind == "v":
+        return (vp.mass / vp.beta) * (v_max - v_f) + fr
+    if kind == "r_fcbf":
+        h = p_signal - x[0] - vp.beta * v_f - vp.s0
+        return (vp.mass / vp.beta) * (_pull(h, gamma, rho) - v_f) + fr
+    if kind == "v_fcbf":
+        return vp.mass * _pull(v_max - v_f, gamma, rho) + fr
+    raise VehicleError(f"unknown bound kind {kind!r}; expected one of {_KINDS}")
+
+
+def _pull(h: float, gamma: float, rho: float) -> float:
+    return 0.0 if h == 0 else gamma * math.copysign(abs(h) ** rho, h)
+
+
+def constraint_upper_bound(c) -> float:
+    """b/a of a single-input halfspace a u <= b with a > 0."""
+    if len(c.a) != 1 or c.a[0] <= 0:
+        raise VehicleError(f"constraint {c.label} is not an upper bound on a scalar input")
+    return c.b / c.a[0]

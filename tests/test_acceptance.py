@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import grid_qp, max_overlap_depth
+from oracles import closed_form_bound, constraint_upper_bound, grid_qp, max_overlap_depth
 from stlcbf.barriers import (
     AffineBarrier,
     FcbfParams,
@@ -35,8 +35,6 @@ from stlcbf.vehicle import (
     RED,
     SpeedLimitSchedule,
     VehicleParams,
-    closed_form_bound,
-    constraint_upper_bound,
     generate_signal_plan,
     make_vehicle_system,
     signal_barriers,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import simulate_scalar_pull
+from oracles import SafeSet, simulate_scalar_pull
 from stlcbf.barriers import (
     AffineBarrier,
     AlphaFn,
@@ -204,8 +204,6 @@ class TestPiecewiseAffine:
         assert top.affine_at(0.0) == ((0.0, 0.0), 1.0)
 
     def test_safe_set_membership_and_left_limit(self):
-        from stlcbf.barriers import SafeSet
-
         bar = AffineBarrier("hv", coeffs=(0.0, -1.0), pieces=[(0.0, 30.0), (50.0, 25.0)])
         x = (0.0, 27.0)
         assert SafeSet(bar, 10.0).membership(x)

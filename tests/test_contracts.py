@@ -1,27 +1,49 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import grid_set_check
+from oracles import (
+    active_constraints,
+    grid_set_check,
+    scalar_check_intersection,
+    scalar_check_subset,
+    scalar_worst_engage_margin,
+)
 from stlcbf.barriers import (
     AffineBarrier,
+    Barrier,
     BarrierRegistry,
     FcbfParams,
     StateBox,
+    TopBarrier,
     convergence_time,
 )
 from stlcbf.contracts import (
     ContractError,
+    _grid_points,
+    _worst_engage_margin,
     EngagementLedger,
     ScheduleConfig,
     ScheduleQueryError,
     Verdict,
-    active_constraints,
     build_schedule,
     check_intersection,
     check_subset,
     conjoin_groups,
 )
 from stlcbf.stl import PredicateRef, TaskGroup, TimeInterval
+from stlcbf.vehicle import (
+    LeadProfile,
+    SignalTimings,
+    SpacingBarrier,
+    VehicleParams,
+    signal_barriers,
+    spacing_barrier,
+)
 
 
 def vbar(vmax, name=None):
@@ -324,3 +346,200 @@ class TestGridOracleAgreement:
             has_prev = bool((hp >= 1e-6).any())
             if has_prev:
                 assert (res_int.witness is not None) == witness_grid
+
+
+# ---------------------------------------------------------------------------
+# Sampled grid: array evaluation against the scalar reference loops
+# ---------------------------------------------------------------------------
+
+VP = VehicleParams()
+LEAD = LeadProfile(150.0, 12.0, [(0.0, 1.0), (10.0, 0.0), (20.0, -2.0), (40.0, 0.5)])
+# cycles green [0,20) -> yellow [20,24) -> red [24,40), period 40
+SIGNALS = [SignalTimings(200.0, 20.0, 4.0, 16.0), SignalTimings(500.0, 20.0, 4.0, 16.0)]
+# per axis: range of the lower bound, largest width (X_f, V_f, X_l scales)
+AXES = [(100.0, 550.0, 400.0), (0.0, 30.0, 30.0), (0.0, 700.0, 300.0)]
+SWITCHES = [10.0, 20.0, 24.0, 25.0, 40.0, 64.0]  # pieces, lead and signal phases
+TIMES = [0.0] + [math.nextafter(ts, to) for ts in SWITCHES
+                 for to in (-math.inf, ts, math.inf)]  # before, on and after
+
+
+class Bowl(Barrier):
+    """r(t)^2 - |x - c|^2, r jumping at t=10: evaluated by the base class's
+    point-by-point h_grid on both sides."""
+
+    def __init__(self, center, radii):
+        super().__init__("bowl")
+        self.center, self.radii = center, radii
+
+    def _at(self, r, x):
+        return r * r - sum((xi - ci) ** 2 for xi, ci in zip(x, self.center))
+
+    def h(self, t, x):
+        return self._at(self.radii[t >= 10.0], x)
+
+    def h_left(self, t, x):
+        return self._at(self.radii[t > 10.0], x)
+
+
+class Patchy(Barrier):
+    """NaN on every other unit stripe of the last axis, affine elsewhere."""
+
+    def __init__(self, offset):
+        super().__init__("patchy")
+        self.offset = offset
+
+    def h(self, t, x):
+        return math.nan if math.floor(x[-1]) % 2 == 0 else self.offset - x[-1]
+
+
+class Opaque(Barrier):
+    """A template with its affine form hidden, so a check takes the grid path."""
+
+    def __init__(self, inner):
+        super().__init__(inner.id)
+        self.inner = inner
+
+    def h(self, t, x):
+        return self.inner.h(t, x)
+
+    def h_left(self, t, x):
+        return self.inner.h_left(t, x)
+
+    def h_grid(self, t, cols, side="right"):
+        return self.inner.h_grid(t, cols, side)
+
+
+def _grid_templates():
+    base = [
+        AffineBarrier("pw", coeffs=(0.0, -1.0, 0.0), pieces=[(0.0, 30.0), (10.0, 15.0)]),
+        AffineBarrier("zero", coeffs=(-1.0, 0.0, -0.5), offset=-0.0),
+        TopBarrier(3),
+        spacing_barrier(VP, LEAD),
+        signal_barriers(SIGNALS, VP),
+        Bowl((300.0, 10.0, 300.0), (5.0, 400.0)),
+        Patchy(20.0),
+    ]
+    return base + [bar.negate() for bar in base]
+
+
+GRID_TEMPLATES = _grid_templates()
+
+
+@st.composite
+def grid_cases(draw):
+    dim = draw(st.integers(1, 3))
+    lower, upper = [], []
+    for lo_min, lo_max, width in AXES[:dim]:
+        lo = draw(st.floats(lo_min, lo_max))
+        lower.append(lo)
+        upper.append(lo + draw(st.floats(0.5, width)))
+    box = StateBox(tuple(lower), tuple(upper))
+    center = tuple(0.5 * (lo + hi) for lo, hi in zip(lower, upper))
+    span = math.dist(lower, upper)
+
+    def level(coeffs):
+        """An offset whose zero level crosses the box, or lies just past it."""
+        fracs = draw(st.tuples(*[st.floats(-0.2, 1.2)] * dim))
+        return -sum(c * (lo + f * (hi - lo))
+                    for c, f, lo, hi in zip(coeffs, fracs, lower, upper))
+
+    def barrier():
+        kinds = ["affine", "pieces", "top", "bowl", "patchy"]
+        kind = draw(st.sampled_from(kinds + ["spacing", "signal"] * (dim == 3)))
+        if kind == "affine":
+            coeffs = draw(st.tuples(*[st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0])] * dim))
+            bar = AffineBarrier("lin", coeffs=coeffs, offset=level(coeffs))
+        elif kind == "pieces":
+            coeffs = (0.0,) * (dim - 1) + (-1.0,)
+            bar = AffineBarrier("pw", coeffs=coeffs,
+                                pieces=[(t0, level(coeffs)) for t0 in (0.0, 10.0, 25.0)])
+        elif kind == "top":
+            bar = TopBarrier(dim)
+        elif kind == "bowl":
+            bar = Bowl(center, draw(st.tuples(*[st.floats(0.0, span)] * 2)))
+        elif kind == "patchy":
+            bar = Patchy(level((0.0,) * (dim - 1) + (-1.0,)))
+        elif kind == "spacing":
+            bar = spacing_barrier(VP, LEAD)
+        else:
+            bar = signal_barriers(SIGNALS, VP)
+        return bar.negate() if draw(st.booleans()) else bar
+
+    h_prev, h_next = barrier(), barrier()
+    if h_prev.affine_at(0.0) is not None and h_next.affine_at(0.0) is not None:
+        h_prev = Opaque(h_prev)
+    t = draw(st.sampled_from(TIMES) | st.floats(0.0, 80.0))
+    resolution = draw(st.sampled_from([1, 2, 3, 7, 21]))
+    return h_prev, h_next, t, box, resolution
+
+
+def _bits(value):
+    """Floats as float.hex (tells -0.0 from 0.0 and keeps NaN comparable)."""
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, float):
+        assert type(value) is float, value  # no numpy scalars in results
+        return value.hex()
+    return value
+
+
+def _fields(result):
+    return tuple(_bits(getattr(result, f.name)) for f in dataclasses.fields(result))
+
+
+class TestArrayGrid:
+    @settings(max_examples=250, deadline=None)
+    @given(grid_cases())
+    def test_array_checks_equal_scalar_loops(self, case):
+        h_prev, h_next, t, box, res = case
+        assert (_fields(check_subset(h_prev, h_next, t, box, res))
+                == _fields(scalar_check_subset(h_prev, h_next, t, box, res)))
+        assert (_fields(check_intersection(h_prev, h_next, t, box, res))
+                == _fields(scalar_check_intersection(h_prev, h_next, t, box, res)))
+        assert (_bits(_worst_engage_margin(h_prev, h_next, t, box, res))
+                == _bits(scalar_worst_engage_margin(h_prev, h_next, t, box, res)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(GRID_TEMPLATES), st.sampled_from(TIMES) | st.floats(0.0, 80.0),
+           st.sampled_from(["right", "left"]),
+           st.lists(st.tuples(st.floats(-10.0, 700.0), st.floats(-10.0, 40.0),
+                              st.floats(-10.0, 700.0)), min_size=1, max_size=8))
+    @example(GRID_TEMPLATES[1], 0.0, "right", [(0.0, -1.0, 0.0)])  # sums to +0.0
+    @example(GRID_TEMPLATES[4], 24.0, "left", [(150.0, 5.0, 0.0)])  # yellow before red
+    @example(GRID_TEMPLATES[5], 10.0, "left", [(300.0, 10.0, 300.0)])  # radius before jump
+    def test_h_grid_equals_h_at_every_point(self, bar, t, side, points):
+        cols = tuple(np.array(col) for col in zip(*points))
+        h = bar.h_left if side == "left" else bar.h
+        got = np.broadcast_to(bar.h_grid(t, cols, side), (len(points),))
+        assert [float(v).hex() for v in got] == [h(t, p).hex() for p in points]
+
+    def test_shipped_templates_never_evaluate_point_by_point(self, monkeypatch):
+        calls = []
+        for cls in (SpacingBarrier, AffineBarrier):
+            def counted(self, t, x, _h=cls.h):
+                calls.append(type(self).__name__)
+                return _h(self, t, x)
+            monkeypatch.setattr(cls, "h", counted)
+        h1 = spacing_barrier(VP, LeadProfile(100.0, 10.0))
+        vmax = AffineBarrier("vmax10", coeffs=(0.0, -1.0, 0.0), offset=10.0)
+        box = StateBox((-1000.0, 0.0, -1000.0), (100000.0, 60.0, 1000000.0))
+        res = check_intersection(h1, vmax, 30.0, box, 101)
+        assert res.method == "sampled(101)" and res.witness is not None
+        assert calls == []
+
+
+class TestGridResolution:
+    @pytest.mark.parametrize("resolution", [0, -3, 2.5])
+    def test_schedule_config_rejects_bad_resolution(self, resolution):
+        with pytest.raises(ContractError, match=f"got {resolution}"):
+            ScheduleConfig(domain=DOM, horizon=10.0, grid_resolution=resolution)
+
+    @pytest.mark.parametrize("resolution", [0, -3, 2.5])
+    def test_grid_rejects_bad_resolution(self, resolution):
+        h1 = spacing_barrier(VP, LEAD)
+        vmax = AffineBarrier("vmax", coeffs=(0.0, -1.0, 0.0), offset=10.0)
+        box = StateBox((0.0, 0.0, 0.0), (100.0, 30.0, 200.0))
+        with pytest.raises(ContractError, match=f"got {resolution}"):
+            _grid_points(box, resolution)
+        with pytest.raises(ContractError, match=f"got {resolution}"):
+            check_subset(h1, vmax, 5.0, box, resolution)

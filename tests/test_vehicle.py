@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from oracles import closed_form_bound, constraint_upper_bound
 from stlcbf.barriers import (
     AlphaFn,
     BarrierRegistry,
@@ -24,8 +25,6 @@ from stlcbf.vehicle import (
     VehicleParams,
     YELLOW,
     build_signal_contracts,
-    closed_form_bound,
-    constraint_upper_bound,
     friction_force,
     generate_signal_plan,
     make_vehicle_system,
