@@ -312,9 +312,6 @@ class BarrierRegistry:
     def __contains__(self, barrier_id: str) -> bool:
         return barrier_id in self._by_id
 
-    def ids(self):
-        return list(self._by_id)
-
 
 # ---------------------------------------------------------------------------
 # Constraint generation

@@ -109,17 +109,6 @@ class _Section:
         v = self.num(key, default)
         return int(v) if v is not None else None
 
-    def boolean(self, key, default=False):
-        raw = self.get(key)
-        if raw is None:
-            return default
-        if raw.lower() in ("true", "yes", "1"):
-            return True
-        if raw.lower() in ("false", "no", "0"):
-            return False
-        self.errors.append(f"[{self.name}] {key} must be true/false, got {raw!r}")
-        return default
-
     def pair(self, key, default=None):
         raw = self.get(key)
         if raw is None:

@@ -12,6 +12,11 @@ Each internal boundary t_i is classified:
   incompatible      empty intersection, or the convergence window does not
                     fit: no controller can serve every admissible start.
 
+A schedule may carry a `region = (lo, hi)` on the first state coordinate:
+it applies only while lo < x[0] <= hi (default: every finite x[0]). The
+traffic signal contracts use it to gate each signal's schedule to the
+stretch of road where its stop line is the first at or ahead of the ego.
+
 Subset / intersection checks are exact for affine-in-state barriers (vertex
 enumeration of the box-and-halfspace polytope); other templates fall back to
 a deterministic N-per-axis grid, `sampled(N)` in the verdict, that numpy
@@ -60,6 +65,9 @@ class Verdict(enum.Enum):
 
 
 EXACT = "exact"
+# admits equality in tau + t_conv <= t_i: the sampled runtime enforcement
+# absorbs one step
+DEADLINE_SLACK = 1e-9
 
 
 def _affine_value(coeffs, offset, x) -> float:
@@ -231,15 +239,11 @@ def _worst_engage_margin(h_prev, h_next, tau, domain, resolution):
 
 @dataclass(frozen=True)
 class ContractSegment:
-    """One obligation: invariance on its interval, or finite-time convergence
-    into the barrier's safe set on [engage_time, interval.end)."""
+    """One obligation: invariance on its interval. The finite-time windows
+    into the next segment's set live on the boundaries."""
 
     pred: Optional[PredicateRef]  # None marks a vacuous segment
     interval: TimeInterval
-    kind: str = "invariance"  # "invariance" | "finite_time"
-    rho: Optional[float] = None
-    t_conv: Optional[float] = None
-    engage_time: Optional[float] = None
 
     @property
     def vacuous(self) -> bool:
@@ -286,8 +290,7 @@ class ScheduleConfig:
     """Knobs for schedule construction.
 
     `boundary_windows` overrides (tau, t_target) per boundary time; default
-    engagement is tau = t_i - t_conv. `deadline_slack` admits equality in
-    tau + T <= t_i: the sampled runtime enforcement absorbs one step."""
+    engagement is tau = t_i - t_conv."""
 
     domain: StateBox
     horizon: float
@@ -296,7 +299,6 @@ class ScheduleConfig:
     gamma_min: float = GAMMA_MIN
     boundary_windows: dict = field(default_factory=dict)
     grid_resolution: int = 101
-    deadline_slack: float = 1e-9
 
     def __post_init__(self):
         _check_resolution(self.grid_resolution)
@@ -304,13 +306,15 @@ class ScheduleConfig:
 
 @dataclass
 class ContractSchedule:
-    """Invariance segments tiling [0, horizon) plus per-boundary verdicts.
-    Immutable after construction; queries are pure apart from the segment
-    cursor, which only speeds up the lookup."""
+    """Invariance segments tiling [0, horizon) plus per-boundary verdicts,
+    applying while lo < x[0] <= hi for `region` (lo, hi). Immutable after
+    construction; queries are pure apart from the segment cursor, which only
+    speeds up the lookup."""
 
     label: str
     segments: list
     boundaries: list
+    region: tuple = (-math.inf, math.inf)
 
     def __post_init__(self):
         # segment i covers [bounds[i], bounds[i + 1]); bounds[-1] ends the span
@@ -323,19 +327,6 @@ class ContractSchedule:
 
     def failures(self) -> list:
         return [b for b in self.boundaries if b.verdict is Verdict.INCOMPATIBLE]
-
-    def fcbf_segments(self) -> list:
-        """Finite-time segments attached to overlap boundaries (spec view)."""
-        out = []
-        for idx, bd in enumerate(self.boundaries):
-            if bd.verdict is Verdict.OVERLAP_DEADLINE:
-                out.append(ContractSegment(
-                    pred=self.segments[idx + 1].pred,
-                    interval=TimeInterval(bd.tau, bd.time),
-                    kind="finite_time", rho=bd.rho, t_conv=bd.t_target,
-                    engage_time=bd.tau,
-                ))
-        return out
 
     def _segment_index(self, t: float) -> int:
         """Index of the segment holding t. The loop's time moves forward, so
@@ -354,9 +345,10 @@ class ContractSchedule:
 
     def assumption_margin(self, x0, registry):
         """(barrier_id, margin) of the first segment's entry assumption, or
-        None when the schedule opens vacuously."""
+        None when the schedule opens vacuously or x0 lies outside its region."""
         seg = self.segments[0]
-        if seg.vacuous:
+        lo, hi = self.region
+        if seg.vacuous or not lo < x0[0] <= hi:
             return None
         bar = registry.resolve(seg.pred)
         return seg.barrier_id, bar.h(seg.interval.start, x0)
@@ -488,7 +480,7 @@ def _classify_boundary(segments, idx, registry, cfg: ScheduleConfig) -> Boundary
                     f"interval length {t_i - prev.interval.start:g}"),
             tau=tau, t_target=t_target, rho=cfg.rho, **base,
         )
-    if tau + t_target > t_i + cfg.deadline_slack:
+    if tau + t_target > t_i + DEADLINE_SLACK:
         return BoundaryDecision(
             verdict=Verdict.INCOMPATIBLE, method=inter.method, witness=inter.witness,
             reason=f"deadline violated: tau+t_conv={tau + t_target:g} > {t_i:g}",
@@ -509,8 +501,12 @@ def _classify_boundary(segments, idx, registry, cfg: ScheduleConfig) -> Boundary
 
 def conjoin_groups(schedules, t, x, sys, registry, engagements=None, dyn=None):
     """Conjunction of group contracts = intersection of safe input sets,
-    realized as the concatenation of every schedule's active constraints."""
+    realized as the concatenation of the active constraints of every schedule
+    whose region holds x[0]."""
     out = []
+    x_f = x[0]
     for sched in schedules:
-        out.extend(sched.constraints_at(t, x, sys, registry, engagements, dyn))
+        lo, hi = sched.region
+        if lo < x_f <= hi:
+            out.extend(sched.constraints_at(t, x, sys, registry, engagements, dyn))
     return out

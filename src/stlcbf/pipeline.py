@@ -18,14 +18,14 @@ from .config import ScenarioConfig, instantiate_custom
 from .contracts import ScheduleConfig, build_schedule
 from .qp import PidState, pid_nominal
 from .sim import SimFailure, Trace, run_simulation
-from .stl import SatisfactionReport, StlSpec, group_tasks, eventually_to_globally, parse_spec
+from .stl import (
+    PredicateRef, SatisfactionReport, StlSpec, group_tasks, eventually_to_globally, parse_spec,
+)
 from .vehicle import (
     ExogenousSignals,
     LeadProfile,
-    SignalContractSet,
     SignalTimings,
     SpeedLimitSchedule,
-    TrafficSignalBarrier,
     build_signal_contracts,
     friction_force,
     generate_signal_plan,
@@ -55,7 +55,7 @@ class ScenarioBundle:
     sys: object
     spec: StlSpec            # post eventually->globally
     groups: list
-    schedules: list          # ContractSchedule | SignalContractSet
+    schedules: list          # ContractSchedule, one per signal for the signal group
     pid: PidState
     margin_barriers: list
     extra_channels: dict
@@ -110,9 +110,7 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
     )
     schedules = []
     for group in groups:
-        stitched = [registry.resolve(p) for _, p in group.predicates
-                    if isinstance(registry.resolve(p), TrafficSignalBarrier)]
-        if stitched:
+        if any(p == PredicateRef("hpos") for _, p in group.predicates):
             if len(group.predicates) != 1:
                 raise PipelineError(
                     f"group {group.label}: the signal barrier cannot share a group"
@@ -122,7 +120,7 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
                 raise PipelineError(
                     f"group {group.label}: the signal task must span [0, horizon)"
                 )
-            schedules.append(build_signal_contracts(
+            schedules.extend(build_signal_contracts(
                 signals, vp, registry, sched_cfg, cfg.rho_signal, label=group.label))
         else:
             schedules.append(build_schedule(group, registry, sched_cfg))
@@ -217,8 +215,6 @@ def run_pipeline(cfg: ScenarioConfig) -> PipelineOutcome:
         cfg.input_box, cfg.x0, dt=cfg.dt, t_max=cfg.horizon,
         margin_barriers=bundle.margin_barriers,
         extra_channels=bundle.extra_channels,
-        metadata={"scenario": cfg.name, "hash": cfg.scenario_hash(),
-                  "dt": cfg.dt, "seed": cfg.seed},
     )
     report.engagements = [rec.describe() for rec in result.engagements.all_records()]
     _fill_summary(report, result.trace, bundle)
@@ -247,17 +243,8 @@ def _base_report(cfg, bundle) -> RunReport:
     )
 
 
-def _iter_schedules(bundle):
-    for sched in bundle.schedules:
-        if isinstance(sched, SignalContractSet):
-            for sub in sched.schedules:
-                yield sub
-        else:
-            yield sched
-
-
 def _fill_compat(report, bundle):
-    for sched in _iter_schedules(bundle):
+    for sched in bundle.schedules:
         lines = [bd.describe() for bd in sched.boundaries]
         report.compat.append((sched.label, lines))
         for bd in sched.failures():

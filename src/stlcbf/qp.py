@@ -51,10 +51,6 @@ class InputBox:
     def dim(self) -> int:
         return len(self.lower)
 
-    @staticmethod
-    def symmetric(limit: float, m: int = 1) -> "InputBox":
-        return InputBox((-limit,) * m, (limit,) * m)
-
 
 def solve_qp(u_nom, constraints: Sequence[HalfspaceConstraint], box: InputBox):
     """Euclidean projection of u_nom onto the constraint polytope, or None
@@ -202,9 +198,6 @@ class PidState:
     k3: float = 0.01
     integral: float = 0.0
     windup_limit: float = 100.0
-
-    def reset(self):
-        self.integral = 0.0
 
 
 def pid_nominal(spacing_error: float, relative_velocity: float, pid: PidState,

@@ -100,13 +100,11 @@ class Trace:
     """
 
     dt: float
-    metadata: dict = field(default_factory=dict)
     ts: list = field(default_factory=list)
     states: list = field(default_factory=list)
     u_nom: list = field(default_factory=list)
     u_safe: list = field(default_factory=list)
     margins: dict = field(default_factory=dict)
-    active_counts: list = field(default_factory=list)
     qp_status: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
     events: list = field(default_factory=list)
@@ -152,7 +150,6 @@ def run_simulation(
     t_max: float = 0.0,
     margin_barriers: Sequence[str] = (),
     extra_channels: Optional[dict] = None,
-    metadata: Optional[dict] = None,
 ) -> RunResult:
     """Run the synthesis loop over [0, t_max] with step dt.
 
@@ -173,11 +170,11 @@ def run_simulation(
             bar_id, margin = entry
             if margin < -1e-9:
                 raise InitialConditionError(
-                    f"x0 violates opening assumption of {getattr(sched, 'label', '?')}: "
+                    f"x0 violates opening assumption of {sched.label}: "
                     f"h[{bar_id}](0, x0) = {margin:g} < 0"
                 )
 
-    trace = Trace(dt=dt, metadata=dict(metadata or {}))
+    trace = Trace(dt=dt)
     bars = [(registry.get(bid), trace.margins.setdefault(bid, []))
             for bid in margin_barriers]
     channels = [(fn, trace.extras.setdefault(name, []))
@@ -191,12 +188,11 @@ def run_simulation(
     clamped_prev = [False] * sys.n
     n_logged = 0  # engagement records already turned into events
 
-    def record(t, status, active, u_n, u_s):
+    def record(t, status, u_n, u_s):
         trace.ts.append(t)
         trace.states.append(x)
         trace.u_nom.append(u_n)
         trace.u_safe.append(u_s)
-        trace.active_counts.append(active)
         trace.qp_status.append(status)
         for bar, col in bars:
             col.append(bar.h(t, x))
@@ -206,7 +202,7 @@ def run_simulation(
     for k in range(n_steps + 1):
         t = k * dt
         if k == n_steps:
-            record(t, "ok", 0, last_u_nom, last_u_safe)
+            record(t, "ok", last_u_nom, last_u_safe)
             break
 
         dyn = (f(t, x), g(t, x))
@@ -223,12 +219,12 @@ def run_simulation(
         u_n = tuple(map(float, u_n)) if isinstance(u_n, (tuple, list)) else (float(u_n),)
         u_s = solve_qp(u_n, cons, box)
         if u_s is None:
-            record(t, "infeasible", len(cons), u_n, (math.nan,) * sys.m)
+            record(t, "infeasible", u_n, (math.nan,) * sys.m)
             return RunResult(trace, SimFailure(
                 time=t, reason="qp_infeasible",
                 details=tuple(c.label or "box" for c in cons),
             ), engagements)
-        record(t, "ok", len(cons), u_n, u_s)
+        record(t, "ok", u_n, u_s)
         last_u_nom, last_u_safe = u_n, u_s
 
         x = integrate_step(sys, t, x, u_s, dt, dyn)

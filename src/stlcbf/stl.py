@@ -57,9 +57,6 @@ class TimeInterval:
     def contains(self, t: float) -> bool:
         return self.start <= t < self.end
 
-    def overlaps(self, other: "TimeInterval") -> bool:
-        return self.start < other.end and other.start < self.end
-
     def __str__(self) -> str:
         return f"[{_fmt(self.start)},{_fmt(self.end)})"
 
@@ -73,14 +70,6 @@ class PredicateRef:
 
     def __str__(self) -> str:
         return ("!" if self.negated else "") + f"sat({self.barrier_id})"
-
-
-@dataclass(frozen=True)
-class Atom:
-    pred: PredicateRef
-
-    def __str__(self) -> str:
-        return str(self.pred)
 
 
 @dataclass(frozen=True)
@@ -113,7 +102,7 @@ class And:
         return " & ".join(str(p) for p in self.parts)
 
 
-StlFormula = Union[Atom, Globally, Eventually, And]
+StlFormula = Union[Globally, Eventually, And]
 
 
 @dataclass(frozen=True)
@@ -400,10 +389,6 @@ def _monitor_task(task, trace, registry, tol) -> TaskReport:
         subs = [_monitor_task(p, trace, registry, tol) for p in task.parts]
         worst = min(subs, key=lambda r: r.worst_margin)
         return TaskReport(str(task), all(r.satisfied for r in subs), worst.worst_margin, worst.t_worst)
-
-    if isinstance(task, Atom):
-        margin = _margin(registry, task.pred, trace.ts[0], trace.states[0])
-        return TaskReport(str(task), margin >= -tol, margin, trace.ts[0])
 
     lo, hi = task.interval.start - 1e-9, task.interval.end - 1e-9
     best_t, best = None, math.inf if isinstance(task, Globally) else -math.inf

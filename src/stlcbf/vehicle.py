@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -340,7 +340,7 @@ class TrafficSignalBarrier(Barrier):
         super().__init__(barrier_id, IDENTITY_ALPHA)
         self.signals = list(signals)
         self.positions = [s.position for s in self.signals]
-        if self.positions != sorted(self.positions):
+        if any(a >= b for a, b in zip(self.positions, self.positions[1:])):
             raise VehicleError("signal positions must increase")
         self.vp = vp
 
@@ -428,58 +428,27 @@ def make_vehicle_system(vp: VehicleParams, lead: LeadProfile,
 
 
 # ---------------------------------------------------------------------------
-# Signal contracts: per-signal schedules dispatched by the active stop line
+# Signal contracts: per-signal schedules gated by the ego position
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class SignalContractSet:
-    """Realizes the stitched signal barrier through the schedule machinery.
-
-    Each signal gets its own schedule over its phase timeline: invariance on
-    the phase-selected barrier, with the yellow phase as the finite-time
-    window into the red-phase set. At runtime only the active signal's
-    schedule (selected by X_f) contributes constraints, and each window's
-    gamma is fixed the first time the vehicle is subject to it.
-    """
-
-    label: str
-    positions: list
-    schedules: list
-    stitched_id: str = "hpos"
-
-    def _active(self, x_f: float) -> int:
-        return bisect_left(self.positions, x_f)
-
-    def failures(self):
-        return [b for sched in self.schedules for b in sched.failures()]
-
-    def assumption_margin(self, x0, registry):
-        k = self._active(x0[0])
-        if k >= len(self.schedules):
-            return None
-        return self.schedules[k].assumption_margin(x0, registry)
-
-    def constraints_at(self, t, x, sys, registry, engagements=None, dyn=None):
-        k = self._active(x[0])
-        if k >= len(self.schedules):
-            return []
-        return self.schedules[k].constraints_at(t, x, sys, registry, engagements, dyn)
 
 
 def build_signal_contracts(signals: Sequence[SignalTimings], vp: VehicleParams,
                            registry, base_cfg: ScheduleConfig, rho_signal: float,
-                           label: str, stitched_id: str = "hpos") -> SignalContractSet:
-    """Register per-phase affine barriers and build one schedule per signal.
+                           label: str) -> list:
+    """Register per-phase affine barriers and build one schedule per signal,
+    which realizes the stitched signal barrier through the schedule machinery.
 
     Red phases of signal i constrain against P_i; other phases against
     P_{i+1} (vacuous for the last signal). Each red onset r gets the window
     (tau = yellow onset, budget = r - tau), so gamma at engagement follows
-    the yellow-duration deadline formula.
+    the yellow-duration deadline formula. Signal i's schedule applies while
+    its stop line is the first at or ahead of X_f: region (P_{i-1}, P_i],
+    (-inf, P_1] for the first.
     """
     horizon = base_cfg.horizon
     n = len(signals)
     schedules = []
+    lo = -math.inf
     for i, sig in enumerate(signals):
         red_id = f"sig{i + 1}.red"
         if red_id not in registry:
@@ -507,13 +476,8 @@ def build_signal_contracts(signals: Sequence[SignalTimings], vp: VehicleParams,
                     windows[r_on] = (tau, r_on - tau)
         preds.sort(key=lambda p: p[0].start)
         group = TaskGroup(label=f"{label}.s{i + 1}", predicates=tuple(preds))
-        cfg = ScheduleConfig(
-            domain=base_cfg.domain, horizon=horizon, rho=rho_signal,
-            t_conv=base_cfg.t_conv, gamma_min=base_cfg.gamma_min,
-            boundary_windows=windows, grid_resolution=base_cfg.grid_resolution,
-        )
-        schedules.append(build_schedule(group, registry, cfg))
-    return SignalContractSet(
-        label=label, positions=[s.position for s in signals],
-        schedules=schedules, stitched_id=stitched_id,
-    )
+        cfg = replace(base_cfg, rho=rho_signal, boundary_windows=windows)
+        sched = build_schedule(group, registry, cfg)
+        schedules.append(replace(sched, region=(lo, sig.position)))
+        lo = sig.position
+    return schedules

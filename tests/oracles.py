@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,6 +155,16 @@ class SafeSet:
 def active_constraints(schedule: ContractSchedule, t, x, sys, registry, engagements=None):
     """Constraints of one schedule at (t, x); see ContractSchedule.constraints_at."""
     return schedule.constraints_at(t, x, sys, registry, engagements)
+
+
+def bisect_dispatch(schedules, positions, t, x, sys, registry, engagements=None, dyn=None):
+    """Constraints of the one signal schedule whose stop line is the first at
+    or ahead of X_f (bisect_left over the stop lines), none past the last:
+    the signal dispatch that position-gated schedules replace."""
+    k = bisect_left(positions, x[0])
+    if k >= len(schedules):
+        return []
+    return schedules[k].constraints_at(t, x, sys, registry, engagements, dyn)
 
 
 _KINDS = ("h1", "rbar", "v", "r_fcbf", "v_fcbf")

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -102,6 +103,13 @@ class TestConfigParsing:
         cfg = tmp_path / "bad_signal.cfg"
         cfg.write_text(MINIMAL + "\n[signals]\nsignal = 65 0 1 0 18.5\n")
         assert cli_main(["run", str(cfg)]) == 4
+
+    def test_equal_stop_lines_exit_as_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "equal_lines.cfg"
+        cfg.write_text(MINIMAL + "\n[signals]\nsignal = 200 0 30 5 25\n"
+                                 "signal = 200 10 30 5 25\n")
+        assert cli_main(["run", str(cfg)]) == 4
+        assert "signal positions must increase" in capsys.readouterr().err
 
     def test_scenario_hash_tracks_overrides(self):
         cfg = parse_config(MINIMAL)
@@ -315,6 +323,8 @@ class TestCli:
         assert "satisfied=true" in capsys.readouterr().out
 
     def test_entry_point_installed(self):
+        # the child imports stlcbf from where this process did
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         proc = subprocess.run([sys.executable, "-m", "stlcbf.cli", "check",
-                               "incompatible_static"], capture_output=True, text=True)
+                               "incompatible_static"], capture_output=True, text=True, env=env)
         assert proc.returncode == 2

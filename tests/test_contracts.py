@@ -167,14 +167,13 @@ class TestBuildSchedule:
         assert verdicts == [Verdict.OVERLAP_DEADLINE, Verdict.OVERLAP_DEADLINE]
         assert [b.tau for b in sched.boundaries] == [45.0, 95.0]
         assert all(b.t_target == 5.0 for b in sched.boundaries)
-        fcbf = sched.fcbf_segments()
-        assert [(s.interval.start, s.interval.end) for s in fcbf] == [(45.0, 50.0), (95.0, 100.0)]
+        assert [(b.tau, b.time) for b in sched.boundaries] == [(45.0, 50.0), (95.0, 100.0)]
 
     def test_loosening_boundaries_are_subset(self):
         reg = registry_with(vbar(10), vbar(25), vbar(30))
         sched = build_schedule(speed_group([10, 25, 30]), reg, speed_cfg(150.0))
         assert [b.verdict for b in sched.boundaries] == [Verdict.SUBSET, Verdict.SUBSET]
-        assert sched.fcbf_segments() == []
+        assert [b.tau for b in sched.boundaries] == [None, None]
 
     def test_disjoint_sets_fail_with_reason(self):
         slow = vbar(10)
@@ -206,6 +205,17 @@ class TestBuildSchedule:
                                speed_cfg(8.0, t_conv=5.0))
         fails = sched.failures()
         assert len(fails) == 1 and "deadline violated" in fails[0].reason
+
+    @pytest.mark.parametrize("overshoot, verdict", [
+        (0.5e-9, Verdict.OVERLAP_DEADLINE), (2e-9, Verdict.INCOMPATIBLE)])
+    def test_window_overshoot_within_deadline_slack(self, overshoot, verdict):
+        reg = registry_with(vbar(30), vbar(10))
+        cfg = dataclasses.replace(speed_cfg(100.0),
+                                  boundary_windows={50.0: (45.0 + overshoot, 5.0)})
+        bd = build_schedule(speed_group([30, 10]), reg, cfg).boundaries[0]
+        assert bd.verdict is verdict
+        if verdict is Verdict.INCOMPATIBLE:
+            assert bd.reason.startswith("deadline violated: tau+t_conv=")
 
     def test_worst_engage_margin_is_pessimistic(self):
         reg = registry_with(vbar(30), vbar(10))

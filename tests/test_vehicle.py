@@ -1,8 +1,11 @@
 import math
+from bisect import bisect_left
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import closed_form_bound, constraint_upper_bound
+from oracles import bisect_dispatch, closed_form_bound, constraint_upper_bound
 from stlcbf.barriers import (
     AlphaFn,
     BarrierRegistry,
@@ -13,7 +16,13 @@ from stlcbf.barriers import (
     finite_diff_check,
     gamma_for_deadline,
 )
-from stlcbf.contracts import ScheduleConfig, Verdict, conjoin_groups, build_schedule
+from stlcbf.contracts import (
+    EngagementLedger,
+    ScheduleConfig,
+    Verdict,
+    build_schedule,
+    conjoin_groups,
+)
 from stlcbf.stl import PredicateRef, TaskGroup, TimeInterval
 from stlcbf.vehicle import (
     GREEN,
@@ -267,47 +276,62 @@ class TestSignalContracts:
         sigs = two_signals()
         reg.register(signal_barriers(sigs, VP))
         cfg = ScheduleConfig(domain=DOMAIN, horizon=horizon, rho=0.9, t_conv=5.0)
-        cset = build_signal_contracts(sigs, VP, reg, cfg, rho_signal=0.9, label="G3")
-        return reg, sigs, cset
+        scheds = build_signal_contracts(sigs, VP, reg, cfg, rho_signal=0.9, label="G3")
+        return reg, sigs, scheds
+
+    def test_one_schedule_per_signal_gated_by_stop_lines(self):
+        _, _, scheds = self._build()
+        assert [s.label for s in scheds] == ["G3.s1", "G3.s2"]
+        assert [s.region for s in scheds] == [(-math.inf, 200.0), (200.0, 400.0)]
 
     def test_red_onsets_get_yellow_windows(self):
-        _, sigs, cset = self._build()
-        sched1 = cset.schedules[0]
+        _, sigs, scheds = self._build()
+        sched1 = scheds[0]
         overlaps = [b for b in sched1.boundaries if b.verdict is Verdict.OVERLAP_DEADLINE]
         # signal 1 reds start at 35 and 95; windows are the yellow phases
         assert [(b.tau, b.time) for b in overlaps] == [(30.0, 35.0), (90.0, 95.0)]
         assert all(b.t_target == pytest.approx(5.0) for b in overlaps)
 
     def test_green_onsets_are_subset(self):
-        _, sigs, cset = self._build()
-        sched1 = cset.schedules[0]
+        _, sigs, scheds = self._build()
+        sched1 = scheds[0]
         subs = [b for b in sched1.boundaries if b.verdict is Verdict.SUBSET]
         assert any(b.time == pytest.approx(60.0) for b in subs)
 
+    def test_signal_config_keeps_every_base_field(self):
+        reg = BarrierRegistry()
+        cfg = ScheduleConfig(domain=DOMAIN, horizon=120.0, rho=0.5, t_conv=5.0,
+                             gamma_min=0.25, grid_resolution=7)
+        scheds = build_signal_contracts(two_signals(), VP, reg, cfg, rho_signal=0.9, label="G3")
+        overlaps = [b for s in scheds for b in s.boundaries
+                    if b.verdict is Verdict.OVERLAP_DEADLINE]
+        assert overlaps
+        assert all(b.gamma_min == 0.25 and b.rho == 0.9 for b in overlaps)
+
     def test_dispatch_follows_ego_position(self):
-        reg, sigs, cset = self._build()
+        reg, sigs, scheds = self._build()
         lead = LeadProfile(1000.0, 0.0)
         sys = make_vehicle_system(VP, lead)
         # inside segment 1 at a red of signal 1
-        cons = cset.constraints_at(40.0, (100.0, 10.0, 0.0), sys, reg)
+        cons = conjoin_groups(scheds, 40.0, (100.0, 10.0, 0.0), sys, reg)
         assert [c.label for c in cons] == ["cbf:sig1.red"]
         # past signal 1, during signal 2's red (t=10): uses sig2's stop line
-        cons2 = cset.constraints_at(10.0, (250.0, 10.0, 0.0), sys, reg)
+        cons2 = conjoin_groups(scheds, 10.0, (250.0, 10.0, 0.0), sys, reg)
         assert [c.label for c in cons2] == ["cbf:sig2.red"]
         # past both signals: nothing
-        assert cset.constraints_at(10.0, (450.0, 10.0, 0.0), sys, reg) == []
+        assert conjoin_groups(scheds, 10.0, (450.0, 10.0, 0.0), sys, reg) == []
 
     def test_last_signal_not_red_is_vacuous(self):
-        reg, sigs, cset = self._build()
+        reg, sigs, scheds = self._build()
         lead = LeadProfile(1000.0, 0.0)
         sys = make_vehicle_system(VP, lead)
         # t=25: signal 2 green, ego between the lines: no constraint
-        assert cset.constraints_at(25.0, (250.0, 10.0, 0.0), sys, reg) == []
+        assert conjoin_groups(scheds, 25.0, (250.0, 10.0, 0.0), sys, reg) == []
 
     def test_case_study_instant_yields_four_constraints(self):
         # instant inside a yellow phase and inside a speed interval (outside
         # its convergence window): h1 + rbar + red FCBF + speed limit
-        reg, sigs, cset = self._build()
+        reg, sigs, scheds = self._build()
         lead = LeadProfile(1000.0, 20.0)
         reg.register(spacing_barrier(VP, lead))
         from stlcbf.barriers import AffineBarrier
@@ -321,17 +345,72 @@ class TestSignalContracts:
                             reg, cfg)
         t, x = 33.0, (100.0, 12.0, 500.0)  # yellow of signal 1
         assert sigs[0].phase(t) == YELLOW
-        cons = conjoin_groups([g1, g2, cset], t, x, sys, reg)
+        cons = conjoin_groups([g1, g2, *scheds], t, x, sys, reg)
         labels = [c.label for c in cons]
         assert labels == ["cbf:h1", "cbf:vmax25", "cbf:sig1.notred",
                           "fcbf:sig1.red"]
 
     def test_assumption_checked_for_active_signal_only(self):
-        reg, sigs, cset = self._build()
-        entry = cset.assumption_margin((100.0, 10.0, 0.0), reg)
-        assert entry is not None
+        reg, sigs, scheds = self._build()
+        entries = [s.assumption_margin((100.0, 10.0, 0.0), reg) for s in scheds]
+        assert entries[0] is not None and entries[1] is None
         # past both signals nothing is assumed
-        assert cset.assumption_margin((450.0, 0.0, 0.0), reg) is None
+        assert all(s.assumption_margin((450.0, 0.0, 0.0), reg) is None for s in scheds)
+
+
+@st.composite
+def signal_plans(draw):
+    """1-4 signals with increasing stop lines and unsynchronized cycles."""
+    n = draw(st.integers(1, 4))
+    gaps = draw(st.lists(st.floats(1.0, 400.0), min_size=n, max_size=n))
+    signals, pos = [], 0.0
+    for gap in gaps:
+        pos += gap
+        g, y, r = (draw(st.floats(lo, hi)) for lo, hi in ((5.0, 40.0), (1.0, 6.0), (5.0, 30.0)))
+        signals.append(SignalTimings(pos, g, y, r, draw(st.floats(0.0, g + y + r - 1e-6))))
+    return signals
+
+
+class TestSignalDispatchDifferential:
+    """`conjoin_groups` over the position-gated signal schedules against the
+    former bisect_left dispatch of one schedule per ego position."""
+
+    HORIZON = 120.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(signal_plans(), st.data())
+    def test_gated_schedules_match_bisect_dispatch(self, signals, data):
+        reg = BarrierRegistry()
+        cfg = ScheduleConfig(domain=DOMAIN, horizon=self.HORIZON, rho=0.9, t_conv=5.0)
+        scheds = build_signal_contracts(signals, VP, reg, cfg, rho_signal=0.9, label="G3")
+        positions = [s.position for s in signals]
+        sys = make_vehicle_system(VP, LeadProfile(1e4, 10.0))
+
+        x_f = data.draw(
+            st.sampled_from(positions)  # exactly on a line
+            | st.sampled_from(positions).map(lambda p: math.nextafter(p, math.inf))
+            | st.sampled_from(positions).map(lambda p: math.nextafter(p, -math.inf))
+            | st.floats(-500.0, positions[0])  # before the first line
+            | st.floats(positions[0], positions[-1])  # between lines
+            | st.floats(positions[-1], positions[-1] + 500.0)  # past the last
+        )
+        switches = sorted({t for sig in signals for cyc in sig.cycles_over(self.HORIZON)
+                           for t in cyc if 0.0 <= t < self.HORIZON})
+        t = data.draw(st.sampled_from(switches) | st.floats(0.0, self.HORIZON, exclude_max=True))
+        x = (x_f, data.draw(st.floats(0.0, 40.0)), 1e4)
+        dyn = (sys.f(t, x), sys.g(t, x))
+
+        got_led, want_led = EngagementLedger(), EngagementLedger()
+        got = conjoin_groups(scheds, t, x, sys, reg, got_led, dyn)
+        want = bisect_dispatch(scheds, positions, t, x, sys, reg, want_led, dyn)
+        assert [(c.label, [a.hex() for a in c.a], c.b.hex()) for c in got] == \
+            [(c.label, [a.hex() for a in c.a], c.b.hex()) for c in want]
+        assert got_led.all_records() == want_led.all_records()
+
+        entry = [s.assumption_margin(x, reg) for s in scheds]
+        k = bisect_left(positions, x_f)
+        assert entry == [scheds[k].assumption_margin(x, reg) if i == k else None
+                         for i in range(len(scheds))]
 
 
 class TestPhaseQueries:
