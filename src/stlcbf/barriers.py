@@ -1,9 +1,12 @@
 """Time-varying barrier functions and their control constraints.
 
 A barrier is a scalar h(t, x) with analytic time derivative and state
-gradient; its safe set at time t is {x : h(t, x) >= 0}. Two constraint
-generators turn a barrier into an affine-in-input halfspace a.u <= b at a
-given (t, x):
+gradient; its safe set at time t is {x : h(t, x) >= 0}. Its protocol is one
+method per quantity: `h(t, x, side)` for the value (side="left" gives the
+left time-limit at a jump), `terms(t, x)` for (h, dh/dt, grad_x h), and
+`h_grid` / `affine_at` / `is_smooth_at` for the static checks. Two
+constraint generators turn a barrier into an affine-in-input halfspace
+a.u <= b at a given (t, x):
 
   invariance (CBF):      dh/dt + grad.f + grad.g u + alpha(h) >= 0
   finite-time (FCBF):    dh/dt + grad.f + grad.g u + gamma sign(h)|h|^rho >= 0
@@ -118,41 +121,35 @@ class HalfspaceConstraint:
 
 
 class Barrier:
-    """Base evaluator: h(t, x), dh_dt(t, x), grad_x(t, x) on [0, T] x D."""
+    """Base evaluator of h on [0, T] x D.
+
+    A template implements `h(t, x, side)` and `terms(t, x)`; `h_grid`,
+    `affine_at` and `is_smooth_at` have generic defaults that templates
+    override where their structure allows. `side="left"` asks for the left
+    time-limit h(t-, x), which differs from h only at time jumps.
+    """
 
     def __init__(self, barrier_id: str, alpha: AlphaFn = IDENTITY_ALPHA):
         self.id = barrier_id
         self.alpha = alpha
 
-    def h(self, t: float, x) -> float:
+    def h(self, t: float, x, side: str = "right") -> float:
         raise NotImplementedError
 
-    def h_left(self, t: float, x) -> float:
-        """Left time-limit h(t-, x); differs from h only at time jumps."""
-        return self.h(t, x)
-
     def h_grid(self, t: float, cols, side: str = "right"):
-        """h(t, x), or h_left on side="left", at every point of broadcastable
-        coordinate arrays `cols`, one per state axis. Point by point here;
-        templates override it with arrays, in the scalar method's float order."""
-        fn = self.h_left if side == "left" else self.h
+        """h(t, x, side) at every point of broadcastable coordinate arrays
+        `cols`, one per state axis. Point by point here; templates override it
+        with arrays, in the scalar method's float order."""
         shape = np.broadcast_shapes(*map(np.shape, cols))
         cols = [np.broadcast_to(c, shape) for c in cols]
         out = np.empty(shape)
         for idx in np.ndindex(shape):
-            out[idx] = fn(t, tuple(float(c[idx]) for c in cols))
+            out[idx] = self.h(t, tuple(float(c[idx]) for c in cols), side)
         return out
 
-    def dh_dt(self, t: float, x) -> float:
-        raise NotImplementedError
-
-    def grad_x(self, t: float, x) -> tuple:
-        raise NotImplementedError
-
     def terms(self, t: float, x) -> tuple:
-        """(h, dh_dt, grad_x) at (t, x) in one call, bit-identical to the three
-        separate methods; templates override it to share their lookups."""
-        return self.h(t, x), self.dh_dt(t, x), self.grad_x(t, x)
+        """(h, dh/dt, grad_x h) at (t, x): everything a CBF constraint needs."""
+        raise NotImplementedError
 
     def affine_at(self, t: float, side: str = "right"):
         """(coeffs, offset) with h = coeffs.x + offset when affine at t, else None."""
@@ -197,23 +194,14 @@ class AffineBarrier(Barrier):
     def switch_times(self) -> tuple:
         return tuple(t0 for t0, _ in self.pieces[1:])
 
-    def h(self, t, x):
-        return sum(map(mul, self.coeffs, x)) + self._offset(t)
-
-    def h_left(self, t, x):
-        return sum(map(mul, self.coeffs, x)) + self._offset(t, side="left")
+    def h(self, t, x, side="right"):
+        return sum(map(mul, self.coeffs, x)) + self._offset(t, side)
 
     def h_grid(self, t, cols, side="right"):
         acc = 0  # sum() starts from the integer 0, so 0 + (-0.0) gives 0.0
         for c, col in zip(self.coeffs, cols):
             acc = acc + c * col
         return acc + self._offset(t, side)
-
-    def dh_dt(self, t, x):
-        return 0.0
-
-    def grad_x(self, t, x):
-        return self.coeffs
 
     def terms(self, t, x):
         return self.h(t, x), 0.0, self.coeffs
@@ -232,17 +220,14 @@ class TopBarrier(Barrier):
         super().__init__(barrier_id)
         self.dim = dim
 
-    def h(self, t, x):
+    def h(self, t, x, side="right"):
         return 1.0
 
     def h_grid(self, t, cols, side="right"):
         return 1.0
 
-    def dh_dt(self, t, x):
-        return 0.0
-
-    def grad_x(self, t, x):
-        return (0.0,) * self.dim
+    def terms(self, t, x):
+        return 1.0, 0.0, (0.0,) * self.dim
 
     def affine_at(self, t, side="right"):
         return (0.0,) * self.dim, 1.0
@@ -255,20 +240,15 @@ class NegatedBarrier(Barrier):
         super().__init__(f"!{inner.id}", alpha)
         self.inner = inner
 
-    def h(self, t, x):
-        return -self.inner.h(t, x)
-
-    def h_left(self, t, x):
-        return -self.inner.h_left(t, x)
+    def h(self, t, x, side="right"):
+        return -self.inner.h(t, x, side)
 
     def h_grid(self, t, cols, side="right"):
         return -self.inner.h_grid(t, cols, side)
 
-    def dh_dt(self, t, x):
-        return -self.inner.dh_dt(t, x)
-
-    def grad_x(self, t, x):
-        return tuple(-g for g in self.inner.grad_x(t, x))
+    def terms(self, t, x):
+        h, dh, grad = self.inner.terms(t, x)
+        return -h, -dh, tuple(-g for g in grad)
 
     def affine_at(self, t, side="right"):
         aff = self.inner.affine_at(t, side)
@@ -375,9 +355,10 @@ def gamma_for_deadline(h_engage: float, rho: float, t_target: float,
 
 
 def finite_diff_check(bar: Barrier, t: float, x, step: float = 1e-6) -> float:
-    """Worst relative error of the analytic dh_dt / grad_x against central
-    differences of h. Raises NonSmoothPointError at piecewise-switch points
-    (jump discontinuities make the comparison meaningless there)."""
+    """Worst relative error of the analytic dh/dt and grad_x of `terms`
+    against central differences of h. Raises NonSmoothPointError at
+    piecewise-switch points (jump discontinuities make the comparison
+    meaningless there)."""
     if step <= 0:
         raise BarrierError(f"step must be positive, got {step}")
     if not bar.is_smooth_at(t, x, t_pad=4 * step, x_pad=4 * step):
@@ -385,11 +366,11 @@ def finite_diff_check(bar: Barrier, t: float, x, step: float = 1e-6) -> float:
 
     x = tuple(x)
     worst = 0.0
+    _, dh_dt, grad = bar.terms(t, x)
 
     fd_t = (bar.h(t + step, x) - bar.h(max(t - step, 0.0), x)) / (step + min(t, step))
-    worst = max(worst, _rel_err(bar.dh_dt(t, x), fd_t))
+    worst = max(worst, _rel_err(dh_dt, fd_t))
 
-    grad = bar.grad_x(t, x)
     for i in range(len(x)):
         hi = list(x)
         lo = list(x)

@@ -9,6 +9,7 @@ the seed) produce byte-identical trace and report files.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -22,7 +23,6 @@ from .stl import (
     PredicateRef, SatisfactionReport, StlSpec, group_tasks, eventually_to_globally, parse_spec,
 )
 from .vehicle import (
-    ExogenousSignals,
     LeadProfile,
     SignalTimings,
     SpeedLimitSchedule,
@@ -51,7 +51,7 @@ class ScenarioBundle:
 
     cfg: ScenarioConfig
     registry: BarrierRegistry
-    exo: ExogenousSignals
+    lead: LeadProfile
     sys: object
     spec: StlSpec            # post eventually->globally
     groups: list
@@ -62,7 +62,7 @@ class ScenarioBundle:
 
     def nominal(self, t, x):
         h1 = self.registry.get("h1").h(t, x)
-        v_r = self.exo.lead.cached_velocity(t) - x[1]
+        v_r = self.lead.cached_velocity(t) - x[1]
         return pid_nominal(h1, v_r, self.pid, self.cfg.dt, self.cfg.vp.mass,
                            friction_force(x[1], self.cfg.vp))
 
@@ -97,7 +97,6 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
     for decl in cfg.custom_barriers:
         registry.register(instantiate_custom(decl))
 
-    exo = ExogenousSignals(lead=lead, limits=limits, signals=tuple(signals))
     sys = make_vehicle_system(vp, lead, cfg.domain)
 
     spec_src = f"horizon {cfg.horizon!r}\n" + cfg.stl_text
@@ -134,26 +133,25 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
     if signals:
         margin_barriers.append("hpos")
 
+    positions = [s.position for s in signals]
+
+    def active(x):
+        """0-based index of the first stop line at or ahead of X_f, None past the last."""
+        k = bisect_left(positions, x[0])
+        return k if k < len(signals) else None
+
     extra_channels = {
         "V_l": lambda t, x: lead.cached_velocity(t),
         "V_max": (lambda t, x: limits.value(t)) if limits else (lambda t, x: math.inf),
-        "active_signal": lambda t, x: (
-            float(k + 1) if (k := exo.active_signal_index(x[0])) < len(signals) else 0.0),
-        "signal_phase": _phase_channel(exo, signals),
+        "active_signal": lambda t, x: 0.0 if (k := active(x)) is None else float(k + 1),
+        "signal_phase": lambda t, x: "none" if (k := active(x)) is None else signals[k].phase(t),
     }
 
     return ScenarioBundle(
-        cfg=cfg, registry=registry, exo=exo, sys=sys, spec=spec, groups=groups,
+        cfg=cfg, registry=registry, lead=lead, sys=sys, spec=spec, groups=groups,
         schedules=schedules, pid=pid, margin_barriers=margin_barriers,
         extra_channels=extra_channels,
     )
-
-
-def _phase_channel(exo, signals):
-    def phase(t, x):
-        k = exo.active_signal_index(x[0])
-        return signals[k].phase(t) if k < len(signals) else "none"
-    return phase
 
 
 @dataclass
@@ -188,13 +186,14 @@ class PipelineOutcome:
 def check_pipeline(cfg: ScenarioConfig) -> PipelineOutcome:
     """Static half of the pipeline: build everything, classify boundaries."""
     bundle = build_scenario(cfg)
-    report = _base_report(cfg, bundle)
+    report = RunReport(
+        scenario=cfg.name, scenario_hash=cfg.scenario_hash(), dt=cfg.dt,
+        seed=cfg.seed, horizon=cfg.horizon, status="compatible", exit_code=EXIT_SUCCESS,
+    )
     _fill_compat(report, bundle)
     if report.static_failures:
         report.status, report.failure_stage = "failure", "static"
         report.exit_code = EXIT_STATIC_INCOMPATIBLE
-    else:
-        report.status, report.exit_code = "compatible", EXIT_SUCCESS
     return PipelineOutcome(report, None, bundle)
 
 
@@ -202,13 +201,10 @@ def run_pipeline(cfg: ScenarioConfig) -> PipelineOutcome:
     """Full pipeline. Static incompatibility or a runtime failure stops the
     run exactly where the synthesis loop prescribes; the trace prefix that
     exists by then is kept for serialization."""
-    bundle = build_scenario(cfg)
-    report = _base_report(cfg, bundle)
-    _fill_compat(report, bundle)
+    outcome = check_pipeline(cfg)
+    report, bundle = outcome.report, outcome.bundle
     if report.static_failures:
-        report.status, report.failure_stage = "failure", "static"
-        report.exit_code = EXIT_STATIC_INCOMPATIBLE
-        return PipelineOutcome(report, None, bundle)
+        return outcome
 
     result = run_simulation(
         bundle.sys, bundle.schedules, bundle.registry, bundle.nominal,
@@ -234,13 +230,6 @@ def run_pipeline(cfg: ScenarioConfig) -> PipelineOutcome:
         report.status, report.failure_stage = "failure", "monitor"
         report.exit_code = EXIT_RUNTIME_FAILURE
     return PipelineOutcome(report, result.trace, bundle)
-
-
-def _base_report(cfg, bundle) -> RunReport:
-    return RunReport(
-        scenario=cfg.name, scenario_hash=cfg.scenario_hash(), dt=cfg.dt,
-        seed=cfg.seed, horizon=cfg.horizon, status="pending", exit_code=EXIT_SUCCESS,
-    )
 
 
 def _fill_compat(report, bundle):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 DEFAULT_EVENTUALLY_EPS = 0.5
 MONITOR_TOL = 1e-3
@@ -88,21 +88,6 @@ class Eventually:
 
     def __str__(self) -> str:
         return f"F{self.interval} {self.pred}"
-
-
-@dataclass(frozen=True)
-class And:
-    parts: tuple
-
-    def __post_init__(self):
-        if not self.parts:
-            raise StlError("And over an empty list of formulas")
-
-    def __str__(self) -> str:
-        return " & ".join(str(p) for p in self.parts)
-
-
-StlFormula = Union[Globally, Eventually, And]
 
 
 @dataclass(frozen=True)
@@ -288,12 +273,7 @@ def _convert(task, window, idx):
     if isinstance(task, Eventually):
         if window is None:
             raise StlError(f"eventually task {idx} ({task}) has no satisfaction time")
-        _check_window_in(task.interval, window)
         return Globally(TimeInterval(window.t_s, window.t_s + window.eps), task.pred)
-    if isinstance(task, And):
-        if any(isinstance(p, Eventually) for p in task.parts):
-            raise StlError("eventually inside a conjunction cannot carry a satisfaction time")
-        return task
     return task
 
 
@@ -308,13 +288,12 @@ def group_tasks(spec: StlSpec) -> list:
     """
     preds = []
     for task in spec.tasks:
-        for sub in (task.parts if isinstance(task, And) else (task,)):
-            if isinstance(sub, Globally):
-                preds.append((sub.interval, sub.pred))
-            elif isinstance(sub, Eventually):
-                raise StlError("group_tasks requires eventually_to_globally first")
-            else:
-                raise StlError(f"cannot group non-temporal task {sub}")
+        if isinstance(task, Globally):
+            preds.append((task.interval, task.pred))
+        elif isinstance(task, Eventually):
+            raise StlError("group_tasks requires eventually_to_globally first")
+        else:
+            raise StlError(f"cannot group non-temporal task {task}")
 
     order = sorted(range(len(preds)), key=lambda i: (preds[i][0].start, preds[i][0].end, i))
     groups: list = []  # list of lists of pred indices
@@ -385,11 +364,6 @@ def monitor_trace(trace, spec: StlSpec, registry, tol: float = MONITOR_TOL) -> S
 
 
 def _monitor_task(task, trace, registry, tol) -> TaskReport:
-    if isinstance(task, And):
-        subs = [_monitor_task(p, trace, registry, tol) for p in task.parts]
-        worst = min(subs, key=lambda r: r.worst_margin)
-        return TaskReport(str(task), all(r.satisfied for r in subs), worst.worst_margin, worst.t_worst)
-
     lo, hi = task.interval.start - 1e-9, task.interval.end - 1e-9
     best_t, best = None, math.inf if isinstance(task, Globally) else -math.inf
     for t, x in zip(trace.ts, trace.states):

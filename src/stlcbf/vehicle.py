@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -164,23 +164,10 @@ class SpeedLimitSchedule:
         if times[-1] >= horizon:
             raise VehicleError("speed limit row starts at or beyond the horizon")
         self.rows = rows
-        self.horizon = float(horizon)
         self._times = times
 
     def value(self, t: float) -> float:
         return self.rows[max(bisect_right(self._times, t) - 1, 0)][1]
-
-    @property
-    def switch_times(self) -> tuple:
-        return tuple(self._times[1:])
-
-    def intervals(self):
-        """(TimeInterval, v_max) pieces over [0, horizon)."""
-        out = []
-        for i, (t0, v) in enumerate(self.rows):
-            t1 = self.rows[i + 1][0] if i + 1 < len(self.rows) else self.horizon
-            out.append((TimeInterval(t0, t1), v))
-        return out
 
 
 @dataclass(frozen=True)
@@ -252,23 +239,6 @@ def generate_signal_plan(seed: int, count: int = 10, first_position: float = 400
     return signals
 
 
-@dataclass(frozen=True)
-class ExogenousSignals:
-    """Everything the ego receives over V2V/V2I."""
-
-    lead: LeadProfile
-    limits: Optional[SpeedLimitSchedule] = None
-    signals: tuple = ()
-    positions: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "positions", tuple(s.position for s in self.signals))
-
-    def active_signal_index(self, x_f: float) -> int:
-        """0-based index of the signal at or ahead of X_f (== len past the last)."""
-        return bisect_left(self.positions, x_f)
-
-
 # ---------------------------------------------------------------------------
 # Barrier templates
 # ---------------------------------------------------------------------------
@@ -277,8 +247,9 @@ class ExogenousSignals:
 class SpacingBarrier(Barrier):
     """h1 = X_r - t_hw V_f - S0 - (V_f^2 - V_l^2)/(2 a_max).
 
-    The lead speed enters as an exogenous time signal, so
-    dh/dt = V_l a_l / a_max and grad_x = (-1, -t_hw - V_f/a_max, +1).
+    The lead speed enters as an exogenous time signal, continuous in t, so
+    h has no time jumps (both sides agree), dh/dt = V_l a_l / a_max and
+    grad_x = (-1, -t_hw - V_f/a_max, +1).
     """
 
     def __init__(self, vp: VehicleParams, lead: LeadProfile, barrier_id: str = "h1"):
@@ -290,21 +261,16 @@ class SpacingBarrier(Barrier):
         return ((x[2] - x[0]) - self.vp.t_headway * x[1] - self.vp.s0
                 - (x[1] * x[1] - vl * vl) / (2 * self.vp.a_max))
 
-    def h(self, t, x):
+    def h(self, t, x, side="right"):
         return self._h(self.lead.cached_velocity(t), x)
 
     def h_grid(self, t, cols, side="right"):
         return self._h(self.lead.cached_velocity(t), cols)
 
-    def dh_dt(self, t, x):
-        return self.lead.cached_velocity(t) * self.lead.accel(t) / self.vp.a_max
-
-    def grad_x(self, t, x):
-        return (-1.0, -self.vp.t_headway - x[1] / self.vp.a_max, 1.0)
-
     def terms(self, t, x):
         vl = self.lead.cached_velocity(t)
-        return self._h(vl, x), vl * self.lead.accel(t) / self.vp.a_max, self.grad_x(t, x)
+        return (self._h(vl, x), vl * self.lead.accel(t) / self.vp.a_max,
+                (-1.0, -self.vp.t_headway - x[1] / self.vp.a_max, 1.0))
 
     def is_smooth_at(self, t, x, t_pad=0.0, x_pad=0.0):
         return all(abs(t - ts) > t_pad for ts in self.lead.switch_times)
@@ -332,7 +298,9 @@ class TrafficSignalBarrier(Barrier):
     With k the active signal for X_f (first stop line at or ahead), the value
     is P_k - X_f - beta V_f - S0 during k's red phase and the same expression
     against P_{k+1} otherwise; past the last line the barrier is vacuous
-    (+inf). Non-smooth at stop-line crossings and phase switches.
+    (+inf). dh/dt = 0 and grad_x = (-1, -beta, 0), or zeros where vacuous.
+    Non-smooth at stop-line crossings and phase switches; side="left" reads
+    the phases just before t.
     """
 
     def __init__(self, signals: Sequence[SignalTimings], vp: VehicleParams,
@@ -357,11 +325,8 @@ class TrafficSignalBarrier(Barrier):
             return math.inf
         return line - x[0] - self.vp.beta * x[1] - self.vp.s0
 
-    def h(self, t, x):
-        return self._h(self._stop_line(t, x), x)
-
-    def h_left(self, t, x):
-        return self._h(self._stop_line(t, x, side="left"), x)
+    def h(self, t, x, side="right"):
+        return self._h(self._stop_line(t, x, side), x)
 
     def h_grid(self, t, cols, side="right"):
         # _stop_line over arrays: k is each X_f's active signal; a red k stops
@@ -371,18 +336,10 @@ class TrafficSignalBarrier(Barrier):
         lines = np.array(self.positions + [math.inf, math.inf])
         return self._h(lines[np.where(np.take(red, k), k, k + 1)], cols)
 
-    def dh_dt(self, t, x):
-        return 0.0
-
-    def _grad(self, line):
-        return (0.0, 0.0, 0.0) if line is None else (-1.0, -self.vp.beta, 0.0)
-
-    def grad_x(self, t, x):
-        return self._grad(self._stop_line(t, x))
-
     def terms(self, t, x):
         line = self._stop_line(t, x)
-        return self._h(line, x), 0.0, self._grad(line)
+        grad = (0.0, 0.0, 0.0) if line is None else (-1.0, -self.vp.beta, 0.0)
+        return self._h(line, x), 0.0, grad
 
     def is_smooth_at(self, t, x, t_pad=0.0, x_pad=0.0):
         k = bisect_left(self.positions, x[0])

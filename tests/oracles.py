@@ -97,7 +97,7 @@ def scalar_check_subset(h_prev, h_next, t, domain, resolution) -> SubsetCheck:
     """The sampled path of `check_subset`, one h call per point."""
     method = f"sampled({resolution})"
     for pt in scalar_grid_points(domain, resolution):
-        if h_prev.h_left(t, pt) >= 0 and h_next.h(t, pt) < -1e-9:
+        if h_prev.h(t, pt, "left") >= 0 and h_next.h(t, pt) < -1e-9:
             return SubsetCheck(False, method, counterexample=pt)
     return SubsetCheck(True, method)
 
@@ -107,7 +107,7 @@ def scalar_check_intersection(h_prev, h_next, t, domain, resolution) -> Intersec
     method = f"sampled({resolution})"
     best_pt, best_val = None, -math.inf
     for pt in scalar_grid_points(domain, resolution):
-        if h_prev.h_left(t, pt) >= 0:
+        if h_prev.h(t, pt, "left") >= 0:
             val = h_next.h(t, pt)
             if val > best_val:
                 best_pt, best_val = pt, val
@@ -144,9 +144,7 @@ class SafeSet:
     side: str = "right"
 
     def margin(self, x) -> float:
-        if self.side == "left":
-            return self.barrier.h_left(self.t, x)
-        return self.barrier.h(self.t, x)
+        return self.barrier.h(self.t, x, self.side)
 
     def membership(self, x) -> bool:
         return self.margin(x) >= 0

@@ -75,7 +75,7 @@ def test_criterion_1_reference_scenario_reproduction():
     assert trace.min_margin("hpos") >= -MARGIN_TOL
 
     # (d) no stop line is crossed while its signal shows red
-    signals = out.bundle.exo.signals
+    signals = out.bundle.registry.get("hpos").signals
     positions = [s.position for s in signals]
     crossings = 0
     for k in range(trace.n_rows() - 1):

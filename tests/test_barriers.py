@@ -8,10 +8,12 @@ from oracles import SafeSet, simulate_scalar_pull
 from stlcbf.barriers import (
     AffineBarrier,
     AlphaFn,
+    Barrier,
     BarrierError,
     FcbfParams,
     HalfspaceConstraint,
     IDENTITY_ALPHA,
+    NegatedBarrier,
     NonSmoothPointError,
     StateBox,
     TopBarrier,
@@ -21,10 +23,12 @@ from stlcbf.barriers import (
     finite_diff_check,
     gamma_for_deadline,
 )
+from stlcbf.contracts import check_subset
 from stlcbf.sim import ControlSystem
 from stlcbf.vehicle import (
     LeadProfile,
     SignalTimings,
+    SpacingBarrier,
     VehicleParams,
     signal_barriers,
     spacing_barrier,
@@ -82,9 +86,9 @@ class TestCbfConstraint:
             x = (1.0, v)
             c = cbf_constraint(bar, double_integrator, alpha, 0.0, x)
             u = c.b / c.a[0]
-            grad = bar.grad_x(0.0, x)
+            _, dh_dt, grad = bar.terms(0.0, x)
             fv = double_integrator.f(0.0, x)
-            hdot = bar.dh_dt(0.0, x) + sum(
+            hdot = dh_dt + sum(
                 gi * (fi + gm[0] * u)
                 for gi, fi, gm in zip(grad, fv, double_integrator.g(0.0, x))
             )
@@ -187,14 +191,14 @@ class TestPiecewiseAffine:
         x = (0.0, 10.0)
         assert bar.h(49.999, x) == pytest.approx(20.0)
         assert bar.h(50.0, x) == pytest.approx(15.0)      # half-open: new piece
-        assert bar.h_left(50.0, x) == pytest.approx(20.0)  # left limit: old piece
+        assert bar.h(50.0, x, "left") == pytest.approx(20.0)  # left limit: old piece
         assert bar.affine_at(50.0, side="left")[1] == 30.0
 
     def test_negation_flips_everything(self):
         bar = AffineBarrier("v", coeffs=(0.0, -1.0), offset=10.0)
         neg = bar.negate()
         assert neg.h(0.0, (0.0, 4.0)) == pytest.approx(-6.0)
-        assert neg.grad_x(0.0, (0.0, 4.0)) == (0.0, 1.0)
+        assert neg.terms(0.0, (0.0, 4.0))[2] == (0.0, 1.0)
         coeffs, offset = neg.affine_at(0.0)
         assert coeffs == (0.0, 1.0) and offset == -10.0
 
@@ -226,26 +230,25 @@ class TestPiecewiseAffine:
     def test_offset_lookup_around_piece_starts(self, side, t, offset):
         bar = AffineBarrier("hv", coeffs=(0.0, -1.0), pieces=[(10.0, 30.0), (50.0, 25.0)])
         assert bar.affine_at(t, side=side)[1] == offset
-        h = bar.h_left(t, (0.0, 0.0)) if side == "left" else bar.h(t, (0.0, 0.0))
-        assert h == offset
+        assert bar.h(t, (0.0, 0.0), side) == offset
 
 
 # ---------------------------------------------------------------------------
-# Fused terms: (h, dh_dt, grad_x) in one call, bit for bit
+# terms: h and the closed-form derivatives of each template, bit for bit
 # ---------------------------------------------------------------------------
 
 VP = VehicleParams()
 # two signals with cycles green [0,20) -> yellow [20,24) -> red [24,40)
 SIGNALS = [SignalTimings(200.0, 20.0, 4.0, 16.0), SignalTimings(500.0, 20.0, 4.0, 16.0)]
+LEAD = LeadProfile(55.0, 3.0, [(0.0, 1.2), (10.0, 0.0), (20.0, -1.5), (40.0, 0.5)])
 
 
 def _templates():
-    lead = LeadProfile(55.0, 3.0, [(0.0, 1.2), (10.0, 0.0), (20.0, -1.5), (40.0, 0.5)])
     base = [
         AffineBarrier("hv", coeffs=(0.0, -1.0, 0.0), pieces=[(0.0, 30.0), (25.0, 10.0)]),
         AffineBarrier("lin", coeffs=(0.4, -1.0, 0.2), offset=5.0),
         TopBarrier(3),
-        spacing_barrier(VP, lead),
+        spacing_barrier(VP, LEAD),
         signal_barriers(SIGNALS, VP),
     ]
     return base + [bar.negate() for bar in base]
@@ -254,21 +257,40 @@ def _templates():
 TEMPLATES = _templates()
 
 
+def closed_form(bar, t, x):
+    """(dh/dt, grad_x) as each template's docstring states them."""
+    if isinstance(bar, NegatedBarrier):
+        dh, grad = closed_form(bar.inner, t, x)
+        return -dh, tuple(-g for g in grad)
+    if isinstance(bar, AffineBarrier):
+        return 0.0, bar.coeffs
+    if isinstance(bar, TopBarrier):
+        return 0.0, (0.0, 0.0, 0.0)
+    if isinstance(bar, SpacingBarrier):
+        # h1: V_l a_l / a_max and (-1, -t_hw - V_f/a_max, 1)
+        return (LEAD.velocity(t) * LEAD.accel(t) / VP.a_max,
+                (-1.0, -VP.t_headway - x[1] / VP.a_max, 1.0))
+    # hpos: 0 and (-1, -beta, 0), or zeros past the last governing line
+    if math.isinf(bar.h(t, x)):
+        return 0.0, (0.0, 0.0, 0.0)
+    return 0.0, (-1.0, -VP.beta, 0.0)
+
+
 def _bits(h, dh, grad):
     """Exact identity of floats: float.hex tells -0.0 from 0.0."""
     return (h.hex(), dh.hex(), tuple(g.hex() for g in grad))
 
 
 def assert_terms_match(bar, t, x):
-    expected = _bits(bar.h(t, x), bar.dh_dt(t, x), bar.grad_x(t, x))
+    expected = _bits(bar.h(t, x), *closed_form(bar, t, x))
     assert _bits(*bar.terms(t, x)) == expected, (bar, t, x)
 
 
-class TestFusedTerms:
+class TestTerms:
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(TEMPLATES), st.floats(0.0, 60.0),
            st.floats(0.0, 700.0), st.floats(0.0, 40.0), st.floats(0.0, 800.0))
-    def test_terms_equal_separate_methods(self, bar, t, x_f, v_f, x_l):
+    def test_terms_equal_h_and_closed_forms(self, bar, t, x_f, v_f, x_l):
         assert_terms_match(bar, t, (x_f, v_f, x_l))
 
     @pytest.mark.parametrize("bar", [TEMPLATES[4], TEMPLATES[9]], ids=["hpos", "!hpos"])
@@ -278,3 +300,43 @@ class TestFusedTerms:
     def test_signal_terms_across_stop_lines_and_phases(self, bar, t, phase, x_f):
         assert SIGNALS[0].phase(t) == phase
         assert_terms_match(bar, t, (x_f, 8.0, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# A custom barrier needs only h(t, x, side) and terms
+# ---------------------------------------------------------------------------
+
+
+class Ramp(Barrier):
+    """h = s(t) t - x with the slope s jumping from 1 to 2 at t=5: h(5-, x) =
+    5 - x, h(5, x) = 10 - x. Defines nothing beyond the two required methods."""
+
+    def __init__(self):
+        super().__init__("ramp")
+
+    def h(self, t, x, side="right"):
+        jumped = t >= 5.0 if side == "right" else t > 5.0
+        return (2.0 if jumped else 1.0) * t - x[0]
+
+    def terms(self, t, x):
+        return self.h(t, x), 2.0 if t >= 5.0 else 1.0, (-1.0,)
+
+
+class TestMinimalBarrier:
+    def test_derivative_check_reads_terms(self):
+        assert finite_diff_check(Ramp(), 2.0, (1.0,)) < 1e-8
+        assert finite_diff_check(Ramp(), 7.0, (1.0,)) < 1e-8
+
+    def test_cbf_constraint(self):
+        # h = 2 - 1, dh/dt = 1, grad = (-1,), x' = u: -u + 1 + 1 >= 0
+        c = cbf_constraint(Ramp(), scalar_system(), IDENTITY_ALPHA, 2.0, (1.0,))
+        assert c.a == (1.0,) and c.b == 2.0
+
+    def test_grid_fallback_reads_the_left_limit(self):
+        box = StateBox((0.0,), (10.0,))
+        below6 = AffineBarrier("x<=6", coeffs=(-1.0,), offset=6.0)
+        below4 = AffineBarrier("x<=4", coeffs=(-1.0,), offset=4.0)
+        # C_prev(5-) = {x <= 5}, so it lies inside {x <= 6} but not {x <= 4}
+        assert check_subset(Ramp(), below6, 5.0, box, 11).holds
+        res = check_subset(Ramp(), below4, 5.0, box, 11)
+        assert res.method == "sampled(11)" and res.counterexample == (5.0,)

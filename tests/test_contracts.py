@@ -384,11 +384,8 @@ class Bowl(Barrier):
     def _at(self, r, x):
         return r * r - sum((xi - ci) ** 2 for xi, ci in zip(x, self.center))
 
-    def h(self, t, x):
-        return self._at(self.radii[t >= 10.0], x)
-
-    def h_left(self, t, x):
-        return self._at(self.radii[t > 10.0], x)
+    def h(self, t, x, side="right"):
+        return self._at(self.radii[t >= 10.0 if side == "right" else t > 10.0], x)
 
 
 class Patchy(Barrier):
@@ -398,7 +395,7 @@ class Patchy(Barrier):
         super().__init__("patchy")
         self.offset = offset
 
-    def h(self, t, x):
+    def h(self, t, x, side="right"):
         return math.nan if math.floor(x[-1]) % 2 == 0 else self.offset - x[-1]
 
 
@@ -409,11 +406,8 @@ class Opaque(Barrier):
         super().__init__(inner.id)
         self.inner = inner
 
-    def h(self, t, x):
-        return self.inner.h(t, x)
-
-    def h_left(self, t, x):
-        return self.inner.h_left(t, x)
+    def h(self, t, x, side="right"):
+        return self.inner.h(t, x, side)
 
     def h_grid(self, t, cols, side="right"):
         return self.inner.h_grid(t, cols, side)
@@ -519,16 +513,15 @@ class TestArrayGrid:
     @example(GRID_TEMPLATES[5], 10.0, "left", [(300.0, 10.0, 300.0)])  # radius before jump
     def test_h_grid_equals_h_at_every_point(self, bar, t, side, points):
         cols = tuple(np.array(col) for col in zip(*points))
-        h = bar.h_left if side == "left" else bar.h
         got = np.broadcast_to(bar.h_grid(t, cols, side), (len(points),))
-        assert [float(v).hex() for v in got] == [h(t, p).hex() for p in points]
+        assert [float(v).hex() for v in got] == [bar.h(t, p, side).hex() for p in points]
 
     def test_shipped_templates_never_evaluate_point_by_point(self, monkeypatch):
         calls = []
         for cls in (SpacingBarrier, AffineBarrier):
-            def counted(self, t, x, _h=cls.h):
+            def counted(self, t, x, side="right", _h=cls.h):
                 calls.append(type(self).__name__)
-                return _h(self, t, x)
+                return _h(self, t, x, side)
             monkeypatch.setattr(cls, "h", counted)
         h1 = spacing_barrier(VP, LeadProfile(100.0, 10.0))
         vmax = AffineBarrier("vmax10", coeffs=(0.0, -1.0, 0.0), offset=10.0)

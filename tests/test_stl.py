@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from oracles import max_overlap_depth
 from stlcbf.stl import (
-    And,
     Eventually,
     Globally,
     PredicateRef,
@@ -264,7 +263,7 @@ class TestMonitor:
         reg = ValueRegistry(m=0, n=0)
         g1 = Globally(TimeInterval(0, 1), PredicateRef("m"))
         g2 = Globally(TimeInterval(1, 2), PredicateRef("n"))
-        both = monitor_trace(trace, spec_of(And((g1, g2)), horizon=2), reg)
+        both = monitor_trace(trace, spec_of(g1, g2, horizon=2), reg)
         sep1 = monitor_trace(trace, spec_of(g1, horizon=2), reg)
         sep2 = monitor_trace(trace, spec_of(g2, horizon=2), reg)
         assert both.satisfied == (sep1.satisfied and sep2.satisfied)

@@ -103,7 +103,7 @@ class TestSpacingBarrier:
     def test_dh_dt_tracks_lead_acceleration(self):
         lead = LeadProfile(80.0, 12.0, [(0.0, 0.7)])
         bar = spacing_barrier(VP, lead)
-        assert bar.dh_dt(4.0, (0.0, 5.0, 80.0)) == pytest.approx(
+        assert bar.terms(4.0, (0.0, 5.0, 80.0))[1] == pytest.approx(
             lead.velocity(4.0) * 0.7 / VP.a_max)
 
 
@@ -120,12 +120,12 @@ class TestSpeedLimitBarrier:
         x = (0.0, 20.0, 0.0)
         assert bar.h(49.99, x) == pytest.approx(10.0)
         assert bar.h(50.0, x) == pytest.approx(5.0)
-        assert bar.h_left(50.0, x) == pytest.approx(10.0)
+        assert bar.h(50.0, x, "left") == pytest.approx(10.0)
 
     def test_drop_jump_size(self):
         bar = speed_limit_barrier(self._limits(), VP)
         x = (0.0, 0.0, 0.0)
-        assert bar.h(100.0, x) - bar.h_left(100.0, x) == pytest.approx(-15.0)
+        assert bar.h(100.0, x) - bar.h(100.0, x, "left") == pytest.approx(-15.0)
 
     def test_alpha_is_one_over_beta(self):
         bar = speed_limit_barrier(self._limits(), VP)
@@ -180,7 +180,7 @@ class TestSignalBarrier:
     def test_past_last_signal_is_vacuous(self):
         bar = signal_barriers(two_signals(), VP)
         assert bar.h(0.0, (500.0, 10.0, 0.0)) == math.inf
-        assert bar.grad_x(0.0, (500.0, 10.0, 0.0)) == (0.0, 0.0, 0.0)
+        assert bar.terms(0.0, (500.0, 10.0, 0.0))[2] == (0.0, 0.0, 0.0)
 
     def test_gradient_matches_finite_differences(self):
         bar = signal_barriers(two_signals(), VP)
