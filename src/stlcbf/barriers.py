@@ -3,8 +3,11 @@
 A barrier is a scalar h(t, x) with analytic time derivative and state
 gradient; its safe set at time t is {x : h(t, x) >= 0}. Its protocol is one
 method per quantity: `h(t, x, side)` for the value (side="left" gives the
-left time-limit at a jump), `terms(t, x)` for (h, dh/dt, grad_x h), and
-`h_grid` / `affine_at` / `is_smooth_at` for the static checks. Two
+left time-limit at a jump), `terms(t, x)` for (h, dh/dt, grad_x h),
+`h_grid(t, cols, side)` for h over arrays, and `affine_at` / `is_smooth_at`
+for the static checks. `h_grid` is the one array evaluator: the static grid
+passes a scalar t with one slab of state columns, the trace columns and the
+monitor pass the recorded times as an array t with the recorded states. Two
 constraint generators turn a barrier into an affine-in-input halfspace
 a.u <= b at a given (t, x):
 
@@ -30,6 +33,26 @@ from operator import mul
 import numpy as np
 
 GAMMA_MIN = 1e-3  # per second; used when the engagement state is already safe
+
+
+def step_lookup(starts, values, t, side: str = "right"):
+    """values[i] for the last starts[i] at or before t (strictly before when
+    side="left"; values[0] when t precedes every start). An array t looks up
+    every element at once, with the same boundary rule; where the values are
+    tuples, it gives one array per tuple field."""
+    if isinstance(t, np.ndarray):
+        i = np.maximum(np.searchsorted(starts, t, side) - 1, 0)
+        return np.take(np.transpose(values), i, axis=-1)
+    find = bisect_right if side == "right" else bisect_left
+    return values[max(find(starts, t) - 1, 0)]
+
+
+def state_columns(states) -> np.ndarray:
+    """The n per-axis columns of N recorded n-dimensional states, as an
+    (n, N) array: the `cols` that `Barrier.h_grid` takes."""
+    n = len(states[0]) if len(states) else 0
+    flat = np.fromiter(itertools.chain.from_iterable(states), float, n * len(states))
+    return flat.reshape(len(states), n).T
 
 
 class BarrierError(ValueError):
@@ -136,15 +159,17 @@ class Barrier:
     def h(self, t: float, x, side: str = "right") -> float:
         raise NotImplementedError
 
-    def h_grid(self, t: float, cols, side: str = "right"):
-        """h(t, x, side) at every point of broadcastable coordinate arrays
-        `cols`, one per state axis. Point by point here; templates override it
-        with arrays, in the scalar method's float order."""
-        shape = np.broadcast_shapes(*map(np.shape, cols))
+    def h_grid(self, t, cols, side: str = "right"):
+        """h(t, x, side) at every point of broadcastable arrays: `t` (a scalar
+        or an array) and `cols`, one per state axis. Point by point here;
+        templates override it with arrays, in the scalar method's float
+        order."""
+        shape = np.broadcast_shapes(np.shape(t), *map(np.shape, cols))
+        ts = np.broadcast_to(t, shape)
         cols = [np.broadcast_to(c, shape) for c in cols]
         out = np.empty(shape)
         for idx in np.ndindex(shape):
-            out[idx] = self.h(t, tuple(float(c[idx]) for c in cols), side)
+            out[idx] = self.h(float(ts[idx]), tuple(float(c[idx]) for c in cols), side)
         return out
 
     def terms(self, t: float, x) -> tuple:
@@ -184,30 +209,26 @@ class AffineBarrier(Barrier):
         if starts != sorted(starts) or len(set(starts)) != len(starts):
             raise BarrierError("offset pieces must have strictly increasing start times")
         self._starts = starts
-
-    def _offset(self, t: float, side: str = "right") -> float:
-        """Last piece starting at t or before (strictly before on the left)."""
-        find = bisect_right if side == "right" else bisect_left
-        return self.pieces[max(find(self._starts, t) - 1, 0)][1]
+        self._offsets = [d for _, d in self.pieces]  # offset(t): last piece started by t
 
     @property
     def switch_times(self) -> tuple:
         return tuple(t0 for t0, _ in self.pieces[1:])
 
     def h(self, t, x, side="right"):
-        return sum(map(mul, self.coeffs, x)) + self._offset(t, side)
+        return sum(map(mul, self.coeffs, x)) + step_lookup(self._starts, self._offsets, t, side)
 
     def h_grid(self, t, cols, side="right"):
         acc = 0  # sum() starts from the integer 0, so 0 + (-0.0) gives 0.0
         for c, col in zip(self.coeffs, cols):
             acc = acc + c * col
-        return acc + self._offset(t, side)
+        return acc + step_lookup(self._starts, self._offsets, t, side)
 
     def terms(self, t, x):
         return self.h(t, x), 0.0, self.coeffs
 
     def affine_at(self, t, side="right"):
-        return self.coeffs, self._offset(t, side)
+        return self.coeffs, step_lookup(self._starts, self._offsets, t, side)
 
     def is_smooth_at(self, t, x, t_pad=0.0, x_pad=0.0):
         return all(abs(t - ts) > t_pad for ts in self.switch_times)

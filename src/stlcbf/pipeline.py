@@ -8,10 +8,12 @@ the seed) produce byte-identical trace and report files.
 
 from __future__ import annotations
 
+import itertools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from . import stl
 from .barriers import AffineBarrier, AlphaFn, BarrierRegistry
@@ -24,8 +26,10 @@ from .stl import (
 )
 from .vehicle import (
     LeadProfile,
+    PHASES,
     SignalTimings,
     SpeedLimitSchedule,
+    active_phase_index,
     build_signal_contracts,
     friction_force,
     generate_signal_plan,
@@ -135,17 +139,21 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
 
     positions = [s.position for s in signals]
 
-    def active(x):
-        """0-based index of the first stop line at or ahead of X_f, None past the last."""
-        k = bisect_left(positions, x[0])
-        return k if k < len(signals) else None
+    def active(states):
+        """0-based index of the first stop line at or ahead of each X_f;
+        len(signals) past the last."""
+        return np.searchsorted(positions, states[:, 0])
 
-    extra_channels = {
-        "V_l": lambda t, x: lead.cached_velocity(t),
-        "V_max": (lambda t, x: limits.value(t)) if limits else (lambda t, x: math.inf),
-        "active_signal": lambda t, x: 0.0 if (k := active(x)) is None else float(k + 1),
-        "signal_phase": lambda t, x: "none" if (k := active(x)) is None else signals[k].phase(t),
-    }
+    # columns over the whole trace, (ts, states) arrays -> one value per row;
+    # the trace CSV writes inf, 0 and "none" for a channel the scenario lacks
+    extra_channels = {"V_l": lambda ts, states: lead.velocity(ts)}
+    if limits is not None:
+        extra_channels["V_max"] = lambda ts, states: limits.value(ts)
+    if signals:
+        extra_channels["active_signal"] = lambda ts, states: np.where(
+            (k := active(states)) < len(signals), k + 1.0, 0.0)
+        extra_channels["signal_phase"] = lambda ts, states: np.take(
+            PHASES, active_phase_index(signals, ts, active(states)))
 
     return ScenarioBundle(
         cfg=cfg, registry=registry, lead=lead, sys=sys, spec=spec, groups=groups,
@@ -261,40 +269,28 @@ TRACE_COLUMNS = ("t", "X_f", "V_f", "X_l", "V_l", "V_max", "u_nom", "u_safe",
                  "h1", "h_v", "h_pos", "qp_status", "active_signal", "signal_phase")
 
 
-def _num(v: float) -> str:
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    if math.isnan(v):
-        return "nan"
-    return f"{v:.6f}"
+# one row of TRACE_COLUMNS; %.6f prints inf, -inf and nan as those words
+_ROW = "%.6f," * 11 + "%s,%d,%s\n"
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:
     """Fixed-schema CSV at 1e-6 decimal precision; byte-stable for identical
-    runs. Missing channels (no speed limits / no signals) serialize as inf."""
-    margins = trace.margins
-    extras = trace.extras
-    inf = [math.inf] * trace.n_rows()
-    cols = {
-        "h1": margins.get("h1", inf), "h_v": margins.get("hv", inf),
-        "h_pos": margins.get("hpos", inf),
-        "V_l": extras.get("V_l", inf), "V_max": extras.get("V_max", inf),
-        "active_signal": extras.get("active_signal", [0.0] * trace.n_rows()),
-        "signal_phase": extras.get("signal_phase", ["none"] * trace.n_rows()),
-    }
+    runs. Missing channels (no speed limits / no signals) serialize as inf,
+    the signal columns as 0 and "none"."""
+    margins, extras = trace.margins, trace.extras
+    inf = itertools.repeat(math.inf)
+    rows = zip(
+        trace.ts, trace.states, extras.get("V_l", inf), extras.get("V_max", inf),
+        trace.u_nom, trace.u_safe, margins.get("h1", inf), margins.get("hv", inf),
+        margins.get("hpos", inf), trace.qp_status,
+        extras.get("active_signal", itertools.repeat(0)),
+        extras.get("signal_phase", itertools.repeat("none")),
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for i in range(trace.n_rows()):
-            x = trace.states[i]
-            row = [
-                _num(trace.ts[i]), _num(x[0]), _num(x[1]), _num(x[2]),
-                _num(cols["V_l"][i]), _num(cols["V_max"][i]),
-                _num(trace.u_nom[i][0]), _num(trace.u_safe[i][0]),
-                _num(cols["h1"][i]), _num(cols["h_v"][i]), _num(cols["h_pos"][i]),
-                trace.qp_status[i], f"{int(cols['active_signal'][i])}",
-                cols["signal_phase"][i],
-            ]
-            fh.write(",".join(row) + "\n")
+        for t, (xf, vf, xl), vl, vmax, un, us, h1, hv, hpos, status, k, phase in rows:
+            fh.write(_ROW % (t, xf, vf, xl, vl, vmax, un[0], us[0], h1, hv, hpos,
+                             status, k, phase))
 
 
 def format_report(report: RunReport) -> str:
@@ -308,9 +304,9 @@ def format_report(report: RunReport) -> str:
     if report.failure_stage:
         lines.append(f"failure_stage={report.failure_stage}")
     lines += [
-        f"dt={_num(report.dt)}",
+        f"dt={report.dt:.6f}",
         f"seed={report.seed}",
-        f"horizon={_num(report.horizon)}",
+        f"horizon={report.horizon:.6f}",
         "[compatibility]",
     ]
     for label, bds in report.compat:
@@ -332,7 +328,7 @@ def format_report(report: RunReport) -> str:
         lines.append("[summary]")
         for key in sorted(report.summary):
             val = report.summary[key]
-            lines.append(f"{key}={_num(val) if isinstance(val, float) else val}")
+            lines.append(f"{key}={val:.6f}" if isinstance(val, float) else f"{key}={val}")
     return "\n".join(lines) + "\n"
 
 
@@ -362,10 +358,16 @@ def read_trace_csv(path: str) -> TraceView:
         except ValueError as exc:
             raise PipelineError(f"trace {path} lacks required columns: {exc}") from None
         ts, states = [], []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             toks = line.rstrip("\n").split(",")
-            ts.append(float(toks[it]))
-            states.append((float(toks[ixf]), float(toks[ivf]), float(toks[ixl])))
+            try:
+                ts.append(float(toks[it]))
+                states.append((float(toks[ixf]), float(toks[ivf]), float(toks[ixl])))
+            except IndexError:
+                raise PipelineError(f"trace {path} line {lineno}: {len(toks)} fields, "
+                                    f"header has {len(header)}") from None
+            except ValueError as exc:
+                raise PipelineError(f"trace {path} line {lineno}: {exc}") from None
     return TraceView(ts=ts, states=states)
 
 

@@ -3,9 +3,12 @@ zero-order-hold inputs, trace recording, and the runtime synthesis loop.
 
 At every step the loop gathers the active halfspace constraints from all
 group schedules, projects the nominal input through the QP filter, integrates
-one step, and records state, inputs, per-barrier margins and QP status. An
-empty safe input set or a domain exit aborts the run with a timestamped
-failure; the trace prefix up to that point is preserved.
+one step, and records time, state, inputs and QP status. An empty safe input
+set or a domain exit aborts the run with a timestamped failure; the trace
+prefix up to that point is preserved. The per-barrier margin columns and the
+scenario channels are filled once the loop ends, over all recorded rows at
+once (`Barrier.h_grid` with an array t), for a failed prefix as for a full
+run.
 
 Each step evaluates f and g once, for every constraint's Lie terms and as
 RK4's k1 (f runs 4 times a step); barriers give (h, dh/dt, grad h) in one
@@ -22,7 +25,9 @@ from itertools import islice
 from operator import add, mul
 from typing import Callable, Optional, Sequence
 
-from .barriers import StateBox
+import numpy as np
+
+from .barriers import StateBox, state_columns
 from .contracts import EngagementLedger, conjoin_groups
 from .qp import InputBox, solve_qp
 
@@ -95,8 +100,9 @@ def integrate_step(sys: ControlSystem, t: float, x, u, dt: float, dyn=None):
 class Trace:
     """Uniform-step record of the closed loop.
 
-    Parallel column lists; `margins` holds one list per requested barrier id
-    and `extras` any scenario channels (speed limit, signal phase, ...).
+    Parallel column lists of what the loop recorded; `margins` holds one
+    array per requested barrier id and `extras` one per scenario channel
+    (speed limit, signal phase, ...), both filled by `fill_columns`.
     """
 
     dt: float
@@ -113,8 +119,18 @@ class Trace:
         return len(self.ts)
 
     def min_margin(self, barrier_id: str):
-        vals = self.margins.get(barrier_id, [])
-        return min(vals) if vals else math.inf
+        vals = self.margins.get(barrier_id, ())
+        return float(min(vals)) if len(vals) else math.inf
+
+    def fill_columns(self, registry, margin_barriers=(), channels=None) -> None:
+        """Evaluate the margin and channel columns over every recorded row at
+        once. `registry.get(bid).h_grid` gives each margin; each channel is a
+        function of (ts, states) arrays, states with one row per sample."""
+        ts, cols = np.array(self.ts), state_columns(self.states)
+        for bid in margin_barriers:
+            self.margins[bid] = np.broadcast_to(registry.get(bid).h_grid(ts, cols), ts.shape)
+        for name, fn in (channels or {}).items():
+            self.extras[name] = np.broadcast_to(fn(ts, cols.T), ts.shape)
 
 
 @dataclass(frozen=True)
@@ -156,7 +172,9 @@ def run_simulation(
     `nominal(t, x)` returns the unfiltered input (scalar or m-tuple).
     Requires x0 to satisfy every schedule's opening assumption. Returns the
     trace plus a failure record when the QP turns infeasible or the state
-    leaves the domain; on success the trace has t_max/dt + 1 rows.
+    leaves the domain; on success the trace has t_max/dt + 1 rows. The
+    `margin_barriers` and `extra_channels` columns (see `Trace.fill_columns`)
+    are filled before it returns.
     """
     x = tuple(float(v) for v in x0)
     if len(x) != sys.n:
@@ -175,10 +193,6 @@ def run_simulation(
                 )
 
     trace = Trace(dt=dt)
-    bars = [(registry.get(bid), trace.margins.setdefault(bid, []))
-            for bid in margin_barriers]
-    channels = [(fn, trace.extras.setdefault(name, []))
-                for name, fn in (extra_channels or {}).items()]
 
     f, g, lower = sys.f, sys.g, sys.domain.lower
     engagements = EngagementLedger()
@@ -194,10 +208,10 @@ def run_simulation(
         trace.u_nom.append(u_n)
         trace.u_safe.append(u_s)
         trace.qp_status.append(status)
-        for bar, col in bars:
-            col.append(bar.h(t, x))
-        for fn, col in channels:
-            col.append(fn(t, x))
+
+    def finish(failure=None):
+        trace.fill_columns(registry, margin_barriers, extra_channels)
+        return RunResult(trace, failure, engagements)
 
     for k in range(n_steps + 1):
         t = k * dt
@@ -220,16 +234,16 @@ def run_simulation(
         u_s = solve_qp(u_n, cons, box)
         if u_s is None:
             record(t, "infeasible", u_n, (math.nan,) * sys.m)
-            return RunResult(trace, SimFailure(
+            return finish(SimFailure(
                 time=t, reason="qp_infeasible",
                 details=tuple(c.label or "box" for c in cons),
-            ), engagements)
+            ))
         record(t, "ok", u_n, u_s)
         last_u_nom, last_u_safe = u_n, u_s
 
         x = integrate_step(sys, t, x, u_s, dt, dyn)
         if not all(map(math.isfinite, x)):
-            return RunResult(trace, SimFailure(t + dt, "non_finite_state"), engagements)
+            return finish(SimFailure(t + dt, "non_finite_state"))
         for i in sys.clamp_min_dims:
             if x[i] < lower[i]:
                 x = x[:i] + (lower[i],) + x[i + 1:]
@@ -244,6 +258,6 @@ def run_simulation(
                 for i, (v, lo, hi) in enumerate(zip(x, lower, sys.domain.upper))
                 if not (lo - 1e-9 <= v <= hi + 1e-9)
             ]
-            return RunResult(trace, SimFailure(t + dt, "domain_exit", tuple(bad)), engagements)
+            return finish(SimFailure(t + dt, "domain_exit", tuple(bad)))
 
-    return RunResult(trace, None, engagements)
+    return finish()

@@ -24,6 +24,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
+from .barriers import state_columns
+
 DEFAULT_EVENTUALLY_EPS = 0.5
 MONITOR_TOL = 1e-3
 
@@ -350,6 +354,8 @@ def monitor_trace(trace, spec: StlSpec, registry, tol: float = MONITOR_TOL) -> S
 
     `trace` needs `.ts` and `.states`; sampling must cover [0, horizon].
     Eventually tasks are checked with exists-semantics (best margin reported).
+    Each task evaluates its barrier once, with `h_grid`, over the samples
+    inside its interval (in any order; the earliest row wins a tie).
     """
     ts = trace.ts
     if not ts or ts[0] > 1e-9 or ts[-1] < spec.horizon - 1e-9:
@@ -357,33 +363,32 @@ def monitor_trace(trace, spec: StlSpec, registry, tol: float = MONITOR_TOL) -> S
             f"trace covers [{_fmt(ts[0]) if ts else '-'}, {_fmt(ts[-1]) if ts else '-'}], "
             f"needs [0, {_fmt(spec.horizon)}]"
         )
-    reports = [_monitor_task(task, trace, registry, tol) for task in spec.tasks]
+    ts, cols = np.array(ts), state_columns(trace.states)
+    reports = [_monitor_task(task, ts, cols, registry, tol) for task in spec.tasks]
     return SatisfactionReport(
         satisfied=all(r.satisfied for r in reports), per_task=tuple(reports)
     )
 
 
-def _monitor_task(task, trace, registry, tol) -> TaskReport:
-    lo, hi = task.interval.start - 1e-9, task.interval.end - 1e-9
-    best_t, best = None, math.inf if isinstance(task, Globally) else -math.inf
-    for t, x in zip(trace.ts, trace.states):
-        if not (lo <= t < hi):
-            continue
-        margin = _margin(registry, task.pred, t, x)
-        if isinstance(task, Globally):
-            if margin < best:
-                best, best_t = margin, t
-        else:
-            if margin > best:
-                best, best_t = margin, t
-    if best_t is None:
-        # No sample fell inside the window: vacuously true for G, false for F.
-        return TaskReport(str(task), isinstance(task, Globally), math.inf, None)
-    return TaskReport(str(task), best >= -tol, best, best_t)
-
-
-def _margin(registry, pred: PredicateRef, t, x) -> float:
-    return registry.resolve(pred).h(t, x)
+def _monitor_task(task, ts, cols, registry, tol) -> TaskReport:
+    rows = np.flatnonzero((task.interval.start - 1e-9 <= ts) & (ts < task.interval.end - 1e-9))
+    if rows.size and rows[-1] - rows[0] == rows.size - 1:
+        rows = slice(rows[0], rows[-1] + 1)  # consecutive rows: views, not copies
+    ts = ts[rows]
+    margins = np.broadcast_to(registry.resolve(task.pred).h_grid(ts, cols[:, rows]), ts.shape)
+    globally = isinstance(task, Globally)
+    # G keeps the first strict minimum below +inf, F the first strict maximum
+    # above -inf; a NaN margin never wins
+    start = math.inf if globally else -math.inf
+    margins = np.where(np.isnan(margins), start, margins)
+    if ts.size:
+        i = int((np.argmin if globally else np.argmax)(margins))
+        best = float(margins[i])
+        if best != start:
+            return TaskReport(str(task), best >= -tol, best, float(ts[i]))
+    # No sample inside the window moved the start value: vacuously true for G,
+    # false for F.
+    return TaskReport(str(task), globally, math.inf, None)
 
 
 def _fmt(v: float) -> str:

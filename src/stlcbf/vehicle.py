@@ -13,14 +13,17 @@ speed limits and signal phases over V2I. Templates:
 
 All three have analytic derivatives; the signal barrier is the indicator
 stitching of per-signal affine pieces and is evaluated as +inf past the last
-stop line (no constraint remains).
+stop line (no constraint remains). The exogenous signals have array lookups
+as well as scalar ones (`LeadProfile.velocity` and `SpeedLimitSchedule.value`
+take an array t; `active_phase_index` gives each point's signal phase), so
+the barriers' `h_grid` and the trace channels evaluate whole traces at once.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -32,12 +35,14 @@ from .barriers import (
     Barrier,
     IDENTITY_ALPHA,
     StateBox,
+    step_lookup,
 )
 from .contracts import ScheduleConfig, TaskGroup, build_schedule
 from .sim import ControlSystem
 from .stl import PredicateRef, TimeInterval
 
 GREEN, YELLOW, RED = "green", "yellow", "red"
+PHASES = (GREEN, YELLOW, RED, "none")  # "none": past the last signal
 
 
 class VehicleError(ValueError):
@@ -118,16 +123,13 @@ class LeadProfile:
         self._times = [b[0] for b in bps]
         self._last = (math.nan, 0.0)  # t and V_l(t) of the last cached query
 
-    def _piece(self, t: float):
-        return self._bps[max(bisect_right(self._times, t) - 1, 0)]
-
-    def velocity(self, t: float) -> float:
-        t0, _, v, a = self._piece(t)
+    def velocity(self, t):
+        t0, _, v, a = step_lookup(self._times, self._bps, t)
         return v + a * (t - t0)
 
     def cached_velocity(self, t: float) -> float:
         """velocity(t), evaluated only for a new t: within a step the dynamics,
-        h1, the nominal controller and the trace all read V_l at one t."""
+        h1 and the nominal controller all read V_l at one t."""
         last_t, v = self._last
         if t != last_t:
             v = self.velocity(t)
@@ -135,10 +137,10 @@ class LeadProfile:
         return v
 
     def accel(self, t: float) -> float:
-        return self._piece(t)[3]
+        return step_lookup(self._times, self._bps, t)[3]
 
     def position(self, t: float) -> float:
-        t0, x0, v, a = self._piece(t)
+        t0, x0, v, a = step_lookup(self._times, self._bps, t)
         dt = t - t0
         return x0 + v * dt + 0.5 * a * dt * dt
 
@@ -165,9 +167,10 @@ class SpeedLimitSchedule:
             raise VehicleError("speed limit row starts at or beyond the horizon")
         self.rows = rows
         self._times = times
+        self._values = [v for _, v in rows]
 
-    def value(self, t: float) -> float:
-        return self.rows[max(bisect_right(self._times, t) - 1, 0)][1]
+    def value(self, t):
+        return step_lookup(self._times, self._values, t)
 
 
 @dataclass(frozen=True)
@@ -222,6 +225,22 @@ class SignalTimings:
         ]
 
 
+def active_phase_index(signals: Sequence[SignalTimings], t, k, side: str = "right"):
+    """Index into PHASES of the phase of signals[k] at t, point by point (3,
+    "none", where k is past the last signal): `SignalTimings.phase` over
+    arrays, with each point's timings gathered by k. `t`, a scalar or an
+    array, and the index array `k` broadcast together; np.remainder is
+    Python's float %."""
+    timings = np.array([(s.offset, s.period, s.green_dur, s.green_dur + s.yellow_dur)
+                        for s in signals] + [(0.0, 1.0, 0.0, 0.0)])
+    offset, period, green_end, yellow_end = timings.T[:, k]
+    c = np.remainder(t + offset, period)
+    if side == "left":
+        c = np.remainder(c - 1e-12, period)
+    phase = np.where(c < green_end, 0, np.where(c < yellow_end, 1, 2))
+    return np.where(k < len(signals), phase, 3)
+
+
 def generate_signal_plan(seed: int, count: int = 10, first_position: float = 400.0,
                          spacing=(300.0, 800.0), green=(25.0, 40.0),
                          yellow=(4.0, 6.0), red=(15.0, 30.0)) -> list:
@@ -265,7 +284,7 @@ class SpacingBarrier(Barrier):
         return self._h(self.lead.cached_velocity(t), x)
 
     def h_grid(self, t, cols, side="right"):
-        return self._h(self.lead.cached_velocity(t), cols)
+        return self._h(self.lead.velocity(t), cols)
 
     def terms(self, t, x):
         vl = self.lead.cached_velocity(t)
@@ -331,10 +350,10 @@ class TrafficSignalBarrier(Barrier):
     def h_grid(self, t, cols, side="right"):
         # _stop_line over arrays: k is each X_f's active signal; a red k stops
         # at line k, any other at line k + 1; lines past the last read +inf
-        red = [sig.phase(t, side) == RED for sig in self.signals] + [False]
         k = np.searchsorted(self.positions, cols[0])
+        red = active_phase_index(self.signals, t, k, side) == PHASES.index(RED)
         lines = np.array(self.positions + [math.inf, math.inf])
-        return self._h(lines[np.where(np.take(red, k), k, k + 1)], cols)
+        return self._h(lines[np.where(red, k, k + 1)], cols)
 
     def terms(self, t, x):
         line = self._stop_line(t, x)

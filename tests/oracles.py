@@ -210,3 +210,22 @@ def constraint_upper_bound(c) -> float:
     if len(c.a) != 1 or c.a[0] <= 0:
         raise VehicleError(f"constraint {c.label} is not an upper bound on a scalar input")
     return c.b / c.a[0]
+
+
+def scalar_monitor_task(task, trace, registry, tol):
+    """(satisfied, worst_margin, t_worst) of one globally/eventually task by
+    a row-by-row scan with scalar h: the first strict extreme wins, NaN never
+    does, and no sample moving the +-inf start value reports no t_worst."""
+    globally = type(task).__name__ == "Globally"
+    lo, hi = task.interval.start - 1e-9, task.interval.end - 1e-9
+    best_t, best = None, math.inf if globally else -math.inf
+    bar = registry.resolve(task.pred)
+    for t, x in zip(trace.ts, trace.states):
+        if not (lo <= t < hi):
+            continue
+        margin = bar.h(t, x)
+        if (margin < best) if globally else (margin > best):
+            best, best_t = margin, t
+    if best_t is None:
+        return globally, math.inf, None
+    return best >= -tol, best, best_t

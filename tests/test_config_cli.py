@@ -322,6 +322,21 @@ class TestCli:
         assert cli_main(["monitor", str(trace), str(cfg_path)]) == 0
         assert "satisfied=true" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("bad_row, why", [
+        ("0.02,0.2,0.0", "3 fields"),          # short row
+        ("0.02,0.2,,100.0", "could not convert"),  # blank field
+        ("0.02,0.2,fast,100.0", "could not convert"),  # non-numeric field
+    ])
+    def test_monitor_cli_malformed_trace_is_config_error(self, tmp_path, capsys,
+                                                         bad_row, why):
+        cfg_path = tmp_path / "minimal.cfg"
+        cfg_path.write_text(MINIMAL)
+        trace = tmp_path / "bad.csv"
+        trace.write_text("t,X_f,V_f,X_l\n0,0,0,100\n0.01,0.1,0,100\n" + bad_row + "\n")
+        assert cli_main(["monitor", str(trace), str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        assert f"trace {trace} line 4:" in err and why in err
+
     def test_entry_point_installed(self):
         # the child imports stlcbf from where this process did
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

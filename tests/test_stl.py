@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import max_overlap_depth
+from oracles import max_overlap_depth, scalar_monitor_task
+from stlcbf.barriers import Barrier
+from stlcbf.pipeline import read_trace_csv
 from stlcbf.stl import (
     Eventually,
     Globally,
@@ -214,12 +216,11 @@ class ValueRegistry:
         idx = self.channels[pred.barrier_id]
         sign = -1.0 if pred.negated else 1.0
 
-        class _B:
-            @staticmethod
-            def h(t, x):
+        class _B(Barrier):
+            def h(self, t, x, side="right"):
                 return sign * x[idx]
 
-        return _B()
+        return _B(pred.barrier_id)
 
 
 class TestMonitor:
@@ -278,3 +279,86 @@ class TestMonitor:
         spec = spec_of(Globally(TimeInterval(0, 1), PredicateRef("m", negated=True)),
                        horizon=1)
         assert monitor_trace(trace, spec, ValueRegistry(m=0)).satisfied
+
+
+class TestMonitorEdges:
+    """Edge semantics of the array monitor, each against the row-by-row scan
+    in `oracles.scalar_monitor_task`."""
+
+    @staticmethod
+    def _report(values, ts, task, horizon):
+        trace = FakeTrace(ts, [(v,) for v in values])
+        rep = monitor_trace(trace, spec_of(task, horizon=horizon), ValueRegistry(m=0))
+        task_rep = rep.per_task[0]
+        assert (task_rep.satisfied, task_rep.worst_margin, task_rep.t_worst) == \
+            scalar_monitor_task(task, trace, ValueRegistry(m=0), 1e-3)
+        return task_rep
+
+    def test_all_inf_window_reports_no_t_worst(self):
+        # past the last stop line h_pos is +inf at every sample
+        g = Globally(TimeInterval(0, 3), PredicateRef("m"))
+        rep = self._report([math.inf] * 4, [0.0, 1.0, 2.0, 3.0], g, 3)
+        assert rep.satisfied and rep.worst_margin == math.inf and rep.t_worst is None
+
+    def test_nan_margins_are_skipped(self):
+        g = Globally(TimeInterval(0, 4), PredicateRef("m"))
+        rep = self._report([math.nan, 2.0, math.nan, 1.0, 5.0], [0.0, 1.0, 2.0, 3.0, 4.0], g, 4)
+        assert rep.worst_margin == 1.0 and rep.t_worst == 3.0
+        f = Eventually(TimeInterval(0, 4), PredicateRef("m"))
+        rep = self._report([math.nan, -2.0, math.nan, -1.0, 5.0], [0.0, 1.0, 2.0, 3.0, 4.0],
+                           f, 4)
+        assert rep.worst_margin == -1.0 and rep.t_worst == 3.0 and not rep.satisfied
+        rep = self._report([math.nan] * 3, [0.0, 1.0, 2.0], g, 2)
+        assert rep.satisfied and rep.t_worst is None
+
+    def test_first_minimum_wins_a_tie(self):
+        g = Globally(TimeInterval(0, 4), PredicateRef("m"))
+        rep = self._report([1.0, 0.0, 3.0, -0.0, 0.0], [0.0, 1.0, 2.0, 3.0, 4.0], g, 4)
+        assert rep.t_worst == 1.0 and math.copysign(1.0, rep.worst_margin) == 1.0
+        f = Eventually(TimeInterval(0, 4), PredicateRef("m"))
+        rep = self._report([1.0, 3.0, 2.0, 3.0, 0.0], [0.0, 1.0, 2.0, 3.0, 4.0], f, 4)
+        assert rep.t_worst == 1.0
+
+    def test_half_open_window_keeps_its_guards(self):
+        # [2, 3) reads samples with 2 - 1e-9 <= t < 3 - 1e-9
+        g = Globally(TimeInterval(2, 3), PredicateRef("m"))
+        ts = [0.0, 2.0 - 2e-9, 2.0 - 0.5e-9, 2.5, 3.0 - 2e-9, 3.0 - 0.5e-9, 3.0, 4.0]
+        for i in range(len(ts)):
+            values = [1.0] * len(ts)
+            values[i] = -1.0
+            rep = self._report(values, ts, g, 4)
+            assert rep.satisfied == (i not in (2, 3, 4)), ts[i]
+
+    @pytest.mark.parametrize("ts", [
+        [0.0, 3.0, 1.0, 2.0, 1.0, 4.0],  # unsorted, one repeat
+        [0.0, 4.0, 2.0, 2.0, 1.0, 2.0],  # descending tail, t=2 three times
+    ])
+    def test_unsorted_and_repeated_times(self, ts):
+        values = [0.5, -0.25, -0.25, 2.0, -0.25, 1.0]
+        for task in (Globally(TimeInterval(1, 3), PredicateRef("m")),
+                     Eventually(TimeInterval(1, 3), PredicateRef("m")),
+                     Globally(TimeInterval(0, 4), PredicateRef("m"))):
+            self._report(values, ts, task, 0)
+
+    def test_unsorted_csv_trace(self, tmp_path):
+        path = tmp_path / "hand.csv"
+        path.write_text("t,X_f,V_f,X_l\n0,5,0,0\n2,1,0,0\n1,-3,0,0\n2,-3,0,0\n3,4,0,0\n")
+        trace = read_trace_csv(str(path))
+        task = Globally(TimeInterval(1, 3), PredicateRef("m"))
+        rep = monitor_trace(trace, spec_of(task, horizon=3), ValueRegistry(m=0)).per_task[0]
+        assert (rep.worst_margin, rep.t_worst) == (-3.0, 1.0)
+        assert (rep.satisfied, rep.worst_margin, rep.t_worst) == \
+            scalar_monitor_task(task, trace, ValueRegistry(m=0), 1e-3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.0 - 1e-9, 3.0]),
+                              st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0,
+                                               -0.0, 0.25, 2.0])),
+                    min_size=1, max_size=12),
+           st.sampled_from([(0.0, 1.0), (0.5, 2.0), (1.0, 3.0), (2.0, 3.0)]),
+           st.booleans(), st.booleans())
+    def test_matches_row_by_row_scan(self, rows, window, eventually, negated):
+        ts = [0.0] + [t for t, _ in rows] + [3.0]
+        values = [1.0] + [v for _, v in rows] + [1.0]
+        op = Eventually if eventually else Globally
+        self._report(values, ts, op(TimeInterval(*window), PredicateRef("m", negated)), 3)

@@ -1,8 +1,9 @@
 import math
 from bisect import bisect_left
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import bisect_dispatch, closed_form_bound, constraint_upper_bound
@@ -15,7 +16,9 @@ from stlcbf.barriers import (
     fcbf_constraint,
     finite_diff_check,
     gamma_for_deadline,
+    state_columns,
 )
+from stlcbf.config import load_config
 from stlcbf.contracts import (
     EngagementLedger,
     ScheduleConfig,
@@ -23,16 +26,19 @@ from stlcbf.contracts import (
     build_schedule,
     conjoin_groups,
 )
+from stlcbf.pipeline import run_pipeline
 from stlcbf.stl import PredicateRef, TaskGroup, TimeInterval
 from stlcbf.vehicle import (
     GREEN,
     LeadProfile,
+    PHASES,
     RED,
     SignalTimings,
     SpeedLimitSchedule,
     VehicleError,
     VehicleParams,
     YELLOW,
+    active_phase_index,
     build_signal_contracts,
     friction_force,
     generate_signal_plan,
@@ -425,3 +431,147 @@ class TestPhaseQueries:
     def test_invalid_durations(self):
         with pytest.raises(VehicleError):
             SignalTimings(100.0, 0.0, 2.0, 8.0)
+
+
+@pytest.fixture(scope="module")
+def reference_run():
+    """The paper_sec6 mission, run to its end."""
+    out = run_pipeline(load_config("paper_sec6"))
+    assert out.exit_code == 0
+    return out
+
+
+def assert_same_floats(got, want, context):
+    """Bit-for-bit equality, as float.hex compares (it tells -0.0 from 0.0);
+    the int64 views make the comparison fast, float.hex names a mismatch."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    same = got.view(np.int64) == want.view(np.int64)
+    if not same.all():
+        i = int(np.argmin(same))
+        raise AssertionError(f"{context}: row {i}: {got[i].hex()} != {want[i].hex()}")
+
+
+class TestArrayEvaluator:
+    """`h_grid` with an array t against the scalar `h(t, x, side)`, point by
+    point and bit for bit, over the reference mission's trace."""
+
+    @staticmethod
+    def _extra_rows(signals, horizon):
+        """Rows at phase-switch instants, with X_f on, and one ulp either side
+        of, every stop line."""
+        switches = sorted({t for sig in signals for cyc in sig.cycles_over(horizon)
+                           for t in cyc if 0.0 <= t <= horizon})
+        lines = [p for sig in signals for p in (
+            math.nextafter(sig.position, -math.inf), sig.position,
+            math.nextafter(sig.position, math.inf))]
+        rows = [(t, (x_f, 7.5, x_f + 40.0)) for t in switches for x_f in lines[::4]]
+        rows += [(t, (x_f, 12.0, 9e3)) for t in switches[::7] for x_f in lines]
+        return rows
+
+    def test_every_registered_barrier_matches_scalar_h(self, reference_run):
+        """Each barrier over every trace row on the right side (the side the
+        trace columns and the monitor read); both sides of it and of its
+        negation over every 25th row. Both sets add the switch rows."""
+        registry, trace = reference_run.bundle.registry, reference_run.trace
+        extra = self._extra_rows(registry.get("hpos").signals, trace.ts[-1])
+        every = (trace.ts + [t for t, _ in extra], trace.states + [x for _, x in extra])
+        some = (trace.ts[::25] + every[0][len(trace.ts):],
+                trace.states[::25] + every[1][len(trace.ts):])
+
+        def check(bar, side, rows):
+            ts, states = rows
+            got = np.broadcast_to(bar.h_grid(np.array(ts), state_columns(states), side),
+                                  (len(ts),))
+            assert_same_floats(got, [bar.h(t, x, side) for t, x in zip(ts, states)],
+                               f"{bar} side={side}")
+
+        ids = list(registry._by_id)
+        assert {"h1", "hv", "hpos", "vmax30", "vmax25", "vmax10", "sig1.red",
+                "sig1.notred", "sig10.red"} <= set(ids)
+        for bid in ids:
+            bar, neg = registry.get(bid), registry.resolve(PredicateRef(bid, negated=True))
+            check(bar, "right", every)
+            for b, side in ((bar, "left"), (neg, "right"), (neg, "left")):
+                check(b, side, some)
+
+    def test_signal_phases_match_scalar_lookups(self, reference_run):
+        trace = reference_run.trace
+        signals = reference_run.bundle.registry.get("hpos").signals
+        positions = [s.position for s in signals]
+        extra = self._extra_rows(signals, trace.ts[-1])
+        ts = list(trace.ts) + [t for t, _ in extra]
+        x_f = [x[0] for x in trace.states] + [x[0] for _, x in extra]
+        k = np.searchsorted(positions, x_f)
+        for side in ("right", "left"):
+            got = np.take(PHASES, active_phase_index(signals, np.array(ts), k, side))
+            want = [signals[i].phase(t, side) if i < len(signals) else "none"
+                    for t, i in zip(ts, (bisect_left(positions, x) for x in x_f))]
+            assert got.tolist() == want
+
+    def test_h_grid_broadcasts_t_with_cols(self, reference_run):
+        """An array t on its own axis against three state axes: every point of
+        the 4-D grid equals the scalar h there."""
+        registry = reference_run.bundle.registry
+        signals = registry.get("hpos").signals
+        t = np.array([0.0, 50.0, 100.0] + [cyc[2] for cyc in signals[1].cycles_over(60.0)])
+        axes = (t.reshape(-1, 1, 1, 1),
+                np.array([s.position for s in signals[:4]] + [1e4]).reshape(1, -1, 1, 1),
+                np.array([0.0, 9.5]).reshape(1, 1, -1, 1),
+                np.array([200.0, 2500.0]).reshape(1, 1, 1, -1))
+        full = np.broadcast_arrays(*axes)
+        for bid in ("h1", "hv", "hpos", "sig2.red"):
+            for bar in (registry.get(bid), registry.resolve(PredicateRef(bid, negated=True))):
+                for side in ("right", "left"):
+                    got = np.broadcast_to(bar.h_grid(axes[0], axes[1:], side), full[0].shape)
+                    want = [bar.h(tt, (a, b, c), side)
+                            for tt, a, b, c in zip(*(f.ravel().tolist() for f in full))]
+                    assert_same_floats(got.ravel(), want, f"{bar} side={side}")
+
+    def test_trace_columns_match_per_row_values(self, reference_run):
+        """Each margin and channel column against the value a per-step
+        evaluation gives at that row."""
+        trace, bundle = reference_run.trace, reference_run.bundle
+        registry, lead, cfg = bundle.registry, bundle.lead, bundle.cfg
+        limits = SpeedLimitSchedule(cfg.speed_rows, cfg.horizon)
+        signals = registry.get("hpos").signals
+        positions = [s.position for s in signals]
+        rows = list(zip(trace.ts, trace.states))
+        for bid in bundle.margin_barriers:
+            bar = registry.get(bid)
+            assert_same_floats(trace.margins[bid], [bar.h(t, x) for t, x in rows], bid)
+        assert_same_floats(trace.extras["V_l"], [lead.cached_velocity(t) for t, _ in rows],
+                           "V_l")
+        assert_same_floats(trace.extras["V_max"], [limits.value(t) for t, _ in rows], "V_max")
+        active = [bisect_left(positions, x[0]) for _, x in rows]
+        assert_same_floats(trace.extras["active_signal"],
+                           [k + 1.0 if k < len(signals) else 0.0 for k in active], "active")
+        assert trace.extras["signal_phase"].tolist() == [
+            signals[k].phase(t) if k < len(signals) else "none"
+            for (t, _), k in zip(rows, active)]
+
+    def test_step_lookups_at_switch_instants(self, reference_run):
+        bundle = reference_run.bundle
+        lead, hv = bundle.lead, bundle.registry.get("hv")
+        limits = SpeedLimitSchedule(bundle.cfg.speed_rows, bundle.cfg.horizon)
+        t_arr = np.array([t + d for t in lead.switch_times + hv.switch_times + (0.0,)
+                          for d in (-1e-9, 0.0, 1e-9)])
+        assert_same_floats(lead.velocity(t_arr), [lead.velocity(float(t)) for t in t_arr],
+                           "V_l")
+        assert_same_floats(limits.value(t_arr), [limits.value(float(t)) for t in t_arr],
+                           "V_max")
+        origin = np.zeros((3, len(t_arr)))  # h = offset(t) there
+        for side in ("right", "left"):
+            assert_same_floats(hv.h_grid(t_arr, origin, side),
+                               [hv.h(float(t), (0.0, 0.0, 0.0), side) for t in t_arr], side)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(0.0, 1e6), st.floats(1e-3, 1e3))
+    @example(0.0, 45.5)
+    @example(91.0, 45.5)  # a whole number of periods: c - 1e-12 < 0
+    @example(5e-13, 45.5)
+    def test_python_mod_equals_np_remainder(self, t, period):
+        """SignalTimings.phase's two remainders, the left side's included."""
+        c = t % period
+        got = np.remainder(np.array([t]), period)
+        assert got[0].hex() == c.hex()
+        assert np.remainder(got - 1e-12, period)[0].hex() == ((c - 1e-12) % period).hex()
