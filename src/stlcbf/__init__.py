@@ -22,7 +22,6 @@ from .barriers import (
 from .contracts import (
     ContractSchedule,
     ContractSegment,
-    EngagementLedger,
     ScheduleConfig,
     Verdict,
     build_schedule,
@@ -46,13 +45,13 @@ from .stl import (
 from .vehicle import (
     LeadProfile,
     SignalTimings,
+    SpacingBarrier,
     SpeedLimitSchedule,
+    TrafficSignalBarrier,
     VehicleParams,
     friction_force,
     generate_signal_plan,
     make_vehicle_system,
-    signal_barriers,
-    spacing_barrier,
     speed_limit_barrier,
 )
 

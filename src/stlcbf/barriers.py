@@ -283,11 +283,12 @@ class NegatedBarrier(Barrier):
 
 
 class BarrierRegistry:
-    """Immutable-after-setup mapping of barrier ids to template instances."""
+    """Immutable-after-setup mapping of barrier ids to template instances.
+    Lookups happen while a scenario is built: schedules keep the barriers
+    they resolve, so the step loop never calls `get` or `resolve`."""
 
     def __init__(self):
         self._by_id: dict = {}
-        self._negated_cache: dict = {}
 
     def register(self, barrier: Barrier) -> Barrier:
         if barrier.id in self._by_id:
@@ -302,13 +303,9 @@ class BarrierRegistry:
             raise BarrierError(f"unknown barrier id {barrier_id!r}") from None
 
     def resolve(self, pred) -> Barrier:
-        """Barrier for a PredicateRef; negation yields the -h wrapper."""
+        """Barrier for a PredicateRef; negation yields a new -h wrapper."""
         bar = self.get(pred.barrier_id)
-        if not pred.negated:
-            return bar
-        if pred.barrier_id not in self._negated_cache:
-            self._negated_cache[pred.barrier_id] = bar.negate()
-        return self._negated_cache[pred.barrier_id]
+        return bar.negate() if pred.negated else bar
 
     def __contains__(self, barrier_id: str) -> bool:
         return barrier_id in self._by_id

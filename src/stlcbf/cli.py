@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 
@@ -68,8 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(args):
     cfg = load_config(args.config)
     if getattr(args, "dt", None) is not None:
-        if args.dt <= 0:
-            raise ConfigError(f"--dt must be positive, got {args.dt}")
+        if not (math.isfinite(args.dt) and args.dt > 0):
+            raise ConfigError(f"--dt must be positive and finite, got {args.dt}")
         cfg = replace(cfg, dt=args.dt)
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)

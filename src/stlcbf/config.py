@@ -106,8 +106,13 @@ class _Section:
             return default
 
     def integer(self, key, default=None):
-        v = self.num(key, default)
-        return int(v) if v is not None else None
+        v = self.num(key)
+        if v is None:
+            return default
+        if not v.is_integer():  # also rejects inf and nan
+            self.errors.append(f"[{self.name}] {key} must be an integer, got {self.get(key)!r}")
+            return default
+        return int(v)
 
     def pair(self, key, default=None):
         raw = self.get(key)
@@ -232,8 +237,8 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
         errors.append("[scenario] horizon must be a finite number >= 0")
         horizon = 0.0
     dt = scn.num("dt", 0.01)
-    if dt is not None and dt <= 0:
-        errors.append(f"[scenario] dt must be positive, got {dt}")
+    if not (math.isfinite(dt) and dt > 0):
+        errors.append(f"[scenario] dt must be positive and finite, got {dt}")
     seed = scn.integer("seed", 0)
 
     g_grav = veh.num("g_grav", 9.8)

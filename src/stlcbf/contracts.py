@@ -12,6 +12,10 @@ Each internal boundary t_i is classified:
   incompatible      empty intersection, or the convergence window does not
                     fit: no controller can serve every admissible start.
 
+Each non-vacuous segment holds its resolved `Barrier`, bound once when
+`build_schedule` runs; the runtime queries (`constraints_at`,
+`assumption_margin`, `conjoin_groups`) never look a barrier up by name.
+
 A schedule may carry a `region = (lo, hi)` on the first state coordinate:
 it applies only while lo < x[0] <= hi (default: every finite x[0]). The
 traffic signal contracts use it to gate each signal's schedule to the
@@ -239,11 +243,13 @@ def _worst_engage_margin(h_prev, h_next, tau, domain, resolution):
 
 @dataclass(frozen=True)
 class ContractSegment:
-    """One obligation: invariance on its interval. The finite-time windows
-    into the next segment's set live on the boundaries."""
+    """One obligation: invariance of `barrier`, the resolved `pred`, on its
+    interval. The finite-time windows into the next segment's set live on the
+    boundaries."""
 
     pred: Optional[PredicateRef]  # None marks a vacuous segment
     interval: TimeInterval
+    barrier: Optional[Barrier] = None  # None exactly when vacuous
 
     @property
     def vacuous(self) -> bool:
@@ -343,50 +349,48 @@ class ContractSchedule:
     def segment_at(self, t: float) -> ContractSegment:
         return self.segments[self._segment_index(t)]
 
-    def assumption_margin(self, x0, registry):
+    def assumption_margin(self, x0):
         """(barrier_id, margin) of the first segment's entry assumption, or
         None when the schedule opens vacuously or x0 lies outside its region."""
         seg = self.segments[0]
         lo, hi = self.region
         if seg.vacuous or not lo < x0[0] <= hi:
             return None
-        bar = registry.resolve(seg.pred)
-        return seg.barrier_id, bar.h(seg.interval.start, x0)
+        return seg.barrier_id, seg.barrier.h(seg.interval.start, x0)
 
-    def constraints_at(self, t, x, sys, registry, engagements=None, dyn=None):
+    def constraints_at(self, t, x, sys, engagements=None, dyn=None):
         """Active halfspace constraints at (t, x) per the schedule case split:
         the current segment's invariance constraint, plus the upcoming
         barrier's finite-time constraint strictly inside (tau_i, t_i) of an
-        overlap boundary. gamma is fixed at first engagement. `dyn` is
+        overlap boundary. gamma is fixed at first engagement, in the
+        `engagements` dict under (label, boundary index). `dyn` is
         (f(t, x), g(t, x)) when the caller has evaluated them already."""
         idx = self._segment_index(t)
-        seg = self.segments[idx]
+        bar = self.segments[idx].barrier
         out = []
-        if not seg.vacuous:
-            bar = registry.resolve(seg.pred)
+        if bar is not None:
             out.append(cbf_constraint(bar, sys, bar.alpha, t, x, dyn))
         if idx < len(self.boundaries):
             bd = self.boundaries[idx]
             if bd.verdict is Verdict.OVERLAP_DEADLINE and bd.tau < t < bd.time:
-                nxt = registry.resolve(self.segments[idx + 1].pred)
-                params = _engaged_params(self.label, idx, bd, nxt, t, x, engagements)
+                nxt = self.segments[idx + 1].barrier
+                params = _engaged_params((self.label, idx), bd, nxt, t, x,
+                                         {} if engagements is None else engagements)
                 out.append(fcbf_constraint(nxt, sys, params, t, x, dyn))
         return out
 
 
-def _engaged_params(label, idx, bd, next_bar, t, x, engagements) -> FcbfParams:
-    def compute():
+def _engaged_params(key, bd, next_bar, t, x, engagements) -> FcbfParams:
+    """The window's FCBF parameters; gamma is fixed at its first query."""
+    rec = engagements.get(key)
+    if rec is None:
         h_engage = next_bar.h(t, x)
         gamma = gamma_for_deadline(h_engage, bd.rho, bd.t_target, bd.gamma_min)
-        return EngagementRecord(
-            key=(label, idx), time=t, h_engage=h_engage, gamma=gamma,
+        rec = engagements[key] = EngagementRecord(
+            key=key, time=t, h_engage=h_engage, gamma=gamma,
             rho=bd.rho, t_target=bd.t_target, boundary_time=bd.time,
             t_conv_bound=convergence_time(h_engage, FcbfParams(bd.rho, gamma)),
         )
-    if engagements is None:
-        rec = compute()
-    else:
-        rec = engagements.get_or_record((label, idx), compute)
     return FcbfParams(rec.rho, rec.gamma)
 
 
@@ -407,33 +411,19 @@ class EngagementRecord:
                 f"T_bound={self.t_conv_bound:g} deadline={self.boundary_time:g}")
 
 
-class EngagementLedger:
-    """Fixes each overlap window's gamma at its first runtime query."""
-
-    def __init__(self):
-        self.records: dict = {}
-
-    def get_or_record(self, key, compute) -> EngagementRecord:
-        if key not in self.records:
-            self.records[key] = compute()
-        return self.records[key]
-
-    def all_records(self):
-        return [self.records[k] for k in sorted(self.records)]
-
-
 def build_schedule(group: TaskGroup, registry, cfg: ScheduleConfig) -> ContractSchedule:
     """Tile the group's intervals over [0, horizon) (gaps become vacuous
-    segments) and classify every boundary. Incompatible boundaries are kept in
+    segments), bind each segment to its barrier resolved in `registry`, and
+    classify every boundary. Incompatible boundaries are kept in
     the schedule so callers can report the exact failure; see `failures()`."""
-    segments = _tile_segments(group, cfg.horizon)
+    segments = _tile_segments(group, cfg.horizon, registry)
     boundaries = []
     for idx in range(len(segments) - 1):
-        boundaries.append(_classify_boundary(segments, idx, registry, cfg))
+        boundaries.append(_classify_boundary(segments, idx, cfg))
     return ContractSchedule(label=group.label, segments=segments, boundaries=boundaries)
 
 
-def _tile_segments(group: TaskGroup, horizon: float) -> list:
+def _tile_segments(group: TaskGroup, horizon: float, registry) -> list:
     segments = []
     cursor = 0.0
     for interval, pred in group.predicates:
@@ -441,7 +431,7 @@ def _tile_segments(group: TaskGroup, horizon: float) -> list:
             segments.append(ContractSegment(None, TimeInterval(cursor, interval.start)))
         elif interval.start < cursor - 1e-9:
             raise ContractError(f"group {group.label} intervals overlap at {interval}")
-        segments.append(ContractSegment(pred, interval))
+        segments.append(ContractSegment(pred, interval, registry.resolve(pred)))
         cursor = interval.end
     if cursor < horizon - 1e-9:
         segments.append(ContractSegment(None, TimeInterval(cursor, horizon)))
@@ -450,15 +440,11 @@ def _tile_segments(group: TaskGroup, horizon: float) -> list:
     return segments
 
 
-def _resolve_or_top(pred, registry, dim) -> Barrier:
-    return registry.resolve(pred) if pred is not None else TopBarrier(dim)
-
-
-def _classify_boundary(segments, idx, registry, cfg: ScheduleConfig) -> BoundaryDecision:
+def _classify_boundary(segments, idx, cfg: ScheduleConfig) -> BoundaryDecision:
     prev, nxt = segments[idx], segments[idx + 1]
     t_i = prev.interval.end
-    prev_bar = _resolve_or_top(prev.pred, registry, cfg.domain.dim)
-    next_bar = _resolve_or_top(nxt.pred, registry, cfg.domain.dim)
+    top = TopBarrier(cfg.domain.dim)
+    prev_bar, next_bar = prev.barrier or top, nxt.barrier or top
     base = dict(time=t_i, prev_id=prev.barrier_id, next_id=nxt.barrier_id)
 
     sub = check_subset(prev_bar, next_bar, t_i, cfg.domain, cfg.grid_resolution)
@@ -499,7 +485,7 @@ def _classify_boundary(segments, idx, registry, cfg: ScheduleConfig) -> Boundary
     )
 
 
-def conjoin_groups(schedules, t, x, sys, registry, engagements=None, dyn=None):
+def conjoin_groups(schedules, t, x, sys, engagements=None, dyn=None):
     """Conjunction of group contracts = intersection of safe input sets,
     realized as the concatenation of the active constraints of every schedule
     whose region holds x[0]."""
@@ -508,5 +494,5 @@ def conjoin_groups(schedules, t, x, sys, registry, engagements=None, dyn=None):
     for sched in schedules:
         lo, hi = sched.region
         if lo < x_f <= hi:
-            out.extend(sched.constraints_at(t, x, sys, registry, engagements, dyn))
+            out.extend(sched.constraints_at(t, x, sys, engagements, dyn))
     return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -28,14 +28,14 @@ from .vehicle import (
     LeadProfile,
     PHASES,
     SignalTimings,
+    SpacingBarrier,
     SpeedLimitSchedule,
+    TrafficSignalBarrier,
     active_phase_index,
     build_signal_contracts,
     friction_force,
     generate_signal_plan,
     make_vehicle_system,
-    signal_barriers,
-    spacing_barrier,
     speed_limit_barrier,
 )
 
@@ -51,7 +51,9 @@ class PipelineError(ValueError):
 
 @dataclass
 class ScenarioBundle:
-    """Everything instantiated from a config, ready to simulate."""
+    """Everything instantiated from a config, ready to simulate. The
+    schedules, the nominal controller and the margin columns hold their
+    barriers, so the step loop looks none up in `registry`."""
 
     cfg: ScenarioConfig
     registry: BarrierRegistry
@@ -60,15 +62,9 @@ class ScenarioBundle:
     spec: StlSpec            # post eventually->globally
     groups: list
     schedules: list          # ContractSchedule, one per signal for the signal group
-    pid: PidState
-    margin_barriers: list
+    nominal: Callable        # (t, x) -> PID force on the spacing error
+    margin_barriers: list    # Barrier, one trace margin column each
     extra_channels: dict
-
-    def nominal(self, t, x):
-        h1 = self.registry.get("h1").h(t, x)
-        v_r = self.lead.cached_velocity(t) - x[1]
-        return pid_nominal(h1, v_r, self.pid, self.cfg.dt, self.cfg.vp.mass,
-                           friction_force(x[1], self.cfg.vp))
 
 
 def build_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
@@ -88,16 +84,16 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
         signals = []
 
     registry = BarrierRegistry()
-    registry.register(spacing_barrier(vp, lead))
+    margin_barriers = [registry.register(SpacingBarrier(vp, lead))]
     if limits is not None:
-        registry.register(speed_limit_barrier(limits, vp))
+        margin_barriers.append(registry.register(speed_limit_barrier(limits, vp)))
         for _, v in limits.rows:
             bid = f"vmax{v:g}"
             if bid not in registry:
                 registry.register(AffineBarrier(
                     bid, coeffs=(0.0, -1.0, 0.0), offset=v, alpha=AlphaFn(1.0 / vp.beta)))
     if signals:
-        registry.register(signal_barriers(signals, vp))
+        margin_barriers.append(registry.register(TrafficSignalBarrier(signals, vp)))
     for decl in cfg.custom_barriers:
         registry.register(instantiate_custom(decl))
 
@@ -130,12 +126,12 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
 
     pid = PidState(k1=cfg.pid_gains[0], k2=cfg.pid_gains[1], k3=cfg.pid_gains[2],
                    windup_limit=cfg.pid_gains[3])
+    h1 = margin_barriers[0]
 
-    margin_barriers = ["h1"]
-    if limits is not None:
-        margin_barriers.append("hv")
-    if signals:
-        margin_barriers.append("hpos")
+    def nominal(t, x):
+        h = h1.h(t, x)
+        v_r = lead.cached_velocity(t) - x[1]
+        return pid_nominal(h, v_r, pid, cfg.dt, vp.mass, friction_force(x[1], vp))
 
     positions = [s.position for s in signals]
 
@@ -157,7 +153,7 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
 
     return ScenarioBundle(
         cfg=cfg, registry=registry, lead=lead, sys=sys, spec=spec, groups=groups,
-        schedules=schedules, pid=pid, margin_barriers=margin_barriers,
+        schedules=schedules, nominal=nominal, margin_barriers=margin_barriers,
         extra_channels=extra_channels,
     )
 
@@ -208,19 +204,17 @@ def check_pipeline(cfg: ScenarioConfig) -> PipelineOutcome:
 def run_pipeline(cfg: ScenarioConfig) -> PipelineOutcome:
     """Full pipeline. Static incompatibility or a runtime failure stops the
     run exactly where the synthesis loop prescribes; the trace prefix that
-    exists by then is kept for serialization."""
+    exists by then is kept for serialization, its margin and channel columns
+    filled after the loop as for a full run."""
     outcome = check_pipeline(cfg)
     report, bundle = outcome.report, outcome.bundle
     if report.static_failures:
         return outcome
 
-    result = run_simulation(
-        bundle.sys, bundle.schedules, bundle.registry, bundle.nominal,
-        cfg.input_box, cfg.x0, dt=cfg.dt, t_max=cfg.horizon,
-        margin_barriers=bundle.margin_barriers,
-        extra_channels=bundle.extra_channels,
-    )
-    report.engagements = [rec.describe() for rec in result.engagements.all_records()]
+    result = run_simulation(bundle.sys, bundle.schedules, bundle.nominal,
+                            cfg.input_box, cfg.x0, dt=cfg.dt, t_max=cfg.horizon)
+    result.trace.fill_columns(bundle.margin_barriers, bundle.extra_channels)
+    report.engagements = [rec.describe() for _, rec in sorted(result.engagements.items())]
     _fill_summary(report, result.trace, bundle)
 
     if result.failure is not None:
@@ -250,8 +244,8 @@ def _fill_compat(report, bundle):
 
 def _fill_summary(report, trace, bundle):
     summary = {}
-    for bid in bundle.margin_barriers:
-        summary[f"min_margin[{bid}]"] = trace.min_margin(bid)
+    for bar in bundle.margin_barriers:
+        summary[f"min_margin[{bar.id}]"] = trace.min_margin(bar.id)
     active = sum(
         1 for un, us in zip(trace.u_nom, trace.u_safe)
         if us and not math.isnan(us[0]) and any(abs(a - b) > 1e-9 for a, b in zip(un, us))

@@ -3,12 +3,13 @@ zero-order-hold inputs, trace recording, and the runtime synthesis loop.
 
 At every step the loop gathers the active halfspace constraints from all
 group schedules, projects the nominal input through the QP filter, integrates
-one step, and records time, state, inputs and QP status. An empty safe input
-set or a domain exit aborts the run with a timestamped failure; the trace
-prefix up to that point is preserved. The per-barrier margin columns and the
-scenario channels are filled once the loop ends, over all recorded rows at
-once (`Barrier.h_grid` with an array t), for a failed prefix as for a full
-run.
+one step, and records time, state, inputs and QP status. The schedules hold
+their resolved barriers, so the loop never looks one up by name. An empty
+safe input set or a domain exit aborts the run with a timestamped failure;
+the trace prefix up to that point is preserved. The loop records no margin
+or scenario channel: the caller fills those columns afterwards with
+`Trace.fill_columns`, over all recorded rows at once (`Barrier.h_grid` with
+an array t), for a failed prefix as for a full run.
 
 Each step evaluates f and g once, for every constraint's Lie terms and as
 RK4's k1 (f runs 4 times a step); barriers give (h, dh/dt, grad h) in one
@@ -28,7 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .barriers import StateBox, state_columns
-from .contracts import EngagementLedger, conjoin_groups
+from .contracts import conjoin_groups
 from .qp import InputBox, solve_qp
 
 DEFAULT_DT = 0.01
@@ -101,8 +102,8 @@ class Trace:
     """Uniform-step record of the closed loop.
 
     Parallel column lists of what the loop recorded; `margins` holds one
-    array per requested barrier id and `extras` one per scenario channel
-    (speed limit, signal phase, ...), both filled by `fill_columns`.
+    array per barrier id and `extras` one per scenario channel (speed limit,
+    signal phase, ...), both filled by `fill_columns`.
     """
 
     dt: float
@@ -122,13 +123,14 @@ class Trace:
         vals = self.margins.get(barrier_id, ())
         return float(min(vals)) if len(vals) else math.inf
 
-    def fill_columns(self, registry, margin_barriers=(), channels=None) -> None:
+    def fill_columns(self, barriers=(), channels=None) -> None:
         """Evaluate the margin and channel columns over every recorded row at
-        once. `registry.get(bid).h_grid` gives each margin; each channel is a
-        function of (ts, states) arrays, states with one row per sample."""
+        once. Each barrier's `h_grid` gives its margin column, keyed by its
+        id; each channel is a function of (ts, states) arrays, states with one
+        row per sample."""
         ts, cols = np.array(self.ts), state_columns(self.states)
-        for bid in margin_barriers:
-            self.margins[bid] = np.broadcast_to(registry.get(bid).h_grid(ts, cols), ts.shape)
+        for bar in barriers:
+            self.margins[bar.id] = np.broadcast_to(bar.h_grid(ts, cols), ts.shape)
         for name, fn in (channels or {}).items():
             self.extras[name] = np.broadcast_to(fn(ts, cols.T), ts.shape)
 
@@ -148,7 +150,7 @@ class SimFailure:
 class RunResult:
     trace: Trace
     failure: Optional[SimFailure]
-    engagements: EngagementLedger
+    engagements: dict  # (schedule label, boundary index) -> EngagementRecord
 
     @property
     def ok(self) -> bool:
@@ -158,14 +160,11 @@ class RunResult:
 def run_simulation(
     sys: ControlSystem,
     schedules: Sequence,
-    registry,
     nominal: Callable,
     box: InputBox,
     x0,
     dt: float = DEFAULT_DT,
     t_max: float = 0.0,
-    margin_barriers: Sequence[str] = (),
-    extra_channels: Optional[dict] = None,
 ) -> RunResult:
     """Run the synthesis loop over [0, t_max] with step dt.
 
@@ -173,8 +172,7 @@ def run_simulation(
     Requires x0 to satisfy every schedule's opening assumption. Returns the
     trace plus a failure record when the QP turns infeasible or the state
     leaves the domain; on success the trace has t_max/dt + 1 rows. The
-    `margin_barriers` and `extra_channels` columns (see `Trace.fill_columns`)
-    are filled before it returns.
+    margin and channel columns stay empty (see `Trace.fill_columns`).
     """
     x = tuple(float(v) for v in x0)
     if len(x) != sys.n:
@@ -183,7 +181,7 @@ def run_simulation(
         raise SimError("x0 outside the system domain")
 
     for sched in schedules:
-        entry = sched.assumption_margin(x, registry)
+        entry = sched.assumption_margin(x)
         if entry is not None:
             bar_id, margin = entry
             if margin < -1e-9:
@@ -195,7 +193,7 @@ def run_simulation(
     trace = Trace(dt=dt)
 
     f, g, lower = sys.f, sys.g, sys.domain.lower
-    engagements = EngagementLedger()
+    engagements = {}
     n_steps = round(t_max / dt)
     zero_u = (0.0,) * sys.m
     last_u_nom, last_u_safe = zero_u, zero_u
@@ -209,10 +207,6 @@ def run_simulation(
         trace.u_safe.append(u_s)
         trace.qp_status.append(status)
 
-    def finish(failure=None):
-        trace.fill_columns(registry, margin_barriers, extra_channels)
-        return RunResult(trace, failure, engagements)
-
     for k in range(n_steps + 1):
         t = k * dt
         if k == n_steps:
@@ -220,30 +214,30 @@ def run_simulation(
             break
 
         dyn = (f(t, x), g(t, x))
-        cons = conjoin_groups(schedules, t, x, sys, registry, engagements, dyn)
-        if len(engagements.records) > n_logged:
-            for rec in islice(engagements.records.values(), n_logged, None):
+        cons = conjoin_groups(schedules, t, x, sys, engagements, dyn)
+        if len(engagements) > n_logged:
+            for rec in islice(engagements.values(), n_logged, None):
                 trace.events.append((t, rec.describe()))
                 if rec.time + rec.t_conv_bound > rec.boundary_time + 1e-9:
                     # late engagement: the bound lands past the switch
                     trace.events.append((t, f"deadline-risk {rec.describe()}"))
-            n_logged = len(engagements.records)
+            n_logged = len(engagements)
 
         u_n = nominal(t, x)
         u_n = tuple(map(float, u_n)) if isinstance(u_n, (tuple, list)) else (float(u_n),)
         u_s = solve_qp(u_n, cons, box)
         if u_s is None:
             record(t, "infeasible", u_n, (math.nan,) * sys.m)
-            return finish(SimFailure(
+            return RunResult(trace, SimFailure(
                 time=t, reason="qp_infeasible",
                 details=tuple(c.label or "box" for c in cons),
-            ))
+            ), engagements)
         record(t, "ok", u_n, u_s)
         last_u_nom, last_u_safe = u_n, u_s
 
         x = integrate_step(sys, t, x, u_s, dt, dyn)
         if not all(map(math.isfinite, x)):
-            return finish(SimFailure(t + dt, "non_finite_state"))
+            return RunResult(trace, SimFailure(t + dt, "non_finite_state"), engagements)
         for i in sys.clamp_min_dims:
             if x[i] < lower[i]:
                 x = x[:i] + (lower[i],) + x[i + 1:]
@@ -258,6 +252,6 @@ def run_simulation(
                 for i, (v, lo, hi) in enumerate(zip(x, lower, sys.domain.upper))
                 if not (lo - 1e-9 <= v <= hi + 1e-9)
             ]
-            return finish(SimFailure(t + dt, "domain_exit", tuple(bad)))
+            return RunResult(trace, SimFailure(t + dt, "domain_exit", tuple(bad)), engagements)
 
-    return finish()
+    return RunResult(trace, None, engagements)

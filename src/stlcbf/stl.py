@@ -352,18 +352,16 @@ def monitor_trace(trace, spec: StlSpec, registry, tol: float = MONITOR_TOL) -> S
     """Boolean semantics on a sampled trace: a globally task holds iff
     h(t, x(t)) >= -tol at every sample inside its interval.
 
-    `trace` needs `.ts` and `.states`; sampling must cover [0, horizon].
-    Eventually tasks are checked with exists-semantics (best margin reported).
-    Each task evaluates its barrier once, with `h_grid`, over the samples
-    inside its interval (in any order; the earliest row wins a tie).
+    `trace` needs `.ts` and `.states`; its samples, in any order, must cover
+    [0, horizon]. Eventually tasks are checked with exists-semantics (best
+    margin reported). Each task evaluates its barrier once, with `h_grid`,
+    over the samples inside its interval (the earliest row wins a tie).
     """
-    ts = trace.ts
-    if not ts or ts[0] > 1e-9 or ts[-1] < spec.horizon - 1e-9:
-        raise StlError(
-            f"trace covers [{_fmt(ts[0]) if ts else '-'}, {_fmt(ts[-1]) if ts else '-'}], "
-            f"needs [0, {_fmt(spec.horizon)}]"
-        )
-    ts, cols = np.array(ts), state_columns(trace.states)
+    ts, cols = np.array(trace.ts, dtype=float), state_columns(trace.states)
+    lo, hi = (ts.min(), ts.max()) if ts.size else (math.nan, math.nan)
+    if not (lo <= 1e-9 and hi >= spec.horizon - 1e-9):
+        raise StlError(f"trace covers [{_fmt(lo)}, {_fmt(hi)}], "
+                       f"needs [0, {_fmt(spec.horizon)}]")
     reports = [_monitor_task(task, ts, cols, registry, tol) for task in spec.tasks]
     return SatisfactionReport(
         satisfied=all(r.satisfied for r in reports), per_task=tuple(reports)
@@ -386,9 +384,9 @@ def _monitor_task(task, ts, cols, registry, tol) -> TaskReport:
         best = float(margins[i])
         if best != start:
             return TaskReport(str(task), best >= -tol, best, float(ts[i]))
-    # No sample inside the window moved the start value: vacuously true for G,
-    # false for F.
-    return TaskReport(str(task), globally, math.inf, None)
+    # No sample inside the window moved the start value: vacuously true for G
+    # (worst margin +inf), false for F (best margin -inf).
+    return TaskReport(str(task), globally, start, None)
 
 
 def _fmt(v: float) -> str:

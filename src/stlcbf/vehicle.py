@@ -295,10 +295,6 @@ class SpacingBarrier(Barrier):
         return all(abs(t - ts) > t_pad for ts in self.lead.switch_times)
 
 
-def spacing_barrier(vp: VehicleParams, lead: LeadProfile, barrier_id: str = "h1") -> SpacingBarrier:
-    return SpacingBarrier(vp, lead, barrier_id)
-
-
 def speed_limit_barrier(limits: SpeedLimitSchedule, vp: VehicleParams,
                         barrier_id: str = "hv") -> AffineBarrier:
     """Stitched h_v = V_max(t) - V_f with jumps flagged at the switch times.
@@ -374,11 +370,6 @@ class TrafficSignalBarrier(Barrier):
         if sig.phase(t) != RED and k + 1 >= len(self.signals):
             return False  # vacuous +inf region
         return True
-
-
-def signal_barriers(signals: Sequence[SignalTimings], vp: VehicleParams,
-                    barrier_id: str = "hpos") -> TrafficSignalBarrier:
-    return TrafficSignalBarrier(signals, vp, barrier_id)
 
 
 # ---------------------------------------------------------------------------

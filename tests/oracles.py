@@ -150,19 +150,19 @@ class SafeSet:
         return self.margin(x) >= 0
 
 
-def active_constraints(schedule: ContractSchedule, t, x, sys, registry, engagements=None):
+def active_constraints(schedule: ContractSchedule, t, x, sys, engagements=None):
     """Constraints of one schedule at (t, x); see ContractSchedule.constraints_at."""
-    return schedule.constraints_at(t, x, sys, registry, engagements)
+    return schedule.constraints_at(t, x, sys, engagements)
 
 
-def bisect_dispatch(schedules, positions, t, x, sys, registry, engagements=None, dyn=None):
+def bisect_dispatch(schedules, positions, t, x, sys, engagements=None, dyn=None):
     """Constraints of the one signal schedule whose stop line is the first at
     or ahead of X_f (bisect_left over the stop lines), none past the last:
     the signal dispatch that position-gated schedules replace."""
     k = bisect_left(positions, x[0])
     if k >= len(schedules):
         return []
-    return schedules[k].constraints_at(t, x, sys, registry, engagements, dyn)
+    return schedules[k].constraints_at(t, x, sys, engagements, dyn)
 
 
 _KINDS = ("h1", "rbar", "v", "r_fcbf", "v_fcbf")
@@ -226,6 +226,6 @@ def scalar_monitor_task(task, trace, registry, tol):
         margin = bar.h(t, x)
         if (margin < best) if globally else (margin > best):
             best, best_t = margin, t
-    if best_t is None:
-        return globally, math.inf, None
+    if best_t is None:  # best is still the start value
+        return globally, best, None
     return best >= -tol, best, best_t

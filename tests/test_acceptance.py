@@ -33,12 +33,12 @@ from stlcbf.stl import Globally, PredicateRef, StlSpec, TimeInterval, group_task
 from stlcbf.vehicle import (
     LeadProfile,
     RED,
+    SpacingBarrier,
     SpeedLimitSchedule,
+    TrafficSignalBarrier,
     VehicleParams,
     generate_signal_plan,
     make_vehicle_system,
-    signal_barriers,
-    spacing_barrier,
     speed_limit_barrier,
 )
 
@@ -140,7 +140,7 @@ def test_criterion_3_closed_form_equivalence():
     vp = VehicleParams()
     lead = LeadProfile(60.0, 8.0, [(0.0, 0.4), (25.0, 0.0), (50.0, -0.3), (75.0, 0.2)])
     sys = make_vehicle_system(vp, lead)
-    h1_bar = spacing_barrier(vp, lead)
+    h1_bar = SpacingBarrier(vp, lead)
     rho_v, rho_r = 0.91, 0.9
 
     checked = 0
@@ -336,11 +336,11 @@ def test_criterion_7_gradient_checks():
     signals = generate_signal_plan(7, count=6, first_position=300.0)
 
     templates = [
-        spacing_barrier(vp, lead),
+        SpacingBarrier(vp, lead),
         speed_limit_barrier(limits, vp),
-        signal_barriers(signals, vp),
+        TrafficSignalBarrier(signals, vp),
         AffineBarrier("lin", coeffs=(0.3, -1.2, 0.05), offset=7.0),
-        spacing_barrier(vp, lead).negate(),
+        SpacingBarrier(vp, lead).negate(),
     ]
 
     def draw(rng):

@@ -29,9 +29,8 @@ from stlcbf.vehicle import (
     LeadProfile,
     SignalTimings,
     SpacingBarrier,
+    TrafficSignalBarrier,
     VehicleParams,
-    signal_barriers,
-    spacing_barrier,
 )
 
 
@@ -248,8 +247,8 @@ def _templates():
         AffineBarrier("hv", coeffs=(0.0, -1.0, 0.0), pieces=[(0.0, 30.0), (25.0, 10.0)]),
         AffineBarrier("lin", coeffs=(0.4, -1.0, 0.2), offset=5.0),
         TopBarrier(3),
-        spacing_barrier(VP, LEAD),
-        signal_barriers(SIGNALS, VP),
+        SpacingBarrier(VP, LEAD),
+        TrafficSignalBarrier(SIGNALS, VP),
     ]
     return base + [bar.negate() for bar in base]
 

@@ -75,6 +75,29 @@ class TestConfigParsing:
         msg = str(err.value)
         assert "mass" in msg and "dt" in msg
 
+    @pytest.mark.parametrize("key, value", [
+        ("seed", "inf"), ("seed", "nan"), ("seed", "2.5"), ("count", "inf"),
+        ("count", "nan"), ("count", "2.5"), ("dt", "nan"), ("dt", "inf"), ("dt", "-inf"),
+    ])
+    def test_non_integral_or_non_finite_value_names_its_key(self, key, value, tmp_path,
+                                                            capsys):
+        if key == "count":
+            text = MINIMAL + f"\n[signals]\ncount = {value}\n"
+        else:
+            text = MINIMAL.replace("[scenario]\n", f"[scenario]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"\b{key} must be .* got '?{value}"):
+            parse_config(text)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert cli_main(["run", str(cfg)]) == 4
+        assert f"{key} must be" in capsys.readouterr().err
+
+    def test_integral_values_still_accepted(self):
+        cfg = parse_config(MINIMAL.replace("[scenario]\n", "[scenario]\nseed = 7.0\n"))
+        assert cfg.seed == 7 and isinstance(cfg.seed, int)
+        text = MINIMAL + "\n[signals]\ncount = 3\n"
+        assert parse_config(text).signal_gen.count == 3
+
     def test_unknown_key_rejected_with_line(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(MINIMAL + "\n[vehicle]\nwheels = 4\n")
@@ -296,6 +319,11 @@ class TestCli:
 
     def test_missing_config_exit_code(self):
         assert cli_main(["run", "nope_nope"]) == 4
+
+    @pytest.mark.parametrize("dt", ["nan", "inf", "0", "-0.01"])
+    def test_bad_dt_override_is_config_error(self, dt, capsys):
+        assert cli_main(["run", "infeasible_red", "--dt", dt]) == 4
+        assert "--dt must be positive and finite" in capsys.readouterr().err
 
     def test_dt_override_changes_rows(self, tmp_path):
         trace = tmp_path / "t.csv"

@@ -26,7 +26,6 @@ from stlcbf.contracts import (
     ContractError,
     _grid_points,
     _worst_engage_margin,
-    EngagementLedger,
     ScheduleConfig,
     ScheduleQueryError,
     Verdict,
@@ -40,9 +39,8 @@ from stlcbf.vehicle import (
     LeadProfile,
     SignalTimings,
     SpacingBarrier,
+    TrafficSignalBarrier,
     VehicleParams,
-    signal_barriers,
-    spacing_barrier,
 )
 
 
@@ -241,51 +239,51 @@ class ScalarSys:
 class TestActiveConstraints:
     def _sched(self):
         reg = registry_with(vbar(30), vbar(25), vbar(10))
-        return reg, build_schedule(speed_group([30, 25, 10]), reg, speed_cfg(150.0))
+        return build_schedule(speed_group([30, 25, 10]), reg, speed_cfg(150.0))
 
     def test_single_constraint_before_window(self):
-        reg, sched = self._sched()
-        cons = active_constraints(sched, 20.0, (0.0, 20.0), ScalarSys, reg)
+        sched = self._sched()
+        cons = active_constraints(sched, 20.0, (0.0, 20.0), ScalarSys)
         assert [c.label for c in cons] == ["cbf:v30"]
 
     def test_two_constraints_inside_window(self):
-        reg, sched = self._sched()
-        cons = active_constraints(sched, 47.0, (0.0, 20.0), ScalarSys, reg)
+        sched = self._sched()
+        cons = active_constraints(sched, 47.0, (0.0, 20.0), ScalarSys)
         assert [c.label for c in cons] == ["cbf:v30", "fcbf:v25"]
 
     def test_engagement_time_itself_is_outside_window(self):
-        reg, sched = self._sched()
-        cons = active_constraints(sched, 45.0, (0.0, 20.0), ScalarSys, reg)
+        sched = self._sched()
+        cons = active_constraints(sched, 45.0, (0.0, 20.0), ScalarSys)
         assert [c.label for c in cons] == ["cbf:v30"]
 
     def test_subset_boundary_never_engages(self):
         reg = registry_with(vbar(10), vbar(30))
         sched = build_schedule(speed_group([10, 30]), reg, speed_cfg(100.0))
-        cons = active_constraints(sched, 49.0, (0.0, 5.0), ScalarSys, reg)
+        cons = active_constraints(sched, 49.0, (0.0, 5.0), ScalarSys)
         assert [c.label for c in cons] == ["cbf:v10"]
 
     def test_gamma_fixed_at_first_engagement(self):
-        reg, sched = self._sched()
-        ledger = EngagementLedger()
+        sched = self._sched()
+        ledger = {}
         # engage at V=28: deficit h = 25-28 = -3 (boundary 0 is the 30->25 switch)
-        active_constraints(sched, 45.01, (0.0, 28.0), ScalarSys, reg, ledger)
-        rec = ledger.records[("G1", 0)]
+        active_constraints(sched, 45.01, (0.0, 28.0), ScalarSys, ledger)
+        rec = ledger[("G1", 0)]
         assert rec.h_engage == pytest.approx(-3.0)
         assert convergence_time(-3.0, FcbfParams(rec.rho, rec.gamma)) == pytest.approx(5.0)
         # later query at a different state reuses the stored gamma
-        active_constraints(sched, 48.0, (0.0, 26.0), ScalarSys, reg, ledger)
-        assert ledger.records[("G1", 0)] is rec
+        active_constraints(sched, 48.0, (0.0, 26.0), ScalarSys, ledger)
+        assert ledger[("G1", 0)] is rec
 
     def test_query_outside_span_rejected(self):
-        reg, sched = self._sched()
+        sched = self._sched()
         with pytest.raises(ScheduleQueryError):
-            active_constraints(sched, 150.0, (0.0, 0.0), ScalarSys, reg)
+            active_constraints(sched, 150.0, (0.0, 0.0), ScalarSys)
         with pytest.raises(ScheduleQueryError):
-            active_constraints(sched, -0.5, (0.0, 0.0), ScalarSys, reg)
+            active_constraints(sched, -0.5, (0.0, 0.0), ScalarSys)
 
     def test_segment_lookup_in_any_order(self):
         # the lookup cursor follows forward time; other queries must agree too
-        _, sched = self._sched()
+        sched = self._sched()
         for t in (0.0, 49.99, 50.0, 120.0, 10.0, 149.9, 0.0, 100.0, 99.999, 100.0):
             want = max(i for i, seg in enumerate(sched.segments) if seg.interval.start <= t)
             assert sched.segment_at(t) is sched.segments[want]
@@ -294,16 +292,16 @@ class TestActiveConstraints:
         reg = registry_with(vbar(10))
         group = TaskGroup("G1", ((TimeInterval(20, 30), PredicateRef("v10")),))
         sched = build_schedule(group, reg, speed_cfg(100.0))
-        assert active_constraints(sched, 5.0, (0.0, 0.0), ScalarSys, reg) == []
+        assert active_constraints(sched, 5.0, (0.0, 0.0), ScalarSys) == []
 
     def test_fcbf_never_active_outside_windows(self):
-        reg, sched = self._sched()
+        sched = self._sched()
         windows = [(b.tau, b.time) for b in sched.boundaries
                    if b.verdict is Verdict.OVERLAP_DEADLINE]
         t = 0.0
         while t < 149.9:
             labels = [c.label for c in
-                      active_constraints(sched, t, (0.0, 20.0), ScalarSys, reg)]
+                      active_constraints(sched, t, (0.0, 20.0), ScalarSys)]
             in_window = any(tau < t < te for tau, te in windows)
             assert any(l.startswith("fcbf:") for l in labels) == in_window
             t += 0.25
@@ -316,7 +314,7 @@ class TestConjoinGroups:
         s2 = build_schedule(
             TaskGroup("G2", ((TimeInterval(0, 150), PredicateRef("v20")),)),
             reg, speed_cfg(150.0))
-        cons = conjoin_groups([s1, s2], 20.0, (0.0, 15.0), ScalarSys, reg)
+        cons = conjoin_groups([s1, s2], 20.0, (0.0, 15.0), ScalarSys)
         assert [c.label for c in cons] == ["cbf:v30", "cbf:v20"]
 
     def test_vacuous_group_adds_nothing(self):
@@ -327,7 +325,7 @@ class TestConjoinGroups:
         s2 = build_schedule(
             TaskGroup("G2", ((TimeInterval(50, 60), PredicateRef("v10")),)),
             reg, speed_cfg(100.0))
-        cons = conjoin_groups([s1, s2], 10.0, (0.0, 15.0), ScalarSys, reg)
+        cons = conjoin_groups([s1, s2], 10.0, (0.0, 15.0), ScalarSys)
         assert [c.label for c in cons] == ["cbf:v30"]
 
 
@@ -418,8 +416,8 @@ def _grid_templates():
         AffineBarrier("pw", coeffs=(0.0, -1.0, 0.0), pieces=[(0.0, 30.0), (10.0, 15.0)]),
         AffineBarrier("zero", coeffs=(-1.0, 0.0, -0.5), offset=-0.0),
         TopBarrier(3),
-        spacing_barrier(VP, LEAD),
-        signal_barriers(SIGNALS, VP),
+        SpacingBarrier(VP, LEAD),
+        TrafficSignalBarrier(SIGNALS, VP),
         Bowl((300.0, 10.0, 300.0), (5.0, 400.0)),
         Patchy(20.0),
     ]
@@ -464,9 +462,9 @@ def grid_cases(draw):
         elif kind == "patchy":
             bar = Patchy(level((0.0,) * (dim - 1) + (-1.0,)))
         elif kind == "spacing":
-            bar = spacing_barrier(VP, LEAD)
+            bar = SpacingBarrier(VP, LEAD)
         else:
-            bar = signal_barriers(SIGNALS, VP)
+            bar = TrafficSignalBarrier(SIGNALS, VP)
         return bar.negate() if draw(st.booleans()) else bar
 
     h_prev, h_next = barrier(), barrier()
@@ -523,7 +521,7 @@ class TestArrayGrid:
                 calls.append(type(self).__name__)
                 return _h(self, t, x, side)
             monkeypatch.setattr(cls, "h", counted)
-        h1 = spacing_barrier(VP, LeadProfile(100.0, 10.0))
+        h1 = SpacingBarrier(VP, LeadProfile(100.0, 10.0))
         vmax = AffineBarrier("vmax10", coeffs=(0.0, -1.0, 0.0), offset=10.0)
         box = StateBox((-1000.0, 0.0, -1000.0), (100000.0, 60.0, 1000000.0))
         res = check_intersection(h1, vmax, 30.0, box, 101)
@@ -539,7 +537,7 @@ class TestGridResolution:
 
     @pytest.mark.parametrize("resolution", [0, -3, 2.5])
     def test_grid_rejects_bad_resolution(self, resolution):
-        h1 = spacing_barrier(VP, LEAD)
+        h1 = SpacingBarrier(VP, LEAD)
         vmax = AffineBarrier("vmax", coeffs=(0.0, -1.0, 0.0), offset=10.0)
         box = StateBox((0.0, 0.0, 0.0), (100.0, 30.0, 200.0))
         with pytest.raises(ContractError, match=f"got {resolution}"):

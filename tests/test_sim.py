@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
+from stlcbf import pipeline
 from stlcbf.barriers import AffineBarrier, BarrierRegistry, StateBox
+from stlcbf.config import CustomBarrierDecl, load_config
 from stlcbf.contracts import ScheduleConfig, build_schedule
 from stlcbf.qp import InputBox
 from stlcbf.sim import (
@@ -63,30 +67,28 @@ def _speed_setup(values, horizon, domain=None):
 
 class TestRunSimulation:
     def test_zero_horizon_single_row(self, double_integrator):
-        reg = BarrierRegistry()
-        res = run_simulation(double_integrator, [], reg, lambda t, x: 0.0,
+        res = run_simulation(double_integrator, [], lambda t, x: 0.0,
                              InputBox((-1.0,), (1.0,)), (0.0, 0.0), dt=0.01, t_max=0.0)
         assert res.ok and res.trace.n_rows() == 1
 
     def test_row_count_and_uniform_grid(self, double_integrator):
-        reg = BarrierRegistry()
-        res = run_simulation(double_integrator, [], reg, lambda t, x: 0.5,
+        res = run_simulation(double_integrator, [], lambda t, x: 0.5,
                              InputBox((-1.0,), (1.0,)), (0.0, 0.0), dt=0.01, t_max=1.0)
         assert res.trace.n_rows() == 101
         diffs = {round(b - a, 9) for a, b in zip(res.trace.ts, res.trace.ts[1:])}
         assert diffs == {0.01}
 
     def test_initial_assumption_violation_raises(self):
-        reg, sched, sys = _speed_setup([10.0], horizon=10.0)
+        _, sched, sys = _speed_setup([10.0], horizon=10.0)
         with pytest.raises(InitialConditionError, match="v10"):
-            run_simulation(sys, [sched], reg, lambda t, x: 0.0,
+            run_simulation(sys, [sched], lambda t, x: 0.0,
                            InputBox((-5.0,), (5.0,)), (0.0, 15.0), dt=0.01, t_max=10.0)
 
     def test_constraint_enforced_along_run(self):
         reg, sched, sys = _speed_setup([10.0], horizon=5.0)
-        res = run_simulation(sys, [sched], reg, lambda t, x: 50.0,
-                             InputBox((-50.0,), (50.0,)), (0.0, 9.5), dt=0.01,
-                             t_max=5.0, margin_barriers=["v10"])
+        res = run_simulation(sys, [sched], lambda t, x: 50.0,
+                             InputBox((-50.0,), (50.0,)), (0.0, 9.5), dt=0.01, t_max=5.0)
+        res.trace.fill_columns([reg.get("v10")])
         assert res.ok
         assert res.trace.min_margin("v10") >= -1e-3
         assert any(s == "ok" for s in res.trace.qp_status)
@@ -101,7 +103,7 @@ class TestRunSimulation:
         sched = build_schedule(group, reg, cfg)
         sys = ControlSystem(n=2, m=1, f=lambda t, x: (-20.0 - x[0], 0.0),
                             g=lambda t, x: ((1.0,), (0.0,)), domain=dom)
-        res = run_simulation(sys, [sched], reg, lambda t, x: 0.0,
+        res = run_simulation(sys, [sched], lambda t, x: 0.0,
                              InputBox((-5.0,), (5.0,)), (30.0, 0.0), dt=0.01, t_max=10.0)
         assert not res.ok
         assert res.failure.reason == "qp_infeasible"
@@ -113,8 +115,7 @@ class TestRunSimulation:
     def test_domain_exit_reported(self, double_integrator):
         small = ControlSystem(n=2, m=1, f=double_integrator.f, g=double_integrator.g,
                               domain=StateBox((-1.0, -10.0), (1.0, 10.0)))
-        reg = BarrierRegistry()
-        res = run_simulation(small, [], reg, lambda t, x: 1.0,
+        res = run_simulation(small, [], lambda t, x: 1.0,
                              InputBox((-5.0,), (5.0,)), (0.0, 0.0), dt=0.01, t_max=10.0)
         assert not res.ok and res.failure.reason == "domain_exit"
 
@@ -122,9 +123,8 @@ class TestRunSimulation:
         vp = VehicleParams()
         lead = LeadProfile(500.0, 0.0)
         sys = make_vehicle_system(vp, lead)
-        reg = BarrierRegistry()
         # strong braking would push V_f < 0; the floor clamp keeps it at rest
-        res = run_simulation(sys, [], reg, lambda t, x: -3000.0,
+        res = run_simulation(sys, [], lambda t, x: -3000.0,
                              InputBox((-3000.0,), (3000.0,)), (0.0, 1.0, 500.0),
                              dt=0.01, t_max=2.0)
         assert res.ok
@@ -133,9 +133,9 @@ class TestRunSimulation:
 
     def test_margins_recorded_for_every_row(self):
         reg, sched, sys = _speed_setup([10.0], horizon=2.0)
-        res = run_simulation(sys, [sched], reg, lambda t, x: 0.0,
-                             InputBox((-5.0,), (5.0,)), (0.0, 0.0), dt=0.01,
-                             t_max=2.0, margin_barriers=["v10"])
+        res = run_simulation(sys, [sched], lambda t, x: 0.0,
+                             InputBox((-5.0,), (5.0,)), (0.0, 0.0), dt=0.01, t_max=2.0)
+        res.trace.fill_columns([reg.get("v10")])
         assert len(res.trace.margins["v10"]) == res.trace.n_rows()
 
 
@@ -143,9 +143,10 @@ class TestFcbfRealizedInClosedLoop:
     def test_speed_drop_converges_by_boundary(self):
         # 20 -> 5 drop with a quarter-interval window; nominal pushes full throttle
         reg, sched, sys = _speed_setup([20.0, 5.0], horizon=40.0)
-        res = run_simulation(sys, [sched], reg, lambda t, x: 100.0,
+        res = run_simulation(sys, [sched], lambda t, x: 100.0,
                              InputBox((-200.0,), (200.0,)), (0.0, 18.0), dt=0.01,
-                             t_max=40.0, margin_barriers=["v5", "v20"])
+                             t_max=40.0)
+        res.trace.fill_columns([reg.get("v5"), reg.get("v20")])
         assert res.ok
         # at the boundary t=20 the next barrier must already be satisfied
         idx = res.trace.ts.index(pytest.approx(20.0)) if 20.0 in res.trace.ts else \
@@ -153,6 +154,52 @@ class TestFcbfRealizedInClosedLoop:
         assert res.trace.margins["v5"][idx] >= -1e-3
         # and stays satisfied afterwards
         assert min(res.trace.margins["v5"][idx:]) >= -1e-3
-        rec = res.engagements.records[("G1", 0)]
+        rec = res.engagements[("G1", 0)]
         assert rec.time <= sched.boundaries[0].tau + 0.011
         assert rec.t_conv_bound <= sched.boundaries[0].t_target + 1e-9
+
+
+def _short_sec6():
+    """paper_sec6 cut to 80 s: h1, one 30 -> 25 speed window, the signals and
+    a negated custom barrier, so every kind of schedule segment runs."""
+    cfg = load_config("paper_sec6")
+    return replace(
+        cfg, horizon=80.0, speed_rows=[(0.0, 30.0), (50.0, 25.0)],
+        custom_barriers=[CustomBarrierDecl("far", (1.0, 0.0, 0.0), -1e5)],
+        stl_text="G[0,80) sat(h1)\nG[0,50) sat(vmax30)\nG[50,80) sat(vmax25)\n"
+                 "G[0,80) sat(hpos)\nG[0,80) !sat(far)")
+
+
+class TestLoopLooksNothingUp:
+    """Schedules and the nominal controller hold their barriers: once the
+    scenario is built, the step loop makes no registry lookup."""
+
+    @pytest.mark.parametrize("make_cfg", [lambda: load_config("infeasible_red"), _short_sec6],
+                             ids=["infeasible_red", "short_sec6"])
+    def test_no_registry_calls_inside_run_simulation(self, make_cfg, monkeypatch):
+        calls = {}  # (phase, method) -> count
+        phase = ["build"]
+
+        def counting(name, fn):
+            def wrapper(self, *args):
+                calls[phase[0], name] = calls.get((phase[0], name), 0) + 1
+                return fn(self, *args)
+            return wrapper
+
+        def in_loop(*args, **kwargs):
+            phase[0] = "loop"
+            try:
+                return run_simulation(*args, **kwargs)
+            finally:
+                phase[0] = "after"
+
+        for name in ("get", "resolve"):
+            monkeypatch.setattr(BarrierRegistry, name,
+                                counting(name, getattr(BarrierRegistry, name)))
+        monkeypatch.setattr(pipeline, "run_simulation", in_loop)
+        outcome = pipeline.run_pipeline(make_cfg())
+
+        assert outcome.trace.n_rows() > 100 and outcome.report.engagements
+        assert calls["build", "resolve"] > 0  # the counters see the lookups
+        assert calls.get(("loop", "get"), 0) == 0
+        assert calls.get(("loop", "resolve"), 0) == 0

@@ -259,6 +259,19 @@ class TestMonitor:
         with pytest.raises(StlError, match="covers"):
             monitor_trace(trace, spec, ValueRegistry(m=0))
 
+    def test_coverage_reads_earliest_and_latest_sample(self):
+        # rows in any order: the span is min(ts) to max(ts), not ts[0] to ts[-1]
+        spec = spec_of(Globally(TimeInterval(0, 4), PredicateRef("m")), horizon=4)
+        ts = [4.0, 2.0, 2.0, 0.0, 3.0, 2.0]
+        trace = FakeTrace(ts, [(1.0,), (2.0,), (0.5,), (3.0,), (1.0,), (0.5,)])
+        rep = monitor_trace(trace, spec, ValueRegistry(m=0))
+        assert rep.satisfied and rep.per_task[0].t_worst == 2.0
+        late = FakeTrace([4.0, 1.0, 2.0], [(1.0,)] * 3)
+        with pytest.raises(StlError, match=r"covers \[1, 4\]"):
+            monitor_trace(late, spec, ValueRegistry(m=0))
+        with pytest.raises(StlError, match="covers"):
+            monitor_trace(FakeTrace([], []), spec, ValueRegistry(m=0))
+
     def test_conjunction_equals_conjunction_of_verdicts(self):
         trace = self._trace([1.0, -1.0, 1.0])
         reg = ValueRegistry(m=0, n=0)
@@ -299,6 +312,13 @@ class TestMonitorEdges:
         g = Globally(TimeInterval(0, 3), PredicateRef("m"))
         rep = self._report([math.inf] * 4, [0.0, 1.0, 2.0, 3.0], g, 3)
         assert rep.satisfied and rep.worst_margin == math.inf and rep.t_worst is None
+        # no sample beats F's -inf start: unsatisfied, best margin -inf
+        f = Eventually(TimeInterval(0, 3), PredicateRef("m"))
+        rep = self._report([-math.inf] * 4, [0.0, 1.0, 2.0, 3.0], f, 3)
+        assert not rep.satisfied and rep.worst_margin == -math.inf and rep.t_worst is None
+        assert "worst_margin=-inf" in str(monitor_trace(
+            FakeTrace([0.0, 1.0], [(math.nan,), (math.nan,)]),
+            spec_of(f, horizon=1), ValueRegistry(m=0)))
 
     def test_nan_margins_are_skipped(self):
         g = Globally(TimeInterval(0, 4), PredicateRef("m"))

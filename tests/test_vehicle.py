@@ -20,7 +20,6 @@ from stlcbf.barriers import (
 )
 from stlcbf.config import load_config
 from stlcbf.contracts import (
-    EngagementLedger,
     ScheduleConfig,
     Verdict,
     build_schedule,
@@ -34,7 +33,9 @@ from stlcbf.vehicle import (
     PHASES,
     RED,
     SignalTimings,
+    SpacingBarrier,
     SpeedLimitSchedule,
+    TrafficSignalBarrier,
     VehicleError,
     VehicleParams,
     YELLOW,
@@ -43,8 +44,6 @@ from stlcbf.vehicle import (
     friction_force,
     generate_signal_plan,
     make_vehicle_system,
-    signal_barriers,
-    spacing_barrier,
     speed_limit_barrier,
 )
 
@@ -92,23 +91,23 @@ class TestLeadProfile:
 class TestSpacingBarrier:
     def test_equal_speeds_cancel_quadratic_term(self):
         lead = LeadProfile(50.0, 20.0)
-        bar = spacing_barrier(VP, lead)
+        bar = SpacingBarrier(VP, lead)
         assert bar.h(0.0, (0.0, 20.0, 50.0)) == pytest.approx(25.0)
 
     def test_boundary_state(self):
         lead = LeadProfile(25.0, 20.0)
-        bar = spacing_barrier(VP, lead)
+        bar = SpacingBarrier(VP, lead)
         # X_r = t_hw*V_f + S0 with V_f = V_l puts h exactly at zero
         assert bar.h(0.0, (0.0, 20.0, 25.0)) == pytest.approx(0.0)
 
     def test_gradient_matches_finite_differences(self):
         lead = LeadProfile(80.0, 12.0, [(0.0, 0.7), (30.0, -0.4)])
-        bar = spacing_barrier(VP, lead)
+        bar = SpacingBarrier(VP, lead)
         assert finite_diff_check(bar, 7.3, (11.0, 17.0, 95.0)) < 1e-5
 
     def test_dh_dt_tracks_lead_acceleration(self):
         lead = LeadProfile(80.0, 12.0, [(0.0, 0.7)])
-        bar = spacing_barrier(VP, lead)
+        bar = SpacingBarrier(VP, lead)
         assert bar.terms(4.0, (0.0, 5.0, 80.0))[1] == pytest.approx(
             lead.velocity(4.0) * 0.7 / VP.a_max)
 
@@ -156,16 +155,16 @@ def two_signals():
 
 class TestSignalBarrier:
     def test_red_phase_uses_own_stop_line(self):
-        bar = signal_barriers(two_signals(), VP)
+        bar = TrafficSignalBarrier(two_signals(), VP)
         # t=40: signal 1 red; X_f=100 V_f=10: h = 200-100-20-5
         assert bar.h(40.0, (100.0, 10.0, 0.0)) == pytest.approx(75.0)
 
     def test_green_phase_uses_next_stop_line(self):
-        bar = signal_barriers(two_signals(), VP)
+        bar = TrafficSignalBarrier(two_signals(), VP)
         assert bar.h(5.0, (100.0, 10.0, 0.0)) == pytest.approx(275.0)
 
     def test_crossing_into_red_next_is_continuous(self):
-        bar = signal_barriers(two_signals(), VP)
+        bar = TrafficSignalBarrier(two_signals(), VP)
         # t=5: signal 1 green, signal 2 red: before/after crossing line 1 the
         # governing stop line is P2 either way
         before = bar.h(5.0, (199.999, 10.0, 0.0))
@@ -175,25 +174,25 @@ class TestSignalBarrier:
     def test_crossing_into_green_next_jumps_up(self):
         # t=25: signal 2 green; crossing signal 1's line hands off to
         # signal 2's successor, which does not exist: vacuous
-        bar = signal_barriers(two_signals(), VP)
+        bar = TrafficSignalBarrier(two_signals(), VP)
         assert bar.h(25.0, (200.001, 10.0, 0.0)) == math.inf
 
     def test_exact_stop_line_belongs_to_incoming_segment(self):
-        bar = signal_barriers(two_signals(), VP)
+        bar = TrafficSignalBarrier(two_signals(), VP)
         # X_f == P_1 still reads signal 1 (half-open convention)
         assert bar.h(40.0, (200.0, 0.0, 0.0)) == pytest.approx(-5.0)
 
     def test_past_last_signal_is_vacuous(self):
-        bar = signal_barriers(two_signals(), VP)
+        bar = TrafficSignalBarrier(two_signals(), VP)
         assert bar.h(0.0, (500.0, 10.0, 0.0)) == math.inf
         assert bar.terms(0.0, (500.0, 10.0, 0.0))[2] == (0.0, 0.0, 0.0)
 
     def test_gradient_matches_finite_differences(self):
-        bar = signal_barriers(two_signals(), VP)
+        bar = TrafficSignalBarrier(two_signals(), VP)
         assert finite_diff_check(bar, 40.0, (100.0, 10.0, 0.0)) < 1e-5
 
     def test_phase_switch_flagged_non_smooth(self):
-        bar = signal_barriers(two_signals(), VP)
+        bar = TrafficSignalBarrier(two_signals(), VP)
         assert not bar.is_smooth_at(35.0, (100.0, 10.0, 0.0), t_pad=1e-5, x_pad=1e-5)
         assert not bar.is_smooth_at(40.0, (200.0, 10.0, 0.0), t_pad=1e-5, x_pad=1e-5)
 
@@ -219,7 +218,7 @@ class TestClosedFormBounds:
 
     def test_h1_matches_generic_cbf(self):
         lead = LeadProfile(50.0, 20.0, [(0.0, 0.5)])
-        bar = spacing_barrier(VP, lead)
+        bar = SpacingBarrier(VP, lead)
         sys = make_vehicle_system(VP, lead)
         for t, x in [(0.0, (0.0, 20.0, 50.0)), (3.0, (10.0, 14.0, 80.0)),
                      (7.0, (5.0, 0.5, 90.0))]:
@@ -231,7 +230,7 @@ class TestClosedFormBounds:
     def test_rbar_matches_generic_cbf(self):
         lead = LeadProfile(1000.0, 0.0)
         sys = make_vehicle_system(VP, lead)
-        bar = signal_barriers(two_signals(), VP)
+        bar = TrafficSignalBarrier(two_signals(), VP)
         t, x = 5.0, (100.0, 10.0, 0.0)  # green: stop line P2=400
         c = cbf_constraint(bar, sys, bar.alpha, t, x)
         val = closed_form_bound("rbar", t, x, VP, p_next=400.0)
@@ -260,7 +259,7 @@ class TestClosedFormBounds:
                                 gamma=gamma, rho=0.91)
         assert constraint_upper_bound(c) == pytest.approx(val, rel=1e-12)
         # signal red set engaged during yellow, budget = yellow duration
-        sig_bar = signal_barriers(two_signals(), VP)
+        sig_bar = TrafficSignalBarrier(two_signals(), VP)
         t, x = 33.0, (150.0, 12.0, 0.0)  # yellow of signal 1
         h_red = 200.0 - x[0] - VP.beta * x[1] - VP.s0
         gamma_r = gamma_for_deadline(h_red, 0.9, 5.0)
@@ -280,7 +279,7 @@ class TestSignalContracts:
     def _build(self, horizon=120.0):
         reg = BarrierRegistry()
         sigs = two_signals()
-        reg.register(signal_barriers(sigs, VP))
+        reg.register(TrafficSignalBarrier(sigs, VP))
         cfg = ScheduleConfig(domain=DOMAIN, horizon=horizon, rho=0.9, t_conv=5.0)
         scheds = build_signal_contracts(sigs, VP, reg, cfg, rho_signal=0.9, label="G3")
         return reg, sigs, scheds
@@ -319,27 +318,27 @@ class TestSignalContracts:
         lead = LeadProfile(1000.0, 0.0)
         sys = make_vehicle_system(VP, lead)
         # inside segment 1 at a red of signal 1
-        cons = conjoin_groups(scheds, 40.0, (100.0, 10.0, 0.0), sys, reg)
+        cons = conjoin_groups(scheds, 40.0, (100.0, 10.0, 0.0), sys)
         assert [c.label for c in cons] == ["cbf:sig1.red"]
         # past signal 1, during signal 2's red (t=10): uses sig2's stop line
-        cons2 = conjoin_groups(scheds, 10.0, (250.0, 10.0, 0.0), sys, reg)
+        cons2 = conjoin_groups(scheds, 10.0, (250.0, 10.0, 0.0), sys)
         assert [c.label for c in cons2] == ["cbf:sig2.red"]
         # past both signals: nothing
-        assert conjoin_groups(scheds, 10.0, (450.0, 10.0, 0.0), sys, reg) == []
+        assert conjoin_groups(scheds, 10.0, (450.0, 10.0, 0.0), sys) == []
 
     def test_last_signal_not_red_is_vacuous(self):
         reg, sigs, scheds = self._build()
         lead = LeadProfile(1000.0, 0.0)
         sys = make_vehicle_system(VP, lead)
         # t=25: signal 2 green, ego between the lines: no constraint
-        assert conjoin_groups(scheds, 25.0, (250.0, 10.0, 0.0), sys, reg) == []
+        assert conjoin_groups(scheds, 25.0, (250.0, 10.0, 0.0), sys) == []
 
     def test_case_study_instant_yields_four_constraints(self):
         # instant inside a yellow phase and inside a speed interval (outside
         # its convergence window): h1 + rbar + red FCBF + speed limit
         reg, sigs, scheds = self._build()
         lead = LeadProfile(1000.0, 20.0)
-        reg.register(spacing_barrier(VP, lead))
+        reg.register(SpacingBarrier(VP, lead))
         from stlcbf.barriers import AffineBarrier
         reg.register(AffineBarrier("vmax25", coeffs=(0.0, -1.0, 0.0), offset=25.0,
                                    alpha=AlphaFn(1.0 / VP.beta)))
@@ -351,17 +350,17 @@ class TestSignalContracts:
                             reg, cfg)
         t, x = 33.0, (100.0, 12.0, 500.0)  # yellow of signal 1
         assert sigs[0].phase(t) == YELLOW
-        cons = conjoin_groups([g1, g2, *scheds], t, x, sys, reg)
+        cons = conjoin_groups([g1, g2, *scheds], t, x, sys)
         labels = [c.label for c in cons]
         assert labels == ["cbf:h1", "cbf:vmax25", "cbf:sig1.notred",
                           "fcbf:sig1.red"]
 
     def test_assumption_checked_for_active_signal_only(self):
         reg, sigs, scheds = self._build()
-        entries = [s.assumption_margin((100.0, 10.0, 0.0), reg) for s in scheds]
+        entries = [s.assumption_margin((100.0, 10.0, 0.0)) for s in scheds]
         assert entries[0] is not None and entries[1] is None
         # past both signals nothing is assumed
-        assert all(s.assumption_margin((450.0, 0.0, 0.0), reg) is None for s in scheds)
+        assert all(s.assumption_margin((450.0, 0.0, 0.0)) is None for s in scheds)
 
 
 @st.composite
@@ -406,16 +405,16 @@ class TestSignalDispatchDifferential:
         x = (x_f, data.draw(st.floats(0.0, 40.0)), 1e4)
         dyn = (sys.f(t, x), sys.g(t, x))
 
-        got_led, want_led = EngagementLedger(), EngagementLedger()
-        got = conjoin_groups(scheds, t, x, sys, reg, got_led, dyn)
-        want = bisect_dispatch(scheds, positions, t, x, sys, reg, want_led, dyn)
+        got_led, want_led = {}, {}
+        got = conjoin_groups(scheds, t, x, sys, got_led, dyn)
+        want = bisect_dispatch(scheds, positions, t, x, sys, want_led, dyn)
         assert [(c.label, [a.hex() for a in c.a], c.b.hex()) for c in got] == \
             [(c.label, [a.hex() for a in c.a], c.b.hex()) for c in want]
-        assert got_led.all_records() == want_led.all_records()
+        assert sorted(got_led.items()) == sorted(want_led.items())
 
-        entry = [s.assumption_margin(x, reg) for s in scheds]
+        entry = [s.assumption_margin(x) for s in scheds]
         k = bisect_left(positions, x_f)
-        assert entry == [scheds[k].assumption_margin(x, reg) if i == k else None
+        assert entry == [scheds[k].assumption_margin(x) if i == k else None
                          for i in range(len(scheds))]
 
 
@@ -536,9 +535,9 @@ class TestArrayEvaluator:
         signals = registry.get("hpos").signals
         positions = [s.position for s in signals]
         rows = list(zip(trace.ts, trace.states))
-        for bid in bundle.margin_barriers:
-            bar = registry.get(bid)
-            assert_same_floats(trace.margins[bid], [bar.h(t, x) for t, x in rows], bid)
+        for bar in bundle.margin_barriers:
+            assert bar is registry.get(bar.id)
+            assert_same_floats(trace.margins[bar.id], [bar.h(t, x) for t, x in rows], bar.id)
         assert_same_floats(trace.extras["V_l"], [lead.cached_velocity(t) for t, _ in rows],
                            "V_l")
         assert_same_floats(trace.extras["V_max"], [limits.value(t) for t, _ in rows], "V_max")
