@@ -22,6 +22,7 @@ from .barriers import (
 from .contracts import (
     ContractSchedule,
     ContractSegment,
+    RegionTable,
     ScheduleConfig,
     Verdict,
     build_schedule,

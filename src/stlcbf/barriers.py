@@ -14,6 +14,10 @@ a.u <= b at a given (t, x):
   invariance (CBF):      dh/dt + grad.f + grad.g u + alpha(h) >= 0
   finite-time (FCBF):    dh/dt + grad.f + grad.g u + gamma sign(h)|h|^rho >= 0
 
+A `ConstraintRow` carries what a schedule compiles once per constraint:
+its label and the last a = -grad.g, reused while the gradient and g objects
+repeat (an affine barrier under the vehicle's constant g derives it once).
+
 Any input satisfying the FCBF inequality from h(t0, x0) < 0 reaches the safe
 set within T = |h0|^(1-rho) / (gamma (1-rho)) and stays there afterwards.
 
@@ -29,6 +33,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,8 +129,7 @@ class FcbfParams:
             raise BarrierError(f"gamma must be positive, got {self.gamma}")
 
 
-@dataclass(frozen=True)
-class HalfspaceConstraint:
+class HalfspaceConstraint(NamedTuple):
     """Affine input constraint a.u <= b; zero `a` with b < 0 marks infeasible.
     `qp.solve_qp` checks finiteness where constraints enter it."""
 
@@ -141,6 +145,19 @@ class HalfspaceConstraint:
 
     def is_infeasible_marker(self) -> bool:
         return all(ai == 0 for ai in self.a) and self.b < 0
+
+
+class ConstraintRow:
+    """What a schedule compiles once for one of its constraints: the label,
+    and the input row a = -grad.g last derived, kept with the gradient and g
+    objects it came from. Both are immutable tuples, so while `terms` returns
+    the same gradient object and g the same matrix object, a is the same."""
+
+    __slots__ = ("label", "grad", "g", "a")
+
+    def __init__(self, label: str):
+        self.label = label
+        self.grad = self.g = self.a = None
 
 
 class Barrier:
@@ -173,7 +190,9 @@ class Barrier:
         return out
 
     def terms(self, t: float, x) -> tuple:
-        """(h, dh/dt, grad_x h) at (t, x): everything a CBF constraint needs."""
+        """(h, dh/dt, grad_x h) at (t, x): everything a CBF constraint needs.
+        grad_x h is a tuple; a template whose gradient is constant returns
+        the same tuple object, so a constraint row keeps its a = -grad.g."""
         raise NotImplementedError
 
     def affine_at(self, t: float, side: str = "right"):
@@ -316,30 +335,37 @@ class BarrierRegistry:
 # ---------------------------------------------------------------------------
 
 
-def _lie_terms(bar: Barrier, sys, t: float, x, dyn=None):
-    """(h, −grad.g row vector, dh_dt + grad.f) shared by both constraint forms;
-    `dyn` is (f(t, x), g(t, x)) when the caller has evaluated them already."""
+def _lie_terms(bar: Barrier, sys, t: float, x, dyn, row: ConstraintRow):
+    """(h, -grad.g row vector, dh_dt + grad.f) shared by both constraint forms;
+    `dyn` is (f(t, x), g(t, x)) when the caller has evaluated them already.
+    `row` keeps a, derived again only when the gradient or g object changes."""
     h, dh, grad = bar.terms(t, x)
     fv, gm = dyn if dyn is not None else (sys.f(t, x), sys.g(t, x))
-    a = tuple([-sum(map(mul, grad, col)) for col in zip(*gm)])
-    return h, a, dh + sum(map(mul, grad, fv))
+    if grad is not row.grad or gm is not row.g:
+        row.grad, row.g = grad, gm
+        row.a = tuple([-sum(map(mul, grad, col)) for col in zip(*gm)])
+    return h, row.a, dh + sum(map(mul, grad, fv))
 
 
 def cbf_constraint(bar: Barrier, sys, alpha: AlphaFn, t: float, x,
-                   dyn=None) -> HalfspaceConstraint:
+                   dyn=None, row=None) -> HalfspaceConstraint:
     """Invariance constraint at (t, x): any u with a.u <= b keeps
-    dh/dt + grad.(f + g u) >= -alpha(h)."""
-    h, a, drift = _lie_terms(bar, sys, t, x, dyn)
-    return HalfspaceConstraint(a, drift + alpha(h), "cbf:" + bar.id)
+    dh/dt + grad.(f + g u) >= -alpha(h). `row` is the caller's compiled
+    `ConstraintRow` for it, labelled "cbf:<id>"; a fresh one by default."""
+    row = row or ConstraintRow("cbf:" + bar.id)
+    h, a, drift = _lie_terms(bar, sys, t, x, dyn, row)
+    return HalfspaceConstraint(a, drift + alpha(h), row.label)
 
 
 def fcbf_constraint(bar: Barrier, sys, p: FcbfParams, t: float, x,
-                    dyn=None) -> HalfspaceConstraint:
+                    dyn=None, row=None) -> HalfspaceConstraint:
     """Finite-time constraint at (t, x) with drift gamma sign(h)|h|^rho
-    (sign(0) = 0: on the boundary the invariance half handles the rest)."""
-    hv, a, drift = _lie_terms(bar, sys, t, x, dyn)
+    (sign(0) = 0: on the boundary the invariance half handles the rest).
+    `row` as for `cbf_constraint`, labelled "fcbf:<id>"."""
+    row = row or ConstraintRow("fcbf:" + bar.id)
+    hv, a, drift = _lie_terms(bar, sys, t, x, dyn, row)
     pull = 0.0 if hv == 0 else p.gamma * math.copysign(abs(hv) ** p.rho, hv)
-    return HalfspaceConstraint(a, drift + pull, "fcbf:" + bar.id)
+    return HalfspaceConstraint(a, drift + pull, row.label)
 
 
 def convergence_time(h0: float, p: FcbfParams) -> float:

@@ -273,6 +273,11 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
 
     pid_gains = (pid.num("k1", 0.5), pid.num("k2", 0.1), pid.num("k3", 0.01),
                  pid.num("windup_limit", 100.0))
+    for key, v in zip(("k1", "k2", "k3"), pid_gains):
+        if not math.isfinite(v):
+            errors.append(f"[pid] {key} must be finite, got {v}")
+    if not (math.isfinite(pid_gains[3]) and pid_gains[3] >= 0):
+        errors.append(f"[pid] windup_limit must be finite and >= 0, got {pid_gains[3]}")
 
     rho_speed = fcbf.num("rho_speed", 0.91)
     rho_signal = fcbf.num("rho_signal", 0.9)
@@ -281,10 +286,13 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
     for label, rho in (("rho_speed", rho_speed), ("rho_signal", rho_signal)):
         if not (0 <= rho < 1):
             errors.append(f"[fcbf] {label} must lie in [0, 1), got {rho}")
-    if t_conv_speed <= 0:
-        errors.append(f"[fcbf] t_conv_speed must be positive, got {t_conv_speed}")
+    for key, v in (("t_conv_speed", t_conv_speed), ("gamma_min", gamma_min)):
+        if not (math.isfinite(v) and v > 0):
+            errors.append(f"[fcbf] {key} must be positive and finite, got {v}")
 
     margin_tol = tol.num("margin", 1e-3)
+    if not (math.isfinite(margin_tol) and margin_tol >= 0):
+        errors.append(f"[tolerances] margin must be finite and >= 0, got {margin_tol}")
 
     dom_xf = dom.pair("x_f", (-1e4, 1e6))
     dom_vf = dom.pair("v_f", (0.0, 80.0))

@@ -13,13 +13,23 @@ Each internal boundary t_i is classified:
                     fit: no controller can serve every admissible start.
 
 Each non-vacuous segment holds its resolved `Barrier`, bound once when
-`build_schedule` runs; the runtime queries (`constraints_at`,
-`assumption_margin`, `conjoin_groups`) never look a barrier up by name.
+`build_schedule` runs. A schedule then compiles the per-step work of its
+runtime query `constraints_at` into one row pair per segment: the segment's
+CBF row (barrier, alpha, label "cbf:<id>") and, when an overlap_deadline
+boundary ends the segment, its window row (tau, boundary time, engagement
+key, next barrier, label "fcbf:<id>"). A query finds the segment (a
+forward cursor, a bisect when t jumps), reads its rows, keeps the strict
+tau < t < t_i window test, and does only arithmetic: no verdict test, no
+label concatenation, no barrier lookup. Each row also keeps its last
+a = -grad.g (see `barriers.ConstraintRow`).
 
 A schedule may carry a `region = (lo, hi)` on the first state coordinate:
 it applies only while lo < x[0] <= hi (default: every finite x[0]). The
 traffic signal contracts use it to gate each signal's schedule to the
 stretch of road where its stop line is the first at or ahead of the ego.
+`RegionTable.of` compiles a schedule list once into the sorted region bounds
+and, for each cell between them, the schedules that cover it, so
+`conjoin_groups` finds the schedules at x[0] with one bisect.
 
 Subset / intersection checks are exact for affine-in-state barriers (vertex
 enumeration of the box-and-halfspace polytope); other templates fall back to
@@ -34,14 +44,15 @@ import enum
 import itertools
 import math
 import numbers
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .barriers import (
     Barrier,
+    ConstraintRow,
     FcbfParams,
     GAMMA_MIN,
     StateBox,
@@ -314,8 +325,8 @@ class ScheduleConfig:
 class ContractSchedule:
     """Invariance segments tiling [0, horizon) plus per-boundary verdicts,
     applying while lo < x[0] <= hi for `region` (lo, hi). Immutable after
-    construction; queries are pure apart from the segment cursor, which only
-    speeds up the lookup."""
+    construction, which compiles the rows; queries are pure apart from the
+    segment cursor and the rows' kept a, which only save work."""
 
     label: str
     segments: list
@@ -326,6 +337,22 @@ class ContractSchedule:
         # segment i covers [bounds[i], bounds[i + 1]); bounds[-1] ends the span
         self._bounds = [seg.interval.start for seg in self.segments] + [self.span.end]
         self._cursor = 0
+        self._rows = [self._compile(i) for i in range(len(self.segments))]
+
+    def _compile(self, idx: int):
+        """Segment idx's (CBF row, window row): (barrier, alpha, "cbf:<id>"
+        row), None when vacuous; the FCBF window of an overlap_deadline
+        boundary at its end, None otherwise."""
+        bar = self.segments[idx].barrier
+        cbf = None if bar is None else (bar, bar.alpha, ConstraintRow("cbf:" + bar.id))
+        window = None
+        if idx < len(self.boundaries):
+            bd = self.boundaries[idx]
+            if bd.verdict is Verdict.OVERLAP_DEADLINE:
+                nxt = self.segments[idx + 1].barrier
+                window = _Window(bd.tau, bd.time, (self.label, idx), nxt, bd,
+                                 ConstraintRow("fcbf:" + nxt.id))
+        return cbf, window
 
     @property
     def span(self) -> TimeInterval:
@@ -365,29 +392,38 @@ class ContractSchedule:
         overlap boundary. gamma is fixed at first engagement, in the
         `engagements` dict under (label, boundary index). `dyn` is
         (f(t, x), g(t, x)) when the caller has evaluated them already."""
-        idx = self._segment_index(t)
-        bar = self.segments[idx].barrier
+        cbf, window = self._rows[self._segment_index(t)]
         out = []
-        if bar is not None:
-            out.append(cbf_constraint(bar, sys, bar.alpha, t, x, dyn))
-        if idx < len(self.boundaries):
-            bd = self.boundaries[idx]
-            if bd.verdict is Verdict.OVERLAP_DEADLINE and bd.tau < t < bd.time:
-                nxt = self.segments[idx + 1].barrier
-                params = _engaged_params((self.label, idx), bd, nxt, t, x,
-                                         {} if engagements is None else engagements)
-                out.append(fcbf_constraint(nxt, sys, params, t, x, dyn))
+        if cbf is not None:
+            bar, alpha, row = cbf
+            out.append(cbf_constraint(bar, sys, alpha, t, x, dyn, row))
+        if window is not None and window.tau < t < window.time:
+            params = _engaged_params(window, t, x, {} if engagements is None else engagements)
+            out.append(fcbf_constraint(window.barrier, sys, params, t, x, dyn, window.row))
         return out
 
 
-def _engaged_params(key, bd, next_bar, t, x, engagements) -> FcbfParams:
+class _Window(NamedTuple):
+    """An overlap_deadline boundary compiled for the step loop: its FCBF
+    constraint on the next segment's barrier holds while tau < t < time."""
+
+    tau: float
+    time: float
+    key: tuple  # (schedule label, boundary index): the engagement key
+    barrier: Barrier
+    boundary: BoundaryDecision
+    row: ConstraintRow
+
+
+def _engaged_params(window: _Window, t, x, engagements) -> FcbfParams:
     """The window's FCBF parameters; gamma is fixed at its first query."""
-    rec = engagements.get(key)
+    rec = engagements.get(window.key)
     if rec is None:
-        h_engage = next_bar.h(t, x)
+        bd = window.boundary
+        h_engage = window.barrier.h(t, x)
         gamma = gamma_for_deadline(h_engage, bd.rho, bd.t_target, bd.gamma_min)
-        rec = engagements[key] = EngagementRecord(
-            key=key, time=t, h_engage=h_engage, gamma=gamma,
+        rec = engagements[window.key] = EngagementRecord(
+            key=window.key, time=t, h_engage=h_engage, gamma=gamma,
             rho=bd.rho, t_target=bd.t_target, boundary_time=bd.time,
             t_conv_bound=convergence_time(h_engage, FcbfParams(bd.rho, gamma)),
         )
@@ -485,14 +521,32 @@ def _classify_boundary(segments, idx, cfg: ScheduleConfig) -> BoundaryDecision:
     )
 
 
-def conjoin_groups(schedules, t, x, sys, engagements=None, dyn=None):
+class RegionTable(NamedTuple):
+    """Which schedules apply at each X_f, compiled once from a schedule list.
+
+    `bounds` is -inf followed by the sorted finite region bounds; cell j is
+    (bounds[j-1], bounds[j]] (the last cell runs to +inf, inclusive) and
+    cell 0 holds x[0] = -inf and NaN, which no region admits. Every region
+    bound is a cell bound, so lo < x[0] <= hi holds on a whole cell or on none
+    of it, and bisect_left(bounds, x[0]) finds the cell."""
+
+    bounds: tuple
+    cells: tuple  # per cell, the schedules whose region covers it, in order
+
+    @classmethod
+    def of(cls, schedules) -> "RegionTable":
+        finite = sorted({v for s in schedules for v in s.region if math.isfinite(v)})
+        cells = [()]
+        for lo, hi in zip([-math.inf] + finite, finite + [math.inf]):
+            cells.append(tuple(s for s in schedules if s.region[0] <= lo and hi <= s.region[1]))
+        return cls(tuple([-math.inf] + finite), tuple(cells))
+
+
+def conjoin_groups(table: RegionTable, t, x, sys, engagements=None, dyn=None):
     """Conjunction of group contracts = intersection of safe input sets,
     realized as the concatenation of the active constraints of every schedule
-    whose region holds x[0]."""
+    whose region holds x[0], in the schedule list's order."""
     out = []
-    x_f = x[0]
-    for sched in schedules:
-        lo, hi = sched.region
-        if lo < x_f <= hi:
-            out.extend(sched.constraints_at(t, x, sys, engagements, dyn))
+    for sched in table.cells[bisect_left(table.bounds, x[0])]:
+        out.extend(sched.constraints_at(t, x, sys, engagements, dyn))
     return out

@@ -3,19 +3,25 @@ zero-order-hold inputs, trace recording, and the runtime synthesis loop.
 
 At every step the loop gathers the active halfspace constraints from all
 group schedules, projects the nominal input through the QP filter, integrates
-one step, and records time, state, inputs and QP status. The schedules hold
-their resolved barriers, so the loop never looks one up by name. An empty
-safe input set or a domain exit aborts the run with a timestamped failure;
-the trace prefix up to that point is preserved. The loop records no margin
-or scenario channel: the caller fills those columns afterwards with
-`Trace.fill_columns`, over all recorded rows at once (`Barrier.h_grid` with
-an array t), for a failed prefix as for a full run.
+one step, and records time, state, inputs and QP status. An empty safe input
+set or a domain exit aborts the run with a timestamped failure; the trace
+prefix up to that point is preserved. The loop records no margin or scenario
+channel: the caller fills those columns afterwards with `Trace.fill_columns`,
+over all recorded rows at once (`Barrier.h_grid` with an array t), for a
+failed prefix as for a full run.
 
-Each step evaluates f and g once, for every constraint's Lie terms and as
-RK4's k1 (f runs 4 times a step); barriers give (h, dh/dt, grad h) in one
-`terms` call, schedules keep a forward segment cursor, and `solve_qp` checks
-finiteness as constraints enter it. Float operations keep their order: the
-tests compare the reference mission's trace and report byte for byte.
+Everything a step can know in advance is compiled before the loop starts.
+Each schedule holds its resolved barriers and its constraint rows (label,
+alpha, window bounds), so a step tests no verdict, builds no label and looks
+no barrier up by name. `RegionTable.of(schedules)` sorts the region bounds
+once, so a step finds the schedules that apply at X_f with one bisect. The
+domain bounds are padded once. Each step evaluates f and g once, for every
+constraint's Lie terms and as RK4's k1 (f runs 4 times a step); a row keeps
+its a = -grad.g while the gradient and g objects repeat, and RK4 keeps g u
+the same way. Barriers give (h, dh/dt, grad h) in one `terms` call, schedules
+keep a forward segment cursor, and `solve_qp` checks finiteness as
+constraints enter it. Float operations keep their order: the tests compare
+the reference mission's trace and report byte for byte.
 """
 
 from __future__ import annotations
@@ -23,13 +29,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import add, mul
+from operator import add, le, mul
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .barriers import StateBox, state_columns
-from .contracts import conjoin_groups
+from .contracts import RegionTable, conjoin_groups
 from .qp import InputBox, solve_qp
 
 DEFAULT_DT = 0.01
@@ -48,11 +54,12 @@ class ControlSystem:
     """dx/dt = f(t, x) + g(t, x) u on the box domain D.
 
     f returns an n-tuple, g an n x m matrix as nested tuples (immutable, so
-    RK4 reuses g u while g returns the same object); both must be locally
-    Lipschitz on D (the shipped templates are). Time enters only
-    through exogenous signals bound into f. State components listed in
-    `clamp_min_dims` are clamped at the domain floor instead of failing the
-    run (a vehicle at rest is meaningful; a negative speed is not).
+    RK4 reuses g u, and each constraint row its a = -grad.g, while g returns
+    the same object); both must be locally Lipschitz on D (the shipped
+    templates are). Time enters only through exogenous signals bound into
+    f. State components listed in `clamp_min_dims` are clamped at the
+    domain floor instead of failing the run (a vehicle at rest is
+    meaningful; a negative speed is not).
     """
 
     n: int
@@ -74,22 +81,25 @@ def integrate_step(sys: ControlSystem, t: float, x, u, dt: float, dyn=None):
     if dt <= 0:
         raise SimError(f"dt must be positive, got {dt}")
     f, g = sys.f, sys.g
-    g_seen = gu = None
-
-    def rate(fv, gm):
-        nonlocal g_seen, gu
-        if gm is not g_seen:  # g is nested tuples: the same object gives the same g u
-            g_seen, gu = gm, [sum(map(mul, row, u)) for row in gm]
-        return tuple(map(add, fv, gu))
-
+    fv, gm = dyn if dyn is not None else (f(t, x), g(t, x))
+    g_seen, gu = gm, [sum(map(mul, row, u)) for row in gm]
     half = dt / 2
-    k1 = rate(*(dyn if dyn is not None else (f(t, x), g(t, x))))
+    k1 = tuple(map(add, fv, gu))
     xs = tuple([xi + half * ki for xi, ki in zip(x, k1)])
-    k2 = rate(f(t + half, xs), g(t + half, xs))
+    fv, gm = f(t + half, xs), g(t + half, xs)
+    if gm is not g_seen:  # g is nested tuples: the same object gives the same g u
+        g_seen, gu = gm, [sum(map(mul, row, u)) for row in gm]
+    k2 = tuple(map(add, fv, gu))
     xs = tuple([xi + half * ki for xi, ki in zip(x, k2)])
-    k3 = rate(f(t + half, xs), g(t + half, xs))
+    fv, gm = f(t + half, xs), g(t + half, xs)
+    if gm is not g_seen:
+        g_seen, gu = gm, [sum(map(mul, row, u)) for row in gm]
+    k3 = tuple(map(add, fv, gu))
     xs = tuple([xi + dt * ki for xi, ki in zip(x, k3)])
-    k4 = rate(f(t + dt, xs), g(t + dt, xs))
+    fv, gm = f(t + dt, xs), g(t + dt, xs)
+    if gm is not g_seen:
+        gu = [sum(map(mul, row, u)) for row in gm]
+    k4 = tuple(map(add, fv, gu))
     sixth = dt / 6
     return tuple([
         xi + sixth * (a + 2 * b + 2 * c + d)
@@ -192,7 +202,10 @@ def run_simulation(
 
     trace = Trace(dt=dt)
 
+    table = RegionTable.of(schedules)
     f, g, lower = sys.f, sys.g, sys.domain.lower
+    floor = tuple(lo - 1e-9 for lo in lower)  # the domain, padded once
+    ceiling = tuple(hi + 1e-9 for hi in sys.domain.upper)
     engagements = {}
     n_steps = round(t_max / dt)
     zero_u = (0.0,) * sys.m
@@ -214,7 +227,7 @@ def run_simulation(
             break
 
         dyn = (f(t, x), g(t, x))
-        cons = conjoin_groups(schedules, t, x, sys, engagements, dyn)
+        cons = conjoin_groups(table, t, x, sys, engagements, dyn)
         if len(engagements) > n_logged:
             for rec in islice(engagements.values(), n_logged, None):
                 trace.events.append((t, rec.describe()))
@@ -246,11 +259,11 @@ def run_simulation(
                 clamped_prev[i] = True
             else:
                 clamped_prev[i] = False
-        if not sys.domain.contains(x, pad=1e-9):
+        if not (all(map(le, floor, x)) and all(map(le, x, ceiling))):
             bad = [
                 f"x[{i}]={v:g} outside [{lo:g},{hi:g}]"
                 for i, (v, lo, hi) in enumerate(zip(x, lower, sys.domain.upper))
-                if not (lo - 1e-9 <= v <= hi + 1e-9)
+                if not (floor[i] <= v <= ceiling[i])
             ]
             return RunResult(trace, SimFailure(t + dt, "domain_exit", tuple(bad)), engagements)
 

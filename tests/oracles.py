@@ -6,13 +6,26 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from stlcbf.barriers import Barrier
-from stlcbf.contracts import ContractSchedule, IntersectionCheck, SubsetCheck
+from stlcbf.barriers import (
+    Barrier,
+    FcbfParams,
+    cbf_constraint,
+    convergence_time,
+    fcbf_constraint,
+    gamma_for_deadline,
+)
+from stlcbf.contracts import (
+    ContractSchedule,
+    EngagementRecord,
+    IntersectionCheck,
+    SubsetCheck,
+    Verdict,
+)
 from stlcbf.vehicle import VehicleError, VehicleParams, friction_force
 
 
@@ -153,6 +166,37 @@ class SafeSet:
 def active_constraints(schedule: ContractSchedule, t, x, sys, engagements=None):
     """Constraints of one schedule at (t, x); see ContractSchedule.constraints_at."""
     return schedule.constraints_at(t, x, sys, engagements)
+
+
+def scan_constraints(schedules, t, x, sys, engagements, dyn=None):
+    """Active constraints of every schedule whose region holds x[0], the long
+    way that `RegionTable` and the compiled rows replace: test every region
+    in turn, find the segment by bisect, test the boundary's verdict and its
+    strict window, fix gamma at first engagement, and build each constraint
+    with a fresh label and a fresh a = -grad.g."""
+    out = []
+    for sched in schedules:
+        lo, hi = sched.region
+        if not lo < x[0] <= hi:
+            continue
+        idx = bisect_right([seg.interval.start for seg in sched.segments], t) - 1
+        bar = sched.segments[idx].barrier
+        if bar is not None:
+            out.append(cbf_constraint(bar, sys, bar.alpha, t, x, dyn))
+        if idx < len(sched.boundaries):
+            bd = sched.boundaries[idx]
+            if bd.verdict is Verdict.OVERLAP_DEADLINE and bd.tau < t < bd.time:
+                nxt = sched.segments[idx + 1].barrier
+                key = (sched.label, idx)
+                if key not in engagements:
+                    h0 = nxt.h(t, x)
+                    gamma = gamma_for_deadline(h0, bd.rho, bd.t_target, bd.gamma_min)
+                    engagements[key] = EngagementRecord(
+                        key, t, h0, gamma, bd.rho, bd.t_target, bd.time,
+                        convergence_time(h0, FcbfParams(bd.rho, gamma)))
+                rec = engagements[key]
+                out.append(fcbf_constraint(nxt, sys, FcbfParams(rec.rho, rec.gamma), t, x, dyn))
+    return out
 
 
 def bisect_dispatch(schedules, positions, t, x, sys, engagements=None, dyn=None):

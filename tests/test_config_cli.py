@@ -325,6 +325,37 @@ class TestCli:
         assert cli_main(["run", "infeasible_red", "--dt", dt]) == 4
         assert "--dt must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("tolerances", "margin", "nan"), ("tolerances", "margin", "-1"),
+        ("tolerances", "margin", "inf"),
+        ("pid", "k1", "nan"), ("pid", "k2", "inf"), ("pid", "k3", "-inf"),
+        ("pid", "windup_limit", "nan"), ("pid", "windup_limit", "-1"),
+        ("fcbf", "gamma_min", "-1"), ("fcbf", "gamma_min", "0"),
+        ("fcbf", "gamma_min", "nan"), ("fcbf", "gamma_min", "inf"),
+        ("fcbf", "t_conv_speed", "nan"), ("fcbf", "t_conv_speed", "inf"),
+    ])
+    def test_bad_gain_or_tolerance_names_its_key(self, section, key, value, tmp_path,
+                                                  capsys):
+        text = MINIMAL + f"\n[{section}]\n{key} = {value}\n"
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must be .*, "
+                                              rf"got {float(value)}$"):
+            parse_config(text)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        for command in ("run", "check"):
+            assert cli_main([command, str(cfg)]) == 4
+            assert f"[{section}] {key} must be" in capsys.readouterr().err
+
+    def test_boundary_gains_and_tolerances_still_accepted(self, tmp_path):
+        text = MINIMAL + ("\n[tolerances]\nmargin = 0\n[pid]\nk1 = -0.5\nwindup_limit = 0\n"
+                          "[fcbf]\ngamma_min = 1e-9\n")
+        cfg = parse_config(text)
+        assert (cfg.margin_tol, cfg.pid_gains[0], cfg.pid_gains[3], cfg.gamma_min) == \
+            (0.0, -0.5, 0.0, 1e-9)
+        path = tmp_path / "ok.cfg"
+        path.write_text(text)
+        assert cli_main(["check", str(path)]) == 0
+
     def test_dt_override_changes_rows(self, tmp_path):
         trace = tmp_path / "t.csv"
         code = cli_main(["run", "infeasible_red", "--trace", str(trace), "--dt", "0.02"])

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+from bisect import bisect_left
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,18 +14,22 @@ from oracles import (
     scalar_check_intersection,
     scalar_check_subset,
     scalar_worst_engage_margin,
+    scan_constraints,
 )
 from stlcbf.barriers import (
     AffineBarrier,
     Barrier,
     BarrierRegistry,
+    ConstraintRow,
     FcbfParams,
     StateBox,
     TopBarrier,
+    cbf_constraint,
     convergence_time,
 )
 from stlcbf.contracts import (
     ContractError,
+    RegionTable,
     _grid_points,
     _worst_engage_margin,
     ScheduleConfig,
@@ -41,6 +47,7 @@ from stlcbf.vehicle import (
     SpacingBarrier,
     TrafficSignalBarrier,
     VehicleParams,
+    make_vehicle_system,
 )
 
 
@@ -314,7 +321,7 @@ class TestConjoinGroups:
         s2 = build_schedule(
             TaskGroup("G2", ((TimeInterval(0, 150), PredicateRef("v20")),)),
             reg, speed_cfg(150.0))
-        cons = conjoin_groups([s1, s2], 20.0, (0.0, 15.0), ScalarSys)
+        cons = conjoin_groups(RegionTable.of([s1, s2]), 20.0, (0.0, 15.0), ScalarSys)
         assert [c.label for c in cons] == ["cbf:v30", "cbf:v20"]
 
     def test_vacuous_group_adds_nothing(self):
@@ -325,8 +332,152 @@ class TestConjoinGroups:
         s2 = build_schedule(
             TaskGroup("G2", ((TimeInterval(50, 60), PredicateRef("v10")),)),
             reg, speed_cfg(100.0))
-        cons = conjoin_groups([s1, s2], 10.0, (0.0, 15.0), ScalarSys)
+        cons = conjoin_groups(RegionTable.of([s1, s2]), 10.0, (0.0, 15.0), ScalarSys)
         assert [c.label for c in cons] == ["cbf:v30"]
+
+
+class GrowingGainSys(ScalarSys):
+    """ScalarSys with an input gain that grows with |X|: g is a new matrix,
+    with new values, at every call."""
+
+    @staticmethod
+    def g(t, x):
+        return ((0.0,), (1.0 + 0.01 * x[0] * x[0],))
+
+
+class Cap(Barrier):
+    """c - V^2/2: like h1, `terms` builds a new gradient tuple at every call."""
+
+    def __init__(self, barrier_id, c):
+        super().__init__(barrier_id)
+        self.c = c
+
+    def h(self, t, x, side="right"):
+        return self.c - 0.5 * x[1] * x[1]
+
+    def h_grid(self, t, cols, side="right"):
+        return self.c - 0.5 * cols[1] * cols[1]
+
+    def terms(self, t, x):
+        return self.h(t, x), 0.0, (0.0, -x[1])
+
+
+HORIZON = 40.0
+REGION_BOUNDS = [-math.inf, -10.0, -2.5, 0.0, 2.5, 10.0, math.inf]
+PREDICATES = [None, PredicateRef("v10"), PredicateRef("v20"), PredicateRef("v30"),
+              PredicateRef("cap"), PredicateRef("v20", negated=True)]
+
+
+@st.composite
+def gated_schedules(draw):
+    """1-5 schedules over [0, 40): segments cut at whole seconds, each vacuous,
+    affine, negated or Cap; regions drawn from a few shared bounds, so they
+    overlap, touch, nest, repeat or are empty."""
+    reg = registry_with(vbar(10), vbar(20), vbar(30), Cap("cap", 450.0))
+    cfg = ScheduleConfig(domain=DOM, horizon=HORIZON, rho=0.9, t_conv=2.0,
+                         grid_resolution=11)
+    scheds = []
+    for k in range(draw(st.integers(1, 5))):
+        edges = [0] + sorted(draw(st.sets(st.integers(1, 39), max_size=4))) + [40]
+        preds = []
+        for start, end in zip(edges, edges[1:]):
+            pred = draw(st.sampled_from(PREDICATES))
+            if pred is not None:
+                preds.append((TimeInterval(float(start), float(end)), pred))
+        sched = build_schedule(TaskGroup(f"G{k + 1}", tuple(preds)), reg, cfg)
+        region = (draw(st.sampled_from(REGION_BOUNDS)), draw(st.sampled_from(REGION_BOUNDS)))
+        scheds.append(dataclasses.replace(sched, region=region))
+    return scheds
+
+
+def _near(values):
+    """Each value and the floats one ulp either side of it."""
+    return [w for v in values for w in (math.nextafter(v, -math.inf), v,
+                                        math.nextafter(v, math.inf))]
+
+
+def _hexed(cons):
+    return [(c.label, [a.hex() for a in c.a], c.b.hex()) for c in cons]
+
+
+class TestCompiledDispatchDifferential:
+    """`conjoin_groups` over a `RegionTable` and the compiled rows against
+    `oracles.scan_constraints`, which tests every region, verdict and window
+    at each query and builds every label and a afresh."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(gated_schedules(), st.data())
+    def test_compiled_dispatch_matches_scan(self, scheds, data):
+        windows = [(b.tau, b.time) for s in scheds for b in s.boundaries
+                   if b.verdict is Verdict.OVERLAP_DEADLINE]
+        instants = sorted({seg.interval.start for s in scheds for seg in s.segments}
+                          | {v for w in windows for v in w})
+        times = st.sampled_from([t for t in _near(instants) if 0.0 <= t < HORIZON])
+        x_fs = st.sampled_from(_near([v for v in REGION_BOUNDS if math.isfinite(v)]))
+        sys = data.draw(st.sampled_from([ScalarSys, GrowingGainSys]))
+        use_dyn = data.draw(st.booleans())
+        queries = data.draw(st.lists(st.tuples(
+            times | st.floats(0.0, HORIZON, exclude_max=True),
+            x_fs | st.floats(-20.0, 20.0), st.floats(0.0, 40.0)), min_size=1, max_size=8))
+
+        table = RegionTable.of(scheds)
+        got_led, want_led = {}, {}
+        for t, x_f, v in queries:
+            x = (x_f, v)
+            dyn = (sys.f(t, x), sys.g(t, x)) if use_dyn else None
+            got = conjoin_groups(table, t, x, sys, got_led, dyn)
+            want = scan_constraints(scheds, t, x, sys, want_led, dyn)
+            assert _hexed(got) == _hexed(want)
+        assert got_led == want_led
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(REGION_BOUNDS + [math.nan]),
+                              st.sampled_from(REGION_BOUNDS + [math.nan])), max_size=6),
+           st.sampled_from(_near([-10.0, -2.5, 0.0, 2.5, 10.0])
+                           + [-math.inf, math.inf, math.nan, -0.0]))
+    def test_table_cell_holds_exactly_the_regions_that_admit_x(self, regions, x_f):
+        scheds = [SimpleNamespace(region=r, index=i) for i, r in enumerate(regions)]
+        table = RegionTable.of(scheds)
+        cell = table.cells[bisect_left(table.bounds, x_f)]
+        assert [s.index for s in cell] == [s.index for s in scheds
+                                           if s.region[0] < x_f <= s.region[1]]
+
+
+class TestConstraintRowReuse:
+    """A compiled row keeps a = -grad.g only while the gradient and g objects
+    repeat; with a new gradient or a new g at each call it derives a afresh."""
+
+    def _pairs(self, bar, sys, states, t=3.0):
+        row = ConstraintRow("cbf:" + bar.id)
+        for x in states:
+            got = cbf_constraint(bar, sys, bar.alpha, t, x, None, row)
+            yield got, cbf_constraint(bar, sys, bar.alpha, t, x)
+
+    def test_state_dependent_g(self):
+        states = [(x_f, 12.0) for x_f in (0.0, 3.0, -7.5, 3.0, 20.0)]
+        pairs = list(self._pairs(vbar(20), GrowingGainSys, states))
+        assert all(_hexed([got]) == _hexed([want]) for got, want in pairs)
+        assert len({got.a for got, _ in pairs}) == 4  # a really moves with x
+
+    def test_fresh_gradient(self):
+        vp = VehicleParams()
+        lead = LeadProfile(100.0, 15.0, [(0.0, 0.5)])
+        h1 = SpacingBarrier(vp, lead)
+        sys = make_vehicle_system(vp, lead)
+        states = [(0.0, v_f, 60.0) for v_f in (0.0, 14.0, 30.0, 14.0, 2.5)]
+        pairs = list(self._pairs(h1, sys, states))
+        assert all(_hexed([got]) == _hexed([want]) for got, want in pairs)
+        assert len({got.a for got, _ in pairs}) == 4
+
+    def test_constant_gradient_and_g_derive_a_once(self):
+        vp = VehicleParams()
+        lead = LeadProfile(100.0, 15.0)
+        sys = make_vehicle_system(vp, lead)
+        bar = AffineBarrier("vmax", coeffs=(0.0, -1.0, 0.0), offset=25.0)
+        states = [(0.0, v_f, 60.0) for v_f in (0.0, 14.0, 30.0)]
+        pairs = list(self._pairs(bar, sys, states))
+        assert all(_hexed([got]) == _hexed([want]) for got, want in pairs)
+        assert pairs[0][0].a is pairs[1][0].a is pairs[2][0].a
 
 
 class TestGridOracleAgreement:

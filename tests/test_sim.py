@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from stlcbf import pipeline
+from stlcbf import pipeline, sim
 from stlcbf.barriers import AffineBarrier, BarrierRegistry, StateBox
 from stlcbf.config import CustomBarrierDecl, load_config
 from stlcbf.contracts import ScheduleConfig, build_schedule
@@ -203,3 +203,27 @@ class TestLoopLooksNothingUp:
         assert calls["build", "resolve"] > 0  # the counters see the lookups
         assert calls.get(("loop", "get"), 0) == 0
         assert calls.get(("loop", "resolve"), 0) == 0
+
+
+class TestLoopBuildsNoLabel:
+    """Each constraint's label is compiled with its schedule: over a run, a
+    label is the same str object at every step, so none is built in the loop."""
+
+    def test_each_label_is_one_object(self, monkeypatch):
+        first, counts, fresh = {}, {}, []  # label -> first object, uses; new objects
+        real = sim.solve_qp
+
+        def spy(u_nom, cons, box):
+            for c in cons:
+                if first.setdefault(c.label, c.label) is not c.label:
+                    fresh.append(c.label)
+                counts[c.label] = counts.get(c.label, 0) + 1
+            return real(u_nom, cons, box)
+
+        monkeypatch.setattr(sim, "solve_qp", spy)
+        outcome = pipeline.run_pipeline(_short_sec6())
+        assert outcome.trace.n_rows() == 8001
+        assert any(label.startswith("fcbf:") for label in counts)
+        assert any(label.startswith("cbf:!") for label in counts)
+        assert min(counts.values()) >= 2
+        assert fresh == []

@@ -20,6 +20,7 @@ from stlcbf.barriers import (
 )
 from stlcbf.config import load_config
 from stlcbf.contracts import (
+    RegionTable,
     ScheduleConfig,
     Verdict,
     build_schedule,
@@ -318,20 +319,20 @@ class TestSignalContracts:
         lead = LeadProfile(1000.0, 0.0)
         sys = make_vehicle_system(VP, lead)
         # inside segment 1 at a red of signal 1
-        cons = conjoin_groups(scheds, 40.0, (100.0, 10.0, 0.0), sys)
+        cons = conjoin_groups(RegionTable.of(scheds), 40.0, (100.0, 10.0, 0.0), sys)
         assert [c.label for c in cons] == ["cbf:sig1.red"]
         # past signal 1, during signal 2's red (t=10): uses sig2's stop line
-        cons2 = conjoin_groups(scheds, 10.0, (250.0, 10.0, 0.0), sys)
+        cons2 = conjoin_groups(RegionTable.of(scheds), 10.0, (250.0, 10.0, 0.0), sys)
         assert [c.label for c in cons2] == ["cbf:sig2.red"]
         # past both signals: nothing
-        assert conjoin_groups(scheds, 10.0, (450.0, 10.0, 0.0), sys) == []
+        assert conjoin_groups(RegionTable.of(scheds), 10.0, (450.0, 10.0, 0.0), sys) == []
 
     def test_last_signal_not_red_is_vacuous(self):
         reg, sigs, scheds = self._build()
         lead = LeadProfile(1000.0, 0.0)
         sys = make_vehicle_system(VP, lead)
         # t=25: signal 2 green, ego between the lines: no constraint
-        assert conjoin_groups(scheds, 25.0, (250.0, 10.0, 0.0), sys) == []
+        assert conjoin_groups(RegionTable.of(scheds), 25.0, (250.0, 10.0, 0.0), sys) == []
 
     def test_case_study_instant_yields_four_constraints(self):
         # instant inside a yellow phase and inside a speed interval (outside
@@ -350,7 +351,7 @@ class TestSignalContracts:
                             reg, cfg)
         t, x = 33.0, (100.0, 12.0, 500.0)  # yellow of signal 1
         assert sigs[0].phase(t) == YELLOW
-        cons = conjoin_groups([g1, g2, *scheds], t, x, sys)
+        cons = conjoin_groups(RegionTable.of([g1, g2, *scheds]), t, x, sys)
         labels = [c.label for c in cons]
         assert labels == ["cbf:h1", "cbf:vmax25", "cbf:sig1.notred",
                           "fcbf:sig1.red"]
@@ -406,7 +407,7 @@ class TestSignalDispatchDifferential:
         dyn = (sys.f(t, x), sys.g(t, x))
 
         got_led, want_led = {}, {}
-        got = conjoin_groups(scheds, t, x, sys, got_led, dyn)
+        got = conjoin_groups(RegionTable.of(scheds), t, x, sys, got_led, dyn)
         want = bisect_dispatch(scheds, positions, t, x, sys, want_led, dyn)
         assert [(c.label, [a.hex() for a in c.a], c.b.hex()) for c in got] == \
             [(c.label, [a.hex() for a in c.a], c.b.hex()) for c in want]
