@@ -274,11 +274,14 @@ class TopBarrier(Barrier):
 
 
 class NegatedBarrier(Barrier):
-    """Barrier -h used to normalize negated predicates."""
+    """Barrier -h used to normalize negated predicates. It keeps the last
+    inner gradient object with its negation, so a constant inner gradient
+    gives one negated gradient object and its constraint row keeps its a."""
 
     def __init__(self, inner: Barrier, alpha: AlphaFn = IDENTITY_ALPHA):
         super().__init__(f"!{inner.id}", alpha)
         self.inner = inner
+        self._grad = self._neg_grad = None
 
     def h(self, t, x, side="right"):
         return -self.inner.h(t, x, side)
@@ -288,7 +291,9 @@ class NegatedBarrier(Barrier):
 
     def terms(self, t, x):
         h, dh, grad = self.inner.terms(t, x)
-        return -h, -dh, tuple(-g for g in grad)
+        if grad is not self._grad:
+            self._grad, self._neg_grad = grad, tuple(-g for g in grad)
+        return -h, -dh, self._neg_grad
 
     def affine_at(self, t, side="right"):
         aff = self.inner.affine_at(t, side)

@@ -3,8 +3,13 @@
 Within a section, entries are `key = value`; repeatable keys (`row`, `line`,
 `signal`) accumulate in order. Values are whitespace-separated tokens. The
 [stl] section also accepts bare task lines. `#` starts a comment anywhere.
-Unknown sections or keys are errors, and validation reports every violated
-invariant at once. See the shipped presets for complete examples.
+Unknown sections or keys are errors. `parse_config` is the one input stage:
+it builds every object the file gives (vehicle parameters, input box, domain,
+PID gains, lead profile, speed limits, explicit signals, custom barriers),
+runs each constructor's own checks, and reports every violated invariant at
+once, each under its section (and line, for row-shaped input). A default
+the file leaves out is read from the object that owns it. See the shipped
+presets for complete examples.
 """
 
 from __future__ import annotations
@@ -17,8 +22,13 @@ from importlib import resources
 from typing import Optional
 
 from .barriers import AffineBarrier, AlphaFn, GAMMA_MIN, StateBox
-from .qp import InputBox
-from .vehicle import VehicleParams
+from .contracts import ScheduleConfig
+from .qp import InputBox, PidState
+from .sim import DEFAULT_DT
+from .stl import MONITOR_TOL
+from .vehicle import (
+    A_MAX_G, DEFAULT_DOMAIN, LeadProfile, SignalTimings, SpeedLimitSchedule, VehicleParams,
+)
 
 
 class ConfigError(ValueError):
@@ -105,6 +115,12 @@ class _Section:
             self.errors.append(f"[{self.name}] {key} must be a number, got {raw!r}")
             return default
 
+    def nums(self, *keys, **renamed) -> dict:
+        """{name: number} for each key the section gives, named as the key or
+        as `renamed[key]`; the keys it leaves out take their owner's default."""
+        names = {**dict(zip(keys, keys)), **renamed}
+        return {name: v for key, name in names.items() if (v := self.num(key)) is not None}
+
     def integer(self, key, default=None):
         v = self.num(key)
         if v is None:
@@ -119,57 +135,40 @@ class _Section:
         if raw is None:
             return default
         toks = raw.split()
-        if len(toks) != 2:
-            self.errors.append(f"[{self.name}] {key} expects two numbers, got {raw!r}")
-            return default
         try:
-            return (float(toks[0]), float(toks[1]))
+            lo, hi = map(float, toks)
         except ValueError:
-            self.errors.append(f"[{self.name}] {key} expects numbers, got {raw!r}")
+            lo = hi = math.nan
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            self.errors.append(f"[{self.name}] {key} expects two finite numbers, got {raw!r}")
             return default
+        return lo, hi
 
-    def rows(self, key="row", width=None):
-        out = []
-        for k, value, lineno in self.entries:
-            if k != key:
-                continue
-            toks = value.split()
-            if width is not None and len(toks) != width:
-                self.errors.append(
-                    f"[{self.name}] line {lineno}: expected {width} values, got {len(toks)}"
-                )
-                continue
-            try:
-                out.append(tuple(float(t) for t in toks))
-            except ValueError:
-                self.errors.append(f"[{self.name}] line {lineno}: non-numeric row {value!r}")
-        return out
+    def rows(self, key, width):
+        """[(lineno, values)] of every `key` row, or None when one is bad:
+        each bad row is reported with its line, and nothing is built from
+        the rest."""
+        rows = [(lineno, self.build(_row, value, width, lineno=lineno))
+                for k, value, lineno in self.entries if k == key]
+        return None if any(vals is None for _, vals in rows) else rows
 
-    def raw_rows(self, key):
-        return [(value, lineno) for k, value, lineno in self.entries if k == key]
-
-
-@dataclass(frozen=True)
-class SignalGenSpec:
-    count: int = 10
-    first_position: float = 400.0
-    spacing: tuple = (300.0, 800.0)
-    green: tuple = (25.0, 40.0)
-    yellow: tuple = (4.0, 6.0)
-    red: tuple = (15.0, 30.0)
-
-
-@dataclass(frozen=True)
-class CustomBarrierDecl:
-    barrier_id: str
-    coeffs: tuple
-    offset: float
-    alpha_kappa: float = 1.0
+    def build(self, make, *args, lineno=None, **kwargs):
+        """make(*args, **kwargs), or None with its ValueError reported under
+        this section (and `lineno`)."""
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            where = f"[{self.name}]" + (f" line {lineno}:" if lineno else "")
+            self.errors.append(f"{where} {exc}")
+            return None
 
 
 @dataclass
 class ScenarioConfig:
-    """Validated scenario: everything the pipeline needs, defaults applied."""
+    """Validated scenario: every object the file gives, built and checked,
+    defaults applied. A generated signal plan stays as the keywords the file
+    gives to `generate_signal_plan`: the scenario builds it, from the seed
+    that holds then (`synth run --seed` replaces it after parsing)."""
 
     name: str
     horizon: float
@@ -178,20 +177,19 @@ class ScenarioConfig:
     vp: VehicleParams
     input_box: InputBox
     x0: tuple
-    pid_gains: tuple          # (k1, k2, k3, windup_limit)
+    pid: PidState             # gains; each scenario build runs a fresh copy
     rho_speed: float
     rho_signal: float
     t_conv_speed: float
     gamma_min: float
     margin_tol: float
     domain: StateBox
-    speed_rows: Optional[list]
-    signal_gen: Optional[SignalGenSpec]
-    signal_rows: Optional[list]   # explicit (position, offset, g, y, r)
-    lead_v0: float
-    lead_rows: list
+    lead: LeadProfile
+    limits: Optional[SpeedLimitSchedule]
+    signals: list             # explicit SignalTimings; [] when generated or absent
+    signal_plan: Optional[dict]
     stl_text: str
-    custom_barriers: list
+    barriers: list            # AffineBarrier, one per [barriers] entry
     raw_text: str = ""
 
     def scenario_hash(self) -> str:
@@ -235,53 +233,36 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
     horizon = scn.num("horizon")
     if horizon is None or not (math.isfinite(horizon) and horizon >= 0):
         errors.append("[scenario] horizon must be a finite number >= 0")
-        horizon = 0.0
-    dt = scn.num("dt", 0.01)
+        horizon = math.inf  # no speed-limit row can start beyond it
+    dt = scn.num("dt", DEFAULT_DT)
     if not (math.isfinite(dt) and dt > 0):
         errors.append(f"[scenario] dt must be positive and finite, got {dt}")
     seed = scn.integer("seed", 0)
 
-    g_grav = veh.num("g_grav", 9.8)
-    a_max = veh.num("a_max")
+    vehicle = veh.nums("mass", "c0", "c1", "c2", "a_max", "g_grav", time_headway="t_headway",
+                       standstill_gap="s0", signal_headway="beta")
     a_max_g = veh.num("a_max_g")
-    if a_max is not None and a_max_g is not None:
+    if a_max_g is not None and "a_max" in vehicle:
         errors.append("[vehicle] give a_max or a_max_g, not both")
-    if a_max is None:
-        a_max = (a_max_g if a_max_g is not None else 0.4) * g_grav
-    vp = None
-    try:
-        vp = VehicleParams(
-            mass=veh.num("mass", 1650.0), c0=veh.num("c0", 0.1),
-            c1=veh.num("c1", 5.0), c2=veh.num("c2", 0.25),
-            t_headway=veh.num("time_headway", 1.0),
-            s0=veh.num("standstill_gap", 5.0), a_max=a_max,
-            beta=veh.num("signal_headway", 2.0), g_grav=g_grav,
-        )
-    except ValueError as exc:
-        errors.append(f"[vehicle] {exc}")
+    if "a_max" not in vehicle:
+        g_grav = vehicle.get("g_grav", VehicleParams.g_grav)
+        vehicle["a_max"] = (A_MAX_G if a_max_g is None else a_max_g) * g_grav
+    vp = veh.build(VehicleParams, **vehicle)
 
-    default_limit = vp.mass * vp.a_max if vp else 6468.0
-    lo = inp.num("lower", -default_limit)
-    hi = inp.num("upper", default_limit)
+    lo, hi = inp.num("lower"), inp.num("upper")
     input_box = None
-    try:
-        input_box = InputBox((lo,), (hi,))
-    except ValueError as exc:
-        errors.append(f"[input] {exc}")
+    if vp is not None:
+        limit = vp.mass * vp.a_max
+        input_box = inp.build(InputBox, (-limit if lo is None else lo,),
+                              (limit if hi is None else hi,))
 
     x0 = (ini.num("x_f", 0.0), ini.num("v_f", 0.0), ini.num("x_l", 55.0))
 
-    pid_gains = (pid.num("k1", 0.5), pid.num("k2", 0.1), pid.num("k3", 0.01),
-                 pid.num("windup_limit", 100.0))
-    for key, v in zip(("k1", "k2", "k3"), pid_gains):
-        if not math.isfinite(v):
-            errors.append(f"[pid] {key} must be finite, got {v}")
-    if not (math.isfinite(pid_gains[3]) and pid_gains[3] >= 0):
-        errors.append(f"[pid] windup_limit must be finite and >= 0, got {pid_gains[3]}")
+    pid_state = pid.build(PidState, **pid.nums("k1", "k2", "k3", "windup_limit"))
 
     rho_speed = fcbf.num("rho_speed", 0.91)
     rho_signal = fcbf.num("rho_signal", 0.9)
-    t_conv_speed = fcbf.num("t_conv_speed", 5.0)
+    t_conv_speed = fcbf.num("t_conv_speed", ScheduleConfig.t_conv)
     gamma_min = fcbf.num("gamma_min", GAMMA_MIN)
     for label, rho in (("rho_speed", rho_speed), ("rho_signal", rho_signal)):
         if not (0 <= rho < 1):
@@ -290,54 +271,52 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
         if not (math.isfinite(v) and v > 0):
             errors.append(f"[fcbf] {key} must be positive and finite, got {v}")
 
-    margin_tol = tol.num("margin", 1e-3)
+    margin_tol = tol.num("margin", MONITOR_TOL)
     if not (math.isfinite(margin_tol) and margin_tol >= 0):
         errors.append(f"[tolerances] margin must be finite and >= 0, got {margin_tol}")
 
-    dom_xf = dom.pair("x_f", (-1e4, 1e6))
-    dom_vf = dom.pair("v_f", (0.0, 80.0))
-    dom_xl = dom.pair("x_l", (-1e4, 1e7))
-    domain = None
-    try:
-        domain = StateBox(
-            (dom_xf[0], dom_vf[0], dom_xl[0]), (dom_xf[1], dom_vf[1], dom_xl[1])
-        )
-    except ValueError as exc:
-        errors.append(f"[domain] {exc}")
+    bounds = [dom.pair(key, default) for key, default in
+              zip(("x_f", "v_f", "x_l"), zip(DEFAULT_DOMAIN.lower, DEFAULT_DOMAIN.upper))]
+    domain = dom.build(StateBox, *zip(*bounds))
 
-    speed_rows = slim.rows("row", width=2) or None
-    if "speed_limits" in sections and not speed_rows:
-        errors.append("[speed_limits] section present but no rows")
+    v0, lead_rows = lead.num("v0", 0.0), lead.rows("row", 2)
+    profile = None
+    if lead_rows is not None:
+        profile = lead.build(LeadProfile, x0[2], v0, [vals for _, vals in lead_rows])
 
-    signal_gen = None
-    signal_rows = None
+    limits = None
+    speed_rows = slim.rows("row", 2)
+    if "speed_limits" in sections and speed_rows is not None:
+        limits = slim.build(SpeedLimitSchedule, [vals for _, vals in speed_rows], horizon)
+
+    signals, signal_plan = [], None
     if "signals" in sections:
-        explicit = sig.rows("signal", width=5)
+        explicit = sig.rows("signal", 5)
         if explicit:
-            signal_rows = explicit
-        else:
-            signal_gen = SignalGenSpec(
-                count=sig.integer("count", 10),
-                first_position=sig.num("first_position", 400.0),
-                spacing=sig.pair("spacing", (300.0, 800.0)),
-                green=sig.pair("green", (25.0, 40.0)),
-                yellow=sig.pair("yellow", (4.0, 6.0)),
-                red=sig.pair("red", (15.0, 30.0)),
-            )
-            if signal_gen.count <= 0:
-                errors.append("[signals] count must be positive")
+            for lineno, (p, o, g, y, r) in explicit:
+                period = g + y + r
+                signals.append(sig.build(SignalTimings, p, g, y, r, lineno=lineno,
+                                         offset=o % period if period else o))
+        elif explicit is not None:
+            signal_plan = sig.nums("first_position")
+            if not all(map(math.isfinite, signal_plan.values())):
+                errors.append(f"[signals] first_position must be finite, "
+                              f"got {signal_plan['first_position']}")
+            if (count := sig.integer("count")) is not None:
+                signal_plan["count"] = count
+                if count <= 0:
+                    errors.append("[signals] count must be positive")
+            for key in ("spacing", "green", "yellow", "red"):
+                if (span := sig.pair(key)) is not None:
+                    signal_plan[key] = span
 
-    lead_v0 = lead.num("v0", 0.0)
-    lead_rows = lead.rows("row", width=2) or [(0.0, 0.0)]
-    if lead_v0 < 0:
-        errors.append(f"[lead] v0 must be >= 0, got {lead_v0}")
-
-    stl_lines = [v for v, _ in stl.raw_rows("line")]
+    stl_lines = [value for _, value, _ in stl.entries]  # every [stl] entry is a line
     if not stl_lines:
         errors.append("[stl] at least one task line is required")
     stl_text = "\n".join(stl_lines)
 
-    custom = []
+    # ids are checked here, not as keys: `bars` only files the build errors
+    barriers, bars = [], _Section(None, "barriers", errors)
     reserved = {"h1", "hv", "hpos"}
     seen_ids = set()
     for key, value, lineno in sections.get("barriers", []):
@@ -348,31 +327,42 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
             errors.append(f"[barriers] line {lineno}: id {key!r} is reserved for built-ins")
             continue
         seen_ids.add(key)
-        decl = _parse_barrier_decl(key, value, lineno, errors)
-        if decl:
-            custom.append(decl)
+        barriers.append(bars.build(_affine_barrier, key, value, lineno=lineno))
 
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
 
     return ScenarioConfig(
         name=name, horizon=horizon, dt=dt, seed=seed, vp=vp,
-        input_box=input_box, x0=x0, pid_gains=pid_gains,
+        input_box=input_box, x0=x0, pid=pid_state,
         rho_speed=rho_speed, rho_signal=rho_signal,
         t_conv_speed=t_conv_speed, gamma_min=gamma_min,
-        margin_tol=margin_tol, domain=domain, speed_rows=speed_rows,
-        signal_gen=signal_gen, signal_rows=signal_rows,
-        lead_v0=lead_v0, lead_rows=lead_rows, stl_text=stl_text,
-        custom_barriers=custom, raw_text=text,
+        margin_tol=margin_tol, domain=domain, lead=profile, limits=limits,
+        signals=signals, signal_plan=signal_plan, stl_text=stl_text,
+        barriers=barriers, raw_text=text,
     )
 
 
-def _parse_barrier_decl(barrier_id, value, lineno, errors):
-    """`<id> = affine <c1> <c2> <c3> offset=<d> [alpha=<kappa>]`"""
+def _row(value, width):
+    """The `width` finite numbers of a row value."""
+    toks = value.split()
+    if len(toks) != width:
+        raise ConfigError(f"expected {width} values, got {len(toks)}")
+    try:
+        vals = tuple(map(float, toks))
+    except ValueError:
+        raise ConfigError(f"non-numeric row {value!r}") from None
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError(f"non-finite value in row {value!r}")
+    return vals
+
+
+def _affine_barrier(barrier_id, value):
+    """`<id> = affine <c1> <c2> <c3> offset=<d> [alpha=<kappa>]` as an
+    AffineBarrier; a ValueError names what is wrong with the declaration."""
     toks = value.split()
     if not toks or toks[0] != "affine":
-        errors.append(f"[barriers] line {lineno}: only the `affine` template is declarable")
-        return None
+        raise ConfigError("only the `affine` template is declarable")
     coeffs = []
     offset = None
     kappa = 1.0
@@ -385,16 +375,9 @@ def _parse_barrier_decl(barrier_id, value, lineno, errors):
             else:
                 coeffs.append(float(tok))
     except ValueError:
-        errors.append(f"[barriers] line {lineno}: non-numeric value in {value!r}")
-        return None
+        raise ConfigError(f"non-numeric value in {value!r}") from None
     if offset is None or len(coeffs) != 3:
-        errors.append(
-            f"[barriers] line {lineno}: expected 3 coefficients and offset=<d>"
-        )
-        return None
-    return CustomBarrierDecl(barrier_id, tuple(coeffs), offset, kappa)
-
-
-def instantiate_custom(decl: CustomBarrierDecl) -> AffineBarrier:
-    return AffineBarrier(decl.barrier_id, coeffs=decl.coeffs, offset=decl.offset,
-                         alpha=AlphaFn(decl.alpha_kappa))
+        raise ConfigError("expected 3 coefficients and offset=<d>")
+    if not all(map(math.isfinite, coeffs + [offset, kappa])):
+        raise ConfigError(f"non-finite value in {value!r}")
+    return AffineBarrier(barrier_id, coeffs=coeffs, offset=offset, alpha=AlphaFn(kappa))

@@ -9,27 +9,25 @@ the seed) produce byte-identical trace and report files.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import stl
 from .barriers import AffineBarrier, AlphaFn, BarrierRegistry
-from .config import ScenarioConfig, instantiate_custom
+from .config import ScenarioConfig
 from .contracts import ScheduleConfig, build_schedule
-from .qp import PidState, pid_nominal
+from .qp import pid_nominal
 from .sim import SimFailure, Trace, run_simulation
 from .stl import (
     PredicateRef, SatisfactionReport, StlSpec, group_tasks, eventually_to_globally, parse_spec,
 )
 from .vehicle import (
-    LeadProfile,
     PHASES,
-    SignalTimings,
     SpacingBarrier,
-    SpeedLimitSchedule,
     TrafficSignalBarrier,
     active_phase_index,
     build_signal_contracts,
@@ -44,6 +42,8 @@ EXIT_STATIC_INCOMPATIBLE = 2
 EXIT_RUNTIME_FAILURE = 3
 EXIT_CONFIG_ERROR = 4
 
+log = logging.getLogger("stlcbf")
+
 
 class PipelineError(ValueError):
     pass
@@ -57,7 +57,6 @@ class ScenarioBundle:
 
     cfg: ScenarioConfig
     registry: BarrierRegistry
-    lead: LeadProfile
     sys: object
     spec: StlSpec            # post eventually->globally
     groups: list
@@ -68,20 +67,12 @@ class ScenarioBundle:
 
 
 def build_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
-    vp = cfg.vp
-    lead = LeadProfile(cfg.x0[2], cfg.lead_v0, cfg.lead_rows)
-    limits = SpeedLimitSchedule(cfg.speed_rows, cfg.horizon) if cfg.speed_rows else None
-    if cfg.signal_rows is not None:
-        signals = [SignalTimings(p, g, y, r, offset=o % (g + y + r))
-                   for p, o, g, y, r in cfg.signal_rows]
-    elif cfg.signal_gen is not None:
-        gen = cfg.signal_gen
-        signals = generate_signal_plan(
-            cfg.seed, count=gen.count, first_position=gen.first_position,
-            spacing=gen.spacing, green=gen.green, yellow=gen.yellow, red=gen.red,
-        )
-    else:
-        signals = []
+    """Wire the config's objects into a registry, schedules and a nominal
+    controller. Errors that need the registry or the generated signal plan
+    (stop-line order, STL tasks) are raised here."""
+    vp, lead, limits = cfg.vp, cfg.lead, cfg.limits
+    signals = (cfg.signals if cfg.signal_plan is None
+               else generate_signal_plan(cfg.seed, **cfg.signal_plan))
 
     registry = BarrierRegistry()
     margin_barriers = [registry.register(SpacingBarrier(vp, lead))]
@@ -94,8 +85,8 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
                     bid, coeffs=(0.0, -1.0, 0.0), offset=v, alpha=AlphaFn(1.0 / vp.beta)))
     if signals:
         margin_barriers.append(registry.register(TrafficSignalBarrier(signals, vp)))
-    for decl in cfg.custom_barriers:
-        registry.register(instantiate_custom(decl))
+    for bar in cfg.barriers:
+        registry.register(bar)
 
     sys = make_vehicle_system(vp, lead, cfg.domain)
 
@@ -124,8 +115,7 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
         else:
             schedules.append(build_schedule(group, registry, sched_cfg))
 
-    pid = PidState(k1=cfg.pid_gains[0], k2=cfg.pid_gains[1], k3=cfg.pid_gains[2],
-                   windup_limit=cfg.pid_gains[3])
+    pid = replace(cfg.pid)  # this build's own integral state
     h1 = margin_barriers[0]
 
     def nominal(t, x):
@@ -152,7 +142,7 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
             PHASES, active_phase_index(signals, ts, active(states)))
 
     return ScenarioBundle(
-        cfg=cfg, registry=registry, lead=lead, sys=sys, spec=spec, groups=groups,
+        cfg=cfg, registry=registry, sys=sys, spec=spec, groups=groups,
         schedules=schedules, nominal=nominal, margin_barriers=margin_barriers,
         extra_channels=extra_channels,
     )
@@ -205,7 +195,9 @@ def run_pipeline(cfg: ScenarioConfig) -> PipelineOutcome:
     """Full pipeline. Static incompatibility or a runtime failure stops the
     run exactly where the synthesis loop prescribes; the trace prefix that
     exists by then is kept for serialization, its margin and channel columns
-    filled after the loop as for a full run."""
+    filled after the loop as for a full run. The loop's events then go to the
+    `stlcbf` logger: deadline risks at info level, engagements and clamps at
+    debug level."""
     outcome = check_pipeline(cfg)
     report, bundle = outcome.report, outcome.bundle
     if report.static_failures:
@@ -214,6 +206,9 @@ def run_pipeline(cfg: ScenarioConfig) -> PipelineOutcome:
     result = run_simulation(bundle.sys, bundle.schedules, bundle.nominal,
                             cfg.input_box, cfg.x0, dt=cfg.dt, t_max=cfg.horizon)
     result.trace.fill_columns(bundle.margin_barriers, bundle.extra_channels)
+    for t, text in result.trace.events:
+        level = logging.INFO if text.startswith("deadline-risk") else logging.DEBUG
+        log.log(level, "t=%.6f %s", t, text)
     report.engagements = [rec.describe() for _, rec in sorted(result.engagements.items())]
     _fill_summary(report, result.trace, bundle)
 

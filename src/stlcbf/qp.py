@@ -54,12 +54,15 @@ class InputBox:
 
 def solve_qp(u_nom, constraints: Sequence[HalfspaceConstraint], box: InputBox):
     """Euclidean projection of u_nom onto the constraint polytope, or None
-    when it is empty. Output is a tuple of floats (length box.dim). Each
-    constraint's dimension and finiteness are checked here, in order."""
+    when it is empty. Output is a tuple of floats (length box.dim). A
+    non-finite u_nom is rejected; each constraint's dimension and finiteness
+    are checked here, in order."""
     u_nom = u_nom if isinstance(u_nom, (tuple, list)) else (u_nom,)
     m = box.dim
     if len(u_nom) != m:
         raise QpError(f"u_nom has dimension {len(u_nom)}, box has {m}")
+    if not all(map(math.isfinite, u_nom)):
+        raise QpError(f"non-finite nominal input {tuple(u_nom)}")
     if m == 1:
         return _solve_1d(float(u_nom[0]), constraints, box)
 
@@ -198,6 +201,13 @@ class PidState:
     k3: float = 0.01
     integral: float = 0.0
     windup_limit: float = 100.0
+
+    def __post_init__(self):
+        for name in ("k1", "k2", "k3"):
+            if not math.isfinite(getattr(self, name)):
+                raise QpError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0 <= self.windup_limit < math.inf:
+            raise QpError(f"windup_limit must be finite and >= 0, got {self.windup_limit}")
 
 
 def pid_nominal(spacing_error: float, relative_velocity: float, pid: PidState,

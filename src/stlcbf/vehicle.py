@@ -25,7 +25,7 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,6 +49,10 @@ class VehicleError(ValueError):
     pass
 
 
+A_MAX_G = 0.4  # default braking capability a_max, as a fraction of g_grav
+DEFAULT_DOMAIN = StateBox((-1e4, 0.0, -1e4), (1e6, 80.0, 1e7))  # X_f, V_f, X_l
+
+
 @dataclass(frozen=True)
 class VehicleParams:
     """Physical parameters of the ego vehicle and its constraint templates."""
@@ -59,7 +63,7 @@ class VehicleParams:
     c2: float = 0.25                # N/(m/s)^2
     t_headway: float = 1.0          # s, spacing constraint
     s0: float = 5.0                 # m, standstill gap
-    a_max: float = 3.92             # m/s^2, braking capability
+    a_max: float = A_MAX_G * 9.8    # m/s^2, braking capability
     beta: float = 2.0               # s, signal/speed headway
     g_grav: float = 9.8             # m/s^2
 
@@ -91,8 +95,8 @@ class LeadProfile:
     """
 
     def __init__(self, x0: float, v0: float, accel_rows: Sequence = ((0.0, 0.0),)):
-        if v0 < 0:
-            raise VehicleError(f"lead initial speed must be >= 0, got {v0}")
+        if not 0 <= v0 < math.inf:
+            raise VehicleError(f"lead initial speed must be finite and >= 0, got {v0}")
         rows = [(float(t), float(a)) for t, a in accel_rows]
         if not rows or rows[0][0] > 0:
             rows.insert(0, (0.0, 0.0))
@@ -378,10 +382,8 @@ class TrafficSignalBarrier(Barrier):
 
 
 def make_vehicle_system(vp: VehicleParams, lead: LeadProfile,
-                        domain: Optional[StateBox] = None) -> ControlSystem:
+                        domain: StateBox = DEFAULT_DOMAIN) -> ControlSystem:
     """Longitudinal dynamics: X_f' = V_f, V_f' = (u - F_r)/m, X_l' = V_l(t)."""
-    if domain is None:
-        domain = StateBox((-1e4, 0.0, -1e4), (1e6, 80.0, 1e7))
     inv_m = 1.0 / vp.mass
     g_mat = ((0.0,), (inv_m,), (0.0,))
 

@@ -10,6 +10,7 @@ from stlcbf.barriers import (
     AlphaFn,
     Barrier,
     BarrierError,
+    ConstraintRow,
     FcbfParams,
     HalfspaceConstraint,
     IDENTITY_ALPHA,
@@ -92,6 +93,20 @@ class TestCbfConstraint:
                 for gi, fi, gm in zip(grad, fv, double_integrator.g(0.0, x))
             )
             assert abs(hdot + alpha(bar.h(0.0, x))) < 1e-9
+
+    def test_negated_affine_row_keeps_its_input_row(self, double_integrator):
+        """A negated affine barrier returns one negated gradient object while
+        the inner gradient repeats, so its row derives a = -grad.g once."""
+        bar = AffineBarrier("fast", coeffs=(0.0, 1.0), offset=-20.0).negate()
+        g = ((0.0,), (1.0,))
+        row = ConstraintRow("cbf:!fast")
+        c1 = cbf_constraint(bar, double_integrator, IDENTITY_ALPHA, 0.0, (0.0, 5.0),
+                            dyn=((5.0, 0.0), g), row=row)
+        a = row.a
+        c2 = cbf_constraint(bar, double_integrator, IDENTITY_ALPHA, 0.1, (0.5, 6.0),
+                            dyn=((6.0, 0.0), g), row=row)
+        assert row.a is a and c1.a is c2.a
+        assert c2 == (a, 20.0 - 6.0, "cbf:!fast")
 
 
 class TestFcbfConstraint:

@@ -1,5 +1,7 @@
 import hashlib
+import logging
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,6 +11,7 @@ import pytest
 from stlcbf.cli import main as cli_main
 from stlcbf.config import ConfigError, load_config, parse_config
 from stlcbf.pipeline import (
+    build_scenario,
     check_pipeline,
     format_report,
     monitor_csv,
@@ -16,6 +19,7 @@ from stlcbf.pipeline import (
     write_report,
     write_trace_csv,
 )
+from stlcbf.vehicle import SpeedLimitSchedule, generate_signal_plan
 
 MINIMAL = """
 [scenario]
@@ -26,6 +30,23 @@ x_l = 100
 v0 = 0
 [stl]
 G[0,5) sat(h1)
+"""
+
+BARE = """
+[scenario]
+horizon = 5
+[stl]
+G[0,5) sat(h1)
+"""
+
+# four independent problems, one per object the file gives
+FOUR_ERRORS = MINIMAL.replace("v0 = 0\n", "v0 = 0\nrow = 10 1\nrow = 5 0\n") + """
+[speed_limits]
+row = 0 -5
+[signals]
+signal = 200 0 30 -0.5 25
+[barriers]
+slow = affine 0 -1 0 offset=10 alpha=-1
 """
 
 # eventually-task scenario sized so the convergence demand fits the default
@@ -58,6 +79,27 @@ class TestConfigParsing:
         assert cfg.vp.a_max == pytest.approx(3.92)
         # default input box is +-mass*a_max
         assert cfg.input_box.upper[0] == pytest.approx(1650.0 * 3.92)
+        assert cfg.input_box.lower[0] == -cfg.input_box.upper[0]
+        # every other default the README lists, on a file that gives none
+        cfg = parse_config(BARE)
+        assert cfg.seed == 0 and cfg.x0 == (0.0, 0.0, 55.0)
+        vp = cfg.vp
+        assert (vp.mass, vp.c0, vp.c1, vp.c2, vp.t_headway, vp.s0, vp.beta, vp.g_grav) == \
+            (1650.0, 0.1, 5.0, 0.25, 1.0, 5.0, 2.0, 9.8)
+        assert vp.a_max == 0.4 * 9.8
+        assert (cfg.pid.k1, cfg.pid.k2, cfg.pid.k3, cfg.pid.windup_limit) == \
+            (0.5, 0.1, 0.01, 100.0)
+        assert (cfg.domain.lower, cfg.domain.upper) == ((-1e4, 0.0, -1e4), (1e6, 80.0, 1e7))
+        assert cfg.margin_tol == 0.001
+        assert (cfg.rho_speed, cfg.rho_signal, cfg.t_conv_speed, cfg.gamma_min) == \
+            (0.91, 0.9, 5.0, 0.001)
+        assert cfg.lead.velocity(0.0) == cfg.lead.velocity(4.0) == 0.0  # v0 = 0, no rows
+        assert cfg.limits is None and cfg.signals == [] and cfg.barriers == []
+        # a [signals] section without keys is generate_signal_plan's plan at the seed
+        cfg = replace(parse_config(BARE + "[signals]\n"), seed=7)
+        assert cfg.signal_plan == {}
+        signals = build_scenario(cfg).registry.get("hpos").signals
+        assert signals == generate_signal_plan(7) != generate_signal_plan(0)
 
     def test_reference_preset_loads_published_values(self):
         cfg = load_config("paper_sec6")
@@ -78,11 +120,12 @@ class TestConfigParsing:
     @pytest.mark.parametrize("key, value", [
         ("seed", "inf"), ("seed", "nan"), ("seed", "2.5"), ("count", "inf"),
         ("count", "nan"), ("count", "2.5"), ("dt", "nan"), ("dt", "inf"), ("dt", "-inf"),
+        ("first_position", "nan"), ("first_position", "inf"),
     ])
     def test_non_integral_or_non_finite_value_names_its_key(self, key, value, tmp_path,
                                                             capsys):
-        if key == "count":
-            text = MINIMAL + f"\n[signals]\ncount = {value}\n"
+        if key in ("count", "first_position"):
+            text = MINIMAL + f"\n[signals]\n{key} = {value}\n"
         else:
             text = MINIMAL.replace("[scenario]\n", f"[scenario]\n{key} = {value}\n")
         with pytest.raises(ConfigError, match=rf"\b{key} must be .* got '?{value}"):
@@ -96,7 +139,7 @@ class TestConfigParsing:
         cfg = parse_config(MINIMAL.replace("[scenario]\n", "[scenario]\nseed = 7.0\n"))
         assert cfg.seed == 7 and isinstance(cfg.seed, int)
         text = MINIMAL + "\n[signals]\ncount = 3\n"
-        assert parse_config(text).signal_gen.count == 3
+        assert parse_config(text).signal_plan == {"count": 3}
 
     def test_unknown_key_rejected_with_line(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -112,8 +155,8 @@ class TestConfigParsing:
 
     def test_custom_affine_barrier_declaration(self):
         cfg = parse_config(MINIMAL + "\n[barriers]\nslow = affine 0 -1 0 offset=10\n")
-        assert cfg.custom_barriers[0].barrier_id == "slow"
-        assert cfg.custom_barriers[0].coeffs == (0.0, -1.0, 0.0)
+        assert cfg.barriers[0].id == "slow"
+        assert cfg.barriers[0].coeffs == (0.0, -1.0, 0.0)
 
     def test_duplicate_and_reserved_barrier_ids_rejected(self):
         with pytest.raises(ConfigError, match="duplicate barrier id"):
@@ -126,6 +169,74 @@ class TestConfigParsing:
         cfg = tmp_path / "bad_signal.cfg"
         cfg.write_text(MINIMAL + "\n[signals]\nsignal = 65 0 1 0 18.5\n")
         assert cli_main(["run", str(cfg)]) == 4
+
+    def test_every_object_error_reported_at_once(self, tmp_path, capsys):
+        """Each object is built while the file is parsed, so each one's own
+        check joins the one error list under its section (and line)."""
+        wanted = [
+            r"\[lead\] lead profile times must be strictly increasing",
+            r"\[speed_limits\] speed limits must be positive",
+            r"\[signals\] line 16: phase durations must be positive",
+            r"\[barriers\] line 18: alpha gain must be positive, got -1.0",
+        ]
+        with pytest.raises(ConfigError) as err:
+            parse_config(FOUR_ERRORS)
+        for want in wanted:
+            assert re.search(want, str(err.value)), want
+        cfg = tmp_path / "four.cfg"
+        cfg.write_text(FOUR_ERRORS)
+        for command in ("run", "check"):
+            assert cli_main([command, str(cfg)]) == 4
+            err_text = capsys.readouterr().err
+            assert all(re.search(want, err_text) for want in wanted)
+
+    @pytest.mark.parametrize("row", ["65 0 1 -1 0", "65 3 0 0 0"])
+    def test_zero_period_signal_is_config_error(self, row, tmp_path, capsys):
+        cfg = tmp_path / "zero_period.cfg"
+        cfg.write_text(MINIMAL + f"\n[signals]\nsignal = {row}\n")
+        for command in ("run", "check"):
+            assert cli_main([command, str(cfg)]) == 4
+            assert "[signals] line 12: phase durations must be positive" in \
+                capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, entry", [
+        ("speed_limits", "row = 0 nan"), ("speed_limits", "row = 0 inf"),
+        ("signals", "signal = nan 0 30 5 25"), ("signals", "signal = 200 0 30 -inf 25"),
+        ("lead", "row = 0 nan"),
+    ])
+    def test_non_finite_row_names_section_and_line(self, section, entry, tmp_path, capsys):
+        text = MINIMAL + f"\n[{section}]\n{entry}\n"
+        line = text.splitlines().index(entry) + 1
+        message = rf"\[{section}\] line {line}: non-finite value in row '{entry.split('= ')[1]}'"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+        cfg = tmp_path / "non_finite.cfg"
+        cfg.write_text(text)
+        for command in ("run", "check"):
+            assert cli_main([command, str(cfg)]) == 4
+            assert re.search(message, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("signals", "green", "nan 40"), ("signals", "spacing", "300 inf"),
+        ("domain", "x_f", "-inf 10"), ("domain", "v_f", "0 nan"),
+    ])
+    def test_non_finite_pair_names_its_key(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key} expects two finite "
+                                              rf"numbers, got '{value}'"):
+            parse_config(MINIMAL + f"\n[{section}]\n{key} = {value}\n")
+
+    @pytest.mark.parametrize("decl", ["affine 0 nan 0 offset=1", "affine 0 -1 0 offset=inf",
+                                      "affine 0 -1 0 offset=1 alpha=inf"])
+    def test_non_finite_barrier_declaration_names_its_line(self, decl, tmp_path, capsys):
+        text = MINIMAL + f"\n[barriers]\nfoo = {decl}\n"
+        message = rf"\[barriers\] line 12: non-finite value in '{decl}'"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+        cfg = tmp_path / "non_finite.cfg"
+        cfg.write_text(text)
+        for command in ("run", "check"):
+            assert cli_main([command, str(cfg)]) == 4
+            assert re.search(message, capsys.readouterr().err)
 
     def test_equal_stop_lines_exit_as_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "equal_lines.cfg"
@@ -170,8 +281,9 @@ REF_EVENTS = [
 
 
 class TestPipelineOutcomes:
-    def test_reference_preset_succeeds(self, tmp_path):
-        out = run_pipeline(load_config("paper_sec6"))
+    def test_reference_preset_succeeds(self, tmp_path, caplog):
+        with caplog.at_level(logging.DEBUG, logger="stlcbf"):
+            out = run_pipeline(load_config("paper_sec6"))
         assert out.exit_code == 0
         assert out.report.monitor.satisfied
         assert out.report.summary["rows"] == 50001
@@ -181,6 +293,13 @@ class TestPipelineOutcomes:
         report = format_report(out.report).encode("utf-8")
         assert hashlib.sha256(report).hexdigest() == REF_REPORT_SHA256
         assert out.trace.events == REF_EVENTS
+        # every event reaches the stlcbf logger; only the deadline risks at info
+        logged = [(r.levelno, r.getMessage()) for r in caplog.records if r.name == "stlcbf"]
+        assert logged == [
+            (logging.INFO if text.startswith("deadline-risk") else logging.DEBUG,
+             f"t={t:.6f} {text}") for t, text in REF_EVENTS]
+        assert [msg[:12] for level, msg in logged if level == logging.INFO] == \
+            ["t=195.010000", "t=345.010000", "t=395.010000"]
 
     def test_static_incompatibility_names_boundary(self):
         out = run_pipeline(load_config("incompatible_static"))
@@ -251,12 +370,16 @@ class TestPipelineOutcomes:
             assert abs(a - b) < 5e-3
 
 
-@pytest.fixture(scope="module")
-def short_cfg():
+def _short_sec6():
     cfg = load_config("paper_sec6")
     return replace(cfg, horizon=20.0,
                    stl_text="G[0,20) sat(h1)\nG[0,20) sat(vmax30)\nG[0,20) sat(hpos)",
-                   speed_rows=[(0.0, 30.0)])
+                   limits=SpeedLimitSchedule([(0.0, 30.0)], 20.0))
+
+
+@pytest.fixture(scope="module")
+def short_cfg():
+    return _short_sec6()
 
 
 class TestSerialization:
@@ -286,6 +409,24 @@ class TestSerialization:
         text = format_report(out.report)
         assert "status=failure" in text and "failure_stage=runtime" in text
         assert "qp_infeasible at t=1.010000" in text
+
+    def test_shared_config_objects_change_no_byte(self, tmp_path):
+        """Every build of one config shares its objects: the lead profile
+        with its velocity cache, the speed limits, the PID gains. Check, run,
+        monitor and a second run on one config give a fresh config's bytes."""
+        shared = _short_sec6()
+        check_pipeline(shared)
+        runs = [run_pipeline(shared)]
+        write_trace_csv(runs[0].trace, tmp_path / "run0.csv")
+        assert monitor_csv(str(tmp_path / "run0.csv"), shared).satisfied
+        runs += [run_pipeline(shared), run_pipeline(_short_sec6())]
+        for i, out in enumerate(runs):
+            write_trace_csv(out.trace, tmp_path / f"run{i}.csv")
+        csv0, report0 = (tmp_path / "run0.csv").read_bytes(), format_report(runs[0].report)
+        for i, out in enumerate(runs[1:], start=1):
+            assert (tmp_path / f"run{i}.csv").read_bytes() == csv0
+            assert format_report(out.report) == report0
+        assert runs[0].bundle.cfg.lead is runs[1].bundle.cfg.lead is not runs[2].bundle.cfg.lead
 
     def test_offline_monitor_agrees(self, short_cfg, tmp_path):
         out = run_pipeline(short_cfg)
@@ -350,7 +491,7 @@ class TestCli:
         text = MINIMAL + ("\n[tolerances]\nmargin = 0\n[pid]\nk1 = -0.5\nwindup_limit = 0\n"
                           "[fcbf]\ngamma_min = 1e-9\n")
         cfg = parse_config(text)
-        assert (cfg.margin_tol, cfg.pid_gains[0], cfg.pid_gains[3], cfg.gamma_min) == \
+        assert (cfg.margin_tol, cfg.pid.k1, cfg.pid.windup_limit, cfg.gamma_min) == \
             (0.0, -0.5, 0.0, 1e-9)
         path = tmp_path / "ok.cfg"
         path.write_text(text)

@@ -62,6 +62,16 @@ class TestQpEntry:
             solve_qp((0.0,) * m, [hs([0.5] * m, 3.0), c], self.BOXES[m])
 
     @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_nominal_input_raises(self, m, bad):
+        """A NaN u_nom would pass through the m = 1 clip as u_safe, and make
+        every m = 2 KKT candidate fail as if the set were empty."""
+        u_nom = (0.0,) * (m - 1) + (bad,)
+        for cons in ([], [hs([1.0] * m, 0.5)]):
+            with pytest.raises(QpError, match="non-finite nominal input"):
+                solve_qp(u_nom, cons, self.BOXES[m])
+
+    @pytest.mark.parametrize("m", [1, 2])
     def test_zero_a_infeasible_marker_returns_none(self, m):
         cons = [hs([1.0] * m, 5.0), hs([0.0] * m, -1.0)]
         assert solve_qp((0.0,) * m, cons, self.BOXES[m]) is None

@@ -4,7 +4,7 @@ import pytest
 
 from stlcbf import pipeline, sim
 from stlcbf.barriers import AffineBarrier, BarrierRegistry, StateBox
-from stlcbf.config import CustomBarrierDecl, load_config
+from stlcbf.config import load_config
 from stlcbf.contracts import ScheduleConfig, build_schedule
 from stlcbf.qp import InputBox
 from stlcbf.sim import (
@@ -15,7 +15,9 @@ from stlcbf.sim import (
     run_simulation,
 )
 from stlcbf.stl import PredicateRef, TaskGroup, TimeInterval
-from stlcbf.vehicle import LeadProfile, VehicleParams, make_vehicle_system
+from stlcbf.vehicle import (
+    LeadProfile, SpeedLimitSchedule, VehicleParams, make_vehicle_system,
+)
 
 
 class TestIntegrateStep:
@@ -164,8 +166,8 @@ def _short_sec6():
     a negated custom barrier, so every kind of schedule segment runs."""
     cfg = load_config("paper_sec6")
     return replace(
-        cfg, horizon=80.0, speed_rows=[(0.0, 30.0), (50.0, 25.0)],
-        custom_barriers=[CustomBarrierDecl("far", (1.0, 0.0, 0.0), -1e5)],
+        cfg, horizon=80.0, limits=SpeedLimitSchedule([(0.0, 30.0), (50.0, 25.0)], 80.0),
+        barriers=[AffineBarrier("far", coeffs=(1.0, 0.0, 0.0), offset=-1e5)],
         stl_text="G[0,80) sat(h1)\nG[0,50) sat(vmax30)\nG[50,80) sat(vmax25)\n"
                  "G[0,80) sat(hpos)\nG[0,80) !sat(far)")
 

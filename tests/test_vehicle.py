@@ -531,8 +531,7 @@ class TestArrayEvaluator:
         """Each margin and channel column against the value a per-step
         evaluation gives at that row."""
         trace, bundle = reference_run.trace, reference_run.bundle
-        registry, lead, cfg = bundle.registry, bundle.lead, bundle.cfg
-        limits = SpeedLimitSchedule(cfg.speed_rows, cfg.horizon)
+        registry, lead, limits = bundle.registry, bundle.cfg.lead, bundle.cfg.limits
         signals = registry.get("hpos").signals
         positions = [s.position for s in signals]
         rows = list(zip(trace.ts, trace.states))
@@ -551,8 +550,7 @@ class TestArrayEvaluator:
 
     def test_step_lookups_at_switch_instants(self, reference_run):
         bundle = reference_run.bundle
-        lead, hv = bundle.lead, bundle.registry.get("hv")
-        limits = SpeedLimitSchedule(bundle.cfg.speed_rows, bundle.cfg.horizon)
+        lead, limits, hv = bundle.cfg.lead, bundle.cfg.limits, bundle.registry.get("hv")
         t_arr = np.array([t + d for t in lead.switch_times + hv.switch_times + (0.0,)
                           for d in (-1e-9, 0.0, 1e-9)])
         assert_same_floats(lead.velocity(t_arr), [lead.velocity(float(t)) for t in t_arr],
