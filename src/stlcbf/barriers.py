@@ -14,9 +14,14 @@ a.u <= b at a given (t, x):
   invariance (CBF):      dh/dt + grad.f + grad.g u + alpha(h) >= 0
   finite-time (FCBF):    dh/dt + grad.f + grad.g u + gamma sign(h)|h|^rho >= 0
 
-A `ConstraintRow` carries what a schedule compiles once per constraint:
-its label and the last a = -grad.g, reused while the gradient and g objects
-repeat (an affine barrier under the vehicle's constant g derives it once).
+Each generator does its own Lie-term arithmetic on one `terms` call and
+applies alpha as `alpha.kappa * h`, so a constraint costs no call beyond
+`terms`. A `ConstraintRow` carries what a schedule compiles once per
+constraint: its label and the last a = -grad.g, which the generator derives
+again only when `terms` returns another gradient object or g another matrix
+(an affine barrier under the vehicle's constant g derives it once).
+`AffineBarrier.terms` reads its offset with one bisect of its own piece
+starts, the scalar right-side case of `step_lookup`.
 
 Any input satisfying the FCBF inequality from h(t0, x0) < 0 reaches the safe
 set within T = |h0|^(1-rho) / (gamma (1-rho)) and stays there afterwards.
@@ -244,7 +249,9 @@ class AffineBarrier(Barrier):
         return acc + step_lookup(self._starts, self._offsets, t, side)
 
     def terms(self, t, x):
-        return self.h(t, x), 0.0, self.coeffs
+        # h(t, x) with the scalar right-side lookup of step_lookup inlined
+        offset = self._offsets[max(bisect_right(self._starts, t) - 1, 0)]
+        return sum(map(mul, self.coeffs, x)) + offset, 0.0, self.coeffs
 
     def affine_at(self, t, side="right"):
         return self.coeffs, step_lookup(self._starts, self._offsets, t, side)
@@ -340,37 +347,35 @@ class BarrierRegistry:
 # ---------------------------------------------------------------------------
 
 
-def _lie_terms(bar: Barrier, sys, t: float, x, dyn, row: ConstraintRow):
-    """(h, -grad.g row vector, dh_dt + grad.f) shared by both constraint forms;
-    `dyn` is (f(t, x), g(t, x)) when the caller has evaluated them already.
-    `row` keeps a, derived again only when the gradient or g object changes."""
+def cbf_constraint(bar: Barrier, sys, alpha: AlphaFn, t: float, x,
+                   dyn=None, row=None) -> HalfspaceConstraint:
+    """Invariance constraint at (t, x): any u with a.u <= b keeps
+    dh/dt + grad.(f + g u) >= -alpha(h), so a = -grad.g and
+    b = dh/dt + grad.f + kappa h. `dyn` is (f(t, x), g(t, x)) when the
+    caller has evaluated them already. `row` is the caller's compiled
+    `ConstraintRow` for it, labelled "cbf:<id>"; a fresh one by default."""
+    row = row or ConstraintRow("cbf:" + bar.id)
     h, dh, grad = bar.terms(t, x)
     fv, gm = dyn if dyn is not None else (sys.f(t, x), sys.g(t, x))
     if grad is not row.grad or gm is not row.g:
         row.grad, row.g = grad, gm
         row.a = tuple([-sum(map(mul, grad, col)) for col in zip(*gm)])
-    return h, row.a, dh + sum(map(mul, grad, fv))
-
-
-def cbf_constraint(bar: Barrier, sys, alpha: AlphaFn, t: float, x,
-                   dyn=None, row=None) -> HalfspaceConstraint:
-    """Invariance constraint at (t, x): any u with a.u <= b keeps
-    dh/dt + grad.(f + g u) >= -alpha(h). `row` is the caller's compiled
-    `ConstraintRow` for it, labelled "cbf:<id>"; a fresh one by default."""
-    row = row or ConstraintRow("cbf:" + bar.id)
-    h, a, drift = _lie_terms(bar, sys, t, x, dyn, row)
-    return HalfspaceConstraint(a, drift + alpha(h), row.label)
+    return HalfspaceConstraint(row.a, dh + sum(map(mul, grad, fv)) + alpha.kappa * h, row.label)
 
 
 def fcbf_constraint(bar: Barrier, sys, p: FcbfParams, t: float, x,
                     dyn=None, row=None) -> HalfspaceConstraint:
     """Finite-time constraint at (t, x) with drift gamma sign(h)|h|^rho
     (sign(0) = 0: on the boundary the invariance half handles the rest).
-    `row` as for `cbf_constraint`, labelled "fcbf:<id>"."""
+    `dyn` and `row` as for `cbf_constraint`, labelled "fcbf:<id>"."""
     row = row or ConstraintRow("fcbf:" + bar.id)
-    hv, a, drift = _lie_terms(bar, sys, t, x, dyn, row)
+    hv, dh, grad = bar.terms(t, x)
+    fv, gm = dyn if dyn is not None else (sys.f(t, x), sys.g(t, x))
+    if grad is not row.grad or gm is not row.g:
+        row.grad, row.g = grad, gm
+        row.a = tuple([-sum(map(mul, grad, col)) for col in zip(*gm)])
     pull = 0.0 if hv == 0 else p.gamma * math.copysign(abs(hv) ** p.rho, hv)
-    return HalfspaceConstraint(a, drift + pull, row.label)
+    return HalfspaceConstraint(row.a, dh + sum(map(mul, grad, fv)) + pull, row.label)
 
 
 def convergence_time(h0: float, p: FcbfParams) -> float:

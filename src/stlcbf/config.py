@@ -291,6 +291,13 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
 
     signals, signal_plan = [], None
     if "signals" in sections:
+        # a section without signal rows generates the plan; `generate = true`
+        # only says so, and any other value is a mistake, not a switch
+        generate = sig.get("generate")
+        if generate not in (None, "true"):
+            errors.append(f"[signals] generate must be true, got {generate!r}")
+        elif generate and any(key == "signal" for key, _, _ in sig.entries):
+            errors.append("[signals] generate = true cannot go with signal rows")
         explicit = sig.rows("signal", 5)
         if explicit:
             for lineno, (p, o, g, y, r) in explicit:

@@ -392,7 +392,10 @@ class ContractSchedule:
         overlap boundary. gamma is fixed at first engagement, in the
         `engagements` dict under (label, boundary index). `dyn` is
         (f(t, x), g(t, x)) when the caller has evaluated them already."""
-        cbf, window = self._rows[self._segment_index(t)]
+        b, i = self._bounds, self._cursor
+        if not b[i] <= t < b[i + 1]:  # t left the cursor's segment
+            i = self._segment_index(t)
+        cbf, window = self._rows[i]
         out = []
         if cbf is not None:
             bar, alpha, row = cbf

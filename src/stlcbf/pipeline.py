@@ -120,7 +120,7 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
 
     def nominal(t, x):
         h = h1.h(t, x)
-        v_r = lead.cached_velocity(t) - x[1]
+        v_r = lead.cached_motion(t)[0] - x[1]
         return pid_nominal(h, v_r, pid, cfg.dt, vp.mass, friction_force(x[1], vp))
 
     positions = [s.position for s in signals]

@@ -88,6 +88,8 @@ def solve_qp(u_nom, constraints: Sequence[HalfspaceConstraint], box: InputBox):
 
 
 def _check_entry(c: HalfspaceConstraint, m: int):
+    """Dimension, then finiteness, of a constraint entering the m >= 2 QP
+    (`_solve_1d` makes the same checks inline)."""
     if len(c.a) != m:
         raise QpError(f"constraint {c.label or c.a} has wrong input dimension")
     if not (math.isfinite(c.b) and all(map(math.isfinite, c.a))):
@@ -98,9 +100,13 @@ def _solve_1d(u: float, constraints, box: InputBox):
     """Clip a scalar u between the largest lower and smallest upper bound b/a;
     a zero `a` is vacuous, or the infeasible marker when b < 0."""
     lo, hi = box.lower[0], box.upper[0]
-    for c in constraints:
-        _check_entry(c, 1)
-        (a,), b = c.a, c.b
+    isfinite = math.isfinite
+    for a_row, b, label in constraints:  # _check_entry(c, 1), inline
+        if len(a_row) != 1:
+            raise QpError(f"constraint {label or a_row} has wrong input dimension")
+        a = a_row[0]
+        if not (isfinite(b) and isfinite(a)):
+            raise BarrierError(f"non-finite constraint {a_row} . u <= {b}")
         if a > 0:
             hi = min(hi, b / a)
         elif a < 0:

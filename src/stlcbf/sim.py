@@ -18,17 +18,21 @@ once, so a step finds the schedules that apply at X_f with one bisect. The
 domain bounds are padded once. Each step evaluates f and g once, for every
 constraint's Lie terms and as RK4's k1 (f runs 4 times a step); a row keeps
 its a = -grad.g while the gradient and g objects repeat, and RK4 keeps g u
-the same way. Barriers give (h, dh/dt, grad h) in one `terms` call, schedules
-keep a forward segment cursor, and `solve_qp` checks finiteness as
-constraints enter it. Float operations keep their order: the tests compare
-the reference mission's trace and report byte for byte.
+the same way.
+
+The step's call chain is flat: a constraint costs one `cbf_constraint` or
+`fcbf_constraint` call and one `terms` call; a schedule tests its cursor's
+segment inline and bisects only when t leaves it; the m = 1 `solve_qp`
+checks each row inline as it clips; the vehicle's f and h1 read the lead
+from one cached lookup per t. Float operations keep their order: the tests
+compare the reference mission's trace and report byte for byte.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 from operator import add, le, mul
 from typing import Callable, Optional, Sequence
 
@@ -84,18 +88,19 @@ def integrate_step(sys: ControlSystem, t: float, x, u, dt: float, dyn=None):
     fv, gm = dyn if dyn is not None else (f(t, x), g(t, x))
     g_seen, gu = gm, [sum(map(mul, row, u)) for row in gm]
     half = dt / 2
+    t_half = t + half
     k1 = tuple(map(add, fv, gu))
-    xs = tuple([xi + half * ki for xi, ki in zip(x, k1)])
-    fv, gm = f(t + half, xs), g(t + half, xs)
+    xs = tuple(map(add, x, map(mul, repeat(half), k1)))  # x + half * k1
+    fv, gm = f(t_half, xs), g(t_half, xs)
     if gm is not g_seen:  # g is nested tuples: the same object gives the same g u
         g_seen, gu = gm, [sum(map(mul, row, u)) for row in gm]
     k2 = tuple(map(add, fv, gu))
-    xs = tuple([xi + half * ki for xi, ki in zip(x, k2)])
-    fv, gm = f(t + half, xs), g(t + half, xs)
+    xs = tuple(map(add, x, map(mul, repeat(half), k2)))
+    fv, gm = f(t_half, xs), g(t_half, xs)
     if gm is not g_seen:
         g_seen, gu = gm, [sum(map(mul, row, u)) for row in gm]
     k3 = tuple(map(add, fv, gu))
-    xs = tuple([xi + dt * ki for xi, ki in zip(x, k3)])
+    xs = tuple(map(add, x, map(mul, repeat(dt), k3)))
     fv, gm = f(t + dt, xs), g(t + dt, xs)
     if gm is not g_seen:
         gu = [sum(map(mul, row, u)) for row in gm]
@@ -203,7 +208,7 @@ def run_simulation(
     trace = Trace(dt=dt)
 
     table = RegionTable.of(schedules)
-    f, g, lower = sys.f, sys.g, sys.domain.lower
+    f, g, lower, clamp_dims = sys.f, sys.g, sys.domain.lower, sys.clamp_min_dims
     floor = tuple(lo - 1e-9 for lo in lower)  # the domain, padded once
     ceiling = tuple(hi + 1e-9 for hi in sys.domain.upper)
     engagements = {}
@@ -213,12 +218,16 @@ def run_simulation(
     clamped_prev = [False] * sys.n
     n_logged = 0  # engagement records already turned into events
 
+    add_t, add_x, add_u_nom, add_u_safe, add_status = (
+        trace.ts.append, trace.states.append, trace.u_nom.append,
+        trace.u_safe.append, trace.qp_status.append)
+
     def record(t, status, u_n, u_s):
-        trace.ts.append(t)
-        trace.states.append(x)
-        trace.u_nom.append(u_n)
-        trace.u_safe.append(u_s)
-        trace.qp_status.append(status)
+        add_t(t)
+        add_x(x)
+        add_u_nom(u_n)
+        add_u_safe(u_s)
+        add_status(status)
 
     for k in range(n_steps + 1):
         t = k * dt
@@ -251,7 +260,7 @@ def run_simulation(
         x = integrate_step(sys, t, x, u_s, dt, dyn)
         if not all(map(math.isfinite, x)):
             return RunResult(trace, SimFailure(t + dt, "non_finite_state"), engagements)
-        for i in sys.clamp_min_dims:
+        for i in clamp_dims:
             if x[i] < lower[i]:
                 x = x[:i] + (lower[i],) + x[i + 1:]
                 if not clamped_prev[i]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -125,20 +125,20 @@ class LeadProfile:
                 t = t_next
         self._bps = bps
         self._times = [b[0] for b in bps]
-        self._last = (math.nan, 0.0)  # t and V_l(t) of the last cached query
+        self._t, self._motion = math.nan, (0.0, 0.0)  # the last cached query
 
     def velocity(self, t):
         t0, _, v, a = step_lookup(self._times, self._bps, t)
         return v + a * (t - t0)
 
-    def cached_velocity(self, t: float) -> float:
-        """velocity(t), evaluated only for a new t: within a step the dynamics,
-        h1 and the nominal controller all read V_l at one t."""
-        last_t, v = self._last
-        if t != last_t:
-            v = self.velocity(t)
-            self._last = (t, v)
-        return v
+    def cached_motion(self, t: float) -> tuple:
+        """(velocity(t), accel(t)) from one lookup of the piece, made only for
+        a new t: within a step the dynamics, h1 and the nominal controller
+        all read the lead at one t."""
+        if t != self._t:
+            t0, _, v, a = self._bps[max(bisect_right(self._times, t) - 1, 0)]
+            self._t, self._motion = t, (v + a * (t - t0), a)
+        return self._motion
 
     def accel(self, t: float) -> float:
         return step_lookup(self._times, self._bps, t)[3]
@@ -285,14 +285,14 @@ class SpacingBarrier(Barrier):
                 - (x[1] * x[1] - vl * vl) / (2 * self.vp.a_max))
 
     def h(self, t, x, side="right"):
-        return self._h(self.lead.cached_velocity(t), x)
+        return self._h(self.lead.cached_motion(t)[0], x)
 
     def h_grid(self, t, cols, side="right"):
         return self._h(self.lead.velocity(t), cols)
 
     def terms(self, t, x):
-        vl = self.lead.cached_velocity(t)
-        return (self._h(vl, x), vl * self.lead.accel(t) / self.vp.a_max,
+        vl, al = self.lead.cached_motion(t)
+        return (self._h(vl, x), vl * al / self.vp.a_max,
                 (-1.0, -self.vp.t_headway - x[1] / self.vp.a_max, 1.0))
 
     def is_smooth_at(self, t, x, t_pad=0.0, x_pad=0.0):
@@ -386,9 +386,11 @@ def make_vehicle_system(vp: VehicleParams, lead: LeadProfile,
     """Longitudinal dynamics: X_f' = V_f, V_f' = (u - F_r)/m, X_l' = V_l(t)."""
     inv_m = 1.0 / vp.mass
     g_mat = ((0.0,), (inv_m,), (0.0,))
+    c0, c1, c2, lead_motion = vp.c0, vp.c1, vp.c2, lead.cached_motion
 
     def f(t, x):
-        return (x[1], -friction_force(x[1], vp) * inv_m, lead.cached_velocity(t))
+        v = x[1]  # friction_force(v, vp), inline and in its float order
+        return (v, -(c0 + c1 * v + c2 * v * v) * inv_m, lead_motion(t)[0])
 
     def g(t, x):
         return g_mat

@@ -316,6 +316,28 @@ class TestTerms:
         assert_terms_match(bar, t, (x_f, 8.0, 0.0))
 
 
+class TestAffineTermsLookup:
+    """`AffineBarrier.terms` finds its offset with its own bisect; its value
+    must equal `h`'s, which goes through `step_lookup`, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=5, unique=True),
+           st.lists(st.floats(-1e3, 1e3), min_size=5, max_size=5),
+           st.integers(0, 4), st.sampled_from(["before", "on", "below", "above", "free"]),
+           st.floats(-2e3, 2e3), st.tuples(*[st.floats(-1e3, 1e3)] * 3))
+    def test_terms_value_equals_h_around_piece_starts(self, starts, offsets, k, where,
+                                                     free_t, x):
+        starts = sorted(starts)
+        bar = AffineBarrier("p", coeffs=(0.4, -1.0, 0.2), pieces=list(zip(starts, offsets)))
+        start = starts[min(k, len(starts) - 1)]
+        t = {"before": starts[0] - abs(free_t) - 1.0, "on": start,
+             "below": math.nextafter(start, -math.inf),
+             "above": math.nextafter(start, math.inf), "free": free_t}[where]
+        h, dh, grad = bar.terms(t, x)
+        assert h.hex() == bar.h(t, x).hex(), (starts, t)
+        assert dh == 0.0 and grad is bar.coeffs
+
+
 # ---------------------------------------------------------------------------
 # A custom barrier needs only h(t, x, side) and terms
 # ---------------------------------------------------------------------------

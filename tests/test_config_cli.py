@@ -199,6 +199,27 @@ class TestConfigParsing:
             assert "[signals] line 12: phase durations must be positive" in \
                 capsys.readouterr().err
 
+    @pytest.mark.parametrize("entries, want", [
+        ("generate = false", "[signals] generate must be true, got 'false'"),
+        ("generate = banana", "[signals] generate must be true, got 'banana'"),
+        ("generate = True\ncount = 3", "[signals] generate must be true, got 'True'"),
+        ("generate = true\nsignal = 200 0 30 5 25",
+         "[signals] generate = true cannot go with signal rows"),
+    ])
+    def test_generate_accepts_only_true(self, entries, want, tmp_path, capsys):
+        """`generate` used to be read by nothing: `false` still built the
+        generated plan, and with signal rows it was silently ignored."""
+        cfg = tmp_path / "generate.cfg"
+        cfg.write_text(MINIMAL + f"\n[signals]\n{entries}\n")
+        for command in ("run", "check"):
+            assert cli_main([command, str(cfg)]) == 4
+            assert want in capsys.readouterr().err
+
+    def test_generate_true_is_the_keyless_plan(self):
+        plain = parse_config(BARE + "[signals]\ncount = 3\n")
+        said = parse_config(BARE + "[signals]\ngenerate = true\ncount = 3\n")
+        assert said.signal_plan == plain.signal_plan == {"count": 3} and said.signals == []
+
     @pytest.mark.parametrize("section, entry", [
         ("speed_limits", "row = 0 nan"), ("speed_limits", "row = 0 inf"),
         ("signals", "signal = nan 0 30 5 25"), ("signals", "signal = 200 0 30 -inf 25"),

@@ -2,8 +2,8 @@ from dataclasses import replace
 
 import pytest
 
-from stlcbf import pipeline, sim
-from stlcbf.barriers import AffineBarrier, BarrierRegistry, StateBox
+from stlcbf import barriers, contracts, pipeline, sim, vehicle
+from stlcbf.barriers import AffineBarrier, AlphaFn, BarrierRegistry, StateBox
 from stlcbf.config import load_config
 from stlcbf.contracts import ScheduleConfig, build_schedule
 from stlcbf.qp import InputBox
@@ -205,6 +205,73 @@ class TestLoopLooksNothingUp:
         assert calls["build", "resolve"] > 0  # the counters see the lookups
         assert calls.get(("loop", "get"), 0) == 0
         assert calls.get(("loop", "resolve"), 0) == 0
+
+
+class TestLoopMakesNoWrapperCall:
+    """Each constraint costs one `terms` call: an affine barrier's `h` runs
+    in the loop only where a window first engages (to size its gamma), alpha
+    is applied as kappa * h without `AlphaFn.__call__`, and no constraint row
+    reaches the generic `step_lookup` (affine offsets and the lead cache do
+    their own bisect)."""
+
+    def test_wrapper_calls_left_in_the_loop(self, monkeypatch):
+        calls = {}  # (phase, name) -> count
+        phase, in_row = ["build"], [0]
+
+        def count(name):
+            calls[phase[0], name] = calls.get((phase[0], name), 0) + 1
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                count(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def lookup(fn):
+            def wrapper(*args, **kwargs):
+                count("step_lookup in a row" if in_row[0] else "step_lookup")
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def row(fn):
+            def wrapper(*args, **kwargs):
+                count(fn.__name__)
+                in_row[0] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    in_row[0] -= 1
+            return wrapper
+
+        def in_run(*args, **kwargs):
+            phase[0] = "entry"  # the x0 checks, until the first step
+            try:
+                return run_simulation(*args, **kwargs)
+            finally:
+                phase[0] = "after"
+
+        def step(*args, **kwargs):
+            phase[0] = "loop"
+            return conjoin(*args, **kwargs)
+
+        conjoin = sim.conjoin_groups
+        monkeypatch.setattr(sim, "conjoin_groups", step)
+        monkeypatch.setattr(AffineBarrier, "h", counting("AffineBarrier.h", AffineBarrier.h))
+        monkeypatch.setattr(AlphaFn, "__call__", counting("AlphaFn", AlphaFn.__call__))
+        for module in (barriers, vehicle):
+            monkeypatch.setattr(module, "step_lookup", lookup(module.step_lookup))
+        for name in ("cbf_constraint", "fcbf_constraint"):
+            monkeypatch.setattr(contracts, name, row(getattr(contracts, name)))
+        monkeypatch.setattr(pipeline, "run_simulation", in_run)
+        outcome = pipeline.run_pipeline(_short_sec6())
+
+        assert outcome.trace.n_rows() == 8001
+        assert calls["loop", "cbf_constraint"] > 8000 and calls["loop", "fcbf_constraint"] > 0
+        # the counters see the calls: x0's entry margins, the trace columns
+        assert calls["entry", "AffineBarrier.h"] > 0 and calls["after", "step_lookup"] > 0
+        assert calls.get(("loop", "AffineBarrier.h"), 0) == len(outcome.report.engagements) > 0
+        assert calls.get(("loop", "AlphaFn"), 0) == 0
+        assert calls.get(("loop", "step_lookup in a row"), 0) == 0
 
 
 class TestLoopBuildsNoLabel:

@@ -89,6 +89,40 @@ class TestLeadProfile:
             LeadProfile(0.0, -1.0)
 
 
+def _lead(which):
+    """Two profiles, each with a standstill breakpoint: the first brakes to
+    rest at t=30 and pulls away at 40, the second stops at t=5."""
+    if which == 0:
+        return LeadProfile(55.0, 3.0, [(0.0, 1.2), (10.0, 0.0), (20.0, -1.5), (40.0, 0.5)])
+    return LeadProfile(0.0, 10.0, [(0.0, -2.0), (100.0, 1.0)])
+
+
+class TestLeadCache:
+    """`cached_motion` serves V_l and a_l from one lookup of the piece, kept
+    for the last t; it must equal `velocity` and `accel` bit for bit, in any
+    order of queries."""
+
+    def test_standstill_breakpoints_are_pieces(self):
+        assert 30.0 in _lead(0).switch_times and 5.0 in _lead(1).switch_times
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 1), st.lists(
+        st.tuples(st.sampled_from(["on", "below", "above", "repeat", "back", "free"]),
+                  st.integers(0, 9), st.floats(0.0, 150.0)), min_size=1, max_size=12))
+    def test_cached_motion_equals_velocity_and_accel(self, which, queries):
+        lead = _lead(which)
+        breakpoints = (0.0,) + lead.switch_times
+        t = 0.0
+        for kind, i, free in queries:
+            bp = breakpoints[i % len(breakpoints)]
+            t = {"on": bp, "below": math.nextafter(bp, -math.inf),
+                 "above": math.nextafter(bp, math.inf), "repeat": t, "back": t - free,
+                 "free": free}[kind]
+            v, a = lead.cached_motion(t)
+            assert (v.hex(), a.hex()) == (lead.velocity(t).hex(), lead.accel(t).hex()), \
+                (kind, t)
+
+
 class TestSpacingBarrier:
     def test_equal_speeds_cancel_quadratic_term(self):
         lead = LeadProfile(50.0, 20.0)
@@ -538,7 +572,7 @@ class TestArrayEvaluator:
         for bar in bundle.margin_barriers:
             assert bar is registry.get(bar.id)
             assert_same_floats(trace.margins[bar.id], [bar.h(t, x) for t, x in rows], bar.id)
-        assert_same_floats(trace.extras["V_l"], [lead.cached_velocity(t) for t, _ in rows],
+        assert_same_floats(trace.extras["V_l"], [lead.cached_motion(t)[0] for t, _ in rows],
                            "V_l")
         assert_same_floats(trace.extras["V_max"], [limits.value(t) for t, _ in rows], "V_max")
         active = [bisect_left(positions, x[0]) for _, x in rows]
