@@ -57,14 +57,6 @@ def step_lookup(starts, values, t, side: str = "right"):
     return values[max(find(starts, t) - 1, 0)]
 
 
-def state_columns(states) -> np.ndarray:
-    """The n per-axis columns of N recorded n-dimensional states, as an
-    (n, N) array: the `cols` that `Barrier.h_grid` takes."""
-    n = len(states[0]) if len(states) else 0
-    flat = np.fromiter(itertools.chain.from_iterable(states), float, n * len(states))
-    return flat.reshape(len(states), n).T
-
-
 class BarrierError(ValueError):
     """Bad barrier parameters or evaluation outside template assumptions."""
 

@@ -37,6 +37,9 @@ class ConfigError(ValueError):
 
 _REPEATABLE = {"row", "line", "signal"}
 
+# the [signals] keys that describe a generated plan; none goes with signal rows
+_PLAN_KEYS = ("generate", "count", "first_position", "spacing", "green", "yellow", "red")
+
 _KNOWN_KEYS = {
     "scenario": {"name", "horizon", "dt", "seed"},
     "vehicle": {"mass", "c0", "c1", "c2", "a_max", "a_max_g", "time_headway",
@@ -48,8 +51,7 @@ _KNOWN_KEYS = {
     "tolerances": {"margin"},
     "domain": {"x_f", "v_f", "x_l"},
     "speed_limits": {"row"},
-    "signals": {"generate", "count", "first_position", "spacing", "green",
-                "yellow", "red", "signal"},
+    "signals": {*_PLAN_KEYS, "signal"},
     "lead": {"v0", "row"},
     "stl": {"line"},
     "barriers": None,  # free-form ids
@@ -292,12 +294,14 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
     signals, signal_plan = [], None
     if "signals" in sections:
         # a section without signal rows generates the plan; `generate = true`
-        # only says so, and any other value is a mistake, not a switch
+        # only says so, and any other value is a mistake, not a switch; next
+        # to signal rows a plan key would be ignored, so each is an error
         generate = sig.get("generate")
         if generate not in (None, "true"):
             errors.append(f"[signals] generate must be true, got {generate!r}")
-        elif generate and any(key == "signal" for key, _, _ in sig.entries):
-            errors.append("[signals] generate = true cannot go with signal rows")
+        if any(key == "signal" for key, _, _ in sig.entries):
+            errors.extend(f"[signals] {key} = {sig.get(key)} cannot go with signal rows"
+                          for key in _PLAN_KEYS if sig.get(key) is not None)
         explicit = sig.rows("signal", 5)
         if explicit:
             for lineno, (p, o, g, y, r) in explicit:

@@ -31,7 +31,6 @@ from .vehicle import (
     TrafficSignalBarrier,
     active_phase_index,
     build_signal_contracts,
-    friction_force,
     generate_signal_plan,
     make_vehicle_system,
     speed_limit_barrier,
@@ -116,12 +115,13 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
             schedules.append(build_schedule(group, registry, sched_cfg))
 
     pid = replace(cfg.pid)  # this build's own integral state
-    h1 = margin_barriers[0]
+    spacing, motion, mass, dt = margin_barriers[0]._h, lead.cached_motion, vp.mass, cfg.dt
+    c0, c1, c2 = vp.c0, vp.c1, vp.c2
 
     def nominal(t, x):
-        h = h1.h(t, x)
-        v_r = lead.cached_motion(t)[0] - x[1]
-        return pid_nominal(h, v_r, pid, cfg.dt, vp.mass, friction_force(x[1], vp))
+        # one lead lookup; h1 and friction_force inline, in their float order
+        vl, v = motion(t)[0], x[1]
+        return pid_nominal(spacing(vl, x), vl - v, pid, dt, mass, c0 + c1 * v + c2 * v * v)
 
     positions = [s.position for s in signals]
 
@@ -241,11 +241,11 @@ def _fill_summary(report, trace, bundle):
     summary = {}
     for bar in bundle.margin_barriers:
         summary[f"min_margin[{bar.id}]"] = trace.min_margin(bar.id)
-    active = sum(
-        1 for un, us in zip(trace.u_nom, trace.u_safe)
-        if us and not math.isnan(us[0]) and any(abs(a - b) > 1e-9 for a, b in zip(un, us))
-    )
-    summary["qp_active_steps"] = active
+    un, us = trace.u_nom, trace.u_safe
+    # a row whose safe input differs from the nominal one; the NaN row of an
+    # infeasible step never counts
+    summary["qp_active_steps"] = int(np.count_nonzero(
+        (np.abs(un - us) > 1e-9).any(axis=1) & ~np.isnan(us[:, 0])))
     summary["rows"] = trace.n_rows()
     report.summary = summary
 
@@ -265,20 +265,24 @@ _ROW = "%.6f," * 11 + "%s,%d,%s\n"
 def write_trace_csv(trace: Trace, path: str) -> None:
     """Fixed-schema CSV at 1e-6 decimal precision; byte-stable for identical
     runs. Missing channels (no speed limits / no signals) serialize as inf,
-    the signal columns as 0 and "none"."""
-    margins, extras = trace.margins, trace.extras
+    the signal columns as 0 and "none". Rows stream from the trace's flat
+    buffers; the input columns are the first input component."""
+    margins, extras, m = trace.margins, trace.extras, trace.m
     inf = itertools.repeat(math.inf)
     rows = zip(
-        trace.ts, trace.states, extras.get("V_l", inf), extras.get("V_max", inf),
-        trace.u_nom, trace.u_safe, margins.get("h1", inf), margins.get("hv", inf),
-        margins.get("hpos", inf), trace.qp_status,
+        trace.ts, zip(*[iter(trace.x_flat)] * trace.n),
+        extras.get("V_l", inf), extras.get("V_max", inf),
+        itertools.islice(trace.u_nom_flat, 0, None, m),
+        itertools.islice(trace.u_safe_flat, 0, None, m),
+        margins.get("h1", inf), margins.get("hv", inf), margins.get("hpos", inf),
+        trace.qp_status,
         extras.get("active_signal", itertools.repeat(0)),
         extras.get("signal_phase", itertools.repeat("none")),
     )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for t, (xf, vf, xl), vl, vmax, un, us, h1, hv, hpos, status, k, phase in rows:
-            fh.write(_ROW % (t, xf, vf, xl, vl, vmax, un[0], us[0], h1, hv, hpos,
+            fh.write(_ROW % (t, xf, vf, xl, vl, vmax, un, us, h1, hv, hpos,
                              status, k, phase))
 
 

@@ -10,6 +10,12 @@ channel: the caller fills those columns afterwards with `Trace.fill_columns`,
 over all recorded rows at once (`Barrier.h_grid` with an array t), for a
 failed prefix as for a full run.
 
+The recorded columns are flat `array('d')` buffers (t; the n state floats
+of each row; the m floats of each input), extended in place at every step,
+so a row costs its floats and no per-row tuple is kept. `Trace.states`,
+`u_nom` and `u_safe` read them as (N, n) and (N, m) numpy views, with no
+copy, once the loop has ended.
+
 Everything a step can know in advance is compiled before the loop starts.
 Each schedule holds its resolved barriers and its constraint rows (label,
 alpha, window bounds), so a step tests no verdict, builds no label and looks
@@ -23,14 +29,16 @@ the same way.
 The step's call chain is flat: a constraint costs one `cbf_constraint` or
 `fcbf_constraint` call and one `terms` call; a schedule tests its cursor's
 segment inline and bisects only when t leaves it; the m = 1 `solve_qp`
-checks each row inline as it clips; the vehicle's f and h1 read the lead
-from one cached lookup per t. Float operations keep their order: the tests
-compare the reference mission's trace and report byte for byte.
+checks each row inline as it clips; the vehicle's f, h1 and the nominal
+controller read the lead from one cached lookup per t. Float operations keep
+their order: the tests compare the reference mission's trace and report byte
+for byte.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from operator import add, le, mul
@@ -38,7 +46,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .barriers import StateBox, state_columns
+from .barriers import StateBox
 from .contracts import RegionTable, conjoin_groups
 from .qp import InputBox, solve_qp
 
@@ -114,22 +122,46 @@ def integrate_step(sys: ControlSystem, t: float, x, u, dt: float, dyn=None):
 
 @dataclass
 class Trace:
-    """Uniform-step record of the closed loop.
+    """Uniform-step record of the closed loop, for an n-state, m-input system.
 
-    Parallel column lists of what the loop recorded; `margins` holds one
-    array per barrier id and `extras` one per scenario channel (speed limit,
-    signal phase, ...), both filled by `fill_columns`.
+    The loop appends each row to flat `array('d')` buffers: `ts`, one float
+    a row; `x_flat`, n floats a row; `u_nom_flat` and `u_safe_flat`, m
+    floats a row (NaN for the safe input of an infeasible row). `states`,
+    `u_nom` and `u_safe` are read-only (N, n) and (N, m) views of those
+    buffers. Take them once the loop has ended: a buffer cannot grow while a
+    view of it exists. `qp_status` holds one string a row. `margins` holds
+    one array per barrier id and `extras` one per scenario channel (speed
+    limit, signal phase, ...), both filled by `fill_columns`.
     """
 
     dt: float
-    ts: list = field(default_factory=list)
-    states: list = field(default_factory=list)
-    u_nom: list = field(default_factory=list)
-    u_safe: list = field(default_factory=list)
+    n: int
+    m: int
+    ts: array = field(default_factory=lambda: array("d"))
+    x_flat: array = field(default_factory=lambda: array("d"))
+    u_nom_flat: array = field(default_factory=lambda: array("d"))
+    u_safe_flat: array = field(default_factory=lambda: array("d"))
     margins: dict = field(default_factory=dict)
     qp_status: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
     events: list = field(default_factory=list)
+
+    def _rows(self, flat: array, width: int) -> np.ndarray:
+        view = np.frombuffer(flat, float).reshape(len(self.ts), width)
+        view.flags.writeable = False
+        return view
+
+    @property
+    def states(self) -> np.ndarray:
+        return self._rows(self.x_flat, self.n)
+
+    @property
+    def u_nom(self) -> np.ndarray:
+        return self._rows(self.u_nom_flat, self.m)
+
+    @property
+    def u_safe(self) -> np.ndarray:
+        return self._rows(self.u_safe_flat, self.m)
 
     def n_rows(self) -> int:
         return len(self.ts)
@@ -143,11 +175,11 @@ class Trace:
         once. Each barrier's `h_grid` gives its margin column, keyed by its
         id; each channel is a function of (ts, states) arrays, states with one
         row per sample."""
-        ts, cols = np.array(self.ts), state_columns(self.states)
+        ts, states = np.frombuffer(self.ts, float), self.states
         for bar in barriers:
-            self.margins[bar.id] = np.broadcast_to(bar.h_grid(ts, cols), ts.shape)
+            self.margins[bar.id] = np.broadcast_to(bar.h_grid(ts, states.T), ts.shape)
         for name, fn in (channels or {}).items():
-            self.extras[name] = np.broadcast_to(fn(ts, cols.T), ts.shape)
+            self.extras[name] = np.broadcast_to(fn(ts, states), ts.shape)
 
 
 @dataclass(frozen=True)
@@ -194,6 +226,8 @@ def run_simulation(
         raise SimError(f"x0 has dimension {len(x)}, system has {sys.n}")
     if not sys.domain.contains(x, pad=1e-9):
         raise SimError("x0 outside the system domain")
+    if box.dim != sys.m:
+        raise SimError(f"input box has dimension {box.dim}, system has m={sys.m}")
 
     for sched in schedules:
         entry = sched.assumption_margin(x)
@@ -205,7 +239,7 @@ def run_simulation(
                     f"h[{bar_id}](0, x0) = {margin:g} < 0"
                 )
 
-    trace = Trace(dt=dt)
+    trace = Trace(dt, sys.n, sys.m)
 
     table = RegionTable.of(schedules)
     f, g, lower, clamp_dims = sys.f, sys.g, sys.domain.lower, sys.clamp_min_dims
@@ -219,8 +253,8 @@ def run_simulation(
     n_logged = 0  # engagement records already turned into events
 
     add_t, add_x, add_u_nom, add_u_safe, add_status = (
-        trace.ts.append, trace.states.append, trace.u_nom.append,
-        trace.u_safe.append, trace.qp_status.append)
+        trace.ts.append, trace.x_flat.extend, trace.u_nom_flat.extend,
+        trace.u_safe_flat.extend, trace.qp_status.append)
 
     def record(t, status, u_n, u_s):
         add_t(t)

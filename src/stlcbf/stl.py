@@ -26,7 +26,6 @@ from typing import Optional
 
 import numpy as np
 
-from .barriers import state_columns
 
 DEFAULT_EVENTUALLY_EPS = 0.5
 MONITOR_TOL = 1e-3
@@ -357,11 +356,12 @@ def monitor_trace(trace, spec: StlSpec, registry, tol: float = MONITOR_TOL) -> S
     margin reported). Each task evaluates its barrier once, with `h_grid`,
     over the samples inside its interval (the earliest row wins a tie).
     """
-    ts, cols = np.array(trace.ts, dtype=float), state_columns(trace.states)
+    ts = np.asarray(trace.ts, dtype=float)
     lo, hi = (ts.min(), ts.max()) if ts.size else (math.nan, math.nan)
-    if not (lo <= 1e-9 and hi >= spec.horizon - 1e-9):
+    if not (lo <= 1e-9 and hi >= spec.horizon - 1e-9):  # an empty trace stops here
         raise StlError(f"trace covers [{_fmt(lo)}, {_fmt(hi)}], "
                        f"needs [0, {_fmt(spec.horizon)}]")
+    cols = np.asarray(trace.states, dtype=float).T  # (n, N), a view of a Trace's rows
     reports = [_monitor_task(task, ts, cols, registry, tol) for task in spec.tasks]
     return SatisfactionReport(
         satisfied=all(r.satisfied for r in reports), per_task=tuple(reports)

@@ -273,3 +273,13 @@ def scalar_monitor_task(task, trace, registry, tol):
     if best_t is None:  # best is still the start value
         return globally, best, None
     return best >= -tol, best, best_t
+
+
+def qp_active_steps(u_nom_rows, u_safe_rows) -> int:
+    """Rows whose safe input differs from the nominal one by more than 1e-9
+    in some component, row by row; a row whose safe input starts with NaN
+    (an infeasible step) never counts."""
+    return sum(
+        1 for un, us in zip(u_nom_rows, u_safe_rows)
+        if us and not math.isnan(us[0]) and any(abs(a - b) > 1e-9 for a, b in zip(un, us))
+    )

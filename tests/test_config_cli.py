@@ -11,6 +11,7 @@ import pytest
 from stlcbf.cli import main as cli_main
 from stlcbf.config import ConfigError, load_config, parse_config
 from stlcbf.pipeline import (
+    RunReport,
     build_scenario,
     check_pipeline,
     format_report,
@@ -214,6 +215,22 @@ class TestConfigParsing:
         for command in ("run", "check"):
             assert cli_main([command, str(cfg)]) == 4
             assert want in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [
+        "count = 3", "first_position = 150", "spacing = 1 2", "green = 20 30",
+        "yellow = 3 5", "red = 20 30",
+    ])
+    def test_plan_keys_cannot_go_with_signal_rows(self, entry, tmp_path, capsys):
+        """Next to explicit rows a generator key would be ignored (the rows
+        alone make the plan), so each is an error that names the key."""
+        key = entry.split(" = ")[0]
+        cfg = tmp_path / "plan_key.cfg"
+        cfg.write_text(MINIMAL + f"\n[signals]\nsignal = 200 0 30 5 25\n{entry}\n")
+        for command in ("run", "check"):
+            assert cli_main([command, str(cfg)]) == 4
+            assert f"[signals] {key} = " in capsys.readouterr().err
+        with pytest.raises(ConfigError, match=rf"\[signals\] {entry} cannot go with signal rows"):
+            parse_config(cfg.read_text())
 
     def test_generate_true_is_the_keyless_plan(self):
         plain = parse_config(BARE + "[signals]\ncount = 3\n")
@@ -424,6 +441,22 @@ class TestSerialization:
         assert "status=success" in text
         assert "exit_code=0" in text
         assert "[compatibility]" in text and "[monitor]" in text
+
+    def test_margin_just_below_zero_prints_minus_zero(self):
+        """A summary margin prints with `%.6f`, which keeps the sign of a
+        value in (-5e-7, 0): the report says that the margin dipped below
+        zero (within the monitor's tolerance) though no digit shows it.
+        paper_sec6 at dt = 0.1 has such a min_margin[hv], -4.2e-10."""
+        report = RunReport(scenario="s", scenario_hash="0", dt=0.01, seed=0, horizon=1.0,
+                           status="success", exit_code=0, summary={
+                               "min_margin[a]": -5.1e-7, "min_margin[b]": -4.9e-7,
+                               "min_margin[c]": -0.0, "min_margin[d]": 4.9e-7})
+        assert format_report(report).splitlines()[-4:] == [
+            "min_margin[a]=-0.000001", "min_margin[b]=-0.000000",
+            "min_margin[c]=-0.000000", "min_margin[d]=0.000000"]
+        out = run_pipeline(replace(load_config("paper_sec6"), dt=0.1))
+        assert -5e-7 < out.report.summary["min_margin[hv]"] < 0.0
+        assert "min_margin[hv]=-0.000000" in format_report(out.report).splitlines()
 
     def test_failed_report_carries_status(self, tmp_path):
         out = run_pipeline(load_config("infeasible_red"))

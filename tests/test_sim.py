@@ -1,7 +1,10 @@
+import math
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
+from oracles import qp_active_steps
 from stlcbf import barriers, contracts, pipeline, sim, vehicle
 from stlcbf.barriers import AffineBarrier, AlphaFn, BarrierRegistry, StateBox
 from stlcbf.config import load_config
@@ -79,6 +82,12 @@ class TestRunSimulation:
         assert res.trace.n_rows() == 101
         diffs = {round(b - a, 9) for a, b in zip(res.trace.ts, res.trace.ts[1:])}
         assert diffs == {0.01}
+
+    def test_input_box_must_match_the_inputs(self, double_integrator):
+        # each recorded row holds m inputs; a 2-D box would give 2 per row
+        with pytest.raises(SimError, match="input box has dimension 2, system has m=1"):
+            run_simulation(double_integrator, [], lambda t, x: (0.0, 0.0),
+                           InputBox((-1.0, -1.0), (1.0, 1.0)), (0.0, 0.0), dt=0.01, t_max=1.0)
 
     def test_initial_assumption_violation_raises(self):
         _, sched, sys = _speed_setup([10.0], horizon=10.0)
@@ -212,7 +221,8 @@ class TestLoopMakesNoWrapperCall:
     in the loop only where a window first engages (to size its gamma), alpha
     is applied as kappa * h without `AlphaFn.__call__`, and no constraint row
     reaches the generic `step_lookup` (affine offsets and the lead cache do
-    their own bisect)."""
+    their own bisect). The nominal controller computes h1 and the friction
+    force inline, from one lead lookup."""
 
     def test_wrapper_calls_left_in_the_loop(self, monkeypatch):
         calls = {}  # (phase, name) -> count
@@ -258,6 +268,11 @@ class TestLoopMakesNoWrapperCall:
         monkeypatch.setattr(sim, "conjoin_groups", step)
         monkeypatch.setattr(AffineBarrier, "h", counting("AffineBarrier.h", AffineBarrier.h))
         monkeypatch.setattr(AlphaFn, "__call__", counting("AlphaFn", AlphaFn.__call__))
+        monkeypatch.setattr(vehicle.SpacingBarrier, "h",
+                            counting("SpacingBarrier.h", vehicle.SpacingBarrier.h))
+        friction = counting("friction_force", vehicle.friction_force)
+        for module in (vehicle, pipeline):  # wherever it is bound by name
+            monkeypatch.setattr(module, "friction_force", friction, raising=False)
         for module in (barriers, vehicle):
             monkeypatch.setattr(module, "step_lookup", lookup(module.step_lookup))
         for name in ("cbf_constraint", "fcbf_constraint"):
@@ -272,6 +287,9 @@ class TestLoopMakesNoWrapperCall:
         assert calls.get(("loop", "AffineBarrier.h"), 0) == len(outcome.report.engagements) > 0
         assert calls.get(("loop", "AlphaFn"), 0) == 0
         assert calls.get(("loop", "step_lookup in a row"), 0) == 0
+        assert calls["entry", "SpacingBarrier.h"] > 0  # x0's h1 entry margin
+        assert calls.get(("loop", "SpacingBarrier.h"), 0) == 0
+        assert calls.get(("loop", "friction_force"), 0) == 0
 
 
 class TestLoopBuildsNoLabel:
@@ -296,3 +314,64 @@ class TestLoopBuildsNoLabel:
         assert any(label.startswith("cbf:!") for label in counts)
         assert min(counts.values()) >= 2
         assert fresh == []
+
+
+class TestTraceColumns:
+    """The loop records flat float buffers: a row keeps its floats and no
+    tuple, and the trace's array views hold exactly what the loop saw."""
+
+    def test_retained_bytes_per_row(self):
+        cfg = _short_sec6()
+        bundle = pipeline.build_scenario(cfg)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = run_simulation(bundle.sys, bundle.schedules, bundle.nominal, cfg.input_box,
+                                 cfg.x0, dt=cfg.dt, t_max=cfg.horizon)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert res.ok and res.trace.n_rows() == 8001
+        # 7 floats and a status pointer make 64 bytes a row; a tuple per
+        # column and row would cost about 357
+        assert retained / res.trace.n_rows() <= 120
+
+    def test_views_hold_the_values_the_loop_saw(self, monkeypatch):
+        seen = {"t": [], "x": [], "u_nom": [], "u_safe": []}
+        conjoin, solve = sim.conjoin_groups, sim.solve_qp
+
+        def conjoin_spy(table, t, x, *args):
+            seen["t"].append(t)
+            seen["x"].append(x)
+            return conjoin(table, t, x, *args)
+
+        def solve_spy(u_nom, cons, box):
+            u_safe = solve(u_nom, cons, box)
+            seen["u_nom"].append(u_nom)
+            seen["u_safe"].append((math.nan,) * len(u_nom) if u_safe is None else u_safe)
+            return u_safe
+
+        monkeypatch.setattr(sim, "conjoin_groups", conjoin_spy)
+        monkeypatch.setattr(sim, "solve_qp", solve_spy)
+        outcome = pipeline.run_pipeline(load_config("infeasible_red"))
+        trace = outcome.trace
+
+        def hexed(rows):
+            return [tuple(map(float.hex, row)) for row in rows]
+
+        assert trace.n_rows() == len(seen["t"]) == 102
+        assert trace.qp_status[-1] == "infeasible" and math.isnan(trace.u_safe[-1, 0])
+        assert [t.hex() for t in trace.ts] == [t.hex() for t in seen["t"]]
+        for name in ("x", "u_nom", "u_safe"):
+            view = getattr(trace, "states" if name == "x" else name)
+            assert view.shape == (102, 3 if name == "x" else 1)
+            assert hexed(view.tolist()) == hexed(seen[name]), name
+        active = outcome.report.summary["qp_active_steps"]
+        assert active == qp_active_steps(seen["u_nom"], seen["u_safe"]) > 0
+
+    def test_qp_active_steps_on_the_reference_mission(self):
+        outcome = pipeline.run_pipeline(load_config("paper_sec6"))
+        trace = outcome.trace
+        assert trace.n_rows() == 50001
+        assert outcome.report.summary["qp_active_steps"] == qp_active_steps(
+            trace.u_nom.tolist(), trace.u_safe.tolist())

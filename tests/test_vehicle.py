@@ -16,7 +16,6 @@ from stlcbf.barriers import (
     fcbf_constraint,
     finite_diff_check,
     gamma_for_deadline,
-    state_columns,
 )
 from stlcbf.config import load_config
 from stlcbf.contracts import (
@@ -508,13 +507,14 @@ class TestArrayEvaluator:
         negation over every 25th row. Both sets add the switch rows."""
         registry, trace = reference_run.bundle.registry, reference_run.trace
         extra = self._extra_rows(registry.get("hpos").signals, trace.ts[-1])
-        every = (trace.ts + [t for t, _ in extra], trace.states + [x for _, x in extra])
-        some = (trace.ts[::25] + every[0][len(trace.ts):],
-                trace.states[::25] + every[1][len(trace.ts):])
+        states = list(map(tuple, trace.states.tolist()))
+        every = (list(trace.ts) + [t for t, _ in extra], states + [x for _, x in extra])
+        some = (list(trace.ts[::25]) + every[0][len(trace.ts):],
+                states[::25] + every[1][len(trace.ts):])
 
         def check(bar, side, rows):
             ts, states = rows
-            got = np.broadcast_to(bar.h_grid(np.array(ts), state_columns(states), side),
+            got = np.broadcast_to(bar.h_grid(np.array(ts), np.array(states).T, side),
                                   (len(ts),))
             assert_same_floats(got, [bar.h(t, x, side) for t, x in zip(ts, states)],
                                f"{bar} side={side}")
