@@ -16,7 +16,6 @@ from .barriers import (
     cbf_constraint,
     convergence_time,
     fcbf_constraint,
-    finite_diff_check,
     gamma_for_deadline,
 )
 from .contracts import (

@@ -4,12 +4,12 @@ A barrier is a scalar h(t, x) with analytic time derivative and state
 gradient; its safe set at time t is {x : h(t, x) >= 0}. Its protocol is one
 method per quantity: `h(t, x, side)` for the value (side="left" gives the
 left time-limit at a jump), `terms(t, x)` for (h, dh/dt, grad_x h),
-`h_grid(t, cols, side)` for h over arrays, and `affine_at` / `is_smooth_at`
-for the static checks. `h_grid` is the one array evaluator: the static grid
-passes a scalar t with one slab of state columns, the trace columns and the
-monitor pass the recorded times as an array t with the recorded states. Two
-constraint generators turn a barrier into an affine-in-input halfspace
-a.u <= b at a given (t, x):
+`h_grid(t, cols, side)` for h over arrays, and `affine_at` for the static
+checks. `h_grid` is the one array evaluator: the static grid passes a scalar
+t with one slab of state columns, the trace columns and the monitor pass the
+recorded times as an array t with the recorded states. Two constraint
+generators turn a barrier into an affine-in-input halfspace a.u <= b at a
+given (t, x):
 
   invariance (CBF):      dh/dt + grad.f + grad.g u + alpha(h) >= 0
   finite-time (FCBF):    dh/dt + grad.f + grad.g u + gamma sign(h)|h|^rho >= 0
@@ -26,9 +26,8 @@ starts, the scalar right-side case of `step_lookup`.
 Any input satisfying the FCBF inequality from h(t0, x0) < 0 reaches the safe
 set within T = |h0|^(1-rho) / (gamma (1-rho)) and stays there afterwards.
 
-Barriers are template-based (affine in state with piecewise-constant time
-offset, plus the vehicle templates in `vehicle`); templates know their
-non-smooth switch instants so derivative checks can skip them.
+Barriers are template-based: affine in state with piecewise-constant time
+offset, plus the vehicle templates in `vehicle`.
 """
 
 from __future__ import annotations
@@ -59,10 +58,6 @@ def step_lookup(starts, values, t, side: str = "right"):
 
 class BarrierError(ValueError):
     """Bad barrier parameters or evaluation outside template assumptions."""
-
-
-class NonSmoothPointError(BarrierError):
-    """Raised when a derivative check lands on a piecewise-switch instant."""
 
 
 @dataclass(frozen=True)
@@ -105,9 +100,6 @@ class AlphaFn:
         if not self.kappa > 0:
             raise BarrierError(f"alpha gain must be positive, got {self.kappa}")
 
-    def __call__(self, h: float) -> float:
-        return self.kappa * h
-
 
 IDENTITY_ALPHA = AlphaFn(1.0)
 
@@ -134,9 +126,6 @@ class HalfspaceConstraint(NamedTuple):
     b: float
     label: str = ""
 
-    def violation(self, u) -> float:
-        return sum(ai * ui for ai, ui in zip(self.a, u)) - self.b
-
     def is_vacuous(self) -> bool:
         return all(ai == 0 for ai in self.a) and self.b >= 0
 
@@ -160,10 +149,10 @@ class ConstraintRow:
 class Barrier:
     """Base evaluator of h on [0, T] x D.
 
-    A template implements `h(t, x, side)` and `terms(t, x)`; `h_grid`,
-    `affine_at` and `is_smooth_at` have generic defaults that templates
-    override where their structure allows. `side="left"` asks for the left
-    time-limit h(t-, x), which differs from h only at time jumps.
+    A template implements `h(t, x, side)` and `terms(t, x)`; `h_grid` and
+    `affine_at` have generic defaults that templates override where their
+    structure allows. `side="left"` asks for the left time-limit h(t-, x),
+    which differs from h only at time jumps.
     """
 
     def __init__(self, barrier_id: str, alpha: AlphaFn = IDENTITY_ALPHA):
@@ -196,9 +185,6 @@ class Barrier:
         """(coeffs, offset) with h = coeffs.x + offset when affine at t, else None."""
         return None
 
-    def is_smooth_at(self, t: float, x, t_pad: float = 0.0, x_pad: float = 0.0) -> bool:
-        return True
-
     def negate(self) -> "NegatedBarrier":
         return NegatedBarrier(self)
 
@@ -210,7 +196,7 @@ class AffineBarrier(Barrier):
     """h(t, x) = coeffs . x + offset(t), offset piecewise constant in time.
 
     `pieces` is a sorted sequence of (t_start, offset); a single piece gives a
-    time-invariant barrier. Jumps at piece boundaries are flagged non-smooth.
+    time-invariant barrier. h jumps in t at each later piece start.
     """
 
     def __init__(self, barrier_id, coeffs, offset=None, pieces=None, alpha=IDENTITY_ALPHA):
@@ -226,10 +212,6 @@ class AffineBarrier(Barrier):
             raise BarrierError("offset pieces must have strictly increasing start times")
         self._starts = starts
         self._offsets = [d for _, d in self.pieces]  # offset(t): last piece started by t
-
-    @property
-    def switch_times(self) -> tuple:
-        return tuple(t0 for t0, _ in self.pieces[1:])
 
     def h(self, t, x, side="right"):
         return sum(map(mul, self.coeffs, x)) + step_lookup(self._starts, self._offsets, t, side)
@@ -247,9 +229,6 @@ class AffineBarrier(Barrier):
 
     def affine_at(self, t, side="right"):
         return self.coeffs, step_lookup(self._starts, self._offsets, t, side)
-
-    def is_smooth_at(self, t, x, t_pad=0.0, x_pad=0.0):
-        return all(abs(t - ts) > t_pad for ts in self.switch_times)
 
 
 class TopBarrier(Barrier):
@@ -300,9 +279,6 @@ class NegatedBarrier(Barrier):
             return None
         coeffs, offset = aff
         return tuple(-c for c in coeffs), -offset
-
-    def is_smooth_at(self, t, x, t_pad=0.0, x_pad=0.0):
-        return self.inner.is_smooth_at(t, x, t_pad, x_pad)
 
 
 class BarrierRegistry:
@@ -394,38 +370,3 @@ def gamma_for_deadline(h_engage: float, rho: float, t_target: float,
         return gamma_min
     return abs(h_engage) ** (1.0 - rho) / (t_target * (1.0 - rho))
 
-
-# ---------------------------------------------------------------------------
-# Derivative checking
-# ---------------------------------------------------------------------------
-
-
-def finite_diff_check(bar: Barrier, t: float, x, step: float = 1e-6) -> float:
-    """Worst relative error of the analytic dh/dt and grad_x of `terms`
-    against central differences of h. Raises NonSmoothPointError at
-    piecewise-switch points (jump discontinuities make the comparison
-    meaningless there)."""
-    if step <= 0:
-        raise BarrierError(f"step must be positive, got {step}")
-    if not bar.is_smooth_at(t, x, t_pad=4 * step, x_pad=4 * step):
-        raise NonSmoothPointError(f"{bar.id} is not smooth near t={t:g}")
-
-    x = tuple(x)
-    worst = 0.0
-    _, dh_dt, grad = bar.terms(t, x)
-
-    fd_t = (bar.h(t + step, x) - bar.h(max(t - step, 0.0), x)) / (step + min(t, step))
-    worst = max(worst, _rel_err(dh_dt, fd_t))
-
-    for i in range(len(x)):
-        hi = list(x)
-        lo = list(x)
-        hi[i] += step
-        lo[i] -= step
-        fd = (bar.h(t, tuple(hi)) - bar.h(t, tuple(lo))) / (2 * step)
-        worst = max(worst, _rel_err(grad[i], fd))
-    return worst
-
-
-def _rel_err(analytic: float, numeric: float) -> float:
-    return abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))

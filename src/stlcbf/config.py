@@ -258,7 +258,8 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
         input_box = inp.build(InputBox, (-limit if lo is None else lo,),
                               (limit if hi is None else hi,))
 
-    x0 = (ini.num("x_f", 0.0), ini.num("v_f", 0.0), ini.num("x_l", 55.0))
+    axes = ("x_f", "v_f", "x_l")
+    x0 = tuple(ini.num(key, default) for key, default in zip(axes, (0.0, 0.0, 55.0)))
 
     pid_state = pid.build(PidState, **pid.nums("k1", "k2", "k3", "windup_limit"))
 
@@ -278,13 +279,18 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
         errors.append(f"[tolerances] margin must be finite and >= 0, got {margin_tol}")
 
     bounds = [dom.pair(key, default) for key, default in
-              zip(("x_f", "v_f", "x_l"), zip(DEFAULT_DOMAIN.lower, DEFAULT_DOMAIN.upper))]
+              zip(axes, zip(DEFAULT_DOMAIN.lower, DEFAULT_DOMAIN.upper))]
     domain = dom.build(StateBox, *zip(*bounds))
+    for key, v, (lo, hi) in zip(axes, x0, bounds):
+        if not math.isfinite(v):
+            errors.append(f"[initial] {key} must be finite, got {v}")
+        elif domain is not None and not lo - 1e-9 <= v <= hi + 1e-9:  # run_simulation's pad
+            errors.append(f"[initial] {key} = {v} lies outside [domain] {key} = {lo} {hi}")
 
     v0, lead_rows = lead.num("v0", 0.0), lead.rows("row", 2)
     profile = None
     if lead_rows is not None:
-        profile = lead.build(LeadProfile, x0[2], v0, [vals for _, vals in lead_rows])
+        profile = lead.build(LeadProfile, v0, [vals for _, vals in lead_rows])
 
     limits = None
     speed_rows = slim.rows("row", 2)

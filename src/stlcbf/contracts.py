@@ -373,9 +373,6 @@ class ContractSchedule:
             i = self._cursor = bisect_right(b, t) - 1
         return i
 
-    def segment_at(self, t: float) -> ContractSegment:
-        return self.segments[self._segment_index(t)]
-
     def assumption_margin(self, x0):
         """(barrier_id, margin) of the first segment's entry assumption, or
         None when the schedule opens vacuously or x0 lies outside its region."""

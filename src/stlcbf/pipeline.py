@@ -58,7 +58,6 @@ class ScenarioBundle:
     registry: BarrierRegistry
     sys: object
     spec: StlSpec            # post eventually->globally
-    groups: list
     schedules: list          # ContractSchedule, one per signal for the signal group
     nominal: Callable        # (t, x) -> PID force on the spacing error
     margin_barriers: list    # Barrier, one trace margin column each
@@ -91,14 +90,13 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
 
     spec_src = f"horizon {cfg.horizon!r}\n" + cfg.stl_text
     spec = eventually_to_globally(parse_spec(spec_src, registry))
-    groups = group_tasks(spec)
 
     sched_cfg = ScheduleConfig(
         domain=cfg.domain, horizon=cfg.horizon, rho=cfg.rho_speed,
         t_conv=cfg.t_conv_speed, gamma_min=cfg.gamma_min,
     )
     schedules = []
-    for group in groups:
+    for group in group_tasks(spec):
         if any(p == PredicateRef("hpos") for _, p in group.predicates):
             if len(group.predicates) != 1:
                 raise PipelineError(
@@ -142,7 +140,7 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
             PHASES, active_phase_index(signals, ts, active(states)))
 
     return ScenarioBundle(
-        cfg=cfg, registry=registry, sys=sys, spec=spec, groups=groups,
+        cfg=cfg, registry=registry, sys=sys, spec=spec,
         schedules=schedules, nominal=nominal, margin_barriers=margin_barriers,
         extra_channels=extra_channels,
     )

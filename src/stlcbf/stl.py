@@ -57,9 +57,6 @@ class TimeInterval:
         if not self.start < self.end:
             raise StlError(f"empty or inverted interval [{self.start}, {self.end})")
 
-    def contains(self, t: float) -> bool:
-        return self.start <= t < self.end
-
     def __str__(self) -> str:
         return f"[{_fmt(self.start)},{_fmt(self.end)})"
 

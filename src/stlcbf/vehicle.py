@@ -69,8 +69,11 @@ class VehicleParams:
 
     def __post_init__(self):
         for name in ("mass", "c0", "c1", "c2", "t_headway", "s0", "a_max", "beta", "g_grav"):
-            if not getattr(self, name) > 0:
-                raise VehicleError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not value > 0:
+                raise VehicleError(f"{name} must be positive, got {value}")
+            if value == math.inf:
+                raise VehicleError(f"{name} must be finite, got {value}")
         if self.a_max > self.g_grav:
             raise VehicleError(f"a_max {self.a_max} exceeds g {self.g_grav}")
 
@@ -90,11 +93,12 @@ class LeadProfile:
 
     `accel_rows` is a sorted list of (t, a). Speed is clamped at zero: a
     braking piece that would push V_l negative stops the lead until a later
-    piece accelerates again. Position/velocity are evaluated exactly from the
-    resulting breakpoints.
+    piece accelerates again. Velocity is evaluated exactly from the resulting
+    breakpoints; the lead's position is the state X_l, which the dynamics
+    integrate.
     """
 
-    def __init__(self, x0: float, v0: float, accel_rows: Sequence = ((0.0, 0.0),)):
+    def __init__(self, v0: float, accel_rows: Sequence = ((0.0, 0.0),)):
         if not 0 <= v0 < math.inf:
             raise VehicleError(f"lead initial speed must be finite and >= 0, got {v0}")
         rows = [(float(t), float(a)) for t, a in accel_rows]
@@ -103,32 +107,29 @@ class LeadProfile:
         if [t for t, _ in rows] != sorted({t for t, _ in rows}):
             raise VehicleError("lead profile times must be strictly increasing")
 
-        # breakpoints (t, x, v, a): within a piece v is linear, x quadratic
+        # breakpoints (t, v, a): within a piece v is linear
         bps = []
-        t, xx, v = 0.0, float(x0), float(v0)
+        t, v = 0.0, float(v0)
         for i, (t_i, a_i) in enumerate(rows):
             t_next = rows[i + 1][0] if i + 1 < len(rows) else math.inf
             a = 0.0 if (v <= 0 and a_i < 0) else a_i
-            bps.append((t, xx, v, a))
+            bps.append((t, v, a))
             if a < 0:
                 t_stop = t + v / (-a)
                 if t_stop < t_next:
-                    xx += v * (t_stop - t) + 0.5 * a * (t_stop - t) ** 2
                     v = 0.0
                     t = t_stop
-                    bps.append((t, xx, v, 0.0))
+                    bps.append((t, v, 0.0))
                     a = 0.0
             if t_next is not math.inf:
-                dt = t_next - t
-                xx += v * dt + 0.5 * a * dt * dt
-                v += a * dt
+                v += a * (t_next - t)
                 t = t_next
         self._bps = bps
         self._times = [b[0] for b in bps]
         self._t, self._motion = math.nan, (0.0, 0.0)  # the last cached query
 
     def velocity(self, t):
-        t0, _, v, a = step_lookup(self._times, self._bps, t)
+        t0, v, a = step_lookup(self._times, self._bps, t)
         return v + a * (t - t0)
 
     def cached_motion(self, t: float) -> tuple:
@@ -136,21 +137,12 @@ class LeadProfile:
         a new t: within a step the dynamics, h1 and the nominal controller
         all read the lead at one t."""
         if t != self._t:
-            t0, _, v, a = self._bps[max(bisect_right(self._times, t) - 1, 0)]
+            t0, v, a = self._bps[max(bisect_right(self._times, t) - 1, 0)]
             self._t, self._motion = t, (v + a * (t - t0), a)
         return self._motion
 
     def accel(self, t: float) -> float:
-        return step_lookup(self._times, self._bps, t)[3]
-
-    def position(self, t: float) -> float:
-        t0, x0, v, a = step_lookup(self._times, self._bps, t)
-        dt = t - t0
-        return x0 + v * dt + 0.5 * a * dt * dt
-
-    @property
-    def switch_times(self) -> tuple:
-        return tuple(self._times[1:])
+        return step_lookup(self._times, self._bps, t)[2]
 
 
 class SpeedLimitSchedule:
@@ -295,13 +287,10 @@ class SpacingBarrier(Barrier):
         return (self._h(vl, x), vl * al / self.vp.a_max,
                 (-1.0, -self.vp.t_headway - x[1] / self.vp.a_max, 1.0))
 
-    def is_smooth_at(self, t, x, t_pad=0.0, x_pad=0.0):
-        return all(abs(t - ts) > t_pad for ts in self.lead.switch_times)
-
 
 def speed_limit_barrier(limits: SpeedLimitSchedule, vp: VehicleParams,
                         barrier_id: str = "hv") -> AffineBarrier:
-    """Stitched h_v = V_max(t) - V_f with jumps flagged at the switch times.
+    """Stitched h_v = V_max(t) - V_f, which jumps at the switch times.
     Carries alpha(h) = h/beta, which reproduces the case-study bound
     u <= (m/beta) h_v + F_r."""
     return AffineBarrier(
@@ -359,21 +348,6 @@ class TrafficSignalBarrier(Barrier):
         line = self._stop_line(t, x)
         grad = (0.0, 0.0, 0.0) if line is None else (-1.0, -self.vp.beta, 0.0)
         return self._h(line, x), 0.0, grad
-
-    def is_smooth_at(self, t, x, t_pad=0.0, x_pad=0.0):
-        k = bisect_left(self.positions, x[0])
-        if k >= len(self.signals):
-            return False
-        if any(abs(x[0] - p) <= x_pad for p in self.positions[max(k - 1, 0):k + 2]):
-            return False
-        sig = self.signals[k]
-        c = (t + sig.offset) % sig.period
-        marks = (0.0, sig.green_dur, sig.green_dur + sig.yellow_dur, sig.period)
-        if any(abs(c - mk) <= t_pad for mk in marks):
-            return False
-        if sig.phase(t) != RED and k + 1 >= len(self.signals):
-            return False  # vacuous +inf region
-        return True
 
 
 # ---------------------------------------------------------------------------

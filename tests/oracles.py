@@ -140,6 +140,42 @@ def scalar_worst_engage_margin(h_prev, h_next, tau, domain, resolution):
 
 
 # ---------------------------------------------------------------------------
+# Derivative oracle: central differences of h against `terms`
+# ---------------------------------------------------------------------------
+
+
+def finite_diff_check(bar: Barrier, t: float, x, step: float = 1e-6, tol: float = 1e-5):
+    """Worst relative error of the dh/dt and grad_x h that `terms` gives at
+    (t, x) against central differences of `h`, or None where h is not smooth
+    within `step` of the point. It asks the barrier nothing but `h` and
+    `terms`: h is taken as not smooth there when it is non-finite at the
+    point or a neighbour (the vacuous region of a stitched barrier), or when,
+    along t or some x_i, the forward and backward differences disagree by
+    more than `tol` (a jump or a kink lies within one step)."""
+    x = tuple(x)
+    _, dh_dt, grad = bar.terms(t, x)
+    h0 = bar.h(t, x)
+    probes = [(dh_dt, bar.h(t - step, x), bar.h(t + step, x))]
+    for i in range(len(x)):
+        lo, hi = list(x), list(x)
+        lo[i] -= step
+        hi[i] += step
+        probes.append((grad[i], bar.h(t, tuple(lo)), bar.h(t, tuple(hi))))
+    worst = 0.0
+    for analytic, h_lo, h_hi in probes:
+        if not all(map(math.isfinite, (h_lo, h0, h_hi))):
+            return None
+        if _rel_err((h_hi - h0) / step, (h0 - h_lo) / step) > tol:
+            return None
+        worst = max(worst, _rel_err(analytic, (h_hi - h_lo) / (2 * step)))
+    return worst
+
+
+def _rel_err(analytic: float, numeric: float) -> float:
+    return abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
+
+
+# ---------------------------------------------------------------------------
 # Helpers only the tests use
 # ---------------------------------------------------------------------------
 

@@ -11,7 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from oracles import closed_form_bound, constraint_upper_bound, grid_qp, max_overlap_depth
+from oracles import (
+    closed_form_bound,
+    constraint_upper_bound,
+    finite_diff_check,
+    grid_qp,
+    max_overlap_depth,
+)
 from stlcbf.barriers import (
     AffineBarrier,
     FcbfParams,
@@ -20,7 +26,6 @@ from stlcbf.barriers import (
     cbf_constraint,
     convergence_time,
     fcbf_constraint,
-    finite_diff_check,
     gamma_for_deadline,
 )
 from stlcbf.cli import main as cli_main
@@ -138,7 +143,7 @@ def _rel_close(a, b, rtol=1e-9):
 def test_criterion_3_closed_form_equivalence():
     rng = np.random.RandomState(202)
     vp = VehicleParams()
-    lead = LeadProfile(60.0, 8.0, [(0.0, 0.4), (25.0, 0.0), (50.0, -0.3), (75.0, 0.2)])
+    lead = LeadProfile(8.0, [(0.0, 0.4), (25.0, 0.0), (50.0, -0.3), (75.0, 0.2)])
     sys = make_vehicle_system(vp, lead)
     h1_bar = SpacingBarrier(vp, lead)
     rho_v, rho_r = 0.91, 0.9
@@ -319,19 +324,22 @@ def test_criterion_6_grouping_optimality():
 # -----------------------------------------------------------------------
 
 
-def _sample_smooth(rng, bar, draw, n=1000, pad=1e-4):
-    pts = []
-    while len(pts) < n:
+def _smooth_errors(rng, bar, draw, n=1000):
+    """The oracle's relative errors at the first n draws where h is smooth
+    within one step; it returns None at the others."""
+    errs = []
+    while len(errs) < n:
         t, x = draw(rng)
-        if bar.is_smooth_at(t, x, t_pad=pad, x_pad=pad):
-            pts.append((t, x))
-    return pts
+        err = finite_diff_check(bar, t, x, step=1e-6)
+        if err is not None:
+            errs.append(err)
+    return errs
 
 
 def test_criterion_7_gradient_checks():
     rng = np.random.RandomState(505)
     vp = VehicleParams()
-    lead = LeadProfile(60.0, 5.0, [(0.0, 0.5), (30.0, -0.6), (60.0, 0.3)])
+    lead = LeadProfile(5.0, [(0.0, 0.5), (30.0, -0.6), (60.0, 0.3)])
     limits = SpeedLimitSchedule([(0.0, 30.0), (40.0, 25.0), (80.0, 10.0)], 120.0)
     signals = generate_signal_plan(7, count=6, first_position=300.0)
 
@@ -352,9 +360,7 @@ def test_criterion_7_gradient_checks():
         )
 
     for bar in templates:
-        worst = 0.0
-        for t, x in _sample_smooth(rng, bar, draw):
-            worst = max(worst, finite_diff_check(bar, t, x, step=1e-6))
+        worst = max(_smooth_errors(rng, bar, draw))
         assert worst < 1e-5, f"{bar.id}: worst relative error {worst:g}"
     _announce(7, "template gradient checks")
 

@@ -528,6 +528,8 @@ class TestCli:
         ("fcbf", "gamma_min", "-1"), ("fcbf", "gamma_min", "0"),
         ("fcbf", "gamma_min", "nan"), ("fcbf", "gamma_min", "inf"),
         ("fcbf", "t_conv_speed", "nan"), ("fcbf", "t_conv_speed", "inf"),
+        ("vehicle", "c1", "inf"), ("vehicle", "mass", "inf"),
+        ("initial", "x_f", "nan"), ("initial", "v_f", "inf"),
     ])
     def test_bad_gain_or_tolerance_names_its_key(self, section, key, value, tmp_path,
                                                   capsys):
@@ -541,12 +543,31 @@ class TestCli:
             assert cli_main([command, str(cfg)]) == 4
             assert f"[{section}] {key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entries, message", [
+        ("[initial]\nv_f = 61\n[domain]\nv_f = 0 60\n",
+         r"\[initial\] v_f = 61.0 lies outside \[domain\] v_f = 0.0 60.0"),
+        ("[domain]\nx_l = 200 300\n",
+         r"\[initial\] x_l = 100.0 lies outside \[domain\] x_l = 200.0 300.0"),
+    ], ids=["v_f", "x_l"])
+    def test_initial_state_outside_domain_names_its_key(self, entries, message, tmp_path,
+                                                        capsys):
+        # `check` used to pass these, and `run` fail without naming the key
+        text = MINIMAL + entries
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+        cfg = tmp_path / "outside.cfg"
+        cfg.write_text(text)
+        for command in ("run", "check"):
+            assert cli_main([command, str(cfg)]) == 4
+            assert re.search(message, capsys.readouterr().err)
+
     def test_boundary_gains_and_tolerances_still_accepted(self, tmp_path):
         text = MINIMAL + ("\n[tolerances]\nmargin = 0\n[pid]\nk1 = -0.5\nwindup_limit = 0\n"
-                          "[fcbf]\ngamma_min = 1e-9\n")
+                          "[fcbf]\ngamma_min = 1e-9\n[domain]\nx_l = 0 100\n")
         cfg = parse_config(text)
         assert (cfg.margin_tol, cfg.pid.k1, cfg.pid.windup_limit, cfg.gamma_min) == \
             (0.0, -0.5, 0.0, 1e-9)
+        assert cfg.x0 == (0.0, 0.0, 100.0)  # on the edge of [domain] is inside
         path = tmp_path / "ok.cfg"
         path.write_text(text)
         assert cli_main(["check", str(path)]) == 0

@@ -293,7 +293,7 @@ class TestActiveConstraints:
         sched = self._sched()
         for t in (0.0, 49.99, 50.0, 120.0, 10.0, 149.9, 0.0, 100.0, 99.999, 100.0):
             want = max(i for i, seg in enumerate(sched.segments) if seg.interval.start <= t)
-            assert sched.segment_at(t) is sched.segments[want]
+            assert sched._segment_index(t) == want
 
     def test_vacuous_segment_contributes_nothing(self):
         reg = registry_with(vbar(10))
@@ -461,7 +461,7 @@ class TestConstraintRowReuse:
 
     def test_fresh_gradient(self):
         vp = VehicleParams()
-        lead = LeadProfile(100.0, 15.0, [(0.0, 0.5)])
+        lead = LeadProfile(15.0, [(0.0, 0.5)])
         h1 = SpacingBarrier(vp, lead)
         sys = make_vehicle_system(vp, lead)
         states = [(0.0, v_f, 60.0) for v_f in (0.0, 14.0, 30.0, 14.0, 2.5)]
@@ -471,7 +471,7 @@ class TestConstraintRowReuse:
 
     def test_constant_gradient_and_g_derive_a_once(self):
         vp = VehicleParams()
-        lead = LeadProfile(100.0, 15.0)
+        lead = LeadProfile(15.0)
         sys = make_vehicle_system(vp, lead)
         bar = AffineBarrier("vmax", coeffs=(0.0, -1.0, 0.0), offset=25.0)
         states = [(0.0, v_f, 60.0) for v_f in (0.0, 14.0, 30.0)]
@@ -512,7 +512,7 @@ class TestGridOracleAgreement:
 # ---------------------------------------------------------------------------
 
 VP = VehicleParams()
-LEAD = LeadProfile(150.0, 12.0, [(0.0, 1.0), (10.0, 0.0), (20.0, -2.0), (40.0, 0.5)])
+LEAD = LeadProfile(12.0, [(0.0, 1.0), (10.0, 0.0), (20.0, -2.0), (40.0, 0.5)])
 # cycles green [0,20) -> yellow [20,24) -> red [24,40), period 40
 SIGNALS = [SignalTimings(200.0, 20.0, 4.0, 16.0), SignalTimings(500.0, 20.0, 4.0, 16.0)]
 # per axis: range of the lower bound, largest width (X_f, V_f, X_l scales)
@@ -672,7 +672,7 @@ class TestArrayGrid:
                 calls.append(type(self).__name__)
                 return _h(self, t, x, side)
             monkeypatch.setattr(cls, "h", counted)
-        h1 = SpacingBarrier(VP, LeadProfile(100.0, 10.0))
+        h1 = SpacingBarrier(VP, LeadProfile(10.0))
         vmax = AffineBarrier("vmax10", coeffs=(0.0, -1.0, 0.0), offset=10.0)
         box = StateBox((-1000.0, 0.0, -1000.0), (100000.0, 60.0, 1000000.0))
         res = check_intersection(h1, vmax, 30.0, box, 101)

@@ -148,7 +148,7 @@ class TestInvariants:
             return
         for c in cons:
             if not c.is_vacuous():
-                assert c.violation(out) <= 1e-9
+                assert sum(a * u for a, u in zip(c.a, out)) - c.b <= 1e-9
         assert box.lower[0] - 1e-12 <= out[0] <= box.upper[0] + 1e-12
         assert solve_qp(out, cons, box) == pytest.approx(out)
 

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import qp_active_steps
 from stlcbf import barriers, contracts, pipeline, sim, vehicle
-from stlcbf.barriers import AffineBarrier, AlphaFn, BarrierRegistry, StateBox
+from stlcbf.barriers import AffineBarrier, BarrierRegistry, StateBox
 from stlcbf.config import load_config
 from stlcbf.contracts import ScheduleConfig, build_schedule
 from stlcbf.qp import InputBox
@@ -37,7 +37,7 @@ class TestIntegrateStep:
 
     def test_vehicle_step_halving_self_consistent(self):
         vp = VehicleParams()
-        lead = LeadProfile(55.0, 15.0, [(0.0, 0.3)])
+        lead = LeadProfile(15.0, [(0.0, 0.3)])
         sys = make_vehicle_system(vp, lead)
         x = (10.0, 12.0, 60.0)
         u = (800.0,)
@@ -132,7 +132,7 @@ class TestRunSimulation:
 
     def test_clamp_dims_logs_event_instead_of_failing(self):
         vp = VehicleParams()
-        lead = LeadProfile(500.0, 0.0)
+        lead = LeadProfile(0.0)
         sys = make_vehicle_system(vp, lead)
         # strong braking would push V_f < 0; the floor clamp keeps it at rest
         res = run_simulation(sys, [], lambda t, x: -3000.0,
@@ -218,11 +218,10 @@ class TestLoopLooksNothingUp:
 
 class TestLoopMakesNoWrapperCall:
     """Each constraint costs one `terms` call: an affine barrier's `h` runs
-    in the loop only where a window first engages (to size its gamma), alpha
-    is applied as kappa * h without `AlphaFn.__call__`, and no constraint row
-    reaches the generic `step_lookup` (affine offsets and the lead cache do
-    their own bisect). The nominal controller computes h1 and the friction
-    force inline, from one lead lookup."""
+    in the loop only where a window first engages (to size its gamma), and no
+    constraint row reaches the generic `step_lookup` (affine offsets and the
+    lead cache do their own bisect). The nominal controller computes h1 and
+    the friction force inline, from one lead lookup."""
 
     def test_wrapper_calls_left_in_the_loop(self, monkeypatch):
         calls = {}  # (phase, name) -> count
@@ -267,7 +266,6 @@ class TestLoopMakesNoWrapperCall:
         conjoin = sim.conjoin_groups
         monkeypatch.setattr(sim, "conjoin_groups", step)
         monkeypatch.setattr(AffineBarrier, "h", counting("AffineBarrier.h", AffineBarrier.h))
-        monkeypatch.setattr(AlphaFn, "__call__", counting("AlphaFn", AlphaFn.__call__))
         monkeypatch.setattr(vehicle.SpacingBarrier, "h",
                             counting("SpacingBarrier.h", vehicle.SpacingBarrier.h))
         friction = counting("friction_force", vehicle.friction_force)
@@ -285,7 +283,6 @@ class TestLoopMakesNoWrapperCall:
         # the counters see the calls: x0's entry margins, the trace columns
         assert calls["entry", "AffineBarrier.h"] > 0 and calls["after", "step_lookup"] > 0
         assert calls.get(("loop", "AffineBarrier.h"), 0) == len(outcome.report.engagements) > 0
-        assert calls.get(("loop", "AlphaFn"), 0) == 0
         assert calls.get(("loop", "step_lookup in a row"), 0) == 0
         assert calls["entry", "SpacingBarrier.h"] > 0  # x0's h1 entry margin
         assert calls.get(("loop", "SpacingBarrier.h"), 0) == 0

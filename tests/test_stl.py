@@ -40,8 +40,13 @@ def spec_of(*tasks, horizon=1000.0, sat=None):
 
 class TestTimeInterval:
     def test_half_open_membership(self):
+        # the end instant belongs to the next interval: abutting intervals
+        # share a group
         iv = TimeInterval(0.0, 300.0)
-        assert iv.contains(0.0) and iv.contains(299.99) and not iv.contains(300.0)
+        assert str(iv) == "[0,300)"
+        spec = spec_of(Globally(iv, PredicateRef("a")),
+                       Globally(TimeInterval(300.0, 400.0), PredicateRef("b")))
+        assert len(group_tasks(spec)) == 1
 
     @pytest.mark.parametrize("bounds", [(5.0, 5.0), (3.0, 2.0), (-1.0, 4.0),
                                         (0.0, math.inf)])

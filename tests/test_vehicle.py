@@ -6,7 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import bisect_dispatch, closed_form_bound, constraint_upper_bound
+from oracles import (
+    bisect_dispatch,
+    closed_form_bound,
+    constraint_upper_bound,
+    finite_diff_check,
+)
 from stlcbf.barriers import (
     AlphaFn,
     BarrierRegistry,
@@ -14,7 +19,6 @@ from stlcbf.barriers import (
     StateBox,
     cbf_constraint,
     fcbf_constraint,
-    finite_diff_check,
     gamma_for_deadline,
 )
 from stlcbf.config import load_config
@@ -68,32 +72,31 @@ class TestFriction:
 
 
 class TestLeadProfile:
-    def test_piecewise_velocity_and_position(self):
-        lead = LeadProfile(55.0, 0.0, [(0.0, 1.0), (10.0, 0.0)])
+    def test_piecewise_velocity_and_accel(self):
+        lead = LeadProfile(0.0, [(0.0, 1.0), (10.0, 0.0)])
         assert lead.velocity(5.0) == pytest.approx(5.0)
         assert lead.velocity(20.0) == pytest.approx(10.0)
-        assert lead.position(10.0) == pytest.approx(55.0 + 50.0)
         assert lead.accel(5.0) == 1.0 and lead.accel(15.0) == 0.0
 
     def test_braking_clamps_at_standstill(self):
-        lead = LeadProfile(0.0, 10.0, [(0.0, -2.0), (100.0, 1.0)])
+        lead = LeadProfile(10.0, [(0.0, -2.0), (100.0, 1.0)])
         assert lead.velocity(5.0) == pytest.approx(0.0)
         assert lead.velocity(50.0) == 0.0
         assert lead.accel(10.0) == 0.0  # configured braking has no effect at rest
         assert lead.velocity(101.0) == pytest.approx(1.0)
-        assert lead.position(5.0) == lead.position(50.0) == pytest.approx(25.0)
+        assert lead._times == [0.0, 5.0, 100.0]  # at rest from t=5 until t=100
 
     def test_negative_initial_speed_rejected(self):
         with pytest.raises(VehicleError):
-            LeadProfile(0.0, -1.0)
+            LeadProfile(-1.0)
 
 
 def _lead(which):
     """Two profiles, each with a standstill breakpoint: the first brakes to
     rest at t=30 and pulls away at 40, the second stops at t=5."""
     if which == 0:
-        return LeadProfile(55.0, 3.0, [(0.0, 1.2), (10.0, 0.0), (20.0, -1.5), (40.0, 0.5)])
-    return LeadProfile(0.0, 10.0, [(0.0, -2.0), (100.0, 1.0)])
+        return LeadProfile(3.0, [(0.0, 1.2), (10.0, 0.0), (20.0, -1.5), (40.0, 0.5)])
+    return LeadProfile(10.0, [(0.0, -2.0), (100.0, 1.0)])
 
 
 class TestLeadCache:
@@ -102,7 +105,7 @@ class TestLeadCache:
     order of queries."""
 
     def test_standstill_breakpoints_are_pieces(self):
-        assert 30.0 in _lead(0).switch_times and 5.0 in _lead(1).switch_times
+        assert 30.0 in _lead(0)._times and 5.0 in _lead(1)._times
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 1), st.lists(
@@ -110,7 +113,7 @@ class TestLeadCache:
                   st.integers(0, 9), st.floats(0.0, 150.0)), min_size=1, max_size=12))
     def test_cached_motion_equals_velocity_and_accel(self, which, queries):
         lead = _lead(which)
-        breakpoints = (0.0,) + lead.switch_times
+        breakpoints = lead._times
         t = 0.0
         for kind, i, free in queries:
             bp = breakpoints[i % len(breakpoints)]
@@ -124,23 +127,31 @@ class TestLeadCache:
 
 class TestSpacingBarrier:
     def test_equal_speeds_cancel_quadratic_term(self):
-        lead = LeadProfile(50.0, 20.0)
+        lead = LeadProfile(20.0)
         bar = SpacingBarrier(VP, lead)
         assert bar.h(0.0, (0.0, 20.0, 50.0)) == pytest.approx(25.0)
 
     def test_boundary_state(self):
-        lead = LeadProfile(25.0, 20.0)
+        lead = LeadProfile(20.0)
         bar = SpacingBarrier(VP, lead)
         # X_r = t_hw*V_f + S0 with V_f = V_l puts h exactly at zero
         assert bar.h(0.0, (0.0, 20.0, 25.0)) == pytest.approx(0.0)
 
     def test_gradient_matches_finite_differences(self):
-        lead = LeadProfile(80.0, 12.0, [(0.0, 0.7), (30.0, -0.4)])
+        lead = LeadProfile(12.0, [(0.0, 0.7), (30.0, -0.4)])
         bar = SpacingBarrier(VP, lead)
-        assert finite_diff_check(bar, 7.3, (11.0, 17.0, 95.0)) < 1e-5
+        assert finite_diff_check(bar, 7.3, (11.0, 17.0, 95.0)) < 1e-8
+
+    def test_lead_breakpoint_flagged_non_smooth(self):
+        # dh/dt = V_l a_l / a_max jumps where a_l does: a kink in t at t=30
+        lead = LeadProfile(12.0, [(0.0, 0.7), (30.0, -0.4)])
+        bar = SpacingBarrier(VP, lead)
+        for t in (30.0, 30.0 - 5e-7, 30.0 + 5e-7):
+            assert finite_diff_check(bar, t, (11.0, 17.0, 95.0)) is None
+        assert finite_diff_check(bar, 30.0 + 2e-6, (11.0, 17.0, 95.0)) < 1e-8
 
     def test_dh_dt_tracks_lead_acceleration(self):
-        lead = LeadProfile(80.0, 12.0, [(0.0, 0.7)])
+        lead = LeadProfile(12.0, [(0.0, 0.7)])
         bar = SpacingBarrier(VP, lead)
         assert bar.terms(4.0, (0.0, 5.0, 80.0))[1] == pytest.approx(
             lead.velocity(4.0) * 0.7 / VP.a_max)
@@ -223,12 +234,23 @@ class TestSignalBarrier:
 
     def test_gradient_matches_finite_differences(self):
         bar = TrafficSignalBarrier(two_signals(), VP)
-        assert finite_diff_check(bar, 40.0, (100.0, 10.0, 0.0)) < 1e-5
+        assert finite_diff_check(bar, 40.0, (100.0, 10.0, 0.0)) < 1e-8
 
     def test_phase_switch_flagged_non_smooth(self):
         bar = TrafficSignalBarrier(two_signals(), VP)
-        assert not bar.is_smooth_at(35.0, (100.0, 10.0, 0.0), t_pad=1e-5, x_pad=1e-5)
-        assert not bar.is_smooth_at(40.0, (200.0, 10.0, 0.0), t_pad=1e-5, x_pad=1e-5)
+        # signal 1 turns red at t=35: h jumps from line 2 to line 1
+        assert finite_diff_check(bar, 35.0, (100.0, 10.0, 0.0)) is None
+        assert finite_diff_check(bar, 20.0, (100.0, 10.0, 0.0)) < 1e-8
+        # past the last stop line the barrier is vacuous: h = +inf
+        assert finite_diff_check(bar, 10.0, (500.0, 10.0, 0.0)) is None
+        assert finite_diff_check(bar, 10.0, (400.0 - 1e-7, 10.0, 0.0)) is None
+
+    def test_stop_line_crossing_flagged_non_smooth(self):
+        # signals 1 and 2 are green at t=28: crossing line 1 moves h from
+        # line 2 to line 3
+        bar = TrafficSignalBarrier(two_signals() + [SignalTimings(600.0, 30.0, 5.0, 25.0)], VP)
+        assert finite_diff_check(bar, 28.0, (200.0, 10.0, 0.0)) is None
+        assert finite_diff_check(bar, 28.0, (150.0, 10.0, 0.0)) < 1e-8
 
 
 class TestGenerator:
@@ -251,7 +273,7 @@ class TestClosedFormBounds:
         assert val == pytest.approx(6960.0, abs=0.2)
 
     def test_h1_matches_generic_cbf(self):
-        lead = LeadProfile(50.0, 20.0, [(0.0, 0.5)])
+        lead = LeadProfile(20.0, [(0.0, 0.5)])
         bar = SpacingBarrier(VP, lead)
         sys = make_vehicle_system(VP, lead)
         for t, x in [(0.0, (0.0, 20.0, 50.0)), (3.0, (10.0, 14.0, 80.0)),
@@ -262,7 +284,7 @@ class TestClosedFormBounds:
             assert constraint_upper_bound(c) == pytest.approx(val, rel=1e-12)
 
     def test_rbar_matches_generic_cbf(self):
-        lead = LeadProfile(1000.0, 0.0)
+        lead = LeadProfile(0.0)
         sys = make_vehicle_system(VP, lead)
         bar = TrafficSignalBarrier(two_signals(), VP)
         t, x = 5.0, (100.0, 10.0, 0.0)  # green: stop line P2=400
@@ -271,7 +293,7 @@ class TestClosedFormBounds:
         assert constraint_upper_bound(c) == pytest.approx(val, rel=1e-12)
 
     def test_v_bound_equals_scaled_alpha_construction(self):
-        lead = LeadProfile(1000.0, 0.0)
+        lead = LeadProfile(0.0)
         sys = make_vehicle_system(VP, lead)
         limits = SpeedLimitSchedule([(0.0, 25.0)], 100.0)
         bar = speed_limit_barrier(limits, VP)
@@ -281,7 +303,7 @@ class TestClosedFormBounds:
         assert constraint_upper_bound(c) == pytest.approx(val, rel=1e-12)
 
     def test_fcbf_bounds_match_generic_with_deadline_gammas(self):
-        lead = LeadProfile(1000.0, 0.0)
+        lead = LeadProfile(0.0)
         sys = make_vehicle_system(VP, lead)
         # speed drop engaged at V_f=25 against limit 10, budget 5 s
         limits = SpeedLimitSchedule([(0.0, 10.0)], 100.0)
@@ -349,7 +371,7 @@ class TestSignalContracts:
 
     def test_dispatch_follows_ego_position(self):
         reg, sigs, scheds = self._build()
-        lead = LeadProfile(1000.0, 0.0)
+        lead = LeadProfile(0.0)
         sys = make_vehicle_system(VP, lead)
         # inside segment 1 at a red of signal 1
         cons = conjoin_groups(RegionTable.of(scheds), 40.0, (100.0, 10.0, 0.0), sys)
@@ -362,7 +384,7 @@ class TestSignalContracts:
 
     def test_last_signal_not_red_is_vacuous(self):
         reg, sigs, scheds = self._build()
-        lead = LeadProfile(1000.0, 0.0)
+        lead = LeadProfile(0.0)
         sys = make_vehicle_system(VP, lead)
         # t=25: signal 2 green, ego between the lines: no constraint
         assert conjoin_groups(RegionTable.of(scheds), 25.0, (250.0, 10.0, 0.0), sys) == []
@@ -371,7 +393,7 @@ class TestSignalContracts:
         # instant inside a yellow phase and inside a speed interval (outside
         # its convergence window): h1 + rbar + red FCBF + speed limit
         reg, sigs, scheds = self._build()
-        lead = LeadProfile(1000.0, 20.0)
+        lead = LeadProfile(20.0)
         reg.register(SpacingBarrier(VP, lead))
         from stlcbf.barriers import AffineBarrier
         reg.register(AffineBarrier("vmax25", coeffs=(0.0, -1.0, 0.0), offset=25.0,
@@ -423,7 +445,7 @@ class TestSignalDispatchDifferential:
         cfg = ScheduleConfig(domain=DOMAIN, horizon=self.HORIZON, rho=0.9, t_conv=5.0)
         scheds = build_signal_contracts(signals, VP, reg, cfg, rho_signal=0.9, label="G3")
         positions = [s.position for s in signals]
-        sys = make_vehicle_system(VP, LeadProfile(1e4, 10.0))
+        sys = make_vehicle_system(VP, LeadProfile(10.0))
 
         x_f = data.draw(
             st.sampled_from(positions)  # exactly on a line
@@ -585,7 +607,7 @@ class TestArrayEvaluator:
     def test_step_lookups_at_switch_instants(self, reference_run):
         bundle = reference_run.bundle
         lead, limits, hv = bundle.cfg.lead, bundle.cfg.limits, bundle.registry.get("hv")
-        t_arr = np.array([t + d for t in lead.switch_times + hv.switch_times + (0.0,)
+        t_arr = np.array([t + d for t in lead._times + [t0 for t0, _ in hv.pieces]
                           for d in (-1e-9, 0.0, 1e-9)])
         assert_same_floats(lead.velocity(t_arr), [lead.velocity(float(t)) for t in t_arr],
                            "V_l")
