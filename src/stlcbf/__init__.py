@@ -37,7 +37,6 @@ from .stl import (
     StlSpec,
     TaskGroup,
     TimeInterval,
-    eventually_to_globally,
     group_tasks,
     monitor_trace,
     parse_spec,

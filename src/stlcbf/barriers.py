@@ -234,8 +234,8 @@ class AffineBarrier(Barrier):
 class TopBarrier(Barrier):
     """Vacuous barrier h == 1: its safe set is the whole domain."""
 
-    def __init__(self, dim: int, barrier_id: str = "__top__"):
-        super().__init__(barrier_id)
+    def __init__(self, dim: int):
+        super().__init__("__top__")
         self.dim = dim
 
     def h(self, t, x, side="right"):
@@ -256,8 +256,8 @@ class NegatedBarrier(Barrier):
     inner gradient object with its negation, so a constant inner gradient
     gives one negated gradient object and its constraint row keeps its a."""
 
-    def __init__(self, inner: Barrier, alpha: AlphaFn = IDENTITY_ALPHA):
-        super().__init__(f"!{inner.id}", alpha)
+    def __init__(self, inner: Barrier):
+        super().__init__(f"!{inner.id}")
         self.inner = inner
         self._grad = self._neg_grad = None
 

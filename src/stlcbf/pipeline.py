@@ -1,5 +1,5 @@
-"""Pipeline orchestration: parse -> preprocess -> group -> build schedules ->
-static compatibility -> simulate -> monitor, plus trace/report serialization.
+"""Pipeline orchestration: parse -> group -> build schedules -> static
+compatibility -> simulate -> monitor, plus trace/report serialization.
 
 Exit codes: 0 success, 2 static incompatibility, 3 runtime infeasibility (or
 domain exit), 4 config/initial-condition error. Identical configs (including
@@ -21,10 +21,8 @@ from .barriers import AffineBarrier, AlphaFn, BarrierRegistry
 from .config import ScenarioConfig
 from .contracts import ScheduleConfig, build_schedule
 from .qp import pid_nominal
-from .sim import SimFailure, Trace, run_simulation
-from .stl import (
-    PredicateRef, SatisfactionReport, StlSpec, group_tasks, eventually_to_globally, parse_spec,
-)
+from .sim import SimFailure, Trace, check_opening_assumptions, run_simulation
+from .stl import PredicateRef, SatisfactionReport, StlSpec, group_tasks, parse_spec
 from .vehicle import (
     PHASES,
     SpacingBarrier,
@@ -57,7 +55,7 @@ class ScenarioBundle:
     cfg: ScenarioConfig
     registry: BarrierRegistry
     sys: object
-    spec: StlSpec            # post eventually->globally
+    spec: StlSpec            # globally tasks only: F is parsed as its G window
     schedules: list          # ContractSchedule, one per signal for the signal group
     nominal: Callable        # (t, x) -> PID force on the spacing error
     margin_barriers: list    # Barrier, one trace margin column each
@@ -89,7 +87,7 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
     sys = make_vehicle_system(vp, lead, cfg.domain)
 
     spec_src = f"horizon {cfg.horizon!r}\n" + cfg.stl_text
-    spec = eventually_to_globally(parse_spec(spec_src, registry))
+    spec = parse_spec(spec_src, registry)
 
     sched_cfg = ScheduleConfig(
         domain=cfg.domain, horizon=cfg.horizon, rho=cfg.rho_speed,
@@ -176,7 +174,9 @@ class PipelineOutcome:
 
 
 def check_pipeline(cfg: ScenarioConfig) -> PipelineOutcome:
-    """Static half of the pipeline: build everything, classify boundaries."""
+    """Static half of the pipeline: build everything, classify boundaries,
+    then, when every boundary passes, check x0 against each schedule's
+    opening assumption (InitialConditionError, as `run_simulation` raises)."""
     bundle = build_scenario(cfg)
     report = RunReport(
         scenario=cfg.name, scenario_hash=cfg.scenario_hash(), dt=cfg.dt,
@@ -186,6 +186,8 @@ def check_pipeline(cfg: ScenarioConfig) -> PipelineOutcome:
     if report.static_failures:
         report.status, report.failure_stage = "failure", "static"
         report.exit_code = EXIT_STATIC_INCOMPATIBLE
+    else:
+        check_opening_assumptions(bundle.schedules, cfg.x0)
     return PipelineOutcome(report, None, bundle)
 
 

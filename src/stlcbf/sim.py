@@ -204,6 +204,20 @@ class RunResult:
         return self.failure is None
 
 
+def check_opening_assumptions(schedules: Sequence, x0) -> None:
+    """Raise InitialConditionError when x0 violates the opening assumption of
+    some schedule (its first segment's barrier reads below -1e-9 at x0)."""
+    for sched in schedules:
+        entry = sched.assumption_margin(x0)
+        if entry is not None:
+            bar_id, margin = entry
+            if margin < -1e-9:
+                raise InitialConditionError(
+                    f"x0 violates opening assumption of {sched.label}: "
+                    f"h[{bar_id}](0, x0) = {margin:g} < 0"
+                )
+
+
 def run_simulation(
     sys: ControlSystem,
     schedules: Sequence,
@@ -228,16 +242,7 @@ def run_simulation(
         raise SimError("x0 outside the system domain")
     if box.dim != sys.m:
         raise SimError(f"input box has dimension {box.dim}, system has m={sys.m}")
-
-    for sched in schedules:
-        entry = sched.assumption_margin(x)
-        if entry is not None:
-            bar_id, margin = entry
-            if margin < -1e-9:
-                raise InitialConditionError(
-                    f"x0 violates opening assumption of {sched.label}: "
-                    f"h[{bar_id}](0, x0) = {margin:g} < 0"
-                )
+    check_opening_assumptions(schedules, x)
 
     trace = Trace(dt, sys.n, sys.m)
 

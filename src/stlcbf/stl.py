@@ -1,11 +1,12 @@
-"""STL mission specifications: AST, parser, preprocessing, grouping, monitoring.
+"""STL mission specifications: AST, parser, grouping, monitoring.
 
 The supported fragment is a conjunction of bounded-interval globally /
 eventually predicates over registered barrier functions, with no nesting of
 temporal operators. A predicate references a barrier by id; negation is
 normalized so that "satisfied" always means h >= 0 for the (possibly negated)
-barrier. Eventually tasks carry a user-chosen time of satisfaction and are
-rewritten to globally tasks over that window before contract synthesis.
+barrier. An eventually task names its time of satisfaction t_s, and the
+parser turns it into the globally task over [t_s, t_s + eps): every later
+stage, the monitor and the report included, sees only globally tasks.
 
 Spec source grammar (line oriented, whitespace-insensitive, `#` comments):
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -82,55 +83,15 @@ class Globally:
 
 
 @dataclass(frozen=True)
-class Eventually:
-    interval: TimeInterval
-    pred: PredicateRef
-
-    def __str__(self) -> str:
-        return f"F{self.interval} {self.pred}"
-
-
-@dataclass(frozen=True)
-class SatisfactionWindow:
-    """User-chosen window for an eventually task: satisfied on [t_s, t_s+eps)."""
-
-    t_s: float
-    eps: float = DEFAULT_EVENTUALLY_EPS
-
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise StlError(f"eps must be positive, got {self.eps}")
-
-
-@dataclass(frozen=True)
 class StlSpec:
-    """Parsed mission: conjunction of `tasks` over horizon [0, horizon].
-
-    `satisfaction_times` is keyed by task index (eventually tasks are always
-    top-level conjuncts in the grammar, so the index identifies the node even
-    when identical formulas repeat).
-    """
+    """Parsed mission: conjunction of globally `tasks` over horizon [0, horizon]."""
 
     tasks: tuple
     horizon: float
-    satisfaction_times: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon >= 0):
             raise StlError(f"horizon must be finite and >= 0, got {self.horizon}")
-        for idx, win in self.satisfaction_times.items():
-            task = self.tasks[idx]
-            if not isinstance(task, Eventually):
-                raise StlError(f"satisfaction time attached to non-eventually task {idx}")
-            _check_window_in(task.interval, win)
-
-
-def _check_window_in(interval: TimeInterval, win: SatisfactionWindow) -> None:
-    if win.t_s < interval.start or win.t_s + win.eps > interval.end:
-        raise StlError(
-            f"satisfaction window [{_fmt(win.t_s)},{_fmt(win.t_s + win.eps)}) "
-            f"not contained in {interval}"
-        )
 
 
 @dataclass(frozen=True)
@@ -165,12 +126,11 @@ def parse_spec(text: str, registry) -> StlSpec:
 
     `registry` only needs to support `id in registry`. Raises StlParseError
     with line/column on malformed input, unknown barrier ids, intervals
-    violating 0 <= a < b <= horizon, or satisfaction windows outside their
-    eventually interval.
+    violating 0 <= a < b <= horizon, or satisfaction windows that are empty
+    or leave their eventually interval. Every task comes back as `Globally`.
     """
     horizon: Optional[float] = None
     tasks: list = []
-    sat_times: dict = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -191,16 +151,12 @@ def parse_spec(text: str, registry) -> StlSpec:
             chunk = part.strip()
             if not chunk:
                 raise StlParseError("empty conjunct", lineno, col)
-            tasks_here = _parse_task(chunk, lineno, col, horizon, registry)
-            formula, window = tasks_here
-            if window is not None:
-                sat_times[len(tasks)] = window
-            tasks.append(formula)
+            tasks.append(_parse_task(chunk, lineno, col, horizon, registry))
             col += len(part) + 1
 
     if horizon is None:
         raise StlParseError("missing `horizon <T>` header", 1)
-    return StlSpec(tasks=tuple(tasks), horizon=horizon, satisfaction_times=sat_times)
+    return StlSpec(tasks=tuple(tasks), horizon=horizon)
 
 
 def _parse_task(chunk, lineno, col, horizon, registry):
@@ -225,16 +181,21 @@ def _parse_task(chunk, lineno, col, horizon, registry):
     if op == "G":
         if ts_s is not None:
             raise StlParseError("@ts only applies to eventually tasks", lineno, col)
-        return Globally(interval, pred), None
+        return Globally(interval, pred)
     if ts_s is None:
         raise StlParseError("eventually task requires @ts=<t>", lineno, col)
+    # F[a,b) p with time of satisfaction t_s is G[t_s, t_s + eps) p
     eps = _num(eps_s, lineno) if eps_s is not None else DEFAULT_EVENTUALLY_EPS
+    t_s = _num(ts_s, lineno)
     try:
-        window = SatisfactionWindow(_num(ts_s, lineno), eps)
-        _check_window_in(interval, window)
+        if eps <= 0:
+            raise StlError(f"eps must be positive, got {eps}")
+        if t_s < interval.start or t_s + eps > interval.end:
+            raise StlError(f"satisfaction window [{_fmt(t_s)},{_fmt(t_s + eps)}) "
+                           f"not contained in {interval}")
+        return Globally(TimeInterval(t_s, t_s + eps), pred)
     except StlError as exc:
         raise StlParseError(str(exc), lineno, col + m.start(6)) from exc
-    return Eventually(interval, pred), window
 
 
 def _mismatch_column(chunk: str) -> int:
@@ -252,31 +213,6 @@ def _num(s: str, lineno: int) -> float:
         raise StlParseError(f"bad number {s!r}", lineno) from None
 
 
-# ---------------------------------------------------------------------------
-# Preprocessing
-# ---------------------------------------------------------------------------
-
-
-def eventually_to_globally(spec: StlSpec) -> StlSpec:
-    """Rewrite every eventually task to globally over its satisfaction window.
-
-    Idempotent; preserves the number of predicates. Raises StlError when an
-    eventually task has no registered window or the window exits the interval.
-    """
-    new_tasks = []
-    for idx, task in enumerate(spec.tasks):
-        new_tasks.append(_convert(task, spec.satisfaction_times.get(idx), idx))
-    return StlSpec(tasks=tuple(new_tasks), horizon=spec.horizon, satisfaction_times={})
-
-
-def _convert(task, window, idx):
-    if isinstance(task, Eventually):
-        if window is None:
-            raise StlError(f"eventually task {idx} ({task}) has no satisfaction time")
-        return Globally(TimeInterval(window.t_s, window.t_s + window.eps), task.pred)
-    return task
-
-
 def group_tasks(spec: StlSpec) -> list:
     """Partition globally predicates into the minimum number of groups with
     pairwise-disjoint intervals.
@@ -286,15 +222,7 @@ def group_tasks(spec: StlSpec) -> list:
     interval graphs this is optimal, so the group count equals the maximum
     number of intervals overlapping any single time instant.
     """
-    preds = []
-    for task in spec.tasks:
-        if isinstance(task, Globally):
-            preds.append((task.interval, task.pred))
-        elif isinstance(task, Eventually):
-            raise StlError("group_tasks requires eventually_to_globally first")
-        else:
-            raise StlError(f"cannot group non-temporal task {task}")
-
+    preds = [(task.interval, task.pred) for task in spec.tasks]
     order = sorted(range(len(preds)), key=lambda i: (preds[i][0].start, preds[i][0].end, i))
     groups: list = []  # list of lists of pred indices
     last_end: list = []
@@ -349,9 +277,10 @@ def monitor_trace(trace, spec: StlSpec, registry, tol: float = MONITOR_TOL) -> S
     h(t, x(t)) >= -tol at every sample inside its interval.
 
     `trace` needs `.ts` and `.states`; its samples, in any order, must cover
-    [0, horizon]. Eventually tasks are checked with exists-semantics (best
-    margin reported). Each task evaluates its barrier once, with `h_grid`,
-    over the samples inside its interval (the earliest row wins a tie).
+    [0, horizon]. An eventually task is checked as the globally task over
+    its satisfaction window, the form `parse_spec` gives it. Each task
+    evaluates its barrier once, with `h_grid`, over the samples inside its
+    interval (the earliest row wins a tie).
     """
     ts = np.asarray(trace.ts, dtype=float)
     lo, hi = (ts.min(), ts.max()) if ts.size else (math.nan, math.nan)
@@ -371,19 +300,15 @@ def _monitor_task(task, ts, cols, registry, tol) -> TaskReport:
         rows = slice(rows[0], rows[-1] + 1)  # consecutive rows: views, not copies
     ts = ts[rows]
     margins = np.broadcast_to(registry.resolve(task.pred).h_grid(ts, cols[:, rows]), ts.shape)
-    globally = isinstance(task, Globally)
-    # G keeps the first strict minimum below +inf, F the first strict maximum
-    # above -inf; a NaN margin never wins
-    start = math.inf if globally else -math.inf
-    margins = np.where(np.isnan(margins), start, margins)
+    # the first strict minimum below +inf wins; a NaN margin never does
+    margins = np.where(np.isnan(margins), math.inf, margins)
     if ts.size:
-        i = int((np.argmin if globally else np.argmax)(margins))
-        best = float(margins[i])
-        if best != start:
-            return TaskReport(str(task), best >= -tol, best, float(ts[i]))
-    # No sample inside the window moved the start value: vacuously true for G
-    # (worst margin +inf), false for F (best margin -inf).
-    return TaskReport(str(task), globally, start, None)
+        i = int(np.argmin(margins))
+        worst = float(margins[i])
+        if worst != math.inf:
+            return TaskReport(str(task), worst >= -tol, worst, float(ts[i]))
+    # no sample inside the window is below +inf: vacuously true
+    return TaskReport(str(task), True, math.inf, None)
 
 
 def _fmt(v: float) -> str:

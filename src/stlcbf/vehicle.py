@@ -33,7 +33,6 @@ from .barriers import (
     AffineBarrier,
     AlphaFn,
     Barrier,
-    IDENTITY_ALPHA,
     StateBox,
     step_lookup,
 )
@@ -140,9 +139,6 @@ class LeadProfile:
             t0, v, a = self._bps[max(bisect_right(self._times, t) - 1, 0)]
             self._t, self._motion = t, (v + a * (t - t0), a)
         return self._motion
-
-    def accel(self, t: float) -> float:
-        return step_lookup(self._times, self._bps, t)[2]
 
 
 class SpeedLimitSchedule:
@@ -267,8 +263,8 @@ class SpacingBarrier(Barrier):
     grad_x = (-1, -t_hw - V_f/a_max, +1).
     """
 
-    def __init__(self, vp: VehicleParams, lead: LeadProfile, barrier_id: str = "h1"):
-        super().__init__(barrier_id, IDENTITY_ALPHA)
+    def __init__(self, vp: VehicleParams, lead: LeadProfile):
+        super().__init__("h1")
         self.vp = vp
         self.lead = lead
 
@@ -288,13 +284,12 @@ class SpacingBarrier(Barrier):
                 (-1.0, -self.vp.t_headway - x[1] / self.vp.a_max, 1.0))
 
 
-def speed_limit_barrier(limits: SpeedLimitSchedule, vp: VehicleParams,
-                        barrier_id: str = "hv") -> AffineBarrier:
+def speed_limit_barrier(limits: SpeedLimitSchedule, vp: VehicleParams) -> AffineBarrier:
     """Stitched h_v = V_max(t) - V_f, which jumps at the switch times.
     Carries alpha(h) = h/beta, which reproduces the case-study bound
     u <= (m/beta) h_v + F_r."""
     return AffineBarrier(
-        barrier_id, coeffs=(0.0, -1.0, 0.0),
+        "hv", coeffs=(0.0, -1.0, 0.0),
         pieces=[(t, v) for t, v in limits.rows],
         alpha=AlphaFn(1.0 / vp.beta),
     )
@@ -311,9 +306,8 @@ class TrafficSignalBarrier(Barrier):
     the phases just before t.
     """
 
-    def __init__(self, signals: Sequence[SignalTimings], vp: VehicleParams,
-                 barrier_id: str = "hpos"):
-        super().__init__(barrier_id, IDENTITY_ALPHA)
+    def __init__(self, signals: Sequence[SignalTimings], vp: VehicleParams):
+        super().__init__("hpos")
         self.signals = list(signals)
         self.positions = [s.position for s in self.signals]
         if any(a >= b for a, b in zip(self.positions, self.positions[1:])):

@@ -293,22 +293,21 @@ def constraint_upper_bound(c) -> float:
 
 
 def scalar_monitor_task(task, trace, registry, tol):
-    """(satisfied, worst_margin, t_worst) of one globally/eventually task by
-    a row-by-row scan with scalar h: the first strict extreme wins, NaN never
-    does, and no sample moving the +-inf start value reports no t_worst."""
-    globally = type(task).__name__ == "Globally"
+    """(satisfied, worst_margin, t_worst) of one globally task by a
+    row-by-row scan with scalar h: the first strict minimum wins, NaN never
+    does, and no sample below +inf reports no t_worst (vacuously true)."""
     lo, hi = task.interval.start - 1e-9, task.interval.end - 1e-9
-    best_t, best = None, math.inf if globally else -math.inf
+    worst_t, worst = None, math.inf
     bar = registry.resolve(task.pred)
     for t, x in zip(trace.ts, trace.states):
         if not (lo <= t < hi):
             continue
         margin = bar.h(t, x)
-        if (margin < best) if globally else (margin > best):
-            best, best_t = margin, t
-    if best_t is None:  # best is still the start value
-        return globally, best, None
-    return best >= -tol, best, best_t
+        if margin < worst:
+            worst, worst_t = margin, t
+    if worst_t is None:
+        return True, worst, None
+    return worst >= -tol, worst, worst_t
 
 
 def qp_active_steps(u_nom_rows, u_safe_rows) -> int:

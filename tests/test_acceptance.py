@@ -156,7 +156,8 @@ def test_criterion_3_closed_form_equivalence():
 
         # spacing bound
         c = cbf_constraint(h1_bar, sys, h1_bar.alpha, t, x)
-        want = closed_form_bound("h1", t, x, vp, v_l=lead.velocity(t), a_l=lead.accel(t))
+        want = closed_form_bound("h1", t, x, vp, v_l=lead.velocity(t),
+                                 a_l=lead.cached_motion(t)[1])
         assert _rel_close(constraint_upper_bound(c), want)
 
         # speed-limit invariance bound, alpha = 1/beta

@@ -286,7 +286,7 @@ def closed_form(bar, t, x):
         return 0.0, (0.0, 0.0, 0.0)
     if isinstance(bar, SpacingBarrier):
         # h1: V_l a_l / a_max and (-1, -t_hw - V_f/a_max, 1)
-        return (LEAD.velocity(t) * LEAD.accel(t) / VP.a_max,
+        return (LEAD.velocity(t) * LEAD.cached_motion(t)[1] / VP.a_max,
                 (-1.0, -VP.t_headway - x[1] / VP.a_max, 1.0))
     # hpos: 0 and (-1, -beta, 0), or zeros past the last governing line
     if math.isinf(bar.h(t, x)):

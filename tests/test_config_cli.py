@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from importlib import resources
 
 import pytest
 
@@ -560,6 +561,18 @@ class TestCli:
         for command in ("run", "check"):
             assert cli_main([command, str(cfg)]) == 4
             assert re.search(message, capsys.readouterr().err)
+
+    def test_check_rejects_x0_breaking_an_opening_assumption(self, tmp_path, capsys):
+        # x_l = 3 puts h1 at -2 at t=0; `check` used to exit 0 and only `run` fail
+        preset = resources.files("stlcbf").joinpath("presets/paper_sec6.cfg")
+        text, n = re.subn(r"(?m)^x_l = 55$", "x_l = 3", preset.read_text(encoding="utf-8"))
+        assert n == 1
+        cfg = tmp_path / "close.cfg"
+        cfg.write_text(text)
+        for command in ("check", "run"):
+            assert cli_main([command, str(cfg)]) == 4
+            assert capsys.readouterr() == ("", "error: x0 violates opening assumption of "
+                                               "G2: h[sat(h1)](0, x0) = -2 < 0\n")
 
     def test_boundary_gains_and_tolerances_still_accepted(self, tmp_path):
         text = MINIMAL + ("\n[tolerances]\nmargin = 0\n[pid]\nk1 = -0.5\nwindup_limit = 0\n"

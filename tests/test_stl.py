@@ -8,15 +8,12 @@ from oracles import max_overlap_depth, scalar_monitor_task
 from stlcbf.barriers import Barrier
 from stlcbf.pipeline import read_trace_csv
 from stlcbf.stl import (
-    Eventually,
     Globally,
     PredicateRef,
-    SatisfactionWindow,
     StlError,
     StlParseError,
     StlSpec,
     TimeInterval,
-    eventually_to_globally,
     group_tasks,
     monitor_trace,
     parse_spec,
@@ -31,11 +28,11 @@ class FakeRegistry:
         return bid in self._ids
 
 
-REG = FakeRegistry({"h1", "reach", "v1", "v2", "a", "b", "c"})
+REG = FakeRegistry({"h1", "reach", "v1", "v2", "a", "b", "c", "x"})
 
 
-def spec_of(*tasks, horizon=1000.0, sat=None):
-    return StlSpec(tasks=tuple(tasks), horizon=horizon, satisfaction_times=sat or {})
+def spec_of(*tasks, horizon=1000.0):
+    return StlSpec(tasks=tuple(tasks), horizon=horizon)
 
 
 class TestTimeInterval:
@@ -62,9 +59,9 @@ class TestParser:
         assert spec.horizon == 300
 
     def test_eventually_line_with_window(self):
+        # F[a,b) with time of satisfaction t_s parses as G[t_s, t_s + eps)
         spec = parse_spec("horizon 10\nF[2,8) sat(reach) @ts=4 eps=0.5", REG)
-        assert spec.tasks == (Eventually(TimeInterval(2, 8), PredicateRef("reach")),)
-        assert spec.satisfaction_times[0] == SatisfactionWindow(4.0, 0.5)
+        assert spec.tasks == (Globally(TimeInterval(4.0, 4.5), PredicateRef("reach")),)
 
     def test_empty_interval_is_error(self):
         with pytest.raises(StlParseError, match="interval"):
@@ -77,7 +74,7 @@ class TestParser:
 
     def test_eps_default(self):
         spec = parse_spec("horizon 10\nF[2,8) sat(reach) @ts=4", REG)
-        assert spec.satisfaction_times[0].eps == 0.5
+        assert spec.tasks[0].interval == TimeInterval(4.0, 4.0 + 0.5)
 
     def test_unknown_barrier(self):
         with pytest.raises(StlParseError, match="unknown barrier"):
@@ -90,6 +87,16 @@ class TestParser:
     def test_ts_outside_interval_rejected(self):
         with pytest.raises(StlParseError, match="not contained"):
             parse_spec("horizon 10\nF[2,8) sat(reach) @ts=7.8 eps=0.5", REG)
+
+    @pytest.mark.parametrize("text", [
+        "horizon 1e17\nF[0,1e17) sat(x) @ts=1e16 eps=0.5",  # 1e16 + 0.5 == 1e16
+        "horizon 10\nF[2,8) sat(x) @ts=4 eps=1e-300",
+    ])
+    def test_window_that_rounds_empty_names_its_line(self, text):
+        # t_s + eps rounds to t_s: the G window would be empty
+        with pytest.raises(StlParseError, match="empty or inverted") as exc:
+            parse_spec(text, REG)
+        assert (exc.value.line, exc.value.column) == (2, 1 + text.splitlines()[1].index("@ts") + 4)
 
     def test_error_carries_line_number(self):
         with pytest.raises(StlParseError, match="line 3"):
@@ -109,36 +116,39 @@ class TestParser:
 
 
 class TestEventuallyToGlobally:
+    """The parser gives every eventually task as the globally task over its
+    satisfaction window."""
+
     def test_window_becomes_globally(self):
-        spec = spec_of(Eventually(TimeInterval(2, 8), PredicateRef("reach")),
-                       sat={0: SatisfactionWindow(4.0, 0.5)})
-        out = eventually_to_globally(spec)
-        assert out.tasks == (Globally(TimeInterval(4.0, 4.5), PredicateRef("reach")),)
-        assert out.satisfaction_times == {}
+        # the window ends at the float sum t_s + eps; a negation is kept
+        spec = parse_spec("horizon 10\nF[0,1) !sat(reach) @ts=0.1 eps=0.2", REG)
+        assert spec.tasks == (Globally(TimeInterval(0.1, 0.1 + 0.2),
+                                       PredicateRef("reach", negated=True)),)
+        assert spec.tasks[0].interval.end == 0.30000000000000004
 
     def test_no_eventually_is_identity(self):
-        spec = spec_of(Globally(TimeInterval(0, 10), PredicateRef("a")))
-        assert eventually_to_globally(spec).tasks == spec.tasks
+        spec = parse_spec("horizon 10\nG[0,10) sat(a) & G[2,8) !sat(b)", REG)
+        assert spec.tasks == (Globally(TimeInterval(0, 10), PredicateRef("a")),
+                              Globally(TimeInterval(2, 8), PredicateRef("b", negated=True)))
 
     def test_idempotent_and_preserves_count(self):
-        spec = spec_of(
-            Eventually(TimeInterval(2, 8), PredicateRef("reach")),
-            Globally(TimeInterval(0, 10), PredicateRef("a")),
-            sat={0: SatisfactionWindow(4.0)},
-        )
-        once = eventually_to_globally(spec)
-        assert eventually_to_globally(once) == once
-        assert len(once.tasks) == len(spec.tasks)
+        spec = parse_spec("horizon 10\nF[2,8) sat(reach) @ts=4\nG[0,10) sat(a)", REG)
+        assert len(spec.tasks) == 2
+        again = parse_spec("\n".join(["horizon 10", *map(str, spec.tasks)]), REG)
+        assert again == spec
 
     def test_missing_window_is_error(self):
-        spec = spec_of(Eventually(TimeInterval(2, 8), PredicateRef("reach")))
-        with pytest.raises(StlError, match="satisfaction time"):
-            eventually_to_globally(spec)
+        with pytest.raises(StlParseError, match="requires @ts"):
+            parse_spec("horizon 10\nF[2,8) sat(reach)", REG)
 
     def test_window_exiting_interval_rejected_at_construction(self):
-        with pytest.raises(StlError, match="not contained"):
-            spec_of(Eventually(TimeInterval(2, 8), PredicateRef("reach")),
-                    sat={0: SatisfactionWindow(7.8, 0.5)})
+        for line, why in [("F[2,8) sat(reach) @ts=7.8 eps=0.5",
+                           r"window \[7.8,8.3\) not contained in \[2,8\)"),
+                          ("F[2,8) sat(reach) @ts=1 eps=0.5", "not contained"),
+                          ("F[2,8) sat(reach) @ts=4 eps=0", "eps must be positive")]:
+            with pytest.raises(StlParseError, match=why) as exc:
+                parse_spec("horizon 10\n" + line, REG)
+            assert (exc.value.line, exc.value.column) == (2, 1 + line.index("@ts") + 4)
 
 
 def _group_ids(groups):
@@ -180,12 +190,6 @@ class TestGroupTasks:
         for g in groups:
             starts = [iv.start for iv, _ in g.predicates]
             assert starts == sorted(starts)
-
-    def test_eventually_must_be_converted_first(self):
-        spec = spec_of(Eventually(TimeInterval(2, 8), PredicateRef("reach")),
-                       sat={0: SatisfactionWindow(4.0)})
-        with pytest.raises(StlError, match="eventually_to_globally"):
-            group_tasks(spec)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(
@@ -287,11 +291,6 @@ class TestMonitor:
         sep2 = monitor_trace(trace, spec_of(g2, horizon=2), reg)
         assert both.satisfied == (sep1.satisfied and sep2.satisfied)
 
-    def test_eventually_exists_semantics(self):
-        trace = self._trace([-1.0, -1.0, 0.5, -1.0, -1.0])
-        spec = spec_of(Eventually(TimeInterval(0, 4), PredicateRef("m")), horizon=4)
-        assert monitor_trace(trace, spec, ValueRegistry(m=0)).satisfied
-
     def test_negated_predicate_monitors_minus_h(self):
         trace = self._trace([-2.0, -2.0])
         spec = spec_of(Globally(TimeInterval(0, 1), PredicateRef("m", negated=True)),
@@ -317,22 +316,15 @@ class TestMonitorEdges:
         g = Globally(TimeInterval(0, 3), PredicateRef("m"))
         rep = self._report([math.inf] * 4, [0.0, 1.0, 2.0, 3.0], g, 3)
         assert rep.satisfied and rep.worst_margin == math.inf and rep.t_worst is None
-        # no sample beats F's -inf start: unsatisfied, best margin -inf
-        f = Eventually(TimeInterval(0, 3), PredicateRef("m"))
-        rep = self._report([-math.inf] * 4, [0.0, 1.0, 2.0, 3.0], f, 3)
-        assert not rep.satisfied and rep.worst_margin == -math.inf and rep.t_worst is None
-        assert "worst_margin=-inf" in str(monitor_trace(
-            FakeTrace([0.0, 1.0], [(math.nan,), (math.nan,)]),
-            spec_of(f, horizon=1), ValueRegistry(m=0)))
+        # NaN margins only: the same vacuous report, printed without a time
+        text = str(monitor_trace(FakeTrace([0.0, 1.0], [(math.nan,), (math.nan,)]),
+                                 spec_of(g, horizon=1), ValueRegistry(m=0)))
+        assert text.endswith(": satisfied=true worst_margin=inf")
 
     def test_nan_margins_are_skipped(self):
         g = Globally(TimeInterval(0, 4), PredicateRef("m"))
         rep = self._report([math.nan, 2.0, math.nan, 1.0, 5.0], [0.0, 1.0, 2.0, 3.0, 4.0], g, 4)
         assert rep.worst_margin == 1.0 and rep.t_worst == 3.0
-        f = Eventually(TimeInterval(0, 4), PredicateRef("m"))
-        rep = self._report([math.nan, -2.0, math.nan, -1.0, 5.0], [0.0, 1.0, 2.0, 3.0, 4.0],
-                           f, 4)
-        assert rep.worst_margin == -1.0 and rep.t_worst == 3.0 and not rep.satisfied
         rep = self._report([math.nan] * 3, [0.0, 1.0, 2.0], g, 2)
         assert rep.satisfied and rep.t_worst is None
 
@@ -340,9 +332,6 @@ class TestMonitorEdges:
         g = Globally(TimeInterval(0, 4), PredicateRef("m"))
         rep = self._report([1.0, 0.0, 3.0, -0.0, 0.0], [0.0, 1.0, 2.0, 3.0, 4.0], g, 4)
         assert rep.t_worst == 1.0 and math.copysign(1.0, rep.worst_margin) == 1.0
-        f = Eventually(TimeInterval(0, 4), PredicateRef("m"))
-        rep = self._report([1.0, 3.0, 2.0, 3.0, 0.0], [0.0, 1.0, 2.0, 3.0, 4.0], f, 4)
-        assert rep.t_worst == 1.0
 
     def test_half_open_window_keeps_its_guards(self):
         # [2, 3) reads samples with 2 - 1e-9 <= t < 3 - 1e-9
@@ -361,7 +350,6 @@ class TestMonitorEdges:
     def test_unsorted_and_repeated_times(self, ts):
         values = [0.5, -0.25, -0.25, 2.0, -0.25, 1.0]
         for task in (Globally(TimeInterval(1, 3), PredicateRef("m")),
-                     Eventually(TimeInterval(1, 3), PredicateRef("m")),
                      Globally(TimeInterval(0, 4), PredicateRef("m"))):
             self._report(values, ts, task, 0)
 
@@ -381,9 +369,8 @@ class TestMonitorEdges:
                                                -0.0, 0.25, 2.0])),
                     min_size=1, max_size=12),
            st.sampled_from([(0.0, 1.0), (0.5, 2.0), (1.0, 3.0), (2.0, 3.0)]),
-           st.booleans(), st.booleans())
-    def test_matches_row_by_row_scan(self, rows, window, eventually, negated):
+           st.booleans())
+    def test_matches_row_by_row_scan(self, rows, window, negated):
         ts = [0.0] + [t for t, _ in rows] + [3.0]
         values = [1.0] + [v for _, v in rows] + [1.0]
-        op = Eventually if eventually else Globally
-        self._report(values, ts, op(TimeInterval(*window), PredicateRef("m", negated)), 3)
+        self._report(values, ts, Globally(TimeInterval(*window), PredicateRef("m", negated)), 3)

@@ -20,6 +20,7 @@ from stlcbf.barriers import (
     cbf_constraint,
     fcbf_constraint,
     gamma_for_deadline,
+    step_lookup,
 )
 from stlcbf.config import load_config
 from stlcbf.contracts import (
@@ -76,13 +77,13 @@ class TestLeadProfile:
         lead = LeadProfile(0.0, [(0.0, 1.0), (10.0, 0.0)])
         assert lead.velocity(5.0) == pytest.approx(5.0)
         assert lead.velocity(20.0) == pytest.approx(10.0)
-        assert lead.accel(5.0) == 1.0 and lead.accel(15.0) == 0.0
+        assert lead.cached_motion(5.0)[1] == 1.0 and lead.cached_motion(15.0)[1] == 0.0
 
     def test_braking_clamps_at_standstill(self):
         lead = LeadProfile(10.0, [(0.0, -2.0), (100.0, 1.0)])
         assert lead.velocity(5.0) == pytest.approx(0.0)
         assert lead.velocity(50.0) == 0.0
-        assert lead.accel(10.0) == 0.0  # configured braking has no effect at rest
+        assert lead.cached_motion(10.0)[1] == 0.0  # configured braking has no effect at rest
         assert lead.velocity(101.0) == pytest.approx(1.0)
         assert lead._times == [0.0, 5.0, 100.0]  # at rest from t=5 until t=100
 
@@ -101,8 +102,9 @@ def _lead(which):
 
 class TestLeadCache:
     """`cached_motion` serves V_l and a_l from one lookup of the piece, kept
-    for the last t; it must equal `velocity` and `accel` bit for bit, in any
-    order of queries."""
+    for the last t; it must equal `velocity` and the piece's acceleration
+    (`step_lookup` on the breakpoints) bit for bit, in any order of
+    queries."""
 
     def test_standstill_breakpoints_are_pieces(self):
         assert 30.0 in _lead(0)._times and 5.0 in _lead(1)._times
@@ -121,8 +123,8 @@ class TestLeadCache:
                  "above": math.nextafter(bp, math.inf), "repeat": t, "back": t - free,
                  "free": free}[kind]
             v, a = lead.cached_motion(t)
-            assert (v.hex(), a.hex()) == (lead.velocity(t).hex(), lead.accel(t).hex()), \
-                (kind, t)
+            accel = step_lookup(lead._times, lead._bps, t)[2]
+            assert (v.hex(), a.hex()) == (lead.velocity(t).hex(), accel.hex()), (kind, t)
 
 
 class TestSpacingBarrier:
@@ -280,7 +282,7 @@ class TestClosedFormBounds:
                      (7.0, (5.0, 0.5, 90.0))]:
             c = cbf_constraint(bar, sys, bar.alpha, t, x)
             val = closed_form_bound("h1", t, x, VP, v_l=lead.velocity(t),
-                                    a_l=lead.accel(t))
+                                    a_l=lead.cached_motion(t)[1])
             assert constraint_upper_bound(c) == pytest.approx(val, rel=1e-12)
 
     def test_rbar_matches_generic_cbf(self):
