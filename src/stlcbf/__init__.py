@@ -48,7 +48,6 @@ from .vehicle import (
     SpeedLimitSchedule,
     TrafficSignalBarrier,
     VehicleParams,
-    friction_force,
     generate_signal_plan,
     make_vehicle_system,
     speed_limit_barrier,

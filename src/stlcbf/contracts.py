@@ -21,7 +21,9 @@ key, next barrier, label "fcbf:<id>"). A query finds the segment (a
 forward cursor, a bisect when t jumps), reads its rows, keeps the strict
 tau < t < t_i window test, and does only arithmetic: no verdict test, no
 label concatenation, no barrier lookup. Each row also keeps its last
-a = -grad.g (see `barriers.ConstraintRow`).
+a = -grad.g (see `barriers.ConstraintRow`). A window's first query sizes its
+gamma and builds its `FcbfParams`, once, into its `EngagementRecord`; every
+later query reads them from there.
 
 A schedule may carry a `region = (lo, hi)` on the first state coordinate:
 it applies only while lo < x[0] <= hi (default: every finite x[0]). The
@@ -52,6 +54,7 @@ import numpy as np
 
 from .barriers import (
     Barrier,
+    BarrierError,
     ConstraintRow,
     FcbfParams,
     GAMMA_MIN,
@@ -165,7 +168,6 @@ class SubsetCheck:
 class IntersectionCheck:
     witness: Optional[tuple]  # h_prev(t-) >= 0 and h_next(t) >= 0, or None
     method: str
-    margin: float = math.nan  # h_next at the witness
 
 
 def _require_domain(domain: StateBox):
@@ -209,9 +211,8 @@ def check_intersection(h_prev: Barrier, h_next: Barrier, t: float, domain: State
         if not cand:
             return IntersectionCheck(None, EXACT)
         best = max(cand, key=lambda v: _affine_value(*next_aff, v))
-        val = _affine_value(*next_aff, best)
-        if val >= -1e-12:
-            return IntersectionCheck(best, EXACT, margin=val)
+        if _affine_value(*next_aff, best) >= -1e-12:
+            return IntersectionCheck(best, EXACT)
         return IntersectionCheck(None, EXACT)
 
     method = f"sampled({resolution})"
@@ -222,9 +223,7 @@ def check_intersection(h_prev: Barrier, h_next: Barrier, t: float, domain: State
                              slab, -math.inf, np.argmax)
         if val > best_val:
             best_pt, best_val = _slab_point(slab, i), float(val)
-    if best_pt is not None and best_val >= -1e-12:
-        return IntersectionCheck(best_pt, method, margin=best_val)
-    return IntersectionCheck(None, method)
+    return IntersectionCheck(best_pt if best_val >= -1e-12 else None, method)
 
 
 def _worst_engage_margin(h_prev, h_next, tau, domain, resolution):
@@ -285,7 +284,6 @@ class BoundaryDecision:
     rho: Optional[float] = None
     gamma_min: float = GAMMA_MIN
     worst_engage_margin: Optional[float] = None
-    worst_t_conv: Optional[float] = None  # bound at the pessimistic margin
 
     def describe(self) -> str:
         parts = [f"t={self.time:g}", f"{self.prev_id}->{self.next_id}",
@@ -307,7 +305,8 @@ class ScheduleConfig:
     """Knobs for schedule construction.
 
     `boundary_windows` overrides (tau, t_target) per boundary time; default
-    engagement is tau = t_i - t_conv."""
+    engagement is tau = t_i - t_conv. Every deadline, rho and gamma_min is
+    checked here, whether or not some boundary comes to need a window."""
 
     domain: StateBox
     horizon: float
@@ -319,6 +318,13 @@ class ScheduleConfig:
 
     def __post_init__(self):
         _check_resolution(self.grid_resolution)
+        for t_target in [self.t_conv] + [w[1] for w in self.boundary_windows.values()]:
+            if not t_target > 0:
+                raise BarrierError(f"deadline must be positive, got {t_target}")
+        if not 0 <= self.rho < 1:
+            raise BarrierError(f"rho must lie in [0, 1), got {self.rho}")
+        if not self.gamma_min > 0:
+            raise BarrierError(f"gamma must be positive, got {self.gamma_min}")
 
 
 @dataclass
@@ -416,34 +422,37 @@ class _Window(NamedTuple):
 
 
 def _engaged_params(window: _Window, t, x, engagements) -> FcbfParams:
-    """The window's FCBF parameters; gamma is fixed at its first query."""
+    """The window's FCBF parameters, built once, at its first query (which
+    sizes gamma), and kept in its engagement record."""
     rec = engagements.get(window.key)
     if rec is None:
         bd = window.boundary
         h_engage = window.barrier.h(t, x)
-        gamma = gamma_for_deadline(h_engage, bd.rho, bd.t_target, bd.gamma_min)
+        params = FcbfParams(bd.rho, gamma_for_deadline(h_engage, bd.rho, bd.t_target,
+                                                       bd.gamma_min))
         rec = engagements[window.key] = EngagementRecord(
-            key=window.key, time=t, h_engage=h_engage, gamma=gamma,
-            rho=bd.rho, t_target=bd.t_target, boundary_time=bd.time,
-            t_conv_bound=convergence_time(h_engage, FcbfParams(bd.rho, gamma)),
+            key=window.key, time=t, h_engage=h_engage, params=params,
+            boundary_time=bd.time, t_conv_bound=convergence_time(h_engage, params),
         )
-    return FcbfParams(rec.rho, rec.gamma)
+    return rec.params
 
 
 @dataclass(frozen=True)
 class EngagementRecord:
+    """A finite-time window's first query: when, from which margin, with
+    which (rho, gamma), and the convergence bound they give against the
+    boundary time."""
+
     key: tuple
     time: float
     h_engage: float
-    gamma: float
-    rho: float
-    t_target: float
+    params: FcbfParams
     boundary_time: float
     t_conv_bound: float
 
     def describe(self) -> str:
         return (f"engage {self.key[0]}#{self.key[1]} t={self.time:g} "
-                f"h={self.h_engage:g} gamma={self.gamma:g} "
+                f"h={self.h_engage:g} gamma={self.params.gamma:g} "
                 f"T_bound={self.t_conv_bound:g} deadline={self.boundary_time:g}")
 
 
@@ -465,8 +474,6 @@ def _tile_segments(group: TaskGroup, horizon: float, registry) -> list:
     for interval, pred in group.predicates:
         if interval.start > cursor + 1e-9:
             segments.append(ContractSegment(None, TimeInterval(cursor, interval.start)))
-        elif interval.start < cursor - 1e-9:
-            raise ContractError(f"group {group.label} intervals overlap at {interval}")
         segments.append(ContractSegment(pred, interval, registry.resolve(pred)))
         cursor = interval.end
     if cursor < horizon - 1e-9:
@@ -512,12 +519,10 @@ def _classify_boundary(segments, idx, cfg: ScheduleConfig) -> BoundaryDecision:
     worst, margin_method = _worst_engage_margin(
         prev_bar, next_bar, tau, cfg.domain, cfg.grid_resolution
     )
-    gamma_worst = gamma_for_deadline(worst, cfg.rho, t_target, cfg.gamma_min)
-    worst_t = convergence_time(worst, FcbfParams(cfg.rho, gamma_worst))
     return BoundaryDecision(
         verdict=Verdict.OVERLAP_DEADLINE, method=margin_method, witness=inter.witness,
         tau=tau, t_target=t_target, rho=cfg.rho, gamma_min=cfg.gamma_min,
-        worst_engage_margin=worst, worst_t_conv=worst_t, **base,
+        worst_engage_margin=worst, **base,
     )
 
 

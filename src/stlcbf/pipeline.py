@@ -22,7 +22,7 @@ from .config import ScenarioConfig
 from .contracts import ScheduleConfig, build_schedule
 from .qp import pid_nominal
 from .sim import SimFailure, Trace, check_opening_assumptions, run_simulation
-from .stl import PredicateRef, SatisfactionReport, StlSpec, group_tasks, parse_spec
+from .stl import SatisfactionReport, StlSpec, group_tasks, parse_spec
 from .vehicle import (
     PHASES,
     SpacingBarrier,
@@ -80,7 +80,8 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
                 registry.register(AffineBarrier(
                     bid, coeffs=(0.0, -1.0, 0.0), offset=v, alpha=AlphaFn(1.0 / vp.beta)))
     if signals:
-        margin_barriers.append(registry.register(TrafficSignalBarrier(signals, vp)))
+        signal_bar = registry.register(TrafficSignalBarrier(signals, vp))
+        margin_barriers.append(signal_bar)
     for bar in cfg.barriers:
         registry.register(bar)
 
@@ -95,12 +96,16 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
     )
     schedules = []
     for group in group_tasks(spec):
-        if any(p == PredicateRef("hpos") for _, p in group.predicates):
+        if any(p.barrier_id == "hpos" for _, p in group.predicates):
             if len(group.predicates) != 1:
                 raise PipelineError(
                     f"group {group.label}: the signal barrier cannot share a group"
                 )
-            interval = group.predicates[0][0]
+            interval, pred = group.predicates[0]
+            if pred.negated:
+                raise PipelineError(
+                    f"group {group.label}: the signal barrier cannot be negated"
+                )
             if interval.start != 0.0 or interval.end != cfg.horizon:
                 raise PipelineError(
                     f"group {group.label}: the signal task must span [0, horizon)"
@@ -115,16 +120,9 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
     c0, c1, c2 = vp.c0, vp.c1, vp.c2
 
     def nominal(t, x):
-        # one lead lookup; h1 and friction_force inline, in their float order
+        # one lead lookup; h1 and the friction F_r = c0 + c1 V + c2 V^2 inline
         vl, v = motion(t)[0], x[1]
         return pid_nominal(spacing(vl, x), vl - v, pid, dt, mass, c0 + c1 * v + c2 * v * v)
-
-    positions = [s.position for s in signals]
-
-    def active(states):
-        """0-based index of the first stop line at or ahead of each X_f;
-        len(signals) past the last."""
-        return np.searchsorted(positions, states[:, 0])
 
     # columns over the whole trace, (ts, states) arrays -> one value per row;
     # the trace CSV writes inf, 0 and "none" for a channel the scenario lacks
@@ -133,9 +131,9 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
         extra_channels["V_max"] = lambda ts, states: limits.value(ts)
     if signals:
         extra_channels["active_signal"] = lambda ts, states: np.where(
-            (k := active(states)) < len(signals), k + 1.0, 0.0)
+            (k := signal_bar.active(states[:, 0])) < len(signals), k + 1.0, 0.0)
         extra_channels["signal_phase"] = lambda ts, states: np.take(
-            PHASES, active_phase_index(signals, ts, active(states)))
+            PHASES, active_phase_index(signals, ts, signal_bar.active(states[:, 0])))
 
     return ScenarioBundle(
         cfg=cfg, registry=registry, sys=sys, spec=spec,

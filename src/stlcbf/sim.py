@@ -134,7 +134,6 @@ class Trace:
     limit, signal phase, ...), both filled by `fill_columns`.
     """
 
-    dt: float
     n: int
     m: int
     ts: array = field(default_factory=lambda: array("d"))
@@ -199,10 +198,6 @@ class RunResult:
     failure: Optional[SimFailure]
     engagements: dict  # (schedule label, boundary index) -> EngagementRecord
 
-    @property
-    def ok(self) -> bool:
-        return self.failure is None
-
 
 def check_opening_assumptions(schedules: Sequence, x0) -> None:
     """Raise InitialConditionError when x0 violates the opening assumption of
@@ -244,7 +239,7 @@ def run_simulation(
         raise SimError(f"input box has dimension {box.dim}, system has m={sys.m}")
     check_opening_assumptions(schedules, x)
 
-    trace = Trace(dt, sys.n, sys.m)
+    trace = Trace(sys.n, sys.m)
 
     table = RegionTable.of(schedules)
     f, g, lower, clamp_dims = sys.f, sys.g, sys.domain.lower, sys.clamp_min_dims
@@ -252,8 +247,7 @@ def run_simulation(
     ceiling = tuple(hi + 1e-9 for hi in sys.domain.upper)
     engagements = {}
     n_steps = round(t_max / dt)
-    zero_u = (0.0,) * sys.m
-    last_u_nom, last_u_safe = zero_u, zero_u
+    u_n = u_s = (0.0,) * sys.m  # the final row repeats the last step's inputs
     clamped_prev = [False] * sys.n
     n_logged = 0  # engagement records already turned into events
 
@@ -268,12 +262,8 @@ def run_simulation(
         add_u_safe(u_s)
         add_status(status)
 
-    for k in range(n_steps + 1):
+    for k in range(n_steps):
         t = k * dt
-        if k == n_steps:
-            record(t, "ok", last_u_nom, last_u_safe)
-            break
-
         dyn = (f(t, x), g(t, x))
         cons = conjoin_groups(table, t, x, sys, engagements, dyn)
         if len(engagements) > n_logged:
@@ -294,7 +284,6 @@ def run_simulation(
                 details=tuple(c.label or "box" for c in cons),
             ), engagements)
         record(t, "ok", u_n, u_s)
-        last_u_nom, last_u_safe = u_n, u_s
 
         x = integrate_step(sys, t, x, u_s, dt, dyn)
         if not all(map(math.isfinite, x)):
@@ -315,4 +304,5 @@ def run_simulation(
             ]
             return RunResult(trace, SimFailure(t + dt, "domain_exit", tuple(bad)), engagements)
 
+    record(n_steps * dt, "ok", u_n, u_s)
     return RunResult(trace, None, engagements)

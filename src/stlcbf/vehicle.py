@@ -77,11 +77,6 @@ class VehicleParams:
             raise VehicleError(f"a_max {self.a_max} exceeds g {self.g_grav}")
 
 
-def friction_force(v_f: float, p: VehicleParams) -> float:
-    """Rolling/aerodynamic resistance c0 + c1 V + c2 V^2 at speed v_f >= 0."""
-    return p.c0 + p.c1 * v_f + p.c2 * v_f * v_f
-
-
 # ---------------------------------------------------------------------------
 # Exogenous signals
 # ---------------------------------------------------------------------------
@@ -314,6 +309,11 @@ class TrafficSignalBarrier(Barrier):
             raise VehicleError("signal positions must increase")
         self.vp = vp
 
+    def active(self, xf):
+        """0-based index of the first stop line at or ahead of each X_f in
+        the array xf; len(signals) past the last."""
+        return np.searchsorted(self.positions, xf)
+
     def _stop_line(self, t, x, side="right"):
         k = bisect_left(self.positions, x[0])
         if k >= len(self.signals):
@@ -333,7 +333,7 @@ class TrafficSignalBarrier(Barrier):
     def h_grid(self, t, cols, side="right"):
         # _stop_line over arrays: k is each X_f's active signal; a red k stops
         # at line k, any other at line k + 1; lines past the last read +inf
-        k = np.searchsorted(self.positions, cols[0])
+        k = self.active(cols[0])
         red = active_phase_index(self.signals, t, k, side) == PHASES.index(RED)
         lines = np.array(self.positions + [math.inf, math.inf])
         return self._h(lines[np.where(red, k, k + 1)], cols)
@@ -357,7 +357,7 @@ def make_vehicle_system(vp: VehicleParams, lead: LeadProfile,
     c0, c1, c2, lead_motion = vp.c0, vp.c1, vp.c2, lead.cached_motion
 
     def f(t, x):
-        v = x[1]  # friction_force(v, vp), inline and in its float order
+        v = x[1]  # friction F_r = c0 + c1 V + c2 V^2
         return (v, -(c0 + c1 * v + c2 * v * v) * inv_m, lead_motion(t)[0])
 
     def g(t, x):
@@ -410,7 +410,9 @@ def build_signal_contracts(signals: Sequence[SignalTimings], vp: VehicleParams,
             r0, r1 = max(r_on, 0.0), min(g_next, horizon)
             if r1 > r0:
                 preds.append((TimeInterval(r0, r1), PredicateRef(red_id)))
-                if r0 == r_on:  # red onset inside the mission: attach the yellow window
+                # a red onset after t=0 is a boundary: attach the yellow window
+                # (one at t=0 opens the schedule and would get a zero budget)
+                if r_on > 0:
                     tau = max(y_on, 0.0)
                     windows[r_on] = (tau, r_on - tau)
         preds.sort(key=lambda p: p[0].start)

@@ -26,7 +26,7 @@ from stlcbf.contracts import (
     SubsetCheck,
     Verdict,
 )
-from stlcbf.vehicle import VehicleError, VehicleParams, friction_force
+from stlcbf.vehicle import VehicleError, VehicleParams
 
 
 def max_overlap_depth(intervals) -> int:
@@ -125,7 +125,7 @@ def scalar_check_intersection(h_prev, h_next, t, domain, resolution) -> Intersec
             if val > best_val:
                 best_pt, best_val = pt, val
     if best_pt is not None and best_val >= -1e-12:
-        return IntersectionCheck(best_pt, method, margin=best_val)
+        return IntersectionCheck(best_pt, method)
     return IntersectionCheck(None, method)
 
 
@@ -226,12 +226,12 @@ def scan_constraints(schedules, t, x, sys, engagements, dyn=None):
                 key = (sched.label, idx)
                 if key not in engagements:
                     h0 = nxt.h(t, x)
-                    gamma = gamma_for_deadline(h0, bd.rho, bd.t_target, bd.gamma_min)
-                    engagements[key] = EngagementRecord(
-                        key, t, h0, gamma, bd.rho, bd.t_target, bd.time,
-                        convergence_time(h0, FcbfParams(bd.rho, gamma)))
+                    p = FcbfParams(bd.rho, gamma_for_deadline(h0, bd.rho, bd.t_target,
+                                                              bd.gamma_min))
+                    engagements[key] = EngagementRecord(key, t, h0, p, bd.time,
+                                                        convergence_time(h0, p))
                 rec = engagements[key]
-                out.append(fcbf_constraint(nxt, sys, FcbfParams(rec.rho, rec.gamma), t, x, dyn))
+                out.append(fcbf_constraint(nxt, sys, rec.params, t, x, dyn))
     return out
 
 
@@ -243,6 +243,11 @@ def bisect_dispatch(schedules, positions, t, x, sys, engagements=None, dyn=None)
     if k >= len(schedules):
         return []
     return schedules[k].constraints_at(t, x, sys, engagements, dyn)
+
+
+def friction_force(v_f: float, p: VehicleParams) -> float:
+    """Rolling/aerodynamic resistance c0 + c1 V + c2 V^2 at speed v_f >= 0."""
+    return p.c0 + p.c1 * v_f + p.c2 * v_f * v_f
 
 
 _KINDS = ("h1", "rbar", "v", "r_fcbf", "v_fcbf")

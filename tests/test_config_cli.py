@@ -574,6 +574,24 @@ class TestCli:
             assert capsys.readouterr() == ("", "error: x0 violates opening assumption of "
                                                "G2: h[sat(h1)](0, x0) = -2 < 0\n")
 
+    def test_negated_signal_task_is_config_error(self, tmp_path, capsys):
+        # !sat(hpos) used to pass both signal guards and run as a plain
+        # schedule on the stitched barrier: `check` exited 0 and `run` 3, with
+        # qp_infeasible at t=0.97 (x0 sits past the first stop line, so the
+        # negated barrier holds at t=0)
+        preset = resources.files("stlcbf").joinpath("presets/paper_sec6.cfg")
+        text = preset.read_text(encoding="utf-8")
+        for old, new in (("G[0,500) sat(hpos)", "G[0,100) !sat(hpos)"),
+                         ("\nx_f = 0\n", "\nx_f = 396\n"), ("\nx_l = 55\n", "\nx_l = 500\n")):
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        cfg = tmp_path / "negated_hpos.cfg"
+        cfg.write_text(text)
+        for command in ("check", "run"):
+            assert cli_main([command, str(cfg)]) == 4
+            assert capsys.readouterr() == (
+                "", "error: group G2: the signal barrier cannot be negated\n")
+
     def test_boundary_gains_and_tolerances_still_accepted(self, tmp_path):
         text = MINIMAL + ("\n[tolerances]\nmargin = 0\n[pid]\nk1 = -0.5\nwindup_limit = 0\n"
                           "[fcbf]\ngamma_min = 1e-9\n[domain]\nx_l = 0 100\n")

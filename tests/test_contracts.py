@@ -19,6 +19,7 @@ from oracles import (
 from stlcbf.barriers import (
     AffineBarrier,
     Barrier,
+    BarrierError,
     BarrierRegistry,
     ConstraintRow,
     FcbfParams,
@@ -26,6 +27,7 @@ from stlcbf.barriers import (
     TopBarrier,
     cbf_constraint,
     convergence_time,
+    gamma_for_deadline,
 )
 from stlcbf.contracts import (
     ContractError,
@@ -228,7 +230,38 @@ class TestBuildSchedule:
         bd = sched.boundaries[0]
         # worst admissible state under {V<=30} in the domain is V=30: margin -20
         assert bd.worst_engage_margin == pytest.approx(-20.0)
-        assert bd.worst_t_conv == pytest.approx(5.0)
+        # gamma sized from the worst margin meets the deadline exactly: T = t_conv
+        worst, rho = bd.worst_engage_margin, bd.rho
+        gamma = gamma_for_deadline(worst, rho, 5.0)
+        assert convergence_time(worst, FcbfParams(rho, gamma)) == pytest.approx(5.0)
+
+
+class TestScheduleConfigValidation:
+    """Every deadline, rho and gamma_min is checked when the config is built,
+    with the messages that gamma_for_deadline and FcbfParams give: a group
+    with no overlap_deadline boundary, which sizes no gamma, is rejected too."""
+
+    @pytest.mark.parametrize("knobs, message", [
+        (dict(rho=1.0), r"rho must lie in \[0, 1\), got 1.0"),
+        (dict(rho=-0.1), r"rho must lie in \[0, 1\), got -0.1"),
+        (dict(rho=math.nan), r"rho must lie in \[0, 1\), got nan"),
+        (dict(t_conv=0.0), "deadline must be positive, got 0.0"),
+        (dict(boundary_windows={50.0: (45.0, -1.0)}), "deadline must be positive, got -1.0"),
+        (dict(gamma_min=0.0), "gamma must be positive, got 0.0"),
+    ], ids=["rho=1", "rho<0", "rho=nan", "t_conv=0", "window_budget<0", "gamma_min=0"])
+    def test_bad_values_fail_at_construction(self, knobs, message):
+        reg = registry_with(vbar(10), vbar(30))
+        with pytest.raises(BarrierError, match=message):
+            cfg = ScheduleConfig(domain=DOM, horizon=100.0, **knobs)
+            # 10 -> 30 is a subset boundary: no window, so no gamma is sized
+            build_schedule(speed_group([10, 30]), reg, cfg)
+
+    def test_good_values_build(self):
+        reg = registry_with(vbar(10), vbar(30))
+        cfg = ScheduleConfig(domain=DOM, horizon=100.0, rho=0.0, t_conv=1e-9,
+                             gamma_min=1e-12, boundary_windows={50.0: (49.0, 1.0)})
+        sched = build_schedule(speed_group([10, 30]), reg, cfg)
+        assert [b.verdict for b in sched.boundaries] == [Verdict.SUBSET]
 
 
 class ScalarSys:
@@ -276,7 +309,7 @@ class TestActiveConstraints:
         active_constraints(sched, 45.01, (0.0, 28.0), ScalarSys, ledger)
         rec = ledger[("G1", 0)]
         assert rec.h_engage == pytest.approx(-3.0)
-        assert convergence_time(-3.0, FcbfParams(rec.rho, rec.gamma)) == pytest.approx(5.0)
+        assert convergence_time(-3.0, rec.params) == pytest.approx(5.0)
         # later query at a different state reuses the stored gamma
         active_constraints(sched, 48.0, (0.0, 26.0), ScalarSys, ledger)
         assert ledger[("G1", 0)] is rec

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -74,7 +75,7 @@ class TestRunSimulation:
     def test_zero_horizon_single_row(self, double_integrator):
         res = run_simulation(double_integrator, [], lambda t, x: 0.0,
                              InputBox((-1.0,), (1.0,)), (0.0, 0.0), dt=0.01, t_max=0.0)
-        assert res.ok and res.trace.n_rows() == 1
+        assert res.failure is None and res.trace.n_rows() == 1
 
     def test_row_count_and_uniform_grid(self, double_integrator):
         res = run_simulation(double_integrator, [], lambda t, x: 0.5,
@@ -100,7 +101,7 @@ class TestRunSimulation:
         res = run_simulation(sys, [sched], lambda t, x: 50.0,
                              InputBox((-50.0,), (50.0,)), (0.0, 9.5), dt=0.01, t_max=5.0)
         res.trace.fill_columns([reg.get("v10")])
-        assert res.ok
+        assert res.failure is None
         assert res.trace.min_margin("v10") >= -1e-3
         assert any(s == "ok" for s in res.trace.qp_status)
 
@@ -116,7 +117,7 @@ class TestRunSimulation:
                             g=lambda t, x: ((1.0,), (0.0,)), domain=dom)
         res = run_simulation(sys, [sched], lambda t, x: 0.0,
                              InputBox((-5.0,), (5.0,)), (30.0, 0.0), dt=0.01, t_max=10.0)
-        assert not res.ok
+        assert res.failure is not None
         assert res.failure.reason == "qp_infeasible"
         assert "cbf:sat(drive)" in res.failure.details or any(
             "drive" in d for d in res.failure.details)
@@ -128,7 +129,7 @@ class TestRunSimulation:
                               domain=StateBox((-1.0, -10.0), (1.0, 10.0)))
         res = run_simulation(small, [], lambda t, x: 1.0,
                              InputBox((-5.0,), (5.0,)), (0.0, 0.0), dt=0.01, t_max=10.0)
-        assert not res.ok and res.failure.reason == "domain_exit"
+        assert res.failure is not None and res.failure.reason == "domain_exit"
 
     def test_clamp_dims_logs_event_instead_of_failing(self):
         vp = VehicleParams()
@@ -138,7 +139,7 @@ class TestRunSimulation:
         res = run_simulation(sys, [], lambda t, x: -3000.0,
                              InputBox((-3000.0,), (3000.0,)), (0.0, 1.0, 500.0),
                              dt=0.01, t_max=2.0)
-        assert res.ok
+        assert res.failure is None
         assert any("clamped" in msg for _, msg in res.trace.events)
         assert all(x[1] >= 0.0 for x in res.trace.states)
 
@@ -158,7 +159,7 @@ class TestFcbfRealizedInClosedLoop:
                              InputBox((-200.0,), (200.0,)), (0.0, 18.0), dt=0.01,
                              t_max=40.0)
         res.trace.fill_columns([reg.get("v5"), reg.get("v20")])
-        assert res.ok
+        assert res.failure is None
         # at the boundary t=20 the next barrier must already be satisfied
         idx = res.trace.ts.index(pytest.approx(20.0)) if 20.0 in res.trace.ts else \
             next(i for i, t in enumerate(res.trace.ts) if abs(t - 20.0) < 1e-9)
@@ -268,9 +269,6 @@ class TestLoopMakesNoWrapperCall:
         monkeypatch.setattr(AffineBarrier, "h", counting("AffineBarrier.h", AffineBarrier.h))
         monkeypatch.setattr(vehicle.SpacingBarrier, "h",
                             counting("SpacingBarrier.h", vehicle.SpacingBarrier.h))
-        friction = counting("friction_force", vehicle.friction_force)
-        for module in (vehicle, pipeline):  # wherever it is bound by name
-            monkeypatch.setattr(module, "friction_force", friction, raising=False)
         for module in (barriers, vehicle):
             monkeypatch.setattr(module, "step_lookup", lookup(module.step_lookup))
         for name in ("cbf_constraint", "fcbf_constraint"):
@@ -286,7 +284,43 @@ class TestLoopMakesNoWrapperCall:
         assert calls.get(("loop", "step_lookup in a row"), 0) == 0
         assert calls["entry", "SpacingBarrier.h"] > 0  # x0's h1 entry margin
         assert calls.get(("loop", "SpacingBarrier.h"), 0) == 0
-        assert calls.get(("loop", "friction_force"), 0) == 0
+        # the friction force is inline: no function of that name to call
+        assert not hasattr(vehicle, "friction_force") and not hasattr(pipeline, "friction_force")
+
+
+class TestOneFcbfParamsPerEngagement:
+    """A finite-time window builds its FcbfParams once, when it engages, and
+    keeps it in its engagement record: building the schedules builds none,
+    and an engaged window's later steps build none."""
+
+    def test_dense_contracts_builds_one_per_engagement(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads
+
+        path = tmp_path / "dense.cfg"
+        path.write_text(workloads.dense_contracts(3).config_text)
+        built = {"build": 0, "loop": 0, "after": 0}
+        phase = ["build"]
+        check = barriers.FcbfParams.__post_init__
+
+        def counting(self):
+            built[phase[0]] += 1
+            check(self)
+
+        def in_run(*args, **kwargs):
+            phase[0] = "loop"
+            try:
+                return run_simulation(*args, **kwargs)
+            finally:
+                phase[0] = "after"
+
+        monkeypatch.setattr(barriers.FcbfParams, "__post_init__", counting)
+        monkeypatch.setattr(pipeline, "run_simulation", in_run)
+        outcome = pipeline.run_pipeline(load_config(str(path)))
+
+        assert outcome.exit_code == 0 and outcome.trace.n_rows() == 10001
+        assert len(outcome.report.engagements) == 37
+        assert built == {"build": 0, "loop": 37, "after": 0}
 
 
 class TestLoopBuildsNoLabel:
@@ -328,7 +362,7 @@ class TestTraceColumns:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert res.ok and res.trace.n_rows() == 8001
+        assert res.failure is None and res.trace.n_rows() == 8001
         # 7 floats and a status pointer make 64 bytes a row; a tuple per
         # column and row would cost about 357
         assert retained / res.trace.n_rows() <= 120

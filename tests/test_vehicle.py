@@ -11,6 +11,7 @@ from oracles import (
     closed_form_bound,
     constraint_upper_bound,
     finite_diff_check,
+    friction_force,
 )
 from stlcbf.barriers import (
     AlphaFn,
@@ -46,7 +47,6 @@ from stlcbf.vehicle import (
     YELLOW,
     active_phase_index,
     build_signal_contracts,
-    friction_force,
     generate_signal_plan,
     make_vehicle_system,
     speed_limit_barrier,
