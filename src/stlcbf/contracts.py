@@ -318,6 +318,10 @@ class ScheduleConfig:
 
     def __post_init__(self):
         _check_resolution(self.grid_resolution)
+        for t_i, (tau, _) in self.boundary_windows.items():
+            if not (math.isfinite(t_i) and math.isfinite(tau)):
+                raise BarrierError(
+                    f"boundary window needs a finite time and tau, got {t_i}: tau={tau}")
         for t_target in [self.t_conv] + [w[1] for w in self.boundary_windows.values()]:
             if not t_target > 0:
                 raise BarrierError(f"deadline must be positive, got {t_target}")

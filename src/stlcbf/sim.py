@@ -23,16 +23,22 @@ no barrier up by name. `RegionTable.of(schedules)` sorts the region bounds
 once, so a step finds the schedules that apply at X_f with one bisect. The
 domain bounds are padded once. Each step evaluates f and g once, for every
 constraint's Lie terms and as RK4's k1 (f runs 4 times a step); a row keeps
-its a = -grad.g while the gradient and g objects repeat, and RK4 keeps g u
-the same way.
+its a = -grad.g while the gradient and g objects repeat.
 
 The step's call chain is flat: a constraint costs one `cbf_constraint` or
 `fcbf_constraint` call and one `terms` call; a schedule tests its cursor's
 segment inline and bisects only when t leaves it; the m = 1 `solve_qp`
 checks each row inline as it clips; the vehicle's f, h1 and the nominal
-controller read the lead from one cached lookup per t. Float operations keep
-their order: the tests compare the reference mission's trace and report byte
-for byte.
+controller read the lead from one cached lookup per t.
+
+RK4 is one straight-line kernel per state dimension n, generated from a
+source template and compiled at the first step of that n (so building a
+scenario compiles nothing), then cached by n for every later run. x, f and
+each stage's k are n locals: a stage builds only the state tuple it hands
+to f and g, and runs no map or zip. g u stays a `sum` per row of g, formed
+again only when g returns another object. Float operations keep their
+order: the tests compare the kernel with the generic step bit for bit, and
+the reference mission's trace and report byte for byte.
 """
 
 from __future__ import annotations
@@ -40,8 +46,8 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import islice, repeat
-from operator import add, le, mul
+from itertools import islice
+from operator import le, mul
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -86,38 +92,83 @@ class ControlSystem:
             raise SimError(f"domain dimension {self.domain.dim} != n={self.n}")
 
 
+_RK4_KERNELS: dict = {}  # state dimension n -> compiled kernel
+
+
+def _rk4_source(n: int) -> str:
+    """Source of the straight-line RK4 step for n states: x, f, g u and each
+    stage's k are n locals, every stage written out per component."""
+    def joined(fmt, **names):
+        return ", ".join(fmt.format(i=i, **names) for i in range(n))
+
+    def per_component(indent, fmt, **names):
+        return [indent + fmt.format(i=i, **names) for i in range(n)]
+
+    def g_times_u(indent):
+        return [f"{indent}{joined('r{i}')}, = gm",
+                *per_component(indent, "gu{i} = sum(map(mul, r{i}, u))")]
+
+    lines = [
+        "def rk4(f, g, t, x, u, dt, fv, gm):",
+        f"    {joined('x{i}')}, = x",
+        f"    {joined('f{i}')}, = fv",
+        "    g_seen = gm",
+        *g_times_u("    "),
+        "    half = dt / 2",
+        "    t_half = t + half",
+        "    t_end = t + dt",
+    ]
+    for k, h, t_at in (("a", "half", "t_half"), ("b", "half", "t_half"), ("c", "dt", "t_end")):
+        lines += [
+            *per_component("    ", "{k}{i} = f{i} + gu{i}", k=k),
+            f"    xs = ({joined('x{i} + {h} * {k}{i}', h=h, k=k)},)",
+            f"    {joined('f{i}')}, = f({t_at}, xs)",
+            f"    gm = g({t_at}, xs)",
+            "    if gm is not g_seen:  # nested tuples: the same g gives the same g u",
+            "        g_seen = gm",
+            *g_times_u("        "),
+        ]
+    return "\n".join(lines + [
+        *per_component("    ", "d{i} = f{i} + gu{i}"),
+        "    sixth = dt / 6",
+        f"    return ({joined('x{i} + sixth * (a{i} + 2 * b{i} + 2 * c{i} + d{i})')},)",
+        "",
+    ])
+
+
+def _rk4_kernel(n: int):
+    """Compile (once per n) and return the RK4 kernel for n states."""
+    scope = {"mul": mul}
+    exec(compile(_rk4_source(n), f"<stlcbf rk4 n={n}>", "exec"), scope)
+    kernel = _RK4_KERNELS[n] = scope["rk4"]
+    return kernel
+
+
 def integrate_step(sys: ControlSystem, t: float, x, u, dt: float, dyn=None):
     """One classical 4th-order step of dx/dt = f(t,x) + g(t,x) u with u held
     constant over the step. `dyn` is (f(t, x), g(t, x)) when the caller has
-    evaluated them already; they then give k1 without a second evaluation."""
-    if dt <= 0:
-        raise SimError(f"dt must be positive, got {dt}")
+    evaluated them already; they then give k1 without a second evaluation.
+
+    The step runs the kernel generated for sys.n, compiled at the first step
+    of that n. It unpacks x and f into n locals and writes out, per
+    component, each stage's k_i = f_i + (g u)_i, the next stage's state
+    x_i + h * k_i and the result x_i + dt/6 * (k1_i + 2 * k2_i + 2 * k3_i +
+    k4_i), so no stage runs a map or zip over the n components, and the
+    only tuples built are the states handed to f and g and the result.
+    (g u)_i stays `sum(map(mul, row, u))`, formed again only when g returns
+    another object: unrolling it would change its rounding (`sum` starts
+    from int 0, and compensates on Python >= 3.12). Every float operation
+    keeps its operands and order, so the step returns the same bits as the
+    generic map/zip form."""
+    if not 0 < dt < math.inf:
+        raise SimError(f"dt must be positive and finite, got {dt}")
+    n = sys.n
+    if len(x) != n:
+        raise SimError(f"x has dimension {len(x)}, system has n={n}")
+    kernel = _RK4_KERNELS.get(n) or _rk4_kernel(n)
     f, g = sys.f, sys.g
     fv, gm = dyn if dyn is not None else (f(t, x), g(t, x))
-    g_seen, gu = gm, [sum(map(mul, row, u)) for row in gm]
-    half = dt / 2
-    t_half = t + half
-    k1 = tuple(map(add, fv, gu))
-    xs = tuple(map(add, x, map(mul, repeat(half), k1)))  # x + half * k1
-    fv, gm = f(t_half, xs), g(t_half, xs)
-    if gm is not g_seen:  # g is nested tuples: the same object gives the same g u
-        g_seen, gu = gm, [sum(map(mul, row, u)) for row in gm]
-    k2 = tuple(map(add, fv, gu))
-    xs = tuple(map(add, x, map(mul, repeat(half), k2)))
-    fv, gm = f(t_half, xs), g(t_half, xs)
-    if gm is not g_seen:
-        g_seen, gu = gm, [sum(map(mul, row, u)) for row in gm]
-    k3 = tuple(map(add, fv, gu))
-    xs = tuple(map(add, x, map(mul, repeat(dt), k3)))
-    fv, gm = f(t + dt, xs), g(t + dt, xs)
-    if gm is not g_seen:
-        gu = [sum(map(mul, row, u)) for row in gm]
-    k4 = tuple(map(add, fv, gu))
-    sixth = dt / 6
-    return tuple([
-        xi + sixth * (a + 2 * b + 2 * c + d)
-        for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
-    ])
+    return kernel(f, g, t, x, u, dt, fv, gm)
 
 
 @dataclass
@@ -230,6 +281,8 @@ def run_simulation(
     leaves the domain; on success the trace has t_max/dt + 1 rows. The
     margin and channel columns stay empty (see `Trace.fill_columns`).
     """
+    if not (0 < dt < math.inf and 0 <= t_max < math.inf):
+        raise SimError(f"need 0 < dt < inf and 0 <= t_max < inf, got dt={dt}, t_max={t_max}")
     x = tuple(float(v) for v in x0)
     if len(x) != sys.n:
         raise SimError(f"x0 has dimension {len(x)}, system has {sys.n}")

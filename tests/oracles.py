@@ -8,6 +8,8 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, mul
 
 import numpy as np
 
@@ -142,6 +144,38 @@ def scalar_worst_engage_margin(h_prev, h_next, tau, domain, resolution):
 # ---------------------------------------------------------------------------
 # Derivative oracle: central differences of h against `terms`
 # ---------------------------------------------------------------------------
+
+
+def reference_rk4(sys, t: float, x, u, dt: float, dyn=None):
+    """The generic RK4 step `sim.integrate_step` unrolls: the same float
+    operations in the same order, each stage formed with map/zip over the n
+    components. Differential reference for the generated kernels."""
+    f, g = sys.f, sys.g
+    fv, gm = dyn if dyn is not None else (f(t, x), g(t, x))
+    g_seen, gu = gm, [sum(map(mul, row, u)) for row in gm]
+    half = dt / 2
+    t_half = t + half
+    k1 = tuple(map(add, fv, gu))
+    xs = tuple(map(add, x, map(mul, repeat(half), k1)))  # x + half * k1
+    fv, gm = f(t_half, xs), g(t_half, xs)
+    if gm is not g_seen:
+        g_seen, gu = gm, [sum(map(mul, row, u)) for row in gm]
+    k2 = tuple(map(add, fv, gu))
+    xs = tuple(map(add, x, map(mul, repeat(half), k2)))
+    fv, gm = f(t_half, xs), g(t_half, xs)
+    if gm is not g_seen:
+        g_seen, gu = gm, [sum(map(mul, row, u)) for row in gm]
+    k3 = tuple(map(add, fv, gu))
+    xs = tuple(map(add, x, map(mul, repeat(dt), k3)))
+    fv, gm = f(t + dt, xs), g(t + dt, xs)
+    if gm is not g_seen:
+        gu = [sum(map(mul, row, u)) for row in gm]
+    k4 = tuple(map(add, fv, gu))
+    sixth = dt / 6
+    return tuple([
+        xi + sixth * (a + 2 * b + 2 * c + d)
+        for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+    ])
 
 
 def finite_diff_check(bar: Barrier, t: float, x, step: float = 1e-6, tol: float = 1e-5):

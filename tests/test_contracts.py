@@ -256,6 +256,21 @@ class TestScheduleConfigValidation:
             # 10 -> 30 is a subset boundary: no window, so no gamma is sized
             build_schedule(speed_group([10, 30]), reg, cfg)
 
+    @pytest.mark.parametrize("windows", [
+        {50.0: (math.nan, 5.0)}, {50.0: (math.inf, 5.0)}, {50.0: (-math.inf, 5.0)},
+        {math.nan: (45.0, 5.0)}, {math.inf: (45.0, 5.0)},
+    ], ids=["tau=nan", "tau=inf", "tau=-inf", "time=nan", "time=inf"])
+    def test_non_finite_window_rejected(self, windows):
+        # a NaN tau used to read verdict=overlap_deadline tau=nan on this
+        # 30 -> 10 group, yet the window test tau < t < 50 never held
+        reg = registry_with(vbar(30), vbar(10))
+        cfg = dataclasses.replace(speed_cfg(100.0), boundary_windows={50.0: (45.0, 5.0)})
+        sched = build_schedule(speed_group([30, 10]), reg, cfg)
+        labels = [c.label for c in active_constraints(sched, 48.0, (0.0, 20.0), ScalarSys)]
+        assert labels == ["cbf:v30", "fcbf:v10"]
+        with pytest.raises(BarrierError, match="finite time and tau"):
+            dataclasses.replace(cfg, boundary_windows=windows)
+
     def test_good_values_build(self):
         reg = registry_with(vbar(10), vbar(30))
         cfg = ScheduleConfig(domain=DOM, horizon=100.0, rho=0.0, t_conv=1e-9,

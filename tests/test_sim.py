@@ -4,8 +4,10 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import qp_active_steps
+from oracles import qp_active_steps, reference_rk4
 from stlcbf import barriers, contracts, pipeline, sim, vehicle
 from stlcbf.barriers import AffineBarrier, BarrierRegistry, StateBox
 from stlcbf.config import load_config
@@ -53,6 +55,80 @@ class TestIntegrateStep:
         with pytest.raises(SimError):
             integrate_step(double_integrator, 0.0, (0.0, 0.0), (0.0,), 0.0)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_dt_rejected(self, double_integrator, dt):
+        with pytest.raises(SimError, match="dt must be positive and finite"):
+            integrate_step(double_integrator, 0.0, (0.0, 0.0), (0.0,), dt)
+
+    def test_state_of_another_dimension_rejected(self, double_integrator):
+        with pytest.raises(SimError, match="x has dimension 3, system has n=2"):
+            integrate_step(double_integrator, 0.0, (0.0, 0.0, 0.0), (0.0,), 0.01)
+
+
+FINITE = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-100.0, 100.0))
+
+
+def _poly_system(coeffs, gains, growing):
+    """dx_i/dt = c0 + c1 x_i + c2 x_{i+1}^2 + c3 t (indices mod n), with one
+    constant g object or, like GrowingGainSys, a new g matrix at every call."""
+    n, m = len(coeffs), len(gains[0])
+
+    def f(t, x):
+        return tuple(c0 + c1 * x[i] + c2 * x[(i + 1) % n] ** 2 + c3 * t
+                     for i, (c0, c1, c2, c3) in enumerate(coeffs))
+
+    def g(t, x):
+        if not growing:
+            return gains
+        return tuple(tuple(gij + 0.01 * x[i] * x[i] for gij in row)
+                     for i, row in enumerate(gains))
+
+    return ControlSystem(n=n, m=m, f=f, g=g, domain=StateBox((-1e9,) * n, (1e9,) * n))
+
+
+@st.composite
+def rk4_cases(draw):
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    coeffs = tuple(tuple(draw(st.lists(FINITE, min_size=4, max_size=4))) for _ in range(n))
+    gains = tuple(tuple(draw(st.lists(FINITE, min_size=m, max_size=m))) for _ in range(n))
+    sys = _poly_system(coeffs, gains, growing=draw(st.booleans()))
+    x = tuple(draw(st.lists(FINITE, min_size=n, max_size=n)))
+    u = tuple(draw(st.lists(FINITE, min_size=m, max_size=m)))
+    t, dt = draw(FINITE), draw(st.floats(1e-6, 1.0))
+    dyn = (sys.f(t, x), sys.g(t, x)) if draw(st.booleans()) else None
+    return sys, t, x, u, dt, dyn
+
+
+class TestRk4Kernel:
+    """The generated straight-line kernel against the generic map/zip step
+    it replaced: the same float operations, so the same bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rk4_cases())
+    def test_matches_the_generic_step_bit_for_bit(self, case):
+        sys, t, x, u, dt, dyn = case
+        got = integrate_step(sys, t, x, u, dt, dyn)
+        want = reference_rk4(sys, t, x, u, dt, dyn)
+        assert type(got) is tuple and len(got) == sys.n
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_two_missions_compile_the_n3_kernel_once(self, monkeypatch):
+        compiled = []
+        compile_kernel = sim._rk4_kernel
+
+        def counting(n):
+            compiled.append(n)
+            return compile_kernel(n)
+
+        monkeypatch.setattr(sim, "_RK4_KERNELS", {})
+        monkeypatch.setattr(sim, "_rk4_kernel", counting)
+        cfg = _short_sec6()
+        pipeline.build_scenario(cfg)
+        assert compiled == []  # the kernel compiles at the first step, not in setup
+        for _ in range(2):
+            assert pipeline.run_pipeline(cfg).trace.n_rows() == 8001
+        assert compiled == [3] and list(sim._RK4_KERNELS) == [3]
+
 
 def _speed_setup(values, horizon, domain=None):
     reg = BarrierRegistry()
@@ -72,6 +148,26 @@ def _speed_setup(values, horizon, domain=None):
 
 
 class TestRunSimulation:
+    @pytest.mark.parametrize("dt, t_max", [
+        (-0.01, 500.0), (0.0, 500.0), (math.inf, 500.0), (math.nan, 500.0),
+        (0.01, math.nan), (0.01, math.inf), (0.01, -1.0),
+    ], ids=["dt<0", "dt=0", "dt=inf", "dt=nan", "t_max=nan", "t_max=inf", "t_max<0"])
+    def test_bad_step_or_horizon_rejected_before_running(self, dt, t_max):
+        # dt=-0.01 used to return one row at t=500, dt=inf one at t=nan, and
+        # a NaN a bare ValueError from round()
+        cfg = load_config("paper_sec6")
+        bundle = pipeline.build_scenario(cfg)
+        calls = []
+
+        def nominal(t, x):
+            calls.append(t)
+            return bundle.nominal(t, x)
+
+        with pytest.raises(SimError, match="need 0 < dt < inf and 0 <= t_max < inf"):
+            run_simulation(bundle.sys, bundle.schedules, nominal, cfg.input_box, cfg.x0,
+                           dt=dt, t_max=t_max)
+        assert calls == []
+
     def test_zero_horizon_single_row(self, double_integrator):
         res = run_simulation(double_integrator, [], lambda t, x: 0.0,
                              InputBox((-1.0,), (1.0,)), (0.0, 0.0), dt=0.01, t_max=0.0)
