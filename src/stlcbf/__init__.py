@@ -11,7 +11,6 @@ from .barriers import (
     Barrier,
     BarrierRegistry,
     FcbfParams,
-    HalfspaceConstraint,
     StateBox,
     cbf_constraint,
     convergence_time,

@@ -16,10 +16,14 @@ given (t, x):
 
 Each generator does its own Lie-term arithmetic on one `terms` call and
 applies alpha as `alpha.kappa * h`, so a constraint costs no call beyond
-`terms`. A `ConstraintRow` carries what a schedule compiles once per
-constraint: its label and the last a = -grad.g, which the generator derives
-again only when `terms` returns another gradient object or g another matrix
-(an affine barrier under the vehicle's constant g derives it once).
+`terms`. A row is the plain triple (a, b, label): a is a tuple with one
+entry per input, and a zero a marks a vacuous row (b >= 0) or an infeasible
+one (b < 0). A `ConstraintRow` carries what a schedule compiles once per
+constraint: its label, the columns of the last g matrix, and the last
+a = -grad.g, which the generator derives again only when `terms` returns
+another gradient object or g another matrix (an affine barrier under the
+vehicle's constant g derives it once; h1, whose gradient moves every step,
+re-derives a from the kept columns).
 `AffineBarrier.terms` reads its offset with one bisect of its own piece
 starts, the scalar right-side case of `step_lookup`.
 
@@ -37,7 +41,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import mul
-from typing import NamedTuple
 
 import numpy as np
 
@@ -118,32 +121,25 @@ class FcbfParams:
             raise BarrierError(f"gamma must be positive, got {self.gamma}")
 
 
-class HalfspaceConstraint(NamedTuple):
-    """Affine input constraint a.u <= b; zero `a` with b < 0 marks infeasible.
-    `qp.solve_qp` checks finiteness where constraints enter it."""
-
-    a: tuple
-    b: float
-    label: str = ""
-
-    def is_vacuous(self) -> bool:
-        return all(ai == 0 for ai in self.a) and self.b >= 0
-
-    def is_infeasible_marker(self) -> bool:
-        return all(ai == 0 for ai in self.a) and self.b < 0
-
-
 class ConstraintRow:
     """What a schedule compiles once for one of its constraints: the label,
     and the input row a = -grad.g last derived, kept with the gradient and g
-    objects it came from. Both are immutable tuples, so while `terms` returns
-    the same gradient object and g the same matrix object, a is the same."""
+    objects it came from and g's columns. Both are immutable tuples, so while
+    they repeat, a is the same; a new gradient under the same g reuses cols."""
 
-    __slots__ = ("label", "grad", "g", "a")
+    __slots__ = ("label", "grad", "g", "cols", "a")
 
     def __init__(self, label: str):
         self.label = label
-        self.grad = self.g = self.a = None
+        self.grad = self.g = self.cols = self.a = None
+
+    def derive(self, grad, gm) -> tuple:
+        """a = -grad.g, one entry per column of g, kept for the next step."""
+        if gm is not self.g:
+            self.g, self.cols = gm, tuple(zip(*gm))
+        self.grad = grad
+        self.a = tuple([-sum(map(mul, grad, col)) for col in self.cols])
+        return self.a
 
 
 class Barrier:
@@ -316,8 +312,8 @@ class BarrierRegistry:
 
 
 def cbf_constraint(bar: Barrier, sys, alpha: AlphaFn, t: float, x,
-                   dyn=None, row=None) -> HalfspaceConstraint:
-    """Invariance constraint at (t, x): any u with a.u <= b keeps
+                   dyn=None, row=None) -> tuple:
+    """Invariance row (a, b, label) at (t, x): any u with a.u <= b keeps
     dh/dt + grad.(f + g u) >= -alpha(h), so a = -grad.g and
     b = dh/dt + grad.f + kappa h. `dyn` is (f(t, x), g(t, x)) when the
     caller has evaluated them already. `row` is the caller's compiled
@@ -325,25 +321,21 @@ def cbf_constraint(bar: Barrier, sys, alpha: AlphaFn, t: float, x,
     row = row or ConstraintRow("cbf:" + bar.id)
     h, dh, grad = bar.terms(t, x)
     fv, gm = dyn if dyn is not None else (sys.f(t, x), sys.g(t, x))
-    if grad is not row.grad or gm is not row.g:
-        row.grad, row.g = grad, gm
-        row.a = tuple([-sum(map(mul, grad, col)) for col in zip(*gm)])
-    return HalfspaceConstraint(row.a, dh + sum(map(mul, grad, fv)) + alpha.kappa * h, row.label)
+    a = row.a if grad is row.grad and gm is row.g else row.derive(grad, gm)
+    return a, dh + sum(map(mul, grad, fv)) + alpha.kappa * h, row.label
 
 
 def fcbf_constraint(bar: Barrier, sys, p: FcbfParams, t: float, x,
-                    dyn=None, row=None) -> HalfspaceConstraint:
-    """Finite-time constraint at (t, x) with drift gamma sign(h)|h|^rho
+                    dyn=None, row=None) -> tuple:
+    """Finite-time row (a, b, label) at (t, x) with drift gamma sign(h)|h|^rho
     (sign(0) = 0: on the boundary the invariance half handles the rest).
     `dyn` and `row` as for `cbf_constraint`, labelled "fcbf:<id>"."""
     row = row or ConstraintRow("fcbf:" + bar.id)
     hv, dh, grad = bar.terms(t, x)
     fv, gm = dyn if dyn is not None else (sys.f(t, x), sys.g(t, x))
-    if grad is not row.grad or gm is not row.g:
-        row.grad, row.g = grad, gm
-        row.a = tuple([-sum(map(mul, grad, col)) for col in zip(*gm)])
+    a = row.a if grad is row.grad and gm is row.g else row.derive(grad, gm)
     pull = 0.0 if hv == 0 else p.gamma * math.copysign(abs(hv) ** p.rho, hv)
-    return HalfspaceConstraint(row.a, dh + sum(map(mul, grad, fv)) + pull, row.label)
+    return a, dh + sum(map(mul, grad, fv)) + pull, row.label
 
 
 def convergence_time(h0: float, p: FcbfParams) -> float:

@@ -14,16 +14,18 @@ Each internal boundary t_i is classified:
 
 Each non-vacuous segment holds its resolved `Barrier`, bound once when
 `build_schedule` runs. A schedule then compiles the per-step work of its
-runtime query `constraints_at` into one row pair per segment: the segment's
+runtime query `add_constraints` into one row pair per segment: the segment's
 CBF row (barrier, alpha, label "cbf:<id>") and, when an overlap_deadline
 boundary ends the segment, its window row (tau, boundary time, engagement
 key, next barrier, label "fcbf:<id>"). A query finds the segment (a
 forward cursor, a bisect when t jumps), reads its rows, keeps the strict
 tau < t < t_i window test, and does only arithmetic: no verdict test, no
-label concatenation, no barrier lookup. Each row also keeps its last
-a = -grad.g (see `barriers.ConstraintRow`). A window's first query sizes its
-gamma and builds its `FcbfParams`, once, into its `EngagementRecord`; every
-later query reads them from there.
+label concatenation, no barrier lookup. It appends each active row, the
+(a, b, label) triple a generator returns, to the caller's list: one list a
+step for all schedules in `conjoin_groups`. Each row also keeps its last
+a = -grad.g and g's columns (see `barriers.ConstraintRow`). A window's
+first query sizes its gamma and builds its `FcbfParams`, once, into its
+`EngagementRecord`; every later query reads them from there.
 
 A schedule may carry a `region = (lo, hi)` on the first state coordinate:
 it applies only while lo < x[0] <= hi (default: every finite x[0]). The
@@ -392,9 +394,15 @@ class ContractSchedule:
             return None
         return seg.barrier_id, seg.barrier.h(seg.interval.start, x0)
 
-    def constraints_at(self, t, x, sys, engagements=None, dyn=None):
-        """Active halfspace constraints at (t, x) per the schedule case split:
-        the current segment's invariance constraint, plus the upcoming
+    def constraints_at(self, t, x, sys, engagements=None, dyn=None) -> list:
+        """The (a, b, label) rows active at (t, x): see `add_constraints`."""
+        out = []
+        self.add_constraints(out, t, x, sys, engagements, dyn)
+        return out
+
+    def add_constraints(self, out, t, x, sys, engagements=None, dyn=None):
+        """Append the rows active at (t, x) to `out`, per the schedule case
+        split: the current segment's invariance constraint, plus the upcoming
         barrier's finite-time constraint strictly inside (tau_i, t_i) of an
         overlap boundary. gamma is fixed at first engagement, in the
         `engagements` dict under (label, boundary index). `dyn` is
@@ -403,14 +411,12 @@ class ContractSchedule:
         if not b[i] <= t < b[i + 1]:  # t left the cursor's segment
             i = self._segment_index(t)
         cbf, window = self._rows[i]
-        out = []
         if cbf is not None:
             bar, alpha, row = cbf
             out.append(cbf_constraint(bar, sys, alpha, t, x, dyn, row))
         if window is not None and window.tau < t < window.time:
             params = _engaged_params(window, t, x, {} if engagements is None else engagements)
             out.append(fcbf_constraint(window.barrier, sys, params, t, x, dyn, window.row))
-        return out
 
 
 class _Window(NamedTuple):
@@ -464,8 +470,14 @@ def build_schedule(group: TaskGroup, registry, cfg: ScheduleConfig) -> ContractS
     """Tile the group's intervals over [0, horizon) (gaps become vacuous
     segments), bind each segment to its barrier resolved in `registry`, and
     classify every boundary. Incompatible boundaries are kept in
-    the schedule so callers can report the exact failure; see `failures()`."""
+    the schedule so callers can report the exact failure; see `failures()`.
+    A `boundary_windows` key that is no boundary time is a `ContractError`."""
     segments = _tile_segments(group, cfg.horizon, registry)
+    times = {seg.interval.end for seg in segments[:-1]}
+    for t_i in cfg.boundary_windows:
+        if t_i not in times:
+            raise ContractError(f"group {group.label}: boundary window at t={t_i!r} "
+                                "is not a boundary time of the group")
     boundaries = []
     for idx in range(len(segments) - 1):
         boundaries.append(_classify_boundary(segments, idx, cfg))
@@ -553,9 +565,9 @@ class RegionTable(NamedTuple):
 
 def conjoin_groups(table: RegionTable, t, x, sys, engagements=None, dyn=None):
     """Conjunction of group contracts = intersection of safe input sets,
-    realized as the concatenation of the active constraints of every schedule
+    realized as one list of the active (a, b, label) rows of every schedule
     whose region holds x[0], in the schedule list's order."""
     out = []
     for sched in table.cells[bisect_left(table.bounds, x[0])]:
-        out.extend(sched.constraints_at(t, x, sys, engagements, dyn))
+        sched.add_constraints(out, t, x, sys, engagements, dyn)
     return out

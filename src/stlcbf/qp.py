@@ -5,11 +5,13 @@ halfspace constraints and the input box:
 
     u_safe = argmin ||u - u_nom||^2   s.t.  a_k . u <= b_k,  lower <= u <= upper
 
-The feasible set is compact (finite box), so the projection exists and is
-unique whenever the set is nonempty. Inputs are low dimensional (m <= 3): the
-solver enumerates KKT active subsets exactly, with an analytic fast path for
-m = 1. Returns None when the feasible set is empty, which is the synthesis
-loop's runtime failure signal.
+Each constraint is the (a, b, label) triple a generator returns; a zero a
+is vacuous (b >= 0) or marks an empty set (b < 0). The feasible set is
+compact (finite box), so the projection exists and is unique whenever the
+set is nonempty. Inputs are low dimensional (m <= 3): the solver enumerates
+KKT active subsets exactly, with an analytic fast path for m = 1 that checks
+each row as it clips. Returns None when the feasible set is empty, which is
+the synthesis loop's runtime failure signal.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .barriers import BarrierError, HalfspaceConstraint
+from .barriers import BarrierError
 
 _FEAS_TOL = 1e-9
 _DUAL_TOL = 1e-9
@@ -52,11 +54,11 @@ class InputBox:
         return len(self.lower)
 
 
-def solve_qp(u_nom, constraints: Sequence[HalfspaceConstraint], box: InputBox):
-    """Euclidean projection of u_nom onto the constraint polytope, or None
-    when it is empty. Output is a tuple of floats (length box.dim). A
-    non-finite u_nom is rejected; each constraint's dimension and finiteness
-    are checked here, in order."""
+def solve_qp(u_nom, constraints: Sequence[tuple], box: InputBox):
+    """Euclidean projection of u_nom onto the polytope of the (a, b, label)
+    rows and the box, or None when it is empty. Output is a tuple of floats
+    (length box.dim). A non-finite u_nom is rejected; each row's dimension
+    and finiteness are checked here, in order."""
     u_nom = u_nom if isinstance(u_nom, (tuple, list)) else (u_nom,)
     m = box.dim
     if len(u_nom) != m:
@@ -68,16 +70,18 @@ def solve_qp(u_nom, constraints: Sequence[HalfspaceConstraint], box: InputBox):
 
     rows = []
     seen = set()
-    for c in constraints:
-        _check_entry(c, m)
-        if c.is_infeasible_marker():
-            return None
-        if c.is_vacuous():
+    for a, b, label in constraints:
+        if len(a) != m:
+            raise QpError(f"constraint {label or a} has wrong input dimension")
+        if not (math.isfinite(b) and all(map(math.isfinite, a))):
+            raise BarrierError(f"non-finite constraint {a} . u <= {b}")
+        if not any(a):  # a zero row: vacuous, or an empty set when b < 0
+            if b < 0:
+                return None
             continue
-        key = (c.a, c.b)
-        if key not in seen:  # duplicate constraints add nothing
-            seen.add(key)
-            rows.append((c.a, c.b))
+        if (a, b) not in seen:  # duplicate constraints add nothing
+            seen.add((a, b))
+            rows.append((a, b))
 
     u_nom = tuple(float(v) for v in u_nom)
     for i in range(m):  # box faces as ordinary halfspaces
@@ -87,30 +91,25 @@ def solve_qp(u_nom, constraints: Sequence[HalfspaceConstraint], box: InputBox):
     return _solve_active_set(np.asarray(u_nom), rows, m)
 
 
-def _check_entry(c: HalfspaceConstraint, m: int):
-    """Dimension, then finiteness, of a constraint entering the m >= 2 QP
-    (`_solve_1d` makes the same checks inline)."""
-    if len(c.a) != m:
-        raise QpError(f"constraint {c.label or c.a} has wrong input dimension")
-    if not (math.isfinite(c.b) and all(map(math.isfinite, c.a))):
-        raise BarrierError(f"non-finite constraint {c.a} . u <= {c.b}")
-
-
 def _solve_1d(u: float, constraints, box: InputBox):
     """Clip a scalar u between the largest lower and smallest upper bound b/a;
-    a zero `a` is vacuous, or the infeasible marker when b < 0."""
+    a zero `a` is vacuous, or the empty-set marker when b < 0. Each row is
+    checked as it is read: its dimension, then its finiteness."""
     lo, hi = box.lower[0], box.upper[0]
     isfinite = math.isfinite
-    for a_row, b, label in constraints:  # _check_entry(c, 1), inline
-        if len(a_row) != 1:
-            raise QpError(f"constraint {label or a_row} has wrong input dimension")
-        a = a_row[0]
+    for a_row, b, label in constraints:
+        try:
+            (a,) = a_row
+        except ValueError:
+            raise QpError(f"constraint {label or a_row} has wrong input dimension") from None
         if not (isfinite(b) and isfinite(a)):
             raise BarrierError(f"non-finite constraint {a_row} . u <= {b}")
         if a > 0:
-            hi = min(hi, b / a)
+            if (bound := b / a) < hi:
+                hi = bound
         elif a < 0:
-            lo = max(lo, b / a)
+            if (bound := b / a) > lo:
+                lo = bound
         elif b < 0:
             return None
     if lo > hi:
@@ -123,7 +122,10 @@ def _solve_active_set(u_nom: np.ndarray, rows, m: int):
 
     The projection satisfies u = u_nom - A_S^T lam with A_S u = b_S for some
     active subset S and lam >= 0; with at most ~11 constraints in dimension
-    <= 3 exhaustive enumeration is cheap and exact.
+    <= 3 exhaustive enumeration is cheap and exact. In a numerical corner,
+    where the set is nonempty but no KKT candidate validates, the fallback
+    returns the feasible vertex nearest to u_nom (m boundaries met, 1e-7
+    slack), which is safe but in general not the projection.
     """
     A = np.asarray([r[0] for r in rows], dtype=float)
     b = np.asarray([r[1] for r in rows], dtype=float)

@@ -25,11 +25,13 @@ domain bounds are padded once. Each step evaluates f and g once, for every
 constraint's Lie terms and as RK4's k1 (f runs 4 times a step); a row keeps
 its a = -grad.g while the gradient and g objects repeat.
 
-The step's call chain is flat: a constraint costs one `cbf_constraint` or
-`fcbf_constraint` call and one `terms` call; a schedule tests its cursor's
-segment inline and bisects only when t leaves it; the m = 1 `solve_qp`
-checks each row inline as it clips; the vehicle's f, h1 and the nominal
-controller read the lead from one cached lookup per t.
+The step's call chain is flat. `conjoin_groups` makes one list a step and
+hands it to each schedule that applies, which tests its cursor's segment
+inline (bisecting only when t leaves it) and appends its rows. A constraint
+costs one `cbf_constraint` or `fcbf_constraint` call and one `terms` call,
+and stays the plain triple (a, b, label) from there to the clip. The m = 1
+`solve_qp` unpacks and checks each row as it clips, and the vehicle's f, h1
+and the nominal controller read the lead from one cached lookup per t.
 
 RK4 is one straight-line kernel per state dimension n, generated from a
 source template and compiled at the first step of that n (so building a
@@ -334,7 +336,7 @@ def run_simulation(
             record(t, "infeasible", u_n, (math.nan,) * sys.m)
             return RunResult(trace, SimFailure(
                 time=t, reason="qp_infeasible",
-                details=tuple(c.label or "box" for c in cons),
+                details=tuple(label or "box" for _, _, label in cons),
             ), engagements)
         record(t, "ok", u_n, u_s)
 

@@ -275,8 +275,9 @@ class SpacingBarrier(Barrier):
 
     def terms(self, t, x):
         vl, al = self.lead.cached_motion(t)
-        return (self._h(vl, x), vl * al / self.vp.a_max,
-                (-1.0, -self.vp.t_headway - x[1] / self.vp.a_max, 1.0))
+        vp, v = self.vp, x[1]
+        h = (x[2] - x[0]) - vp.t_headway * v - vp.s0 - (v * v - vl * vl) / (2 * vp.a_max)
+        return h, vl * al / vp.a_max, (-1.0, -vp.t_headway - v / vp.a_max, 1.0)
 
 
 def speed_limit_barrier(limits: SpeedLimitSchedule, vp: VehicleParams) -> AffineBarrier:

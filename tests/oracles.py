@@ -15,6 +15,7 @@ import numpy as np
 
 from stlcbf.barriers import (
     Barrier,
+    BarrierError,
     FcbfParams,
     cbf_constraint,
     convergence_time,
@@ -28,6 +29,7 @@ from stlcbf.contracts import (
     SubsetCheck,
     Verdict,
 )
+from stlcbf.qp import QpError
 from stlcbf.vehicle import VehicleError, VehicleParams
 
 
@@ -63,6 +65,30 @@ def grid_qp(u_nom, rows, lower, upper, resolution: float):
     pts = pts[feas]
     d2 = ((pts - np.asarray(u_nom)) ** 2).sum(axis=1)
     return tuple(pts[int(np.argmin(d2))])
+
+
+def reference_clip(u: float, constraints, box):
+    """The m = 1 clip of `solve_qp` in its plain form: a `len` check and an
+    index per row, then min/max to tighten the bounds. Differential reference
+    for `qp._solve_1d`: the same results, or the same exception type and
+    message, raised at the same row."""
+    lo, hi = box.lower[0], box.upper[0]
+    isfinite = math.isfinite
+    for a_row, b, label in constraints:
+        if len(a_row) != 1:
+            raise QpError(f"constraint {label or a_row} has wrong input dimension")
+        a = a_row[0]
+        if not (isfinite(b) and isfinite(a)):
+            raise BarrierError(f"non-finite constraint {a_row} . u <= {b}")
+        if a > 0:
+            hi = min(hi, b / a)
+        elif a < 0:
+            lo = max(lo, b / a)
+        elif b < 0:
+            return None
+    if lo > hi:
+        return None
+    return (min(max(u, lo), hi),)
 
 
 def grid_set_check(h_prev_vals, h_next_vals, margin: float = 1e-6):
@@ -325,10 +351,11 @@ def _pull(h: float, gamma: float, rho: float) -> float:
 
 
 def constraint_upper_bound(c) -> float:
-    """b/a of a single-input halfspace a u <= b with a > 0."""
-    if len(c.a) != 1 or c.a[0] <= 0:
-        raise VehicleError(f"constraint {c.label} is not an upper bound on a scalar input")
-    return c.b / c.a[0]
+    """b/a of a single-input row (a, b, label), a u <= b with a > 0."""
+    a, b, label = c
+    if len(a) != 1 or a[0] <= 0:
+        raise VehicleError(f"constraint {label} is not an upper bound on a scalar input")
+    return b / a[0]
 
 
 def scalar_monitor_task(task, trace, registry, tol):

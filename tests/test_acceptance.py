@@ -21,7 +21,6 @@ from oracles import (
 from stlcbf.barriers import (
     AffineBarrier,
     FcbfParams,
-    HalfspaceConstraint,
     StateBox,
     cbf_constraint,
     convergence_time,
@@ -226,7 +225,7 @@ def test_criterion_4_qp_grid_oracle():
         assert len(rows) <= 5
         u_nom = tuple(rng.uniform(-3.0, 3.0, size=m))
 
-        out = solve_qp(u_nom, [HalfspaceConstraint(a, b) for a, b in rows], box)
+        out = solve_qp(u_nom, [(a, b, "") for a, b in rows], box)
         ref = grid_qp(u_nom, rows, lower, upper, cell)
 
         assert (out is None) == (ref is None)  # infeasibility agrees exactly

@@ -12,7 +12,6 @@ from stlcbf.barriers import (
     BarrierError,
     ConstraintRow,
     FcbfParams,
-    HalfspaceConstraint,
     IDENTITY_ALPHA,
     NegatedBarrier,
     StateBox,
@@ -23,6 +22,7 @@ from stlcbf.barriers import (
     gamma_for_deadline,
 )
 from stlcbf.contracts import check_subset
+from stlcbf.qp import InputBox, solve_qp
 from stlcbf.sim import ControlSystem
 from stlcbf.vehicle import (
     LeadProfile,
@@ -52,28 +52,31 @@ class TestParamTypes:
             FcbfParams(rho, gamma)
 
     def test_infeasible_marker(self):
-        assert HalfspaceConstraint((0.0,), -1.0).is_infeasible_marker()
-        assert HalfspaceConstraint((0.0,), 1.0).is_vacuous()
-        assert not HalfspaceConstraint((1.0,), -1.0).is_infeasible_marker()
+        """A row (a, b, label) with a zero a marks an empty set when b < 0
+        and is vacuous when b >= 0; solve_qp is what reads the marker."""
+        box = InputBox((-2.0,), (2.0,))
+        assert solve_qp(0.5, [((0.0,), -1.0, "")], box) is None
+        assert solve_qp(0.5, [((0.0,), 1.0, "")], box) == (0.5,)
+        assert solve_qp(0.5, [((1.0,), -1.0, "")], box) == (-1.0,)
 
 
 class TestCbfConstraint:
     def test_speed_limit_on_double_integrator(self, double_integrator):
         # h = 25 - V at V=20 with alpha(h)=h gives u <= 5
         bar = AffineBarrier("v25", coeffs=(0.0, -1.0), offset=25.0)
-        c = cbf_constraint(bar, double_integrator, IDENTITY_ALPHA, 0.0, (0.0, 20.0))
-        assert c.a == (1.0,)
-        assert c.b == pytest.approx(5.0)
+        a, b, _ = cbf_constraint(bar, double_integrator, IDENTITY_ALPHA, 0.0, (0.0, 20.0))
+        assert a == (1.0,)
+        assert b == pytest.approx(5.0)
 
     def test_constant_inside_barrier_is_vacuous(self, double_integrator):
         bar = AffineBarrier("one", coeffs=(0.0, 0.0), offset=1.0)
-        c = cbf_constraint(bar, double_integrator, IDENTITY_ALPHA, 0.0, (0.0, 0.0))
-        assert c.a == (0.0,) and c.b == pytest.approx(1.0) and c.is_vacuous()
+        a, b, _ = cbf_constraint(bar, double_integrator, IDENTITY_ALPHA, 0.0, (0.0, 0.0))
+        assert a == (0.0,) and b == pytest.approx(1.0) and not any(a) and b >= 0
 
     def test_constant_outside_barrier_is_infeasible_marker(self, double_integrator):
         bar = AffineBarrier("neg", coeffs=(0.0, 0.0), offset=-1.0)
-        c = cbf_constraint(bar, double_integrator, IDENTITY_ALPHA, 0.0, (0.0, 0.0))
-        assert c.is_infeasible_marker()
+        a, b, _ = cbf_constraint(bar, double_integrator, IDENTITY_ALPHA, 0.0, (0.0, 0.0))
+        assert not any(a) and b < 0
 
     def test_boundary_input_zeroes_propagated_rate(self, double_integrator):
         # on a.u = b the closed-loop dh/dt + alpha(h) must vanish
@@ -81,8 +84,8 @@ class TestCbfConstraint:
         for v, kappa in ((20.0, 1.0), (27.5, 0.5), (3.0, 2.0)):
             alpha = AlphaFn(kappa)
             x = (1.0, v)
-            c = cbf_constraint(bar, double_integrator, alpha, 0.0, x)
-            u = c.b / c.a[0]
+            (a,), b, _ = cbf_constraint(bar, double_integrator, alpha, 0.0, x)
+            u = b / a
             _, dh_dt, grad = bar.terms(0.0, x)
             fv = double_integrator.f(0.0, x)
             hdot = dh_dt + sum(
@@ -102,7 +105,7 @@ class TestCbfConstraint:
         a = row.a
         c2 = cbf_constraint(bar, double_integrator, IDENTITY_ALPHA, 0.1, (0.5, 6.0),
                             dyn=((6.0, 0.0), g), row=row)
-        assert row.a is a and c1.a is c2.a
+        assert row.a is a and c1[0] is c2[0]
         assert c2 == (a, 20.0 - 6.0, "cbf:!fast")
 
 
@@ -110,24 +113,91 @@ class TestFcbfConstraint:
     def test_outside_set_demands_convergence(self):
         # h = x at x=-1, rho=0.9, gamma=2: constraint -u <= -2, i.e. u >= 2
         bar = AffineBarrier("x", coeffs=(1.0,), offset=0.0)
-        c = fcbf_constraint(bar, scalar_system(), FcbfParams(0.9, 2.0), 0.0, (-1.0,))
-        assert c.a == (-1.0,)
-        assert c.b == pytest.approx(-2.0)
+        a, b, _ = fcbf_constraint(bar, scalar_system(), FcbfParams(0.9, 2.0), 0.0, (-1.0,))
+        assert a == (-1.0,)
+        assert b == pytest.approx(-2.0)
 
     def test_sign_zero_on_boundary(self):
         bar = AffineBarrier("x", coeffs=(1.0,), offset=0.0)
-        c = fcbf_constraint(bar, scalar_system(), FcbfParams(0.9, 2.0), 0.0, (0.0,))
-        assert c.b == pytest.approx(0.0)
+        _, b, _ = fcbf_constraint(bar, scalar_system(), FcbfParams(0.9, 2.0), 0.0, (0.0,))
+        assert b == pytest.approx(0.0)
 
     def test_inside_set_relaxes_by_gamma_h_rho(self, double_integrator):
         # for h > 0 the bound exceeds the alpha-free drift by exactly gamma h^rho
         bar = AffineBarrier("v25", coeffs=(0.0, -1.0), offset=25.0)
         p = FcbfParams(0.5, 3.0)
         x = (0.0, 20.0)
-        c = fcbf_constraint(bar, double_integrator, p, 0.0, x)
-        drift_only = cbf_constraint(bar, double_integrator, AlphaFn(1.0), 0.0, x).b \
+        _, b, _ = fcbf_constraint(bar, double_integrator, p, 0.0, x)
+        drift_only = cbf_constraint(bar, double_integrator, AlphaFn(1.0), 0.0, x)[1] \
             - bar.h(0.0, x)
-        assert c.b - drift_only == pytest.approx(p.gamma * 5.0 ** p.rho)
+        assert b - drift_only == pytest.approx(p.gamma * 5.0 ** p.rho)
+
+
+class Bowl(Barrier):
+    """h = c - sum(w_i x_i^2) / 2: like h1, `terms` builds a new gradient
+    tuple, with new values, at every call."""
+
+    def __init__(self, weights, c):
+        super().__init__("bowl")
+        self.weights, self.c = weights, c
+
+    def h(self, t, x, side="right"):
+        return self.c - 0.5 * sum(w * xi * xi for w, xi in zip(self.weights, x))
+
+    def terms(self, t, x):
+        return self.h(t, x), 0.25, tuple(-w * xi for w, xi in zip(self.weights, x))
+
+
+def _row_bits(row):
+    a, b, label = row
+    return label, [ai.hex() for ai in a], b.hex()
+
+
+class TestConstraintRowCache:
+    """A kept `ConstraintRow` reuses a = -grad.g while the gradient and g
+    objects repeat, and g's columns while g repeats. Its rows must equal a
+    fresh row's bit for bit, whatever the gradient and g do between calls."""
+
+    G_KINDS = ("constant", "fresh_equal", "changing", "switching")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_kept_row_matches_fresh_row(self, data):
+        n, m = data.draw(st.integers(1, 4), "n"), data.draw(st.integers(1, 3), "m")
+        entries = st.floats(-10.0, 10.0)
+
+        def matrix():
+            return tuple(tuple(data.draw(entries) for _ in range(m)) for _ in range(n))
+
+        g0, g1 = matrix(), matrix()
+        g = {
+            "constant": lambda t, x: g0,  # one object
+            "fresh_equal": lambda t, x: tuple(tuple([*r]) for r in g0),  # new, equal
+            "changing": lambda t, x: tuple(tuple(v + 0.5 * (i + 1) * x[0] for v in r)
+                                           for i, r in enumerate(g0)),  # new values
+            "switching": lambda t, x: g0 if x[0] >= 0 else g1,  # two objects in turn
+        }[data.draw(st.sampled_from(self.G_KINDS), "g")]
+        sys = ControlSystem(n=n, m=m, f=lambda t, x: tuple(0.5 * xi - 1.0 for xi in x), g=g,
+                            domain=StateBox((-1e3,) * n, (1e3,) * n))
+        coeffs = tuple(data.draw(entries) for _ in range(n))
+        bar = data.draw(st.sampled_from(
+            [AffineBarrier("aff", coeffs=coeffs, offset=3.0), Bowl(coeffs, 40.0)]), "barrier")
+        if data.draw(st.booleans(), "negated"):
+            bar = NegatedBarrier(bar)
+        if data.draw(st.booleans(), "fcbf"):
+            gen, label, param = fcbf_constraint, "fcbf:" + bar.id, FcbfParams(0.5, 2.0)
+        else:
+            gen, label, param = cbf_constraint, "cbf:" + bar.id, AlphaFn(1.5)
+        use_dyn = data.draw(st.booleans(), "dyn")
+        states = data.draw(st.lists(st.tuples(*[entries] * n), min_size=1, max_size=8), "xs")
+
+        row = ConstraintRow(label)
+        for k, x in enumerate(states):
+            t = 0.5 * k
+            dyn = (sys.f(t, x), sys.g(t, x)) if use_dyn else None
+            kept = gen(bar, sys, param, t, x, dyn, row)
+            fresh = gen(bar, sys, param, t, x, dyn)
+            assert _row_bits(kept) == _row_bits(fresh)
 
 
 class TestConvergenceTime:
@@ -369,8 +439,8 @@ class TestMinimalBarrier:
 
     def test_cbf_constraint(self):
         # h = 2 - 1, dh/dt = 1, grad = (-1,), x' = u: -u + 1 + 1 >= 0
-        c = cbf_constraint(Ramp(), scalar_system(), IDENTITY_ALPHA, 2.0, (1.0,))
-        assert c.a == (1.0,) and c.b == 2.0
+        a, b, _ = cbf_constraint(Ramp(), scalar_system(), IDENTITY_ALPHA, 2.0, (1.0,))
+        assert a == (1.0,) and b == 2.0
 
     def test_grid_fallback_reads_the_left_limit(self):
         box = StateBox((0.0,), (10.0,))

@@ -592,6 +592,30 @@ class TestCli:
             assert capsys.readouterr() == (
                 "", "error: group G2: the signal barrier cannot be negated\n")
 
+    def test_signal_window_off_every_boundary_is_config_error(self, monkeypatch, capsys):
+        # configs give no windows, so the stray key goes in through the
+        # library: each signal schedule's config gets one more, at t=-1
+        from stlcbf import vehicle
+
+        real = vehicle.build_schedule
+
+        def with_stray_window(group, registry, cfg):
+            windows = {**cfg.boundary_windows, -1.0: (-2.0, 1.0)}
+            return real(group, registry, replace(cfg, boundary_windows=windows))
+
+        monkeypatch.setattr(vehicle, "build_schedule", with_stray_window)
+        for command in ("check", "run"):
+            assert cli_main([command, "paper_sec6"]) == 4
+            assert capsys.readouterr() == ("", "error: group G3.s1: boundary window at "
+                                               "t=-1.0 is not a boundary time of the group\n")
+
+    @pytest.mark.parametrize("seed", [*range(1, 41), 634512626, 815217483, 1047664193])
+    def test_paper_sec6_signal_windows_key_boundary_times(self, seed):
+        # every red onset's window is keyed on a boundary time of its
+        # schedule, so none is rejected, over the seed sweep
+        bundle = build_scenario(replace(load_config("paper_sec6"), seed=seed))
+        assert sum(b.tau is not None for s in bundle.schedules for b in s.boundaries) > 0
+
     def test_boundary_gains_and_tolerances_still_accepted(self, tmp_path):
         text = MINIMAL + ("\n[tolerances]\nmargin = 0\n[pid]\nk1 = -0.5\nwindup_limit = 0\n"
                           "[fcbf]\ngamma_min = 1e-9\n[domain]\nx_l = 0 100\n")

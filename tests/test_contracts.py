@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from bisect import bisect_left
 from types import SimpleNamespace
 
@@ -266,10 +267,31 @@ class TestScheduleConfigValidation:
         reg = registry_with(vbar(30), vbar(10))
         cfg = dataclasses.replace(speed_cfg(100.0), boundary_windows={50.0: (45.0, 5.0)})
         sched = build_schedule(speed_group([30, 10]), reg, cfg)
-        labels = [c.label for c in active_constraints(sched, 48.0, (0.0, 20.0), ScalarSys)]
+        labels = [label for _, _, label in active_constraints(sched, 48.0, (0.0, 20.0), ScalarSys)]
         assert labels == ["cbf:v30", "fcbf:v10"]
         with pytest.raises(BarrierError, match="finite time and tau"):
             dataclasses.replace(cfg, boundary_windows=windows)
+
+    @pytest.mark.parametrize("key", [49.0, math.nextafter(50.0, math.inf), 0.0, 100.0, 150.0],
+                             ids=["inside", "ulp_after", "start", "horizon", "past"])
+    def test_window_off_every_boundary_rejected(self, key):
+        # the 30 -> 10 group's one boundary is t=50; a window keyed elsewhere
+        # used to be dropped silently, and the boundary took the default window
+        reg = registry_with(vbar(30), vbar(10))
+        cfg = dataclasses.replace(speed_cfg(100.0),
+                                  boundary_windows={50.0: (45.0, 5.0), key: (key - 1.0, 1.0)})
+        with pytest.raises(ContractError, match=re.escape(
+                f"group G1: boundary window at t={key!r} is not a boundary time")):
+            build_schedule(speed_group([30, 10]), reg, cfg)
+
+    def test_windows_on_boundaries_of_a_gapped_group_build(self):
+        # boundaries are the ends of every segment but the last, vacuous ones too
+        reg = registry_with(vbar(10))
+        group = TaskGroup("G1", ((TimeInterval(20, 30), PredicateRef("v10")),))
+        cfg = dataclasses.replace(speed_cfg(100.0), boundary_windows={20.0: (16.0, 4.0),
+                                                                      30.0: (28.0, 2.0)})
+        sched = build_schedule(group, reg, cfg)
+        assert [(b.time, b.tau) for b in sched.boundaries] == [(20.0, 16.0), (30.0, None)]
 
     def test_good_values_build(self):
         reg = registry_with(vbar(10), vbar(30))
@@ -299,23 +321,23 @@ class TestActiveConstraints:
     def test_single_constraint_before_window(self):
         sched = self._sched()
         cons = active_constraints(sched, 20.0, (0.0, 20.0), ScalarSys)
-        assert [c.label for c in cons] == ["cbf:v30"]
+        assert [label for _, _, label in cons] == ["cbf:v30"]
 
     def test_two_constraints_inside_window(self):
         sched = self._sched()
         cons = active_constraints(sched, 47.0, (0.0, 20.0), ScalarSys)
-        assert [c.label for c in cons] == ["cbf:v30", "fcbf:v25"]
+        assert [label for _, _, label in cons] == ["cbf:v30", "fcbf:v25"]
 
     def test_engagement_time_itself_is_outside_window(self):
         sched = self._sched()
         cons = active_constraints(sched, 45.0, (0.0, 20.0), ScalarSys)
-        assert [c.label for c in cons] == ["cbf:v30"]
+        assert [label for _, _, label in cons] == ["cbf:v30"]
 
     def test_subset_boundary_never_engages(self):
         reg = registry_with(vbar(10), vbar(30))
         sched = build_schedule(speed_group([10, 30]), reg, speed_cfg(100.0))
         cons = active_constraints(sched, 49.0, (0.0, 5.0), ScalarSys)
-        assert [c.label for c in cons] == ["cbf:v10"]
+        assert [label for _, _, label in cons] == ["cbf:v10"]
 
     def test_gamma_fixed_at_first_engagement(self):
         sched = self._sched()
@@ -355,7 +377,7 @@ class TestActiveConstraints:
                    if b.verdict is Verdict.OVERLAP_DEADLINE]
         t = 0.0
         while t < 149.9:
-            labels = [c.label for c in
+            labels = [label for _, _, label in
                       active_constraints(sched, t, (0.0, 20.0), ScalarSys)]
             in_window = any(tau < t < te for tau, te in windows)
             assert any(l.startswith("fcbf:") for l in labels) == in_window
@@ -370,7 +392,7 @@ class TestConjoinGroups:
             TaskGroup("G2", ((TimeInterval(0, 150), PredicateRef("v20")),)),
             reg, speed_cfg(150.0))
         cons = conjoin_groups(RegionTable.of([s1, s2]), 20.0, (0.0, 15.0), ScalarSys)
-        assert [c.label for c in cons] == ["cbf:v30", "cbf:v20"]
+        assert [label for _, _, label in cons] == ["cbf:v30", "cbf:v20"]
 
     def test_vacuous_group_adds_nothing(self):
         reg = registry_with(vbar(30), vbar(10))
@@ -381,7 +403,7 @@ class TestConjoinGroups:
             TaskGroup("G2", ((TimeInterval(50, 60), PredicateRef("v10")),)),
             reg, speed_cfg(100.0))
         cons = conjoin_groups(RegionTable.of([s1, s2]), 10.0, (0.0, 15.0), ScalarSys)
-        assert [c.label for c in cons] == ["cbf:v30"]
+        assert [label for _, _, label in cons] == ["cbf:v30"]
 
 
 class GrowingGainSys(ScalarSys):
@@ -445,7 +467,7 @@ def _near(values):
 
 
 def _hexed(cons):
-    return [(c.label, [a.hex() for a in c.a], c.b.hex()) for c in cons]
+    return [(label, [ai.hex() for ai in a], b.hex()) for a, b, label in cons]
 
 
 class TestCompiledDispatchDifferential:
@@ -505,7 +527,7 @@ class TestConstraintRowReuse:
         states = [(x_f, 12.0) for x_f in (0.0, 3.0, -7.5, 3.0, 20.0)]
         pairs = list(self._pairs(vbar(20), GrowingGainSys, states))
         assert all(_hexed([got]) == _hexed([want]) for got, want in pairs)
-        assert len({got.a for got, _ in pairs}) == 4  # a really moves with x
+        assert len({got[0] for got, _ in pairs}) == 4  # a really moves with x
 
     def test_fresh_gradient(self):
         vp = VehicleParams()
@@ -515,7 +537,7 @@ class TestConstraintRowReuse:
         states = [(0.0, v_f, 60.0) for v_f in (0.0, 14.0, 30.0, 14.0, 2.5)]
         pairs = list(self._pairs(h1, sys, states))
         assert all(_hexed([got]) == _hexed([want]) for got, want in pairs)
-        assert len({got.a for got, _ in pairs}) == 4
+        assert len({got[0] for got, _ in pairs}) == 4
 
     def test_constant_gradient_and_g_derive_a_once(self):
         vp = VehicleParams()
@@ -525,7 +547,7 @@ class TestConstraintRowReuse:
         states = [(0.0, v_f, 60.0) for v_f in (0.0, 14.0, 30.0)]
         pairs = list(self._pairs(bar, sys, states))
         assert all(_hexed([got]) == _hexed([want]) for got, want in pairs)
-        assert pairs[0][0].a is pairs[1][0].a is pairs[2][0].a
+        assert pairs[0][0][0] is pairs[1][0][0] is pairs[2][0][0]
 
 
 class TestGridOracleAgreement:

@@ -2,18 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import grid_qp
-from stlcbf.barriers import BarrierError, HalfspaceConstraint
+from oracles import grid_qp, reference_clip
+from stlcbf.barriers import BarrierError
 from stlcbf.qp import InputBox, PidState, QpError, pid_nominal, solve_qp
 
 BOX1 = InputBox((-6000.0,), (6000.0,))
 
 
 def hs(a, b):
-    return HalfspaceConstraint(tuple(a) if isinstance(a, (tuple, list)) else (a,), b)
+    return (tuple(a) if isinstance(a, (tuple, list)) else (a,), b, "")
 
 
 class TestSolveQp1D:
@@ -57,7 +57,7 @@ class TestQpEntry:
             a[-1] = math.inf if bad == "a_inf" else math.nan
         else:
             b = -math.inf if bad == "b_inf" else math.nan
-        c = HalfspaceConstraint(tuple(a), b, "cbf:bad")  # building it does not check
+        c = (tuple(a), b, "cbf:bad")  # building it does not check
         with pytest.raises(BarrierError, match="non-finite constraint"):
             solve_qp((0.0,) * m, [hs([0.5] * m, 3.0), c], self.BOXES[m])
 
@@ -82,6 +82,47 @@ class TestQpEntry:
         u_nom = (1.5,) * m
         plain = solve_qp(u_nom, cons, self.BOXES[m])
         assert solve_qp(u_nom, cons + [hs([0.0] * m, 2.0)], self.BOXES[m]) == plain
+
+
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 5e-324, 1e308]
+ENTRIES = st.sampled_from(SPECIAL) | st.floats(-10.0, 10.0) | st.floats()
+ROWS = st.lists(st.tuples(
+    st.lists(ENTRIES, min_size=1, max_size=1).map(tuple)
+    | st.lists(ENTRIES, max_size=3).map(tuple),  # wrong lengths: 0, 2, 3
+    ENTRIES, st.sampled_from(["", "cbf:v", "fcbf:w"])), max_size=6)
+
+
+def _outcome(solve, u, rows, box):
+    """The result's bits, or the exception's type and message."""
+    try:
+        out = solve(u, rows, box)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+    return None if out is None else tuple(v.hex() for v in out)
+
+
+class TestClipDifferential:
+    """The m = 1 `solve_qp` against `oracles.reference_clip`, the clip in its
+    plain min/max form: the same result bits, or the same exception."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0]), ROWS,
+           st.tuples(st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0]),
+                     st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0])))
+    @example(0.5, [((0.0,), -1.0, "cbf:z")], (-1.0, 1.0))  # zero a, b < 0
+    @example(0.5, [((-0.0,), 0.0, "cbf:z")], (-1.0, 1.0))  # zero a, b >= 0
+    @example(0.5, [((1.0,), -2.0, ""), ((-1.0,), -1.0, "")], (-5.0, 5.0))  # lo > hi
+    @example(1.0, [((1.0,), -0.0, "")], (-1.0, 0.0))  # a tie keeps hi = 0.0
+    @example(-1.0, [((-1.0,), -0.0, "")], (-0.0, 1.0))  # a tie keeps lo = -0.0
+    @example(0.0, [((math.nan,), 1.0, "cbf:n")], (-1.0, 1.0))
+    @example(0.0, [((1.0,), -math.inf, "")], (-1.0, 1.0))
+    @example(0.0, [((1.0, 2.0), math.nan, "cbf:w")], (-1.0, 1.0))  # length checked first
+    @example(0.0, [((), 1.0, "")], (-1.0, 1.0))
+    @example(0.0, [((1e-300,), 1e300, "")], (-1.0, 1.0))  # b / a overflows to inf
+    def test_clip_matches_reference(self, u, rows, bounds):
+        lo, hi = sorted(bounds)
+        box = InputBox((lo,), (hi,))
+        assert _outcome(solve_qp, u, rows, box) == _outcome(reference_clip, u, rows, box)
 
 
 class TestSolveQp2D:
@@ -146,9 +187,9 @@ class TestInvariants:
         out = solve_qp(u_nom, cons, box)
         if out is None:
             return
-        for c in cons:
-            if not c.is_vacuous():
-                assert sum(a * u for a, u in zip(c.a, out)) - c.b <= 1e-9
+        for a_row, b, _ in cons:
+            if any(a_row) or b < 0:  # not vacuous
+                assert sum(a * u for a, u in zip(a_row, out)) - b <= 1e-9
         assert box.lower[0] - 1e-12 <= out[0] <= box.upper[0] + 1e-12
         assert solve_qp(out, cons, box) == pytest.approx(out)
 

@@ -428,10 +428,10 @@ class TestLoopBuildsNoLabel:
         real = sim.solve_qp
 
         def spy(u_nom, cons, box):
-            for c in cons:
-                if first.setdefault(c.label, c.label) is not c.label:
-                    fresh.append(c.label)
-                counts[c.label] = counts.get(c.label, 0) + 1
+            for _, _, label in cons:
+                if first.setdefault(label, label) is not label:
+                    fresh.append(label)
+                counts[label] = counts.get(label, 0) + 1
             return real(u_nom, cons, box)
 
         monkeypatch.setattr(sim, "solve_qp", spy)

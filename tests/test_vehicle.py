@@ -377,10 +377,10 @@ class TestSignalContracts:
         sys = make_vehicle_system(VP, lead)
         # inside segment 1 at a red of signal 1
         cons = conjoin_groups(RegionTable.of(scheds), 40.0, (100.0, 10.0, 0.0), sys)
-        assert [c.label for c in cons] == ["cbf:sig1.red"]
+        assert [label for _, _, label in cons] == ["cbf:sig1.red"]
         # past signal 1, during signal 2's red (t=10): uses sig2's stop line
         cons2 = conjoin_groups(RegionTable.of(scheds), 10.0, (250.0, 10.0, 0.0), sys)
-        assert [c.label for c in cons2] == ["cbf:sig2.red"]
+        assert [label for _, _, label in cons2] == ["cbf:sig2.red"]
         # past both signals: nothing
         assert conjoin_groups(RegionTable.of(scheds), 10.0, (450.0, 10.0, 0.0), sys) == []
 
@@ -409,7 +409,7 @@ class TestSignalContracts:
         t, x = 33.0, (100.0, 12.0, 500.0)  # yellow of signal 1
         assert sigs[0].phase(t) == YELLOW
         cons = conjoin_groups(RegionTable.of([g1, g2, *scheds]), t, x, sys)
-        labels = [c.label for c in cons]
+        labels = [label for _, _, label in cons]
         assert labels == ["cbf:h1", "cbf:vmax25", "cbf:sig1.notred",
                           "fcbf:sig1.red"]
 
@@ -466,8 +466,8 @@ class TestSignalDispatchDifferential:
         got_led, want_led = {}, {}
         got = conjoin_groups(RegionTable.of(scheds), t, x, sys, got_led, dyn)
         want = bisect_dispatch(scheds, positions, t, x, sys, want_led, dyn)
-        assert [(c.label, [a.hex() for a in c.a], c.b.hex()) for c in got] == \
-            [(c.label, [a.hex() for a in c.a], c.b.hex()) for c in want]
+        assert [(label, [ai.hex() for ai in a], b.hex()) for a, b, label in got] == \
+            [(label, [ai.hex() for ai in a], b.hex()) for a, b, label in want]
         assert sorted(got_led.items()) == sorted(want_led.items())
 
         entry = [s.assumption_margin(x) for s in scheds]
