@@ -4,10 +4,11 @@ A barrier is a scalar h(t, x) with analytic time derivative and state
 gradient; its safe set at time t is {x : h(t, x) >= 0}. Its protocol is one
 method per quantity: `h(t, x, side)` for the value (side="left" gives the
 left time-limit at a jump), `terms(t, x)` for (h, dh/dt, grad_x h),
-`h_grid(t, cols, side)` for h over arrays, and `affine_at` for the static
-checks. `h_grid` is the one array evaluator: the static grid passes a scalar
-t with one slab of state columns, the trace columns and the monitor pass the
-recorded times as an array t with the recorded states. Two constraint
+`h_grid(t, cols, side)` for h over arrays, `affine_at` for the static
+checks, and `affine_on(t0, t1)` for the step loop. `h_grid` is the one
+array evaluator: the static grid passes a scalar t with one slab of state
+columns, the trace columns and the monitor pass the recorded times as an
+array t with the recorded states. Two constraint
 generators turn a barrier into an affine-in-input halfspace a.u <= b at a
 given (t, x):
 
@@ -24,8 +25,16 @@ a = -grad.g, which the generator derives again only when `terms` returns
 another gradient object or g another matrix (an affine barrier under the
 vehicle's constant g derives it once; h1, whose gradient moves every step,
 re-derives a from the kept columns).
-`AffineBarrier.terms` reads its offset with one bisect of its own piece
-starts, the scalar right-side case of `step_lookup`.
+
+`affine_on(t0, t1)` gives (coeffs, offset) when h = coeffs.x + offset over
+the whole of [t0, t1), with dh/dt = 0.0 and grad_x h = coeffs there. A
+schedule asks it once for each row of a plan (see `contracts`), and the step
+loop then evaluates such a row with the generator's float operations but no
+generator or `terms` call. `AffineBarrier` gives its form wherever no piece
+starts strictly inside the interval; elsewhere its `terms` bisects its piece
+starts for the offset. Every other template gives None. `NegatedBarrier`
+does too, although its inner barrier may be affine: its `terms` returns
+dh/dt = -0.0, and -0.0 + s differs from 0.0 + s when s is -0.0.
 
 Any input satisfying the FCBF inequality from h(t0, x0) < 0 reaches the safe
 set within T = |h0|^(1-rho) / (gamma (1-rho)) and stays there afterwards.
@@ -181,6 +190,13 @@ class Barrier:
         """(coeffs, offset) with h = coeffs.x + offset when affine at t, else None."""
         return None
 
+    def affine_on(self, t0: float, t1: float):
+        """(coeffs, offset) when h = coeffs.x + offset at every t in [t0, t1)
+        and `terms` gives dh/dt = 0.0 and grad_x h = coeffs there (the same
+        tuple object), else None. A schedule asks it once for each row of a
+        plan, and evaluates such a row without calling `terms`."""
+        return None
+
     def negate(self) -> "NegatedBarrier":
         return NegatedBarrier(self)
 
@@ -225,6 +241,13 @@ class AffineBarrier(Barrier):
 
     def affine_at(self, t, side="right"):
         return self.coeffs, step_lookup(self._starts, self._offsets, t, side)
+
+    def affine_on(self, t0, t1):
+        # the offset at t0 holds up to the first piece start after t0
+        j = bisect_right(self._starts, t0)
+        if j < len(self._starts) and self._starts[j] < t1:
+            return None
+        return self.coeffs, self._offsets[max(j - 1, 0)]
 
 
 class TopBarrier(Barrier):

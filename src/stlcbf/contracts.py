@@ -13,27 +13,33 @@ Each internal boundary t_i is classified:
                     fit: no controller can serve every admissible start.
 
 Each non-vacuous segment holds its resolved `Barrier`, bound once when
-`build_schedule` runs. A schedule then compiles the per-step work of its
-runtime query `add_constraints` into one row pair per segment: the segment's
-CBF row (barrier, alpha, label "cbf:<id>") and, when an overlap_deadline
-boundary ends the segment, its window row (tau, boundary time, engagement
-key, next barrier, label "fcbf:<id>"). A query finds the segment (a
-forward cursor, a bisect when t jumps), reads its rows, keeps the strict
-tau < t < t_i window test, and does only arithmetic: no verdict test, no
-label concatenation, no barrier lookup. It appends each active row, the
-(a, b, label) triple a generator returns, to the caller's list: one list a
-step for all schedules in `conjoin_groups`. Each row also keeps its last
-a = -grad.g and g's columns (see `barriers.ConstraintRow`). A window's
-first query sizes its gamma and builds its `FcbfParams`, once, into its
-`EngagementRecord`; every later query reads them from there.
+`build_schedule` runs, and the schedule compiles one row pair per segment:
+the segment's CBF row (barrier, alpha, label "cbf:<id>") and, when an
+overlap_deadline boundary ends the segment, its window row (tau, boundary
+time, engagement key, next barrier, label "fcbf:<id>"). The active rows
+change only at segment bounds and window onsets, so the runtime query has
+two parts. `ContractSchedule.plan` bisects for the segment, applies the
+strict tau < t < t_i window test, and returns the active row specs with the
+interval [t_from, until) over which they stay active. `emit_rows` turns
+specs into (a, b, label) rows at (t, x): a spec whose barrier has an affine
+form over that interval (`Barrier.affine_on`) is evaluated inline, with no
+`terms` call; any other calls `cbf_constraint` or `fcbf_constraint`. Each
+row keeps its last a = -grad.g and g's columns (see
+`barriers.ConstraintRow`). A window's first query sizes its gamma and
+builds its `FcbfParams`, once, into its `EngagementRecord`; every later
+query reads them from there.
 
 A schedule may carry a `region = (lo, hi)` on the first state coordinate:
 it applies only while lo < x[0] <= hi (default: every finite x[0]). The
 traffic signal contracts use it to gate each signal's schedule to the
 stretch of road where its stop line is the first at or ahead of the ego.
 `RegionTable.of` compiles a schedule list once into the sorted region bounds
-and, for each cell between them, the schedules that cover it, so
-`conjoin_groups` finds the schedules at x[0] with one bisect.
+and, for each cell between them, the schedules that cover it. A table also
+keeps one run's engagement records and its plan: the specs of its cell's
+schedules, valid while t stays in the intersection of their intervals and
+x[0] in the cell. `conjoin_groups` tests that with four comparisons and
+emits the plan's rows; only when t or x[0] leaves the plan does it
+`replan`, with one bisect for the cell and one per schedule.
 
 Subset / intersection checks are exact for affine-in-state barriers (vertex
 enumeration of the box-and-halfspace polytope); other templates fall back to
@@ -50,6 +56,7 @@ import math
 import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import mul
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -338,7 +345,8 @@ class ContractSchedule:
     """Invariance segments tiling [0, horizon) plus per-boundary verdicts,
     applying while lo < x[0] <= hi for `region` (lo, hi). Immutable after
     construction, which compiles the rows; queries are pure apart from the
-    segment cursor and the rows' kept a, which only save work."""
+    rows' kept a, which only saves work, and the engagement records they
+    add to the caller's dict."""
 
     label: str
     segments: list
@@ -348,7 +356,6 @@ class ContractSchedule:
     def __post_init__(self):
         # segment i covers [bounds[i], bounds[i + 1]); bounds[-1] ends the span
         self._bounds = [seg.interval.start for seg in self.segments] + [self.span.end]
-        self._cursor = 0
         self._rows = [self._compile(i) for i in range(len(self.segments))]
 
     def _compile(self, idx: int):
@@ -374,16 +381,11 @@ class ContractSchedule:
         return [b for b in self.boundaries if b.verdict is Verdict.INCOMPATIBLE]
 
     def _segment_index(self, t: float) -> int:
-        """Index of the segment holding t. The loop's time moves forward, so
-        the cursor's segment usually holds it; otherwise bisect and move."""
-        b, i = self._bounds, self._cursor
-        if not (b[i] <= t < b[i + 1]):
-            if not (b[0] <= t < b[-1]):
-                raise ScheduleQueryError(
-                    f"{self.label}: t={t:g} outside schedule span {self.span}"
-                )
-            i = self._cursor = bisect_right(b, t) - 1
-        return i
+        """Index of the segment holding t."""
+        b = self._bounds
+        if not (b[0] <= t < b[-1]):
+            raise ScheduleQueryError(f"{self.label}: t={t:g} outside schedule span {self.span}")
+        return bisect_right(b, t) - 1
 
     def assumption_margin(self, x0):
         """(barrier_id, margin) of the first segment's entry assumption, or
@@ -394,29 +396,75 @@ class ContractSchedule:
             return None
         return seg.barrier_id, seg.barrier.h(seg.interval.start, x0)
 
-    def constraints_at(self, t, x, sys, engagements=None, dyn=None) -> list:
-        """The (a, b, label) rows active at (t, x): see `add_constraints`."""
-        out = []
-        self.add_constraints(out, t, x, sys, engagements, dyn)
-        return out
+    def constraints_at(self, t, x, sys, engagements: dict, dyn=None) -> list:
+        """The (a, b, label) rows active at (t, x), whatever the region:
+        `plan`, then `emit_rows`. Pass the same `engagements` dict to every
+        query of a run, since a window's gamma is fixed at its first query."""
+        return emit_rows(self.plan(t, x, engagements)[2], t, x, sys, dyn)
 
-    def add_constraints(self, out, t, x, sys, engagements=None, dyn=None):
-        """Append the rows active at (t, x) to `out`, per the schedule case
-        split: the current segment's invariance constraint, plus the upcoming
-        barrier's finite-time constraint strictly inside (tau_i, t_i) of an
-        overlap boundary. gamma is fixed at first engagement, in the
-        `engagements` dict under (label, boundary index). `dyn` is
-        (f(t, x), g(t, x)) when the caller has evaluated them already."""
-        b, i = self._bounds, self._cursor
-        if not b[i] <= t < b[i + 1]:  # t left the cursor's segment
-            i = self._segment_index(t)
+    def plan(self, t, x, engagements: dict) -> tuple:
+        """(t_from, until, specs): the row specs active at t, and the interval
+        [t_from, until) around t over which they stay active. The specs are
+        the segment's invariance row, then, strictly inside (tau_i, t_i) of
+        an overlap boundary, the next barrier's finite-time row. A pending
+        window (t <= tau) ends the interval at nextafter(tau), the first t
+        with tau < t; an engaged one starts it there. A window's first query
+        sizes its gamma from h(t, x), kept in `engagements` under (label,
+        boundary index)."""
+        i = self._segment_index(t)
+        t_from, until = self._bounds[i], self._bounds[i + 1]
         cbf, window = self._rows[i]
+        engaged = window is not None and window.tau < t
+        if window is not None:
+            onset = math.nextafter(window.tau, math.inf)
+            if engaged:
+                t_from = max(t_from, onset)
+            else:
+                until = min(until, onset)
+        specs = []
         if cbf is not None:
             bar, alpha, row = cbf
-            out.append(cbf_constraint(bar, sys, alpha, t, x, dyn, row))
-        if window is not None and window.tau < t < window.time:
-            params = _engaged_params(window, t, x, {} if engagements is None else engagements)
-            out.append(fcbf_constraint(window.barrier, sys, params, t, x, dyn, window.row))
+            specs.append(_row_spec(bar, row, t_from, until, alpha, None))
+        if engaged:
+            params = _engaged_params(window, t, x, engagements)
+            specs.append(_row_spec(window.barrier, window.row, t_from, until, None, params))
+        return t_from, until, specs
+
+
+def _row_spec(bar: Barrier, row: ConstraintRow, t0, t1, alpha, params) -> tuple:
+    """(row, barrier, coeffs, offset, alpha, params) of a plan over [t0, t1):
+    alpha for an invariance row, params for a finite-time one, and the
+    barrier's `affine_on(t0, t1)` form, or None twice."""
+    coeffs, offset = bar.affine_on(t0, t1) or (None, None)
+    return row, bar, coeffs, offset, alpha, params
+
+
+def emit_rows(specs, t, x, sys, dyn=None) -> list:
+    """The (a, b, label) rows of a plan's specs at (t, x), in order. A spec
+    with an affine form is evaluated here, with the generators' float
+    operations and dh/dt = 0.0; any other calls `cbf_constraint` or
+    `fcbf_constraint`. `dyn` is (f(t, x), g(t, x)) when the caller has
+    evaluated them already."""
+    out = []
+    if dyn is None:
+        dyn = (sys.f(t, x), sys.g(t, x))
+    fv, gm = dyn
+    for row, bar, coeffs, offset, alpha, params in specs:
+        if coeffs is None:
+            if params is None:
+                out.append(cbf_constraint(bar, sys, alpha, t, x, dyn, row))
+            else:
+                out.append(fcbf_constraint(bar, sys, params, t, x, dyn, row))
+            continue
+        h = sum(map(mul, coeffs, x)) + offset
+        a = row.a if coeffs is row.grad and gm is row.g else row.derive(coeffs, gm)
+        lie = 0.0 + sum(map(mul, coeffs, fv))  # dh/dt + grad.f, in the generators' order
+        if params is None:
+            out.append((a, lie + alpha.kappa * h, row.label))
+        else:
+            pull = 0.0 if h == 0 else params.gamma * math.copysign(abs(h) ** params.rho, h)
+            out.append((a, lie + pull, row.label))
+    return out
 
 
 class _Window(NamedTuple):
@@ -542,17 +590,27 @@ def _classify_boundary(segments, idx, cfg: ScheduleConfig) -> BoundaryDecision:
     )
 
 
-class RegionTable(NamedTuple):
-    """Which schedules apply at each X_f, compiled once from a schedule list.
+class RegionTable:
+    """Which schedules apply at each X_f, compiled once from a schedule list,
+    and one run's query state: its engagement records and its plan.
 
     `bounds` is -inf followed by the sorted finite region bounds; cell j is
     (bounds[j-1], bounds[j]] (the last cell runs to +inf, inclusive) and
     cell 0 holds x[0] = -inf and NaN, which no region admits. Every region
     bound is a cell bound, so lo < x[0] <= hi holds on a whole cell or on none
-    of it, and bisect_left(bounds, x[0]) finds the cell."""
+    of it, and bisect_left(bounds, x[0]) finds the cell.
 
-    bounds: tuple
-    cells: tuple  # per cell, the schedules whose region covers it, in order
+    `plan` is (t_from, until, lo, hi, specs): the specs of the schedules of
+    cell (lo, hi], in list order, valid on the intersection [t_from, until)
+    of their `ContractSchedule.plan` intervals. `engagements` maps (schedule
+    label, boundary index) to `EngagementRecord`s, in engagement order."""
+
+    __slots__ = ("bounds", "cells", "engagements", "plan")
+
+    def __init__(self, bounds: tuple, cells: tuple):
+        self.bounds, self.cells = bounds, cells  # cells: per cell, its schedules
+        self.engagements = {}
+        self.plan = (math.inf, -math.inf, math.inf, -math.inf, ())  # holds nowhere
 
     @classmethod
     def of(cls, schedules) -> "RegionTable":
@@ -562,12 +620,32 @@ class RegionTable(NamedTuple):
             cells.append(tuple(s for s in schedules if s.region[0] <= lo and hi <= s.region[1]))
         return cls(tuple([-math.inf] + finite), tuple(cells))
 
+    def replan(self, t, x) -> tuple:
+        """Plan the rows at (t, x) into `plan`, and return their specs."""
+        bounds = self.bounds
+        j = bisect_left(bounds, x[0])
+        if j:
+            lo, hi = bounds[j - 1], bounds[j] if j < len(bounds) else math.inf
+        else:  # x[0] = -inf or NaN: an empty (lo, hi], so the next query replans
+            lo, hi = math.inf, -math.inf
+        t_from, until, specs = -math.inf, math.inf, []
+        for sched in self.cells[j]:
+            s_from, s_until, s_specs = sched.plan(t, x, self.engagements)
+            t_from, until = max(t_from, s_from), min(until, s_until)
+            specs += s_specs
+        specs = tuple(specs)
+        self.plan = (t_from, until, lo, hi, specs)
+        return specs
 
-def conjoin_groups(table: RegionTable, t, x, sys, engagements=None, dyn=None):
+
+def conjoin_groups(table: RegionTable, t, x, sys, dyn=None) -> list:
     """Conjunction of group contracts = intersection of safe input sets,
     realized as one list of the active (a, b, label) rows of every schedule
-    whose region holds x[0], in the schedule list's order."""
-    out = []
-    for sched in table.cells[bisect_left(table.bounds, x[0])]:
-        sched.add_constraints(out, t, x, sys, engagements, dyn)
-    return out
+    whose region holds x[0], in the schedule list's order. The table's plan
+    serves every query until t or x[0] leaves it; then `replan` builds the
+    next one. `dyn` is (f(t, x), g(t, x)) when the caller has evaluated them
+    already."""
+    t_from, until, lo, hi, specs = table.plan
+    if not (t_from <= t < until and lo < x[0] <= hi):
+        specs = table.replan(t, x)
+    return emit_rows(specs, t, x, sys, dyn)

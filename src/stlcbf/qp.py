@@ -71,6 +71,8 @@ def solve_qp(u_nom, constraints: Sequence[tuple], box: InputBox):
     rows = []
     seen = set()
     for a, b, label in constraints:
+        if not isinstance(a, tuple):  # a must hash for the duplicate test below
+            raise QpError(f"constraint {label or a} needs a as a tuple, got {type(a).__name__}")
         if len(a) != m:
             raise QpError(f"constraint {label or a} has wrong input dimension")
         if not (math.isfinite(b) and all(map(math.isfinite, a))):
@@ -100,7 +102,7 @@ def _solve_1d(u: float, constraints, box: InputBox):
     for a_row, b, label in constraints:
         try:
             (a,) = a_row
-        except ValueError:
+        except (ValueError, TypeError):  # a tuple of another length; a non-iterable
             raise QpError(f"constraint {label or a_row} has wrong input dimension") from None
         if not (isfinite(b) and isfinite(a)):
             raise BarrierError(f"non-finite constraint {a_row} . u <= {b}")

@@ -20,16 +20,19 @@ Everything a step can know in advance is compiled before the loop starts.
 Each schedule holds its resolved barriers and its constraint rows (label,
 alpha, window bounds), so a step tests no verdict, builds no label and looks
 no barrier up by name. `RegionTable.of(schedules)` sorts the region bounds
-once, so a step finds the schedules that apply at X_f with one bisect. The
-domain bounds are padded once. Each step evaluates f and g once, for every
-constraint's Lie terms and as RK4's k1 (f runs 4 times a step); a row keeps
-its a = -grad.g while the gradient and g objects repeat.
+once, and the table keeps the run's plan: the rows of the schedules that
+apply at X_f, valid until the next segment bound, window onset or region
+crossing. The domain bounds are padded once. Each step evaluates f and g
+once, for every constraint's Lie terms and as RK4's k1 (f runs 4 times a
+step); a row keeps its a = -grad.g while the gradient and g objects repeat.
 
-The step's call chain is flat. `conjoin_groups` makes one list a step and
-hands it to each schedule that applies, which tests its cursor's segment
-inline (bisecting only when t leaves it) and appends its rows. A constraint
-costs one `cbf_constraint` or `fcbf_constraint` call and one `terms` call,
-and stays the plain triple (a, b, label) from there to the clip. The m = 1
+The step's call chain is flat. `conjoin_groups` tests that the plan still
+holds (it is rebuilt only at a switch or a crossing) and emits its rows into
+one list a step. A row whose barrier is affine with a fixed offset over the
+plan, such as a speed limit or a stop line, costs no call: its h and b are
+computed inline. Any other row (h1, a negated barrier) costs one
+`cbf_constraint` or `fcbf_constraint` call and one `terms` call. Each row
+stays the plain triple (a, b, label) from there to the clip. The m = 1
 `solve_qp` unpacks and checks each row as it clips, and the vehicle's f, h1
 and the nominal controller read the lead from one cached lookup per t.
 
@@ -300,7 +303,7 @@ def run_simulation(
     f, g, lower, clamp_dims = sys.f, sys.g, sys.domain.lower, sys.clamp_min_dims
     floor = tuple(lo - 1e-9 for lo in lower)  # the domain, padded once
     ceiling = tuple(hi + 1e-9 for hi in sys.domain.upper)
-    engagements = {}
+    engagements = table.engagements
     n_steps = round(t_max / dt)
     u_n = u_s = (0.0,) * sys.m  # the final row repeats the last step's inputs
     clamped_prev = [False] * sys.n
@@ -320,7 +323,7 @@ def run_simulation(
     for k in range(n_steps):
         t = k * dt
         dyn = (f(t, x), g(t, x))
-        cons = conjoin_groups(table, t, x, sys, engagements, dyn)
+        cons = conjoin_groups(table, t, x, sys, dyn)
         if len(engagements) > n_logged:
             for rec in islice(engagements.values(), n_logged, None):
                 trace.events.append((t, rec.describe()))

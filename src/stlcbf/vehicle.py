@@ -404,18 +404,20 @@ def build_signal_contracts(signals: Sequence[SignalTimings], vp: VehicleParams,
 
         preds = []
         windows = {}
-        for g_on, y_on, r_on, g_next in sig.cycles_over(horizon):
-            nr0, nr1 = max(g_on, 0.0), min(r_on, horizon)
-            if nr1 > nr0 and notred_id is not None:
-                preds.append((TimeInterval(nr0, nr1), PredicateRef(notred_id)))
-            r0, r1 = max(r_on, 0.0), min(g_next, horizon)
-            if r1 > r0:
-                preds.append((TimeInterval(r0, r1), PredicateRef(red_id)))
+        for cycle in sig.cycles_over(horizon):
+            # a switch before t=0, or within the tiling's 1e-9 slack after
+            # it, is taken at t=0: the schedule opens there
+            g_on, y_on, r_on, g_next = (0.0 if v <= 1e-9 else v for v in cycle)
+            nr1 = min(r_on, horizon)
+            if nr1 > g_on and notred_id is not None:
+                preds.append((TimeInterval(g_on, nr1), PredicateRef(notred_id)))
+            r1 = min(g_next, horizon)
+            if r1 > r_on:
+                preds.append((TimeInterval(r_on, r1), PredicateRef(red_id)))
                 # a red onset after t=0 is a boundary: attach the yellow window
                 # (one at t=0 opens the schedule and would get a zero budget)
                 if r_on > 0:
-                    tau = max(y_on, 0.0)
-                    windows[r_on] = (tau, r_on - tau)
+                    windows[r_on] = (y_on, r_on - y_on)
         preds.sort(key=lambda p: p[0].start)
         group = TaskGroup(label=f"{label}.s{i + 1}", predicates=tuple(preds))
         cfg = replace(base_cfg, rho=rho_signal, boundary_windows=windows)

@@ -260,8 +260,10 @@ class SafeSet:
 
 
 def active_constraints(schedule: ContractSchedule, t, x, sys, engagements=None):
-    """Constraints of one schedule at (t, x); see ContractSchedule.constraints_at."""
-    return schedule.constraints_at(t, x, sys, engagements)
+    """Constraints of one schedule at (t, x); see ContractSchedule.constraints_at.
+    Without `engagements`, the query gets a dict of its own: a window engaged
+    at t has its gamma sized at this query."""
+    return schedule.constraints_at(t, x, sys, {} if engagements is None else engagements)
 
 
 def scan_constraints(schedules, t, x, sys, engagements, dyn=None):
@@ -295,7 +297,7 @@ def scan_constraints(schedules, t, x, sys, engagements, dyn=None):
     return out
 
 
-def bisect_dispatch(schedules, positions, t, x, sys, engagements=None, dyn=None):
+def bisect_dispatch(schedules, positions, t, x, sys, engagements, dyn=None):
     """Constraints of the one signal schedule whose stop line is the first at
     or ahead of X_f (bisect_left over the stop lines), none past the last:
     the signal dispatch that position-gated schedules replace."""

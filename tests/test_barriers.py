@@ -1,4 +1,5 @@
 import math
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -273,6 +274,27 @@ class TestFiniteDiffCheck:
         assert finite_diff_check(Mutant(VehicleParams(), LEAD), 7.3, x) > 1e-5
 
 
+SIGNED = st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-50.0, 50.0)
+
+
+@st.composite
+def affine_on_cases(draw):
+    """(barrier, t0, t1, sample times in [t0, t1), x): 1-5 pieces starting on
+    a quarter-second grid, interval ends on, one ulp either side of, or
+    between the piece starts."""
+    starts = sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=5)))
+    bar = AffineBarrier("b", coeffs=draw(st.lists(SIGNED, min_size=1, max_size=3)),
+                        pieces=[(k / 4, draw(SIGNED)) for k in starts])
+    near = [w for k in starts for w in (math.nextafter(k / 4, -math.inf), k / 4,
+                                        math.nextafter(k / 4, math.inf))]
+    ends = st.sampled_from(near) | st.floats(-1.0, 11.0)
+    t0, t1 = draw(ends), draw(ends)
+    ts = [t for t in [t0, math.nextafter(t1, -math.inf)] + near if t0 <= t < t1]
+    if t0 < t1:
+        ts += draw(st.lists(st.floats(t0, t1, exclude_max=True), max_size=5))
+    return bar, t0, t1, ts, tuple(draw(SIGNED) for _ in bar.coeffs)
+
+
 class TestPiecewiseAffine:
     def test_left_limit_at_switch(self):
         bar = AffineBarrier("hv", coeffs=(0.0, -1.0), pieces=[(0.0, 30.0), (50.0, 25.0)])
@@ -319,6 +341,25 @@ class TestPiecewiseAffine:
         bar = AffineBarrier("hv", coeffs=(0.0, -1.0), pieces=[(10.0, 30.0), (50.0, 25.0)])
         assert bar.affine_at(t, side=side)[1] == offset
         assert bar.h(t, (0.0, 0.0), side) == offset
+
+    @settings(max_examples=400, deadline=None)
+    @given(affine_on_cases())
+    def test_affine_on_agrees_with_terms(self, case):
+        """`affine_on(t0, t1)` is None exactly when a piece starts strictly
+        inside (t0, t1); otherwise its form gives the bits of `terms` at
+        every t of [t0, t1): the same h, dh/dt = 0.0 and the same gradient
+        object, ±0.0 coefficients and states included."""
+        bar, t0, t1, ts, x = case
+        aff = bar.affine_on(t0, t1)
+        assert (aff is None) == any(t0 < start < t1 for start, _ in bar.pieces)
+        if aff is None:
+            return
+        coeffs, offset = aff
+        for t in ts:
+            h, dh, grad = bar.terms(t, x)
+            assert grad is coeffs
+            assert dh.hex() == (0.0).hex()
+            assert h.hex() == (sum(map(mul, coeffs, x)) + offset).hex()
 
 
 # ---------------------------------------------------------------------------

@@ -351,6 +351,40 @@ class TestActiveConstraints:
         active_constraints(sched, 48.0, (0.0, 26.0), ScalarSys, ledger)
         assert ledger[("G1", 0)] is rec
 
+    def test_gamma_kept_from_an_earlier_query(self):
+        # v30 -> v10, window 45 < t < 50, rho 0.9, budget 5: engaged at t=46
+        # with V=28 (h=-18), the row at t=47, V=12 (h=-2) keeps that gamma.
+        # Sized afresh at t=47, as a query without the dict used to do, it
+        # would read b = -4.000.
+        reg = registry_with(vbar(30), vbar(10))
+        sched = build_schedule(speed_group([30, 10]), reg, speed_cfg(100.0, rho=0.9))
+        want = -(18.0 ** 0.1 / 0.5) * 2.0 ** 0.9
+        ledger = {}
+        sched.constraints_at(46.0, (0.0, 28.0), ScalarSys, ledger)
+        (_, _, _), (a, b, label) = sched.constraints_at(47.0, (0.0, 12.0), ScalarSys, ledger)
+        assert (a, label) == ((1.0,), "fcbf:v10") and b == pytest.approx(want, rel=1e-12)
+        assert round(b, 3) == -4.983
+        table = RegionTable.of([sched])
+        conjoin_groups(table, 46.0, (0.0, 28.0), ScalarSys)
+        assert conjoin_groups(table, 47.0, (0.0, 12.0), ScalarSys)[1][1] == b
+        assert table.engagements == ledger
+        fresh = conjoin_groups(RegionTable.of([sched]), 47.0, (0.0, 12.0), ScalarSys)
+        assert fresh[1][1] == pytest.approx(-4.0, rel=1e-12)
+        with pytest.raises(TypeError, match="engagements"):
+            sched.constraints_at(47.0, (0.0, 12.0), ScalarSys)
+
+    def test_table_plan_holds_on_its_interval_only(self):
+        # one table queried back and forth around the 30 -> 25 window (45, 50):
+        # a plan built on one side of tau or of t = 50 must not serve the other
+        sched = self._sched()
+        table, ledger = RegionTable.of([sched]), {}
+        for t in (47.0, 45.0, math.nextafter(45.0, math.inf), 45.0, 44.0,
+                  math.nextafter(50.0, -math.inf), 50.0, 47.0, 0.0, 46.0):
+            got = conjoin_groups(table, t, (0.0, 20.0), ScalarSys)
+            assert _hexed(got) == _hexed(scan_constraints([sched], t, (0.0, 20.0), ScalarSys,
+                                                          ledger))
+        assert table.engagements == ledger
+
     def test_query_outside_span_rejected(self):
         sched = self._sched()
         with pytest.raises(ScheduleQueryError):
@@ -435,15 +469,30 @@ class Cap(Barrier):
 HORIZON = 40.0
 REGION_BOUNDS = [-math.inf, -10.0, -2.5, 0.0, 2.5, 10.0, math.inf]
 PREDICATES = [None, PredicateRef("v10"), PredicateRef("v20"), PredicateRef("v30"),
-              PredicateRef("cap"), PredicateRef("v20", negated=True)]
+              PredicateRef("cap"), PredicateRef("v20", negated=True), PredicateRef("steps"),
+              PredicateRef("steps", negated=True)]
+
+
+@st.composite
+def stepped_barriers(draw):
+    """A multi-piece affine speed cap: pieces start on a quarter-second grid,
+    so some start on segment bounds and some inside segments and windows;
+    the X coefficient is +0.0, -0.0 or 0.5."""
+    starts = sorted(draw(st.sets(st.integers(1, 159), max_size=6)))
+    offsets = draw(st.lists(st.sampled_from([10.0, 15.0, 20.0, 30.0]),
+                            min_size=len(starts) + 1, max_size=len(starts) + 1))
+    coeff = draw(st.sampled_from([0.0, -0.0, 0.5]))
+    return AffineBarrier("steps", coeffs=(coeff, -1.0),
+                         pieces=list(zip([0.0] + [k / 4 for k in starts], offsets)))
 
 
 @st.composite
 def gated_schedules(draw):
     """1-5 schedules over [0, 40): segments cut at whole seconds, each vacuous,
-    affine, negated or Cap; regions drawn from a few shared bounds, so they
-    overlap, touch, nest, repeat or are empty."""
-    reg = registry_with(vbar(10), vbar(20), vbar(30), Cap("cap", 450.0))
+    affine with one piece or several, negated or Cap; regions drawn from a
+    few shared bounds, so they overlap, touch, nest, repeat or are empty."""
+    reg = registry_with(vbar(10), vbar(20), vbar(30), Cap("cap", 450.0),
+                        draw(stepped_barriers()))
     cfg = ScheduleConfig(domain=DOM, horizon=HORIZON, rho=0.9, t_conv=2.0,
                          grid_resolution=11)
     scheds = []
@@ -471,34 +520,47 @@ def _hexed(cons):
 
 
 class TestCompiledDispatchDifferential:
-    """`conjoin_groups` over a `RegionTable` and the compiled rows against
-    `oracles.scan_constraints`, which tests every region, verdict and window
-    at each query and builds every label and a afresh."""
+    """`conjoin_groups` over a `RegionTable`, its plans and the compiled rows
+    against `oracles.scan_constraints`, which tests every region, verdict and
+    window at each query and builds every label and a afresh."""
 
     @settings(max_examples=150, deadline=None)
     @given(gated_schedules(), st.data())
     def test_compiled_dispatch_matches_scan(self, scheds, data):
+        """Queries in any order, or a forward sweep over consecutive grid
+        times k * dt as the step loop makes them, so that one plan serves
+        many queries; x[0] drifts across region bounds on the way."""
         windows = [(b.tau, b.time) for s in scheds for b in s.boundaries
                    if b.verdict is Verdict.OVERLAP_DEADLINE]
+        pieces = {p[0] for s in scheds for seg in s.segments if seg.barrier is not None
+                  for p in getattr(getattr(seg.barrier, "inner", seg.barrier), "pieces", ())}
         instants = sorted({seg.interval.start for s in scheds for seg in s.segments}
-                          | {v for w in windows for v in w})
+                          | {v for w in windows for v in w} | pieces)
         times = st.sampled_from([t for t in _near(instants) if 0.0 <= t < HORIZON])
         x_fs = st.sampled_from(_near([v for v in REGION_BOUNDS if math.isfinite(v)]))
         sys = data.draw(st.sampled_from([ScalarSys, GrowingGainSys]))
         use_dyn = data.draw(st.booleans())
-        queries = data.draw(st.lists(st.tuples(
-            times | st.floats(0.0, HORIZON, exclude_max=True),
-            x_fs | st.floats(-20.0, 20.0), st.floats(0.0, 40.0)), min_size=1, max_size=8))
+        if data.draw(st.booleans(), label="sweep"):
+            dt = data.draw(st.sampled_from([0.01, 0.05, 0.25]))
+            k0 = data.draw(st.integers(0, round(HORIZON / dt) - 1))
+            x_f, dx = data.draw(st.floats(-12.0, 12.0)), data.draw(st.sampled_from(
+                [0.0, 0.01, -0.02, 0.05]))
+            v, dv = data.draw(st.floats(0.0, 40.0)), data.draw(st.sampled_from([0.0, 0.01]))
+            queries = [(k * dt, x_f + (k - k0) * dx, v + (k - k0) * dv)
+                       for k in range(k0, min(k0 + 800, round(HORIZON / dt)))]
+        else:
+            queries = data.draw(st.lists(st.tuples(
+                times | st.floats(0.0, HORIZON, exclude_max=True),
+                x_fs | st.floats(-20.0, 20.0), st.floats(0.0, 40.0)), min_size=1, max_size=8))
 
-        table = RegionTable.of(scheds)
-        got_led, want_led = {}, {}
+        table, want_led = RegionTable.of(scheds), {}
         for t, x_f, v in queries:
             x = (x_f, v)
             dyn = (sys.f(t, x), sys.g(t, x)) if use_dyn else None
-            got = conjoin_groups(table, t, x, sys, got_led, dyn)
+            got = conjoin_groups(table, t, x, sys, dyn)
             want = scan_constraints(scheds, t, x, sys, want_led, dyn)
             assert _hexed(got) == _hexed(want)
-        assert got_led == want_led
+        assert table.engagements == want_led
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(REGION_BOUNDS + [math.nan]),

@@ -61,6 +61,20 @@ class TestQpEntry:
         with pytest.raises(BarrierError, match="non-finite constraint"):
             solve_qp((0.0,) * m, [hs([0.5] * m, 3.0), c], self.BOXES[m])
 
+    def test_float_a_at_m1_is_qp_error(self):
+        # used to escape as TypeError: cannot unpack non-iterable float object
+        with pytest.raises(QpError, match="constraint cbf:bad has wrong input dimension"):
+            solve_qp(0.0, [hs(0.5, 3.0), (1.0, 2.0, "cbf:bad")], BOX1)
+
+    @pytest.mark.parametrize("a", [[1.0, 0.5], 1.0, np.array([1.0, 0.5])],
+                             ids=["list", "float", "ndarray"])
+    def test_a_that_is_no_tuple_at_m2_is_qp_error(self, a):
+        # a list used to escape as TypeError: unhashable type: 'list'
+        with pytest.raises(QpError, match=f"constraint cbf:bad needs a as a tuple, "
+                                          f"got {type(a).__name__}"):
+            solve_qp((0.0, 0.0), [hs([0.5, 0.5], 3.0), (a, 2.0, "cbf:bad")],
+                     self.BOXES[2])
+
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_nominal_input_raises(self, m, bad):

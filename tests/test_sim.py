@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from bisect import bisect_left
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from oracles import qp_active_steps, reference_rk4
 from stlcbf import barriers, contracts, pipeline, sim, vehicle
 from stlcbf.barriers import AffineBarrier, BarrierRegistry, StateBox
 from stlcbf.config import load_config
-from stlcbf.contracts import ScheduleConfig, build_schedule
+from stlcbf.contracts import ScheduleConfig, Verdict, build_schedule
 from stlcbf.qp import InputBox
 from stlcbf.sim import (
     ControlSystem,
@@ -266,6 +267,21 @@ class TestFcbfRealizedInClosedLoop:
         assert rec.time <= sched.boundaries[0].tau + 0.011
         assert rec.t_conv_bound <= sched.boundaries[0].t_target + 1e-9
 
+    def test_window_engaged_one_step_late_is_a_deadline_risk(self):
+        # the same 20 -> 5 drop: the window's test tau < t engages it at the
+        # first step after tau = 15, t = 15.01, with gamma sized for the whole
+        # 5 s budget, so its bound lands at 20.01, past the switch at 20
+        reg, sched, sys = _speed_setup([20.0, 5.0], horizon=40.0)
+        res = run_simulation(sys, [sched], lambda t, x: 100.0,
+                             InputBox((-200.0,), (200.0,)), (0.0, 18.0), dt=0.01,
+                             t_max=40.0)
+        assert res.failure is None and sched.boundaries[0].tau == 15.0
+        rec = res.engagements[("G1", 0)]
+        assert rec.time == 1501 * 0.01 and rec.time + rec.t_conv_bound > 20.0 + 1e-9
+        text = "engage G1#0 t=15.01 h=-15 gamma=1.54919 T_bound=5 deadline=20"
+        assert rec.describe() == text
+        assert res.trace.events == [(rec.time, text), (rec.time, f"deadline-risk {text}")]
+
 
 def _short_sec6():
     """paper_sec6 cut to 80 s: h1, one 30 -> 25 speed window, the signals and
@@ -314,15 +330,20 @@ class TestLoopLooksNothingUp:
 
 
 class TestLoopMakesNoWrapperCall:
-    """Each constraint costs one `terms` call: an affine barrier's `h` runs
-    in the loop only where a window first engages (to size its gamma), and no
-    constraint row reaches the generic `step_lookup` (affine offsets and the
-    lead cache do their own bisect). The nominal controller computes h1 and
-    the friction force inline, from one lead lookup."""
+    """A row whose barrier has an affine form over its plan (every segment
+    and window of the speed and signal schedules here) is evaluated inline:
+    the loop makes no generator, `terms` or `step_lookup` call for it. h1,
+    which has no such form, and the negated custom barrier (whose `terms`
+    gives dh/dt = -0.0) each still cost one `cbf_constraint` and one `terms`
+    call a step. An affine barrier's `h` runs in the loop only where a window
+    first engages (to size its gamma), and the plan is rebuilt only where a
+    segment or window switches or the ego crosses a stop line. The nominal
+    controller computes h1 and the friction force inline, from one lead
+    lookup."""
 
     def test_wrapper_calls_left_in_the_loop(self, monkeypatch):
         calls = {}  # (phase, name) -> count
-        phase, in_row = ["build"], [0]
+        phase = ["build"]
 
         def count(name):
             calls[phase[0], name] = calls.get((phase[0], name), 0) + 1
@@ -333,20 +354,10 @@ class TestLoopMakesNoWrapperCall:
                 return fn(*args, **kwargs)
             return wrapper
 
-        def lookup(fn):
+        def generator(fn):
             def wrapper(*args, **kwargs):
-                count("step_lookup in a row" if in_row[0] else "step_lookup")
+                count(f"{fn.__name__} {args[-1].label}")  # the compiled row comes last
                 return fn(*args, **kwargs)
-            return wrapper
-
-        def row(fn):
-            def wrapper(*args, **kwargs):
-                count(fn.__name__)
-                in_row[0] += 1
-                try:
-                    return fn(*args, **kwargs)
-                finally:
-                    in_row[0] -= 1
             return wrapper
 
         def in_run(*args, **kwargs):
@@ -362,26 +373,65 @@ class TestLoopMakesNoWrapperCall:
 
         conjoin = sim.conjoin_groups
         monkeypatch.setattr(sim, "conjoin_groups", step)
-        monkeypatch.setattr(AffineBarrier, "h", counting("AffineBarrier.h", AffineBarrier.h))
-        monkeypatch.setattr(vehicle.SpacingBarrier, "h",
-                            counting("SpacingBarrier.h", vehicle.SpacingBarrier.h))
+        for cls in (AffineBarrier, vehicle.SpacingBarrier):
+            monkeypatch.setattr(cls, "h", counting(f"{cls.__name__}.h", cls.h))
+        for cls in (AffineBarrier, barriers.NegatedBarrier, vehicle.SpacingBarrier):
+            monkeypatch.setattr(cls, "terms", counting(f"{cls.__name__}.terms", cls.terms))
         for module in (barriers, vehicle):
-            monkeypatch.setattr(module, "step_lookup", lookup(module.step_lookup))
+            monkeypatch.setattr(module, "step_lookup", counting("step_lookup",
+                                                                module.step_lookup))
         for name in ("cbf_constraint", "fcbf_constraint"):
-            monkeypatch.setattr(contracts, name, row(getattr(contracts, name)))
+            monkeypatch.setattr(contracts, name, generator(getattr(contracts, name)))
         monkeypatch.setattr(pipeline, "run_simulation", in_run)
         outcome = pipeline.run_pipeline(_short_sec6())
 
-        assert outcome.trace.n_rows() == 8001
-        assert calls["loop", "cbf_constraint"] > 8000 and calls["loop", "fcbf_constraint"] > 0
+        steps = outcome.trace.n_rows() - 1
+        assert steps == 8000 and outcome.exit_code == 0
+        assert {name: n for (ph, name), n in calls.items() if ph == "loop"} == {
+            "cbf_constraint cbf:h1": steps, "SpacingBarrier.terms": steps,
+            "cbf_constraint cbf:!far": steps, "NegatedBarrier.terms": steps,
+            "AffineBarrier.terms": steps,  # the one under !far
+            # an engaging window sizes its gamma from h, which reads its offset
+            "AffineBarrier.h": len(outcome.report.engagements),
+            "step_lookup": len(outcome.report.engagements),
+        }
+        assert len(outcome.report.engagements) > 1
         # the counters see the calls: x0's entry margins, the trace columns
         assert calls["entry", "AffineBarrier.h"] > 0 and calls["after", "step_lookup"] > 0
-        assert calls.get(("loop", "AffineBarrier.h"), 0) == len(outcome.report.engagements) > 0
-        assert calls.get(("loop", "step_lookup in a row"), 0) == 0
         assert calls["entry", "SpacingBarrier.h"] > 0  # x0's h1 entry margin
-        assert calls.get(("loop", "SpacingBarrier.h"), 0) == 0
         # the friction force is inline: no function of that name to call
         assert not hasattr(vehicle, "friction_force") and not hasattr(pipeline, "friction_force")
+
+    def test_plan_rebuilt_only_at_switches_and_crossings(self, monkeypatch):
+        replans = []  # (table, t) of every rebuild
+        replan = contracts.RegionTable.replan
+
+        def counting(table, t, x):
+            replans.append((table, t))
+            return replan(table, t, x)
+
+        monkeypatch.setattr(contracts.RegionTable, "replan", counting)
+        outcome = pipeline.run_pipeline(_short_sec6())
+        assert outcome.exit_code == 0
+
+        table = replans[0][0]
+        assert all(other is table for other, _ in replans)
+        scheds = list({id(s): s for cell in table.cells for s in cell}.values())
+        lines = sorted({v for s in scheds for v in s.region if math.isfinite(v)})
+        taus = [(s, bd.tau) for s in scheds for bd in s.boundaries
+                if bd.verdict is Verdict.OVERLAP_DEADLINE]
+        ts, x_fs = list(outcome.trace.ts), outcome.trace.states[:, 0].tolist()
+        want = [ts[0]]
+        for k in range(1, len(ts) - 1):  # the last row follows the last step
+            t_prev, t, x_f = ts[k - 1], ts[k], x_fs[k]
+            here = [s for s in scheds if s.region[0] < x_f <= s.region[1]]
+            crossed = bisect_left(lines, x_fs[k - 1]) != bisect_left(lines, x_f)
+            bound = any(t_prev < seg.interval.start <= t for s in here for seg in s.segments)
+            onset = any(t_prev <= tau < t for s, tau in taus if s in here)
+            if crossed or bound or onset:
+                want.append(t)
+        assert [t for _, t in replans] == want
+        assert 5 < len(want) < 100 and len(outcome.report.engagements) > 1
 
 
 class TestOneFcbfParamsPerEngagement:

@@ -355,6 +355,23 @@ class TestSignalContracts:
         assert [(b.tau, b.time) for b in overlaps] == [(30.0, 35.0), (90.0, 95.0)]
         assert all(b.t_target == pytest.approx(5.0) for b in overlaps)
 
+    @pytest.mark.parametrize("n_signals", [1, 2])
+    def test_red_onset_just_after_zero_opens_the_schedule(self, n_signals):
+        # offset 6 - 1 ulp puts a red onset at t=8.9e-16, inside the tiling's
+        # 1e-9 slack: its window used to be keyed on a time the tiling drops
+        # (ContractError), and a lone signal's schedule to start after t=0
+        sigs = [SignalTimings(1.0, 5.0, 1.0, 5.0, math.nextafter(6.0, 0.0)),
+                SignalTimings(50.0, 20.0, 4.0, 16.0)][:n_signals]
+        assert 0.0 < sigs[0].cycles_over(30.0)[1][2] < 1e-15
+        cfg = ScheduleConfig(domain=DOMAIN, horizon=30.0, rho=0.9, t_conv=5.0)
+        sched = build_signal_contracts(sigs, VP, BarrierRegistry(), cfg, rho_signal=0.9,
+                                       label="G3")[0]
+        assert sched.span.start == 0.0 and sched.segments[0].barrier.id == "sig1.red"
+        assert sched.boundaries[0].time == sigs[0].cycles_over(30.0)[1][3]  # red ends
+        sys = make_vehicle_system(VP, LeadProfile(0.0))
+        cons = conjoin_groups(RegionTable.of([sched]), 0.0, (0.0, 0.0, 1e4), sys)
+        assert [label for _, _, label in cons] == ["cbf:sig1.red"]
+
     def test_green_onsets_are_subset(self):
         _, sigs, scheds = self._build()
         sched1 = scheds[0]
@@ -463,12 +480,12 @@ class TestSignalDispatchDifferential:
         x = (x_f, data.draw(st.floats(0.0, 40.0)), 1e4)
         dyn = (sys.f(t, x), sys.g(t, x))
 
-        got_led, want_led = {}, {}
-        got = conjoin_groups(RegionTable.of(scheds), t, x, sys, got_led, dyn)
+        table, want_led = RegionTable.of(scheds), {}
+        got = conjoin_groups(table, t, x, sys, dyn)
         want = bisect_dispatch(scheds, positions, t, x, sys, want_led, dyn)
         assert [(label, [ai.hex() for ai in a], b.hex()) for a, b, label in got] == \
             [(label, [ai.hex() for ai in a], b.hex()) for a, b, label in want]
-        assert sorted(got_led.items()) == sorted(want_led.items())
+        assert sorted(table.engagements.items()) == sorted(want_led.items())
 
         entry = [s.assumption_margin(x) for s in scheds]
         k = bisect_left(positions, x_f)
