@@ -4,37 +4,35 @@ A barrier is a scalar h(t, x) with analytic time derivative and state
 gradient; its safe set at time t is {x : h(t, x) >= 0}. Its protocol is one
 method per quantity: `h(t, x, side)` for the value (side="left" gives the
 left time-limit at a jump), `terms(t, x)` for (h, dh/dt, grad_x h),
-`h_grid(t, cols, side)` for h over arrays, `affine_at` for the static
-checks, and `affine_on(t0, t1)` for the step loop. `h_grid` is the one
-array evaluator: the static grid passes a scalar t with one slab of state
-columns, the trace columns and the monitor pass the recorded times as an
-array t with the recorded states. Two constraint
-generators turn a barrier into an affine-in-input halfspace a.u <= b at a
-given (t, x):
+`h_grid(t, cols, side)` for h over arrays, and `affine_on(t0, t1)` for its
+affine form. `h_grid` is the one array evaluator: the static grid passes a
+scalar t with one slab of state columns, the trace columns and the monitor
+pass the recorded times as an array t with the recorded states. A barrier
+turns into an affine-in-input halfspace a.u <= b at a given (t, x):
 
   invariance (CBF):      dh/dt + grad.f + grad.g u + alpha(h) >= 0
   finite-time (FCBF):    dh/dt + grad.f + grad.g u + gamma sign(h)|h|^rho >= 0
 
-Each generator does its own Lie-term arithmetic on one `terms` call and
-applies alpha as `alpha.kappa * h`, so a constraint costs no call beyond
-`terms`. A row is the plain triple (a, b, label): a is a tuple with one
-entry per input, and a zero a marks a vacuous row (b >= 0) or an infeasible
-one (b < 0). A `ConstraintRow` carries what a schedule compiles once per
-constraint: its label, the columns of the last g matrix, and the last
-a = -grad.g, which the generator derives again only when `terms` returns
-another gradient object or g another matrix (an affine barrier under the
-vehicle's constant g derives it once; h1, whose gradient moves every step,
-re-derives a from the kept columns).
+`emit_rows` is the one evaluator of these rows: it reads (h, dh/dt, grad)
+from one `terms` call, or from the barrier's affine form, and applies alpha
+as `alpha.kappa * h`. `cbf_constraint` and `fcbf_constraint` evaluate one
+row through it. A row is the plain triple (a, b, label): a is a tuple with
+one entry per input, and a zero a marks a vacuous row (b >= 0) or an
+infeasible one (b < 0). A `ConstraintRow` carries what a schedule compiles
+once per constraint: its label, the columns of the last g matrix, and the
+last a = -grad.g, which is derived again only when the gradient object or
+g's matrix changes (an affine barrier under the vehicle's constant g
+derives it once; h1, whose gradient moves every step, re-derives a from the
+kept columns).
 
-`affine_on(t0, t1)` gives (coeffs, offset) when h = coeffs.x + offset over
-the whole of [t0, t1), with dh/dt = 0.0 and grad_x h = coeffs there. A
-schedule asks it once for each row of a plan (see `contracts`), and the step
-loop then evaluates such a row with the generator's float operations but no
-generator or `terms` call. `AffineBarrier` gives its form wherever no piece
-starts strictly inside the interval; elsewhere its `terms` bisects its piece
-starts for the offset. Every other template gives None. `NegatedBarrier`
-does too, although its inner barrier may be affine: its `terms` returns
-dh/dt = -0.0, and -0.0 + s differs from 0.0 + s when s is -0.0.
+`affine_on(t0, t1)` gives (coeffs, offset) when h = coeffs.x + offset, with
+zero dh/dt, over the whole of [t0, t1), and None otherwise (the default).
+The static checks read it on the one-ulp interval to the right or left of a
+boundary time; a schedule asks it once for each row of a plan (see
+`contracts`), and the step loop then evaluates such a row with no `terms`
+call. `AffineBarrier` gives its form wherever no piece starts strictly
+inside the interval, `TopBarrier` everywhere, and `NegatedBarrier` wherever
+its inner barrier has one.
 
 Any input satisfying the FCBF inequality from h(t0, x0) < 0 reaches the safe
 set within T = |h0|^(1-rho) / (gamma (1-rho)) and stays there afterwards.
@@ -155,7 +153,7 @@ class Barrier:
     """Base evaluator of h on [0, T] x D.
 
     A template implements `h(t, x, side)` and `terms(t, x)`; `h_grid` and
-    `affine_at` have generic defaults that templates override where their
+    `affine_on` have generic defaults that templates override where their
     structure allows. `side="left"` asks for the left time-limit h(t-, x),
     which differs from h only at time jumps.
     """
@@ -186,15 +184,11 @@ class Barrier:
         the same tuple object, so a constraint row keeps its a = -grad.g."""
         raise NotImplementedError
 
-    def affine_at(self, t: float, side: str = "right"):
-        """(coeffs, offset) with h = coeffs.x + offset when affine at t, else None."""
-        return None
-
     def affine_on(self, t0: float, t1: float):
-        """(coeffs, offset) when h = coeffs.x + offset at every t in [t0, t1)
-        and `terms` gives dh/dt = 0.0 and grad_x h = coeffs there (the same
-        tuple object), else None. A schedule asks it once for each row of a
-        plan, and evaluates such a row without calling `terms`."""
+        """(coeffs, offset) when h = coeffs.x + offset at every t in [t0, t1),
+        so that dh/dt is zero and grad_x h = coeffs there, else None. The
+        static checks read it on one-ulp intervals (exact verdicts), and a
+        schedule once for each row of a plan (no `terms` call per step)."""
         return None
 
     def negate(self) -> "NegatedBarrier":
@@ -239,9 +233,6 @@ class AffineBarrier(Barrier):
         offset = self._offsets[max(bisect_right(self._starts, t) - 1, 0)]
         return sum(map(mul, self.coeffs, x)) + offset, 0.0, self.coeffs
 
-    def affine_at(self, t, side="right"):
-        return self.coeffs, step_lookup(self._starts, self._offsets, t, side)
-
     def affine_on(self, t0, t1):
         # the offset at t0 holds up to the first piece start after t0
         j = bisect_right(self._starts, t0)
@@ -266,7 +257,7 @@ class TopBarrier(Barrier):
     def terms(self, t, x):
         return 1.0, 0.0, (0.0,) * self.dim
 
-    def affine_at(self, t, side="right"):
+    def affine_on(self, t0, t1):
         return (0.0,) * self.dim, 1.0
 
 
@@ -288,16 +279,16 @@ class NegatedBarrier(Barrier):
 
     def terms(self, t, x):
         h, dh, grad = self.inner.terms(t, x)
+        return -h, -dh, self._negated(grad)
+
+    def affine_on(self, t0, t1):
+        aff = self.inner.affine_on(t0, t1)
+        return None if aff is None else (self._negated(aff[0]), -aff[1])
+
+    def _negated(self, grad) -> tuple:
         if grad is not self._grad:
             self._grad, self._neg_grad = grad, tuple(-g for g in grad)
-        return -h, -dh, self._neg_grad
-
-    def affine_at(self, t, side="right"):
-        aff = self.inner.affine_at(t, side)
-        if aff is None:
-            return None
-        coeffs, offset = aff
-        return tuple(-c for c in coeffs), -offset
+        return self._neg_grad
 
 
 class BarrierRegistry:
@@ -334,31 +325,47 @@ class BarrierRegistry:
 # ---------------------------------------------------------------------------
 
 
+def emit_rows(specs, t, x, sys, dyn=None) -> list:
+    """The (a, b, label) rows of `specs` at (t, x), in order. A spec is
+    (row, barrier, coeffs, offset, alpha, params): its `ConstraintRow`; the
+    barrier's affine form over an interval holding t (dh/dt = 0.0), or None
+    twice, which reads (h, dh/dt, grad) from `terms`; alpha for an
+    invariance row, or the `FcbfParams` of a finite-time one. Then
+    a = -grad.g and b = dh/dt + grad.f + drift, with drift kappa h or
+    gamma sign(h)|h|^rho (sign(0) = 0: on the boundary the invariance half
+    handles the rest). `dyn` is (f(t, x), g(t, x)) when the caller has
+    evaluated them already."""
+    out = []
+    fv, gm = dyn if dyn is not None else (sys.f(t, x), sys.g(t, x))
+    for row, bar, grad, offset, alpha, params in specs:
+        if grad is None:
+            h, dh, grad = bar.terms(t, x)
+        else:
+            h, dh = sum(map(mul, grad, x)) + offset, 0.0
+        a = row.a if grad is row.grad and gm is row.g else row.derive(grad, gm)
+        if params is None:
+            drift = alpha.kappa * h
+        else:
+            drift = 0.0 if h == 0 else params.gamma * math.copysign(abs(h) ** params.rho, h)
+        out.append((a, dh + sum(map(mul, grad, fv)) + drift, row.label))
+    return out
+
+
 def cbf_constraint(bar: Barrier, sys, alpha: AlphaFn, t: float, x,
                    dyn=None, row=None) -> tuple:
-    """Invariance row (a, b, label) at (t, x): any u with a.u <= b keeps
-    dh/dt + grad.(f + g u) >= -alpha(h), so a = -grad.g and
-    b = dh/dt + grad.f + kappa h. `dyn` is (f(t, x), g(t, x)) when the
-    caller has evaluated them already. `row` is the caller's compiled
-    `ConstraintRow` for it, labelled "cbf:<id>"; a fresh one by default."""
+    """Invariance row (a, b, label) at (t, x), b = dh/dt + grad.f + kappa h
+    (see `emit_rows`). `row` is the caller's compiled `ConstraintRow` for
+    it, labelled "cbf:<id>"; a fresh one by default."""
     row = row or ConstraintRow("cbf:" + bar.id)
-    h, dh, grad = bar.terms(t, x)
-    fv, gm = dyn if dyn is not None else (sys.f(t, x), sys.g(t, x))
-    a = row.a if grad is row.grad and gm is row.g else row.derive(grad, gm)
-    return a, dh + sum(map(mul, grad, fv)) + alpha.kappa * h, row.label
+    return emit_rows(((row, bar, None, None, alpha, None),), t, x, sys, dyn)[0]
 
 
 def fcbf_constraint(bar: Barrier, sys, p: FcbfParams, t: float, x,
                     dyn=None, row=None) -> tuple:
     """Finite-time row (a, b, label) at (t, x) with drift gamma sign(h)|h|^rho
-    (sign(0) = 0: on the boundary the invariance half handles the rest).
-    `dyn` and `row` as for `cbf_constraint`, labelled "fcbf:<id>"."""
+    (see `emit_rows`). `row` as for `cbf_constraint`, labelled "fcbf:<id>"."""
     row = row or ConstraintRow("fcbf:" + bar.id)
-    hv, dh, grad = bar.terms(t, x)
-    fv, gm = dyn if dyn is not None else (sys.f(t, x), sys.g(t, x))
-    a = row.a if grad is row.grad and gm is row.g else row.derive(grad, gm)
-    pull = 0.0 if hv == 0 else p.gamma * math.copysign(abs(hv) ** p.rho, hv)
-    return a, dh + sum(map(mul, grad, fv)) + pull, row.label
+    return emit_rows(((row, bar, None, None, None, p),), t, x, sys, dyn)[0]
 
 
 def convergence_time(h0: float, p: FcbfParams) -> float:

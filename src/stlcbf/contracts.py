@@ -20,14 +20,13 @@ time, engagement key, next barrier, label "fcbf:<id>"). The active rows
 change only at segment bounds and window onsets, so the runtime query has
 two parts. `ContractSchedule.plan` bisects for the segment, applies the
 strict tau < t < t_i window test, and returns the active row specs with the
-interval [t_from, until) over which they stay active. `emit_rows` turns
-specs into (a, b, label) rows at (t, x): a spec whose barrier has an affine
-form over that interval (`Barrier.affine_on`) is evaluated inline, with no
-`terms` call; any other calls `cbf_constraint` or `fcbf_constraint`. Each
-row keeps its last a = -grad.g and g's columns (see
-`barriers.ConstraintRow`). A window's first query sizes its gamma and
-builds its `FcbfParams`, once, into its `EngagementRecord`; every later
-query reads them from there.
+interval [t_from, until) over which they stay active; each spec carries the
+barrier's affine form over that interval (`Barrier.affine_on`), if it has
+one. `barriers.emit_rows` turns specs into (a, b, label) rows at (t, x): a
+spec with a form costs no `terms` call. Each row keeps its last
+a = -grad.g and g's columns (see `barriers.ConstraintRow`). A window's first
+query sizes its gamma and builds its `FcbfParams`, once, into its
+`EngagementRecord`; every later query reads them from there.
 
 A schedule may carry a `region = (lo, hi)` on the first state coordinate:
 it applies only while lo < x[0] <= hi (default: every finite x[0]). The
@@ -42,7 +41,9 @@ emits the plan's rows; only when t or x[0] leaves the plan does it
 `replan`, with one bisect for the cell and one per schedule.
 
 Subset / intersection checks are exact for affine-in-state barriers (vertex
-enumeration of the box-and-halfspace polytope); other templates fall back to
+enumeration of the box-and-halfspace polytope): a check at boundary time t
+reads each barrier's `affine_on` over the one ulp left of t (the set being
+left) or right of it (the set being entered). Other templates fall back to
 a deterministic N-per-axis grid, `sampled(N)` in the verdict, that numpy
 evaluates one slab per value of the first axis (`Barrier.h_grid`). A sampled
 verdict is evidence, not a proof: a violation can hide between grid points.
@@ -56,7 +57,6 @@ import math
 import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from operator import mul
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -69,9 +69,10 @@ from .barriers import (
     GAMMA_MIN,
     StateBox,
     TopBarrier,
-    cbf_constraint,
+    cbf_constraint,  # noqa: F401  callers import and patch both generators here
     convergence_time,
-    fcbf_constraint,
+    emit_rows,
+    fcbf_constraint,  # noqa: F401
     gamma_for_deadline,
 )
 from .stl import PredicateRef, TaskGroup, TimeInterval
@@ -99,6 +100,14 @@ DEADLINE_SLACK = 1e-9
 
 def _affine_value(coeffs, offset, x) -> float:
     return sum(c * xi for c, xi in zip(coeffs, x)) + offset
+
+
+def _form_at(bar: Barrier, t: float, side: str = "right"):
+    """bar's affine form on the one-ulp interval right of t (h(t)), or left
+    of it (h(t-)), or None."""
+    if side == "left":
+        return bar.affine_on(math.nextafter(t, -math.inf), t)
+    return bar.affine_on(t, math.nextafter(t, math.inf))
 
 
 def _cut_vertices(box: StateBox, coeffs, offset, tol: float = 1e-12):
@@ -189,8 +198,8 @@ def check_subset(h_prev: Barrier, h_next: Barrier, t: float, domain: StateBox,
     """Does every x in the domain with h_prev(t-, x) >= 0 satisfy
     h_next(t, x) >= 0? Exact for affine templates, sampled otherwise."""
     _require_domain(domain)
-    prev_aff = h_prev.affine_at(t, side="left")
-    next_aff = h_next.affine_at(t, side="right")
+    prev_aff = _form_at(h_prev, t, "left")
+    next_aff = _form_at(h_next, t)
     if prev_aff is not None and next_aff is not None:
         cand = _cut_vertices(domain, *prev_aff)
         if not cand:
@@ -213,8 +222,8 @@ def check_intersection(h_prev: Barrier, h_next: Barrier, t: float, domain: State
                        resolution: int = 101) -> IntersectionCheck:
     """Witness x with h_prev(t-, x) >= 0 and h_next(t, x) >= 0, or None."""
     _require_domain(domain)
-    prev_aff = h_prev.affine_at(t, side="left")
-    next_aff = h_next.affine_at(t, side="right")
+    prev_aff = _form_at(h_prev, t, "left")
+    next_aff = _form_at(h_next, t)
     if prev_aff is not None and next_aff is not None:
         cand = _cut_vertices(domain, *prev_aff)
         if not cand:
@@ -237,8 +246,8 @@ def check_intersection(h_prev: Barrier, h_next: Barrier, t: float, domain: State
 
 def _worst_engage_margin(h_prev, h_next, tau, domain, resolution):
     """min h_next(tau, x) over C_prev(tau) in the domain (pessimistic)."""
-    prev_aff = h_prev.affine_at(tau)
-    next_aff = h_next.affine_at(tau)
+    prev_aff = _form_at(h_prev, tau)
+    next_aff = _form_at(h_next, tau)
     if prev_aff is not None and next_aff is not None:
         cand = _cut_vertices(domain, *prev_aff)
         if not cand:
@@ -439,34 +448,6 @@ def _row_spec(bar: Barrier, row: ConstraintRow, t0, t1, alpha, params) -> tuple:
     return row, bar, coeffs, offset, alpha, params
 
 
-def emit_rows(specs, t, x, sys, dyn=None) -> list:
-    """The (a, b, label) rows of a plan's specs at (t, x), in order. A spec
-    with an affine form is evaluated here, with the generators' float
-    operations and dh/dt = 0.0; any other calls `cbf_constraint` or
-    `fcbf_constraint`. `dyn` is (f(t, x), g(t, x)) when the caller has
-    evaluated them already."""
-    out = []
-    if dyn is None:
-        dyn = (sys.f(t, x), sys.g(t, x))
-    fv, gm = dyn
-    for row, bar, coeffs, offset, alpha, params in specs:
-        if coeffs is None:
-            if params is None:
-                out.append(cbf_constraint(bar, sys, alpha, t, x, dyn, row))
-            else:
-                out.append(fcbf_constraint(bar, sys, params, t, x, dyn, row))
-            continue
-        h = sum(map(mul, coeffs, x)) + offset
-        a = row.a if coeffs is row.grad and gm is row.g else row.derive(coeffs, gm)
-        lie = 0.0 + sum(map(mul, coeffs, fv))  # dh/dt + grad.f, in the generators' order
-        if params is None:
-            out.append((a, lie + alpha.kappa * h, row.label))
-        else:
-            pull = 0.0 if h == 0 else params.gamma * math.copysign(abs(h) ** params.rho, h)
-            out.append((a, lie + pull, row.label))
-    return out
-
-
 class _Window(NamedTuple):
     """An overlap_deadline boundary compiled for the step loop: its FCBF
     constraint on the next segment's barrier holds while tau < t < time."""
@@ -538,6 +519,8 @@ def _tile_segments(group: TaskGroup, horizon: float, registry) -> list:
     for interval, pred in group.predicates:
         if interval.start > cursor + 1e-9:
             segments.append(ContractSegment(None, TimeInterval(cursor, interval.start)))
+        elif not segments:  # a start within the slack opens the schedule at t=0
+            interval = TimeInterval(cursor, interval.end)
         segments.append(ContractSegment(pred, interval, registry.resolve(pred)))
         cursor = interval.end
     if cursor < horizon - 1e-9:

@@ -124,10 +124,8 @@ def _solve_active_set(u_nom: np.ndarray, rows, m: int):
 
     The projection satisfies u = u_nom - A_S^T lam with A_S u = b_S for some
     active subset S and lam >= 0; with at most ~11 constraints in dimension
-    <= 3 exhaustive enumeration is cheap and exact. In a numerical corner,
-    where the set is nonempty but no KKT candidate validates, the fallback
-    returns the feasible vertex nearest to u_nom (m boundaries met, 1e-7
-    slack), which is safe but in general not the projection.
+    <= 3 exhaustive enumeration is cheap and exact. When no KKT candidate
+    validates, `_nearest_vertex` tells an empty set from a numerical corner.
     """
     A = np.asarray([r[0] for r in rows], dtype=float)
     b = np.asarray([r[1] for r in rows], dtype=float)
@@ -159,38 +157,31 @@ def _solve_active_set(u_nom: np.ndarray, rows, m: int):
                     best, best_d2 = u, d2
     if best is not None:
         return tuple(float(v) for v in best)
+    return _nearest_vertex(A, b, u_nom, m)
 
-    if _polytope_is_empty(A, b, m):
-        return None
-    # Numerical corner: feasible but no KKT subset validated. Fall back to the
-    # closest feasible basic point so the filter still returns a safe input.
+
+def _nearest_vertex(A: np.ndarray, b: np.ndarray, u_nom: np.ndarray, m: int):
+    """None when the polytope A u <= b is empty, else its vertex nearest to
+    u_nom. A box-bounded polytope is compact, so it is nonempty iff some
+    vertex (m constraint boundaries met) is feasible within _FEAS_TOL; the
+    vertex returned is feasible within 1e-7, which is safe but in general
+    not the projection."""
+    nonempty = False
     best = None
     best_d2 = math.inf
-    for subset in itertools.combinations(range(len(rows)), m):
-        A_s = A[list(subset)]
-        try:
-            v = np.linalg.solve(A_s, b[list(subset)])
-        except np.linalg.LinAlgError:
-            continue
-        if (A @ v <= b + 1e-7).all():
-            d2 = float(np.dot(v - u_nom, v - u_nom))
-            if d2 < best_d2:
-                best, best_d2 = v, d2
-    return tuple(float(v) for v in best) if best is not None else None
-
-
-def _polytope_is_empty(A: np.ndarray, b: np.ndarray, m: int) -> bool:
-    """A box-bounded polytope is compact, so nonempty iff it has a vertex;
-    vertices are intersections of m constraint boundaries."""
     for subset in itertools.combinations(range(len(b)), m):
         A_s = A[list(subset)]
         try:
             v = np.linalg.solve(A_s, b[list(subset)])
         except np.linalg.LinAlgError:
             continue
-        if (A @ v <= b + _FEAS_TOL).all():
-            return False
-    return True
+        Av = A @ v
+        if (Av <= b + 1e-7).all():
+            nonempty |= bool((Av <= b + _FEAS_TOL).all())
+            d2 = float(np.dot(v - u_nom, v - u_nom))
+            if d2 < best_d2:
+                best, best_d2 = v, d2
+    return tuple(float(v) for v in best) if nonempty and best is not None else None
 
 
 # ---------------------------------------------------------------------------

@@ -28,13 +28,13 @@ step); a row keeps its a = -grad.g while the gradient and g objects repeat.
 
 The step's call chain is flat. `conjoin_groups` tests that the plan still
 holds (it is rebuilt only at a switch or a crossing) and emits its rows into
-one list a step. A row whose barrier is affine with a fixed offset over the
-plan, such as a speed limit or a stop line, costs no call: its h and b are
-computed inline. Any other row (h1, a negated barrier) costs one
-`cbf_constraint` or `fcbf_constraint` call and one `terms` call. Each row
-stays the plain triple (a, b, label) from there to the clip. The m = 1
-`solve_qp` unpacks and checks each row as it clips, and the vehicle's f, h1
-and the nominal controller read the lead from one cached lookup per t.
+one list a step. A row whose barrier has an affine form over the plan (a
+speed limit, a stop line, or the negation of one) costs no call: the one
+row evaluator, `barriers.emit_rows`, computes its h and b inline. Any other
+row (h1) costs one `terms` call. Each row stays the plain triple
+(a, b, label) from there to the clip. The m = 1 `solve_qp` unpacks and
+checks each row as it clips, and the vehicle's f, h1 and the nominal
+controller read the lead from one cached lookup per t.
 
 RK4 is one straight-line kernel per state dimension n, generated from a
 source template and compiled at the first step of that n (so building a

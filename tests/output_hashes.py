@@ -5,8 +5,9 @@
 Runs `synth` in subprocesses, with `src` of this checkout first on
 PYTHONPATH and a fresh temporary directory as the working directory:
 `synth run` with and without `--trace/--report` and `synth check` on the
-three shipped presets and on the benchmark's `dense_contracts` and
-`static_sampled` missions at seed 3, then `synth monitor` on the
+three shipped presets, on the benchmark's `dense_contracts` and
+`static_sampled` missions at seed 3 and on `NEGATED_AFFINE`, then
+`synth monitor` on the
 `paper_sec6` trace. For each command it prints the exit code and one line
 per artifact (stdout, stderr, each file written) with its sha256. Every path
 passed is relative to the working directory, so no output holds a temporary
@@ -30,6 +31,37 @@ ROOT = Path(__file__).resolve().parent.parent
 PRESETS = ("paper_sec6", "infeasible_red", "incompatible_static")
 GENERATED = ("dense_contracts", "static_sampled")
 SEED = 3
+# h1 (a row read through `terms`) beside two negated custom affine barriers
+# (rows with an affine form); the lead reaches 18 m/s, so the window into
+# !sat(fast), V <= 10, engages with h < 0
+NEGATED_AFFINE = """\
+[scenario]
+name = negated_affine
+horizon = 80
+[input]
+lower = -200000
+upper = 200000
+[domain]
+x_f = -1000 100000
+v_f = 0 60
+x_l = -1000 1000000
+[speed_limits]
+row = 0 30
+row = 50 25
+[barriers]
+far = affine 1 0 0 offset=-100000
+fast = affine 0 1 0 offset=-10
+[lead]
+v0 = 0
+row = 0 1.2
+row = 15 0
+[stl]
+G[0,80) sat(h1)
+G[0,50) sat(vmax30)
+G[50,80) sat(vmax25)
+G[0,40) !sat(far)
+G[40,80) !sat(fast)
+"""
 
 
 def commands(tmp: Path):
@@ -42,6 +74,8 @@ def commands(tmp: Path):
     for name in GENERATED:
         (tmp / f"{name}.cfg").write_text(workloads.WORKLOADS[name](SEED).config_text)
         configs.append(f"{name}.cfg")
+    (tmp / "negated_affine.cfg").write_text(NEGATED_AFFINE)
+    configs.append("negated_affine.cfg")
     out = []
     for cfg in configs:
         stem = cfg.removesuffix(".cfg")

@@ -302,20 +302,20 @@ class TestPiecewiseAffine:
         assert bar.h(49.999, x) == pytest.approx(20.0)
         assert bar.h(50.0, x) == pytest.approx(15.0)      # half-open: new piece
         assert bar.h(50.0, x, "left") == pytest.approx(20.0)  # left limit: old piece
-        assert bar.affine_at(50.0, side="left")[1] == 30.0
+        assert bar.affine_on(math.nextafter(50.0, 0.0), 50.0)[1] == 30.0
 
     def test_negation_flips_everything(self):
         bar = AffineBarrier("v", coeffs=(0.0, -1.0), offset=10.0)
         neg = bar.negate()
         assert neg.h(0.0, (0.0, 4.0)) == pytest.approx(-6.0)
         assert neg.terms(0.0, (0.0, 4.0))[2] == (0.0, 1.0)
-        coeffs, offset = neg.affine_at(0.0)
+        coeffs, offset = neg.affine_on(0.0, 1.0)
         assert coeffs == (0.0, 1.0) and offset == -10.0
 
     def test_top_barrier_is_always_safe(self):
         top = TopBarrier(2)
         assert top.h(0.0, (5.0, 5.0)) == 1.0
-        assert top.affine_at(0.0) == ((0.0, 0.0), 1.0)
+        assert top.affine_on(0.0, 1.0) == ((0.0, 0.0), 1.0)
 
     def test_safe_set_membership_and_left_limit(self):
         bar = AffineBarrier("hv", coeffs=(0.0, -1.0), pieces=[(0.0, 30.0), (50.0, 25.0)])
@@ -338,8 +338,14 @@ class TestPiecewiseAffine:
         ("left", math.nextafter(50.0, math.inf), 25.0),
     ])
     def test_offset_lookup_around_piece_starts(self, side, t, offset):
+        """The static checks' one-ulp reads of `affine_on` give `h`'s offset
+        on either side of t."""
         bar = AffineBarrier("hv", coeffs=(0.0, -1.0), pieces=[(10.0, 30.0), (50.0, 25.0)])
-        assert bar.affine_at(t, side=side)[1] == offset
+        if side == "left":
+            t0, t1 = math.nextafter(t, -math.inf), t
+        else:
+            t0, t1 = t, math.nextafter(t, math.inf)
+        assert bar.affine_on(t0, t1)[1] == offset
         assert bar.h(t, (0.0, 0.0), side) == offset
 
     @settings(max_examples=400, deadline=None)

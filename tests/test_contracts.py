@@ -100,7 +100,7 @@ class TestCheckSubset:
 
     def test_sampled_fallback_records_method(self):
         class Curvy(AffineBarrier):
-            def affine_at(self, t, side="right"):
+            def affine_on(self, t0, t1):
                 return None
 
         res = check_subset(Curvy("c", coeffs=(0.0, -1.0), offset=25.0), vbar(30),
@@ -235,6 +235,43 @@ class TestBuildSchedule:
         worst, rho = bd.worst_engage_margin, bd.rho
         gamma = gamma_for_deadline(worst, rho, 5.0)
         assert convergence_time(worst, FcbfParams(rho, gamma)) == pytest.approx(5.0)
+
+
+    def test_start_within_slack_opens_the_schedule_at_zero(self):
+        """A first interval starting within the tiling's 1e-9 slack after 0,
+        as in `G[0.0000000001,2)`, is widened to start at 0, so t=0 lies in
+        the span."""
+        reg = registry_with(vbar(10))
+        group = TaskGroup("G1", ((TimeInterval(1e-10, 2.0), PredicateRef("v10")),))
+        sched = build_schedule(group, reg, speed_cfg(2.0))
+        assert [(seg.interval.start, seg.interval.end) for seg in sched.segments] == [(0.0, 2.0)]
+        cons = sched.constraints_at(0.0, (0.0, 5.0), ScalarSys, {})
+        assert [label for _, _, label in cons] == ["cbf:v10"]
+
+
+class Plane(Barrier):
+    """A library barrier that implements `h` and `affine_on` only."""
+
+    def __init__(self, barrier_id, coeffs, offset):
+        super().__init__(barrier_id)
+        self.coeffs, self.offset = coeffs, offset
+
+    def h(self, t, x, side="right"):
+        return sum(c * v for c, v in zip(self.coeffs, x)) + self.offset
+
+    def affine_on(self, t0, t1):
+        return self.coeffs, self.offset
+
+
+class TestAffineOnOnly:
+    def test_boundaries_get_exact_verdicts(self):
+        """`affine_on` is all the static checks need for a proof: every
+        boundary, the worst engage margin included, is `method=exact`."""
+        reg = registry_with(*(Plane(f"v{v}", (0.0, -1.0), float(v)) for v in (30, 10, 25)))
+        sched = build_schedule(speed_group([30, 10, 25]), reg, speed_cfg(150.0))
+        assert [(b.verdict, b.method) for b in sched.boundaries] == [
+            (Verdict.OVERLAP_DEADLINE, "exact"), (Verdict.SUBSET, "exact")]
+        assert sched.boundaries[0].worst_engage_margin == -20.0
 
 
 class TestScheduleConfigValidation:
@@ -751,7 +788,8 @@ def grid_cases(draw):
         return bar.negate() if draw(st.booleans()) else bar
 
     h_prev, h_next = barrier(), barrier()
-    if h_prev.affine_at(0.0) is not None and h_next.affine_at(0.0) is not None:
+    tiny = (0.0, math.nextafter(0.0, math.inf))
+    if h_prev.affine_on(*tiny) is not None and h_next.affine_on(*tiny) is not None:
         h_prev = Opaque(h_prev)
     t = draw(st.sampled_from(TIMES) | st.floats(0.0, 80.0))
     resolution = draw(st.sampled_from([1, 2, 3, 7, 21]))

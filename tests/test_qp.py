@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import grid_qp, reference_clip
 from stlcbf.barriers import BarrierError
-from stlcbf.qp import InputBox, PidState, QpError, pid_nominal, solve_qp
+from stlcbf.qp import InputBox, PidState, QpError, _nearest_vertex, pid_nominal, solve_qp
 
 BOX1 = InputBox((-6000.0,), (6000.0,))
 
@@ -187,6 +187,37 @@ class TestSolveQp2D:
             d_out = sum((o - n) ** 2 for o, n in zip(out, u_nom))
             d_ref = sum((r - n) ** 2 for r, n in zip(ref, u_nom))
             assert d_out <= d_ref + 1e-9  # no grid point is strictly closer
+
+
+def _polytope(rows, box):
+    """(A, b) of rows and the box faces, in the order `solve_qp` stacks them."""
+    faces = [((1.0, 0.0), box.upper[0]), ((-1.0, 0.0), -box.lower[0]),
+             ((0.0, 1.0), box.upper[1]), ((0.0, -1.0), -box.lower[1])]
+    rows = list(rows) + faces
+    return np.array([a for a, _ in rows]), np.array([b for _, b in rows])
+
+
+class TestNearestVertex:
+    """The fallback pass over m-subsets: None for an empty polytope, else
+    the vertex nearest u_nom."""
+
+    BOX2 = InputBox((-2.0, -2.0), (2.0, 2.0))
+
+    def test_empty_polytope(self):
+        A, b = _polytope([((1.0, 0.0), 0.0), ((-1.0, 0.0), -0.5)], self.BOX2)
+        assert _nearest_vertex(A, b, np.array([0.0, 0.0]), 2) is None
+
+    def test_empty_beyond_feasibility_tolerance(self):
+        # 0 <= X <= -5e-8: every vertex is off by 5e-8, inside the 1e-7 slack
+        # of the returned vertex but outside the emptiness test's 1e-9
+        A, b = _polytope([((1.0, 0.0), -5e-8), ((-1.0, 0.0), 0.0)], self.BOX2)
+        assert _nearest_vertex(A, b, np.array([0.0, 0.0]), 2) is None
+
+    def test_nearest_vertex(self):
+        # X + Y <= 1 cuts the box; its vertices: (-2,-2), (-2,2), (2,-2),
+        # (2,-1), (-1,2); (2,-1) is nearest (3, 0)
+        A, b = _polytope([((1.0, 1.0), 1.0)], self.BOX2)
+        assert _nearest_vertex(A, b, np.array([3.0, 0.0]), 2) == (2.0, -1.0)
 
 
 class TestInvariants:
