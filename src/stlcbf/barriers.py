@@ -1,14 +1,15 @@
 """Time-varying barrier functions and their control constraints.
 
 A barrier is a scalar h(t, x) with analytic time derivative and state
-gradient; its safe set at time t is {x : h(t, x) >= 0}. Its protocol is one
-method per quantity: `h(t, x, side)` for the value (side="left" gives the
-left time-limit at a jump), `terms(t, x)` for (h, dh/dt, grad_x h),
-`h_grid(t, cols, side)` for h over arrays, and `affine_on(t0, t1)` for its
+gradient; its safe set at time t is {x : h(t, x) >= 0}. It implements one
+method, `terms(t, x)`, for (h, dh/dt, grad_x h), which `h(t, x)` reads; the
+optional `h_grid(t, cols)` gives h over arrays and `affine_on(t0, t1)` its
 affine form. `h_grid` is the one array evaluator: the static grid passes a
 scalar t with one slab of state columns, the trace columns and the monitor
-pass the recorded times as an array t with the recorded states. A barrier
-turns into an affine-in-input halfspace a.u <= b at a given (t, x):
+pass the recorded times as an array t with the recorded states. At a jump
+time t, h(t) reads the new piece and the left limit h(t-) is h one ulp
+before t. A barrier turns into an affine-in-input halfspace a.u <= b at a
+given (t, x):
 
   invariance (CBF):      dh/dt + grad.f + grad.g u + alpha(h) >= 0
   finite-time (FCBF):    dh/dt + grad.f + grad.g u + gamma sign(h)|h|^rho >= 0
@@ -27,12 +28,11 @@ kept columns).
 
 `affine_on(t0, t1)` gives (coeffs, offset) when h = coeffs.x + offset, with
 zero dh/dt, over the whole of [t0, t1), and None otherwise (the default).
-The static checks read it on the one-ulp interval to the right or left of a
-boundary time; a schedule asks it once for each row of a plan (see
-`contracts`), and the step loop then evaluates such a row with no `terms`
-call. `AffineBarrier` gives its form wherever no piece starts strictly
-inside the interval, `TopBarrier` everywhere, and `NegatedBarrier` wherever
-its inner barrier has one.
+The static checks read it on the one-ulp interval right of t- or of t; a
+schedule asks it once for each row of a plan (see `contracts`), and the
+step loop then evaluates such a row with no `terms` call. `AffineBarrier`
+gives its form wherever no piece starts strictly inside the interval,
+`TopBarrier` everywhere, and `NegatedBarrier` wherever its inner has one.
 
 Any input satisfying the FCBF inequality from h(t0, x0) < 0 reaches the safe
 set within T = |h0|^(1-rho) / (gamma (1-rho)) and stays there afterwards.
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import mul
 
@@ -54,16 +54,15 @@ import numpy as np
 GAMMA_MIN = 1e-3  # per second; used when the engagement state is already safe
 
 
-def step_lookup(starts, values, t, side: str = "right"):
-    """values[i] for the last starts[i] at or before t (strictly before when
-    side="left"; values[0] when t precedes every start). An array t looks up
-    every element at once, with the same boundary rule; where the values are
-    tuples, it gives one array per tuple field."""
+def step_lookup(starts, values, t):
+    """values[i] for the last starts[i] at or before t (values[0] when t
+    precedes every start). An array t looks up every element at once, with
+    the same boundary rule; where the values are tuples, it gives one array
+    per tuple field."""
     if isinstance(t, np.ndarray):
-        i = np.maximum(np.searchsorted(starts, t, side) - 1, 0)
+        i = np.maximum(np.searchsorted(starts, t, "right") - 1, 0)
         return np.take(np.transpose(values), i, axis=-1)
-    find = bisect_right if side == "right" else bisect_left
-    return values[max(find(starts, t) - 1, 0)]
+    return values[max(bisect_right(starts, t) - 1, 0)]
 
 
 class BarrierError(ValueError):
@@ -152,30 +151,28 @@ class ConstraintRow:
 class Barrier:
     """Base evaluator of h on [0, T] x D.
 
-    A template implements `h(t, x, side)` and `terms(t, x)`; `h_grid` and
+    A template implements `terms(t, x)`; `h` reads it, and `h_grid` and
     `affine_on` have generic defaults that templates override where their
-    structure allows. `side="left"` asks for the left time-limit h(t-, x),
-    which differs from h only at time jumps.
+    structure allows.
     """
 
     def __init__(self, barrier_id: str, alpha: AlphaFn = IDENTITY_ALPHA):
         self.id = barrier_id
         self.alpha = alpha
 
-    def h(self, t: float, x, side: str = "right") -> float:
-        raise NotImplementedError
+    def h(self, t: float, x) -> float:
+        return self.terms(t, x)[0]
 
-    def h_grid(self, t, cols, side: str = "right"):
-        """h(t, x, side) at every point of broadcastable arrays: `t` (a scalar
-        or an array) and `cols`, one per state axis. Point by point here;
-        templates override it with arrays, in the scalar method's float
-        order."""
+    def h_grid(self, t, cols):
+        """h(t, x) at every point of broadcastable arrays: `t` (a scalar or an
+        array) and `cols`, one per state axis. Point by point here; templates
+        override it with arrays, in `terms`' float order."""
         shape = np.broadcast_shapes(np.shape(t), *map(np.shape, cols))
         ts = np.broadcast_to(t, shape)
         cols = [np.broadcast_to(c, shape) for c in cols]
         out = np.empty(shape)
         for idx in np.ndindex(shape):
-            out[idx] = self.h(float(ts[idx]), tuple(float(c[idx]) for c in cols), side)
+            out[idx] = self.h(float(ts[idx]), tuple(float(c[idx]) for c in cols))
         return out
 
     def terms(self, t: float, x) -> tuple:
@@ -219,17 +216,14 @@ class AffineBarrier(Barrier):
         self._starts = starts
         self._offsets = [d for _, d in self.pieces]  # offset(t): last piece started by t
 
-    def h(self, t, x, side="right"):
-        return sum(map(mul, self.coeffs, x)) + step_lookup(self._starts, self._offsets, t, side)
-
-    def h_grid(self, t, cols, side="right"):
+    def h_grid(self, t, cols):
         acc = 0  # sum() starts from the integer 0, so 0 + (-0.0) gives 0.0
         for c, col in zip(self.coeffs, cols):
             acc = acc + c * col
-        return acc + step_lookup(self._starts, self._offsets, t, side)
+        return acc + step_lookup(self._starts, self._offsets, t)
 
     def terms(self, t, x):
-        # h(t, x) with the scalar right-side lookup of step_lookup inlined
+        # the scalar lookup of step_lookup, inlined
         offset = self._offsets[max(bisect_right(self._starts, t) - 1, 0)]
         return sum(map(mul, self.coeffs, x)) + offset, 0.0, self.coeffs
 
@@ -248,10 +242,7 @@ class TopBarrier(Barrier):
         super().__init__("__top__")
         self.dim = dim
 
-    def h(self, t, x, side="right"):
-        return 1.0
-
-    def h_grid(self, t, cols, side="right"):
+    def h_grid(self, t, cols):
         return 1.0
 
     def terms(self, t, x):
@@ -271,11 +262,8 @@ class NegatedBarrier(Barrier):
         self.inner = inner
         self._grad = self._neg_grad = None
 
-    def h(self, t, x, side="right"):
-        return -self.inner.h(t, x, side)
-
-    def h_grid(self, t, cols, side="right"):
-        return -self.inner.h_grid(t, cols, side)
+    def h_grid(self, t, cols):
+        return -self.inner.h_grid(t, cols)
 
     def terms(self, t, x):
         h, dh, grad = self.inner.terms(t, x)

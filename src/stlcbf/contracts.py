@@ -40,13 +40,14 @@ x[0] in the cell. `conjoin_groups` tests that with four comparisons and
 emits the plan's rows; only when t or x[0] leaves the plan does it
 `replan`, with one bisect for the cell and one per schedule.
 
-Subset / intersection checks are exact for affine-in-state barriers (vertex
-enumeration of the box-and-halfspace polytope): a check at boundary time t
-reads each barrier's `affine_on` over the one ulp left of t (the set being
-left) or right of it (the set being entered). Other templates fall back to
-a deterministic N-per-axis grid, `sampled(N)` in the verdict, that numpy
-evaluates one slab per value of the first axis (`Barrier.h_grid`). A sampled
-verdict is evidence, not a proof: a violation can hide between grid points.
+Subset / intersection checks at boundary time t read the set being left at
+t- = nextafter(t, -inf), one ulp before t, and the one entered at t. They
+are exact for affine-in-state barriers (vertex enumeration of the
+box-and-halfspace polytope, from `affine_on` over the ulp right of t- or t).
+Other templates fall back to a deterministic N-per-axis grid, `sampled(N)`
+in the verdict, that numpy evaluates one slab per value of the first axis
+(`Barrier.h_grid`). A sampled verdict is evidence, not a proof: a violation
+can hide between grid points.
 """
 
 from __future__ import annotations
@@ -102,11 +103,8 @@ def _affine_value(coeffs, offset, x) -> float:
     return sum(c * xi for c, xi in zip(coeffs, x)) + offset
 
 
-def _form_at(bar: Barrier, t: float, side: str = "right"):
-    """bar's affine form on the one-ulp interval right of t (h(t)), or left
-    of it (h(t-)), or None."""
-    if side == "left":
-        return bar.affine_on(math.nextafter(t, -math.inf), t)
+def _form_at(bar: Barrier, t: float):
+    """bar's affine form on the one-ulp interval right of t, or None."""
     return bar.affine_on(t, math.nextafter(t, math.inf))
 
 
@@ -198,7 +196,8 @@ def check_subset(h_prev: Barrier, h_next: Barrier, t: float, domain: StateBox,
     """Does every x in the domain with h_prev(t-, x) >= 0 satisfy
     h_next(t, x) >= 0? Exact for affine templates, sampled otherwise."""
     _require_domain(domain)
-    prev_aff = _form_at(h_prev, t, "left")
+    t_left = math.nextafter(t, -math.inf)
+    prev_aff = _form_at(h_prev, t_left)
     next_aff = _form_at(h_next, t)
     if prev_aff is not None and next_aff is not None:
         cand = _cut_vertices(domain, *prev_aff)
@@ -211,7 +210,7 @@ def check_subset(h_prev: Barrier, h_next: Barrier, t: float, domain: StateBox,
 
     method = f"sampled({resolution})"
     for slab in _grid_points(domain, resolution):
-        i, bad = _first_best((h_prev.h_grid(t, slab, "left") >= 0)
+        i, bad = _first_best((h_prev.h_grid(t_left, slab) >= 0)
                              & (h_next.h_grid(t, slab) < -1e-9), slab, False, np.argmax)
         if bad:
             return SubsetCheck(False, method, counterexample=_slab_point(slab, i))
@@ -222,7 +221,8 @@ def check_intersection(h_prev: Barrier, h_next: Barrier, t: float, domain: State
                        resolution: int = 101) -> IntersectionCheck:
     """Witness x with h_prev(t-, x) >= 0 and h_next(t, x) >= 0, or None."""
     _require_domain(domain)
-    prev_aff = _form_at(h_prev, t, "left")
+    t_left = math.nextafter(t, -math.inf)
+    prev_aff = _form_at(h_prev, t_left)
     next_aff = _form_at(h_next, t)
     if prev_aff is not None and next_aff is not None:
         cand = _cut_vertices(domain, *prev_aff)
@@ -236,7 +236,7 @@ def check_intersection(h_prev: Barrier, h_next: Barrier, t: float, domain: State
     method = f"sampled({resolution})"
     best_pt, best_val = None, -math.inf
     for slab in _grid_points(domain, resolution):
-        inside = h_prev.h_grid(t, slab, "left") >= 0
+        inside = h_prev.h_grid(t_left, slab) >= 0
         i, val = _first_best(np.where(inside, h_next.h_grid(t, slab), -math.inf),
                              slab, -math.inf, np.argmax)
         if val > best_val:

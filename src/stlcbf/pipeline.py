@@ -21,7 +21,7 @@ from .barriers import AffineBarrier, AlphaFn, BarrierRegistry
 from .config import ScenarioConfig
 from .contracts import ScheduleConfig, build_schedule
 from .qp import pid_nominal
-from .sim import SimFailure, Trace, check_opening_assumptions, run_simulation
+from .sim import SimFailure, Trace, check_opening_assumptions, run_simulation, step_count
 from .stl import SatisfactionReport, StlSpec, group_tasks, parse_spec
 from .vehicle import (
     PHASES,
@@ -172,9 +172,10 @@ class PipelineOutcome:
 
 
 def check_pipeline(cfg: ScenarioConfig) -> PipelineOutcome:
-    """Static half of the pipeline: build everything, classify boundaries,
-    then, when every boundary passes, check x0 against each schedule's
-    opening assumption (InitialConditionError, as `run_simulation` raises)."""
+    """Static half of the pipeline: check that dt divides the horizon, build
+    everything, classify boundaries, then, when every boundary passes, check
+    x0 against each schedule's opening assumption, as `run_simulation` does."""
+    step_count(cfg.horizon, cfg.dt)
     bundle = build_scenario(cfg)
     report = RunReport(
         scenario=cfg.name, scenario_hash=cfg.scenario_hash(), dt=cfg.dt,

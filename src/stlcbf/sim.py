@@ -269,6 +269,17 @@ def check_opening_assumptions(schedules: Sequence, x0) -> None:
                 )
 
 
+def step_count(t_max: float, dt: float) -> int:
+    """The number of steps of size dt that span [0, t_max]; a SimError
+    unless t_max / dt is within 1e-9 relative of an integer."""
+    if not (0 < dt < math.inf and 0 <= t_max < math.inf):
+        raise SimError(f"need 0 < dt < inf and 0 <= t_max < inf, got dt={dt}, t_max={t_max}")
+    n = round(t_max / dt)
+    if abs(t_max / dt - n) > 1e-9 * (t_max / dt):
+        raise SimError(f"dt={dt:g} does not divide the horizon {t_max:g} ({t_max / dt:g} steps)")
+    return n
+
+
 def run_simulation(
     sys: ControlSystem,
     schedules: Sequence,
@@ -286,8 +297,7 @@ def run_simulation(
     leaves the domain; on success the trace has t_max/dt + 1 rows. The
     margin and channel columns stay empty (see `Trace.fill_columns`).
     """
-    if not (0 < dt < math.inf and 0 <= t_max < math.inf):
-        raise SimError(f"need 0 < dt < inf and 0 <= t_max < inf, got dt={dt}, t_max={t_max}")
+    n_steps = step_count(t_max, dt)
     x = tuple(float(v) for v in x0)
     if len(x) != sys.n:
         raise SimError(f"x0 has dimension {len(x)}, system has {sys.n}")
@@ -304,7 +314,6 @@ def run_simulation(
     floor = tuple(lo - 1e-9 for lo in lower)  # the domain, padded once
     ceiling = tuple(hi + 1e-9 for hi in sys.domain.upper)
     engagements = table.engagements
-    n_steps = round(t_max / dt)
     u_n = u_s = (0.0,) * sys.m  # the final row repeats the last step's inputs
     clamped_prev = [False] * sys.n
     n_logged = 0  # engagement records already turned into events

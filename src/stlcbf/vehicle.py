@@ -11,12 +11,14 @@ speed limits and signal phases over V2I. Templates:
                   line during red, against the next line otherwise; the
                   active index k is the first signal at or ahead of X_f
 
-All three have analytic derivatives; the signal barrier is the indicator
-stitching of per-signal affine pieces and is evaluated as +inf past the last
-stop line (no constraint remains). The exogenous signals have array lookups
-as well as scalar ones (`LeadProfile.velocity` and `SpeedLimitSchedule.value`
-take an array t; `active_phase_index` gives each point's signal phase), so
-the barriers' `h_grid` and the trace channels evaluate whole traces at once.
+All three give h and their analytic derivatives from `terms`; the signal
+barrier is the indicator stitching of per-signal affine pieces and is
+evaluated as +inf past the last stop line (no constraint remains). The
+exogenous signals have array lookups as well as scalar ones
+(`LeadProfile.velocity` and `SpeedLimitSchedule.value` take an array t;
+`active_phase_index` gives each point's signal phase), so the barriers'
+`h_grid` and the trace channels evaluate whole traces at once. A lookup at
+a switch time reads the new piece; h(t-) is read one ulp before t.
 """
 
 from __future__ import annotations
@@ -184,10 +186,8 @@ class SignalTimings:
     def period(self) -> float:
         return self.green_dur + self.yellow_dur + self.red_dur
 
-    def phase(self, t: float, side: str = "right") -> str:
+    def phase(self, t: float) -> str:
         c = (t + self.offset) % self.period
-        if side == "left":
-            c = (c - 1e-12) % self.period
         if c < self.green_dur:
             return GREEN
         if c < self.green_dur + self.yellow_dur:
@@ -212,7 +212,7 @@ class SignalTimings:
         ]
 
 
-def active_phase_index(signals: Sequence[SignalTimings], t, k, side: str = "right"):
+def active_phase_index(signals: Sequence[SignalTimings], t, k):
     """Index into PHASES of the phase of signals[k] at t, point by point (3,
     "none", where k is past the last signal): `SignalTimings.phase` over
     arrays, with each point's timings gathered by k. `t`, a scalar or an
@@ -222,8 +222,6 @@ def active_phase_index(signals: Sequence[SignalTimings], t, k, side: str = "righ
                         for s in signals] + [(0.0, 1.0, 0.0, 0.0)])
     offset, period, green_end, yellow_end = timings.T[:, k]
     c = np.remainder(t + offset, period)
-    if side == "left":
-        c = np.remainder(c - 1e-12, period)
     phase = np.where(c < green_end, 0, np.where(c < yellow_end, 1, 2))
     return np.where(k < len(signals), phase, 3)
 
@@ -254,7 +252,7 @@ class SpacingBarrier(Barrier):
     """h1 = X_r - t_hw V_f - S0 - (V_f^2 - V_l^2)/(2 a_max).
 
     The lead speed enters as an exogenous time signal, continuous in t, so
-    h has no time jumps (both sides agree), dh/dt = V_l a_l / a_max and
+    h has no time jumps, dh/dt = V_l a_l / a_max and
     grad_x = (-1, -t_hw - V_f/a_max, +1).
     """
 
@@ -267,10 +265,7 @@ class SpacingBarrier(Barrier):
         return ((x[2] - x[0]) - self.vp.t_headway * x[1] - self.vp.s0
                 - (x[1] * x[1] - vl * vl) / (2 * self.vp.a_max))
 
-    def h(self, t, x, side="right"):
-        return self._h(self.lead.cached_motion(t)[0], x)
-
-    def h_grid(self, t, cols, side="right"):
+    def h_grid(self, t, cols):
         return self._h(self.lead.velocity(t), cols)
 
     def terms(self, t, x):
@@ -298,8 +293,7 @@ class TrafficSignalBarrier(Barrier):
     is P_k - X_f - beta V_f - S0 during k's red phase and the same expression
     against P_{k+1} otherwise; past the last line the barrier is vacuous
     (+inf). dh/dt = 0 and grad_x = (-1, -beta, 0), or zeros where vacuous.
-    Non-smooth at stop-line crossings and phase switches; side="left" reads
-    the phases just before t.
+    Non-smooth at stop-line crossings and phase switches.
     """
 
     def __init__(self, signals: Sequence[SignalTimings], vp: VehicleParams):
@@ -315,34 +309,24 @@ class TrafficSignalBarrier(Barrier):
         the array xf; len(signals) past the last."""
         return np.searchsorted(self.positions, xf)
 
-    def _stop_line(self, t, x, side="right"):
-        k = bisect_left(self.positions, x[0])
-        if k >= len(self.signals):
-            return None
-        if self.signals[k].phase(t, side) == RED:
-            return self.positions[k]
-        return self.positions[k + 1] if k + 1 < len(self.signals) else None
-
     def _h(self, line, x):
-        if line is None:
-            return math.inf
         return line - x[0] - self.vp.beta * x[1] - self.vp.s0
 
-    def h(self, t, x, side="right"):
-        return self._h(self._stop_line(t, x, side), x)
-
-    def h_grid(self, t, cols, side="right"):
-        # _stop_line over arrays: k is each X_f's active signal; a red k stops
-        # at line k, any other at line k + 1; lines past the last read +inf
+    def h_grid(self, t, cols):
+        # terms over arrays: k is each X_f's active signal; a red k stops at
+        # line k, any other at line k + 1; lines past the last read +inf
         k = self.active(cols[0])
-        red = active_phase_index(self.signals, t, k, side) == PHASES.index(RED)
+        red = active_phase_index(self.signals, t, k) == PHASES.index(RED)
         lines = np.array(self.positions + [math.inf, math.inf])
         return self._h(lines[np.where(red, k, k + 1)], cols)
 
     def terms(self, t, x):
-        line = self._stop_line(t, x)
-        grad = (0.0, 0.0, 0.0) if line is None else (-1.0, -self.vp.beta, 0.0)
-        return self._h(line, x), 0.0, grad
+        k = bisect_left(self.positions, x[0])
+        if k < len(self.signals) and self.signals[k].phase(t) != RED:
+            k += 1  # any phase but red stops at the next line
+        if k >= len(self.signals):
+            return math.inf, 0.0, (0.0, 0.0, 0.0)
+        return self._h(self.positions[k], x), 0.0, (-1.0, -self.vp.beta, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -137,8 +137,9 @@ def scalar_grid_points(box, resolution: int):
 def scalar_check_subset(h_prev, h_next, t, domain, resolution) -> SubsetCheck:
     """The sampled path of `check_subset`, one h call per point."""
     method = f"sampled({resolution})"
+    t_left = math.nextafter(t, -math.inf)
     for pt in scalar_grid_points(domain, resolution):
-        if h_prev.h(t, pt, "left") >= 0 and h_next.h(t, pt) < -1e-9:
+        if h_prev.h(t_left, pt) >= 0 and h_next.h(t, pt) < -1e-9:
             return SubsetCheck(False, method, counterexample=pt)
     return SubsetCheck(True, method)
 
@@ -146,9 +147,10 @@ def scalar_check_subset(h_prev, h_next, t, domain, resolution) -> SubsetCheck:
 def scalar_check_intersection(h_prev, h_next, t, domain, resolution) -> IntersectionCheck:
     """The sampled path of `check_intersection`, one h call per point."""
     method = f"sampled({resolution})"
+    t_left = math.nextafter(t, -math.inf)
     best_pt, best_val = None, -math.inf
     for pt in scalar_grid_points(domain, resolution):
-        if h_prev.h(t, pt, "left") >= 0:
+        if h_prev.h(t_left, pt) >= 0:
             val = h_next.h(t, pt)
             if val > best_val:
                 best_pt, best_val = pt, val
@@ -165,6 +167,22 @@ def scalar_worst_engage_margin(h_prev, h_next, tau, domain, resolution):
         if h_prev.h(tau, pt) >= 0:
             worst = min(worst, h_next.h(tau, pt))
     return (0.0 if math.isinf(worst) else worst), method
+
+
+# ---------------------------------------------------------------------------
+# Left limits: the lookup that reading h one ulp before t replaces
+# ---------------------------------------------------------------------------
+
+
+def left_limit_lookup(starts, values, t):
+    """values[i] for the last starts[i] strictly before t (values[0] when no
+    start precedes t), for a scalar or an array t: the left time-limit
+    lookup that `step_lookup` at `math.nextafter(t, -math.inf)` replaces,
+    kept as its reference."""
+    if isinstance(t, np.ndarray):
+        i = np.maximum(np.searchsorted(starts, t, "left") - 1, 0)
+        return np.take(np.asarray(values), i)
+    return values[max(bisect_left(starts, t) - 1, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +261,14 @@ def _rel_err(analytic: float, numeric: float) -> float:
 @dataclass(frozen=True)
 class SafeSet:
     """Superlevel set {x : h(t, x) >= 0} of a barrier frozen at a query time.
-
-    side="left" queries the left time-limit C(t-), which differs from C(t)
-    exactly at the barrier's jump instants.
+    The left time-limit C(t-) is the set at `math.nextafter(t, -math.inf)`.
     """
 
     barrier: Barrier
     t: float
-    side: str = "right"
 
     def margin(self, x) -> float:
-        return self.barrier.h(self.t, x, self.side)
+        return self.barrier.h(self.t, x)
 
     def membership(self, x) -> bool:
         return self.margin(x) >= 0

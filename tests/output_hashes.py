@@ -6,9 +6,8 @@ Runs `synth` in subprocesses, with `src` of this checkout first on
 PYTHONPATH and a fresh temporary directory as the working directory:
 `synth run` with and without `--trace/--report` and `synth check` on the
 three shipped presets, on the benchmark's `dense_contracts` and
-`static_sampled` missions at seed 3 and on `NEGATED_AFFINE`, then
-`synth monitor` on the
-`paper_sec6` trace. For each command it prints the exit code and one line
+`static_sampled` missions at seed 3 and on the configs of `CUSTOM`, then
+`synth monitor` on the `paper_sec6` trace. For each command it prints the exit code and one line
 per artifact (stdout, stderr, each file written) with its sha256. Every path
 passed is relative to the working directory, so no output holds a temporary
 path. Run it on two checkouts and `diff` the outputs: a line that differs
@@ -62,6 +61,34 @@ G[50,80) sat(vmax25)
 G[0,40) !sat(far)
 G[40,80) !sat(fast)
 """
+# a cap of V <= 12 hands over to h1 at t = 20: the boundary takes the sampled
+# check, and the FCBF window on [15, 20) engages h1, a barrier without an
+# affine form, so the window's row reads `terms`; the lead accelerates to
+# 18 m/s past the capped ego
+H1_WINDOW = """\
+[scenario]
+name = h1_window
+horizon = 60
+[input]
+lower = -200000
+upper = 200000
+[domain]
+x_f = -1000 100000
+v_f = 0 60
+x_l = -1000 1000000
+[speed_limits]
+row = 0 30
+[barriers]
+slow = affine 0 -1 0 offset=12
+[lead]
+v0 = 0
+row = 0 1.2
+row = 15 0
+[stl]
+G[0,20) sat(slow)
+G[20,60) sat(h1)
+"""
+CUSTOM = {"negated_affine": NEGATED_AFFINE, "h1_window": H1_WINDOW}
 
 
 def commands(tmp: Path):
@@ -74,8 +101,9 @@ def commands(tmp: Path):
     for name in GENERATED:
         (tmp / f"{name}.cfg").write_text(workloads.WORKLOADS[name](SEED).config_text)
         configs.append(f"{name}.cfg")
-    (tmp / "negated_affine.cfg").write_text(NEGATED_AFFINE)
-    configs.append("negated_affine.cfg")
+    for name, text in CUSTOM.items():
+        (tmp / f"{name}.cfg").write_text(text)
+        configs.append(f"{name}.cfg")
     out = []
     for cfg in configs:
         stem = cfg.removesuffix(".cfg")

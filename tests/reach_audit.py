@@ -5,7 +5,9 @@
 Runs, in this process and under `sys.setprofile`, `synth run` and
 `synth check` on the three shipped presets, `synth monitor` on the
 `paper_sec6` trace, `synth run` on the benchmark's `dense_contracts` mission
-and `synth check` on its `static_sampled` mission, both at seed 3. Then it
+and `synth check` on its `static_sampled` mission, both at seed 3, and
+`synth run` on each config of `output_hashes.CUSTOM` (`negated_affine`,
+`h1_window`). Then it
 prints every `def` in `src/stlcbf` that none of these runs entered, with its
 line count (decorators included), and the total. A function nested in one
 that is listed is not listed again. What is listed is either reachable only
@@ -34,6 +36,7 @@ def cli_runs(tmp: Path):
     """The argument lists of every audited CLI run, in order."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
+    from output_hashes import CUSTOM
 
     runs = []
     for preset in PRESETS:
@@ -46,6 +49,10 @@ def cli_runs(tmp: Path):
         cfg.write_text(workloads.WORKLOADS[name](SEED).config_text)
         runs.append([command, str(cfg)] + (["--trace", str(tmp / f"{name}.csv")]
                                            if command == "run" else []))
+    for name, text in CUSTOM.items():
+        cfg = tmp / f"{name}.cfg"
+        cfg.write_text(text)
+        runs.append(["run", str(cfg), "--trace", str(tmp / f"{name}.csv")])
     return runs
 
 

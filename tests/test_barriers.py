@@ -1,16 +1,18 @@
 import math
 from operator import mul
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import SafeSet, finite_diff_check, simulate_scalar_pull
+from oracles import SafeSet, finite_diff_check, left_limit_lookup, simulate_scalar_pull
 from stlcbf.barriers import (
     AffineBarrier,
     AlphaFn,
     Barrier,
     BarrierError,
+    BarrierRegistry,
     ConstraintRow,
     FcbfParams,
     IDENTITY_ALPHA,
@@ -22,9 +24,10 @@ from stlcbf.barriers import (
     fcbf_constraint,
     gamma_for_deadline,
 )
-from stlcbf.contracts import check_subset
+from stlcbf.contracts import ScheduleConfig, Verdict, build_schedule, check_subset
 from stlcbf.qp import InputBox, solve_qp
-from stlcbf.sim import ControlSystem
+from stlcbf.sim import ControlSystem, InitialConditionError, run_simulation
+from stlcbf.stl import PredicateRef, TaskGroup, TimeInterval
 from stlcbf.vehicle import (
     LeadProfile,
     SignalTimings,
@@ -142,11 +145,9 @@ class Bowl(Barrier):
         super().__init__("bowl")
         self.weights, self.c = weights, c
 
-    def h(self, t, x, side="right"):
-        return self.c - 0.5 * sum(w * xi * xi for w, xi in zip(self.weights, x))
-
     def terms(self, t, x):
-        return self.h(t, x), 0.25, tuple(-w * xi for w, xi in zip(self.weights, x))
+        h = self.c - 0.5 * sum(w * xi * xi for w, xi in zip(self.weights, x))
+        return h, 0.25, tuple(-w * xi for w, xi in zip(self.weights, x))
 
 
 def _row_bits(row):
@@ -295,13 +296,16 @@ def affine_on_cases(draw):
     return bar, t0, t1, ts, tuple(draw(SIGNED) for _ in bar.coeffs)
 
 
+LEFT_OF_50 = math.nextafter(50.0, -math.inf)  # h(50-) is h one ulp before 50
+
+
 class TestPiecewiseAffine:
     def test_left_limit_at_switch(self):
         bar = AffineBarrier("hv", coeffs=(0.0, -1.0), pieces=[(0.0, 30.0), (50.0, 25.0)])
         x = (0.0, 10.0)
         assert bar.h(49.999, x) == pytest.approx(20.0)
         assert bar.h(50.0, x) == pytest.approx(15.0)      # half-open: new piece
-        assert bar.h(50.0, x, "left") == pytest.approx(20.0)  # left limit: old piece
+        assert bar.h(LEFT_OF_50, x) == pytest.approx(20.0)  # left limit: old piece
         assert bar.affine_on(math.nextafter(50.0, 0.0), 50.0)[1] == 30.0
 
     def test_negation_flips_everything(self):
@@ -323,7 +327,7 @@ class TestPiecewiseAffine:
         assert SafeSet(bar, 10.0).membership(x)
         assert SafeSet(bar, 10.0).margin(x) == pytest.approx(3.0)
         assert not SafeSet(bar, 50.0).membership(x)          # new piece: 25
-        assert SafeSet(bar, 50.0, side="left").membership(x)  # left limit: 30
+        assert SafeSet(bar, LEFT_OF_50).membership(x)  # left limit: 30
 
     @pytest.mark.parametrize("side,t,offset", [
         ("right", 5.0, 30.0),                           # before the first piece
@@ -339,14 +343,12 @@ class TestPiecewiseAffine:
     ])
     def test_offset_lookup_around_piece_starts(self, side, t, offset):
         """The static checks' one-ulp reads of `affine_on` give `h`'s offset
-        on either side of t."""
+        at t ("right"), or at t- = nextafter(t, -inf) for the left limit."""
         bar = AffineBarrier("hv", coeffs=(0.0, -1.0), pieces=[(10.0, 30.0), (50.0, 25.0)])
         if side == "left":
-            t0, t1 = math.nextafter(t, -math.inf), t
-        else:
-            t0, t1 = t, math.nextafter(t, math.inf)
-        assert bar.affine_on(t0, t1)[1] == offset
-        assert bar.h(t, (0.0, 0.0), side) == offset
+            t = math.nextafter(t, -math.inf)
+        assert bar.affine_on(t, math.nextafter(t, math.inf))[1] == offset
+        assert bar.h(t, (0.0, 0.0)) == offset
 
     @settings(max_examples=400, deadline=None)
     @given(affine_on_cases())
@@ -439,7 +441,7 @@ class TestTerms:
 
 class TestAffineTermsLookup:
     """`AffineBarrier.terms` finds its offset with its own bisect; its value
-    must equal `h`'s, which goes through `step_lookup`, bit for bit."""
+    must equal `h_grid`'s, which goes through `step_lookup`, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=5, unique=True),
@@ -455,28 +457,66 @@ class TestAffineTermsLookup:
              "below": math.nextafter(start, -math.inf),
              "above": math.nextafter(start, math.inf), "free": free_t}[where]
         h, dh, grad = bar.terms(t, x)
-        assert h.hex() == bar.h(t, x).hex(), (starts, t)
+        assert h.hex() == bar.h_grid(t, x).hex(), (starts, t)
         assert dh == 0.0 and grad is bar.coeffs
 
 
+@st.composite
+def left_limit_cases(draw):
+    """(barrier, t, x): an `AffineBarrier` of 2-5 pieces starting on a
+    quarter-second grid, plain or negated, with t on a piece start or one
+    ulp either side of it."""
+    starts = sorted(draw(st.sets(st.integers(-40, 40), min_size=2, max_size=5)))
+    coeffs = draw(st.lists(SIGNED, min_size=1, max_size=3))
+    bar = AffineBarrier("b", coeffs=coeffs, pieces=[(k / 4, draw(SIGNED)) for k in starts])
+    start = draw(st.sampled_from(starts)) / 4
+    t = draw(st.sampled_from([math.nextafter(start, -math.inf), start,
+                              math.nextafter(start, math.inf)]))
+    x = tuple(draw(SIGNED) for _ in coeffs)
+    return (bar.negate() if draw(st.booleans()) else bar), t, x
+
+
+class TestLeftLimitRule:
+    """h(t-) is h one ulp before t: at `math.nextafter(t, -math.inf)`, `h` and
+    `h_grid` give the value of the left lookup (the last piece that starts
+    strictly before t), bit for bit, for piecewise-constant offsets."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(left_limit_cases())
+    def test_h_one_ulp_before_t_is_the_left_lookup(self, case):
+        bar, t, x = case
+        affine = getattr(bar, "inner", bar)
+        starts, offsets = zip(*affine.pieces)
+        sign = -1.0 if bar is not affine else 1.0
+        base, t_left = sum(map(mul, affine.coeffs, x)), math.nextafter(t, -math.inf)
+        want = sign * (base + left_limit_lookup(starts, offsets, t))
+        assert bar.h(t_left, x).hex() == want.hex()
+        cols = tuple(np.array([xi]) for xi in x)
+        assert float(bar.h_grid(t_left, cols)[0]).hex() == want.hex()
+        # an array t: every piece start and one ulp either side, at once
+        ts = np.array([v for s0 in starts for v in (math.nextafter(s0, -math.inf), s0,
+                                                     math.nextafter(s0, math.inf))])
+        got = np.broadcast_to(bar.h_grid(np.nextafter(ts, -math.inf), x), ts.shape)
+        want_all = [sign * (base + v) for v in left_limit_lookup(starts, offsets, ts).tolist()]
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want_all]
+
+
 # ---------------------------------------------------------------------------
-# A custom barrier needs only h(t, x, side) and terms
+# A custom barrier needs only terms
 # ---------------------------------------------------------------------------
 
 
 class Ramp(Barrier):
-    """h = s(t) t - x with the slope s jumping from 1 to 2 at t=5: h(5-, x) =
-    5 - x, h(5, x) = 10 - x. Defines nothing beyond the two required methods."""
+    """h = s(t) t - x with the slope s jumping from 1 to 2 at t=5: h(5-, x),
+    read one ulp before 5, is about 5 - x, and h(5, x) = 10 - x. Defines
+    nothing beyond the one required method."""
 
     def __init__(self):
         super().__init__("ramp")
 
-    def h(self, t, x, side="right"):
-        jumped = t >= 5.0 if side == "right" else t > 5.0
-        return (2.0 if jumped else 1.0) * t - x[0]
-
     def terms(self, t, x):
-        return self.h(t, x), 2.0 if t >= 5.0 else 1.0, (-1.0,)
+        s = 2.0 if t >= 5.0 else 1.0
+        return s * t - x[0], s, (-1.0,)
 
 
 class TestMinimalBarrier:
@@ -493,7 +533,37 @@ class TestMinimalBarrier:
         box = StateBox((0.0,), (10.0,))
         below6 = AffineBarrier("x<=6", coeffs=(-1.0,), offset=6.0)
         below4 = AffineBarrier("x<=4", coeffs=(-1.0,), offset=4.0)
-        # C_prev(5-) = {x <= 5}, so it lies inside {x <= 6} but not {x <= 4}
+        # C_prev(5-) = {x <= nextafter(5, -inf)}: inside {x <= 6}, not inside
+        # {x <= 4}; the grid point x = 5 lies just outside it
+        assert Ramp().h(math.nextafter(5.0, -math.inf), (5.0,)) < 0
         assert check_subset(Ramp(), below6, 5.0, box, 11).holds
         res = check_subset(Ramp(), below4, 5.0, box, 11)
-        assert res.method == "sampled(11)" and res.counterexample == (5.0,)
+        assert res.method == "sampled(11)" and res.holds  # no grid point in (4, 5)
+        res = check_subset(Ramp(), below4, 5.0, box, 21)
+        assert res.method == "sampled(21)" and res.counterexample == (4.5,)
+
+    def test_schedule_and_run(self):
+        """Ramp opens a schedule (its entry assumption reads h(0, x0)) and is
+        the next barrier of the window into [8, 12) (its engagement reads
+        h): a group ramp on [0, 4), x >= -1 on [4, 8), ramp on [8, 12)."""
+        reg = BarrierRegistry()
+        reg.register(Ramp())
+        reg.register(AffineBarrier("floor", coeffs=(1.0,), offset=1.0))
+        group = TaskGroup("G", tuple((TimeInterval(t0, t0 + 4.0), PredicateRef(bid))
+                                     for t0, bid in ((0.0, "ramp"), (4.0, "floor"),
+                                                     (8.0, "ramp"))))
+        cfg = ScheduleConfig(domain=StateBox((-50.0,), (50.0,)), horizon=12.0, t_conv=2.0)
+        sched = build_schedule(group, reg, cfg)
+        assert [(b.verdict, b.method, b.tau) for b in sched.boundaries] == [
+            (Verdict.OVERLAP_DEADLINE, "sampled(101)", 2.0),
+            (Verdict.OVERLAP_DEADLINE, "sampled(101)", 6.0)]
+        box = InputBox((-10.0,), (10.0,))
+        with pytest.raises(InitialConditionError, match=r"h\[sat\(ramp\)\]\(0, x0\) = -0.5"):
+            run_simulation(scalar_system(), [sched], lambda t, x: 1.0, box, (0.5,),
+                           dt=0.01, t_max=12.0)
+        res = run_simulation(scalar_system(), [sched], lambda t, x: 1.0, box, (0.0,),
+                             dt=0.01, t_max=12.0)
+        assert res.failure is None and res.trace.n_rows() == 1201
+        rec = res.engagements["G", 1]
+        x = res.trace.states[res.trace.ts.index(rec.time)]
+        assert 6.0 < rec.time < 8.0 and rec.h_engage == 2.0 * rec.time - x[0]

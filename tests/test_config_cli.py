@@ -516,6 +516,25 @@ class TestCli:
     def test_missing_config_exit_code(self):
         assert cli_main(["run", "nope_nope"]) == 4
 
+    @pytest.mark.parametrize("dt", ["0.3", "0.7"])
+    def test_dt_that_does_not_divide_the_horizon_stops_check_and_run(self, dt, tmp_path,
+                                                                    capsys):
+        """Before anything runs: `check` used to exit 0, and `run` to
+        simulate round(1 / dt) steps and then fail the monitor on a trace
+        that stops short of the horizon."""
+        plain = tmp_path / "one_second.cfg"
+        plain.write_text(MINIMAL.replace("horizon = 5", "horizon = 1")
+                         .replace("G[0,5)", "G[0,1)"))
+        stepped = tmp_path / "stepped.cfg"
+        stepped.write_text(plain.read_text().replace("horizon = 1", f"horizon = 1\ndt = {dt}"))
+        trace = tmp_path / "out.csv"
+        assert cli_main(["check", str(plain)]) == 0
+        assert cli_main(["check", str(stepped)]) == 4
+        assert cli_main(["run", str(stepped), "--trace", str(trace)]) == 4
+        assert cli_main(["run", str(plain), "--dt", dt, "--trace", str(trace)]) == 4
+        assert not trace.exists()
+        assert capsys.readouterr().err.count(f"dt={dt} does not divide the horizon 1 ") == 3
+
     @pytest.mark.parametrize("dt", ["nan", "inf", "0", "-0.01"])
     def test_bad_dt_override_is_config_error(self, dt, capsys):
         assert cli_main(["run", "infeasible_red", "--dt", dt]) == 4

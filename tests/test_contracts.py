@@ -250,14 +250,14 @@ class TestBuildSchedule:
 
 
 class Plane(Barrier):
-    """A library barrier that implements `h` and `affine_on` only."""
+    """A library barrier that implements `terms` and `affine_on` only."""
 
     def __init__(self, barrier_id, coeffs, offset):
         super().__init__(barrier_id)
         self.coeffs, self.offset = coeffs, offset
 
-    def h(self, t, x, side="right"):
-        return sum(c * v for c, v in zip(self.coeffs, x)) + self.offset
+    def terms(self, t, x):
+        return sum(c * v for c, v in zip(self.coeffs, x)) + self.offset, 0.0, self.coeffs
 
     def affine_on(self, t0, t1):
         return self.coeffs, self.offset
@@ -493,14 +493,11 @@ class Cap(Barrier):
         super().__init__(barrier_id)
         self.c = c
 
-    def h(self, t, x, side="right"):
-        return self.c - 0.5 * x[1] * x[1]
-
-    def h_grid(self, t, cols, side="right"):
+    def h_grid(self, t, cols):
         return self.c - 0.5 * cols[1] * cols[1]
 
     def terms(self, t, x):
-        return self.h(t, x), 0.0, (0.0, -x[1])
+        return self.c - 0.5 * x[1] * x[1], 0.0, (0.0, -x[1])
 
 
 HORIZON = 40.0
@@ -693,17 +690,16 @@ TIMES = [0.0] + [math.nextafter(ts, to) for ts in SWITCHES
 
 class Bowl(Barrier):
     """r(t)^2 - |x - c|^2, r jumping at t=10: evaluated by the base class's
-    point-by-point h_grid on both sides."""
+    point-by-point h_grid, at t and one ulp before it."""
 
     def __init__(self, center, radii):
         super().__init__("bowl")
         self.center, self.radii = center, radii
 
-    def _at(self, r, x):
-        return r * r - sum((xi - ci) ** 2 for xi, ci in zip(x, self.center))
-
-    def h(self, t, x, side="right"):
-        return self._at(self.radii[t >= 10.0 if side == "right" else t > 10.0], x)
+    def terms(self, t, x):
+        r = self.radii[t >= 10.0]
+        h = r * r - sum((xi - ci) ** 2 for xi, ci in zip(x, self.center))
+        return h, 0.0, tuple(2.0 * (ci - xi) for xi, ci in zip(x, self.center))
 
 
 class Patchy(Barrier):
@@ -713,8 +709,9 @@ class Patchy(Barrier):
         super().__init__("patchy")
         self.offset = offset
 
-    def h(self, t, x, side="right"):
-        return math.nan if math.floor(x[-1]) % 2 == 0 else self.offset - x[-1]
+    def terms(self, t, x):
+        h = math.nan if math.floor(x[-1]) % 2 == 0 else self.offset - x[-1]
+        return h, 0.0, (0.0,) * (len(x) - 1) + (-1.0,)
 
 
 class Opaque(Barrier):
@@ -724,11 +721,11 @@ class Opaque(Barrier):
         super().__init__(inner.id)
         self.inner = inner
 
-    def h(self, t, x, side="right"):
-        return self.inner.h(t, x, side)
+    def terms(self, t, x):
+        return self.inner.terms(t, x)
 
-    def h_grid(self, t, cols, side="right"):
-        return self.inner.h_grid(t, cols, side)
+    def h_grid(self, t, cols):
+        return self.inner.h_grid(t, cols)
 
 
 def _grid_templates():
@@ -831,16 +828,18 @@ class TestArrayGrid:
     @example(GRID_TEMPLATES[4], 24.0, "left", [(150.0, 5.0, 0.0)])  # yellow before red
     @example(GRID_TEMPLATES[5], 10.0, "left", [(300.0, 10.0, 300.0)])  # radius before jump
     def test_h_grid_equals_h_at_every_point(self, bar, t, side, points):
+        if side == "left":  # h(t-) is h one ulp before t
+            t = math.nextafter(t, -math.inf)
         cols = tuple(np.array(col) for col in zip(*points))
-        got = np.broadcast_to(bar.h_grid(t, cols, side), (len(points),))
-        assert [float(v).hex() for v in got] == [bar.h(t, p, side).hex() for p in points]
+        got = np.broadcast_to(bar.h_grid(t, cols), (len(points),))
+        assert [float(v).hex() for v in got] == [bar.h(t, p).hex() for p in points]
 
     def test_shipped_templates_never_evaluate_point_by_point(self, monkeypatch):
         calls = []
         for cls in (SpacingBarrier, AffineBarrier):
-            def counted(self, t, x, side="right", _h=cls.h):
+            def counted(self, t, x, _h=cls.h):
                 calls.append(type(self).__name__)
-                return _h(self, t, x, side)
+                return _h(self, t, x)
             monkeypatch.setattr(cls, "h", counted)
         h1 = SpacingBarrier(VP, LeadProfile(10.0))
         vmax = AffineBarrier("vmax10", coeffs=(0.0, -1.0, 0.0), offset=10.0)

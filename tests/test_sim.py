@@ -20,6 +20,7 @@ from stlcbf.sim import (
     SimError,
     integrate_step,
     run_simulation,
+    step_count,
 )
 from stlcbf.stl import PredicateRef, TaskGroup, TimeInterval
 from stlcbf.vehicle import (
@@ -181,6 +182,19 @@ class TestRunSimulation:
         diffs = {round(b - a, 9) for a, b in zip(res.trace.ts, res.trace.ts[1:])}
         assert diffs == {0.01}
 
+    @pytest.mark.parametrize("t_max, dt", [(1.0, 0.3), (1.0, 0.7), (500.0, 0.03)])
+    def test_dt_must_divide_the_horizon(self, double_integrator, t_max, dt):
+        # round(t_max / dt) steps used to stop short of t_max or run past it
+        calls = []
+        with pytest.raises(SimError, match=f"dt={dt:g} does not divide the horizon {t_max:g}"):
+            run_simulation(double_integrator, [], lambda t, x: calls.append(t) or 0.0,
+                           InputBox((-1.0,), (1.0,)), (0.0, 0.0), dt=dt, t_max=t_max)
+        assert calls == []
+
+    @pytest.mark.parametrize("dt", [0.005, 0.01, 0.05, 0.2, 0.5, 1.0])
+    def test_paper_sec6_steps_divide_its_horizon(self, dt):
+        assert step_count(500.0, dt) == round(500.0 / dt)
+
     def test_input_box_must_match_the_inputs(self, double_integrator):
         # each recorded row holds m inputs; a 2-D box would give 2 per row
         with pytest.raises(SimError, match="input box has dimension 2, system has m=1"):
@@ -335,11 +349,11 @@ class TestLoopMakesNoWrapperCall:
     custom barrier) is evaluated inline: the loop makes no generator, `terms`
     or `step_lookup` call for it. h1, which has no such form, costs one
     `terms` call a step and no generator call: `emit_rows` reads its terms
-    itself. An affine barrier's `h` runs in the loop only where a window
-    first engages (to size its gamma), and the plan is rebuilt only where a
-    segment or window switches or the ego crosses a stop line. The nominal
-    controller computes h1 and the friction force inline, from one lead
-    lookup."""
+    itself. An affine barrier's `h`, and the `terms` call it reads, run in
+    the loop only where a window first engages (to size its gamma), and the
+    plan is rebuilt only where a segment or window switches or the ego
+    crosses a stop line. The nominal controller computes h1 and the
+    friction force inline, from one lead lookup."""
 
     def test_wrapper_calls_left_in_the_loop(self, monkeypatch):
         calls = {}  # (phase, name) -> count
@@ -384,9 +398,9 @@ class TestLoopMakesNoWrapperCall:
         assert steps == 8000 and outcome.exit_code == 0
         assert {name: n for (ph, name), n in calls.items() if ph == "loop"} == {
             "SpacingBarrier.terms": steps,
-            # an engaging window sizes its gamma from h, which reads its offset
+            # an engaging window sizes its gamma from h, which reads terms
             "AffineBarrier.h": len(outcome.report.engagements),
-            "step_lookup": len(outcome.report.engagements),
+            "AffineBarrier.terms": len(outcome.report.engagements),
         }
         assert len(outcome.report.engagements) > 1
         # the counters see the calls: x0's entry margins, the trace columns

@@ -226,8 +226,10 @@ class ValueRegistry:
         sign = -1.0 if pred.negated else 1.0
 
         class _B(Barrier):
-            def h(self, t, x, side="right"):
-                return sign * x[idx]
+            def terms(self, t, x):
+                grad = [0.0] * len(x)
+                grad[idx] = sign
+                return sign * x[idx], 0.0, tuple(grad)
 
         return _B(pred.barrier_id)
 

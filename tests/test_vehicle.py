@@ -56,6 +56,11 @@ VP = VehicleParams()  # published values: m=1650, c=(0.1, 5, 0.25), a_max=3.92
 DOMAIN = StateBox((-1000.0, 0.0, -1000.0), (1e5, 60.0, 1e6))
 
 
+def left_of(t):
+    """t-, one ulp before t: where a left limit h(t-) is read."""
+    return math.nextafter(t, -math.inf)
+
+
 class TestParams:
     def test_negative_mass_rejected(self):
         with pytest.raises(VehicleError, match="mass"):
@@ -172,12 +177,12 @@ class TestSpeedLimitBarrier:
         x = (0.0, 20.0, 0.0)
         assert bar.h(49.99, x) == pytest.approx(10.0)
         assert bar.h(50.0, x) == pytest.approx(5.0)
-        assert bar.h(50.0, x, "left") == pytest.approx(10.0)
+        assert bar.h(left_of(50.0), x) == pytest.approx(10.0)
 
     def test_drop_jump_size(self):
         bar = speed_limit_barrier(self._limits(), VP)
         x = (0.0, 0.0, 0.0)
-        assert bar.h(100.0, x) - bar.h(100.0, x, "left") == pytest.approx(-15.0)
+        assert bar.h(100.0, x) - bar.h(left_of(100.0), x) == pytest.approx(-15.0)
 
     def test_alpha_is_one_over_beta(self):
         bar = speed_limit_barrier(self._limits(), VP)
@@ -500,7 +505,7 @@ class TestPhaseQueries:
         assert s.phase(10.0) == YELLOW
         assert s.phase(12.0) == RED
         assert s.phase(20.0) == GREEN
-        assert s.phase(20.0, side="left") == RED
+        assert s.phase(left_of(20.0)) == RED
 
     def test_invalid_durations(self):
         with pytest.raises(VehicleError):
@@ -526,8 +531,9 @@ def assert_same_floats(got, want, context):
 
 
 class TestArrayEvaluator:
-    """`h_grid` with an array t against the scalar `h(t, x, side)`, point by
-    point and bit for bit, over the reference mission's trace."""
+    """`h_grid` with an array t against the scalar `h(t, x)`, point by point
+    and bit for bit, over the reference mission's trace, at each row's t and
+    ("left") one ulp before it."""
 
     @staticmethod
     def _extra_rows(signals, horizon):
@@ -555,9 +561,11 @@ class TestArrayEvaluator:
 
         def check(bar, side, rows):
             ts, states = rows
-            got = np.broadcast_to(bar.h_grid(np.array(ts), np.array(states).T, side),
+            if side == "left":
+                ts = [left_of(t) for t in ts]
+            got = np.broadcast_to(bar.h_grid(np.array(ts), np.array(states).T),
                                   (len(ts),))
-            assert_same_floats(got, [bar.h(t, x, side) for t, x in zip(ts, states)],
+            assert_same_floats(got, [bar.h(t, x) for t, x in zip(ts, states)],
                                f"{bar} side={side}")
 
         ids = list(registry._by_id)
@@ -578,9 +586,10 @@ class TestArrayEvaluator:
         x_f = [x[0] for x in trace.states] + [x[0] for _, x in extra]
         k = np.searchsorted(positions, x_f)
         for side in ("right", "left"):
-            got = np.take(PHASES, active_phase_index(signals, np.array(ts), k, side))
-            want = [signals[i].phase(t, side) if i < len(signals) else "none"
-                    for t, i in zip(ts, (bisect_left(positions, x) for x in x_f))]
+            at = ts if side == "right" else [left_of(t) for t in ts]
+            got = np.take(PHASES, active_phase_index(signals, np.array(at), k))
+            want = [signals[i].phase(t) if i < len(signals) else "none"
+                    for t, i in zip(at, (bisect_left(positions, x) for x in x_f))]
             assert got.tolist() == want
 
     def test_h_grid_broadcasts_t_with_cols(self, reference_run):
@@ -597,9 +606,10 @@ class TestArrayEvaluator:
         for bid in ("h1", "hv", "hpos", "sig2.red"):
             for bar in (registry.get(bid), registry.resolve(PredicateRef(bid, negated=True))):
                 for side in ("right", "left"):
-                    got = np.broadcast_to(bar.h_grid(axes[0], axes[1:], side), full[0].shape)
-                    want = [bar.h(tt, (a, b, c), side)
-                            for tt, a, b, c in zip(*(f.ravel().tolist() for f in full))]
+                    t_at = axes[0] if side == "right" else np.nextafter(axes[0], -math.inf)
+                    got = np.broadcast_to(bar.h_grid(t_at, axes[1:]), full[0].shape)
+                    want = [bar.h(tt, (a, b, c)) for tt, a, b, c in zip(
+                        *(f.ravel().tolist() for f in np.broadcast_arrays(t_at, *axes[1:])))]
                     assert_same_floats(got.ravel(), want, f"{bar} side={side}")
 
     def test_trace_columns_match_per_row_values(self, reference_run):
@@ -634,17 +644,20 @@ class TestArrayEvaluator:
                            "V_max")
         origin = np.zeros((3, len(t_arr)))  # h = offset(t) there
         for side in ("right", "left"):
-            assert_same_floats(hv.h_grid(t_arr, origin, side),
-                               [hv.h(float(t), (0.0, 0.0, 0.0), side) for t in t_arr], side)
+            at = t_arr if side == "right" else np.nextafter(t_arr, -math.inf)
+            assert_same_floats(hv.h_grid(at, origin),
+                               [hv.h(float(t), (0.0, 0.0, 0.0)) for t in at], side)
 
     @settings(max_examples=500, deadline=None)
     @given(st.floats(0.0, 1e6), st.floats(1e-3, 1e3))
     @example(0.0, 45.5)
-    @example(91.0, 45.5)  # a whole number of periods: c - 1e-12 < 0
+    @example(91.0, 45.5)  # a whole number of periods: one ulp before, c < period
     @example(5e-13, 45.5)
     def test_python_mod_equals_np_remainder(self, t, period):
-        """SignalTimings.phase's two remainders, the left side's included."""
+        """SignalTimings.phase's remainder, one ulp before t included."""
         c = t % period
         got = np.remainder(np.array([t]), period)
         assert got[0].hex() == c.hex()
-        assert np.remainder(got - 1e-12, period)[0].hex() == ((c - 1e-12) % period).hex()
+        t_left = left_of(t)
+        assert (np.remainder(np.array([t_left]), period)[0].hex()
+                == (t_left % period).hex())
