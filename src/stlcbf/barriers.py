@@ -322,20 +322,36 @@ def emit_rows(specs, t, x, sys, dyn=None) -> list:
     a = -grad.g and b = dh/dt + grad.f + drift, with drift kappa h or
     gamma sign(h)|h|^rho (sign(0) = 0: on the boundary the invariance half
     handles the rest). `dyn` is (f(t, x), g(t, x)) when the caller has
-    evaluated them already."""
+    evaluated them already.
+
+    Rows cost two dot products per distinct gradient, plus one add and one
+    drift per row: an affine row reuses the Lie sums grad.x and
+    0.0 + grad.f of the last affine row before it when their coefficients
+    compare equal, with the float operations its own sums would make."""
     out = []
     fv, gm = dyn if dyn is not None else (sys.f(t, x), sys.g(t, x))
+    last = None  # the coefficients of the last affine row's Lie sums
     for row, bar, grad, offset, alpha, params in specs:
         if grad is None:
             h, dh, grad = bar.terms(t, x)
+            lie_f = dh + sum(map(mul, grad, fv))
         else:
-            h, dh = sum(map(mul, grad, x)) + offset, 0.0
+            # Equal coefficients may differ in the sign of a zero (0.0 ==
+            # -0.0), which flips only the sign of a zero product. sum()
+            # starts from the int 0 and a round-to-nearest sum is -0.0 only
+            # when both addends are, so no partial sum is -0.0 and a zero
+            # product of either sign leaves it the same: equal coefficients
+            # give bit-identical sums.
+            if grad != last:
+                last = grad
+                lie_x, lie_f0 = sum(map(mul, grad, x)), 0.0 + sum(map(mul, grad, fv))
+            h, lie_f = lie_x + offset, lie_f0
         a = row.a if grad is row.grad and gm is row.g else row.derive(grad, gm)
         if params is None:
             drift = alpha.kappa * h
         else:
             drift = 0.0 if h == 0 else params.gamma * math.copysign(abs(h) ** params.rho, h)
-        out.append((a, dh + sum(map(mul, grad, fv)) + drift, row.label))
+        out.append((a, lie_f + drift, row.label))
     return out
 
 

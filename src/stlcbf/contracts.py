@@ -23,10 +23,11 @@ strict tau < t < t_i window test, and returns the active row specs with the
 interval [t_from, until) over which they stay active; each spec carries the
 barrier's affine form over that interval (`Barrier.affine_on`), if it has
 one. `barriers.emit_rows` turns specs into (a, b, label) rows at (t, x): a
-spec with a form costs no `terms` call. Each row keeps its last
-a = -grad.g and g's columns (see `barriers.ConstraintRow`). A window's first
-query sizes its gamma and builds its `FcbfParams`, once, into its
-`EngagementRecord`; every later query reads them from there.
+spec with a form costs no `terms` call, and such rows cost two dot products
+per distinct gradient, plus one add and one drift per row. Each row keeps
+its last a = -grad.g and g's columns (see `barriers.ConstraintRow`). A
+window's first query sizes its gamma and builds its `FcbfParams`, once, into
+its `EngagementRecord`; every later query reads them from there.
 
 A schedule may carry a `region = (lo, hi)` on the first state coordinate:
 it applies only while lo < x[0] <= hi (default: every finite x[0]). The

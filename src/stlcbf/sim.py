@@ -30,8 +30,9 @@ The step's call chain is flat. `conjoin_groups` tests that the plan still
 holds (it is rebuilt only at a switch or a crossing) and emits its rows into
 one list a step. A row whose barrier has an affine form over the plan (a
 speed limit, a stop line, or the negation of one) costs no call: the one
-row evaluator, `barriers.emit_rows`, computes its h and b inline. Any other
-row (h1) costs one `terms` call. Each row stays the plain triple
+row evaluator, `barriers.emit_rows`, computes its h and b inline, with two
+dot products per distinct gradient, plus one add and one drift per row.
+Any other row (h1) costs one `terms` call. Each row stays the plain triple
 (a, b, label) from there to the clip. The m = 1 `solve_qp` unpacks and
 checks each row as it clips, and the vehicle's f, h1 and the nominal
 controller read the lead from one cached lookup per t.

@@ -186,43 +186,50 @@ class SignalTimings:
     def period(self) -> float:
         return self.green_dur + self.yellow_dur + self.red_dur
 
+    def cycle(self, j: int) -> tuple:
+        """(green_on, yellow_on, red_on, next_green_on) absolute times of
+        cycle j, the one that starts at j * period - offset. `phase`,
+        `active_phase_index` and `cycles_over` all switch at these floats."""
+        start = j * self.period - self.offset
+        yellow_on = start + self.green_dur
+        return start, yellow_on, yellow_on + self.yellow_dur, (j + 1) * self.period - self.offset
+
     def phase(self, t: float) -> str:
-        c = (t + self.offset) % self.period
-        if c < self.green_dur:
+        # the cycle index of t, corrected where the division rounds across
+        # a cycle start; then the cycle's own switch times
+        j = math.floor((t + self.offset) / self.period)
+        start, _, _, next_on = self.cycle(j)
+        _, yellow_on, red_on, _ = self.cycle(j + (t >= next_on) - (t < start))
+        if t < yellow_on:
             return GREEN
-        if c < self.green_dur + self.yellow_dur:
+        if t < red_on:
             return YELLOW
         return RED
 
     def cycles_over(self, horizon: float):
-        """Per cycle (green_on, yellow_on, red_on, next_green_on) absolute
-        times, covering [0, horizon]. Consecutive cycles share bit-identical
+        """`cycle(j)` for j = -1, 0, ... while the cycle starts at or before
+        horizon, covering [0, horizon]. Consecutive cycles share bit-identical
         boundaries (one formula per boundary) so schedule tiling stays exact."""
-        starts = []
-        j = -1
-        while True:
-            start = j * self.period - self.offset
-            starts.append(start)
-            if start > horizon:
-                break
+        cycles, j = [], -1
+        while j * self.period - self.offset <= horizon:
+            cycles.append(self.cycle(j))
             j += 1
-        return [
-            (s, s + self.green_dur, s + self.green_dur + self.yellow_dur, starts[k + 1])
-            for k, s in enumerate(starts[:-1])
-        ]
+        return cycles
 
 
 def active_phase_index(signals: Sequence[SignalTimings], t, k):
     """Index into PHASES of the phase of signals[k] at t, point by point (3,
     "none", where k is past the last signal): `SignalTimings.phase` over
     arrays, with each point's timings gathered by k. `t`, a scalar or an
-    array, and the index array `k` broadcast together; np.remainder is
-    Python's float %."""
-    timings = np.array([(s.offset, s.period, s.green_dur, s.green_dur + s.yellow_dur)
+    array, and the index array `k` broadcast together."""
+    timings = np.array([(s.offset, s.period, s.green_dur, s.yellow_dur)
                         for s in signals] + [(0.0, 1.0, 0.0, 0.0)])
-    offset, period, green_end, yellow_end = timings.T[:, k]
-    c = np.remainder(t + offset, period)
-    phase = np.where(c < green_end, 0, np.where(c < yellow_end, 1, 2))
+    offset, period, green, yellow = timings.T[:, k]
+    j = np.floor((t + offset) / period)  # as `phase`: corrected, then switched
+    j = j - (t < j * period - offset) + (t >= (j + 1) * period - offset)
+    yellow_on = (j * period - offset) + green
+    red_on = yellow_on + yellow
+    phase = np.where(t < yellow_on, 0, np.where(t < red_on, 1, 2))
     return np.where(k < len(signals), phase, 3)
 
 

@@ -21,6 +21,7 @@ from stlcbf.barriers import (
     TopBarrier,
     cbf_constraint,
     convergence_time,
+    emit_rows,
     fcbf_constraint,
     gamma_for_deadline,
 )
@@ -200,6 +201,58 @@ class TestConstraintRowCache:
             kept = gen(bar, sys, param, t, x, dyn, row)
             fresh = gen(bar, sys, param, t, x, dyn)
             assert _row_bits(kept) == _row_bits(fresh)
+
+
+LIE_BASES = ((0.0, -1.0, 0.0), (-1.0, -1.8, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 0.0))
+
+
+class TestSharedLieSums:
+    """`emit_rows` computes grad.x and grad.f once for affine rows whose
+    coefficients compare equal. Each row must still equal the row its spec
+    gives alone, bit for bit: with equal coefficients in distinct tuples or
+    differing in the sign of a zero (a negated (0, 1, 0) beside (0, -1, 0)),
+    `terms` rows between and around them, and finite-time rows at h < 0,
+    h = 0 and h > 0."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_rows_equal_one_spec_rows(self, data):
+        x = tuple(data.draw(SIGNED) for _ in range(3))
+        fv = tuple(data.draw(SIGNED) for _ in range(3))
+        gm = ((0.0, 1.0), (0.5, -0.0), (0.0, 2.0))
+        sys = ControlSystem(n=3, m=2, f=lambda t, x: fv, g=lambda t, x: gm,
+                            domain=StateBox((-1e3,) * 3, (1e3,) * 3))
+        specs = []
+        for i in range(data.draw(st.integers(1, 8), "rows")):
+            kind = data.draw(st.sampled_from(("copy", "negated", "drawn", "terms")))
+            if kind == "terms":
+                bar = data.draw(st.sampled_from(
+                    [Bowl((1.0, 0.5, 0.0), 40.0), AffineBarrier("t", coeffs=(0.0, -1.0, 0.0),
+                                                                  offset=3.0)]))
+                coeffs = offset = None
+            else:
+                base = data.draw(st.sampled_from(LIE_BASES))
+                if kind == "drawn":
+                    base = tuple(data.draw(SIGNED) for _ in range(3))
+                bar = AffineBarrier(f"b{i}", coeffs=[*base], offset=1.0)  # its own tuple
+                if kind == "negated":
+                    bar = NegatedBarrier(bar)
+                coeffs = bar.affine_on(0.0, 1.0)[0]
+                lie_x = sum(map(mul, coeffs, x))
+                offset = data.draw(st.sampled_from([-lie_x - 1.0, -lie_x, -lie_x + 1.0])
+                                   | SIGNED)  # h < 0, h = 0, h > 0, or any
+            if data.draw(st.booleans(), "fcbf"):
+                alpha, params = None, FcbfParams(data.draw(st.sampled_from([0.0, 0.5, 0.9])),
+                                                 2.0)
+            else:
+                alpha, params = AlphaFn(data.draw(st.sampled_from([0.5, 1.0, 3.0]))), None
+            specs.append((ConstraintRow(f"r{i}"), bar, coeffs, offset, alpha, params))
+
+        dyn = (fv, gm) if data.draw(st.booleans(), "dyn") else None
+        got = emit_rows(specs, 0.5, x, sys, dyn)
+        want = [emit_rows(((ConstraintRow(s[0].label),) + s[1:],), 0.5, x, sys, dyn)[0]
+                for s in specs]
+        assert list(map(_row_bits, got)) == list(map(_row_bits, want))
 
 
 class TestConvergenceTime:

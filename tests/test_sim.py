@@ -441,6 +441,46 @@ class TestLoopMakesNoWrapperCall:
         assert 5 < len(want) < 100 and len(outcome.report.engagements) > 1
 
 
+class TestAffineRowsShareLieSums:
+    """Affine rows with one gradient share their Lie sums: a plan of k such
+    rows costs two sums a step, grad.x and grad.f, not 2k (`emit_rows`)."""
+
+    def test_two_sums_a_step_for_k_rows(self, monkeypatch):
+        k, horizon = 6, 0.5
+        dom = StateBox((-1e6, -1e3), (1e6, 1e3))
+        reg, cfg = BarrierRegistry(), ScheduleConfig(domain=dom, horizon=horizon)
+        scheds = []
+        for i in range(k):  # equal coefficients, each barrier its own tuple
+            reg.register(AffineBarrier(f"v{i}", coeffs=(0.0, -1.0), offset=20.0 + i))
+            group = TaskGroup(f"G{i}", ((TimeInterval(0.0, horizon), PredicateRef(f"v{i}")),))
+            scheds.append(build_schedule(group, reg, cfg))
+        g_mat = ((0.0,), (1.0,))
+        sys = ControlSystem(n=2, m=1, f=lambda t, x: (x[1], 0.0), g=lambda t, x: g_mat,
+                            domain=dom)
+        calls, per_step = [0], []
+
+        def counting_sum(*args):
+            calls[0] += 1
+            return sum(*args)
+
+        def step(*args, **kwargs):
+            before = calls[0]
+            rows = conjoin(*args, **kwargs)
+            per_step.append((len(rows), calls[0] - before))
+            return rows
+
+        conjoin = sim.conjoin_groups
+        monkeypatch.setattr(sim, "conjoin_groups", step)
+        monkeypatch.setattr(barriers, "sum", counting_sum, raising=False)
+        res = run_simulation(sys, scheds, lambda t, x: (1.0,), InputBox((-5.0,), (5.0,)),
+                             (0.0, 10.0), dt=0.01, t_max=horizon)
+
+        assert res.failure is None and len(per_step) == 50
+        # the first step also derives each row's a = -grad.g, one sum a row
+        assert per_step[0] == (k, 2 + k)
+        assert per_step[1:] == [(k, 2)] * 49
+
+
 class TestOneFcbfParamsPerEngagement:
     """A finite-time window builds its FcbfParams once, when it engages, and
     keeps it in its engagement record: building the schedules builds none,

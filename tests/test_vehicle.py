@@ -3,7 +3,7 @@ from bisect import bisect_left
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -511,6 +511,20 @@ class TestPhaseQueries:
         with pytest.raises(VehicleError):
             SignalTimings(100.0, 0.0, 2.0, 8.0)
 
+    def test_every_onset_reads_the_new_phase(self):
+        """At each switch time of `cycles_over`, the time the signal schedules
+        switch at, `phase` reads the new phase, and one ulp before it the old
+        one."""
+        onsets = {GREEN: 0, YELLOW: 0, RED: 0}
+        for sig in generate_signal_plan(7):
+            for _, y_on, r_on, g_next in sig.cycles_over(500.0):
+                for t, old, new in ((y_on, GREEN, YELLOW), (r_on, YELLOW, RED),
+                                    (g_next, RED, GREEN)):
+                    if 0.0 < t < 500.0:
+                        assert (sig.phase(left_of(t)), sig.phase(t)) == (old, new), t.hex()
+                        onsets[new] += 1
+        assert onsets[YELLOW] + onsets[RED] == 166 and onsets[GREEN] > 80
+
 
 @pytest.fixture(scope="module")
 def reference_run():
@@ -648,16 +662,18 @@ class TestArrayEvaluator:
             assert_same_floats(hv.h_grid(at, origin),
                                [hv.h(float(t), (0.0, 0.0, 0.0)) for t in at], side)
 
-    @settings(max_examples=500, deadline=None)
-    @given(st.floats(0.0, 1e6), st.floats(1e-3, 1e3))
-    @example(0.0, 45.5)
-    @example(91.0, 45.5)  # a whole number of periods: one ulp before, c < period
-    @example(5e-13, 45.5)
-    def test_python_mod_equals_np_remainder(self, t, period):
-        """SignalTimings.phase's remainder, one ulp before t included."""
-        c = t % period
-        got = np.remainder(np.array([t]), period)
-        assert got[0].hex() == c.hex()
-        t_left = left_of(t)
-        assert (np.remainder(np.array([t_left]), period)[0].hex()
-                == (t_left % period).hex())
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_array_phase_equals_scalar_phase(self, data):
+        """`active_phase_index` against `SignalTimings.phase` point by point,
+        at switch times, one ulp either side of them, and anywhere."""
+        signals = generate_signal_plan(data.draw(st.integers(0, 50), "seed"), count=3)
+        switches = [t for sig in signals for cyc in sig.cycles_over(1e4) for t in cyc]
+        near = st.sampled_from(switches).flatmap(lambda t: st.sampled_from(
+            [left_of(t), t, math.nextafter(t, math.inf)]))
+        ts = data.draw(st.lists(near | st.floats(-100.0, 1e4), min_size=1, max_size=20))
+        k = data.draw(st.lists(st.integers(0, len(signals)), min_size=len(ts),
+                               max_size=len(ts)))
+        got = np.take(PHASES, active_phase_index(signals, np.array(ts), np.array(k)))
+        assert got.tolist() == [signals[i].phase(t) if i < len(signals) else "none"
+                                for t, i in zip(ts, k)]
