@@ -69,6 +69,15 @@ class BarrierError(ValueError):
     """Bad barrier parameters or evaluation outside template assumptions."""
 
 
+class BarrierViolation(ValueError):
+    """An invariance row's h read below the caller's floor: the state left
+    the safe set that the row is there to keep."""
+
+    def __init__(self, label: str, h: float):
+        super().__init__(f"{label} h={h:g}")
+        self.label, self.h = label, h
+
+
 @dataclass(frozen=True)
 class StateBox:
     """Axis-aligned box in state space, lower <= x <= upper componentwise."""
@@ -313,7 +322,7 @@ class BarrierRegistry:
 # ---------------------------------------------------------------------------
 
 
-def emit_rows(specs, t, x, sys, dyn=None) -> list:
+def emit_rows(specs, t, x, sys, dyn=None, floor=-math.inf) -> list:
     """The (a, b, label) rows of `specs` at (t, x), in order. A spec is
     (row, barrier, coeffs, offset, alpha, params): its `ConstraintRow`; the
     barrier's affine form over an interval holding t (dh/dt = 0.0), or None
@@ -322,7 +331,8 @@ def emit_rows(specs, t, x, sys, dyn=None) -> list:
     a = -grad.g and b = dh/dt + grad.f + drift, with drift kappa h or
     gamma sign(h)|h|^rho (sign(0) = 0: on the boundary the invariance half
     handles the rest). `dyn` is (f(t, x), g(t, x)) when the caller has
-    evaluated them already.
+    evaluated them already. An invariance row whose h reads below `floor`
+    raises `BarrierViolation`; a finite-time row may start at any h.
 
     Rows cost two dot products per distinct gradient, plus one add and one
     drift per row: an affine row reuses the Lie sums grad.x and
@@ -348,6 +358,8 @@ def emit_rows(specs, t, x, sys, dyn=None) -> list:
             h, lie_f = lie_x + offset, lie_f0
         a = row.a if grad is row.grad and gm is row.g else row.derive(grad, gm)
         if params is None:
+            if h < floor:
+                raise BarrierViolation(row.label, h)
             drift = alpha.kappa * h
         else:
             drift = 0.0 if h == 0 else params.gamma * math.copysign(abs(h) ** params.rho, h)

@@ -622,14 +622,14 @@ class RegionTable:
         return specs
 
 
-def conjoin_groups(table: RegionTable, t, x, sys, dyn=None) -> list:
+def conjoin_groups(table: RegionTable, t, x, sys, dyn=None, floor=-math.inf) -> list:
     """Conjunction of group contracts = intersection of safe input sets,
     realized as one list of the active (a, b, label) rows of every schedule
     whose region holds x[0], in the schedule list's order. The table's plan
     serves every query until t or x[0] leaves it; then `replan` builds the
     next one. `dyn` is (f(t, x), g(t, x)) when the caller has evaluated them
-    already."""
+    already; `floor` as for `emit_rows`."""
     t_from, until, lo, hi, specs = table.plan
     if not (t_from <= t < until and lo < x[0] <= hi):
         specs = table.replan(t, x)
-    return emit_rows(specs, t, x, sys, dyn)
+    return emit_rows(specs, t, x, sys, dyn, floor)

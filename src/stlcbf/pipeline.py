@@ -1,9 +1,10 @@
 """Pipeline orchestration: parse -> group -> build schedules -> static
 compatibility -> simulate -> monitor, plus trace/report serialization.
 
-Exit codes: 0 success, 2 static incompatibility, 3 runtime infeasibility (or
-domain exit), 4 config/initial-condition error. Identical configs (including
-the seed) produce byte-identical trace and report files.
+Exit codes: 0 success, 2 static incompatibility, 3 runtime failure (a
+violated invariance row, an empty QP, a domain exit) or monitor violation,
+4 config/initial-condition error. Identical configs (including the seed)
+produce byte-identical trace and report files.
 """
 
 from __future__ import annotations
@@ -203,7 +204,8 @@ def run_pipeline(cfg: ScenarioConfig) -> PipelineOutcome:
         return outcome
 
     result = run_simulation(bundle.sys, bundle.schedules, bundle.nominal,
-                            cfg.input_box, cfg.x0, dt=cfg.dt, t_max=cfg.horizon)
+                            cfg.input_box, cfg.x0, dt=cfg.dt, t_max=cfg.horizon,
+                            tol=cfg.margin_tol)
     result.trace.fill_columns(bundle.margin_barriers, bundle.extra_channels)
     for t, text in result.trace.events:
         level = logging.INFO if text.startswith("deadline-risk") else logging.DEBUG
@@ -242,7 +244,7 @@ def _fill_summary(report, trace, bundle):
         summary[f"min_margin[{bar.id}]"] = trace.min_margin(bar.id)
     un, us = trace.u_nom, trace.u_safe
     # a row whose safe input differs from the nominal one; the NaN row of an
-    # infeasible step never counts
+    # infeasible or violated step never counts
     summary["qp_active_steps"] = int(np.count_nonzero(
         (np.abs(un - us) > 1e-9).any(axis=1) & ~np.isnan(us[:, 0])))
     summary["rows"] = trace.n_rows()

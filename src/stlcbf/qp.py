@@ -8,10 +8,12 @@ halfspace constraints and the input box:
 Each constraint is the (a, b, label) triple a generator returns; a zero a
 is vacuous (b >= 0) or marks an empty set (b < 0). The feasible set is
 compact (finite box), so the projection exists and is unique whenever the
-set is nonempty. Inputs are low dimensional (m <= 3): the solver enumerates
-KKT active subsets exactly, with an analytic fast path for m = 1 that checks
-each row as it clips. Returns None when the feasible set is empty, which is
-the synthesis loop's runtime failure signal.
+set is nonempty. Inputs are low dimensional (m <= 3). For m = 1 the
+solver clips u between the tightest bounds, checking each row as it reads
+it. For m >= 2 it projects u_nom onto the affine hull of every face cut out
+by 1..m rows and keeps the nearest projection that is feasible; the same
+pass finds that no feasible one exists. Returns None when the feasible set
+is empty, which is the synthesis loop's runtime failure signal.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import numpy as np
 from .barriers import BarrierError
 
 _FEAS_TOL = 1e-9
-_DUAL_TOL = 1e-9
 
 
 class QpError(ValueError):
@@ -90,7 +91,7 @@ def solve_qp(u_nom, constraints: Sequence[tuple], box: InputBox):
         e = tuple(1.0 if j == i else 0.0 for j in range(m))
         rows.append((e, box.upper[i]))
         rows.append((tuple(-v for v in e), -box.lower[i]))
-    return _solve_active_set(np.asarray(u_nom), rows, m)
+    return _nearest_face_projection(np.asarray(u_nom), rows, m)
 
 
 def _solve_1d(u: float, constraints, box: InputBox):
@@ -119,69 +120,36 @@ def _solve_1d(u: float, constraints, box: InputBox):
     return (min(max(u, lo), hi),)
 
 
-def _solve_active_set(u_nom: np.ndarray, rows, m: int):
-    """Enumerate KKT candidates over active subsets of size 0..m.
-
-    The projection satisfies u = u_nom - A_S^T lam with A_S u = b_S for some
-    active subset S and lam >= 0; with at most ~11 constraints in dimension
-    <= 3 exhaustive enumeration is cheap and exact. When no KKT candidate
-    validates, `_nearest_vertex` tells an empty set from a numerical corner.
-    """
+@np.errstate(invalid="ignore", over="ignore")  # a near-singular S gives a NaN u: skipped
+def _nearest_face_projection(u_nom: np.ndarray, rows, m: int):
+    """u_nom when it is feasible; else the nearest of its projections onto
+    {A_S u = b_S}, over the subsets S of 1..m rows with A_S A_S^T regular,
+    that satisfies every row within _FEAS_TOL; None when none does. The
+    projection onto a nonempty polytope is one of these (the hull of a face
+    with at most m independent rows), and a nonempty box-bounded polytope
+    has a vertex, so one pass gives the answer and the emptiness verdict."""
     A = np.asarray([r[0] for r in rows], dtype=float)
     b = np.asarray([r[1] for r in rows], dtype=float)
-
-    def feasible(u):
-        return A @ u <= b + _FEAS_TOL
-
-    if feasible(u_nom).all():
+    bound = b + _FEAS_TOL
+    if (A @ u_nom <= bound).all():
         return tuple(float(v) for v in u_nom)
 
     best = None
     best_d2 = math.inf
-    n_rows = len(rows)
     for size in range(1, m + 1):
-        for subset in itertools.combinations(range(n_rows), size):
-            A_s = A[list(subset)]
-            M = A_s @ A_s.T
-            rhs = A_s @ u_nom - b[list(subset)]
-            try:
-                lam = np.linalg.solve(M, rhs)
+        for subset in itertools.combinations(range(len(rows)), size):
+            A_s, b_s = A[list(subset)], b[list(subset)]
+            try:  # a vertex from A_S itself: A_S A_S^T squares the conditioning,
+                # and a thin polytope with nearly parallel rows would lose its vertices
+                u = (np.linalg.solve(A_s, b_s) if size == m else
+                     u_nom - A_s.T @ np.linalg.solve(A_s @ A_s.T, A_s @ u_nom - b_s))
             except np.linalg.LinAlgError:
                 continue
-            if (lam < -_DUAL_TOL).any():
-                continue
-            u = u_nom - A_s.T @ lam
-            if feasible(u).all():
+            if (A @ u <= bound).all():
                 d2 = float(np.dot(u - u_nom, u - u_nom))
                 if d2 < best_d2 - 1e-15:
                     best, best_d2 = u, d2
-    if best is not None:
-        return tuple(float(v) for v in best)
-    return _nearest_vertex(A, b, u_nom, m)
-
-
-def _nearest_vertex(A: np.ndarray, b: np.ndarray, u_nom: np.ndarray, m: int):
-    """None when the polytope A u <= b is empty, else its vertex nearest to
-    u_nom. A box-bounded polytope is compact, so it is nonempty iff some
-    vertex (m constraint boundaries met) is feasible within _FEAS_TOL; the
-    vertex returned is feasible within 1e-7, which is safe but in general
-    not the projection."""
-    nonempty = False
-    best = None
-    best_d2 = math.inf
-    for subset in itertools.combinations(range(len(b)), m):
-        A_s = A[list(subset)]
-        try:
-            v = np.linalg.solve(A_s, b[list(subset)])
-        except np.linalg.LinAlgError:
-            continue
-        Av = A @ v
-        if (Av <= b + 1e-7).all():
-            nonempty |= bool((Av <= b + _FEAS_TOL).all())
-            d2 = float(np.dot(v - u_nom, v - u_nom))
-            if d2 < best_d2:
-                best, best_d2 = v, d2
-    return tuple(float(v) for v in best) if nonempty and best is not None else None
+    return None if best is None else tuple(float(v) for v in best)
 
 
 # ---------------------------------------------------------------------------

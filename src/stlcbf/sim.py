@@ -3,12 +3,13 @@ zero-order-hold inputs, trace recording, and the runtime synthesis loop.
 
 At every step the loop gathers the active halfspace constraints from all
 group schedules, projects the nominal input through the QP filter, integrates
-one step, and records time, state, inputs and QP status. An empty safe input
-set or a domain exit aborts the run with a timestamped failure; the trace
-prefix up to that point is preserved. The loop records no margin or scenario
-channel: the caller fills those columns afterwards with `Trace.fill_columns`,
-over all recorded rows at once (`Barrier.h_grid` with an array t), for a
-failed prefix as for a full run.
+one step, and records time, state, inputs and QP status. An invariance row
+that reads h < -tol, an empty safe input set or a domain exit aborts the
+run with a timestamped failure; the trace prefix up to that point is
+preserved. The loop records no margin or scenario channel: the caller
+fills those columns afterwards with `Trace.fill_columns`, over all recorded
+rows at once (`Barrier.h_grid` with an array t), for a failed prefix as for
+a full run.
 
 The recorded columns are flat `array('d')` buffers (t; the n state floats
 of each row; the m floats of each input), extended in place at every step,
@@ -58,9 +59,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .barriers import StateBox
+from .barriers import BarrierViolation, StateBox
 from .contracts import RegionTable, conjoin_groups
 from .qp import InputBox, solve_qp
+from .stl import MONITOR_TOL
 
 DEFAULT_DT = 0.01
 
@@ -183,12 +185,13 @@ class Trace:
 
     The loop appends each row to flat `array('d')` buffers: `ts`, one float
     a row; `x_flat`, n floats a row; `u_nom_flat` and `u_safe_flat`, m
-    floats a row (NaN for the safe input of an infeasible row). `states`,
-    `u_nom` and `u_safe` are read-only (N, n) and (N, m) views of those
-    buffers. Take them once the loop has ended: a buffer cannot grow while a
-    view of it exists. `qp_status` holds one string a row. `margins` holds
-    one array per barrier id and `extras` one per scenario channel (speed
-    limit, signal phase, ...), both filled by `fill_columns`.
+    floats a row (NaN for the safe input of an infeasible or violated
+    row). `states`, `u_nom` and `u_safe` are read-only (N, n) and (N, m)
+    views of those buffers. Take them once the loop has ended: a buffer
+    cannot grow while a view of it exists. `qp_status` holds one string a
+    row. `margins` holds one array per barrier id and `extras` one per
+    scenario channel (speed limit, signal phase, ...), both filled by
+    `fill_columns`.
     """
 
     n: int
@@ -241,7 +244,7 @@ class Trace:
 @dataclass(frozen=True)
 class SimFailure:
     time: float
-    reason: str  # "qp_infeasible" | "domain_exit" | "non_finite_state"
+    reason: str  # "qp_infeasible" | "barrier_violated" | "domain_exit" | "non_finite_state"
     details: tuple = ()
 
     def describe(self) -> str:
@@ -289,12 +292,14 @@ def run_simulation(
     x0,
     dt: float = DEFAULT_DT,
     t_max: float = 0.0,
+    tol: float = MONITOR_TOL,
 ) -> RunResult:
     """Run the synthesis loop over [0, t_max] with step dt.
 
     `nominal(t, x)` returns the unfiltered input (scalar or m-tuple).
     Requires x0 to satisfy every schedule's opening assumption. Returns the
-    trace plus a failure record when the QP turns infeasible or the state
+    trace plus a failure record when an invariance row's h reads below
+    -tol (the monitor's own tolerance), the QP turns infeasible or the state
     leaves the domain; on success the trace has t_max/dt + 1 rows. The
     margin and channel columns stay empty (see `Trace.fill_columns`).
     """
@@ -312,6 +317,7 @@ def run_simulation(
 
     table = RegionTable.of(schedules)
     f, g, lower, clamp_dims = sys.f, sys.g, sys.domain.lower, sys.clamp_min_dims
+    h_floor = -tol
     floor = tuple(lo - 1e-9 for lo in lower)  # the domain, padded once
     ceiling = tuple(hi + 1e-9 for hi in sys.domain.upper)
     engagements = table.engagements
@@ -333,7 +339,10 @@ def run_simulation(
     for k in range(n_steps):
         t = k * dt
         dyn = (f(t, x), g(t, x))
-        cons = conjoin_groups(table, t, x, sys, dyn)
+        try:
+            cons = conjoin_groups(table, t, x, sys, dyn, h_floor)
+        except BarrierViolation as exc:
+            cons, violation = None, exc
         if len(engagements) > n_logged:
             for rec in islice(engagements.values(), n_logged, None):
                 trace.events.append((t, rec.describe()))
@@ -344,6 +353,10 @@ def run_simulation(
 
         u_n = nominal(t, x)
         u_n = tuple(map(float, u_n)) if isinstance(u_n, (tuple, list)) else (float(u_n),)
+        if cons is None:
+            record(t, "violated", u_n, (math.nan,) * sys.m)
+            return RunResult(trace, SimFailure(t, "barrier_violated", (str(violation),)),
+                             engagements)
         u_s = solve_qp(u_n, cons, box)
         if u_s is None:
             record(t, "infeasible", u_n, (math.nan,) * sys.m)

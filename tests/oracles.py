@@ -67,6 +67,23 @@ def grid_qp(u_nom, rows, lower, upper, resolution: float):
     return tuple(pts[int(np.argmin(d2))])
 
 
+@np.errstate(invalid="ignore", over="ignore")  # a near-singular subset gives a NaN v
+def feasible_vertex(rows, m: int, tol: float = 1e-9) -> bool:
+    """Whether some vertex of the (a, b) halfspaces a.u <= b, a point where m
+    rows with independent a hold with equality, satisfies every row within
+    tol. A bounded polytope is nonempty iff it has such a vertex."""
+    A = np.array([a for a, _ in rows], dtype=float)
+    b = np.array([b for _, b in rows], dtype=float)
+    for subset in itertools.combinations(range(len(rows)), m):
+        try:
+            v = np.linalg.solve(A[list(subset)], b[list(subset)])
+        except np.linalg.LinAlgError:
+            continue
+        if (A @ v <= b + tol).all():
+            return True
+    return False
+
+
 def reference_clip(u: float, constraints, box):
     """The m = 1 clip of `solve_qp` in its plain form: a `len` check and an
     index per row, then min/max to tighten the bounds. Differential reference

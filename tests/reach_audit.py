@@ -1,17 +1,22 @@
-"""Reachability audit: which functions of `src/stlcbf` no CLI run enters.
+"""Reachability audit: which functions of `src/stlcbf` no audited run enters.
 
     PYTHONPATH=src python tests/reach_audit.py
 
-Runs, in this process and under `sys.setprofile`, `synth run` and
-`synth check` on the three shipped presets, `synth monitor` on the
-`paper_sec6` trace, `synth run` on the benchmark's `dense_contracts` mission
-and `synth check` on its `static_sampled` mission, both at seed 3, and
-`synth run` on each config of `output_hashes.CUSTOM` (`negated_affine`,
-`h1_window`). Then it
-prints every `def` in `src/stlcbf` that none of these runs entered, with its
-line count (decorators included), and the total. A function nested in one
-that is listed is not listed again. What is listed is either reachable only
-from some other input (`!sat`, the library API) or only from the tests.
+Runs, in this process and under `sys.setprofile`:
+- `synth run` and `synth check` on the three shipped presets;
+- `synth run paper_sec6 --dt 1`, whose sampled h1 dips below the margin, so
+  the run ends on the invariance guard;
+- `synth monitor` on the `paper_sec6` trace;
+- `synth run` on the benchmark's `dense_contracts` mission and
+  `synth check` on its `static_sampled` mission, both at seed 3;
+- `synth run` on each config of `output_hashes.CUSTOM` (`negated_affine`,
+  `h1_window`);
+- the library runs of `library_runs`: the planar m = 2 mission of
+  `test_planar.py`, which reaches the m >= 2 QP.
+Then it prints every `def` in `src/stlcbf` that none of these runs entered,
+with its line count (decorators included), and the total. A function nested
+in one that is listed is not listed again. What is listed is either
+reachable only from some other input or only from the tests.
 
 It is a script, not a test: pytest does not collect it. The paper_sec6 run
 takes about a minute under the profiler.
@@ -43,6 +48,7 @@ def cli_runs(tmp: Path):
         runs.append(["run", preset, "--trace", str(tmp / f"{preset}.csv"),
                      "--report", str(tmp / f"{preset}.txt")])
         runs.append(["check", preset])
+    runs.append(["run", "paper_sec6", "--dt", "1"])
     runs.append(["monitor", str(tmp / "paper_sec6.csv"), "paper_sec6"])
     for name, command in (("dense_contracts", "run"), ("static_sampled", "check")):
         cfg = tmp / f"{name}.cfg"
@@ -56,8 +62,16 @@ def cli_runs(tmp: Path):
     return runs
 
 
-def entered_code(runs) -> set:
-    """(file, first line) of every code object any run entered."""
+def library_runs():
+    """(name, call) of each audited library run: programs that build their
+    system and schedules from the public API, as the tests do."""
+    from test_planar import run_planar
+
+    return [("planar m=2 mission", lambda: run_planar()[1].failure.describe())]
+
+
+def entered_code(runs, calls=()) -> set:
+    """(file, first line) of every code object any run or call entered."""
     from stlcbf.cli import main
 
     codes = set()
@@ -66,14 +80,16 @@ def entered_code(runs) -> set:
         if event == "call":
             codes.add(frame.f_code)
 
-    for argv in runs:
+    jobs = [(f"synth {' '.join(argv[:2])}", lambda argv=argv: f"exit {main(argv)}")
+            for argv in runs] + list(calls)
+    for name, job in jobs:
         with contextlib.redirect_stdout(io.StringIO()):
             sys.setprofile(profile)
             try:
-                code = main(argv)
+                outcome = job()
             finally:
                 sys.setprofile(None)
-        print(f"synth {' '.join(argv[:2])}: exit {code}", file=sys.stderr)
+        print(f"{name}: {outcome}", file=sys.stderr)
     return {(str(Path(c.co_filename).resolve()), c.co_firstlineno) for c in codes}
 
 
@@ -104,7 +120,7 @@ def unreached(entered: set):
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        entered = entered_code(cli_runs(Path(tmp)))
+        entered = entered_code(cli_runs(Path(tmp)), library_runs())
     rows = unreached(entered)
     for module, name, line, count in rows:
         print(f"{count:4d}  {module}:{line}  {name}")

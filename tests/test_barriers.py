@@ -13,6 +13,7 @@ from stlcbf.barriers import (
     Barrier,
     BarrierError,
     BarrierRegistry,
+    BarrierViolation,
     ConstraintRow,
     FcbfParams,
     IDENTITY_ALPHA,
@@ -253,6 +254,46 @@ class TestSharedLieSums:
         want = [emit_rows(((ConstraintRow(s[0].label),) + s[1:],), 0.5, x, sys, dyn)[0]
                 for s in specs]
         assert list(map(_row_bits, got)) == list(map(_row_bits, want))
+
+
+class TestInvarianceFloor:
+    """Only a caller that passes a floor, the synthesis loop, has an
+    invariance row below it raise; library queries at h < 0 return rows."""
+
+    POS = AffineBarrier("pos", coeffs=(1.0,), offset=0.0)
+
+    def _schedule(self):
+        reg = BarrierRegistry()
+        reg.register(self.POS)
+        group = TaskGroup("G", ((TimeInterval(0.0, 20.0), PredicateRef("pos")),))
+        return build_schedule(group, reg, ScheduleConfig(domain=StateBox((-50.0,), (50.0,)),
+                                                         horizon=20.0))
+
+    def test_library_calls_never_raise_below_zero(self):
+        assert cbf_constraint(self.POS, scalar_system(), IDENTITY_ALPHA, 0.0, (-5.0,)) == \
+            ((-1.0,), -5.0, "cbf:pos")
+        (row,) = self._schedule().constraints_at(1.0, (-5.0,), scalar_system(), {})
+        assert row[0] == (-1.0,) and row[1] == -5.0
+
+    def test_floor_guards_invariance_rows_only(self):
+        cbf = (ConstraintRow("cbf:pos"), self.POS, None, None, IDENTITY_ALPHA, None)
+        fcbf = (ConstraintRow("fcbf:pos"), self.POS, None, None, None, FcbfParams(0.5, 1.0))
+        assert emit_rows((cbf,), 0.0, (-1e-3,), scalar_system(), floor=-1e-3)
+        with pytest.raises(BarrierViolation, match=r"^cbf:pos h=-0\.0011$") as info:
+            emit_rows((fcbf, cbf), 0.0, (-0.0011,), scalar_system(), floor=-1e-3)
+        assert (info.value.label, info.value.h) == ("cbf:pos", -0.0011)
+        assert emit_rows((fcbf,), 0.0, (-5.0,), scalar_system(), floor=-1e-3)
+
+    @pytest.mark.parametrize("tol, t_fail, h", [(1e-3, 5.0, -0.4), (0.5, 15.0, -6.4)])
+    def test_run_ends_where_a_sampled_dip_passes_tol(self, tol, t_fail, h):
+        # u >= -h holds at each sample, but a 5 s step at u = -h overshoots:
+        # x = 0.1, 0.1 - 5 * 0.1 = -0.4, -0.4 + 5 * 0.4 = 1.6, 1.6 - 5 * 1.6 = -6.4
+        res = run_simulation(scalar_system(), [self._schedule()], lambda t, x: -10.0,
+                             InputBox((-10.0,), (10.0,)), (0.1,), dt=5.0, t_max=20.0, tol=tol)
+        assert res.failure.describe() == (
+            f"barrier_violated at t={t_fail:.6f} [cbf:pos h={h:g}]")
+        assert res.trace.qp_status[-1] == "violated" and math.isnan(res.trace.u_safe[-1, 0])
+        assert res.trace.u_nom[-1, 0] == -10.0
 
 
 class TestConvergenceTime:

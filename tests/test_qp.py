@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import grid_qp, reference_clip
+from oracles import feasible_vertex, grid_qp, reference_clip
 from stlcbf.barriers import BarrierError
-from stlcbf.qp import InputBox, PidState, QpError, _nearest_vertex, pid_nominal, solve_qp
+from stlcbf.qp import InputBox, PidState, QpError, pid_nominal, solve_qp
 
 BOX1 = InputBox((-6000.0,), (6000.0,))
 
@@ -79,7 +79,7 @@ class TestQpEntry:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_nominal_input_raises(self, m, bad):
         """A NaN u_nom would pass through the m = 1 clip as u_safe, and make
-        every m = 2 KKT candidate fail as if the set were empty."""
+        every m = 2 face projection fail as if the set were empty."""
         u_nom = (0.0,) * (m - 1) + (bad,)
         for cons in ([], [hs([1.0] * m, 0.5)]):
             with pytest.raises(QpError, match="non-finite nominal input"):
@@ -170,54 +170,95 @@ class TestSolveQp2D:
 
     def test_agrees_with_grid_oracle_on_seeded_instances(self):
         rng = np.random.RandomState(11)
-        lower, upper = (-2.0, -2.0), (2.0, 2.0)
-        box = InputBox(lower, upper)
-        for _ in range(40):
-            rows = []
-            anchor = rng.uniform(-1.5, 1.5, size=2)
-            for _ in range(rng.randint(1, 5)):
-                a = rng.uniform(-1, 1, size=2)
-                rows.append((tuple(a), float(a @ anchor + rng.uniform(0.05, 1.0))))
-            u_nom = tuple(rng.uniform(-2, 2, size=2))
-            out = solve_qp(u_nom, [hs(a, b) for a, b in rows], box)
-            assert out is not None
-            for a, b in rows:
-                assert np.dot(a, out) <= b + 1e-9
-            ref = grid_qp(u_nom, rows, lower, upper, resolution=0.05)
-            d_out = sum((o - n) ** 2 for o, n in zip(out, u_nom))
-            d_ref = sum((r - n) ** 2 for r, n in zip(ref, u_nom))
-            assert d_out <= d_ref + 1e-9  # no grid point is strictly closer
+        for m, resolution in ((2, 0.05), (3, 0.1)):
+            lower, upper = (-2.0,) * m, (2.0,) * m
+            box = InputBox(lower, upper)
+            for _ in range(40):
+                rows = []
+                anchor = rng.uniform(-1.5, 1.5, size=m)
+                for _ in range(rng.randint(1, 5)):
+                    a = rng.uniform(-1, 1, size=m)
+                    rows.append((tuple(a), float(a @ anchor + rng.uniform(0.05, 1.0))))
+                u_nom = tuple(rng.uniform(-2, 2, size=m))
+                out = solve_qp(u_nom, [hs(a, b) for a, b in rows], box)
+                assert out is not None
+                for a, b in rows:
+                    assert np.dot(a, out) <= b + 1e-9
+                ref = grid_qp(u_nom, rows, lower, upper, resolution=resolution)
+                d_out = sum((o - n) ** 2 for o, n in zip(out, u_nom))
+                d_ref = sum((r - n) ** 2 for r, n in zip(ref, u_nom))
+                assert d_out <= d_ref + 1e-9  # no grid point is strictly closer
 
 
-def _polytope(rows, box):
-    """(A, b) of rows and the box faces, in the order `solve_qp` stacks them."""
-    faces = [((1.0, 0.0), box.upper[0]), ((-1.0, 0.0), -box.lower[0]),
-             ((0.0, 1.0), box.upper[1]), ((0.0, -1.0), -box.lower[1])]
-    rows = list(rows) + faces
-    return np.array([a for a, _ in rows]), np.array([b for _, b in rows])
+def _with_box(rows, box):
+    """(a, b) of rows and the box faces, in the order `solve_qp` stacks them."""
+    faces = []
+    for i in range(box.dim):
+        e = tuple(1.0 if j == i else 0.0 for j in range(box.dim))
+        faces += [(e, box.upper[i]), (tuple(-v for v in e), -box.lower[i])]
+    return list(rows) + faces
 
 
 class TestNearestVertex:
-    """The fallback pass over m-subsets: None for an empty polytope, else
-    the vertex nearest u_nom."""
+    """Emptiness comes from the same face pass as the answer: None when no
+    face projection is feasible, and a vertex when the projection is one."""
 
     BOX2 = InputBox((-2.0, -2.0), (2.0, 2.0))
 
     def test_empty_polytope(self):
-        A, b = _polytope([((1.0, 0.0), 0.0), ((-1.0, 0.0), -0.5)], self.BOX2)
-        assert _nearest_vertex(A, b, np.array([0.0, 0.0]), 2) is None
+        cons = [hs((1.0, 0.0), 0.0), hs((-1.0, 0.0), -0.5)]
+        assert solve_qp((0.0, 0.0), cons, self.BOX2) is None
 
     def test_empty_beyond_feasibility_tolerance(self):
-        # 0 <= X <= -5e-8: every vertex is off by 5e-8, inside the 1e-7 slack
-        # of the returned vertex but outside the emptiness test's 1e-9
-        A, b = _polytope([((1.0, 0.0), -5e-8), ((-1.0, 0.0), 0.0)], self.BOX2)
-        assert _nearest_vertex(A, b, np.array([0.0, 0.0]), 2) is None
+        # 0 <= X <= -5e-8: every point is off by 5e-8, beyond the 1e-9 tolerance
+        cons = [hs((1.0, 0.0), -5e-8), hs((-1.0, 0.0), 0.0)]
+        assert solve_qp((0.0, 0.0), cons, self.BOX2) is None
 
     def test_nearest_vertex(self):
         # X + Y <= 1 cuts the box; its vertices: (-2,-2), (-2,2), (2,-2),
-        # (2,-1), (-1,2); (2,-1) is nearest (3, 0)
-        A, b = _polytope([((1.0, 1.0), 1.0)], self.BOX2)
-        assert _nearest_vertex(A, b, np.array([3.0, 0.0]), 2) == (2.0, -1.0)
+        # (2,-1), (-1,2); (2,-1) is nearest (3, 0) and is also the projection
+        assert solve_qp((3.0, 0.0), [hs((1.0, 1.0), 1.0)], self.BOX2) == (2.0, -1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda m: st.tuples(
+        st.just(m),
+        st.lists(st.floats(-3, 3), min_size=m, max_size=m),
+        st.lists(st.floats(-1.5, 1.5), min_size=m, max_size=m),
+        st.lists(st.tuples(st.lists(st.floats(-1, 1), min_size=m, max_size=m),
+                           st.floats(-10, -6), st.floats(-10, -6),
+                           st.lists(st.floats(-1, 1), min_size=m, max_size=m)),
+                 min_size=1, max_size=4))))
+    # nearly parallel rows: solved through A_S A_S^T, every vertex missed 1e-9
+    @example((3, [0.0, 0.0, 2.0], [0.0, 0.0, 0.0],
+              [([1.0, 1.0, 1.192092896e-07], -10.0, -6.0, [0.0, 0.0, 0.0]),
+               ([0.0, 1.0, 0.0], -6.0, -6.0, [0.0, 0.0, 0.0]),
+               ([1.0, 1.0, 0.0], -7.0, -6.0, [0.0, 0.0, 0.0])]))
+    # empty by less than 1e-9: (0, 4e-9) meets every row within 1e-9, no vertex does
+    @example((2, [0.0, 0.0], [0.0, 0.0],
+              [([0.0, 0.0], -6.0, -6.0, [0.0, 0.0]), ([0.0, 0.125], -9.0, -6.0, [0.0, 0.0]),
+               ([1.0, -0.046875], -8.25, -7.0, [0.0, 0.75]),
+               ([0.4375, 0.0625], -10.0, -8.25, [0.5, 0.0])]))
+    def test_thin_polytope_empty_iff_no_feasible_vertex(self, drawn):
+        """Slabs of width 10^w around a centre, each shifted by up to 10^s.
+        The verdict sits between two vertex oracles: an answer whenever some
+        vertex (m rows met) is feasible within 1e-9, and None whenever the
+        polytope relaxed by 1e-9 has no such vertex. Between them lie the
+        polytopes empty by less than 1e-9, where either verdict is right.
+        An answer satisfies every row, the box faces included, within 1e-9."""
+        m, u_nom, centre, slabs = drawn
+        rows = []
+        for a, w, s, shift in slabs:
+            d = float(np.dot(a, np.add(centre, np.multiply(shift, 10.0 ** s))))
+            rows += [(tuple(a), d + 10.0 ** w / 2), (tuple(-v for v in a), -d + 10.0 ** w / 2)]
+        box = InputBox((-2.0,) * m, (2.0,) * m)
+        out = solve_qp(tuple(u_nom), [hs(a, b) for a, b in rows], box)
+        faces = _with_box(rows, box)
+        if out is None:
+            assert not feasible_vertex(faces, m)
+        else:
+            assert feasible_vertex([(a, b + 1e-9) for a, b in faces], m)
+            for a, b in faces:
+                assert np.dot(a, out) <= b + 1e-9
 
 
 class TestInvariants:

@@ -599,3 +599,17 @@ class TestTraceColumns:
         assert trace.n_rows() == 50001
         assert outcome.report.summary["qp_active_steps"] == qp_active_steps(
             trace.u_nom.tolist(), trace.u_safe.tolist())
+
+
+def test_reference_at_dt_one_ends_at_the_runtime_stage():
+    """At dt = 1.0 the sampled h1 dips below -margin between two samples.
+    The loop reads that dip on h1's invariance row at the next step and
+    ends there (exit 3), so the monitor never sees a violated trace."""
+    outcome = pipeline.run_pipeline(replace(load_config("paper_sec6"), dt=1.0))
+    report, trace = outcome.report, outcome.trace
+    assert (report.exit_code, report.failure_stage) == (3, "runtime")
+    assert report.failure.describe() == "barrier_violated at t=16.000000 [cbf:h1 h=-0.0350927]"
+    assert report.monitor is None
+    assert trace.n_rows() == 17 and trace.qp_status[-1] == "violated"
+    assert math.isnan(trace.u_safe[-1, 0]) and set(trace.qp_status[:-1]) == {"ok"}
+    assert "failure_stage=runtime" in pipeline.format_report(report).splitlines()
