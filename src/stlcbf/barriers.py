@@ -14,17 +14,20 @@ given (t, x):
   invariance (CBF):      dh/dt + grad.f + grad.g u + alpha(h) >= 0
   finite-time (FCBF):    dh/dt + grad.f + grad.g u + gamma sign(h)|h|^rho >= 0
 
-`emit_rows` is the one evaluator of these rows: it reads (h, dh/dt, grad)
+`eval_rows` is the one evaluator of these rows: it reads (h, dh/dt, grad)
 from one `terms` call, or from the barrier's affine form, and applies alpha
-as `alpha.kappa * h`. `cbf_constraint` and `fcbf_constraint` evaluate one
-row through it. A row is the plain triple (a, b, label): a is a tuple with
-one entry per input, and a zero a marks a vacuous row (b >= 0) or an
-infeasible one (b < 0). A `ConstraintRow` carries what a schedule compiles
-once per constraint: its label, the columns of the last g matrix, and the
-last a = -grad.g, which is derived again only when the gradient object or
-g's matrix changes (an affine barrier under the vehicle's constant g
-derives it once; h1, whose gradient moves every step, re-derives a from the
-kept columns).
+as kappa * h. Its list sink gives each row as the plain triple (a, b,
+label), which `emit_rows`, `cbf_constraint` and `fcbf_constraint` return:
+a is a tuple with one entry per input, and a zero a marks a vacuous row
+(b >= 0) or an infeasible one (b < 0). Its clip sink, for one input, cuts
+the input bounds row by row as `qp.solve_qp` would. Both read the rows that
+`resolve_rows` prepares from a plan's specs for one g matrix: each affine
+row's a = -grad.g, which rows share Lie sums, and kappa, or gamma and rho.
+A `ConstraintRow` carries what a schedule compiles once per constraint: its
+label, the columns of the last g matrix, and the last a = -grad.g, which is
+derived again only when the gradient object or g's matrix changes (an
+affine barrier under the vehicle's constant g derives it once; h1, whose
+gradient moves every step, re-derives a at every step).
 
 `affine_on(t0, t1)` gives (coeffs, offset) when h = coeffs.x + offset, with
 zero dh/dt, over the whole of [t0, t1), and None otherwise (the default).
@@ -322,29 +325,73 @@ class BarrierRegistry:
 # ---------------------------------------------------------------------------
 
 
-def emit_rows(specs, t, x, sys, dyn=None, floor=-math.inf) -> list:
-    """The (a, b, label) rows of `specs` at (t, x), in order. A spec is
-    (row, barrier, coeffs, offset, alpha, params): its `ConstraintRow`; the
-    barrier's affine form over an interval holding t (dh/dt = 0.0), or None
-    twice, which reads (h, dh/dt, grad) from `terms`; alpha for an
-    invariance row, or the `FcbfParams` of a finite-time one. Then
-    a = -grad.g and b = dh/dt + grad.f + drift, with drift kappa h or
-    gamma sign(h)|h|^rho (sign(0) = 0: on the boundary the invariance half
-    handles the rest). `dyn` is (f(t, x), g(t, x)) when the caller has
-    evaluated them already. An invariance row whose h reads below `floor`
-    raises `BarrierViolation`; a finite-time row may start at any h.
+def resolve_rows(specs, gm, clip: bool = False):
+    """The specs resolved once for the g matrix gm, one tuple (row, barrier,
+    coeffs, offset, kappa, gamma, rho, fresh, a) per spec. A spec is (row,
+    barrier, coeffs, offset, alpha, params): its `ConstraintRow`; the
+    barrier's affine form over an interval (dh/dt = 0.0), or None twice,
+    which reads `terms`; alpha for an invariance row, or the `FcbfParams` of
+    a finite-time one. `fresh` marks an affine row whose coefficients differ
+    from the last affine row's: only it computes Lie sums. An affine row's a
+    = -coeffs.g is derived here; a `terms` row's slot holds gm. With `clip`
+    (one input), an affine row's a is its one float and a `terms` row's slot
+    holds g's one column; None when g has another number of columns or an
+    affine row's a is not finite."""
+    rows, last, col = [], None, None
+    for row, bar, grad, offset, alpha, params in specs:
+        fresh = False
+        if grad is None:
+            a = gm
+            if clip:
+                if col is None:
+                    cols = tuple(zip(*gm))
+                    if len(cols) != 1:
+                        return None
+                    col = cols[0]
+                a = col
+        else:
+            if grad != last:
+                last, fresh = grad, True
+            a = row.a if grad is row.grad and gm is row.g else row.derive(grad, gm)
+            if clip:
+                if len(a) != 1 or not math.isfinite(a[0]):
+                    return None
+                a = a[0]
+        if params is None:
+            kappa, gamma, rho = alpha.kappa, None, None
+        else:
+            kappa, gamma, rho = None, params.gamma, params.rho
+        rows.append((row, bar, grad, offset, kappa, gamma, rho, fresh, a))
+    return tuple(rows)
+
+
+def eval_rows(rows, t, x, fv, floor, lo=None, hi=None, out=None):
+    """The one row evaluator: the `resolve_rows` rows at (t, x), f(t, x) =
+    fv, in order. Each row has a = -grad.g and b = dh/dt + grad.f + drift,
+    with drift kappa h or gamma sign(h)|h|^rho (sign(0) = 0: on the boundary
+    the invariance half handles the rest).
+
+    List sink, with a list `out`: it appends each row's (a, b, label) and
+    returns `out`; an invariance row whose h reads below `floor` raises
+    `BarrierViolation` (a finite-time row may start at any h). Clip sink,
+    for rows resolved with `clip`: it cuts [lo, hi] row by row as
+    `qp.solve_qp` clips one input, and returns (lo, hi), or None where the
+    list sink and `solve_qp` give no clip (an invariance row below the
+    floor, a non-finite row, a zero row with b < 0, crossed bounds).
 
     Rows cost two dot products per distinct gradient, plus one add and one
-    drift per row: an affine row reuses the Lie sums grad.x and
-    0.0 + grad.f of the last affine row before it when their coefficients
-    compare equal, with the float operations its own sums would make."""
-    out = []
-    fv, gm = dyn if dyn is not None else (sys.f(t, x), sys.g(t, x))
-    last = None  # the coefficients of the last affine row's Lie sums
-    for row, bar, grad, offset, alpha, params in specs:
+    drift per row: a row that is not `fresh` reuses the Lie sums grad.x and
+    0.0 + grad.f of the affine row before it, with the float operations its
+    own sums would make."""
+    isfinite = math.isfinite
+    for row, bar, grad, offset, kappa, gamma, rho, fresh, a in rows:
         if grad is None:
             h, dh, grad = bar.terms(t, x)
             lie_f = dh + sum(map(mul, grad, fv))
+            if out is not None:  # a holds g
+                a = row.a if grad is row.grad and a is row.g else row.derive(grad, a)
+            elif not isfinite(a := -sum(map(mul, grad, a))):  # a held g's column
+                return None
         else:
             # Equal coefficients may differ in the sign of a zero (0.0 ==
             # -0.0), which flips only the sign of a zero product. sum()
@@ -352,19 +399,40 @@ def emit_rows(specs, t, x, sys, dyn=None, floor=-math.inf) -> list:
             # when both addends are, so no partial sum is -0.0 and a zero
             # product of either sign leaves it the same: equal coefficients
             # give bit-identical sums.
-            if grad != last:
-                last = grad
+            if fresh:
                 lie_x, lie_f0 = sum(map(mul, grad, x)), 0.0 + sum(map(mul, grad, fv))
             h, lie_f = lie_x + offset, lie_f0
-        a = row.a if grad is row.grad and gm is row.g else row.derive(grad, gm)
-        if params is None:
+        if gamma is None:
             if h < floor:
+                if out is None:
+                    return None
                 raise BarrierViolation(row.label, h)
-            drift = alpha.kappa * h
+            b = lie_f + kappa * h
         else:
-            drift = 0.0 if h == 0 else params.gamma * math.copysign(abs(h) ** params.rho, h)
-        out.append((a, lie_f + drift, row.label))
-    return out
+            b = lie_f + (0.0 if h == 0 else gamma * math.copysign(abs(h) ** rho, h))
+        if out is not None:
+            out.append((a, b, row.label))
+        elif not isfinite(b):
+            return None
+        elif a > 0:
+            if (bound := b / a) < hi:
+                hi = bound
+        elif a < 0:
+            if (bound := b / a) > lo:
+                lo = bound
+        elif b < 0:
+            return None
+    if out is not None:
+        return out
+    return None if lo > hi else (lo, hi)
+
+
+def emit_rows(specs, t, x, sys, dyn=None, floor=-math.inf) -> list:
+    """The (a, b, label) rows of `specs` (see `resolve_rows`) at (t, x), in
+    order, through `eval_rows`' list sink. `dyn` is (f(t, x), g(t, x)) when
+    the caller has evaluated them already; `floor` as for `eval_rows`."""
+    fv, gm = dyn if dyn is not None else (sys.f(t, x), sys.g(t, x))
+    return eval_rows(resolve_rows(specs, gm), t, x, fv, floor, out=[])
 
 
 def cbf_constraint(bar: Barrier, sys, alpha: AlphaFn, t: float, x,

@@ -39,7 +39,12 @@ keeps one run's engagement records and its plan: the specs of its cell's
 schedules, valid while t stays in the intersection of their intervals and
 x[0] in the cell. `conjoin_groups` tests that with four comparisons and
 emits the plan's rows; only when t or x[0] leaves the plan does it
-`replan`, with one bisect for the cell and one per schedule.
+`replan`, with one bisect for the cell and one per schedule. For one input,
+`clip_groups` makes the same test, and while the plan holds it clips the
+input box by the plan's rows in one pass (`barriers.eval_rows`' clip sink),
+over rows it resolves once per plan (`barriers.resolve_rows`). A step that
+it cannot serve (a replan, g returning another object, or a row that
+names a failure) takes `conjoin_groups` and `qp.solve_qp` instead.
 
 Subset / intersection checks at boundary time t read the set being left at
 t- = nextafter(t, -inf), one ulp before t, and the one entered at t. They
@@ -74,8 +79,10 @@ from .barriers import (
     cbf_constraint,  # noqa: F401  callers import and patch both generators here
     convergence_time,
     emit_rows,
+    eval_rows,
     fcbf_constraint,  # noqa: F401
     gamma_for_deadline,
+    resolve_rows,
 )
 from .stl import PredicateRef, TaskGroup, TimeInterval
 
@@ -586,15 +593,19 @@ class RegionTable:
 
     `plan` is (t_from, until, lo, hi, specs): the specs of the schedules of
     cell (lo, hi], in list order, valid on the intersection [t_from, until)
-    of their `ContractSchedule.plan` intervals. `engagements` maps (schedule
-    label, boundary index) to `EngagementRecord`s, in engagement order."""
+    of their `ContractSchedule.plan` intervals. `clip` is (g, rows): the
+    plan's specs resolved for one input and the g object of the plan's first
+    `clip_groups` step (rows None when they cannot be clipped), or None until
+    that step. `engagements` maps (schedule label, boundary index) to
+    `EngagementRecord`s, in engagement order."""
 
-    __slots__ = ("bounds", "cells", "engagements", "plan")
+    __slots__ = ("bounds", "cells", "engagements", "plan", "clip")
 
     def __init__(self, bounds: tuple, cells: tuple):
         self.bounds, self.cells = bounds, cells  # cells: per cell, its schedules
         self.engagements = {}
         self.plan = (math.inf, -math.inf, math.inf, -math.inf, ())  # holds nowhere
+        self.clip = None
 
     @classmethod
     def of(cls, schedules) -> "RegionTable":
@@ -618,7 +629,7 @@ class RegionTable:
             t_from, until = max(t_from, s_from), min(until, s_until)
             specs += s_specs
         specs = tuple(specs)
-        self.plan = (t_from, until, lo, hi, specs)
+        self.plan, self.clip = (t_from, until, lo, hi, specs), None
         return specs
 
 
@@ -633,3 +644,21 @@ def conjoin_groups(table: RegionTable, t, x, sys, dyn=None, floor=-math.inf) -> 
     if not (t_from <= t < until and lo < x[0] <= hi):
         specs = table.replan(t, x)
     return emit_rows(specs, t, x, sys, dyn, floor)
+
+
+def clip_groups(table: RegionTable, t, x, fv, gm, floor, lo, hi):
+    """For one input (m = 1): the (lo, hi) that the rows of `conjoin_groups`
+    leave of [lo, hi], in one pass (`eval_rows`' clip sink) over the plan's
+    rows, resolved once per plan for the g object gm of its first step
+    here. None where the step must take `conjoin_groups` and `solve_qp`
+    instead: t or x[0] has left the plan (they replan), g returns another
+    object, or the rows name a failure or an error (they raise or record it)."""
+    t_from, until, xlo, xhi, specs = table.plan
+    if not (t_from <= t < until and xlo < x[0] <= xhi):
+        return None
+    clip = table.clip
+    if clip is None:
+        clip = table.clip = (gm, resolve_rows(specs, gm, clip=True))
+    if clip[0] is not gm or clip[1] is None:
+        return None
+    return eval_rows(clip[1], t, x, fv, floor, lo, hi)

@@ -27,16 +27,20 @@ crossing. The domain bounds are padded once. Each step evaluates f and g
 once, for every constraint's Lie terms and as RK4's k1 (f runs 4 times a
 step); a row keeps its a = -grad.g while the gradient and g objects repeat.
 
-The step's call chain is flat. `conjoin_groups` tests that the plan still
-holds (it is rebuilt only at a switch or a crossing) and emits its rows into
-one list a step. A row whose barrier has an affine form over the plan (a
+The step's call chain is flat. With one input (m = 1), `clip_groups`
+tests that the plan still holds (it is rebuilt only at a switch or a
+crossing) and clips the input bounds in the same pass that evaluates the
+plan's rows, which the plan resolves once for the g object of its first
+such step: each affine row's a = -grad.g, which rows share Lie sums, and
+the drift gains. A row whose barrier has an affine form over the plan (a
 speed limit, a stop line, or the negation of one) costs no call: the one
-row evaluator, `barriers.emit_rows`, computes its h and b inline, with two
+row evaluator, `barriers.eval_rows`, computes its h and b inline, with two
 dot products per distinct gradient, plus one add and one drift per row.
-Any other row (h1) costs one `terms` call. Each row stays the plain triple
-(a, b, label) from there to the clip. The m = 1 `solve_qp` unpacks and
-checks each row as it clips, and the vehicle's f, h1 and the nominal
-controller read the lead from one cached lookup per t.
+Any other row (h1) costs one `terms` call. The loop checks u_nom as
+`solve_qp` does and clips it. Every other step (a replan, another g
+object, a failure, a bad u_nom, or m >= 2) takes `conjoin_groups` and
+`solve_qp`, whose (a, b, label) rows name what failed. The vehicle's f, h1
+and the nominal controller read the lead from one cached lookup per t.
 
 RK4 is one straight-line kernel per state dimension n, generated from a
 source template and compiled at the first step of that n (so building a
@@ -60,7 +64,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .barriers import BarrierViolation, StateBox
-from .contracts import RegionTable, conjoin_groups
+from .contracts import RegionTable, clip_groups, conjoin_groups
 from .qp import InputBox, solve_qp
 from .stl import MONITOR_TOL
 
@@ -317,6 +321,7 @@ def run_simulation(
 
     table = RegionTable.of(schedules)
     f, g, lower, clamp_dims = sys.f, sys.g, sys.domain.lower, sys.clamp_min_dims
+    isfinite = math.isfinite
     h_floor = -tol
     floor = tuple(lo - 1e-9 for lo in lower)  # the domain, padded once
     ceiling = tuple(hi + 1e-9 for hi in sys.domain.upper)
@@ -336,13 +341,18 @@ def run_simulation(
         add_u_safe(u_s)
         add_status(status)
 
+    one_input = sys.m == 1  # such a step clips u_nom in the rows' own pass
+    u_lo, u_hi = (box.lower[0], box.upper[0]) if one_input else (None, None)
+
     for k in range(n_steps):
         t = k * dt
-        dyn = (f(t, x), g(t, x))
-        try:
-            cons = conjoin_groups(table, t, x, sys, dyn, h_floor)
-        except BarrierViolation as exc:
-            cons, violation = None, exc
+        dyn = fv, gm = f(t, x), g(t, x)
+        bounds = one_input and clip_groups(table, t, x, fv, gm, h_floor, u_lo, u_hi)
+        if not bounds:
+            try:
+                cons = conjoin_groups(table, t, x, sys, dyn, h_floor)
+            except BarrierViolation as exc:
+                cons, violation = None, exc
         if len(engagements) > n_logged:
             for rec in islice(engagements.values(), n_logged, None):
                 trace.events.append((t, rec.describe()))
@@ -353,17 +363,22 @@ def run_simulation(
 
         u_n = nominal(t, x)
         u_n = tuple(map(float, u_n)) if isinstance(u_n, (tuple, list)) else (float(u_n),)
-        if cons is None:
-            record(t, "violated", u_n, (math.nan,) * sys.m)
-            return RunResult(trace, SimFailure(t, "barrier_violated", (str(violation),)),
-                             engagements)
-        u_s = solve_qp(u_n, cons, box)
-        if u_s is None:
-            record(t, "infeasible", u_n, (math.nan,) * sys.m)
-            return RunResult(trace, SimFailure(
-                time=t, reason="qp_infeasible",
-                details=tuple(label or "box" for _, _, label in cons),
-            ), engagements)
+        if bounds and len(u_n) == 1 and isfinite(u := u_n[0]):  # solve_qp's checks of u_nom
+            u_s = (min(max(u, bounds[0]), bounds[1]),)
+        else:
+            if bounds:  # solve_qp names the fault in u_nom
+                cons = conjoin_groups(table, t, x, sys, dyn, h_floor)
+            if cons is None:
+                record(t, "violated", u_n, (math.nan,) * sys.m)
+                return RunResult(trace, SimFailure(t, "barrier_violated", (str(violation),)),
+                                 engagements)
+            u_s = solve_qp(u_n, cons, box)
+            if u_s is None:
+                record(t, "infeasible", u_n, (math.nan,) * sys.m)
+                return RunResult(trace, SimFailure(
+                    time=t, reason="qp_infeasible",
+                    details=tuple(label or "box" for _, _, label in cons),
+                ), engagements)
         record(t, "ok", u_n, u_s)
 
         x = integrate_step(sys, t, x, u_s, dt, dyn)

@@ -3,7 +3,7 @@ from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import SafeSet, finite_diff_check, left_limit_lookup, simulate_scalar_pull
@@ -23,11 +23,13 @@ from stlcbf.barriers import (
     cbf_constraint,
     convergence_time,
     emit_rows,
+    eval_rows,
     fcbf_constraint,
     gamma_for_deadline,
+    resolve_rows,
 )
 from stlcbf.contracts import ScheduleConfig, Verdict, build_schedule, check_subset
-from stlcbf.qp import InputBox, solve_qp
+from stlcbf.qp import InputBox, QpError, solve_qp
 from stlcbf.sim import ControlSystem, InitialConditionError, run_simulation
 from stlcbf.stl import PredicateRef, TaskGroup, TimeInterval
 from stlcbf.vehicle import (
@@ -294,6 +296,115 @@ class TestInvarianceFloor:
             f"barrier_violated at t={t_fail:.6f} [cbf:pos h={h:g}]")
         assert res.trace.qp_status[-1] == "violated" and math.isnan(res.trace.u_safe[-1, 0])
         assert res.trace.u_nom[-1, 0] == -10.0
+
+
+FEW = (0.0, -0.0, 1.0, -1.0, 0.5, -2.0)
+ODD = (1e-300, -1e-300, 1e200, -1e200, math.inf, -math.inf, math.nan)
+CLIP_GRADS = ((0.0, -1.0), (-0.0, -1.0), (-1.0, -1.8), (1.0, 0.0), (0.0, 0.0), (0.0, -1e200))
+
+
+def _num(draw, odd: int = 1) -> float:
+    """A float: mostly a small or signed-zero one, and `odd` times in ten a
+    tiny, huge or non-finite one."""
+    k = draw(st.integers(0, 9))
+    if k < odd:
+        return draw(st.sampled_from(ODD))
+    return draw(st.sampled_from(FEW)) if k < 6 else draw(st.floats(-10.0, 10.0))
+
+
+@st.composite
+def clip_cases(draw):
+    """(x, f, g, (lo, hi), floor, u, rows) for a 2-state, 1-input plan. A row
+    is (source, coeffs, negated, offset, drift): its barrier, affine with a
+    form ("form") or read through `terms` ("terms", or the quadratic "bowl"
+    with coeffs as weights); drift ("cbf", kappa) or ("fcbf", rho, gamma)."""
+    x = (_num(draw), _num(draw))
+    fv = (_num(draw), _num(draw))
+    gm = tuple((draw(st.sampled_from((math.inf, -math.inf, math.nan))),)
+               if draw(st.integers(0, 9)) < 2 else (_num(draw, 0),) for _ in x)
+    if draw(st.integers(0, 19)) == 0:  # g with two columns
+        gm = tuple(r + (_num(draw),) for r in gm)
+    lo, hi = sorted(draw(st.sampled_from((-5.0, -1.0, -0.0, 0.0, 1.0, 5.0))) for _ in "lh")
+    floor = draw(st.sampled_from((-math.inf, -math.inf, -1e-3, 0.0)))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        source = draw(st.sampled_from(("form", "form", "terms", "bowl")))
+        if draw(st.booleans()):
+            coeffs = draw(st.sampled_from(CLIP_GRADS))
+        else:
+            coeffs = (_num(draw), _num(draw))
+        if draw(st.booleans()):  # h < 0, h = 0 or h > 0 at x, for a form or terms row
+            lie = sum(map(mul, coeffs, x))
+            offset = draw(st.sampled_from([d - lie for d in (-1.0, -1e-300, 0.0, 1e-300, 1.0)]))
+        else:
+            offset = _num(draw)
+        if draw(st.booleans()):
+            drift = ("cbf", draw(st.sampled_from((0.5, 1.0, 3.0))))
+        else:
+            drift = ("fcbf", draw(st.sampled_from((0.0, 0.5, 0.9))),
+                     draw(st.sampled_from((1e-3, 2.0))))
+        rows.append((source, coeffs, draw(st.booleans()), offset, drift))
+    return x, fv, gm, (lo, hi), floor, _num(draw, 0), tuple(rows)
+
+
+def _clip_specs(rows) -> list:
+    """Specs of `clip_cases` rows, each with its own barrier and row."""
+    specs = []
+    for i, (source, coeffs, negated, offset, drift) in enumerate(rows):
+        if source == "bowl":
+            bar = Bowl(coeffs, offset)
+        else:
+            bar = AffineBarrier(f"b{i}", coeffs=[*coeffs], offset=offset)  # its own tuple
+        if negated:
+            bar = NegatedBarrier(bar)
+        form = bar.affine_on(0.0, 1.0) if source == "form" else None
+        alpha, params = ((AlphaFn(drift[1]), None) if drift[0] == "cbf"
+                         else (None, FcbfParams(*drift[1:])))
+        specs.append((ConstraintRow(f"r{i}"), bar, *(form or (None, None)), alpha, params))
+    return specs
+
+
+ZERO_X, ZERO_F, UNIT_G = (0.0, 0.0), (0.0, 0.0), ((0.0,), (1.0,))
+CBF = ("cbf", 1.0)
+
+
+class TestClipSink:
+    """The m = 1 clip sink of `eval_rows` against its list sink and
+    `solve_qp`: where `solve_qp` returns a clip, the pass gives bounds whose
+    clip of u equals it bit for bit; where the list sink or `solve_qp` raise
+    or return None, the pass returns None."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(clip_cases())
+    # a terms row's upper bound 0.0 ties an affine row's -0.0 (-1e-300 / 1e200):
+    # the first one read stays, so the rows' order shows in the sign of u
+    @example((ZERO_X, ZERO_F, UNIT_G, (-5.0, 5.0), -1e-3, 1.0,
+              (("terms", (0.0, -1.0), False, 0.0, CBF),
+               ("form", (0.0, -1e200), False, -1e-300, CBF))))
+    # a NaN b on a row with a > 0; an infinite a on a terms row, and on an
+    # affine row, each with a finite b
+    @example(((1.0, 1.0), (math.nan, 0.0), UNIT_G, (-5.0, 5.0), -1e-3, 1.0,
+              (("form", (-1.0, -1.8), False, 10.0, CBF),)))
+    @example((ZERO_X, ZERO_F, ((0.0,), (math.inf,)), (-5.0, 5.0), -1e-3, 1.0,
+              (("terms", (0.0, -1.0), False, 1.0, CBF),)))
+    @example((ZERO_X, ZERO_F, ((0.0,), (math.inf,)), (-5.0, 5.0), -1e-3, 1.0,
+              (("form", (0.0, -1.0), False, 1.0, CBF),)))
+    def test_pass_matches_list_sink_and_solve_qp(self, case):
+        x, fv, gm, (lo, hi), floor, u, rows = case
+        sys = ControlSystem(n=2, m=1, f=lambda t, x: fv, g=lambda t, x: gm,
+                            domain=StateBox((-1e3,) * 2, (1e3,) * 2))
+        try:
+            want = solve_qp(u, emit_rows(_clip_specs(rows), 0.5, x, sys, (fv, gm), floor),
+                            InputBox((lo,), (hi,)))
+        except (BarrierViolation, BarrierError, QpError):
+            want = None
+        resolved = resolve_rows(_clip_specs(rows), gm, clip=True)
+        bounds = None if resolved is None else eval_rows(resolved, 0.5, x, fv, floor, lo, hi)
+        if want is None:
+            assert bounds is None
+        else:
+            assert bounds is not None
+            assert min(max(u, bounds[0]), bounds[1]).hex() == want[0].hex()
 
 
 class TestConvergenceTime:

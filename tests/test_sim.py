@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from oracles import qp_active_steps, reference_rk4
 from stlcbf import barriers, contracts, pipeline, sim, vehicle
 from stlcbf.barriers import AffineBarrier, BarrierRegistry, StateBox
-from stlcbf.config import load_config
+from stlcbf.config import load_config, parse_config
 from stlcbf.contracts import ScheduleConfig, Verdict, build_schedule
-from stlcbf.qp import InputBox
+from stlcbf.qp import InputBox, QpError, solve_qp
 from stlcbf.sim import (
     ControlSystem,
     InitialConditionError,
@@ -215,6 +215,17 @@ class TestRunSimulation:
         assert res.failure is None
         assert res.trace.min_margin("v10") >= -1e-3
         assert any(s == "ok" for s in res.trace.qp_status)
+
+    @pytest.mark.parametrize("bad, message", [
+        (math.nan, r"^non-finite nominal input \(nan,\)$"),
+        ((1.0, 2.0), r"^u_nom has dimension 2, box has 1$"),
+    ], ids=["nan", "two_inputs"])
+    def test_bad_nominal_inside_a_plan_raises_as_solve_qp_does(self, bad, message):
+        # step 5 clips in the plan's pass, which leaves the nominal to solve_qp
+        _, sched, sys = _speed_setup([10.0], horizon=1.0)
+        with pytest.raises(QpError, match=message):
+            run_simulation(sys, [sched], lambda t, x: bad if t >= 0.05 else 1.0,
+                           InputBox((-5.0,), (5.0,)), (0.0, 9.5), dt=0.01, t_max=1.0)
 
     def test_infeasible_constraint_fails_with_timestamp(self):
         # forced to satisfy u >= 10 with a box capped at 5
@@ -443,7 +454,10 @@ class TestLoopMakesNoWrapperCall:
 
 class TestAffineRowsShareLieSums:
     """Affine rows with one gradient share their Lie sums: a plan of k such
-    rows costs two sums a step, grad.x and grad.f, not 2k (`emit_rows`)."""
+    rows costs two sums a step, grad.x and grad.f, not 2k (`eval_rows`). The
+    plan's first step takes `conjoin_groups` (it replans) and derives each
+    row's a = -grad.g; every later step takes `clip_groups` alone, which
+    reuses those a."""
 
     def test_two_sums_a_step_for_k_rows(self, monkeypatch):
         k, horizon = 6, 0.5
@@ -457,28 +471,121 @@ class TestAffineRowsShareLieSums:
         g_mat = ((0.0,), (1.0,))
         sys = ControlSystem(n=2, m=1, f=lambda t, x: (x[1], 0.0), g=lambda t, x: g_mat,
                             domain=dom)
-        calls, per_step = [0], []
+        calls, entries, tables, per_step = [0], [], [], []
 
         def counting_sum(*args):
             calls[0] += 1
             return sum(*args)
 
-        def step(*args, **kwargs):
-            before = calls[0]
-            rows = conjoin(*args, **kwargs)
-            per_step.append((len(rows), calls[0] - before))
-            return rows
+        def entry(name, fn):
+            def spy(table, *args):
+                if name == "clip_groups":  # a step's first entry: count from here
+                    calls[0], entries[:] = 0, []
+                entries.append(name)
+                tables.append(table)
+                return fn(table, *args)
+            return spy
 
-        conjoin = sim.conjoin_groups
-        monkeypatch.setattr(sim, "conjoin_groups", step)
+        def step(*args, **kwargs):  # the step's rows are all evaluated by now
+            per_step.append((tuple(entries), len(tables[-1].plan[4]), calls[0]))
+            return integrate(*args, **kwargs)
+
+        integrate = sim.integrate_step
+        for name in ("clip_groups", "conjoin_groups"):
+            monkeypatch.setattr(sim, name, entry(name, getattr(sim, name)))
+        monkeypatch.setattr(sim, "integrate_step", step)
         monkeypatch.setattr(barriers, "sum", counting_sum, raising=False)
         res = run_simulation(sys, scheds, lambda t, x: (1.0,), InputBox((-5.0,), (5.0,)),
                              (0.0, 10.0), dt=0.01, t_max=horizon)
 
         assert res.failure is None and len(per_step) == 50
         # the first step also derives each row's a = -grad.g, one sum a row
-        assert per_step[0] == (k, 2 + k)
-        assert per_step[1:] == [(k, 2)] * 49
+        assert per_step[0] == (("clip_groups", "conjoin_groups"), k, 2 + k)
+        assert per_step[1:] == [(("clip_groups",), k, 2)] * 49
+
+
+def _fresh_g_case():
+    """A 2-state, 1-input system whose g builds a new tuple at every call,
+    and drops its gain at t = 6, inside a plan, under a 10 -> 5 speed window (cbf and fcbf rows), and a speed cap and a
+    position cap whose offsets drop at t = 2.5, inside a plan (`terms` rows
+    there, the position cap's a zero)."""
+    dom = StateBox((-1e6, -1e3), (1e6, 1e3))
+    reg = BarrierRegistry()
+    reg.register(AffineBarrier("v10", coeffs=(0.0, -1.0), offset=10.0))
+    reg.register(AffineBarrier("v5", coeffs=(0.0, -1.0), offset=5.0))
+    reg.register(AffineBarrier("cap", coeffs=(0.0, -1.0), pieces=[(0.0, 12.0), (2.5, 11.0)]))
+    reg.register(AffineBarrier("far", coeffs=(-1.0, 0.0), pieces=[(0.0, 1e3), (2.5, 900.0)]))
+    cfg = ScheduleConfig(domain=dom, horizon=10.0, t_conv=2.0)
+    speed = TaskGroup("S", ((TimeInterval(0.0, 5.0), PredicateRef("v10")),
+                            (TimeInterval(5.0, 10.0), PredicateRef("v5"))))
+    caps = [TaskGroup(name, ((TimeInterval(0.0, 10.0), PredicateRef(name)),))
+            for name in ("cap", "far")]
+    sys = ControlSystem(n=2, m=1, f=lambda t, x: (x[1], -0.1 * x[1]),
+                        g=lambda t, x: ((0.0,), (1.0 if t < 6.0 else 0.8,)), domain=dom)
+    scheds = [build_schedule(group, reg, cfg) for group in [speed] + caps]
+    return (sys, scheds, lambda t, x: 3.0 - 0.3 * x[1], InputBox((-40.0,), (40.0,)), (0.0, 9.0),
+            0.01, 10.0)
+
+
+def _workloads(monkeypatch):
+    """The benchmark's mission generators."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+    return workloads
+
+
+def _pipeline_case(cfg):
+    bundle = pipeline.build_scenario(cfg)
+    return (bundle.sys, bundle.schedules, bundle.nominal, cfg.input_box, cfg.x0, cfg.dt,
+            cfg.horizon)
+
+
+class TestReplayThroughTheListSink:
+    """Every step's u_safe is the u that `conjoin_groups` (the list sink) and
+    `solve_qp` give at its recorded (t, x) and u_nom, on the run's own
+    `RegionTable`, whose engagement records fix every gamma: bit for bit,
+    whether the step clipped in the plan's pass or fell back."""
+
+    @pytest.mark.parametrize("make_case", [
+        lambda mp: _pipeline_case(_short_sec6()),
+        lambda mp: _pipeline_case(parse_config(_workloads(mp).dense_contracts(3).config_text)),
+        lambda mp: _fresh_g_case(),
+    ], ids=["short_sec6", "dense_contracts", "fresh_g"])
+    def test_u_safe_replays_bit_for_bit(self, make_case, monkeypatch):
+        sys, scheds, nominal, box, x0, dt, t_max = make_case(monkeypatch)
+        tables, entries = [], {"clip": 0, "conjoin": 0}
+        clip, conjoin = sim.clip_groups, sim.conjoin_groups
+
+        def clip_spy(table, *args):
+            tables.append(table)
+            bounds = clip(table, *args)
+            entries["clip"] += bool(bounds)
+            return bounds
+
+        def conjoin_spy(*args):
+            entries["conjoin"] += 1
+            return conjoin(*args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(sim, "clip_groups", clip_spy)
+            mp.setattr(sim, "conjoin_groups", conjoin_spy)
+            res = run_simulation(sys, scheds, nominal, box, x0, dt=dt, t_max=t_max)
+        trace, table = res.trace, tables[0]
+        steps = trace.n_rows() - 1  # the last row repeats the last step's inputs
+        assert res.failure is None and steps == round(t_max / dt)
+        assert all(other is table for other in tables) and table.engagements
+        assert entries["clip"] + entries["conjoin"] == steps and entries["conjoin"] > 0
+
+        ts, xs = list(trace.ts), trace.states.tolist()
+        u_nom, u_safe = trace.u_nom.tolist(), trace.u_safe.tolist()
+        for k in range(steps):
+            cons = contracts.conjoin_groups(table, ts[k], tuple(xs[k]), sys, None, -math.inf)
+            want = solve_qp(tuple(u_nom[k]), cons, box)
+            assert [v.hex() for v in u_safe[k]] == [v.hex() for v in want], ts[k]
+        if sys.g(0.0, x0) is not sys.g(0.0, x0):  # a new g at every step falls back
+            assert entries["conjoin"] > steps // 2
+        else:
+            assert entries["clip"] > steps // 2
 
 
 class TestOneFcbfParamsPerEngagement:
@@ -487,11 +594,8 @@ class TestOneFcbfParamsPerEngagement:
     and an engaged window's later steps build none."""
 
     def test_dense_contracts_builds_one_per_engagement(self, tmp_path, monkeypatch):
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-        import workloads
-
         path = tmp_path / "dense.cfg"
-        path.write_text(workloads.dense_contracts(3).config_text)
+        path.write_text(_workloads(monkeypatch).dense_contracts(3).config_text)
         built = {"build": 0, "loop": 0, "after": 0}
         phase = ["build"]
         check = barriers.FcbfParams.__post_init__
@@ -518,26 +622,65 @@ class TestOneFcbfParamsPerEngagement:
 
 class TestLoopBuildsNoLabel:
     """Each constraint's label is compiled with its schedule: over a run, a
-    label is the same str object at every step, so none is built in the loop."""
+    label is the same str object at every step, whether the step clips in
+    the plan's own pass (its rows hold the compiled `ConstraintRow`s) or
+    takes `solve_qp` (a replan, or the failure step), so none is built in
+    the loop. The failure record names the compiled objects too."""
 
-    def test_each_label_is_one_object(self, monkeypatch):
-        first, counts, fresh = {}, {}, []  # label -> first object, uses; new objects
-        real = sim.solve_qp
+    @staticmethod
+    def _labels_seen(cfg, monkeypatch):
+        """Run cfg; return the outcome, each label's first object and uses,
+        the label objects seen after an equal first one, the steps on each
+        path, and the labels compiled in the run's schedules."""
+        first, counts, fresh = {}, {}, []
+        paths, tables = {"clip": 0, "solve_qp": 0}, set()
+        clip, solve = sim.clip_groups, sim.solve_qp
 
-        def spy(u_nom, cons, box):
-            for _, _, label in cons:
+        def see(path, labels):
+            paths[path] += 1
+            for label in labels:
                 if first.setdefault(label, label) is not label:
                     fresh.append(label)
                 counts[label] = counts.get(label, 0) + 1
-            return real(u_nom, cons, box)
 
-        monkeypatch.setattr(sim, "solve_qp", spy)
-        outcome = pipeline.run_pipeline(_short_sec6())
-        assert outcome.trace.n_rows() == 8001
-        assert any(label.startswith("fcbf:") for label in counts)
-        assert any(label.startswith("cbf:!") for label in counts)
-        assert min(counts.values()) >= 2
-        assert fresh == []
+        def clip_spy(table, *args):
+            tables.add(table)
+            bounds = clip(table, *args)
+            if bounds:  # the step's rows are the plan's resolved rows
+                see("clip", (row[0].label for row in table.clip[1]))
+            return bounds
+
+        def solve_spy(u_nom, cons, box):
+            see("solve_qp", (label for _, _, label in cons))
+            return solve(u_nom, cons, box)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(sim, "clip_groups", clip_spy)
+            mp.setattr(sim, "solve_qp", solve_spy)
+            outcome = pipeline.run_pipeline(cfg)
+        (table,) = tables
+        compiled = {id(row.label) for cell in table.cells for sched in cell
+                    for cbf, window in sched._rows
+                    for row in ([cbf[2]] if cbf else []) + ([window.row] if window else [])}
+        return outcome, first, counts, fresh, paths, compiled
+
+    def test_each_label_is_one_object(self, monkeypatch):
+        for cfg in (_short_sec6(), load_config("infeasible_red")):
+            outcome, first, counts, fresh, paths, compiled = self._labels_seen(cfg, monkeypatch)
+            failure = outcome.report.failure
+            assert paths["clip"] + paths["solve_qp"] == outcome.trace.n_rows() - (failure is None)
+            assert 0 < paths["solve_qp"] < paths["clip"]
+            assert fresh == []
+            assert all(id(label) in compiled for label in first.values())
+            if failure is None:
+                assert outcome.trace.n_rows() == 8001
+                assert any(label.startswith("fcbf:") for label in counts)
+                assert any(label.startswith("cbf:!") for label in counts)
+                assert min(counts.values()) >= 2
+            else:  # the record names the compiled objects, seen at earlier steps too
+                assert failure.reason == "qp_infeasible" and len(failure.details) > 1
+                assert all(first[label] is label for label in failure.details)
+                assert any(counts[label] > 1 for label in failure.details)
 
 
 class TestTraceColumns:
@@ -562,21 +705,37 @@ class TestTraceColumns:
 
     def test_views_hold_the_values_the_loop_saw(self, monkeypatch):
         seen = {"t": [], "x": [], "u_nom": [], "u_safe": []}
-        conjoin, solve = sim.conjoin_groups, sim.solve_qp
+        clip, solve, integrate, run = (sim.clip_groups, sim.solve_qp, sim.integrate_step,
+                                       pipeline.run_simulation)
+        empty = []  # t of each step that solve_qp found empty
 
-        def conjoin_spy(table, t, x, *args):
+        def clip_spy(table, t, x, *args):  # every step of this m = 1 run enters here
             seen["t"].append(t)
             seen["x"].append(x)
-            return conjoin(table, t, x, *args)
+            return clip(table, t, x, *args)
 
         def solve_spy(u_nom, cons, box):
             u_safe = solve(u_nom, cons, box)
-            seen["u_nom"].append(u_nom)
-            seen["u_safe"].append((math.nan,) * len(u_nom) if u_safe is None else u_safe)
+            if u_safe is None:
+                empty.append(seen["t"][-1])
+                seen["u_safe"].append((math.nan,) * len(u_nom))
             return u_safe
 
-        monkeypatch.setattr(sim, "conjoin_groups", conjoin_spy)
+        def integrate_spy(sys, t, x, u, *args):  # the u_safe of every other step
+            seen["u_safe"].append(u)
+            return integrate(sys, t, x, u, *args)
+
+        def in_run(sys, schedules, nominal, *args, **kwargs):
+            def nominal_spy(t, x):
+                u = nominal(t, x)
+                seen["u_nom"].append((u,))
+                return u
+            return run(sys, schedules, nominal_spy, *args, **kwargs)
+
+        monkeypatch.setattr(sim, "clip_groups", clip_spy)
         monkeypatch.setattr(sim, "solve_qp", solve_spy)
+        monkeypatch.setattr(sim, "integrate_step", integrate_spy)
+        monkeypatch.setattr(pipeline, "run_simulation", in_run)
         outcome = pipeline.run_pipeline(load_config("infeasible_red"))
         trace = outcome.trace
 
@@ -585,6 +744,7 @@ class TestTraceColumns:
 
         assert trace.n_rows() == len(seen["t"]) == 102
         assert trace.qp_status[-1] == "infeasible" and math.isnan(trace.u_safe[-1, 0])
+        assert empty == [seen["t"][-1]]
         assert [t.hex() for t in trace.ts] == [t.hex() for t in seen["t"]]
         for name in ("x", "u_nom", "u_safe"):
             view = getattr(trace, "states" if name == "x" else name)
