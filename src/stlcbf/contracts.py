@@ -38,13 +38,14 @@ and, for each cell between them, the schedules that cover it. A table also
 keeps one run's engagement records and its plan: the specs of its cell's
 schedules, valid while t stays in the intersection of their intervals and
 x[0] in the cell. `conjoin_groups` tests that with four comparisons and
-emits the plan's rows; only when t or x[0] leaves the plan does it
-`replan`, with one bisect for the cell and one per schedule. For one input,
-`clip_groups` makes the same test, and while the plan holds it clips the
-input box by the plan's rows in one pass (`barriers.eval_rows`' clip sink),
-over rows it resolves once per plan (`barriers.resolve_rows`). A step that
-it cannot serve (a replan, g returning another object, or a row that
-names a failure) takes `conjoin_groups` and `qp.solve_qp` instead.
+evaluates the plan's rows, resolved once per plan and g object; only when t
+or x[0] leaves the plan does it `replan`, with one bisect for the cell and
+one per schedule. For one input, `clip_groups` makes the same test, and
+while the plan holds it clips the input box by the plan's rows in one pass
+(`barriers.eval_rows`' clip sink), over rows it resolves once per plan
+(`barriers.resolve_rows`). A step that it cannot serve (a replan, g
+returning another object, or a row that names a failure) takes
+`conjoin_groups` and `qp.solve_qp` instead.
 
 Subset / intersection checks at boundary time t read the set being left at
 t- = nextafter(t, -inf), one ulp before t, and the one entered at t. They
@@ -596,16 +597,18 @@ class RegionTable:
     of their `ContractSchedule.plan` intervals. `clip` is (g, rows): the
     plan's specs resolved for one input and the g object of the plan's first
     `clip_groups` step (rows None when they cannot be clipped), or None until
-    that step. `engagements` maps (schedule label, boundary index) to
+    that step. `rows` is (g, rows) for `conjoin_groups`' list sink: the
+    plan's specs resolved for the g object of its latest step, or None.
+    `engagements` maps (schedule label, boundary index) to
     `EngagementRecord`s, in engagement order."""
 
-    __slots__ = ("bounds", "cells", "engagements", "plan", "clip")
+    __slots__ = ("bounds", "cells", "engagements", "plan", "clip", "rows")
 
     def __init__(self, bounds: tuple, cells: tuple):
         self.bounds, self.cells = bounds, cells  # cells: per cell, its schedules
         self.engagements = {}
         self.plan = (math.inf, -math.inf, math.inf, -math.inf, ())  # holds nowhere
-        self.clip = None
+        self.clip = self.rows = None
 
     @classmethod
     def of(cls, schedules) -> "RegionTable":
@@ -629,7 +632,7 @@ class RegionTable:
             t_from, until = max(t_from, s_from), min(until, s_until)
             specs += s_specs
         specs = tuple(specs)
-        self.plan, self.clip = (t_from, until, lo, hi, specs), None
+        self.plan, self.clip, self.rows = (t_from, until, lo, hi, specs), None, None
         return specs
 
 
@@ -638,12 +641,17 @@ def conjoin_groups(table: RegionTable, t, x, sys, dyn=None, floor=-math.inf) -> 
     realized as one list of the active (a, b, label) rows of every schedule
     whose region holds x[0], in the schedule list's order. The table's plan
     serves every query until t or x[0] leaves it; then `replan` builds the
-    next one. `dyn` is (f(t, x), g(t, x)) when the caller has evaluated them
-    already; `floor` as for `emit_rows`."""
+    next one. Its specs are resolved once per plan and g object (`rows`).
+    `dyn` is (f(t, x), g(t, x)) when the caller has evaluated them already;
+    `floor` as for `eval_rows`."""
     t_from, until, lo, hi, specs = table.plan
     if not (t_from <= t < until and lo < x[0] <= hi):
         specs = table.replan(t, x)
-    return emit_rows(specs, t, x, sys, dyn, floor)
+    fv, gm = dyn if dyn is not None else (sys.f(t, x), sys.g(t, x))
+    rows = table.rows
+    if rows is None or rows[0] is not gm:
+        rows = table.rows = (gm, resolve_rows(specs, gm))
+    return eval_rows(rows[1], t, x, fv, floor, out=[])
 
 
 def clip_groups(table: RegionTable, t, x, fv, gm, floor, lo, hi):

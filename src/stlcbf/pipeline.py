@@ -9,7 +9,6 @@ produce byte-identical trace and report files.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -262,29 +261,112 @@ TRACE_COLUMNS = ("t", "X_f", "V_f", "X_l", "V_l", "V_max", "u_nom", "u_safe",
 # one row of TRACE_COLUMNS; %.6f prints inf, -inf and nan as those words
 _ROW = "%.6f," * 11 + "%s,%d,%s\n"
 
+_CHUNK_ROWS = 1024  # rows formatted at once; bounds the writer's scratch memory
+
+
+def _words(texts, width: int = 8) -> np.ndarray:
+    """Each text's bytes, NUL-padded to `width`, as one row of uint64 words."""
+    raw = np.array([t.encode() for t in texts], f"S{width}")
+    return raw.view(np.uint64).reshape(len(texts), width // 8)
+
+
+# A float cell is two little-endian uint64 words whose bytes, NULs dropped,
+# read as its `%.6f,` text. Word 0 holds the sign at byte 0, the integer
+# part's thousands (none below 1000) at bytes 1-3 and its last three digits at
+# bytes 4-6, zero-padded when thousands precede them; word 1 is ".ddd" "ddd,".
+_INT_HIGH = _words(["\0" + str(v) if v else "" for v in range(1000)]).ravel()
+_INT_LOW = _words([f"\0\0\0\0{v}" for v in range(1000)]
+                  + [f"\0\0\0\0{v:03d}" for v in range(1000)]).ravel()
+_FRAC_HIGH = _words([f".{v:03d}" for v in range(1000)]).ravel()
+_FRAC_LOW = _words([f"\0\0\0\0{v:03d}," for v in range(1000)]).ravel()
+_MINUS, _INF, _NEG_INF, _NAN, _COMMA = _words(["-", "inf", "-inf", "nan", ","]).ravel()
+
+
+def _float_cells(x: np.ndarray, word0: np.ndarray, word1: np.ndarray) -> np.ndarray:
+    """Write the two words of every cell of `x` whose `%.6f` text they can
+    prove; return the mask of the finite cells they cannot.
+
+    Where |rint(y)| < 1e12 < 2**40, the product y = x*1e6 is within 2**-14 of
+    the exact one, so rint(y) is the integer that `%.6f` rounds to, unless y
+    lies within 2**-11 of a half-integer. Those near-ties (k/128 is an exact
+    one) and larger values are left to `_ROW`."""
+    with np.errstate(over="ignore", invalid="ignore"):  # y = inf, inf - inf
+        y = x * 1e6
+        r = np.rint(y)
+        mag = np.abs(r)
+        proven = (np.abs(y - r) < 0.5 - 2.0 ** -11) & (mag < 1e12)
+    mag[~proven] = 0.0
+    q = mag.astype(np.int64)
+    whole = q // 1_000_000
+    frac = q - whole * 1_000_000
+    high = whole // 1000
+    low = whole - high * 1000 + 1000 * (high > 0)  # the zero-padded half
+    frac_high = frac // 1000
+    np.bitwise_or(_INT_HIGH[high] | _INT_LOW[low], _MINUS * np.signbit(x), out=word0)
+    np.bitwise_or(_FRAC_HIGH[frac_high], _FRAC_LOW[frac - frac_high * 1000], out=word1)
+    special = ~np.isfinite(x)
+    if special.any():
+        v = x[special]
+        word0[special] = np.where(np.isnan(v), _NAN, np.where(v > 0, _INF, _NEG_INF))
+        word1[special] = _COMMA
+    return ~(proven | special)
+
+
+def _tail_words(status, active, phase) -> np.ndarray:
+    """The `%s,%d,%s` tails of one chunk's rows, as uint64 rows: each run of
+    rows with equal (qp_status, active_signal, signal_phase) is formatted once."""
+    status = np.array(status, object)
+    new = np.ones(len(status), bool)
+    new[1:] = status[1:] != status[:-1]
+    for col in (active, phase):
+        new[1:] |= col[1:] != col[:-1]
+    starts = np.flatnonzero(new)
+    texts = ["%s,%d,%s\n" % (status[i], active[i], phase[i]) for i in starts]
+    width = -(-max(map(len, texts)) // 8) * 8
+    return np.repeat(_words(texts, width), np.diff(starts, append=len(status)), axis=0)
+
 
 def write_trace_csv(trace: Trace, path: str) -> None:
     """Fixed-schema CSV at 1e-6 decimal precision; byte-stable for identical
     runs. Missing channels (no speed limits / no signals) serialize as inf,
-    the signal columns as 0 and "none". Rows stream from the trace's flat
-    buffers; the input columns are the first input component."""
-    margins, extras, m = trace.margins, trace.extras, trace.m
-    inf = itertools.repeat(math.inf)
-    rows = zip(
-        trace.ts, zip(*[iter(trace.x_flat)] * trace.n),
-        extras.get("V_l", inf), extras.get("V_max", inf),
-        itertools.islice(trace.u_nom_flat, 0, None, m),
-        itertools.islice(trace.u_safe_flat, 0, None, m),
-        margins.get("h1", inf), margins.get("hv", inf), margins.get("hpos", inf),
-        trace.qp_status,
-        extras.get("active_signal", itertools.repeat(0)),
-        extras.get("signal_phase", itertools.repeat("none")),
-    )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for t, (xf, vf, xl), vl, vmax, un, us, h1, hv, hpos, status, k, phase in rows:
-            fh.write(_ROW % (t, xf, vf, xl, vl, vmax, un, us, h1, hv, hpos,
-                             status, k, phase))
+    the signal columns as 0 and "none". The input columns are the first
+    input component.
+
+    `_ROW` is the format of every row. Rows are formatted `_CHUNK_ROWS` at a
+    time with numpy (`_float_cells`, `_tail_words`), so the writer's memory
+    does not grow with the trace. A row with a finite cell whose text the
+    numpy kernel cannot prove equal to `%.6f`'s (a near-tie at the sixth
+    decimal, or a value that prints at or above 1e6 in magnitude) is
+    formatted by `_ROW` itself."""
+    n, margins, extras = trace.n_rows(), trace.margins, trace.extras
+    inf = np.broadcast_to(math.inf, (n,))
+    states = trace.states
+    cols = (np.frombuffer(trace.ts, float), states[:, 0], states[:, 1], states[:, 2],
+            extras.get("V_l", inf), extras.get("V_max", inf),
+            trace.u_nom[:, 0], trace.u_safe[:, 0],
+            margins.get("h1", inf), margins.get("hv", inf), margins.get("hpos", inf))
+    status = trace.qp_status
+    active = extras.get("active_signal", np.broadcast_to(0, (n,)))
+    phase = extras.get("signal_phase", np.broadcast_to("none", (n,)))
+    x = np.empty((_CHUNK_ROWS, len(cols)))
+    width = 2 * len(cols)  # words of the float cells
+    with open(path, "wb") as fh:
+        fh.write((",".join(TRACE_COLUMNS) + "\n").encode())
+        for a in range(0, n, _CHUNK_ROWS):
+            b = min(a + _CHUNK_ROWS, n)
+            x = x[:b - a]
+            for j, col in enumerate(cols):
+                x[:, j] = col[a:b]
+            tails = _tail_words(status[a:b], active[a:b], phase[a:b])
+            rows = np.empty((b - a, width + tails.shape[1]), np.uint64)
+            rows[:, width:] = tails
+            unproven = _float_cells(x, rows[:, 0:width:2], rows[:, 1:width:2])
+            done = 0
+            for i in np.flatnonzero(unproven.any(axis=1)):
+                fh.write(rows[done:i].tobytes().translate(None, b"\0"))
+                fh.write((_ROW % (*x[i], status[a + i], active[a + i], phase[a + i])).encode())
+                done = i + 1
+            fh.write(rows[done:].tobytes().translate(None, b"\0"))
 
 
 def format_report(report: RunReport) -> str:

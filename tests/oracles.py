@@ -29,6 +29,7 @@ from stlcbf.contracts import (
     SubsetCheck,
     Verdict,
 )
+from stlcbf.pipeline import _ROW, TRACE_COLUMNS
 from stlcbf.qp import QpError
 from stlcbf.vehicle import VehicleError, VehicleParams
 
@@ -418,3 +419,23 @@ def qp_active_steps(u_nom_rows, u_safe_rows) -> int:
         1 for un, us in zip(u_nom_rows, u_safe_rows)
         if us and not math.isnan(us[0]) and any(abs(a - b) > 1e-9 for a, b in zip(un, us))
     )
+
+
+def write_trace_csv_rows(trace, path) -> None:
+    """`pipeline.write_trace_csv` one `_ROW % (...)` per row, streaming from
+    the trace's flat buffers: the writer's specification."""
+    margins, extras, m = trace.margins, trace.extras, trace.m
+    inf = repeat(math.inf)
+    rows = zip(
+        trace.ts, zip(*[iter(trace.x_flat)] * trace.n),
+        extras.get("V_l", inf), extras.get("V_max", inf),
+        itertools.islice(trace.u_nom_flat, 0, None, m),
+        itertools.islice(trace.u_safe_flat, 0, None, m),
+        margins.get("h1", inf), margins.get("hv", inf), margins.get("hpos", inf),
+        trace.qp_status, extras.get("active_signal", repeat(0)),
+        extras.get("signal_phase", repeat("none")),
+    )
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        for t, (xf, vf, xl), *rest in rows:
+            fh.write(_ROW % (t, xf, vf, xl, *rest))

@@ -1,14 +1,21 @@
 import hashlib
 import logging
+import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from importlib import resources
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from oracles import write_trace_csv_rows
 
+from stlcbf import pipeline
 from stlcbf.cli import main as cli_main
 from stlcbf.config import ConfigError, load_config, parse_config
 from stlcbf.pipeline import (
@@ -21,7 +28,8 @@ from stlcbf.pipeline import (
     write_report,
     write_trace_csv,
 )
-from stlcbf.vehicle import SpeedLimitSchedule, generate_signal_plan
+from stlcbf.sim import Trace
+from stlcbf.vehicle import PHASES, SpeedLimitSchedule, generate_signal_plan
 
 MINIMAL = """
 [scenario]
@@ -421,7 +429,78 @@ def short_cfg():
     return _short_sec6()
 
 
+K = pipeline._CHUNK_ROWS
+EDGE = 2.0 ** 40 / 1e6  # |x*1e6| = 2**40
+# cells whose `%.6f` text is hard to get right: exact and near ties at the
+# sixth decimal, signed zeros and tiny values, the edge of the fast path,
+# values past it, and the non-finite words
+HARD_CELLS = st.one_of(
+    st.integers(-2 ** 20, 2 ** 20).map(lambda k: k / 128),
+    st.integers(-2 ** 40, 2 ** 40).map(lambda k: k / 2 ** 20),
+    st.integers(-10 ** 8, 10 ** 8).map(lambda k: (k + 0.5) * 1e-6),
+    st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 5e-324, -5e-324, 999999.9999995, 1e7,
+                     1e300, -1e300, math.inf, -math.inf, math.nan]),
+    st.sampled_from([EDGE, -EDGE]).flatmap(
+        lambda e: st.sampled_from([e, math.nextafter(e, 0.0), math.nextafter(e, 2 * e)])),
+    st.floats(-2e6, 2e6),
+)
+
+
+def synthetic_trace(rows, m, hard, seed, channels):
+    """A trace of `rows` rows and `m` inputs: random cells at several scales,
+    with the `hard` values scattered among them; statuses other than ok carry
+    a NaN safe input; only the channels and margins named are present."""
+    rng = np.random.default_rng(seed)
+    cells = rng.uniform(-2e4, 2e4, (rows, 11)) * 10.0 ** rng.integers(-6, 1, (rows, 11))
+    hard = hard[:cells.size]
+    cells.flat[rng.choice(cells.size, len(hard), replace=False)] = hard
+    status = rng.choice(["ok", "ok", "ok", "infeasible", "violated"], rows)
+    u_nom = np.column_stack([cells[:, 6], rng.uniform(-1.0, 1.0, rows)])[:, :m]
+    u_safe = np.column_stack([cells[:, 7], rng.uniform(-1.0, 1.0, rows)])[:, :m]
+    u_safe[status != "ok"] = math.nan
+    trace = Trace(n=3, m=m, qp_status=status.tolist())
+    trace.ts.extend(cells[:, 0])
+    trace.x_flat.extend(cells[:, 1:4].ravel())
+    trace.u_nom_flat.extend(u_nom.ravel())
+    trace.u_safe_flat.extend(u_safe.ravel())
+    named = {"V_l": 4, "V_max": 5, "h1": 8, "hv": 9, "hpos": 10}
+    for name in channels & named.keys():
+        (trace.margins if name.startswith("h") else trace.extras)[name] = cells[:, named[name]]
+    if "signal" in channels:
+        trace.extras["active_signal"] = rng.integers(0, 4, rows).astype(float)
+        trace.extras["signal_phase"] = np.take(PHASES, rng.integers(0, len(PHASES), rows))
+    return trace
+
+
 class TestSerialization:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.sampled_from([1, K - 1, K, K + 1, 2 * K + 1]), m=st.sampled_from([1, 2]),
+           hard=st.lists(HARD_CELLS, max_size=40), seed=st.integers(0, 2 ** 32 - 1),
+           channels=st.sets(st.sampled_from(["V_l", "V_max", "h1", "hv", "hpos", "signal"])))
+    @example(rows=1, m=1, hard=[1 / 128, 3 / 128, -5 / 128, 3.5e-6], seed=0, channels=set())
+    @example(rows=1, m=2, hard=[-0.0, -1e-9, -5e-324, -4e-7], seed=1,
+             channels={"V_l", "V_max", "h1", "hv", "hpos", "signal"})
+    def test_trace_csv_matches_the_row_writer(self, rows, m, hard, seed, channels, tmp_path):
+        """The chunked writer's bytes equal those of one `_ROW %` per row."""
+        trace = synthetic_trace(rows, m, hard, seed, channels)
+        write_trace_csv(trace, tmp_path / "chunked.csv")
+        write_trace_csv_rows(trace, tmp_path / "rows.csv")
+        assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("rows", [5_001, 50_001])
+    def test_trace_csv_memory_is_bounded_per_chunk(self, rows, tmp_path):
+        """The writer's peak allocation stays at a few chunks' worth, whatever
+        the trace length: an unchunked writer takes about 400 bytes a row."""
+        trace = synthetic_trace(rows, 1, [], 7, {"V_l", "V_max", "h1", "hv", "hpos", "signal"})
+        tracemalloc.start()
+        try:
+            write_trace_csv(trace, tmp_path / "trace.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
+
     def test_trace_csv_schema_and_determinism(self, short_cfg, tmp_path):
         out = run_pipeline(short_cfg)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

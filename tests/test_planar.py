@@ -13,6 +13,7 @@ from stlcbf import (
     ScheduleConfig,
     StateBox,
     build_schedule,
+    contracts,
     group_tasks,
     parse_spec,
     run_simulation,
@@ -79,3 +80,25 @@ def test_planar_mission_verdicts_engagements_and_failure():
     assert res.trace.n_rows() == 1202
     assert res.trace.qp_status[-1] == "infeasible"
     assert set(res.trace.qp_status[:-1]) == {"ok"}
+
+
+def test_list_rows_resolve_once_per_plan(monkeypatch):
+    """The m >= 2 path resolves a plan's specs at the plan's first step and
+    reuses them while the plan and g's object last: one `resolve_rows` per
+    plan, not one per step."""
+    calls = {"resolve_rows": 0, "replan": 0}
+    resolve_rows, replan = contracts.resolve_rows, contracts.RegionTable.replan
+
+    def counted_resolve_rows(specs, gm, clip=False):
+        calls["resolve_rows"] += 1
+        return resolve_rows(specs, gm, clip)
+
+    def counted_replan(table, t, x):
+        calls["replan"] += 1
+        return replan(table, t, x)
+
+    monkeypatch.setattr(contracts, "resolve_rows", counted_resolve_rows)
+    monkeypatch.setattr(contracts.RegionTable, "replan", counted_replan)
+    _, res = run_planar()
+    assert res.trace.n_rows() == 1202
+    assert calls == {"resolve_rows": 3, "replan": 3}
