@@ -14,20 +14,17 @@ given (t, x):
   invariance (CBF):      dh/dt + grad.f + grad.g u + alpha(h) >= 0
   finite-time (FCBF):    dh/dt + grad.f + grad.g u + gamma sign(h)|h|^rho >= 0
 
-`eval_rows` is the one evaluator of these rows: it reads (h, dh/dt, grad)
-from one `terms` call, or from the barrier's affine form, and applies alpha
-as kappa * h. Its list sink gives each row as the plain triple (a, b,
-label), which `emit_rows`, `cbf_constraint` and `fcbf_constraint` return:
-a is a tuple with one entry per input, and a zero a marks a vacuous row
-(b >= 0) or an infeasible one (b < 0). Its clip sink, for one input, cuts
-the input bounds row by row as `qp.solve_qp` would. Both read the rows that
-`resolve_rows` prepares from a plan's specs for one g matrix: each affine
-row's a = -grad.g, which rows share Lie sums, and kappa, or gamma and rho.
-A `ConstraintRow` carries what a schedule compiles once per constraint: its
-label, the columns of the last g matrix, and the last a = -grad.g, which is
-derived again only when the gradient object or g's matrix changes (an
-affine barrier under the vehicle's constant g derives it once; h1, whose
-gradient moves every step, re-derives a at every step).
+`resolve_rows` resolves a plan's row specs once for one g matrix: each
+row's label, its affine form or `terms`, its gains, which rows share Lie
+sums, and each affine row's a = -grad.g (h1, whose gradient moves every
+step, derives its a from g's columns at every step). `eval_rows` is the one
+evaluator of the resolved rows: it reads (h, dh/dt, grad) from one `terms`
+call, or from the affine form, and applies alpha as kappa * h. Its list
+sink gives each row as the plain triple (a, b, label), which
+`cbf_constraint` and `fcbf_constraint` return: a is a tuple with one entry
+per input, and a zero a marks a vacuous row (b >= 0) or an infeasible one
+(b < 0). Its clip sink, for one input, cuts the input bounds row by row as
+`qp.solve_qp` would, reading each row's a as one float.
 
 `affine_on(t0, t1)` gives (coeffs, offset) when h = coeffs.x + offset, with
 zero dh/dt, over the whole of [t0, t1), and None otherwise (the default).
@@ -139,27 +136,6 @@ class FcbfParams:
             raise BarrierError(f"gamma must be positive, got {self.gamma}")
 
 
-class ConstraintRow:
-    """What a schedule compiles once for one of its constraints: the label,
-    and the input row a = -grad.g last derived, kept with the gradient and g
-    objects it came from and g's columns. Both are immutable tuples, so while
-    they repeat, a is the same; a new gradient under the same g reuses cols."""
-
-    __slots__ = ("label", "grad", "g", "cols", "a")
-
-    def __init__(self, label: str):
-        self.label = label
-        self.grad = self.g = self.cols = self.a = None
-
-    def derive(self, grad, gm) -> tuple:
-        """a = -grad.g, one entry per column of g, kept for the next step."""
-        if gm is not self.g:
-            self.g, self.cols = gm, tuple(zip(*gm))
-        self.grad = grad
-        self.a = tuple([-sum(map(mul, grad, col)) for col in self.cols])
-        return self.a
-
-
 class Barrier:
     """Base evaluator of h on [0, T] x D.
 
@@ -188,9 +164,8 @@ class Barrier:
         return out
 
     def terms(self, t: float, x) -> tuple:
-        """(h, dh/dt, grad_x h) at (t, x): everything a CBF constraint needs.
-        grad_x h is a tuple; a template whose gradient is constant returns
-        the same tuple object, so a constraint row keeps its a = -grad.g."""
+        """(h, dh/dt, grad_x h) at (t, x): everything a CBF constraint needs,
+        with grad_x h as a tuple."""
         raise NotImplementedError
 
     def affine_on(self, t0: float, t1: float):
@@ -265,30 +240,22 @@ class TopBarrier(Barrier):
 
 
 class NegatedBarrier(Barrier):
-    """Barrier -h used to normalize negated predicates. It keeps the last
-    inner gradient object with its negation, so a constant inner gradient
-    gives one negated gradient object and its constraint row keeps its a."""
+    """Barrier -h used to normalize negated predicates."""
 
     def __init__(self, inner: Barrier):
         super().__init__(f"!{inner.id}")
         self.inner = inner
-        self._grad = self._neg_grad = None
 
     def h_grid(self, t, cols):
         return -self.inner.h_grid(t, cols)
 
     def terms(self, t, x):
         h, dh, grad = self.inner.terms(t, x)
-        return -h, -dh, self._negated(grad)
+        return -h, -dh, tuple(-g for g in grad)
 
     def affine_on(self, t0, t1):
         aff = self.inner.affine_on(t0, t1)
-        return None if aff is None else (self._negated(aff[0]), -aff[1])
-
-    def _negated(self, grad) -> tuple:
-        if grad is not self._grad:
-            self._grad, self._neg_grad = grad, tuple(-g for g in grad)
-        return self._neg_grad
+        return None if aff is None else (tuple(-c for c in aff[0]), -aff[1])
 
 
 class BarrierRegistry:
@@ -325,43 +292,37 @@ class BarrierRegistry:
 # ---------------------------------------------------------------------------
 
 
-def resolve_rows(specs, gm, clip: bool = False):
-    """The specs resolved once for the g matrix gm, one tuple (row, barrier,
-    coeffs, offset, kappa, gamma, rho, fresh, a) per spec. A spec is (row,
-    barrier, coeffs, offset, alpha, params): its `ConstraintRow`; the
-    barrier's affine form over an interval (dh/dt = 0.0), or None twice,
-    which reads `terms`; alpha for an invariance row, or the `FcbfParams` of
-    a finite-time one. `fresh` marks an affine row whose coefficients differ
-    from the last affine row's: only it computes Lie sums. An affine row's a
-    = -coeffs.g is derived here; a `terms` row's slot holds gm. With `clip`
-    (one input), an affine row's a is its one float and a `terms` row's slot
-    holds g's one column; None when g has another number of columns or an
-    affine row's a is not finite."""
-    rows, last, col = [], None, None
-    for row, bar, grad, offset, alpha, params in specs:
+def resolve_rows(specs, gm):
+    """The specs resolved once for the g matrix gm, one tuple (label,
+    barrier, coeffs, offset, kappa, gamma, rho, fresh, a, a1) per spec. A
+    spec is (label, barrier, coeffs, offset, alpha, params): the barrier's
+    affine form over an interval (dh/dt = 0.0), or None twice, which reads
+    `terms`; alpha for an invariance row, or the `FcbfParams` of a
+    finite-time one. `fresh` marks an affine row whose coefficients differ
+    from the last affine row's: only it computes Lie sums. An affine row's
+    a = -coeffs.g is derived here, one entry per column of g; a `terms`
+    row's a holds g's columns. a1 is the same for one input, which the clip
+    sink reads: an affine row's one float, a `terms` row's one column; None
+    where g has another number of columns or an affine row's a is not
+    finite."""
+    cols = tuple(zip(*gm))
+    one = len(cols) == 1
+    rows, last = [], None
+    for label, bar, grad, offset, alpha, params in specs:
         fresh = False
         if grad is None:
-            a = gm
-            if clip:
-                if col is None:
-                    cols = tuple(zip(*gm))
-                    if len(cols) != 1:
-                        return None
-                    col = cols[0]
-                a = col
+            a = cols
+            a1 = cols[0] if one else None
         else:
             if grad != last:
                 last, fresh = grad, True
-            a = row.a if grad is row.grad and gm is row.g else row.derive(grad, gm)
-            if clip:
-                if len(a) != 1 or not math.isfinite(a[0]):
-                    return None
-                a = a[0]
+            a = tuple([-sum(map(mul, grad, col)) for col in cols])
+            a1 = a[0] if one and math.isfinite(a[0]) else None
         if params is None:
             kappa, gamma, rho = alpha.kappa, None, None
         else:
             kappa, gamma, rho = None, params.gamma, params.rho
-        rows.append((row, bar, grad, offset, kappa, gamma, rho, fresh, a))
+        rows.append((label, bar, grad, offset, kappa, gamma, rho, fresh, a, a1))
     return tuple(rows)
 
 
@@ -374,7 +335,7 @@ def eval_rows(rows, t, x, fv, floor, lo=None, hi=None, out=None):
     List sink, with a list `out`: it appends each row's (a, b, label) and
     returns `out`; an invariance row whose h reads below `floor` raises
     `BarrierViolation` (a finite-time row may start at any h). Clip sink,
-    for rows resolved with `clip`: it cuts [lo, hi] row by row as
+    for rows whose a1 are all set: it cuts [lo, hi] row by row as
     `qp.solve_qp` clips one input, and returns (lo, hi), or None where the
     list sink and `solve_qp` give no clip (an invariance row below the
     floor, a non-finite row, a zero row with b < 0, crossed bounds).
@@ -384,13 +345,13 @@ def eval_rows(rows, t, x, fv, floor, lo=None, hi=None, out=None):
     0.0 + grad.f of the affine row before it, with the float operations its
     own sums would make."""
     isfinite = math.isfinite
-    for row, bar, grad, offset, kappa, gamma, rho, fresh, a in rows:
+    for label, bar, grad, offset, kappa, gamma, rho, fresh, a, a1 in rows:
         if grad is None:
             h, dh, grad = bar.terms(t, x)
             lie_f = dh + sum(map(mul, grad, fv))
-            if out is not None:  # a holds g
-                a = row.a if grad is row.grad and a is row.g else row.derive(grad, a)
-            elif not isfinite(a := -sum(map(mul, grad, a))):  # a held g's column
+            if out is not None:  # a holds g's columns
+                a = tuple([-sum(map(mul, grad, col)) for col in a])
+            elif not isfinite(a1 := -sum(map(mul, grad, a1))):  # a1 held g's column
                 return None
         else:
             # Equal coefficients may differ in the sign of a zero (0.0 ==
@@ -406,19 +367,19 @@ def eval_rows(rows, t, x, fv, floor, lo=None, hi=None, out=None):
             if h < floor:
                 if out is None:
                     return None
-                raise BarrierViolation(row.label, h)
+                raise BarrierViolation(label, h)
             b = lie_f + kappa * h
         else:
             b = lie_f + (0.0 if h == 0 else gamma * math.copysign(abs(h) ** rho, h))
         if out is not None:
-            out.append((a, b, row.label))
+            out.append((a, b, label))
         elif not isfinite(b):
             return None
-        elif a > 0:
-            if (bound := b / a) < hi:
+        elif a1 > 0:
+            if (bound := b / a1) < hi:
                 hi = bound
-        elif a < 0:
-            if (bound := b / a) > lo:
+        elif a1 < 0:
+            if (bound := b / a1) > lo:
                 lo = bound
         elif b < 0:
             return None
@@ -427,29 +388,21 @@ def eval_rows(rows, t, x, fv, floor, lo=None, hi=None, out=None):
     return None if lo > hi else (lo, hi)
 
 
-def emit_rows(specs, t, x, sys, dyn=None, floor=-math.inf) -> list:
-    """The (a, b, label) rows of `specs` (see `resolve_rows`) at (t, x), in
-    order, through `eval_rows`' list sink. `dyn` is (f(t, x), g(t, x)) when
-    the caller has evaluated them already; `floor` as for `eval_rows`."""
+def cbf_constraint(bar: Barrier, sys, alpha: AlphaFn, t: float, x, dyn=None) -> tuple:
+    """Invariance row (a, b, label "cbf:<id>") at (t, x), b = dh/dt + grad.f
+    + kappa h, from `resolve_rows` and `eval_rows`' list sink. `dyn` is
+    (f(t, x), g(t, x)) when the caller has evaluated them already."""
     fv, gm = dyn if dyn is not None else (sys.f(t, x), sys.g(t, x))
-    return eval_rows(resolve_rows(specs, gm), t, x, fv, floor, out=[])
+    spec = ("cbf:" + bar.id, bar, None, None, alpha, None)
+    return eval_rows(resolve_rows((spec,), gm), t, x, fv, -math.inf, out=[])[0]
 
 
-def cbf_constraint(bar: Barrier, sys, alpha: AlphaFn, t: float, x,
-                   dyn=None, row=None) -> tuple:
-    """Invariance row (a, b, label) at (t, x), b = dh/dt + grad.f + kappa h
-    (see `emit_rows`). `row` is the caller's compiled `ConstraintRow` for
-    it, labelled "cbf:<id>"; a fresh one by default."""
-    row = row or ConstraintRow("cbf:" + bar.id)
-    return emit_rows(((row, bar, None, None, alpha, None),), t, x, sys, dyn)[0]
-
-
-def fcbf_constraint(bar: Barrier, sys, p: FcbfParams, t: float, x,
-                    dyn=None, row=None) -> tuple:
-    """Finite-time row (a, b, label) at (t, x) with drift gamma sign(h)|h|^rho
-    (see `emit_rows`). `row` as for `cbf_constraint`, labelled "fcbf:<id>"."""
-    row = row or ConstraintRow("fcbf:" + bar.id)
-    return emit_rows(((row, bar, None, None, None, p),), t, x, sys, dyn)[0]
+def fcbf_constraint(bar: Barrier, sys, p: FcbfParams, t: float, x, dyn=None) -> tuple:
+    """Finite-time row (a, b, label "fcbf:<id>") at (t, x) with drift gamma
+    sign(h)|h|^rho; `dyn` as for `cbf_constraint`."""
+    fv, gm = dyn if dyn is not None else (sys.f(t, x), sys.g(t, x))
+    spec = ("fcbf:" + bar.id, bar, None, None, None, p)
+    return eval_rows(resolve_rows((spec,), gm), t, x, fv, -math.inf, out=[])[0]
 
 
 def convergence_time(h0: float, p: FcbfParams) -> float:

@@ -22,12 +22,12 @@ two parts. `ContractSchedule.plan` bisects for the segment, applies the
 strict tau < t < t_i window test, and returns the active row specs with the
 interval [t_from, until) over which they stay active; each spec carries the
 barrier's affine form over that interval (`Barrier.affine_on`), if it has
-one. `barriers.emit_rows` turns specs into (a, b, label) rows at (t, x): a
-spec with a form costs no `terms` call, and such rows cost two dot products
-per distinct gradient, plus one add and one drift per row. Each row keeps
-its last a = -grad.g and g's columns (see `barriers.ConstraintRow`). A
-window's first query sizes its gamma and builds its `FcbfParams`, once, into
-its `EngagementRecord`; every later query reads them from there.
+one. `barriers.resolve_rows` resolves specs for one g matrix and
+`barriers.eval_rows` turns them into (a, b, label) rows at (t, x): a spec
+with a form costs no `terms` call, and such rows cost two dot products per
+distinct gradient, plus one add and one drift per row. A window's first
+query sizes its gamma and builds its `FcbfParams`, once, into its
+`EngagementRecord`; every later query reads them from there.
 
 A schedule may carry a `region = (lo, hi)` on the first state coordinate:
 it applies only while lo < x[0] <= hi (default: every finite x[0]). The
@@ -35,17 +35,15 @@ traffic signal contracts use it to gate each signal's schedule to the
 stretch of road where its stop line is the first at or ahead of the ego.
 `RegionTable.of` compiles a schedule list once into the sorted region bounds
 and, for each cell between them, the schedules that cover it. A table also
-keeps one run's engagement records and its plan: the specs of its cell's
-schedules, valid while t stays in the intersection of their intervals and
-x[0] in the cell. `conjoin_groups` tests that with four comparisons and
-evaluates the plan's rows, resolved once per plan and g object; only when t
-or x[0] leaves the plan does it `replan`, with one bisect for the cell and
-one per schedule. For one input, `clip_groups` makes the same test, and
-while the plan holds it clips the input box by the plan's rows in one pass
-(`barriers.eval_rows`' clip sink), over rows it resolves once per plan
-(`barriers.resolve_rows`). A step that it cannot serve (a replan, g
-returning another object, or a row that names a failure) takes
-`conjoin_groups` and `qp.solve_qp` instead.
+keeps one run's engagement records, its plan and the plan's rows: the
+specs of its cell's schedules, valid while t stays in the intersection of
+their intervals and x[0] in the cell, resolved once per plan and g object.
+Only when t or x[0] leaves the plan does a query `replan`, with one bisect
+for the cell and one per schedule. `conjoin_groups` evaluates the rows
+into a list (`barriers.eval_rows`' list sink). For one input,
+`clip_groups` clips the input box by the same rows in one pass (the clip
+sink); a step whose rows name a failure or an error takes
+`conjoin_groups` and `qp.solve_qp` instead, which raise or record it.
 
 Subset / intersection checks at boundary time t read the set being left at
 t- = nextafter(t, -inf), one ulp before t, and the one entered at t. They
@@ -72,14 +70,12 @@ import numpy as np
 from .barriers import (
     Barrier,
     BarrierError,
-    ConstraintRow,
     FcbfParams,
     GAMMA_MIN,
     StateBox,
     TopBarrier,
     cbf_constraint,  # noqa: F401  callers import and patch both generators here
     convergence_time,
-    emit_rows,
     eval_rows,
     fcbf_constraint,  # noqa: F401
     gamma_for_deadline,
@@ -363,8 +359,7 @@ class ContractSchedule:
     """Invariance segments tiling [0, horizon) plus per-boundary verdicts,
     applying while lo < x[0] <= hi for `region` (lo, hi). Immutable after
     construction, which compiles the rows; queries are pure apart from the
-    rows' kept a, which only saves work, and the engagement records they
-    add to the caller's dict."""
+    engagement records they add to the caller's dict."""
 
     label: str
     segments: list
@@ -377,18 +372,17 @@ class ContractSchedule:
         self._rows = [self._compile(i) for i in range(len(self.segments))]
 
     def _compile(self, idx: int):
-        """Segment idx's (CBF row, window row): (barrier, alpha, "cbf:<id>"
-        row), None when vacuous; the FCBF window of an overlap_deadline
+        """Segment idx's (CBF row, window row): (barrier, alpha, label
+        "cbf:<id>"), None when vacuous; the FCBF window of an overlap_deadline
         boundary at its end, None otherwise."""
         bar = self.segments[idx].barrier
-        cbf = None if bar is None else (bar, bar.alpha, ConstraintRow("cbf:" + bar.id))
+        cbf = None if bar is None else (bar, bar.alpha, "cbf:" + bar.id)
         window = None
         if idx < len(self.boundaries):
             bd = self.boundaries[idx]
             if bd.verdict is Verdict.OVERLAP_DEADLINE:
                 nxt = self.segments[idx + 1].barrier
-                window = _Window(bd.tau, bd.time, (self.label, idx), nxt, bd,
-                                 ConstraintRow("fcbf:" + nxt.id))
+                window = _Window(bd.tau, bd.time, (self.label, idx), nxt, bd, "fcbf:" + nxt.id)
         return cbf, window
 
     @property
@@ -416,9 +410,11 @@ class ContractSchedule:
 
     def constraints_at(self, t, x, sys, engagements: dict, dyn=None) -> list:
         """The (a, b, label) rows active at (t, x), whatever the region:
-        `plan`, then `emit_rows`. Pass the same `engagements` dict to every
-        query of a run, since a window's gamma is fixed at its first query."""
-        return emit_rows(self.plan(t, x, engagements)[2], t, x, sys, dyn)
+        `plan`, `resolve_rows`, then `eval_rows`. Pass one `engagements` dict
+        to every query of a run: a window's gamma is fixed at its first query."""
+        fv, gm = dyn if dyn is not None else (sys.f(t, x), sys.g(t, x))
+        rows = resolve_rows(self.plan(t, x, engagements)[2], gm)
+        return eval_rows(rows, t, x, fv, -math.inf, out=[])
 
     def plan(self, t, x, engagements: dict) -> tuple:
         """(t_from, until, specs): the row specs active at t, and the interval
@@ -441,20 +437,20 @@ class ContractSchedule:
                 until = min(until, onset)
         specs = []
         if cbf is not None:
-            bar, alpha, row = cbf
-            specs.append(_row_spec(bar, row, t_from, until, alpha, None))
+            bar, alpha, label = cbf
+            specs.append(_row_spec(bar, label, t_from, until, alpha, None))
         if engaged:
             params = _engaged_params(window, t, x, engagements)
-            specs.append(_row_spec(window.barrier, window.row, t_from, until, None, params))
+            specs.append(_row_spec(window.barrier, window.label, t_from, until, None, params))
         return t_from, until, specs
 
 
-def _row_spec(bar: Barrier, row: ConstraintRow, t0, t1, alpha, params) -> tuple:
-    """(row, barrier, coeffs, offset, alpha, params) of a plan over [t0, t1):
+def _row_spec(bar: Barrier, label: str, t0, t1, alpha, params) -> tuple:
+    """(label, barrier, coeffs, offset, alpha, params) of a plan over [t0, t1):
     alpha for an invariance row, params for a finite-time one, and the
     barrier's `affine_on(t0, t1)` form, or None twice."""
     coeffs, offset = bar.affine_on(t0, t1) or (None, None)
-    return row, bar, coeffs, offset, alpha, params
+    return label, bar, coeffs, offset, alpha, params
 
 
 class _Window(NamedTuple):
@@ -466,7 +462,7 @@ class _Window(NamedTuple):
     key: tuple  # (schedule label, boundary index): the engagement key
     barrier: Barrier
     boundary: BoundaryDecision
-    row: ConstraintRow
+    label: str
 
 
 def _engaged_params(window: _Window, t, x, engagements) -> FcbfParams:
@@ -584,7 +580,8 @@ def _classify_boundary(segments, idx, cfg: ScheduleConfig) -> BoundaryDecision:
 
 class RegionTable:
     """Which schedules apply at each X_f, compiled once from a schedule list,
-    and one run's query state: its engagement records and its plan.
+    and one run's query state: its engagement records, its plan and the
+    plan's rows.
 
     `bounds` is -inf followed by the sorted finite region bounds; cell j is
     (bounds[j-1], bounds[j]] (the last cell runs to +inf, inclusive) and
@@ -594,21 +591,19 @@ class RegionTable:
 
     `plan` is (t_from, until, lo, hi, specs): the specs of the schedules of
     cell (lo, hi], in list order, valid on the intersection [t_from, until)
-    of their `ContractSchedule.plan` intervals. `clip` is (g, rows): the
-    plan's specs resolved for one input and the g object of the plan's first
-    `clip_groups` step (rows None when they cannot be clipped), or None until
-    that step. `rows` is (g, rows) for `conjoin_groups`' list sink: the
-    plan's specs resolved for the g object of its latest step, or None.
-    `engagements` maps (schedule label, boundary index) to
-    `EngagementRecord`s, in engagement order."""
+    of their `ContractSchedule.plan` intervals. `rows` is (g, rows, clip):
+    the plan's specs resolved (`resolve_rows`) for the g object of its
+    latest query, and whether `eval_rows`' clip sink may read them; None
+    until the plan's first query. `engagements` maps (schedule label,
+    boundary index) to `EngagementRecord`s, in engagement order."""
 
-    __slots__ = ("bounds", "cells", "engagements", "plan", "clip", "rows")
+    __slots__ = ("bounds", "cells", "engagements", "plan", "rows")
 
     def __init__(self, bounds: tuple, cells: tuple):
         self.bounds, self.cells = bounds, cells  # cells: per cell, its schedules
         self.engagements = {}
         self.plan = (math.inf, -math.inf, math.inf, -math.inf, ())  # holds nowhere
-        self.clip = self.rows = None
+        self.rows = None
 
     @classmethod
     def of(cls, schedules) -> "RegionTable":
@@ -632,41 +627,39 @@ class RegionTable:
             t_from, until = max(t_from, s_from), min(until, s_until)
             specs += s_specs
         specs = tuple(specs)
-        self.plan, self.clip, self.rows = (t_from, until, lo, hi, specs), None, None
+        self.plan, self.rows = (t_from, until, lo, hi, specs), None
         return specs
+
+
+def _rows_at(table: RegionTable, t, x, gm) -> tuple:
+    """The table's (g, rows, clip) for a query at (t, x) with g object gm:
+    `replan` first when t or x[0] has left the plan, and the plan's specs
+    resolved again when gm is not the g they were resolved for."""
+    t_from, until, lo, hi, specs = table.plan
+    if not (t_from <= t < until and lo < x[0] <= hi):
+        specs = table.replan(t, x)
+    rows = table.rows
+    if rows is None or rows[0] is not gm:
+        resolved = resolve_rows(specs, gm)  # the clip sink reads each row's a1
+        rows = table.rows = (gm, resolved, all(row[9] is not None for row in resolved))
+    return rows
 
 
 def conjoin_groups(table: RegionTable, t, x, sys, dyn=None, floor=-math.inf) -> list:
     """Conjunction of group contracts = intersection of safe input sets,
     realized as one list of the active (a, b, label) rows of every schedule
-    whose region holds x[0], in the schedule list's order. The table's plan
-    serves every query until t or x[0] leaves it; then `replan` builds the
-    next one. Its specs are resolved once per plan and g object (`rows`).
-    `dyn` is (f(t, x), g(t, x)) when the caller has evaluated them already;
-    `floor` as for `eval_rows`."""
-    t_from, until, lo, hi, specs = table.plan
-    if not (t_from <= t < until and lo < x[0] <= hi):
-        specs = table.replan(t, x)
+    whose region holds x[0], in the schedule list's order, from the table's
+    plan and rows (`_rows_at`). `dyn` is (f(t, x), g(t, x)) when the caller
+    has evaluated them already; `floor` as for `eval_rows`."""
     fv, gm = dyn if dyn is not None else (sys.f(t, x), sys.g(t, x))
-    rows = table.rows
-    if rows is None or rows[0] is not gm:
-        rows = table.rows = (gm, resolve_rows(specs, gm))
-    return eval_rows(rows[1], t, x, fv, floor, out=[])
+    return eval_rows(_rows_at(table, t, x, gm)[1], t, x, fv, floor, out=[])
 
 
 def clip_groups(table: RegionTable, t, x, fv, gm, floor, lo, hi):
     """For one input (m = 1): the (lo, hi) that the rows of `conjoin_groups`
-    leave of [lo, hi], in one pass (`eval_rows`' clip sink) over the plan's
-    rows, resolved once per plan for the g object gm of its first step
-    here. None where the step must take `conjoin_groups` and `solve_qp`
-    instead: t or x[0] has left the plan (they replan), g returns another
-    object, or the rows name a failure or an error (they raise or record it)."""
-    t_from, until, xlo, xhi, specs = table.plan
-    if not (t_from <= t < until and xlo < x[0] <= xhi):
-        return None
-    clip = table.clip
-    if clip is None:
-        clip = table.clip = (gm, resolve_rows(specs, gm, clip=True))
-    if clip[0] is not gm or clip[1] is None:
-        return None
-    return eval_rows(clip[1], t, x, fv, floor, lo, hi)
+    leave of [lo, hi], in one pass over the same rows (`eval_rows`' clip
+    sink). None where the step must take `conjoin_groups` and `solve_qp`
+    instead: g has another number of columns, or the rows name a failure or
+    an error (they raise or record it)."""
+    _, rows, clip = _rows_at(table, t, x, gm)
+    return eval_rows(rows, t, x, fv, floor, lo, hi) if clip else None

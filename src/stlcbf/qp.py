@@ -55,19 +55,28 @@ class InputBox:
         return len(self.lower)
 
 
+def input_floats(u) -> tuple:
+    """u as a tuple of floats: the entries of a tuple, a list or a 1-D numpy
+    array, or the one value of a scalar (numpy scalars and 0-d arrays too)."""
+    if isinstance(u, np.ndarray):
+        u = u.tolist()  # a 0-d array gives its scalar, a 1-D one a list
+    return tuple(map(float, u)) if isinstance(u, (tuple, list)) else (float(u),)
+
+
 def solve_qp(u_nom, constraints: Sequence[tuple], box: InputBox):
-    """Euclidean projection of u_nom onto the polytope of the (a, b, label)
-    rows and the box, or None when it is empty. Output is a tuple of floats
-    (length box.dim). A non-finite u_nom is rejected; each row's dimension
-    and finiteness are checked here, in order."""
-    u_nom = u_nom if isinstance(u_nom, (tuple, list)) else (u_nom,)
+    """Euclidean projection of u_nom (as `input_floats` reads it) onto the
+    polytope of the (a, b, label) rows and the box, or None when it is
+    empty. Output is a tuple of floats (length box.dim). A non-finite u_nom
+    is rejected; each row's dimension and finiteness are checked here, in
+    order."""
+    u_nom = input_floats(u_nom)
     m = box.dim
     if len(u_nom) != m:
         raise QpError(f"u_nom has dimension {len(u_nom)}, box has {m}")
     if not all(map(math.isfinite, u_nom)):
-        raise QpError(f"non-finite nominal input {tuple(u_nom)}")
+        raise QpError(f"non-finite nominal input {u_nom}")
     if m == 1:
-        return _solve_1d(float(u_nom[0]), constraints, box)
+        return _solve_1d(u_nom[0], constraints, box)
 
     rows = []
     seen = set()
@@ -86,7 +95,6 @@ def solve_qp(u_nom, constraints: Sequence[tuple], box: InputBox):
             seen.add((a, b))
             rows.append((a, b))
 
-    u_nom = tuple(float(v) for v in u_nom)
     for i in range(m):  # box faces as ordinary halfspaces
         e = tuple(1.0 if j == i else 0.0 for j in range(m))
         rows.append((e, box.upper[i]))

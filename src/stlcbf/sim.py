@@ -25,22 +25,22 @@ once, and the table keeps the run's plan: the rows of the schedules that
 apply at X_f, valid until the next segment bound, window onset or region
 crossing. The domain bounds are padded once. Each step evaluates f and g
 once, for every constraint's Lie terms and as RK4's k1 (f runs 4 times a
-step); a row keeps its a = -grad.g while the gradient and g objects repeat.
+step).
 
-The step's call chain is flat. With one input (m = 1), `clip_groups`
-tests that the plan still holds (it is rebuilt only at a switch or a
-crossing) and clips the input bounds in the same pass that evaluates the
-plan's rows, which the plan resolves once for the g object of its first
-such step: each affine row's a = -grad.g, which rows share Lie sums, and
-the drift gains. A row whose barrier has an affine form over the plan (a
-speed limit, a stop line, or the negation of one) costs no call: the one
-row evaluator, `barriers.eval_rows`, computes its h and b inline, with two
-dot products per distinct gradient, plus one add and one drift per row.
-Any other row (h1) costs one `terms` call. The loop checks u_nom as
-`solve_qp` does and clips it. Every other step (a replan, another g
-object, a failure, a bad u_nom, or m >= 2) takes `conjoin_groups` and
-`solve_qp`, whose (a, b, label) rows name what failed. The vehicle's f, h1
-and the nominal controller read the lead from one cached lookup per t.
+The step's call chain is flat. The table resolves the plan's rows once per
+plan and g object: each affine row's a = -grad.g, which rows share Lie
+sums, and the drift gains. With one input (m = 1), `clip_groups` tests that
+the plan still holds (it is rebuilt only at a switch or a crossing) and
+clips the input bounds in the same pass that evaluates those rows. A row
+whose barrier has an affine form over the plan (a speed limit, a stop line,
+or the negation of one) costs no call: the one row evaluator,
+`barriers.eval_rows`, computes its h and b inline, with two dot products
+per distinct gradient, plus one add and one drift per row. Any other row
+(h1) costs one `terms` call. The loop checks u_nom as `solve_qp` does and
+clips it. A step whose rows or u_nom name a failure, and every step of a
+system with m >= 2, takes `conjoin_groups` and `solve_qp`, whose (a, b,
+label) rows name what failed. The vehicle's f, h1 and the nominal
+controller read the lead from one cached lookup per t.
 
 RK4 is one straight-line kernel per state dimension n, generated from a
 source template and compiled at the first step of that n (so building a
@@ -65,7 +65,7 @@ import numpy as np
 
 from .barriers import BarrierViolation, StateBox
 from .contracts import RegionTable, clip_groups, conjoin_groups
-from .qp import InputBox, solve_qp
+from .qp import InputBox, input_floats, solve_qp
 from .stl import MONITOR_TOL
 
 DEFAULT_DT = 0.01
@@ -84,9 +84,9 @@ class ControlSystem:
     """dx/dt = f(t, x) + g(t, x) u on the box domain D.
 
     f returns an n-tuple, g an n x m matrix as nested tuples (immutable, so
-    RK4 reuses g u, and each constraint row its a = -grad.g, while g returns
-    the same object); both must be locally Lipschitz on D (the shipped
-    templates are). Time enters only through exogenous signals bound into
+    RK4 reuses g u, and the step loop the plan's resolved rows, while g
+    returns the same object); both must be locally Lipschitz on D (the
+    shipped templates are). Time enters only through exogenous signals bound into
     f. State components listed in `clamp_min_dims` are clamped at the
     domain floor instead of failing the run (a vehicle at rest is
     meaningful; a negative speed is not).
@@ -300,7 +300,8 @@ def run_simulation(
 ) -> RunResult:
     """Run the synthesis loop over [0, t_max] with step dt.
 
-    `nominal(t, x)` returns the unfiltered input (scalar or m-tuple).
+    `nominal(t, x)` returns the unfiltered input: a scalar, or m values as
+    a tuple, list or 1-D numpy array (see `qp.input_floats`).
     Requires x0 to satisfy every schedule's opening assumption. Returns the
     trace plus a failure record when an invariance row's h reads below
     -tol (the monitor's own tolerance), the QP turns infeasible or the state
@@ -362,7 +363,7 @@ def run_simulation(
             n_logged = len(engagements)
 
         u_n = nominal(t, x)
-        u_n = tuple(map(float, u_n)) if isinstance(u_n, (tuple, list)) else (float(u_n),)
+        u_n = (float(u_n),) if isinstance(u_n, float) else input_floats(u_n)
         if bounds and len(u_n) == 1 and isfinite(u := u_n[0]):  # solve_qp's checks of u_nom
             u_s = (min(max(u, bounds[0]), bounds[1]),)
         else:

@@ -1,6 +1,6 @@
 """Reachability audit: which functions of `src/stlcbf` no audited run enters.
 
-    PYTHONPATH=src python tests/reach_audit.py
+    python tests/reach_audit.py
 
 Runs, in this process and under `sys.setprofile`:
 - `synth run` and `synth check` on the three shipped presets;
@@ -33,13 +33,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "stlcbf"
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 PRESETS = ("paper_sec6", "infeasible_red", "incompatible_static")
 SEED = 3
 
 
 def cli_runs(tmp: Path):
     """The argument lists of every audited CLI run, in order."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
     from output_hashes import CUSTOM
 

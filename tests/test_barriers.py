@@ -1,5 +1,6 @@
 import math
 from operator import mul
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from stlcbf.barriers import (
     BarrierError,
     BarrierRegistry,
     BarrierViolation,
-    ConstraintRow,
     FcbfParams,
     IDENTITY_ALPHA,
     NegatedBarrier,
@@ -22,13 +22,21 @@ from stlcbf.barriers import (
     TopBarrier,
     cbf_constraint,
     convergence_time,
-    emit_rows,
     eval_rows,
     fcbf_constraint,
     gamma_for_deadline,
     resolve_rows,
 )
-from stlcbf.contracts import ScheduleConfig, Verdict, build_schedule, check_subset
+from stlcbf.contracts import (
+    RegionTable,
+    ScheduleConfig,
+    Verdict,
+    _row_spec,
+    build_schedule,
+    check_subset,
+    clip_groups,
+    conjoin_groups,
+)
 from stlcbf.qp import InputBox, QpError, solve_qp
 from stlcbf.sim import ControlSystem, InitialConditionError, run_simulation
 from stlcbf.stl import PredicateRef, TaskGroup, TimeInterval
@@ -102,20 +110,6 @@ class TestCbfConstraint:
             )
             assert abs(hdot + alpha.kappa * bar.h(0.0, x)) < 1e-9
 
-    def test_negated_affine_row_keeps_its_input_row(self, double_integrator):
-        """A negated affine barrier returns one negated gradient object while
-        the inner gradient repeats, so its row derives a = -grad.g once."""
-        bar = AffineBarrier("fast", coeffs=(0.0, 1.0), offset=-20.0).negate()
-        g = ((0.0,), (1.0,))
-        row = ConstraintRow("cbf:!fast")
-        c1 = cbf_constraint(bar, double_integrator, IDENTITY_ALPHA, 0.0, (0.0, 5.0),
-                            dyn=((5.0, 0.0), g), row=row)
-        a = row.a
-        c2 = cbf_constraint(bar, double_integrator, IDENTITY_ALPHA, 0.1, (0.5, 6.0),
-                            dyn=((6.0, 0.0), g), row=row)
-        assert row.a is a and c1[0] is c2[0]
-        assert c2 == (a, 20.0 - 6.0, "cbf:!fast")
-
 
 class TestFcbfConstraint:
     def test_outside_set_demands_convergence(self):
@@ -159,10 +153,25 @@ def _row_bits(row):
     return label, [ai.hex() for ai in a], b.hex()
 
 
+def list_rows(specs, t, x, sys, dyn=None, floor=-math.inf) -> list:
+    """The (a, b, label) rows of `specs` at (t, x): `resolve_rows`, then
+    `eval_rows`' list sink."""
+    fv, gm = dyn if dyn is not None else (sys.f(t, x), sys.g(t, x))
+    return eval_rows(resolve_rows(specs, gm), t, x, fv, floor, out=[])
+
+
+def clip_sink_reads(rows) -> bool:
+    """Whether `eval_rows`' clip sink may read `resolve_rows` rows: every
+    row carries its one-input form a1 (`contracts.clip_groups`' test)."""
+    return all(row[9] is not None for row in rows)
+
+
 class TestConstraintRowCache:
-    """A kept `ConstraintRow` reuses a = -grad.g while the gradient and g
-    objects repeat, and g's columns while g repeats. Its rows must equal a
-    fresh row's bit for bit, whatever the gradient and g do between calls."""
+    """One `RegionTable` keeps its plan's rows, resolved once per plan and g
+    object, and serves them step after step. Its `conjoin_groups` row, and
+    at m = 1 its `clip_groups` bounds, must equal a fresh `cbf_constraint` or
+    `fcbf_constraint` row bit for bit at every step, whatever the gradient
+    and g do between steps. The plan changes at each whole second."""
 
     G_KINDS = ("constant", "fresh_equal", "changing", "switching")
 
@@ -192,17 +201,35 @@ class TestConstraintRowCache:
             bar = NegatedBarrier(bar)
         if data.draw(st.booleans(), "fcbf"):
             gen, label, param = fcbf_constraint, "fcbf:" + bar.id, FcbfParams(0.5, 2.0)
+            alpha, params = None, param
         else:
             gen, label, param = cbf_constraint, "cbf:" + bar.id, AlphaFn(1.5)
+            alpha, params = param, None
         use_dyn = data.draw(st.booleans(), "dyn")
         states = data.draw(st.lists(st.tuples(*[entries] * n), min_size=1, max_size=8), "xs")
+        u, box = data.draw(entries, "u"), InputBox((-5.0,), (5.0,))
 
-        row = ConstraintRow(label)
+        def plan(t, x, engagements):
+            t0 = float(math.floor(t))
+            return t0, t0 + 1.0, [_row_spec(bar, label, t0, t0 + 1.0, alpha, params)]
+
+        table = RegionTable.of([SimpleNamespace(region=(-math.inf, math.inf), plan=plan)])
         for k, x in enumerate(states):
             t = 0.5 * k
             dyn = (sys.f(t, x), sys.g(t, x)) if use_dyn else None
-            kept = gen(bar, sys, param, t, x, dyn, row)
             fresh = gen(bar, sys, param, t, x, dyn)
+            if m == 1:
+                fv, gm = dyn if use_dyn else (sys.f(t, x), sys.g(t, x))
+                bounds = clip_groups(table, t, x, fv, gm, -math.inf, -5.0, 5.0)
+                try:
+                    want = solve_qp(u, [fresh], box)
+                except BarrierError:  # a non-finite row
+                    want = None
+                if want is None:
+                    assert bounds is None
+                else:
+                    assert min(max(u, bounds[0]), bounds[1]).hex() == want[0].hex()
+            (kept,) = conjoin_groups(table, t, x, sys, dyn)
             assert _row_bits(kept) == _row_bits(fresh)
 
 
@@ -210,7 +237,7 @@ LIE_BASES = ((0.0, -1.0, 0.0), (-1.0, -1.8, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 0.
 
 
 class TestSharedLieSums:
-    """`emit_rows` computes grad.x and grad.f once for affine rows whose
+    """`eval_rows` computes grad.x and grad.f once for affine rows whose
     coefficients compare equal. Each row must still equal the row its spec
     gives alone, bit for bit: with equal coefficients in distinct tuples or
     differing in the sign of a zero (a negated (0, 1, 0) beside (0, -1, 0)),
@@ -249,12 +276,11 @@ class TestSharedLieSums:
                                                  2.0)
             else:
                 alpha, params = AlphaFn(data.draw(st.sampled_from([0.5, 1.0, 3.0]))), None
-            specs.append((ConstraintRow(f"r{i}"), bar, coeffs, offset, alpha, params))
+            specs.append((f"r{i}", bar, coeffs, offset, alpha, params))
 
         dyn = (fv, gm) if data.draw(st.booleans(), "dyn") else None
-        got = emit_rows(specs, 0.5, x, sys, dyn)
-        want = [emit_rows(((ConstraintRow(s[0].label),) + s[1:],), 0.5, x, sys, dyn)[0]
-                for s in specs]
+        got = list_rows(specs, 0.5, x, sys, dyn)
+        want = [list_rows((s,), 0.5, x, sys, dyn)[0] for s in specs]
         assert list(map(_row_bits, got)) == list(map(_row_bits, want))
 
 
@@ -278,13 +304,13 @@ class TestInvarianceFloor:
         assert row[0] == (-1.0,) and row[1] == -5.0
 
     def test_floor_guards_invariance_rows_only(self):
-        cbf = (ConstraintRow("cbf:pos"), self.POS, None, None, IDENTITY_ALPHA, None)
-        fcbf = (ConstraintRow("fcbf:pos"), self.POS, None, None, None, FcbfParams(0.5, 1.0))
-        assert emit_rows((cbf,), 0.0, (-1e-3,), scalar_system(), floor=-1e-3)
+        cbf = ("cbf:pos", self.POS, None, None, IDENTITY_ALPHA, None)
+        fcbf = ("fcbf:pos", self.POS, None, None, None, FcbfParams(0.5, 1.0))
+        assert list_rows((cbf,), 0.0, (-1e-3,), scalar_system(), floor=-1e-3)
         with pytest.raises(BarrierViolation, match=r"^cbf:pos h=-0\.0011$") as info:
-            emit_rows((fcbf, cbf), 0.0, (-0.0011,), scalar_system(), floor=-1e-3)
+            list_rows((fcbf, cbf), 0.0, (-0.0011,), scalar_system(), floor=-1e-3)
         assert (info.value.label, info.value.h) == ("cbf:pos", -0.0011)
-        assert emit_rows((fcbf,), 0.0, (-5.0,), scalar_system(), floor=-1e-3)
+        assert list_rows((fcbf,), 0.0, (-5.0,), scalar_system(), floor=-1e-3)
 
     @pytest.mark.parametrize("tol, t_fail, h", [(1e-3, 5.0, -0.4), (0.5, 15.0, -6.4)])
     def test_run_ends_where_a_sampled_dip_passes_tol(self, tol, t_fail, h):
@@ -348,7 +374,7 @@ def clip_cases(draw):
 
 
 def _clip_specs(rows) -> list:
-    """Specs of `clip_cases` rows, each with its own barrier and row."""
+    """Specs of `clip_cases` rows, each with its own barrier and label."""
     specs = []
     for i, (source, coeffs, negated, offset, drift) in enumerate(rows):
         if source == "bowl":
@@ -360,7 +386,7 @@ def _clip_specs(rows) -> list:
         form = bar.affine_on(0.0, 1.0) if source == "form" else None
         alpha, params = ((AlphaFn(drift[1]), None) if drift[0] == "cbf"
                          else (None, FcbfParams(*drift[1:])))
-        specs.append((ConstraintRow(f"r{i}"), bar, *(form or (None, None)), alpha, params))
+        specs.append((f"r{i}", bar, *(form or (None, None)), alpha, params))
     return specs
 
 
@@ -394,12 +420,13 @@ class TestClipSink:
         sys = ControlSystem(n=2, m=1, f=lambda t, x: fv, g=lambda t, x: gm,
                             domain=StateBox((-1e3,) * 2, (1e3,) * 2))
         try:
-            want = solve_qp(u, emit_rows(_clip_specs(rows), 0.5, x, sys, (fv, gm), floor),
+            want = solve_qp(u, list_rows(_clip_specs(rows), 0.5, x, sys, (fv, gm), floor),
                             InputBox((lo,), (hi,)))
         except (BarrierViolation, BarrierError, QpError):
             want = None
-        resolved = resolve_rows(_clip_specs(rows), gm, clip=True)
-        bounds = None if resolved is None else eval_rows(resolved, 0.5, x, fv, floor, lo, hi)
+        resolved = resolve_rows(_clip_specs(rows), gm)
+        bounds = (eval_rows(resolved, 0.5, x, fv, floor, lo, hi) if clip_sink_reads(resolved)
+                  else None)
         if want is None:
             assert bounds is None
         else:

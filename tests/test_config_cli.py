@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import logging
 import math
@@ -8,6 +9,7 @@ import sys
 import tracemalloc
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -771,3 +773,18 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-m", "stlcbf.cli", "check",
                                "incompatible_static"], capture_output=True, text=True, env=env)
         assert proc.returncode == 2
+
+
+def test_readme_library_sketch_runs():
+    """The README's loop "by hand" runs as printed and gives what its
+    comments say, so the public API cannot drift away from it."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"By hand, the loop runs as:\n\n```python\n(.*?)```", readme, re.S)
+    *body, last = ast.parse(block.group(1)).body
+    scope = {}
+    exec(compile(ast.Module(body, []), "README.md", "exec"), scope)
+    assert eval(compile(ast.Expression(last.value), "README.md", "eval"), scope) == (2.0,)
+    result = scope["result"]
+    assert result.failure is None and result.trace.states.shape == (501, 2)
+    margins = result.trace.margins["v10"]
+    assert margins.shape == (501,) and np.isfinite(margins).all() and margins.min() >= -1e-3

@@ -22,7 +22,6 @@ from stlcbf.barriers import (
     Barrier,
     BarrierError,
     BarrierRegistry,
-    ConstraintRow,
     FcbfParams,
     StateBox,
     TopBarrier,
@@ -30,6 +29,7 @@ from stlcbf.barriers import (
     convergence_time,
     gamma_for_deadline,
 )
+from stlcbf import contracts
 from stlcbf.contracts import (
     ContractError,
     RegionTable,
@@ -41,8 +41,10 @@ from stlcbf.contracts import (
     build_schedule,
     check_intersection,
     check_subset,
+    clip_groups,
     conjoin_groups,
 )
+from stlcbf.qp import InputBox, solve_qp
 from stlcbf.stl import PredicateRef, TaskGroup, TimeInterval
 from stlcbf.vehicle import (
     LeadProfile,
@@ -610,14 +612,28 @@ class TestCompiledDispatchDifferential:
 
 
 class TestConstraintRowReuse:
-    """A compiled row keeps a = -grad.g only while the gradient and g objects
-    repeat; with a new gradient or a new g at each call it derives a afresh."""
+    """One `RegionTable` serves a plan's rows, resolved once per plan and g
+    object, at every query: with a new gradient or a new g at each query,
+    its rows and its m = 1 clip bounds must still equal a fresh
+    `cbf_constraint` row's, bit for bit."""
 
     def _pairs(self, bar, sys, states, t=3.0):
-        row = ConstraintRow("cbf:" + bar.id)
+        """(table row, fresh row) at each state, from one table over a
+        schedule that keeps bar on [0, 10)."""
+        group = TaskGroup("G", ((TimeInterval(0.0, 10.0), PredicateRef(bar.id)),))
+        n = len(states[0])
+        cfg = ScheduleConfig(domain=StateBox((-1e3,) * n, (1e3,) * n), horizon=10.0)
+        table = RegionTable.of([build_schedule(group, registry_with(bar), cfg)])
+        box = InputBox((-1e12,), (1e12,))
         for x in states:
-            got = cbf_constraint(bar, sys, bar.alpha, t, x, None, row)
-            yield got, cbf_constraint(bar, sys, bar.alpha, t, x)
+            want = cbf_constraint(bar, sys, bar.alpha, t, x)
+            # the clips of -1e12 and of 1e12 give the bounds the row leaves
+            bounds = clip_groups(table, t, x, sys.f(t, x), sys.g(t, x), -math.inf, *box.lower,
+                                 *box.upper)
+            assert [v.hex() for v in bounds] == [
+                solve_qp(u, [want], box)[0].hex() for u in (-1e12, 1e12)]
+            (got,) = conjoin_groups(table, t, x, sys)
+            yield got, want
 
     def test_state_dependent_g(self):
         states = [(x_f, 12.0) for x_f in (0.0, 3.0, -7.5, 3.0, 20.0)]
@@ -635,7 +651,11 @@ class TestConstraintRowReuse:
         assert all(_hexed([got]) == _hexed([want]) for got, want in pairs)
         assert len({got[0] for got, _ in pairs}) == 4
 
-    def test_constant_gradient_and_g_derive_a_once(self):
+    def test_constant_gradient_and_g_derive_a_once(self, monkeypatch):
+        resolved = []
+        resolve = contracts.resolve_rows
+        monkeypatch.setattr(contracts, "resolve_rows",
+                            lambda specs, gm: resolved.append(gm) or resolve(specs, gm))
         vp = VehicleParams()
         lead = LeadProfile(15.0)
         sys = make_vehicle_system(vp, lead)
@@ -643,7 +663,7 @@ class TestConstraintRowReuse:
         states = [(0.0, v_f, 60.0) for v_f in (0.0, 14.0, 30.0)]
         pairs = list(self._pairs(bar, sys, states))
         assert all(_hexed([got]) == _hexed([want]) for got, want in pairs)
-        assert pairs[0][0][0] is pairs[1][0][0] is pairs[2][0][0]
+        assert len(resolved) == 1  # one plan and one g object: a is derived once
 
 
 class TestGridOracleAgreement:

@@ -89,9 +89,9 @@ def test_list_rows_resolve_once_per_plan(monkeypatch):
     calls = {"resolve_rows": 0, "replan": 0}
     resolve_rows, replan = contracts.resolve_rows, contracts.RegionTable.replan
 
-    def counted_resolve_rows(specs, gm, clip=False):
+    def counted_resolve_rows(specs, gm):
         calls["resolve_rows"] += 1
-        return resolve_rows(specs, gm, clip)
+        return resolve_rows(specs, gm)
 
     def counted_replan(table, t, x):
         calls["replan"] += 1

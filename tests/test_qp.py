@@ -86,6 +86,22 @@ class TestQpEntry:
                 solve_qp(u_nom, cons, self.BOXES[m])
 
     @pytest.mark.parametrize("m", [1, 2])
+    def test_numpy_array_nominal_reads_as_its_floats(self, m):
+        """A 1-D array of length m is its m floats; it used to fail with a
+        bare TypeError at m = 1 and as a 1-D input at m = 2."""
+        cons = [hs([1.0] * m, 2.0)]
+        want = solve_qp((3.0,) * m, cons, self.BOXES[m])
+        got = solve_qp(np.array([3.0] * m), cons, self.BOXES[m])
+        assert got == want and all(type(v) is float for v in got)
+        with pytest.raises(QpError, match=f"^u_nom has dimension {m + 1}, box has {m}$"):
+            solve_qp(np.zeros(m + 1), cons, self.BOXES[m])
+
+    @pytest.mark.parametrize("u_nom", [np.float64(3.0), np.float32(3.0), np.array(3.0), 3])
+    def test_numpy_scalar_nominal_still_reads_as_one_float(self, u_nom):
+        got = solve_qp(u_nom, [hs(1.0, 2.0)], BOX1)
+        assert got == (2.0,) and type(got[0]) is float
+
+    @pytest.mark.parametrize("m", [1, 2])
     def test_zero_a_infeasible_marker_returns_none(self, m):
         cons = [hs([1.0] * m, 5.0), hs([0.0] * m, -1.0)]
         assert solve_qp((0.0,) * m, cons, self.BOXES[m]) is None

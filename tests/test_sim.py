@@ -4,6 +4,7 @@ from bisect import bisect_left
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -227,6 +228,42 @@ class TestRunSimulation:
             run_simulation(sys, [sched], lambda t, x: bad if t >= 0.05 else 1.0,
                            InputBox((-5.0,), (5.0,)), (0.0, 9.5), dt=0.01, t_max=1.0)
 
+    @pytest.mark.parametrize("numpy_form", [lambda u: np.array([u]), np.float32, np.array],
+                             ids=["1d_array", "numpy_scalar", "0d_array"])
+    def test_numpy_nominal_runs_as_its_floats_at_m1(self, numpy_form):
+        """A nominal input given as a 1-D array of one float runs as that
+        float (it used to fail with a bare TypeError); numpy scalars and 0-d
+        arrays keep working."""
+        _, sched, sys = _speed_setup([10.0], horizon=1.0)
+
+        def u(t):  # quarters, so a float32 holds each one exactly
+            return 50.0 - round(t * 100) / 4
+
+        runs = [run_simulation(sys, [sched], nominal, InputBox((-5.0,), (5.0,)), (0.0, 9.5),
+                               dt=0.01, t_max=1.0)
+                for nominal in (lambda t, x: numpy_form(u(t)), lambda t, x: u(t))]
+        got, want = (res.trace for res in runs)
+        assert runs[0].failure is None is runs[1].failure
+        for name in ("states", "u_nom", "u_safe"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_numpy_nominal_runs_as_its_floats_at_m2(self):
+        dom = StateBox((-1e3, -1e3), (1e3, 1e3))
+        sys = ControlSystem(n=2, m=2, f=lambda t, x: (0.0, 0.0),
+                            g=lambda t, x: ((1.0, 0.0), (0.0, 1.0)), domain=dom)
+        reg, cfg = BarrierRegistry(), ScheduleConfig(domain=dom, horizon=1.0)
+        reg.register(AffineBarrier("cap", coeffs=(-1.0, -1.0), offset=1.0))
+        sched = build_schedule(TaskGroup("G", ((TimeInterval(0.0, 1.0), PredicateRef("cap")),)),
+                               reg, cfg)
+        runs = [run_simulation(sys, [sched], nominal, InputBox((-2.0, -2.0), (2.0, 2.0)),
+                               (0.0, 0.0), dt=0.1, t_max=1.0)
+                for nominal in (lambda t, x: np.array([1.5, 0.5]), lambda t, x: (1.5, 0.5))]
+        got, want = (res.trace for res in runs)
+        assert runs[0].failure is None is runs[1].failure
+        assert got.u_safe.tobytes() == want.u_safe.tobytes()
+        assert got.states.tobytes() == want.states.tobytes()
+        assert (got.u_safe != got.u_nom).any()  # the cap filters the nominal
+
     def test_infeasible_constraint_fails_with_timestamp(self):
         # forced to satisfy u >= 10 with a box capped at 5
         reg = BarrierRegistry()
@@ -359,7 +396,7 @@ class TestLoopMakesNoWrapperCall:
     and window of the speed and signal schedules here, and the negated
     custom barrier) is evaluated inline: the loop makes no generator, `terms`
     or `step_lookup` call for it. h1, which has no such form, costs one
-    `terms` call a step and no generator call: `emit_rows` reads its terms
+    `terms` call a step and no generator call: `eval_rows` reads its terms
     itself. An affine barrier's `h`, and the `terms` call it reads, run in
     the loop only where a window first engages (to size its gamma), and the
     plan is rebuilt only where a segment or window switches or the ego
@@ -386,12 +423,14 @@ class TestLoopMakesNoWrapperCall:
             finally:
                 phase[0] = "after"
 
-        def step(*args, **kwargs):
-            phase[0] = "loop"
-            return conjoin(*args, **kwargs)
+        def step(fn):
+            def entry(*args, **kwargs):
+                phase[0] = "loop"
+                return fn(*args, **kwargs)
+            return entry
 
-        conjoin = sim.conjoin_groups
-        monkeypatch.setattr(sim, "conjoin_groups", step)
+        for name in ("clip_groups", "conjoin_groups"):  # a step enters either
+            monkeypatch.setattr(sim, name, step(getattr(sim, name)))
         for cls in (AffineBarrier, vehicle.SpacingBarrier):
             monkeypatch.setattr(cls, "h", counting(f"{cls.__name__}.h", cls.h))
         for cls in (AffineBarrier, barriers.NegatedBarrier, vehicle.SpacingBarrier):
@@ -454,10 +493,9 @@ class TestLoopMakesNoWrapperCall:
 
 class TestAffineRowsShareLieSums:
     """Affine rows with one gradient share their Lie sums: a plan of k such
-    rows costs two sums a step, grad.x and grad.f, not 2k (`eval_rows`). The
-    plan's first step takes `conjoin_groups` (it replans) and derives each
-    row's a = -grad.g; every later step takes `clip_groups` alone, which
-    reuses those a."""
+    rows costs two sums a step, grad.x and grad.f, not 2k (`eval_rows`).
+    Every step takes `clip_groups` alone: the plan's first step replans there
+    and derives each row's a = -grad.g, and every later step reuses those a."""
 
     def test_two_sums_a_step_for_k_rows(self, monkeypatch):
         k, horizon = 6, 0.5
@@ -500,7 +538,7 @@ class TestAffineRowsShareLieSums:
 
         assert res.failure is None and len(per_step) == 50
         # the first step also derives each row's a = -grad.g, one sum a row
-        assert per_step[0] == (("clip_groups", "conjoin_groups"), k, 2 + k)
+        assert per_step[0] == (("clip_groups",), k, 2 + k)
         assert per_step[1:] == [(("clip_groups",), k, 2)] * 49
 
 
@@ -543,8 +581,9 @@ def _pipeline_case(cfg):
 class TestReplayThroughTheListSink:
     """Every step's u_safe is the u that `conjoin_groups` (the list sink) and
     `solve_qp` give at its recorded (t, x) and u_nom, on the run's own
-    `RegionTable`, whose engagement records fix every gamma: bit for bit,
-    whether the step clipped in the plan's pass or fell back."""
+    `RegionTable`, whose engagement records fix every gamma: bit for bit.
+    Every step of these successful m = 1 runs clips in the rows' own pass,
+    replan steps and a g that is a new object at every call included."""
 
     @pytest.mark.parametrize("make_case", [
         lambda mp: _pipeline_case(_short_sec6()),
@@ -574,7 +613,7 @@ class TestReplayThroughTheListSink:
         steps = trace.n_rows() - 1  # the last row repeats the last step's inputs
         assert res.failure is None and steps == round(t_max / dt)
         assert all(other is table for other in tables) and table.engagements
-        assert entries["clip"] + entries["conjoin"] == steps and entries["conjoin"] > 0
+        assert entries["conjoin"] == 0 and entries["clip"] == steps
 
         ts, xs = list(trace.ts), trace.states.tolist()
         u_nom, u_safe = trace.u_nom.tolist(), trace.u_safe.tolist()
@@ -582,10 +621,6 @@ class TestReplayThroughTheListSink:
             cons = contracts.conjoin_groups(table, ts[k], tuple(xs[k]), sys, None, -math.inf)
             want = solve_qp(tuple(u_nom[k]), cons, box)
             assert [v.hex() for v in u_safe[k]] == [v.hex() for v in want], ts[k]
-        if sys.g(0.0, x0) is not sys.g(0.0, x0):  # a new g at every step falls back
-            assert entries["conjoin"] > steps // 2
-        else:
-            assert entries["clip"] > steps // 2
 
 
 class TestOneFcbfParamsPerEngagement:
@@ -623,9 +658,9 @@ class TestOneFcbfParamsPerEngagement:
 class TestLoopBuildsNoLabel:
     """Each constraint's label is compiled with its schedule: over a run, a
     label is the same str object at every step, whether the step clips in
-    the plan's own pass (its rows hold the compiled `ConstraintRow`s) or
-    takes `solve_qp` (a replan, or the failure step), so none is built in
-    the loop. The failure record names the compiled objects too."""
+    the rows' own pass (the table's resolved rows hold the compiled labels)
+    or takes `solve_qp` (the failure step), so none is built in the loop.
+    The failure record names the compiled objects too."""
 
     @staticmethod
     def _labels_seen(cfg, monkeypatch):
@@ -647,7 +682,7 @@ class TestLoopBuildsNoLabel:
             tables.add(table)
             bounds = clip(table, *args)
             if bounds:  # the step's rows are the plan's resolved rows
-                see("clip", (row[0].label for row in table.clip[1]))
+                see("clip", (row[0] for row in table.rows[1]))
             return bounds
 
         def solve_spy(u_nom, cons, box):
@@ -659,9 +694,9 @@ class TestLoopBuildsNoLabel:
             mp.setattr(sim, "solve_qp", solve_spy)
             outcome = pipeline.run_pipeline(cfg)
         (table,) = tables
-        compiled = {id(row.label) for cell in table.cells for sched in cell
+        compiled = {id(label) for cell in table.cells for sched in cell
                     for cbf, window in sched._rows
-                    for row in ([cbf[2]] if cbf else []) + ([window.row] if window else [])}
+                    for label in ([cbf[2]] if cbf else []) + ([window.label] if window else [])}
         return outcome, first, counts, fresh, paths, compiled
 
     def test_each_label_is_one_object(self, monkeypatch):
@@ -669,7 +704,7 @@ class TestLoopBuildsNoLabel:
             outcome, first, counts, fresh, paths, compiled = self._labels_seen(cfg, monkeypatch)
             failure = outcome.report.failure
             assert paths["clip"] + paths["solve_qp"] == outcome.trace.n_rows() - (failure is None)
-            assert 0 < paths["solve_qp"] < paths["clip"]
+            assert paths["solve_qp"] == (failure is not None) and paths["clip"] > 1
             assert fresh == []
             assert all(id(label) in compiled for label in first.values())
             if failure is None:
