@@ -45,14 +45,16 @@ into a list (`barriers.eval_rows`' list sink). For one input,
 sink); a step whose rows name a failure or an error takes
 `conjoin_groups` and `qp.solve_qp` instead, which raise or record it.
 
-Subset / intersection checks at boundary time t read the set being left at
-t- = nextafter(t, -inf), one ulp before t, and the one entered at t. They
-are exact for affine-in-state barriers (vertex enumeration of the
-box-and-halfspace polytope, from `affine_on` over the ulp right of t- or t).
-Other templates fall back to a deterministic N-per-axis grid, `sampled(N)`
-in the verdict, that numpy evaluates one slab per value of the first axis
-(`Barrier.h_grid`). A sampled verdict is evidence, not a proof: a violation
-can hide between grid points.
+The static checks at boundary time t read the set being left at t- =
+nextafter(t, -inf) and the one entered at t. Subset, intersection and the
+worst engage margin all ask for one extreme of h_next over C_prev in the
+domain, and `_extreme` finds it: exactly for affine-in-state barriers, at the
+vertices of the box-and-halfspace polytope (`affine_on` over the ulp right
+of t- or t), else on a deterministic N-per-axis grid, `sampled(N)` in the
+verdict, one numpy slab per value of the first axis (`Barrier.h_grid`). The
+sampled subset check scans the grid itself, to stop at the first bad point.
+A sampled verdict is evidence, not a proof: a violation can hide between
+grid points.
 """
 
 from __future__ import annotations
@@ -108,18 +110,18 @@ def _affine_value(coeffs, offset, x) -> float:
     return sum(c * xi for c, xi in zip(coeffs, x)) + offset
 
 
-def _form_at(bar: Barrier, t: float):
-    """bar's affine form on the one-ulp interval right of t, or None."""
-    return bar.affine_on(t, math.nextafter(t, math.inf))
+def _forms(h_prev: Barrier, h_next: Barrier, t_prev: float, t_next: float):
+    """Both affine forms, each on the one ulp right of its time, or None."""
+    prev_aff = h_prev.affine_on(t_prev, math.nextafter(t_prev, math.inf))
+    next_aff = h_next.affine_on(t_next, math.nextafter(t_next, math.inf))
+    return None if prev_aff is None or next_aff is None else (prev_aff, next_aff)
 
 
-def _cut_vertices(box: StateBox, coeffs, offset, tol: float = 1e-12):
-    """Vertices of box intersected with {coeffs.x + offset >= 0}.
-
-    For a linear objective over this (compact) polytope the optimum sits at
-    one of: box vertices inside the halfspace, or intersections of the cut
-    hyperplane with box edges.
-    """
+def _cut_vertices(box: StateBox, coeffs, offset):
+    """Vertices of box intersected with {coeffs.x + offset >= 0}: the box
+    vertices inside the halfspace and the cut hyperplane's crossings of box
+    edges, among which a linear objective takes its minimum and maximum."""
+    tol = 1e-12
     verts = [v for v in box.vertices() if _affine_value(coeffs, offset, v) >= -tol]
     if all(c == 0 for c in coeffs):
         return verts
@@ -196,23 +198,37 @@ def _require_domain(domain: StateBox):
         raise ContractError("degenerate (zero-width) domain box")
 
 
+def _extreme(h_prev, h_next, t_prev, t_next, domain, resolution, forms, lowest):
+    """(value, x, method): the first minimum (lowest) or maximum of
+    h_next(t_next, x) over the x in the domain with h_prev(t_prev, x) >= 0,
+    or (inf, None) or (-inf, None) when there is none. Exact over
+    `_cut_vertices` when `forms` holds both affine forms (`_forms`), else
+    over the grid, where NaN never wins."""
+    pick, fill = (np.argmin, math.inf) if lowest else (np.argmax, -math.inf)
+    if forms is not None:
+        prev_aff, next_aff = forms
+        best = (min if lowest else max)(_cut_vertices(domain, *prev_aff), default=None,
+                                        key=lambda v: _affine_value(*next_aff, v))
+        return (fill if best is None else _affine_value(*next_aff, best)), best, EXACT
+    best_val, best_at = fill, None
+    for slab in _grid_points(domain, resolution):
+        vals = np.where(h_prev.h_grid(t_prev, slab) >= 0, h_next.h_grid(t_next, slab), fill)
+        i, val = _first_best(vals, slab, fill, pick)
+        if (val < best_val) if lowest else (val > best_val):
+            best_val, best_at = float(val), (slab, i)
+    return best_val, None if best_at is None else _slab_point(*best_at), f"sampled({resolution})"
+
+
 def check_subset(h_prev: Barrier, h_next: Barrier, t: float, domain: StateBox,
                  resolution: int = 101) -> SubsetCheck:
     """Does every x in the domain with h_prev(t-, x) >= 0 satisfy
-    h_next(t, x) >= 0? Exact for affine templates, sampled otherwise."""
+    h_next(t, x) >= 0? Exact for affine templates, else the first bad grid point."""
     _require_domain(domain)
     t_left = math.nextafter(t, -math.inf)
-    prev_aff = _form_at(h_prev, t_left)
-    next_aff = _form_at(h_next, t)
-    if prev_aff is not None and next_aff is not None:
-        cand = _cut_vertices(domain, *prev_aff)
-        if not cand:
-            return SubsetCheck(True, EXACT)  # C_prev misses the domain: vacuous
-        worst = min(cand, key=lambda v: _affine_value(*next_aff, v))
-        if _affine_value(*next_aff, worst) >= -1e-9:
-            return SubsetCheck(True, EXACT)
-        return SubsetCheck(False, EXACT, counterexample=worst)
-
+    forms = _forms(h_prev, h_next, t_left, t)
+    if forms is not None:
+        worst, x, _ = _extreme(h_prev, h_next, t_left, t, domain, resolution, forms, True)
+        return SubsetCheck(True, EXACT) if worst >= -1e-9 else SubsetCheck(False, EXACT, x)
     method = f"sampled({resolution})"
     for slab in _grid_points(domain, resolution):
         i, bad = _first_best((h_prev.h_grid(t_left, slab) >= 0)
@@ -227,45 +243,15 @@ def check_intersection(h_prev: Barrier, h_next: Barrier, t: float, domain: State
     """Witness x with h_prev(t-, x) >= 0 and h_next(t, x) >= 0, or None."""
     _require_domain(domain)
     t_left = math.nextafter(t, -math.inf)
-    prev_aff = _form_at(h_prev, t_left)
-    next_aff = _form_at(h_next, t)
-    if prev_aff is not None and next_aff is not None:
-        cand = _cut_vertices(domain, *prev_aff)
-        if not cand:
-            return IntersectionCheck(None, EXACT)
-        best = max(cand, key=lambda v: _affine_value(*next_aff, v))
-        if _affine_value(*next_aff, best) >= -1e-12:
-            return IntersectionCheck(best, EXACT)
-        return IntersectionCheck(None, EXACT)
-
-    method = f"sampled({resolution})"
-    best_pt, best_val = None, -math.inf
-    for slab in _grid_points(domain, resolution):
-        inside = h_prev.h_grid(t_left, slab) >= 0
-        i, val = _first_best(np.where(inside, h_next.h_grid(t, slab), -math.inf),
-                             slab, -math.inf, np.argmax)
-        if val > best_val:
-            best_pt, best_val = _slab_point(slab, i), float(val)
-    return IntersectionCheck(best_pt if best_val >= -1e-12 else None, method)
+    best, x, method = _extreme(h_prev, h_next, t_left, t, domain, resolution,
+                               _forms(h_prev, h_next, t_left, t), False)
+    return IntersectionCheck(x if best >= -1e-12 else None, method)
 
 
 def _worst_engage_margin(h_prev, h_next, tau, domain, resolution):
-    """min h_next(tau, x) over C_prev(tau) in the domain (pessimistic)."""
-    prev_aff = _form_at(h_prev, tau)
-    next_aff = _form_at(h_next, tau)
-    if prev_aff is not None and next_aff is not None:
-        cand = _cut_vertices(domain, *prev_aff)
-        if not cand:
-            return 0.0, EXACT
-        return min(_affine_value(*next_aff, v) for v in cand), EXACT
-    method = f"sampled({resolution})"
-    worst = math.inf
-    for slab in _grid_points(domain, resolution):
-        inside = h_prev.h_grid(tau, slab) >= 0
-        _, val = _first_best(np.where(inside, h_next.h_grid(tau, slab), math.inf),
-                             slab, math.inf, np.argmin)
-        if val < worst:
-            worst = float(val)
+    """min h_next(tau, x) over C_prev(tau) in the domain (pessimistic; 0.0 if not finite)."""
+    worst, _, method = _extreme(h_prev, h_next, tau, tau, domain, resolution,
+                                _forms(h_prev, h_next, tau, tau), True)
     return (0.0 if math.isinf(worst) else worst), method
 
 

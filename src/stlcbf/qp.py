@@ -8,12 +8,12 @@ halfspace constraints and the input box:
 Each constraint is the (a, b, label) triple a generator returns; a zero a
 is vacuous (b >= 0) or marks an empty set (b < 0). The feasible set is
 compact (finite box), so the projection exists and is unique whenever the
-set is nonempty. Inputs are low dimensional (m <= 3). For m = 1 the
-solver clips u between the tightest bounds, checking each row as it reads
-it. For m >= 2 it projects u_nom onto the affine hull of every face cut out
-by 1..m rows and keeps the nearest projection that is feasible; the same
-pass finds that no feasible one exists. Returns None when the feasible set
-is empty, which is the synthesis loop's runtime failure signal.
+set is nonempty. Inputs are low dimensional (m <= 3). The solver checks
+each row as it reads it, for every m, then clips u between the tightest
+bounds (m = 1) or projects u_nom onto the affine hull of every face cut out
+by 1..m rows and keeps the nearest feasible projection (m >= 2); the same
+pass finds that none is feasible. Returns None when the feasible set is
+empty, which is the synthesis loop's runtime failure signal.
 """
 
 from __future__ import annotations
@@ -60,23 +60,24 @@ def input_floats(u) -> tuple:
     array, or the one value of a scalar (numpy scalars and 0-d arrays too)."""
     if isinstance(u, np.ndarray):
         u = u.tolist()  # a 0-d array gives its scalar, a 1-D one a list
-    return tuple(map(float, u)) if isinstance(u, (tuple, list)) else (float(u),)
+    try:
+        return tuple(map(float, u)) if isinstance(u, (tuple, list)) else (float(u),)
+    except TypeError:  # a nested sequence or array: no entry may be one
+        raise QpError(f"nominal input {u!r} is not a number or a flat sequence") from None
 
 
 def solve_qp(u_nom, constraints: Sequence[tuple], box: InputBox):
     """Euclidean projection of u_nom (as `input_floats` reads it) onto the
     polytope of the (a, b, label) rows and the box, or None when it is
     empty. Output is a tuple of floats (length box.dim). A non-finite u_nom
-    is rejected; each row's dimension and finiteness are checked here, in
-    order."""
+    is rejected; each row is checked as it is read, for every m: a must be a
+    tuple of m entries, and a and b finite."""
     u_nom = input_floats(u_nom)
     m = box.dim
     if len(u_nom) != m:
         raise QpError(f"u_nom has dimension {len(u_nom)}, box has {m}")
     if not all(map(math.isfinite, u_nom)):
         raise QpError(f"non-finite nominal input {u_nom}")
-    if m == 1:
-        return _solve_1d(u_nom[0], constraints, box)
 
     rows = []
     seen = set()
@@ -95,37 +96,19 @@ def solve_qp(u_nom, constraints: Sequence[tuple], box: InputBox):
             seen.add((a, b))
             rows.append((a, b))
 
+    if m == 1:  # clip between the tightest bounds b / a; a tie keeps the first
+        lo, hi = box.lower[0], box.upper[0]
+        for (a,), b in rows:
+            if a > 0:
+                hi = min(hi, b / a)
+            else:
+                lo = max(lo, b / a)
+        return None if lo > hi else (min(max(u_nom[0], lo), hi),)
     for i in range(m):  # box faces as ordinary halfspaces
         e = tuple(1.0 if j == i else 0.0 for j in range(m))
         rows.append((e, box.upper[i]))
         rows.append((tuple(-v for v in e), -box.lower[i]))
     return _nearest_face_projection(np.asarray(u_nom), rows, m)
-
-
-def _solve_1d(u: float, constraints, box: InputBox):
-    """Clip a scalar u between the largest lower and smallest upper bound b/a;
-    a zero `a` is vacuous, or the empty-set marker when b < 0. Each row is
-    checked as it is read: its dimension, then its finiteness."""
-    lo, hi = box.lower[0], box.upper[0]
-    isfinite = math.isfinite
-    for a_row, b, label in constraints:
-        try:
-            (a,) = a_row
-        except (ValueError, TypeError):  # a tuple of another length; a non-iterable
-            raise QpError(f"constraint {label or a_row} has wrong input dimension") from None
-        if not (isfinite(b) and isfinite(a)):
-            raise BarrierError(f"non-finite constraint {a_row} . u <= {b}")
-        if a > 0:
-            if (bound := b / a) < hi:
-                hi = bound
-        elif a < 0:
-            if (bound := b / a) > lo:
-                lo = bound
-        elif b < 0:
-            return None
-    if lo > hi:
-        return None
-    return (min(max(u, lo), hi),)
 
 
 @np.errstate(invalid="ignore", over="ignore")  # a near-singular S gives a NaN u: skipped

@@ -87,9 +87,10 @@ def feasible_vertex(rows, m: int, tol: float = 1e-9) -> bool:
 
 def reference_clip(u: float, constraints, box):
     """The m = 1 clip of `solve_qp` in its plain form: a `len` check and an
-    index per row, then min/max to tighten the bounds. Differential reference
-    for `qp._solve_1d`: the same results, or the same exception type and
-    message, raised at the same row."""
+    index per row, then min/max to tighten the bounds, with no duplicate
+    test. Differential reference for `solve_qp` at m = 1 on tuple rows: the
+    same results, or the same exception type and message, raised at the same
+    row."""
     lo, hi = box.lower[0], box.upper[0]
     isfinite = math.isfinite
     for a_row, b, label in constraints:

@@ -693,6 +693,69 @@ class TestGridOracleAgreement:
                 assert (res_int.witness is not None) == witness_grid
 
 
+@st.composite
+def affine_pairs(draw):
+    """A 2-D or 3-D box and two affine forms whose zero levels cross it or
+    lie just past it, with some zero coefficients."""
+    dim = draw(st.sampled_from([2, 3]))
+    lower = draw(st.tuples(*[st.floats(-50.0, 50.0)] * dim))
+    upper = tuple(lo + w for lo, w in zip(lower, draw(st.tuples(*[st.floats(0.5, 60.0)] * dim))))
+
+    def form():
+        coeffs = draw(st.tuples(*[st.sampled_from([0.0]) | st.floats(-2.0, 2.0)] * dim))
+        fracs = draw(st.tuples(*[st.floats(-0.2, 1.2)] * dim))
+        return coeffs, -sum(c * (lo + f * (hi - lo))
+                            for c, f, lo, hi in zip(coeffs, fracs, lower, upper))
+
+    return StateBox(lower, upper), form(), form()
+
+
+class TestExactExtremeAgainstDenseGrid:
+    """The exact extremes over the cut polytope against a 101-per-axis grid
+    that holds every box vertex (numpy's linspace ends on the bounds)."""
+
+    N = 101
+
+    def grid_values(self, box, coeffs, offset):
+        axes = np.ix_(*[np.linspace(lo, hi, self.N) for lo, hi in zip(box.lower, box.upper)])
+        return np.broadcast_to(sum(c * ax for c, ax in zip(coeffs, axes)) + offset,
+                               (self.N,) * box.dim)
+
+    @settings(max_examples=60, deadline=None)
+    @given(affine_pairs())
+    def test_exact_extremes_bound_the_grid(self, case):
+        box, prev_form, next_form = case
+        bp = AffineBarrier("p", coeffs=prev_form[0], offset=prev_form[1])
+        bn = AffineBarrier("n", coeffs=next_form[0], offset=next_form[1])
+        inside = self.grid_values(box, *prev_form) >= 0
+        hn = self.grid_values(box, *next_form)
+        worst, method = _worst_engage_margin(bp, bn, 0.0, box, self.N)
+        witness = check_intersection(bp, bn, 0.0, box, self.N).witness
+        assert method == "exact"
+        if not inside.any():
+            return
+        assert worst <= hn[inside].min() + 1e-9
+        if witness is None:
+            assert hn[inside].max() < 1e-9
+        else:
+            assert bp.h(0.0, witness) >= -1e-9
+            assert bn.h(0.0, witness) >= hn[inside].max() - 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(affine_pairs())
+    def test_over_the_whole_box_the_extremes_are_grid_points(self, case):
+        box, _, next_form = case
+        top, bn = TopBarrier(box.dim), AffineBarrier("n", coeffs=next_form[0],
+                                                     offset=next_form[1])
+        hn = self.grid_values(box, *next_form)
+        forms = contracts._forms(top, bn, 0.0, 0.0)
+        worst, _ = _worst_engage_margin(top, bn, 0.0, box, self.N)
+        best, _, method = contracts._extreme(top, bn, 0.0, 0.0, box, self.N, forms, False)
+        assert method == "exact"
+        assert math.isclose(worst, hn.min(), rel_tol=1e-9, abs_tol=1e-9)
+        assert math.isclose(best, hn.max(), rel_tol=1e-9, abs_tol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # Sampled grid: array evaluation against the scalar reference loops
 # ---------------------------------------------------------------------------

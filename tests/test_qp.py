@@ -61,19 +61,16 @@ class TestQpEntry:
         with pytest.raises(BarrierError, match="non-finite constraint"):
             solve_qp((0.0,) * m, [hs([0.5] * m, 3.0), c], self.BOXES[m])
 
-    def test_float_a_at_m1_is_qp_error(self):
-        # used to escape as TypeError: cannot unpack non-iterable float object
-        with pytest.raises(QpError, match="constraint cbf:bad has wrong input dimension"):
-            solve_qp(0.0, [hs(0.5, 3.0), (1.0, 2.0, "cbf:bad")], BOX1)
-
-    @pytest.mark.parametrize("a", [[1.0, 0.5], 1.0, np.array([1.0, 0.5])],
-                             ids=["list", "float", "ndarray"])
-    def test_a_that_is_no_tuple_at_m2_is_qp_error(self, a):
-        # a list used to escape as TypeError: unhashable type: 'list'
-        with pytest.raises(QpError, match=f"constraint cbf:bad needs a as a tuple, "
-                                          f"got {type(a).__name__}"):
-            solve_qp((0.0, 0.0), [hs([0.5, 0.5], 3.0), (a, 2.0, "cbf:bad")],
-                     self.BOXES[2])
+    @pytest.mark.parametrize("m", [1, 2], ids=["m1", "m2"])
+    @pytest.mark.parametrize("kind", ["list", "float", "ndarray"])
+    def test_a_that_is_no_tuple_is_qp_error(self, m, kind):
+        """Every m checks a row's type first. At m = 2 a list used to escape
+        as TypeError: unhashable type: 'list'; at m = 1 a list of one entry
+        was read as its entry, and a float failed the dimension check."""
+        a = {"list": [1.0] * m, "float": 1.0, "ndarray": np.ones(m)}[kind]
+        with pytest.raises(QpError, match=f"^constraint cbf:bad needs a as a tuple, "
+                                          f"got {type(a).__name__}$"):
+            solve_qp((0.0,) * m, [hs([0.5] * m, 3.0), (a, 2.0, "cbf:bad")], self.BOXES[m])
 
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -95,6 +92,15 @@ class TestQpEntry:
         assert got == want and all(type(v) is float for v in got)
         with pytest.raises(QpError, match=f"^u_nom has dimension {m + 1}, box has {m}$"):
             solve_qp(np.zeros(m + 1), cons, self.BOXES[m])
+
+    @pytest.mark.parametrize("u_nom", [np.array([[3.0]]), (np.array([3.0]),), [[3.0]]],
+                             ids=["2d_array", "tuple_of_array", "nested_list"])
+    def test_nested_nominal_is_qp_error(self, u_nom):
+        """A nominal whose entries are sequences used to escape as a bare
+        TypeError from float()."""
+        with pytest.raises(QpError, match=r"^nominal input .*3\..* is not a number or "
+                                          r"a flat sequence$"):
+            solve_qp(u_nom, [hs(1.0, 2.0)], BOX1)
 
     @pytest.mark.parametrize("u_nom", [np.float64(3.0), np.float32(3.0), np.array(3.0), 3])
     def test_numpy_scalar_nominal_still_reads_as_one_float(self, u_nom):
