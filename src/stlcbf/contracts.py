@@ -51,7 +51,10 @@ worst engage margin all ask for one extreme of h_next over C_prev in the
 domain, and `_extreme` finds it: exactly for affine-in-state barriers, at the
 vertices of the box-and-halfspace polytope (`affine_on` over the ulp right
 of t- or t), else on a deterministic N-per-axis grid, `sampled(N)` in the
-verdict, one numpy slab per value of the first axis (`Barrier.h_grid`). The
+verdict, one numpy slab per value of the first axis (`Barrier.h_grid`). An
+exact answer depends only on the domain and the forms, so a process
+enumerates each (domain, h_prev form) polytope once and scans it once per
+h_next form, memoized by their exact bits (`_MEMO_SIZE` entries each). The
 sampled subset check scans the grid itself, to stop at the first bad point.
 A sampled verdict is evidence, not a proof: a violation can hide between
 grid points.
@@ -60,9 +63,11 @@ grid points.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import numbers
+import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -143,6 +148,36 @@ def _cut_vertices(box: StateBox, coeffs, offset):
     return verts
 
 
+_MEMO_SIZE = 1024  # entries in each memo of the exact checks
+
+
+def _bits(*nums) -> bytes:
+    """The numbers' exact bits as doubles: unlike ==, they tell -0.0 from 0.0."""
+    return struct.pack(f"{len(nums)}d", *nums)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _polytope(box_bits: bytes, form_bits: bytes) -> tuple:
+    box, (*coeffs, offset) = memoryview(box_bits).cast("d"), memoryview(form_bits).cast("d")
+    half = len(box) // 2
+    return tuple(_cut_vertices(StateBox(tuple(box[:half]), tuple(box[half:])), coeffs, offset))
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _exact_extremes(box_bits: bytes, prev_bits: bytes, next_bits: bytes):
+    """(value, x, EXACT) at the first minimum and at the first maximum of the
+    next form over `_polytope`'s vertices, or (+-inf, None, EXACT) if none."""
+    verts = _polytope(box_bits, prev_bits)
+    *coeffs, offset = memoryview(next_bits).cast("d")
+    vals = [_affine_value(coeffs, offset, v) for v in verts]
+    if not vals:
+        return (math.inf, None, EXACT), (-math.inf, None, EXACT)
+    # min and max keep the first of equal values: the earlier vertex wins a tie
+    lo = min(range(len(vals)), key=vals.__getitem__)
+    hi = max(range(len(vals)), key=vals.__getitem__)
+    return (vals[lo], verts[lo], EXACT), (vals[hi], verts[hi], EXACT)
+
+
 def _check_resolution(resolution) -> None:
     if not (isinstance(resolution, numbers.Integral) and resolution >= 1):
         raise ContractError(f"grid resolution must be an integer >= 1, got {resolution!r}")
@@ -201,15 +236,15 @@ def _require_domain(domain: StateBox):
 def _extreme(h_prev, h_next, t_prev, t_next, domain, resolution, forms, lowest):
     """(value, x, method): the first minimum (lowest) or maximum of
     h_next(t_next, x) over the x in the domain with h_prev(t_prev, x) >= 0,
-    or (inf, None) or (-inf, None) when there is none. Exact over
-    `_cut_vertices` when `forms` holds both affine forms (`_forms`), else
-    over the grid, where NaN never wins."""
-    pick, fill = (np.argmin, math.inf) if lowest else (np.argmax, -math.inf)
+    or (inf, None) or (-inf, None) when there is none. Exact, and memoized,
+    when `forms` holds both affine forms (`_forms`), else over the grid,
+    where NaN never wins."""
     if forms is not None:
-        prev_aff, next_aff = forms
-        best = (min if lowest else max)(_cut_vertices(domain, *prev_aff), default=None,
-                                        key=lambda v: _affine_value(*next_aff, v))
-        return (fill if best is None else _affine_value(*next_aff, best)), best, EXACT
+        (prev_coeffs, prev_offset), (next_coeffs, next_offset) = forms
+        return _exact_extremes(_bits(*domain.lower, *domain.upper),
+                               _bits(*prev_coeffs, prev_offset),
+                               _bits(*next_coeffs, next_offset))[0 if lowest else 1]
+    pick, fill = (np.argmin, math.inf) if lowest else (np.argmax, -math.inf)
     best_val, best_at = fill, None
     for slab in _grid_points(domain, resolution):
         vals = np.where(h_prev.h_grid(t_prev, slab) >= 0, h_next.h_grid(t_next, slab), fill)

@@ -23,11 +23,14 @@ from stlcbf.barriers import (
     gamma_for_deadline,
 )
 from stlcbf.contracts import (
+    EXACT,
     ContractSchedule,
     EngagementRecord,
     IntersectionCheck,
     SubsetCheck,
     Verdict,
+    _affine_value,
+    _cut_vertices,
 )
 from stlcbf.pipeline import _ROW, TRACE_COLUMNS
 from stlcbf.qp import QpError
@@ -186,6 +189,23 @@ def scalar_worst_engage_margin(h_prev, h_next, tau, domain, resolution):
         if h_prev.h(tau, pt) >= 0:
             worst = min(worst, h_next.h(tau, pt))
     return (0.0 if math.isinf(worst) else worst), method
+
+
+# ---------------------------------------------------------------------------
+# Exact extremes: the enumeration that contracts' memo replaces
+# ---------------------------------------------------------------------------
+
+
+def exact_extreme_direct(domain, forms, lowest: bool):
+    """The exact branch of `contracts._extreme` with no memo: one
+    `_cut_vertices` enumeration per call, and the first minimum (lowest) or
+    maximum of the h_next form over the vertices, as `min`/`max` pick it."""
+    prev_aff, next_aff = forms
+    best = (min if lowest else max)(_cut_vertices(domain, *prev_aff), default=None,
+                                    key=lambda v: _affine_value(*next_aff, v))
+    if best is None:
+        return (math.inf if lowest else -math.inf), None, EXACT
+    return _affine_value(*next_aff, best), best, EXACT
 
 
 # ---------------------------------------------------------------------------

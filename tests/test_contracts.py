@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     active_constraints,
+    exact_extreme_direct,
     grid_set_check,
     scalar_check_intersection,
     scalar_check_subset,
@@ -30,6 +31,7 @@ from stlcbf.barriers import (
     gamma_for_deadline,
 )
 from stlcbf import contracts
+from stlcbf.config import load_config
 from stlcbf.contracts import (
     ContractError,
     RegionTable,
@@ -44,6 +46,7 @@ from stlcbf.contracts import (
     clip_groups,
     conjoin_groups,
 )
+from stlcbf.pipeline import build_scenario
 from stlcbf.qp import InputBox, solve_qp
 from stlcbf.stl import PredicateRef, TaskGroup, TimeInterval
 from stlcbf.vehicle import (
@@ -754,6 +757,103 @@ class TestExactExtremeAgainstDenseGrid:
         assert method == "exact"
         assert math.isclose(worst, hn.min(), rel_tol=1e-9, abs_tol=1e-9)
         assert math.isclose(best, hn.max(), rel_tol=1e-9, abs_tol=1e-9)
+
+
+SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def memo_cases(draw):
+    """A 3-D box and two barriers, each affine or `TopBarrier`, whose bounds,
+    coefficients and offsets may be 0.0 or -0.0 and whose cut may miss the
+    box (offset -1e6, or a far zero level)."""
+    lower = draw(st.tuples(*[SIGNED_ZERO | st.floats(-50.0, 50.0)] * 3))
+    upper = tuple(lo + w for lo, w in zip(lower, draw(st.tuples(*[st.floats(0.5, 60.0)] * 3))))
+
+    def barrier(name):
+        if draw(st.booleans()):
+            return TopBarrier(3)
+        coeffs = draw(st.tuples(*[SIGNED_ZERO | st.floats(-2.0, 2.0)] * 3))
+        offset = draw(SIGNED_ZERO | st.just(-1e6) | st.floats(-300.0, 300.0))
+        return AffineBarrier(name, coeffs=coeffs, offset=offset)
+
+    return StateBox(lower, upper), barrier("p"), barrier("n")
+
+
+def hexed_extreme(result):
+    value, x, method = result
+    return value.hex(), None if x is None else tuple(c.hex() for c in x), method
+
+
+class TestExactExtremeMemo:
+    """The memoized exact branch of `_extreme` against the direct enumeration
+    (`oracles.exact_extreme_direct`), bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(memo_cases())
+    @example((StateBox((-0.0,) * 3, (1.0,) * 3), TopBarrier(3),
+              AffineBarrier("n", coeffs=(-0.0, 0.0, -0.0), offset=-0.0)))
+    @example((StateBox((0.0,) * 3, (1.0,) * 3),
+              AffineBarrier("p", coeffs=(1.0, 0.0, 0.0), offset=-1e6), TopBarrier(3)))
+    def test_memo_matches_direct_enumeration(self, case):
+        box, h_prev, h_next = case
+        forms = contracts._forms(h_prev, h_next, 0.0, 0.0)
+        for lowest in (True, False):
+            got = contracts._extreme(h_prev, h_next, 0.0, 0.0, box, 101, forms, lowest)
+            assert hexed_extreme(got) == hexed_extreme(exact_extreme_direct(box, forms, lowest))
+        hits = contracts._exact_extremes.cache_info().hits
+        again = contracts._extreme(h_prev, h_next, 0.0, 0.0, box, 101, forms, True)
+        assert contracts._exact_extremes.cache_info().hits == hits + 1
+        assert hexed_extreme(again) == hexed_extreme(exact_extreme_direct(box, forms, True))
+
+    def test_signed_zero_bounds_get_their_own_entries(self):
+        """0.0 == -0.0, yet a witness at the lower corner prints 0 or -0."""
+        top, bn = TopBarrier(2), AffineBarrier("n", coeffs=(1.0, 1.0), offset=0.0)
+        forms = contracts._forms(top, bn, 0.0, 0.0)
+        for zero, shown in ((0.0, "0"), (-0.0, "-0"), (0.0, "0")):
+            box = StateBox((zero, zero), (1.0, 1.0))
+            _, x, _ = contracts._extreme(top, bn, 0.0, 0.0, box, 101, forms, True)
+            assert [f"{c:g}" for c in x] == [shown, shown]
+
+    def test_paper_sec6_enumerates_each_polytope_once(self, monkeypatch):
+        """Counted within this build, so a memo warmed by an earlier test
+        only lowers the count (paper_sec6: 363 exact checks, 14 polytopes)."""
+        polytopes, exact_calls, enumerations = set(), [0], [0]
+        real_extreme, real_cut = contracts._extreme, contracts._cut_vertices
+
+        def extreme(h_prev, h_next, t_prev, t_next, domain, resolution, forms, lowest):
+            if forms is not None:
+                exact_calls[0] += 1
+                polytopes.add((contracts._bits(*domain.lower, *domain.upper),
+                               contracts._bits(*forms[0][0], forms[0][1])))
+            return real_extreme(h_prev, h_next, t_prev, t_next, domain, resolution, forms, lowest)
+
+        def cut_vertices(*args):
+            enumerations[0] += 1
+            return real_cut(*args)
+
+        monkeypatch.setattr(contracts, "_extreme", extreme)
+        monkeypatch.setattr(contracts, "_cut_vertices", cut_vertices)
+        build_scenario(load_config("paper_sec6"))
+        assert enumerations[0] <= len(polytopes) < exact_calls[0]
+
+    def test_memo_stays_within_its_bound(self):
+        box = StateBox((0.0, 0.0), (1.0, 1.0))
+        bn = AffineBarrier("n", coeffs=(1.0, -2.0), offset=0.5)
+        caches = (contracts._polytope, contracts._exact_extremes)
+
+        def extreme(k):  # a distinct polytope, and so a distinct pair, for each k
+            bp = AffineBarrier("p", coeffs=(-1.0, 0.5), offset=0.125 + k / 4096)
+            forms = contracts._forms(bp, bn, 0.0, 0.0)
+            return contracts._extreme(bp, bn, 0.0, 0.0, box, 101, forms, True), forms
+
+        for k in range(contracts._MEMO_SIZE + 64):
+            extreme(k)
+            assert all(c.cache_info().currsize <= contracts._MEMO_SIZE for c in caches)
+        misses = [c.cache_info().misses for c in caches]
+        got, forms = extreme(0)
+        assert [c.cache_info().misses for c in caches] == [m + 1 for m in misses]  # evicted
+        assert hexed_extreme(got) == hexed_extreme(exact_extreme_direct(box, forms, True))
 
 
 # ---------------------------------------------------------------------------
