@@ -24,7 +24,8 @@ sink gives each row as the plain triple (a, b, label), which
 `cbf_constraint` and `fcbf_constraint` return: a is a tuple with one entry
 per input, and a zero a marks a vacuous row (b >= 0) or an infeasible one
 (b < 0). Its clip sink, for one input, cuts the input bounds row by row as
-`qp.solve_qp` would, reading each row's a as one float.
+`qp.solve_qp` would, reading each row's a as one float; `clip_rows` leaves
+out the rows whose bounds other rows bracket.
 
 `affine_on(t0, t1)` gives (coeffs, offset) when h = coeffs.x + offset, with
 zero dh/dt, over the whole of [t0, t1), and None otherwise (the default).
@@ -110,13 +111,15 @@ class StateBox:
 
 @dataclass(frozen=True)
 class AlphaFn:
-    """Linear extended class-K function alpha(h) = kappa * h, kappa > 0."""
+    """Linear extended class-K function alpha(h) = kappa * h, 0 < kappa < inf."""
 
     kappa: float = 1.0
 
     def __post_init__(self):
         if not self.kappa > 0:
             raise BarrierError(f"alpha gain must be positive, got {self.kappa}")
+        if self.kappa == math.inf:  # inf * 0 is NaN: no drift would be monotone in h
+            raise BarrierError(f"alpha gain must be finite, got {self.kappa}")
 
 
 IDENTITY_ALPHA = AlphaFn(1.0)
@@ -324,6 +327,45 @@ def resolve_rows(specs, gm):
             kappa, gamma, rho = None, params.gamma, params.rho
         rows.append((label, bar, grad, offset, kappa, gamma, rho, fresh, a, a1))
     return tuple(rows)
+
+
+def clip_rows(rows):
+    """The `resolve_rows` rows that `eval_rows`' clip sink reads, or None
+    where a row has no a1. Affine invariance rows with equal coefficients
+    and kappa share grad.x, grad.f and a1, so their h, b and bound b / a1
+    are monotone in the offset. Of each such class with finite offsets, the
+    first row of least offset sets the bound and meets the floor and zero-a1
+    tests first, and a non-finite b shows at it or at the first row of
+    greatest offset: only these two stay. Other rows stay, in order, with
+    `fresh` derived again; `rows` itself when none drops. A zero bound's
+    sign can still come from a dropped row (see `contracts.clip_groups`)."""
+    affine = 0
+    for row in rows:
+        if row[9] is None:
+            return None
+        affine += row[2] is not None and row[5] is None
+    if affine < 3:  # no class can drop a row
+        return rows
+    classes = {}
+    for i, (_, _, grad, offset, kappa, gamma, *_) in enumerate(rows):
+        if grad is not None and gamma is None:
+            classes.setdefault((tuple(grad), kappa), []).append(i)
+    drop = set()
+    for members in classes.values():
+        offsets = [rows[i][3] for i in members]
+        if len(members) > 2 and all(map(math.isfinite, offsets)):
+            # min, max and index all give the first of equal offsets
+            ends = {members[offsets.index(min(offsets))], members[offsets.index(max(offsets))]}
+            drop.update(i for i in members if i not in ends)
+    if not drop:
+        return rows
+    kept, last = [], None
+    for i, row in enumerate(rows):
+        if i not in drop:
+            if row[2] is not None:
+                row, last = row[:7] + (row[2] != last,) + row[8:], row[2]
+            kept.append(row)
+    return tuple(kept)
 
 
 def eval_rows(rows, t, x, fv, floor, lo=None, hi=None, out=None):

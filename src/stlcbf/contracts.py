@@ -41,9 +41,10 @@ their intervals and x[0] in the cell, resolved once per plan and g object.
 Only when t or x[0] leaves the plan does a query `replan`, with one bisect
 for the cell and one per schedule. `conjoin_groups` evaluates the rows
 into a list (`barriers.eval_rows`' list sink). For one input,
-`clip_groups` clips the input box by the same rows in one pass (the clip
-sink); a step whose rows name a failure or an error takes
-`conjoin_groups` and `qp.solve_qp` instead, which raise or record it.
+`clip_groups` clips the input box in one pass over the rows that can bind
+(the clip sink over `barriers.clip_rows`); a step whose rows name a failure
+or an error takes `conjoin_groups` and `qp.solve_qp` instead, which raise or
+record it.
 
 The static checks at boundary time t read the set being left at t- =
 nextafter(t, -inf) and the one entered at t. Subset, intersection and the
@@ -82,6 +83,7 @@ from .barriers import (
     StateBox,
     TopBarrier,
     cbf_constraint,  # noqa: F401  callers import and patch both generators here
+    clip_rows,
     convergence_time,
     eval_rows,
     fcbf_constraint,  # noqa: F401
@@ -429,14 +431,6 @@ class ContractSchedule:
             return None
         return seg.barrier_id, seg.barrier.h(seg.interval.start, x0)
 
-    def constraints_at(self, t, x, sys, engagements: dict, dyn=None) -> list:
-        """The (a, b, label) rows active at (t, x), whatever the region:
-        `plan`, `resolve_rows`, then `eval_rows`. Pass one `engagements` dict
-        to every query of a run: a window's gamma is fixed at its first query."""
-        fv, gm = dyn if dyn is not None else (sys.f(t, x), sys.g(t, x))
-        rows = resolve_rows(self.plan(t, x, engagements)[2], gm)
-        return eval_rows(rows, t, x, fv, -math.inf, out=[])
-
     def plan(self, t, x, engagements: dict) -> tuple:
         """(t_from, until, specs): the row specs active at t, and the interval
         [t_from, until) around t over which they stay active. The specs are
@@ -614,9 +608,10 @@ class RegionTable:
     cell (lo, hi], in list order, valid on the intersection [t_from, until)
     of their `ContractSchedule.plan` intervals. `rows` is (g, rows, clip):
     the plan's specs resolved (`resolve_rows`) for the g object of its
-    latest query, and whether `eval_rows`' clip sink may read them; None
-    until the plan's first query. `engagements` maps (schedule label,
-    boundary index) to `EngagementRecord`s, in engagement order."""
+    latest query, and of those the rows that `eval_rows`' clip sink reads
+    (`clip_rows`), or None where it may not; None until the plan's first
+    query. `engagements` maps (schedule label, boundary index) to
+    `EngagementRecord`s, in engagement order."""
 
     __slots__ = ("bounds", "cells", "engagements", "plan", "rows")
 
@@ -661,8 +656,8 @@ def _rows_at(table: RegionTable, t, x, gm) -> tuple:
         specs = table.replan(t, x)
     rows = table.rows
     if rows is None or rows[0] is not gm:
-        resolved = resolve_rows(specs, gm)  # the clip sink reads each row's a1
-        rows = table.rows = (gm, resolved, all(row[9] is not None for row in resolved))
+        resolved = resolve_rows(specs, gm)
+        rows = table.rows = (gm, resolved, clip_rows(resolved))
     return rows
 
 
@@ -681,6 +676,13 @@ def clip_groups(table: RegionTable, t, x, fv, gm, floor, lo, hi):
     leave of [lo, hi], in one pass over the same rows (`eval_rows`' clip
     sink). None where the step must take `conjoin_groups` and `solve_qp`
     instead: g has another number of columns, or the rows name a failure or
-    an error (they raise or record it)."""
+    an error (they raise or record it). The pass reads the plan's
+    `clip_rows`; a zero bound, whose sign a dropped row may have set first,
+    takes a second pass over every row."""
     _, rows, clip = _rows_at(table, t, x, gm)
-    return eval_rows(rows, t, x, fv, floor, lo, hi) if clip else None
+    if clip is None:
+        return None
+    bounds = eval_rows(clip, t, x, fv, floor, lo, hi)
+    if bounds and clip is not rows and 0 in bounds:
+        return eval_rows(rows, t, x, fv, floor, lo, hi)
+    return bounds

@@ -19,8 +19,10 @@ from stlcbf.barriers import (
     FcbfParams,
     cbf_constraint,
     convergence_time,
+    eval_rows,
     fcbf_constraint,
     gamma_for_deadline,
+    resolve_rows,
 )
 from stlcbf.contracts import (
     EXACT,
@@ -313,11 +315,21 @@ class SafeSet:
         return self.margin(x) >= 0
 
 
+def constraints_at(schedule: ContractSchedule, t, x, sys, engagements: dict, dyn=None) -> list:
+    """The (a, b, label) rows of one schedule active at (t, x), whatever its
+    region: `plan`, `resolve_rows`, then `eval_rows`' list sink. Pass one
+    `engagements` dict to every query of a run: a window's gamma is fixed at
+    its first query."""
+    fv, gm = dyn if dyn is not None else (sys.f(t, x), sys.g(t, x))
+    rows = resolve_rows(schedule.plan(t, x, engagements)[2], gm)
+    return eval_rows(rows, t, x, fv, -math.inf, out=[])
+
+
 def active_constraints(schedule: ContractSchedule, t, x, sys, engagements=None):
-    """Constraints of one schedule at (t, x); see ContractSchedule.constraints_at.
-    Without `engagements`, the query gets a dict of its own: a window engaged
-    at t has its gamma sized at this query."""
-    return schedule.constraints_at(t, x, sys, {} if engagements is None else engagements)
+    """`constraints_at` of one schedule. Without `engagements`, the query
+    gets a dict of its own: a window engaged at t has its gamma sized at
+    this query."""
+    return constraints_at(schedule, t, x, sys, {} if engagements is None else engagements)
 
 
 def scan_constraints(schedules, t, x, sys, engagements, dyn=None):
@@ -358,7 +370,7 @@ def bisect_dispatch(schedules, positions, t, x, sys, engagements, dyn=None):
     k = bisect_left(positions, x[0])
     if k >= len(schedules):
         return []
-    return schedules[k].constraints_at(t, x, sys, engagements, dyn)
+    return constraints_at(schedules[k], t, x, sys, engagements, dyn)
 
 
 def friction_force(v_f: float, p: VehicleParams) -> float:

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import SafeSet, finite_diff_check, left_limit_lookup, simulate_scalar_pull
+from oracles import (
+    SafeSet,
+    constraints_at,
+    finite_diff_check,
+    left_limit_lookup,
+    simulate_scalar_pull,
+)
 from stlcbf.barriers import (
     AffineBarrier,
     AlphaFn,
@@ -21,6 +27,7 @@ from stlcbf.barriers import (
     StateBox,
     TopBarrier,
     cbf_constraint,
+    clip_rows,
     convergence_time,
     eval_rows,
     fcbf_constraint,
@@ -61,6 +68,12 @@ class TestParamTypes:
     def test_alpha_positive_gain(self):
         with pytest.raises(BarrierError):
             AlphaFn(0.0)
+
+    @pytest.mark.parametrize("kappa, need", [(math.inf, "finite"), (-math.inf, "positive"),
+                                             (math.nan, "positive")])
+    def test_alpha_gain_must_be_finite(self, kappa, need):
+        with pytest.raises(BarrierError, match=rf"^alpha gain must be {need}, got {kappa}$"):
+            AlphaFn(kappa)
 
     @pytest.mark.parametrize("rho,gamma", [(1.0, 1.0), (-0.1, 1.0), (0.5, 0.0)])
     def test_fcbf_params_validated(self, rho, gamma):
@@ -162,7 +175,7 @@ def list_rows(specs, t, x, sys, dyn=None, floor=-math.inf) -> list:
 
 def clip_sink_reads(rows) -> bool:
     """Whether `eval_rows`' clip sink may read `resolve_rows` rows: every
-    row carries its one-input form a1 (`contracts.clip_groups`' test)."""
+    row carries its one-input form a1 (`clip_rows`' test)."""
     return all(row[9] is not None for row in rows)
 
 
@@ -300,7 +313,7 @@ class TestInvarianceFloor:
     def test_library_calls_never_raise_below_zero(self):
         assert cbf_constraint(self.POS, scalar_system(), IDENTITY_ALPHA, 0.0, (-5.0,)) == \
             ((-1.0,), -5.0, "cbf:pos")
-        (row,) = self._schedule().constraints_at(1.0, (-5.0,), scalar_system(), {})
+        (row,) = constraints_at(self._schedule(), 1.0, (-5.0,), scalar_system(), {})
         assert row[0] == (-1.0,) and row[1] == -5.0
 
     def test_floor_guards_invariance_rows_only(self):
@@ -432,6 +445,139 @@ class TestClipSink:
         else:
             assert bounds is not None
             assert min(max(u, bounds[0]), bounds[1]).hex() == want[0].hex()
+
+
+PARALLEL_OFFSETS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1e308, math.inf,
+                    -math.inf, math.nan)
+KAPPAS = (1e-300, 1e-10, 0.5, 1.0, 3.0, 1e10, 1e300)
+
+
+@st.composite
+def parallel_cases(draw):
+    """(x, f, g, (lo, hi), floor, specs) for a 2-state, 1-input plan of 2 to 12
+    affine invariance rows drawn from two gradients and two kappas, so that
+    rows fall into classes, with a `terms` row and a finite-time row on a
+    class's gradient at drawn places. In one case in three, an offset is,
+    one time in four, a signed zero, a subnormal, huge or not finite; else
+    it sets h to a tiny value of either sign, or to a moderate one. a1 takes
+    each sign and zero."""
+    huge, odd = draw(st.integers(0, 9)) == 0, draw(st.integers(0, 2)) == 0
+    x = (_num(draw, 0), draw(st.sampled_from((-1e308, 1e308))) if huge else _num(draw, 0))
+    fv = (draw(st.sampled_from((0.0, -0.0, 1.0))), _num(draw, 0))
+    gm = ((_num(draw, 0),), (draw(st.sampled_from((1.0, -1.0, 0.0, 1e300, -1e-300, 2.5))),))
+    lo, hi = sorted(draw(st.sampled_from((-5.0, -0.0, 0.0, 5.0, -1e300, 1e300))) for _ in "lh")
+    floor = draw(st.sampled_from((-math.inf, -math.inf, -1e-3)))
+    grads = [draw(st.sampled_from(CLIP_GRADS[:4])) for _ in "ab"]
+    kappas = [draw(st.sampled_from(KAPPAS) | st.floats(1e-300, 1e300)) for _ in "ab"]
+
+    def offset(coeffs):
+        lie = sum(map(mul, coeffs, x))
+        kind = draw(st.integers(0, 3))
+        if kind == 0 and odd:
+            return draw(st.sampled_from(PARALLEL_OFFSETS))
+        if kind == 1:
+            return draw(st.sampled_from([d - lie for d in (-1e-300, -5e-324, 0.0, 1e-300)]))
+        return draw(st.floats(0.0, 20.0)) - lie
+
+    specs = []
+    for i in range(draw(st.integers(2, 12))):
+        coeffs, kappa = draw(st.sampled_from(grads)), draw(st.sampled_from(kappas))
+        d = offset(coeffs)
+        bar = AffineBarrier(f"p{i}", coeffs=[*coeffs], offset=d)  # its own tuple
+        specs.append((f"cbf:p{i}", bar, bar.coeffs, d, AlphaFn(kappa), None))
+    terms = NegatedBarrier(AffineBarrier("t", coeffs=(0.0, 1.0), offset=-offset((0.0, 1.0))))
+    specs.insert(draw(st.integers(0, len(specs))), ("cbf:t", terms, None, None, IDENTITY_ALPHA,
+                                                    None))
+    coeffs = draw(st.sampled_from(grads))
+    d = offset(coeffs)
+    specs.insert(draw(st.integers(0, len(specs))), ("fcbf:w", AffineBarrier("w", coeffs, d),
+                                                    coeffs, d, None, FcbfParams(0.5, 2.0)))
+    return x, fv, gm, (lo, hi), floor, specs
+
+
+def _plan_table(specs) -> RegionTable:
+    """A table whose one schedule plans `specs` over [0, 1)."""
+    return RegionTable.of([SimpleNamespace(region=(-math.inf, math.inf),
+                                           plan=lambda t, x, engagements: (0.0, 1.0, specs))])
+
+
+def _unit_specs(offsets, terms_at=None, terms_offset=0.0, kappas=None) -> list:
+    """Rows of h = offset - x[1] with kappa 1 (or `kappas`), and a `terms`
+    row of h = terms_offset - x[1] before row `terms_at`."""
+    specs = [(f"cbf:c{i}", None, (0.0, -1.0), d, AlphaFn(k), None)
+             for i, (d, k) in enumerate(zip(offsets, kappas or [1.0] * len(offsets)))]
+    if terms_at is not None:
+        bar = AffineBarrier("t", coeffs=(0.0, -1.0), offset=terms_offset)
+        specs.insert(terms_at, ("cbf:t", bar, None, None, IDENTITY_ALPHA, None))
+    return specs
+
+
+class TestClipRows:
+    """`clip_groups` reads the plan's `clip_rows`: of each class of affine
+    invariance rows with equal coefficients and kappa, the first rows of
+    least and of greatest offset. Its (lo, hi) must equal, by `float.hex`,
+    the clip sink's over every row, or both must be None."""
+
+    @settings(max_examples=800, deadline=None)
+    @given(parallel_cases())
+    # h = 1e308 at the least offset, inf at the greatest: only that row's b
+    # is not finite, so the clip has no bounds
+    @example(((0.0, -1e308), ZERO_F, UNIT_G, (-5.0, 5.0), -math.inf,
+              _unit_specs([0.0, 1.0, 1e308])))
+    # a NaN offset between finite ones: its b is NaN, so no bounds
+    @example((ZERO_X, ZERO_F, UNIT_G, (-5.0, 5.0), -math.inf,
+              _unit_specs([1.0, math.nan, 2.0, 3.0])))
+    # b = 100, 2, 3: the least offset's row has another kappa, and the bound
+    # 2 comes from a row of neither least nor greatest offset in its class
+    @example((ZERO_X, ZERO_F, UNIT_G, (-5.0, 5.0), -math.inf,
+              _unit_specs([1.0, 2.0, 3.0], kappas=[100.0, 1.0, 1.0])))
+    # bounds +0.0 (1e-300 / 1e300), -0.0 and 5e-300: the first zero read is +0.0,
+    # from a row of neither least nor greatest offset
+    @example((ZERO_X, ZERO_F, ((0.0,), (1e300,)), (-5.0, 5.0), -math.inf,
+              _unit_specs([1e-300, -1e-300, 5.0])))
+    # tied least offsets, -0.0 bounds on both sides of a terms row's +0.0:
+    # the first of the tied rows is the one read before the terms row
+    @example((ZERO_X, ZERO_F, ((0.0,), (1e300,)), (-5.0, 5.0), -math.inf,
+              _unit_specs([-1e-300, -1e-300, 5.0], terms_at=1, terms_offset=1e-300)))
+    def test_pruned_clip_matches_every_row(self, case):
+        x, fv, gm, (lo, hi), floor, specs = case
+        resolved = resolve_rows(specs, gm)
+        want = (eval_rows(resolved, 0.5, x, fv, floor, lo, hi) if clip_sink_reads(resolved)
+                else None)
+        table = _plan_table(specs)
+        got = clip_groups(table, 0.5, x, fv, gm, floor, lo, hi)
+        assert (None if got is None else [v.hex() for v in got]) == \
+            (None if want is None else [v.hex() for v in want])
+        kept = table.rows[2]
+        assert (kept is None) == (not clip_sink_reads(resolved))
+        if kept is not None:  # a subsequence that keeps every terms and finite-time row
+            labels = [row[0] for row in resolved]
+            assert [labels.index(row[0]) for row in kept] == sorted(
+                labels.index(row[0]) for row in kept)
+            assert {row[0] for row in resolved if row[2] is None or row[5] is not None} <= \
+                {row[0] for row in kept}
+
+    def test_each_finite_class_keeps_two_rows(self):
+        specs = _unit_specs([3.0, 1.0, 2.0, 1.0, 4.0, 4.0], terms_at=2)
+        specs.append(("cbf:k", None, (0.0, -1.0), 0.5, AlphaFn(2.0), None))  # another kappa
+        specs.append(("cbf:d", None, (-1.0, -1.8), 0.5, IDENTITY_ALPHA, None))
+        kept = clip_rows(resolve_rows(specs, UNIT_G))
+        # c1 and c4 hold the least and greatest offsets first; c1 now opens the Lie sums
+        assert [(row[0], row[7]) for row in kept] == [
+            ("cbf:c1", True), ("cbf:t", False), ("cbf:c4", False), ("cbf:k", False),
+            ("cbf:d", True)]
+        kept = clip_rows(resolve_rows(_unit_specs([2.0, 1.0, 3.0]), UNIT_G))
+        assert [(row[0], row[7]) for row in kept] == [("cbf:c1", True), ("cbf:c2", False)]
+
+    def test_classes_that_stay_whole(self):
+        for specs in (_unit_specs([1.0, 2.0]),  # nothing to drop
+                      _unit_specs([1.0, math.inf, 2.0]),  # a non-finite offset
+                      _unit_specs([1.0, math.nan, 2.0]),
+                      [(f"fcbf:w{i}", None, (0.0, -1.0), float(i), None, FcbfParams(0.5, 2.0))
+                       for i in range(4)]):  # finite-time rows
+            rows = resolve_rows(specs, UNIT_G)
+            assert clip_rows(rows) is rows
+        assert clip_rows(resolve_rows(_unit_specs([1.0] * 3), ((0.0,), (math.inf,)))) is None
 
 
 class TestConvergenceTime:

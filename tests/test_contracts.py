@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     active_constraints,
+    constraints_at,
     exact_extreme_direct,
     grid_set_check,
     scalar_check_intersection,
@@ -250,7 +251,7 @@ class TestBuildSchedule:
         group = TaskGroup("G1", ((TimeInterval(1e-10, 2.0), PredicateRef("v10")),))
         sched = build_schedule(group, reg, speed_cfg(2.0))
         assert [(seg.interval.start, seg.interval.end) for seg in sched.segments] == [(0.0, 2.0)]
-        cons = sched.constraints_at(0.0, (0.0, 5.0), ScalarSys, {})
+        cons = constraints_at(sched, 0.0, (0.0, 5.0), ScalarSys, {})
         assert [label for _, _, label in cons] == ["cbf:v10"]
 
 
@@ -402,8 +403,9 @@ class TestActiveConstraints:
         sched = build_schedule(speed_group([30, 10]), reg, speed_cfg(100.0, rho=0.9))
         want = -(18.0 ** 0.1 / 0.5) * 2.0 ** 0.9
         ledger = {}
-        sched.constraints_at(46.0, (0.0, 28.0), ScalarSys, ledger)
-        (_, _, _), (a, b, label) = sched.constraints_at(47.0, (0.0, 12.0), ScalarSys, ledger)
+        constraints_at(sched, 46.0, (0.0, 28.0), ScalarSys, ledger)
+        (_, _, _), (a, b, label) = constraints_at(sched, 47.0, (0.0, 12.0), ScalarSys,
+                                                  ledger)
         assert (a, label) == ((1.0,), "fcbf:v10") and b == pytest.approx(want, rel=1e-12)
         assert round(b, 3) == -4.983
         table = RegionTable.of([sched])
@@ -413,7 +415,7 @@ class TestActiveConstraints:
         fresh = conjoin_groups(RegionTable.of([sched]), 47.0, (0.0, 12.0), ScalarSys)
         assert fresh[1][1] == pytest.approx(-4.0, rel=1e-12)
         with pytest.raises(TypeError, match="engagements"):
-            sched.constraints_at(47.0, (0.0, 12.0), ScalarSys)
+            constraints_at(sched, 47.0, (0.0, 12.0), ScalarSys)
 
     def test_table_plan_holds_on_its_interval_only(self):
         # one table queried back and forth around the 30 -> 25 window (45, 50):

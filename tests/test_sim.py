@@ -491,11 +491,27 @@ class TestLoopMakesNoWrapperCall:
         assert 5 < len(want) < 100 and len(outcome.report.engagements) > 1
 
 
+def _clip_reads(monkeypatch) -> list:
+    """Patch `contracts.eval_rows` to log how many rows each clip-sink pass
+    reads; return that log."""
+    reads, evaluate = [], contracts.eval_rows
+
+    def reading(rows, *args, **kwargs):
+        if "out" not in kwargs:
+            reads.append(len(rows))
+        return evaluate(rows, *args, **kwargs)
+
+    monkeypatch.setattr(contracts, "eval_rows", reading)
+    return reads
+
+
 class TestAffineRowsShareLieSums:
     """Affine rows with one gradient share their Lie sums: a plan of k such
     rows costs two sums a step, grad.x and grad.f, not 2k (`eval_rows`).
     Every step takes `clip_groups` alone: the plan's first step replans there
-    and derives each row's a = -grad.g, and every later step reuses those a."""
+    and derives each row's a = -grad.g, and every later step reuses those a.
+    The k rows share their kappa too, so the clip reads two of them, those of
+    least and greatest offset, while `conjoin_groups` still gives all k."""
 
     def test_two_sums_a_step_for_k_rows(self, monkeypatch):
         k, horizon = 6, 0.5
@@ -525,7 +541,8 @@ class TestAffineRowsShareLieSums:
             return spy
 
         def step(*args, **kwargs):  # the step's rows are all evaluated by now
-            per_step.append((tuple(entries), len(tables[-1].plan[4]), calls[0]))
+            per_step.append((tuple(entries), len(tables[-1].plan[4]), calls[0], tuple(reads)))
+            reads.clear()
             return integrate(*args, **kwargs)
 
         integrate = sim.integrate_step
@@ -533,13 +550,41 @@ class TestAffineRowsShareLieSums:
             monkeypatch.setattr(sim, name, entry(name, getattr(sim, name)))
         monkeypatch.setattr(sim, "integrate_step", step)
         monkeypatch.setattr(barriers, "sum", counting_sum, raising=False)
+        reads = _clip_reads(monkeypatch)
         res = run_simulation(sys, scheds, lambda t, x: (1.0,), InputBox((-5.0,), (5.0,)),
                              (0.0, 10.0), dt=0.01, t_max=horizon)
 
         assert res.failure is None and len(per_step) == 50
         # the first step also derives each row's a = -grad.g, one sum a row
-        assert per_step[0] == (("clip_groups",), k, 2 + k)
-        assert per_step[1:] == [(("clip_groups",), k, 2)] * 49
+        assert per_step[0] == (("clip_groups",), k, 2 + k, (2,))
+        assert per_step[1:] == [(("clip_groups",), k, 2, (2,))] * 49
+        rows = contracts.conjoin_groups(tables[-1], 0.0, (0.0, 10.0), sys)
+        assert [label for _, _, label in rows] == [f"cbf:v{i}" for i in range(k)]
+        assert [label for label, *_ in tables[-1].rows[2]] == ["cbf:v0", f"cbf:v{k - 1}"]
+
+
+class TestClipReadsFewerRows:
+    """On the benchmark's `dense_contracts` mission at seed 61, the plans'
+    rows average 10.85 a step, most of them speed caps on one gradient and
+    kappa; the clip reads at most 5 a step, with the same outputs (the
+    replay and output-hash tests check the bits)."""
+
+    def test_dense_contracts_seed_61(self, monkeypatch):
+        cfg = parse_config(_workloads(monkeypatch).dense_contracts(61).config_text)
+        planned, clip = [], sim.clip_groups
+
+        def clip_spy(table, *args):
+            bounds = clip(table, *args)
+            planned.append(len(table.rows[1]))
+            return bounds
+
+        monkeypatch.setattr(sim, "clip_groups", clip_spy)
+        reads = _clip_reads(monkeypatch)
+        outcome = pipeline.run_pipeline(cfg)
+        steps = outcome.trace.n_rows() - 1
+        assert outcome.exit_code == 0 and steps == len(planned) == 10_000
+        assert sum(planned) / steps == pytest.approx(10.85)
+        assert sum(reads) / steps <= 5
 
 
 def _fresh_g_case():
