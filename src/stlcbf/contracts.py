@@ -35,9 +35,10 @@ traffic signal contracts use it to gate each signal's schedule to the
 stretch of road where its stop line is the first at or ahead of the ego.
 `RegionTable.of` compiles a schedule list once into the sorted region bounds
 and, for each cell between them, the schedules that cover it. A table also
-keeps one run's engagement records, its plan and the plan's rows: the
-specs of its cell's schedules, valid while t stays in the intersection of
-their intervals and x[0] in the cell, resolved once per plan and g object.
+keeps one run's engagement records and events, its plan and the plan's
+rows: the specs of its cell's schedules, valid while t stays in the
+intersection of their intervals and x[0] in the cell, resolved once per plan
+and g object.
 Only when t or x[0] leaves the plan does a query `replan`, with one bisect
 for the cell and one per schedule. `conjoin_groups` evaluates the rows
 into a list (`barriers.eval_rows`' list sink). For one input,
@@ -611,13 +612,15 @@ class RegionTable:
     latest query, and of those the rows that `eval_rows`' clip sink reads
     (`clip_rows`), or None where it may not; None until the plan's first
     query. `engagements` maps (schedule label, boundary index) to
-    `EngagementRecord`s, in engagement order."""
+    `EngagementRecord`s, in engagement order. The table logs its engagement
+    events: `replan` appends to `events` (t, text) for each record it makes,
+    and a `deadline-risk` one where its bound lands past the switch."""
 
-    __slots__ = ("bounds", "cells", "engagements", "plan", "rows")
+    __slots__ = ("bounds", "cells", "engagements", "events", "plan", "rows")
 
     def __init__(self, bounds: tuple, cells: tuple):
         self.bounds, self.cells = bounds, cells  # cells: per cell, its schedules
-        self.engagements = {}
+        self.engagements, self.events = {}, []
         self.plan = (math.inf, -math.inf, math.inf, -math.inf, ())  # holds nowhere
         self.rows = None
 
@@ -630,18 +633,23 @@ class RegionTable:
         return cls(tuple([-math.inf] + finite), tuple(cells))
 
     def replan(self, t, x) -> tuple:
-        """Plan the rows at (t, x) into `plan`, and return their specs."""
-        bounds = self.bounds
+        """Plan the rows at (t, x) into `plan`, and return their specs. Log
+        the engagements the plan makes into `events`."""
+        bounds, engagements = self.bounds, self.engagements
         j = bisect_left(bounds, x[0])
         if j:
             lo, hi = bounds[j - 1], bounds[j] if j < len(bounds) else math.inf
         else:  # x[0] = -inf or NaN: an empty (lo, hi], so the next query replans
             lo, hi = math.inf, -math.inf
-        t_from, until, specs = -math.inf, math.inf, []
+        t_from, until, specs, n_engaged = -math.inf, math.inf, [], len(engagements)
         for sched in self.cells[j]:
-            s_from, s_until, s_specs = sched.plan(t, x, self.engagements)
+            s_from, s_until, s_specs = sched.plan(t, x, engagements)
             t_from, until = max(t_from, s_from), min(until, s_until)
             specs += s_specs
+        for rec in list(engagements.values())[n_engaged:]:
+            self.events.append((rec.time, rec.describe()))
+            if rec.time + rec.t_conv_bound > rec.boundary_time + 1e-9:  # past the switch
+                self.events.append((rec.time, f"deadline-risk {rec.describe()}"))
         specs = tuple(specs)
         self.plan, self.rows = (t_from, until, lo, hi, specs), None
         return specs

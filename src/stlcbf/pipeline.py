@@ -194,7 +194,7 @@ def run_pipeline(cfg: ScenarioConfig) -> PipelineOutcome:
     """Full pipeline. Static incompatibility or a runtime failure stops the
     run exactly where the synthesis loop prescribes; the trace prefix that
     exists by then is kept for serialization, its margin and channel columns
-    filled after the loop as for a full run. The loop's events then go to the
+    filled after the loop as for a full run. The run's events then go to the
     `stlcbf` logger: deadline risks at info level, engagements and clamps at
     debug level."""
     outcome = check_pipeline(cfg)

@@ -4,12 +4,13 @@ zero-order-hold inputs, trace recording, and the runtime synthesis loop.
 At every step the loop gathers the active halfspace constraints from all
 group schedules, projects the nominal input through the QP filter, integrates
 one step, and records time, state, inputs and QP status. An invariance row
-that reads h < -tol, an empty safe input set or a domain exit aborts the
-run with a timestamped failure; the trace prefix up to that point is
-preserved. The loop records no margin or scenario channel: the caller
-fills those columns afterwards with `Trace.fill_columns`, over all recorded
-rows at once (`Barrier.h_grid` with an array t), for a failed prefix as for
-a full run.
+that reads h < -tol, an empty safe input set, a non-finite state or a domain
+exit ends the run with a timestamped failure; the trace prefix up to that
+point is preserved. The loop logs its clamp events; the engagement events
+come from the `RegionTable`, into the same list. The loop records no margin
+or scenario channel: the caller fills those columns afterwards with
+`Trace.fill_columns`, over all recorded rows at once (`Barrier.h_grid` with
+an array t), for a failed prefix as for a full run.
 
 The recorded columns are flat `array('d')` buffers (t; the n state floats
 of each row; the m floats of each input), extended in place at every step,
@@ -37,10 +38,11 @@ or the negation of one) costs no call: the one row evaluator,
 `barriers.eval_rows`, computes its h and b inline, with two dot products
 per distinct gradient, plus one add and one drift per row. Any other row
 (h1) costs one `terms` call. The loop checks u_nom as `solve_qp` does and
-clips it. A step whose rows or u_nom name a failure, and every step of a
-system with m >= 2, takes `conjoin_groups` and `solve_qp`, whose (a, b,
-label) rows name what failed. The vehicle's f, h1 and the nominal
-controller read the lead from one cached lookup per t.
+clips it. Every other step (its rows or u_nom name a failure, or the system
+has m >= 2) takes the loop's one call of `conjoin_groups` and of
+`solve_qp`, after the nominal, and their (a, b, label) rows name what
+failed. The vehicle's f, h1 and the nominal controller read the lead from
+one cached lookup per t.
 
 RK4 is one straight-line kernel per state dimension n, generated from a
 source template and compiled at the first step of that n (so building a
@@ -57,7 +59,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import islice
 from operator import le, mul
 from typing import Callable, Optional, Sequence
 
@@ -195,7 +196,8 @@ class Trace:
     cannot grow while a view of it exists. `qp_status` holds one string a
     row. `margins` holds one array per barrier id and `extras` one per
     scenario channel (speed limit, signal phase, ...), both filled by
-    `fill_columns`.
+    `fill_columns`. `events` holds (t, text) pairs in order: engagements and
+    deadline risks, from the run's `RegionTable`, and clamps, from the loop.
     """
 
     n: int
@@ -304,8 +306,9 @@ def run_simulation(
     a tuple, list or 1-D numpy array (see `qp.input_floats`).
     Requires x0 to satisfy every schedule's opening assumption. Returns the
     trace plus a failure record when an invariance row's h reads below
-    -tol (the monitor's own tolerance), the QP turns infeasible or the state
-    leaves the domain; on success the trace has t_max/dt + 1 rows. The
+    -tol (the monitor's own tolerance), the QP turns infeasible, or the state
+    turns non-finite or leaves the domain; on success the trace has
+    t_max/dt + 1 rows. Its engagement events come from the table. The
     margin and channel columns stay empty (see `Trace.fill_columns`).
     """
     n_steps = step_count(t_max, dt)
@@ -318,18 +321,16 @@ def run_simulation(
         raise SimError(f"input box has dimension {box.dim}, system has m={sys.m}")
     check_opening_assumptions(schedules, x)
 
-    trace = Trace(sys.n, sys.m)
-
     table = RegionTable.of(schedules)
+    trace = Trace(sys.n, sys.m, events=table.events)  # the table logs engagements there
     f, g, lower, clamp_dims = sys.f, sys.g, sys.domain.lower, sys.clamp_min_dims
     isfinite = math.isfinite
     h_floor = -tol
     floor = tuple(lo - 1e-9 for lo in lower)  # the domain, padded once
     ceiling = tuple(hi + 1e-9 for hi in sys.domain.upper)
-    engagements = table.engagements
     u_n = u_s = (0.0,) * sys.m  # the final row repeats the last step's inputs
     clamped_prev = [False] * sys.n
-    n_logged = 0  # engagement records already turned into events
+    failure = None
 
     add_t, add_x, add_u_nom, add_u_safe, add_status = (
         trace.ts.append, trace.x_flat.extend, trace.u_nom_flat.extend,
@@ -349,42 +350,29 @@ def run_simulation(
         t = k * dt
         dyn = fv, gm = f(t, x), g(t, x)
         bounds = one_input and clip_groups(table, t, x, fv, gm, h_floor, u_lo, u_hi)
-        if not bounds:
-            try:
-                cons = conjoin_groups(table, t, x, sys, dyn, h_floor)
-            except BarrierViolation as exc:
-                cons, violation = None, exc
-        if len(engagements) > n_logged:
-            for rec in islice(engagements.values(), n_logged, None):
-                trace.events.append((t, rec.describe()))
-                if rec.time + rec.t_conv_bound > rec.boundary_time + 1e-9:
-                    # late engagement: the bound lands past the switch
-                    trace.events.append((t, f"deadline-risk {rec.describe()}"))
-            n_logged = len(engagements)
-
         u_n = nominal(t, x)
         u_n = (float(u_n),) if isinstance(u_n, float) else input_floats(u_n)
         if bounds and len(u_n) == 1 and isfinite(u := u_n[0]):  # solve_qp's checks of u_nom
             u_s = (min(max(u, bounds[0]), bounds[1]),)
-        else:
-            if bounds:  # solve_qp names the fault in u_nom
+        else:  # the rows or u_nom name a failure, or m >= 2: the QP names it
+            try:
                 cons = conjoin_groups(table, t, x, sys, dyn, h_floor)
-            if cons is None:
-                record(t, "violated", u_n, (math.nan,) * sys.m)
-                return RunResult(trace, SimFailure(t, "barrier_violated", (str(violation),)),
-                                 engagements)
-            u_s = solve_qp(u_n, cons, box)
-            if u_s is None:
-                record(t, "infeasible", u_n, (math.nan,) * sys.m)
-                return RunResult(trace, SimFailure(
-                    time=t, reason="qp_infeasible",
-                    details=tuple(label or "box" for _, _, label in cons),
-                ), engagements)
+            except BarrierViolation as exc:
+                status, failure = "violated", SimFailure(t, "barrier_violated", (str(exc),))
+            else:
+                u_s = solve_qp(u_n, cons, box)
+                if u_s is None:
+                    status, failure = "infeasible", SimFailure(
+                        t, "qp_infeasible", tuple(label or "box" for _, _, label in cons))
+            if failure:
+                record(t, status, u_n, (math.nan,) * sys.m)
+                break
         record(t, "ok", u_n, u_s)
 
         x = integrate_step(sys, t, x, u_s, dt, dyn)
-        if not all(map(math.isfinite, x)):
-            return RunResult(trace, SimFailure(t + dt, "non_finite_state"), engagements)
+        if not all(map(isfinite, x)):
+            failure = SimFailure(t + dt, "non_finite_state")
+            break
         for i in clamp_dims:
             if x[i] < lower[i]:
                 x = x[:i] + (lower[i],) + x[i + 1:]
@@ -399,7 +387,8 @@ def run_simulation(
                 for i, (v, lo, hi) in enumerate(zip(x, lower, sys.domain.upper))
                 if not (floor[i] <= v <= ceiling[i])
             ]
-            return RunResult(trace, SimFailure(t + dt, "domain_exit", tuple(bad)), engagements)
-
-    record(n_steps * dt, "ok", u_n, u_s)
-    return RunResult(trace, None, engagements)
+            failure = SimFailure(t + dt, "domain_exit", tuple(bad))
+            break
+    else:
+        record(n_steps * dt, "ok", u_n, u_s)
+    return RunResult(trace, failure, table.engagements)

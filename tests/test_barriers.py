@@ -356,13 +356,24 @@ def clip_cases(draw):
     """(x, f, g, (lo, hi), floor, u, rows) for a 2-state, 1-input plan. A row
     is (source, coeffs, negated, offset, drift): its barrier, affine with a
     form ("form") or read through `terms` ("terms", or the quadratic "bowl"
-    with coeffs as weights); drift ("cbf", kappa) or ("fcbf", rho, gamma)."""
-    x = (_num(draw), _num(draw))
-    fv = (_num(draw), _num(draw))
+    with coeffs as weights); drift ("cbf", kappa) or ("fcbf", rho, gamma).
+    Odd values are picked per case, as in `parallel_cases`: in one case in
+    three, a number is, one time in ten, tiny, huge or not finite, an entry
+    of g, one time in five, not finite, and a row's h at x may be negative
+    or its offset anything. Every other case draws small numbers, f from
+    `FEW` and rows with h >= 0 at x (0, 1e-300, 1 or up to 20), so that
+    plans of many rows still end with bounds."""
+    odd = int(draw(st.integers(0, 2)) == 0)
+
+    def num() -> float:
+        return _num(draw, odd)
+
+    x = (num(), num())
+    fv = (num(), num()) if odd else (draw(st.sampled_from(FEW)), draw(st.sampled_from(FEW)))
     gm = tuple((draw(st.sampled_from((math.inf, -math.inf, math.nan))),)
-               if draw(st.integers(0, 9)) < 2 else (_num(draw, 0),) for _ in x)
+               if odd and draw(st.integers(0, 9)) < 2 else (_num(draw, 0),) for _ in x)
     if draw(st.integers(0, 19)) == 0:  # g with two columns
-        gm = tuple(r + (_num(draw),) for r in gm)
+        gm = tuple(r + (num(),) for r in gm)
     lo, hi = sorted(draw(st.sampled_from((-5.0, -1.0, -0.0, 0.0, 1.0, 5.0))) for _ in "lh")
     floor = draw(st.sampled_from((-math.inf, -math.inf, -1e-3, 0.0)))
     rows = []
@@ -371,18 +382,21 @@ def clip_cases(draw):
         if draw(st.booleans()):
             coeffs = draw(st.sampled_from(CLIP_GRADS))
         else:
-            coeffs = (_num(draw), _num(draw))
-        if draw(st.booleans()):  # h < 0, h = 0 or h > 0 at x, for a form or terms row
-            lie = sum(map(mul, coeffs, x))
-            offset = draw(st.sampled_from([d - lie for d in (-1.0, -1e-300, 0.0, 1e-300, 1.0)]))
-        else:
-            offset = _num(draw)
+            coeffs = (num(), num())
+        negated = draw(st.booleans())
+        base = (-0.5 * sum(w * v * v for w, v in zip(coeffs, x)) if source == "bowl"
+                else sum(map(mul, coeffs, x)))  # h at x of offset 0, not negated
+        if draw(st.booleans()):  # h < 0, h = 0 or h > 0 at x
+            h = draw(st.sampled_from((-1.0, -1e-300, 0.0, 1e-300, 1.0)[0 if odd else 2:]))
+        else:  # any offset, or h moderate
+            h = None if odd else draw(st.floats(0.0, 20.0))
+        offset = num() if h is None else (-h if negated else h) - base
         if draw(st.booleans()):
             drift = ("cbf", draw(st.sampled_from((0.5, 1.0, 3.0))))
         else:
             drift = ("fcbf", draw(st.sampled_from((0.0, 0.5, 0.9))),
                      draw(st.sampled_from((1e-3, 2.0))))
-        rows.append((source, coeffs, draw(st.booleans()), offset, drift))
+        rows.append((source, coeffs, negated, offset, drift))
     return x, fv, gm, (lo, hi), floor, _num(draw, 0), tuple(rows)
 
 

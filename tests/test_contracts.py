@@ -428,6 +428,8 @@ class TestActiveConstraints:
             assert _hexed(got) == _hexed(scan_constraints([sched], t, (0.0, 20.0), ScalarSys,
                                                           ledger))
         assert table.engagements == ledger
+        (rec,) = ledger.values()  # replanned on both sides of tau, logged once
+        assert table.events == [(47.0, rec.describe())]
 
     def test_query_outside_span_rejected(self):
         sched = self._sched()

@@ -284,11 +284,56 @@ class TestRunSimulation:
         assert res.trace.n_rows() >= 1
 
     def test_domain_exit_reported(self, double_integrator):
+        # X = t^2 / 2 leaves [-1, 1] in the step from t = 1.41: the failure
+        # is stamped at the step's end, and the last row is that step's
         small = ControlSystem(n=2, m=1, f=double_integrator.f, g=double_integrator.g,
                               domain=StateBox((-1.0, -10.0), (1.0, 10.0)))
         res = run_simulation(small, [], lambda t, x: 1.0,
                              InputBox((-5.0,), (5.0,)), (0.0, 0.0), dt=0.01, t_max=10.0)
         assert res.failure is not None and res.failure.reason == "domain_exit"
+        assert res.failure.time == 141 * 0.01 + 0.01
+        assert res.failure.details == ("x[0]=1.0082 outside [-1,1]",)
+        assert res.trace.n_rows() == 142 and res.trace.ts[-1] == 141 * 0.01
+        assert res.trace.qp_status[-1] == "ok"
+
+    def test_non_finite_state_reported(self):
+        # f jumps to 1e308 after t = 0.5: the step from t = 0.5 sums four
+        # such stages to inf
+        sys = ControlSystem(n=1, m=1, f=lambda t, x: (1e308 if t > 0.5 else 0.0,),
+                            g=lambda t, x: ((1.0,),), domain=StateBox((-1.0,), (1.0,)))
+        res = run_simulation(sys, [], lambda t, x: 0.0,
+                             InputBox((-1.0,), (1.0,)), (0.0,), dt=0.1, t_max=1.0)
+        assert res.failure.reason == "non_finite_state" and res.failure.details == ()
+        assert res.failure.time == 5 * 0.1 + 0.1
+        assert res.trace.n_rows() == 6 and res.trace.ts[-1] == 5 * 0.1
+        assert res.trace.qp_status[-1] == "ok" and res.trace.u_safe[-1, 0] == 0.0
+
+    def test_final_row_repeats_the_last_steps_inputs(self, double_integrator):
+        res = run_simulation(double_integrator, [], lambda t, x: t,
+                             InputBox((-5.0,), (5.0,)), (0.0, 0.0), dt=0.1, t_max=1.0)
+        assert res.failure is None and res.trace.n_rows() == 11 and res.trace.ts[-1] == 1.0
+        assert res.trace.u_nom[-1, 0] == res.trace.u_nom[-2, 0] == 9 * 0.1
+        assert res.trace.u_safe[-1, 0] == res.trace.u_safe[-2, 0] == 9 * 0.1
+        assert res.trace.qp_status[-2:] == ["ok", "ok"]
+
+    def test_clamp_and_engagement_events_in_order(self):
+        # an ego at rest under a braking nominal, with pulses of throttle at
+        # t in [1, 2) and [16, 17); the 20 -> 5 window engages at 15.01 and
+        # then caps the second pulse's throttle near 0.002
+        _, sched, sys = _speed_setup([20.0, 5.0], horizon=40.0,
+                                     domain=StateBox((-1e6, 0.0), (1e6, 1e3)))
+        sys = replace(sys, clamp_min_dims=(1,))
+        res = run_simulation(sys, [sched], lambda t, x: 1.0 if 1 <= t < 2 or 16 <= t < 17
+                             else -1.0, InputBox((-5.0,), (5.0,)), (0.0, 0.0), dt=0.01,
+                             t_max=40.0)
+        clamp = "state[1] clamped at domain floor"
+        assert res.failure is None
+        assert res.trace.events == [
+            (0.01, clamp),
+            (3.0, clamp),
+            (15.01, "engage G1#0 t=15.01 h=5 gamma=0.001 T_bound=0 deadline=20"),
+            (17.01, clamp),
+        ]
 
     def test_clamp_dims_logs_event_instead_of_failing(self):
         vp = VehicleParams()
