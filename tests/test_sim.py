@@ -297,8 +297,8 @@ class TestRunSimulation:
         assert res.trace.qp_status[-1] == "ok"
 
     def test_non_finite_state_reported(self):
-        # f jumps to 1e308 after t = 0.5: the step from t = 0.5 sums four
-        # such stages to inf
+        # f jumps to 1e308 after t = 0.5: three stages of the step from
+        # t = 0.5 read it, and their weighted sum overflows to inf
         sys = ControlSystem(n=1, m=1, f=lambda t, x: (1e308 if t > 0.5 else 0.0,),
                             g=lambda t, x: ((1.0,),), domain=StateBox((-1.0,), (1.0,)))
         res = run_simulation(sys, [], lambda t, x: 0.0,
