@@ -25,7 +25,9 @@ sink gives each row as the plain triple (a, b, label), which
 per input, and a zero a marks a vacuous row (b >= 0) or an infeasible one
 (b < 0). Its clip sink, for one input, cuts the input bounds row by row as
 `qp.solve_qp` would, reading each row's a as one float; `clip_rows` leaves
-out the rows whose bounds other rows bracket.
+out the rows whose bounds other rows bracket. Each dot product they take is
+`dot_for(n)`: a straight-line left fold from the int 0, compiled once per
+width n, so its bits do not depend on the Python version.
 
 `affine_on(t0, t1)` gives (coeffs, offset) when h = coeffs.x + offset, with
 zero dh/dt, over the whole of [t0, t1), and None otherwise (the default).
@@ -48,7 +50,8 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import mul
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -68,6 +71,27 @@ def step_lookup(starts, values, t):
 
 class BarrierError(ValueError):
     """Bad barrier parameters or evaluation outside template assumptions."""
+
+
+_DOTS: dict = {}  # vector width n -> compiled dot product
+
+
+def dot_for(n: int):
+    """The dot product of two n-vectors, 0 + a0 * b0 + ... + a{n-1} * b{n-1}:
+    one straight-line function per n, compiled on first use and cached by n
+    (so building a scenario compiles none). On every Python it makes the
+    float operations of `sum` over the products up to 3.11 (3.12's `sum`
+    compensates): the int 0 plus the first product, then plain adds from
+    the left. It raises ValueError where a or b has another length than n."""
+    dot = _DOTS.get(n)
+    if dot is None:
+        a, b = (", ".join(f"{v}{i}" for i in range(n)) for v in "ab")
+        terms = " + ".join(["0", *(f"a{i} * b{i}" for i in range(n))])
+        scope = {}
+        exec(compile(f"def dot(a, b):\n    [{a}] = a\n    [{b}] = b\n    return {terms}\n",
+                     f"<stlcbf dot n={n}>", "exec"), scope)
+        dot = _DOTS[n] = scope["dot"]
+    return dot
 
 
 class BarrierViolation(ValueError):
@@ -207,15 +231,18 @@ class AffineBarrier(Barrier):
         self._offsets = [d for _, d in self.pieces]  # offset(t): last piece started by t
 
     def h_grid(self, t, cols):
-        acc = 0  # sum() starts from the integer 0, so 0 + (-0.0) gives 0.0
-        for c, col in zip(self.coeffs, cols):
-            acc = acc + c * col
-        return acc + step_lookup(self._starts, self._offsets, t)
+        # the left fold from the int 0 that `dot_for` compiles, over arrays
+        h = reduce(add, map(mul, self.coeffs, cols), 0)
+        return h + step_lookup(self._starts, self._offsets, t)
 
     def terms(self, t, x):
         # the scalar lookup of step_lookup, inlined
         offset = self._offsets[max(bisect_right(self._starts, t) - 1, 0)]
-        return sum(map(mul, self.coeffs, x)) + offset, 0.0, self.coeffs
+        try:
+            return dot_for(len(self.coeffs))(self.coeffs, x) + offset, 0.0, self.coeffs
+        except ValueError:
+            raise BarrierError(f"barrier {self.id!r} has {len(self.coeffs)} coefficients, "
+                               f"x has {len(x)} entries") from None
 
     def affine_on(self, t0, t1):
         # the offset at t0 holds up to the first piece start after t0
@@ -303,12 +330,13 @@ def resolve_rows(specs, gm):
     `terms`; alpha for an invariance row, or the `FcbfParams` of a
     finite-time one. `fresh` marks an affine row whose coefficients differ
     from the last affine row's: only it computes Lie sums. An affine row's
-    a = -coeffs.g is derived here, one entry per column of g; a `terms`
-    row's a holds g's columns. a1 is the same for one input, which the clip
-    sink reads: an affine row's one float, a `terms` row's one column; None
-    where g has another number of columns or an affine row's a is not
-    finite."""
-    cols = tuple(zip(*gm))
+    a = -coeffs.g is derived here, one `dot_for` product per column of g,
+    and coefficients of another number than g's rows are a `BarrierError`;
+    a `terms` row's a holds g's columns. a1 is the same for one input, which
+    the clip sink reads: an affine row's one float, a `terms` row's one
+    column; None where g has another number of columns or an affine row's a
+    is not finite."""
+    cols, dot = tuple(zip(*gm)), dot_for(len(gm))
     one = len(cols) == 1
     rows, last = [], None
     for label, bar, grad, offset, alpha, params in specs:
@@ -317,9 +345,12 @@ def resolve_rows(specs, gm):
             a = cols
             a1 = cols[0] if one else None
         else:
+            if len(grad) != len(gm):
+                raise BarrierError(f"{label}: {len(grad)} coefficients, "
+                                   f"the system has {len(gm)} states")
             if grad != last:
                 last, fresh = grad, True
-            a = tuple([-sum(map(mul, grad, col)) for col in cols])
+            a = tuple([-dot(grad, col) for col in cols])
             a1 = a[0] if one and math.isfinite(a[0]) else None
         if params is None:
             kappa, gamma, rho = alpha.kappa, None, None
@@ -382,28 +413,34 @@ def eval_rows(rows, t, x, fv, floor, lo=None, hi=None, out=None):
     list sink and `solve_qp` give no clip (an invariance row below the
     floor, a non-finite row, a zero row with b < 0, crossed bounds).
 
+    Every dot product is `dot_for(len(x))`, a left fold from the int 0; a
+    `terms` gradient of another length is a `BarrierError` naming the row.
     Rows cost two dot products per distinct gradient, plus one add and one
     drift per row: a row that is not `fresh` reuses the Lie sums grad.x and
     0.0 + grad.f of the affine row before it, with the float operations its
-    own sums would make."""
-    isfinite = math.isfinite
+    own dot products would make."""
+    isfinite, dot = math.isfinite, _DOTS.get(len(x)) or dot_for(len(x))
     for label, bar, grad, offset, kappa, gamma, rho, fresh, a, a1 in rows:
         if grad is None:
             h, dh, grad = bar.terms(t, x)
-            lie_f = dh + sum(map(mul, grad, fv))
+            try:
+                lie_f = dh + dot(grad, fv)
+            except ValueError:
+                raise BarrierError(f"{label}: gradient has {len(grad)} entries, "
+                                   f"the system has {len(x)} states") from None
             if out is not None:  # a holds g's columns
-                a = tuple([-sum(map(mul, grad, col)) for col in a])
-            elif not isfinite(a1 := -sum(map(mul, grad, a1))):  # a1 held g's column
+                a = tuple([-dot(grad, col) for col in a])
+            elif not isfinite(a1 := -dot(grad, a1)):  # a1 held g's column
                 return None
         else:
             # Equal coefficients may differ in the sign of a zero (0.0 ==
-            # -0.0), which flips only the sign of a zero product. sum()
+            # -0.0), which flips only the sign of a zero product. The dot
             # starts from the int 0 and a round-to-nearest sum is -0.0 only
             # when both addends are, so no partial sum is -0.0 and a zero
             # product of either sign leaves it the same: equal coefficients
             # give bit-identical sums.
             if fresh:
-                lie_x, lie_f0 = sum(map(mul, grad, x)), 0.0 + sum(map(mul, grad, fv))
+                lie_x, lie_f0 = dot(grad, x), 0.0 + dot(grad, fv)
             h, lie_f = lie_x + offset, lie_f0
         if gamma is None:
             if h < floor:

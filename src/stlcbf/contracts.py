@@ -72,6 +72,7 @@ import numbers
 import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import add, mul
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -115,7 +116,8 @@ DEADLINE_SLACK = 1e-9
 
 
 def _affine_value(coeffs, offset, x) -> float:
-    return sum(c * xi for c, xi in zip(coeffs, x)) + offset
+    # `barriers.dot_for`'s left fold from the int 0, with no dot compiled at build time
+    return functools.reduce(add, map(mul, coeffs, x), 0) + offset
 
 
 def _forms(h_prev: Barrier, h_next: Barrier, t_prev: float, t_next: float):
@@ -140,7 +142,7 @@ def _cut_vertices(box: StateBox, coeffs, offset):
             continue
         others = [i for i in range(n) if i != free]
         for combo in itertools.product(*[(box.lower[i], box.upper[i]) for i in others]):
-            rest = offset + sum(coeffs[i] * combo[k] for k, i in enumerate(others))
+            rest = offset + functools.reduce(add, map(mul, [coeffs[i] for i in others], combo), 0)
             xf = -rest / c_free
             if box.lower[free] - tol <= xf <= box.upper[free] + tol:
                 point = [0.0] * n

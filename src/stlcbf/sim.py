@@ -44,14 +44,16 @@ has m >= 2) takes the loop's one call of `conjoin_groups` and of
 failed. The vehicle's f, h1 and the nominal controller read the lead from
 one cached lookup per t.
 
-RK4 is one straight-line kernel per state dimension n, generated from a
-source template and compiled at the first step of that n (so building a
-scenario compiles nothing), then cached by n for every later run. x, f and
-each stage's k are n locals: a stage builds only the state tuple it hands
-to f and g, and runs no map or zip. g u stays a `sum` per row of g, formed
-again only when g returns another object. Float operations keep their
-order: the tests compare the kernel with the generic step bit for bit, and
-the reference mission's trace and report byte for byte.
+RK4 is one straight-line kernel per state and input dimension (n, m),
+generated from a source template and compiled at the first step of that
+(n, m) (so building a scenario compiles nothing), then cached for every
+later run. x, f and each stage's k are n locals: a stage builds only the
+state tuple it hands to f and g, and runs no map or zip. Each (g u)_i is
+written out as a left fold from the int 0, as `barriers.dot_for` computes
+every dot product, formed again only when g returns another object. Float
+operations keep their order: the tests compare the kernel with the generic
+step bit for bit, and the reference mission's trace and report byte for
+byte.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from operator import le, mul
+from operator import le
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -105,12 +107,14 @@ class ControlSystem:
             raise SimError(f"domain dimension {self.domain.dim} != n={self.n}")
 
 
-_RK4_KERNELS: dict = {}  # state dimension n -> compiled kernel
+_RK4_KERNELS: dict = {}  # (state dimension n, input dimension m) -> compiled kernel
 
 
-def _rk4_source(n: int) -> str:
-    """Source of the straight-line RK4 step for n states: x, f, g u and each
-    stage's k are n locals, every stage written out per component."""
+def _rk4_source(n: int, m: int) -> str:
+    """Source of the straight-line RK4 step for n states and m inputs: x, f,
+    g u and each stage's k are n locals, u and g m and n * m locals, every
+    stage written out per component, each (g u)_i as `barriers.dot_for`
+    writes a dot product."""
     def joined(fmt, **names):
         return ", ".join(fmt.format(i=i, **names) for i in range(n))
 
@@ -118,13 +122,16 @@ def _rk4_source(n: int) -> str:
         return [indent + fmt.format(i=i, **names) for i in range(n)]
 
     def g_times_u(indent):
-        return [f"{indent}{joined('r{i}')}, = gm",
-                *per_component(indent, "gu{i} = sum(map(mul, r{i}, u))")]
+        row = "[" + ", ".join(f"r{{i}}_{j}" for j in range(m)) + "]"
+        return [f"{indent}[{joined(row)}] = gm",
+                *per_component(indent, "gu{i} = " + " + ".join(
+                    ["0", *(f"r{{i}}_{j} * u{j}" for j in range(m))]))]
 
     lines = [
         "def rk4(f, g, t, x, u, dt, fv, gm):",
         f"    {joined('x{i}')}, = x",
         f"    {joined('f{i}')}, = fv",
+        f"    [{', '.join(f'u{j}' for j in range(m))}] = u",
         "    g_seen = gm",
         *g_times_u("    "),
         "    half = dt / 2",
@@ -149,11 +156,12 @@ def _rk4_source(n: int) -> str:
     ])
 
 
-def _rk4_kernel(n: int):
-    """Compile (once per n) and return the RK4 kernel for n states."""
-    scope = {"mul": mul}
-    exec(compile(_rk4_source(n), f"<stlcbf rk4 n={n}>", "exec"), scope)
-    kernel = _RK4_KERNELS[n] = scope["rk4"]
+def _rk4_kernel(n: int, m: int):
+    """Compile (once per n and m) and return the RK4 kernel for n states and
+    m inputs."""
+    scope = {}
+    exec(compile(_rk4_source(n, m), f"<stlcbf rk4 n={n} m={m}>", "exec"), scope)
+    kernel = _RK4_KERNELS[n, m] = scope["rk4"]
     return kernel
 
 
@@ -162,23 +170,24 @@ def integrate_step(sys: ControlSystem, t: float, x, u, dt: float, dyn=None):
     constant over the step. `dyn` is (f(t, x), g(t, x)) when the caller has
     evaluated them already; they then give k1 without a second evaluation.
 
-    The step runs the kernel generated for sys.n, compiled at the first step
-    of that n. It unpacks x and f into n locals and writes out, per
-    component, each stage's k_i = f_i + (g u)_i, the next stage's state
-    x_i + h * k_i and the result x_i + dt/6 * (k1_i + 2 * k2_i + 2 * k3_i +
-    k4_i), so no stage runs a map or zip over the n components, and the
-    only tuples built are the states handed to f and g and the result.
-    (g u)_i stays `sum(map(mul, row, u))`, formed again only when g returns
-    another object: unrolling it would change its rounding (`sum` starts
-    from int 0, and compensates on Python >= 3.12). Every float operation
-    keeps its operands and order, so the step returns the same bits as the
-    generic map/zip form."""
+    The step runs the kernel generated for (sys.n, sys.m), compiled at the
+    first step of that pair. It unpacks x and f into n locals and writes
+    out, per component, each stage's k_i = f_i + (g u)_i, the next stage's
+    state x_i + h * k_i and the result x_i + dt/6 * (k1_i + 2 * k2_i + 2 *
+    k3_i + k4_i), so no stage runs a map or zip over the n components, and
+    the only tuples built are the states handed to f and g and the result.
+    (g u)_i is 0 + g_i0 u_0 + ... + g_i(m-1) u_(m-1), from the int 0 and
+    left to right, formed again only when g returns another object. Every
+    float operation keeps its operands and order, so the step returns the
+    same bits as the generic map/zip form, on every Python."""
     if not 0 < dt < math.inf:
         raise SimError(f"dt must be positive and finite, got {dt}")
-    n = sys.n
+    n, m = sys.n, sys.m
     if len(x) != n:
         raise SimError(f"x has dimension {len(x)}, system has n={n}")
-    kernel = _RK4_KERNELS.get(n) or _rk4_kernel(n)
+    if len(u) != m:
+        raise SimError(f"u has dimension {len(u)}, system has m={m}")
+    kernel = _RK4_KERNELS.get((n, m)) or _rk4_kernel(n, m)
     f, g = sys.f, sys.g
     fv, gm = dyn if dyn is not None else (f(t, x), g(t, x))
     return kernel(f, g, t, x, u, dt, fv, gm)

@@ -8,6 +8,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from itertools import repeat
 from operator import add, mul
 
@@ -231,30 +232,38 @@ def left_limit_lookup(starts, values, t):
 # ---------------------------------------------------------------------------
 
 
+def dot_fold(a, b):
+    """a.b as an explicit left fold from the int 0: the float operations that
+    `barriers.dot_for` compiles, and that `sum` made up to Python 3.11."""
+    return reduce(add, map(mul, a, b), 0)
+
+
 def reference_rk4(sys, t: float, x, u, dt: float, dyn=None):
     """The generic RK4 step `sim.integrate_step` unrolls: the same float
     operations in the same order, each stage formed with map/zip over the n
-    components. Differential reference for the generated kernels."""
+    components, and each (g u)_i an explicit left fold from the int 0, so it
+    means the same on every Python. Differential reference for the
+    generated kernels."""
     f, g = sys.f, sys.g
     fv, gm = dyn if dyn is not None else (f(t, x), g(t, x))
-    g_seen, gu = gm, [sum(map(mul, row, u)) for row in gm]
+    g_seen, gu = gm, [dot_fold(row, u) for row in gm]
     half = dt / 2
     t_half = t + half
     k1 = tuple(map(add, fv, gu))
     xs = tuple(map(add, x, map(mul, repeat(half), k1)))  # x + half * k1
     fv, gm = f(t_half, xs), g(t_half, xs)
     if gm is not g_seen:
-        g_seen, gu = gm, [sum(map(mul, row, u)) for row in gm]
+        g_seen, gu = gm, [dot_fold(row, u) for row in gm]
     k2 = tuple(map(add, fv, gu))
     xs = tuple(map(add, x, map(mul, repeat(half), k2)))
     fv, gm = f(t_half, xs), g(t_half, xs)
     if gm is not g_seen:
-        g_seen, gu = gm, [sum(map(mul, row, u)) for row in gm]
+        g_seen, gu = gm, [dot_fold(row, u) for row in gm]
     k3 = tuple(map(add, fv, gu))
     xs = tuple(map(add, x, map(mul, repeat(dt), k3)))
     fv, gm = f(t + dt, xs), g(t + dt, xs)
     if gm is not g_seen:
-        gu = [sum(map(mul, row, u)) for row in gm]
+        gu = [dot_fold(row, u) for row in gm]
     k4 = tuple(map(add, fv, gu))
     sixth = dt / 6
     return tuple([

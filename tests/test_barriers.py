@@ -1,5 +1,7 @@
 import math
 from operator import mul
+from pathlib import Path
+from sys import version_info
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import (
     SafeSet,
     constraints_at,
+    dot_fold,
     finite_diff_check,
     left_limit_lookup,
     simulate_scalar_pull,
@@ -29,6 +32,7 @@ from stlcbf.barriers import (
     cbf_constraint,
     clip_rows,
     convergence_time,
+    dot_for,
     eval_rows,
     fcbf_constraint,
     gamma_for_deadline,
@@ -159,6 +163,86 @@ class Bowl(Barrier):
     def terms(self, t, x):
         h = self.c - 0.5 * sum(w * xi * xi for w, xi in zip(self.weights, x))
         return h, 0.25, tuple(-w * xi for w, xi in zip(self.weights, x))
+
+
+DOT_ENTRIES = (st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300,
+                                 math.inf, -math.inf, math.nan, 0, -3, 2 ** 53 + 1))
+               | st.floats() | st.integers(-2 ** 70, 2 ** 70)
+               | st.floats().map(np.float64))
+
+
+def _dot_bits(v):
+    """v's type and bits; every NaN reads the same."""
+    return type(v), v.hex() if isinstance(v, float) else v
+
+
+class TestDotFor:
+    """`dot_for(n)` is a left fold from the int 0 over the products: the
+    float operations of `sum` up to Python 3.11, on every Python."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(*[st.lists(DOT_ENTRIES, min_size=n,
+                                                                    max_size=n)] * 2)))
+    def test_matches_the_left_fold_bit_for_bit(self, vectors):
+        a, b = vectors
+        with np.errstate(all="ignore"):
+            got = dot_for(len(a))(a, b)
+            want = dot_fold(a, b)
+            assert _dot_bits(got) == _dot_bits(want)
+            if version_info < (3, 12):  # 3.12's sum compensates
+                assert _dot_bits(got) == _dot_bits(sum(map(mul, a, b)))
+
+    def test_no_compensation(self):
+        assert dot_for(3)((1e16, 1.0, -1e16), (1.0, 1.0, 1.0)).hex() == (0.0).hex()
+        assert dot_for(2)((-0.0, -0.0), (1.0, 1.0)).hex() == (0.0).hex()
+
+    @pytest.mark.parametrize("a", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0)])
+    def test_another_length_raises(self, a):
+        with pytest.raises(ValueError):
+            dot_for(3)(a, (1.0, 1.0, 1.0))
+        with pytest.raises(ValueError):
+            dot_for(3)((1.0, 1.0, 1.0), a)
+
+    def test_src_computes_no_dot_with_sum(self):
+        # one dot idiom, whose bits do not depend on the Python version
+        src = Path(__file__).resolve().parent.parent / "src" / "stlcbf"
+        assert [p.name for p in sorted(src.glob("*.py"))
+                if "sum(map(mul" in p.read_text()] == []
+
+
+THREE_STATES = ControlSystem(n=3, m=1, f=lambda t, x: (1.0, 2.0, 0.0),
+                             g=lambda t, x: ((0.0,), (1.0,), (0.0,)),
+                             domain=StateBox((-1e3,) * 3, (1e3,) * 3))
+
+
+class TestGradientLength:
+    """A gradient with another number of entries than the state is a
+    `BarrierError` that names the row or barrier and both lengths, not a
+    row over the shorter of the two vectors."""
+
+    @pytest.mark.parametrize("coeffs", [(0.0, -1.0), (0.0, -1.0, 0.0, 0.0)])
+    def test_affine_barrier(self, coeffs):
+        bar = AffineBarrier("short", coeffs=coeffs, offset=5.0)
+        for constraint, gains in ((cbf_constraint, IDENTITY_ALPHA),
+                                  (fcbf_constraint, FcbfParams(0.5, 1.0))):
+            with pytest.raises(BarrierError,
+                               match=rf"^barrier 'short' has {len(coeffs)} coefficients, "
+                                     r"x has 3 entries$"):
+                constraint(bar, THREE_STATES, gains, 0.0, (1.0, 2.0, 3.0))
+        spec = ("cbf:short", bar, *bar.affine_on(0.0, 1.0), IDENTITY_ALPHA, None)
+        with pytest.raises(BarrierError, match=rf"^cbf:short: {len(coeffs)} coefficients, "
+                                               r"the system has 3 states$"):
+            resolve_rows((spec,), THREE_STATES.g(0.0, None))
+
+    def test_terms_gradient(self):
+        bowl, x = Bowl((1.0, 0.5), 40.0), (1.0, 2.0, 3.0)  # its gradient has 2 entries
+        rows = resolve_rows((("cbf:bowl", bowl, None, None, IDENTITY_ALPHA, None),),
+                            THREE_STATES.g(0.0, x))
+        message = r"^cbf:bowl: gradient has 2 entries, the system has 3 states$"
+        with pytest.raises(BarrierError, match=message):
+            cbf_constraint(bowl, THREE_STATES, IDENTITY_ALPHA, 0.0, x)
+        with pytest.raises(BarrierError, match=message):  # the clip sink
+            eval_rows(rows, 0.0, x, THREE_STATES.f(0.0, x), -math.inf, -5.0, 5.0)
 
 
 def _row_bits(row):
@@ -351,6 +435,23 @@ def _num(draw, odd: int = 1) -> float:
     return draw(st.sampled_from(FEW)) if k < 6 else draw(st.floats(-10.0, 10.0))
 
 
+def _admitting(deficit: float, drift) -> tuple:
+    """An h >= 0 at which a drift like `drift` makes up `deficit`, and that
+    drift: the least such h, but with rho = 0, where the drift is gamma at
+    every h > 0, gamma rises to 2 * deficit if it is less and h is 1."""
+    if not deficit > 0:
+        return 0.0, drift
+    if drift[0] == "cbf":
+        return deficit / drift[1], drift
+    _, rho, gamma = drift
+    if not rho:
+        return 1.0, ("fcbf", 0.0, max(gamma, 2 * deficit))
+    try:
+        return (deficit / gamma) ** (1 / rho), drift
+    except OverflowError:
+        return 1e300, drift
+
+
 @st.composite
 def clip_cases(draw):
     """(x, f, g, (lo, hi), floor, u, rows) for a 2-state, 1-input plan. A row
@@ -361,8 +462,10 @@ def clip_cases(draw):
     three, a number is, one time in ten, tiny, huge or not finite, an entry
     of g, one time in five, not finite, and a row's h at x may be negative
     or its offset anything. Every other case draws small numbers, f from
-    `FEW` and rows with h >= 0 at x (0, 1e-300, 1 or up to 20), so that
-    plans of many rows still end with bounds."""
+    `FEW`, one input u* in [lo, hi] and rows around it: each row's h at x is
+    the least h >= 0 whose drift makes up what dh/dt + grad.(f + g u*) lacks,
+    plus 0, 1e-300, 1 or up to 20, so that plans of many rows still end with
+    bounds."""
     odd = int(draw(st.integers(0, 2)) == 0)
 
     def num() -> float:
@@ -376,6 +479,7 @@ def clip_cases(draw):
         gm = tuple(r + (num(),) for r in gm)
     lo, hi = sorted(draw(st.sampled_from((-5.0, -1.0, -0.0, 0.0, 1.0, 5.0))) for _ in "lh")
     floor = draw(st.sampled_from((-math.inf, -math.inf, -1e-3, 0.0)))
+    u_star = draw(st.sampled_from((lo, hi, lo / 2 + hi / 2)))
     rows = []
     for _ in range(draw(st.integers(0, 7))):
         source = draw(st.sampled_from(("form", "form", "terms", "bowl")))
@@ -384,18 +488,26 @@ def clip_cases(draw):
         else:
             coeffs = (num(), num())
         negated = draw(st.booleans())
-        base = (-0.5 * sum(w * v * v for w, v in zip(coeffs, x)) if source == "bowl"
-                else sum(map(mul, coeffs, x)))  # h at x of offset 0, not negated
-        if draw(st.booleans()):  # h < 0, h = 0 or h > 0 at x
-            h = draw(st.sampled_from((-1.0, -1e-300, 0.0, 1e-300, 1.0)[0 if odd else 2:]))
-        else:  # any offset, or h moderate
-            h = None if odd else draw(st.floats(0.0, 20.0))
-        offset = num() if h is None else (-h if negated else h) - base
         if draw(st.booleans()):
             drift = ("cbf", draw(st.sampled_from((0.5, 1.0, 3.0))))
         else:
             drift = ("fcbf", draw(st.sampled_from((0.0, 0.5, 0.9))),
                      draw(st.sampled_from((1e-3, 2.0))))
+        if source == "bowl":  # h at x of offset 0, not negated, its dh/dt and gradient
+            base, dh, grad = (-0.5 * sum(w * v * v for w, v in zip(coeffs, x)), 0.25,
+                              tuple(-w * v for w, v in zip(coeffs, x)))
+        else:
+            base, dh, grad = sum(map(mul, coeffs, x)), 0.0, coeffs
+        if odd:
+            if draw(st.booleans()):  # h < 0, h = 0 or h > 0 at x
+                h = draw(st.sampled_from((-1.0, -1e-300, 0.0, 1e-300, 1.0)))
+            else:  # any offset
+                h = None
+        else:
+            lie = dh + sum(gi * (fi + r[0] * u_star) for gi, fi, r in zip(grad, fv, gm))
+            need, drift = _admitting(lie if negated else -lie, drift)
+            h = need + draw(st.sampled_from((0.0, 1e-300, 1.0)) | st.floats(0.0, 20.0))
+        offset = num() if h is None else (-h if negated else h) - base
         rows.append((source, coeffs, negated, offset, drift))
     return x, fv, gm, (lo, hi), floor, _num(draw, 0), tuple(rows)
 

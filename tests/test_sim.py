@@ -67,6 +67,11 @@ class TestIntegrateStep:
         with pytest.raises(SimError, match="x has dimension 3, system has n=2"):
             integrate_step(double_integrator, 0.0, (0.0, 0.0, 0.0), (0.0,), 0.01)
 
+    def test_input_of_another_dimension_rejected(self, double_integrator):
+        # the kernel unpacks u: a longer one is not cut to its first entry
+        with pytest.raises(SimError, match="u has dimension 2, system has m=1"):
+            integrate_step(double_integrator, 0.0, (0.0, 0.0), (1.0, 2.0), 0.01)
+
 
 FINITE = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-100.0, 100.0))
 
@@ -119,18 +124,21 @@ class TestRk4Kernel:
         compiled = []
         compile_kernel = sim._rk4_kernel
 
-        def counting(n):
-            compiled.append(n)
-            return compile_kernel(n)
+        def counting(n, m):
+            compiled.append((n, m))
+            return compile_kernel(n, m)
 
         monkeypatch.setattr(sim, "_RK4_KERNELS", {})
         monkeypatch.setattr(sim, "_rk4_kernel", counting)
+        monkeypatch.setattr(barriers, "_DOTS", {})
         cfg = _short_sec6()
         pipeline.build_scenario(cfg)
-        assert compiled == []  # the kernel compiles at the first step, not in setup
+        # the kernel and the dot compile at the first step, not in setup
+        assert compiled == [] and barriers._DOTS == {}
         for _ in range(2):
             assert pipeline.run_pipeline(cfg).trace.n_rows() == 8001
-        assert compiled == [3] and list(sim._RK4_KERNELS) == [3]
+        assert compiled == [(3, 1)] and list(sim._RK4_KERNELS) == [(3, 1)]
+        assert list(barriers._DOTS) == [3]
 
 
 def _speed_setup(values, horizon, domain=None):
@@ -552,11 +560,12 @@ def _clip_reads(monkeypatch) -> list:
 
 class TestAffineRowsShareLieSums:
     """Affine rows with one gradient share their Lie sums: a plan of k such
-    rows costs two sums a step, grad.x and grad.f, not 2k (`eval_rows`).
-    Every step takes `clip_groups` alone: the plan's first step replans there
-    and derives each row's a = -grad.g, and every later step reuses those a.
-    The k rows share their kappa too, so the clip reads two of them, those of
-    least and greatest offset, while `conjoin_groups` still gives all k."""
+    rows costs two dot products a step, grad.x and grad.f, not 2k
+    (`eval_rows`). Every step takes `clip_groups` alone: the plan's first
+    step replans there and derives each row's a = -grad.g, and every later
+    step reuses those a. The k rows share their kappa too, so the clip reads
+    two of them, those of least and greatest offset, while `conjoin_groups`
+    still gives all k."""
 
     def test_two_sums_a_step_for_k_rows(self, monkeypatch):
         k, horizon = 6, 0.5
@@ -571,10 +580,11 @@ class TestAffineRowsShareLieSums:
         sys = ControlSystem(n=2, m=1, f=lambda t, x: (x[1], 0.0), g=lambda t, x: g_mat,
                             domain=dom)
         calls, entries, tables, per_step = [0], [], [], []
+        dot = barriers.dot_for(2)
 
-        def counting_sum(*args):
+        def counting_dot(a, b):
             calls[0] += 1
-            return sum(*args)
+            return dot(a, b)
 
         def entry(name, fn):
             def spy(table, *args):
@@ -594,13 +604,13 @@ class TestAffineRowsShareLieSums:
         for name in ("clip_groups", "conjoin_groups"):
             monkeypatch.setattr(sim, name, entry(name, getattr(sim, name)))
         monkeypatch.setattr(sim, "integrate_step", step)
-        monkeypatch.setattr(barriers, "sum", counting_sum, raising=False)
+        monkeypatch.setitem(barriers._DOTS, 2, counting_dot)
         reads = _clip_reads(monkeypatch)
         res = run_simulation(sys, scheds, lambda t, x: (1.0,), InputBox((-5.0,), (5.0,)),
                              (0.0, 10.0), dt=0.01, t_max=horizon)
 
         assert res.failure is None and len(per_step) == 50
-        # the first step also derives each row's a = -grad.g, one sum a row
+        # the first step also derives each row's a = -grad.g, one dot a row
         assert per_step[0] == (("clip_groups",), k, 2 + k, (2,))
         assert per_step[1:] == [(("clip_groups",), k, 2, (2,))] * 49
         rows = contracts.conjoin_groups(tables[-1], 0.0, (0.0, 10.0), sys)
