@@ -13,16 +13,15 @@ Each internal boundary t_i is classified:
                     fit: no controller can serve every admissible start.
 
 Each non-vacuous segment holds its resolved `Barrier`, bound once when
-`build_schedule` runs, and the schedule compiles one row pair per segment:
-the segment's CBF row (barrier, alpha, label "cbf:<id>") and, when an
-overlap_deadline boundary ends the segment, its window row (tau, boundary
-time, engagement key, next barrier, label "fcbf:<id>"). The active rows
-change only at segment bounds and window onsets, so the runtime query has
-two parts. `ContractSchedule.plan` bisects for the segment, applies the
-strict tau < t < t_i window test, and returns the active row specs with the
-interval [t_from, until) over which they stay active; each spec carries the
-barrier's affine form over that interval (`Barrier.affine_on`), if it has
-one. `barriers.resolve_rows` resolves specs for one g matrix and
+`build_schedule` runs. The active rows change only at segment bounds and
+window onsets, so the runtime query has two parts. `ContractSchedule.plan`
+bisects for the segment, applies the strict tau < t < t_i window test of
+the boundary that ends it, and returns the active row specs with the
+interval [t_from, until) over which they stay active: the segment's CBF row
+(its barrier, alpha, label "cbf:<id>") and, inside an overlap_deadline
+window, the next barrier's FCBF row (label "fcbf:<id>"). Each spec carries
+the barrier's affine form over that interval (`Barrier.affine_on`), if it
+has one. `barriers.resolve_rows` resolves specs for one g matrix and
 `barriers.eval_rows` turns them into (a, b, label) rows at (t, x): a spec
 with a form costs no `terms` call, and such rows cost two dot products per
 distinct gradient, plus one add and one drift per row. A window's first
@@ -33,19 +32,17 @@ A schedule may carry a `region = (lo, hi)` on the first state coordinate:
 it applies only while lo < x[0] <= hi (default: every finite x[0]). The
 traffic signal contracts use it to gate each signal's schedule to the
 stretch of road where its stop line is the first at or ahead of the ego.
-`RegionTable.of` compiles a schedule list once into the sorted region bounds
-and, for each cell between them, the schedules that cover it. A table also
-keeps one run's engagement records and events, its plan and the plan's
-rows: the specs of its cell's schedules, valid while t stays in the
-intersection of their intervals and x[0] in the cell, resolved once per plan
-and g object.
-Only when t or x[0] leaves the plan does a query `replan`, with one bisect
-for the cell and one per schedule. `conjoin_groups` evaluates the rows
-into a list (`barriers.eval_rows`' list sink). For one input,
-`clip_groups` clips the input box in one pass over the rows that can bind
-(the clip sink over `barriers.clip_rows`); a step whose rows name a failure
-or an error takes `conjoin_groups` and `qp.solve_qp` instead, which raise or
-record it.
+A `RegionTable(schedules)` keeps one run's engagement records and events,
+its plan and the plan's rows: the specs of the schedules whose region holds
+x[0], valid while t stays in the intersection of their intervals and x[0]
+in the cell between the nearest region bounds, resolved once per plan and
+g object. Only when t or x[0] leaves the plan does a query `replan`, with
+one pass over the schedule list and one bisect per schedule that applies.
+`conjoin_groups` evaluates the rows into a list (`barriers.eval_rows`' list
+sink). For one input, `clip_groups` clips the input box in one pass over the
+rows that can bind (the clip sink over `barriers.clip_rows`); a step whose
+rows name a failure or an error takes `conjoin_groups` and `qp.solve_qp`
+instead, which raise or record it.
 
 The static checks at boundary time t read the set being left at t- =
 nextafter(t, -inf) and the one entered at t. Subset, intersection and the
@@ -70,10 +67,10 @@ import itertools
 import math
 import numbers
 import struct
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import add, mul
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -380,36 +377,17 @@ class ScheduleConfig:
             raise BarrierError(f"gamma must be positive, got {self.gamma_min}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContractSchedule:
     """Invariance segments tiling [0, horizon) plus per-boundary verdicts,
-    applying while lo < x[0] <= hi for `region` (lo, hi). Immutable after
-    construction, which compiles the rows; queries are pure apart from the
-    engagement records they add to the caller's dict."""
+    applying while lo < x[0] <= hi for `region` (lo, hi). Immutable; queries
+    are pure apart from the engagement records they add to the caller's
+    dict."""
 
     label: str
     segments: list
     boundaries: list
     region: tuple = (-math.inf, math.inf)
-
-    def __post_init__(self):
-        # segment i covers [bounds[i], bounds[i + 1]); bounds[-1] ends the span
-        self._bounds = [seg.interval.start for seg in self.segments] + [self.span.end]
-        self._rows = [self._compile(i) for i in range(len(self.segments))]
-
-    def _compile(self, idx: int):
-        """Segment idx's (CBF row, window row): (barrier, alpha, label
-        "cbf:<id>"), None when vacuous; the FCBF window of an overlap_deadline
-        boundary at its end, None otherwise."""
-        bar = self.segments[idx].barrier
-        cbf = None if bar is None else (bar, bar.alpha, "cbf:" + bar.id)
-        window = None
-        if idx < len(self.boundaries):
-            bd = self.boundaries[idx]
-            if bd.verdict is Verdict.OVERLAP_DEADLINE:
-                nxt = self.segments[idx + 1].barrier
-                window = _Window(bd.tau, bd.time, (self.label, idx), nxt, bd, "fcbf:" + nxt.id)
-        return cbf, window
 
     @property
     def span(self) -> TimeInterval:
@@ -419,11 +397,12 @@ class ContractSchedule:
         return [b for b in self.boundaries if b.verdict is Verdict.INCOMPATIBLE]
 
     def _segment_index(self, t: float) -> int:
-        """Index of the segment holding t."""
-        b = self._bounds
-        if not (b[0] <= t < b[-1]):
-            raise ScheduleQueryError(f"{self.label}: t={t:g} outside schedule span {self.span}")
-        return bisect_right(b, t) - 1
+        """Index of the segment holding t: segment i covers [its start, the
+        next segment's start), the last one to the span's end."""
+        span = self.span
+        if not (span.start <= t < span.end):
+            raise ScheduleQueryError(f"{self.label}: t={t:g} outside schedule span {span}")
+        return bisect_right(self.segments, t, key=lambda seg: seg.interval.start) - 1
 
     def assumption_margin(self, x0):
         """(barrier_id, margin) of the first segment's entry assumption, or
@@ -437,29 +416,32 @@ class ContractSchedule:
     def plan(self, t, x, engagements: dict) -> tuple:
         """(t_from, until, specs): the row specs active at t, and the interval
         [t_from, until) around t over which they stay active. The specs are
-        the segment's invariance row, then, strictly inside (tau_i, t_i) of
-        an overlap boundary, the next barrier's finite-time row. A pending
-        window (t <= tau) ends the interval at nextafter(tau), the first t
-        with tau < t; an engaged one starts it there. A window's first query
-        sizes its gamma from h(t, x), kept in `engagements` under (label,
-        boundary index)."""
+        the segment's invariance row (label "cbf:<id>"), then, strictly
+        inside (tau_i, t_i) of an overlap boundary, the next barrier's
+        finite-time row (label "fcbf:<id>"). A pending window (t <= tau) ends
+        the interval at nextafter(tau), the first t with tau < t; an engaged
+        one starts it there. A window's first query sizes its gamma from
+        h(t, x), kept in `engagements` under (label, boundary index)."""
         i = self._segment_index(t)
-        t_from, until = self._bounds[i], self._bounds[i + 1]
-        cbf, window = self._rows[i]
-        engaged = window is not None and window.tau < t
-        if window is not None:
-            onset = math.nextafter(window.tau, math.inf)
+        segs = self.segments
+        bar, t_from = segs[i].barrier, segs[i].interval.start
+        until = segs[i + 1].interval.start if i + 1 < len(segs) else segs[i].interval.end
+        bd = self.boundaries[i] if i < len(self.boundaries) else None
+        window = bd is not None and bd.verdict is Verdict.OVERLAP_DEADLINE
+        engaged = window and bd.tau < t
+        if window:
+            onset = math.nextafter(bd.tau, math.inf)
             if engaged:
                 t_from = max(t_from, onset)
             else:
                 until = min(until, onset)
         specs = []
-        if cbf is not None:
-            bar, alpha, label = cbf
-            specs.append(_row_spec(bar, label, t_from, until, alpha, None))
+        if bar is not None:
+            specs.append(_row_spec(bar, "cbf:" + bar.id, t_from, until, bar.alpha, None))
         if engaged:
-            params = _engaged_params(window, t, x, engagements)
-            specs.append(_row_spec(window.barrier, window.label, t_from, until, None, params))
+            nxt = segs[i + 1].barrier
+            params = _engaged_params(bd, nxt, (self.label, i), t, x, engagements)
+            specs.append(_row_spec(nxt, "fcbf:" + nxt.id, t_from, until, None, params))
         return t_from, until, specs
 
 
@@ -471,29 +453,17 @@ def _row_spec(bar: Barrier, label: str, t0, t1, alpha, params) -> tuple:
     return label, bar, coeffs, offset, alpha, params
 
 
-class _Window(NamedTuple):
-    """An overlap_deadline boundary compiled for the step loop: its FCBF
-    constraint on the next segment's barrier holds while tau < t < time."""
-
-    tau: float
-    time: float
-    key: tuple  # (schedule label, boundary index): the engagement key
-    barrier: Barrier
-    boundary: BoundaryDecision
-    label: str
-
-
-def _engaged_params(window: _Window, t, x, engagements) -> FcbfParams:
-    """The window's FCBF parameters, built once, at its first query (which
-    sizes gamma), and kept in its engagement record."""
-    rec = engagements.get(window.key)
+def _engaged_params(bd: BoundaryDecision, nxt: Barrier, key, t, x, engagements) -> FcbfParams:
+    """The FCBF parameters of boundary bd's window into barrier nxt, built
+    once, at its first query (which sizes gamma), and kept in its engagement
+    record under key."""
+    rec = engagements.get(key)
     if rec is None:
-        bd = window.boundary
-        h_engage = window.barrier.h(t, x)
+        h_engage = nxt.h(t, x)
         params = FcbfParams(bd.rho, gamma_for_deadline(h_engage, bd.rho, bd.t_target,
                                                        bd.gamma_min))
-        rec = engagements[window.key] = EngagementRecord(
-            key=window.key, time=t, h_engage=h_engage, params=params,
+        rec = engagements[key] = EngagementRecord(
+            key=key, time=t, h_engage=h_engage, params=params,
             boundary_time=bd.time, t_conv_bound=convergence_time(h_engage, params),
         )
     return rec.params
@@ -597,57 +567,49 @@ def _classify_boundary(segments, idx, cfg: ScheduleConfig) -> BoundaryDecision:
 
 
 class RegionTable:
-    """Which schedules apply at each X_f, compiled once from a schedule list,
-    and one run's query state: its engagement records, its plan and the
-    plan's rows.
+    """One run's query state over a schedule list: its engagement records,
+    its plan and the plan's rows.
 
-    `bounds` is -inf followed by the sorted finite region bounds; cell j is
-    (bounds[j-1], bounds[j]] (the last cell runs to +inf, inclusive) and
-    cell 0 holds x[0] = -inf and NaN, which no region admits. Every region
-    bound is a cell bound, so lo < x[0] <= hi holds on a whole cell or on none
-    of it, and bisect_left(bounds, x[0]) finds the cell.
-
-    `plan` is (t_from, until, lo, hi, specs): the specs of the schedules of
-    cell (lo, hi], in list order, valid on the intersection [t_from, until)
-    of their `ContractSchedule.plan` intervals. `rows` is (g, rows, clip):
-    the plan's specs resolved (`resolve_rows`) for the g object of its
-    latest query, and of those the rows that `eval_rows`' clip sink reads
+    `plan` is (t_from, until, lo, hi, specs): the specs of the schedules
+    whose region holds x[0], in list order, valid on the intersection
+    [t_from, until) of their `ContractSchedule.plan` intervals and on
+    (lo, hi], the cell between the region bounds nearest x[0] on either
+    side (up to +inf, inclusive, if none lies above), on which every region
+    holds throughout or nowhere. x[0] = -inf or NaN, which no region admits,
+    plans nothing on an empty (lo, hi]. `rows` is (g, rows, clip): the
+    plan's specs resolved (`resolve_rows`) for the g object of its latest
+    query, and of those the rows that `eval_rows`' clip sink reads
     (`clip_rows`), or None where it may not; None until the plan's first
     query. `engagements` maps (schedule label, boundary index) to
     `EngagementRecord`s, in engagement order. The table logs its engagement
     events: `replan` appends to `events` (t, text) for each record it makes,
     and a `deadline-risk` one where its bound lands past the switch."""
 
-    __slots__ = ("bounds", "cells", "engagements", "events", "plan", "rows")
+    __slots__ = ("schedules", "engagements", "events", "plan", "rows")
 
-    def __init__(self, bounds: tuple, cells: tuple):
-        self.bounds, self.cells = bounds, cells  # cells: per cell, its schedules
+    def __init__(self, schedules):
+        self.schedules = tuple(schedules)
         self.engagements, self.events = {}, []
         self.plan = (math.inf, -math.inf, math.inf, -math.inf, ())  # holds nowhere
         self.rows = None
 
-    @classmethod
-    def of(cls, schedules) -> "RegionTable":
-        finite = sorted({v for s in schedules for v in s.region if math.isfinite(v)})
-        cells = [()]
-        for lo, hi in zip([-math.inf] + finite, finite + [math.inf]):
-            cells.append(tuple(s for s in schedules if s.region[0] <= lo and hi <= s.region[1]))
-        return cls(tuple([-math.inf] + finite), tuple(cells))
-
     def replan(self, t, x) -> tuple:
         """Plan the rows at (t, x) into `plan`, and return their specs. Log
         the engagements the plan makes into `events`."""
-        bounds, engagements = self.bounds, self.engagements
-        j = bisect_left(bounds, x[0])
-        if j:
-            lo, hi = bounds[j - 1], bounds[j] if j < len(bounds) else math.inf
-        else:  # x[0] = -inf or NaN: an empty (lo, hi], so the next query replans
-            lo, hi = math.inf, -math.inf
+        x_f, engagements = x[0], self.engagements
+        # x[0] = -inf or NaN: an empty (lo, hi], so the next query replans
+        lo, hi = (-math.inf, math.inf) if x_f > -math.inf else (math.inf, -math.inf)
         t_from, until, specs, n_engaged = -math.inf, math.inf, [], len(engagements)
-        for sched in self.cells[j]:
-            s_from, s_until, s_specs = sched.plan(t, x, engagements)
-            t_from, until = max(t_from, s_from), min(until, s_until)
-            specs += s_specs
+        for sched in self.schedules:
+            for v in sched.region:  # each bound cuts the cell on its side of x[0]
+                if v < x_f:
+                    lo = max(lo, v)
+                elif v >= x_f:
+                    hi = min(hi, v)
+            if sched.region[0] < x_f <= sched.region[1]:
+                s_from, s_until, s_specs = sched.plan(t, x, engagements)
+                t_from, until = max(t_from, s_from), min(until, s_until)
+                specs += s_specs
         for rec in list(engagements.values())[n_engaged:]:
             self.events.append((rec.time, rec.describe()))
             if rec.time + rec.t_conv_bound > rec.boundary_time + 1e-9:  # past the switch

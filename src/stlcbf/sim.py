@@ -18,15 +18,13 @@ so a row costs its floats and no per-row tuple is kept. `Trace.states`,
 `u_nom` and `u_safe` read them as (N, n) and (N, m) numpy views, with no
 copy, once the loop has ended.
 
-Everything a step can know in advance is compiled before the loop starts.
-Each schedule holds its resolved barriers and its constraint rows (label,
-alpha, window bounds), so a step tests no verdict, builds no label and looks
-no barrier up by name. `RegionTable.of(schedules)` sorts the region bounds
-once, and the table keeps the run's plan: the rows of the schedules that
-apply at X_f, valid until the next segment bound, window onset or region
-crossing. The domain bounds are padded once. Each step evaluates f and g
-once, for every constraint's Lie terms and as RK4's k1 (f runs 4 times a
-step).
+Each schedule holds its resolved barriers, and the run's
+`RegionTable(schedules)` keeps its plan: the rows, labels included, of the
+schedules that apply at X_f, valid until the next segment bound, window
+onset or region crossing, and rebuilt only there. So a step tests no
+verdict, builds no label and looks no barrier up by name. The domain bounds
+are padded once. Each step evaluates f and g once, for every constraint's
+Lie terms and as RK4's k1 (f runs 4 times a step).
 
 The step's call chain is flat. The table resolves the plan's rows once per
 plan and g object: each affine row's a = -grad.g, which rows share Lie
@@ -241,8 +239,14 @@ class Trace:
         return len(self.ts)
 
     def min_margin(self, barrier_id: str):
+        """The least margin of the barrier's column, NaN read as +inf (inf
+        when there is none); the first of equal values, so -0.0 and 0.0
+        keep their order."""
         vals = self.margins.get(barrier_id, ())
-        return float(min(vals)) if len(vals) else math.inf
+        if not len(vals):
+            return math.inf
+        vals = np.where(np.isnan(vals), math.inf, vals)
+        return float(vals[np.argmin(vals)])
 
     def fill_columns(self, barriers=(), channels=None) -> None:
         """Evaluate the margin and channel columns over every recorded row at
@@ -330,7 +334,7 @@ def run_simulation(
         raise SimError(f"input box has dimension {box.dim}, system has m={sys.m}")
     check_opening_assumptions(schedules, x)
 
-    table = RegionTable.of(schedules)
+    table = RegionTable(schedules)
     trace = Trace(sys.n, sys.m, events=table.events)  # the table logs engagements there
     f, g, lower, clamp_dims = sys.f, sys.g, sys.domain.lower, sys.clamp_min_dims
     isfinite = math.isfinite

@@ -343,10 +343,11 @@ def active_constraints(schedule: ContractSchedule, t, x, sys, engagements=None):
 
 def scan_constraints(schedules, t, x, sys, engagements, dyn=None):
     """Active constraints of every schedule whose region holds x[0], the long
-    way that `RegionTable` and the compiled rows replace: test every region
-    in turn, find the segment by bisect, test the boundary's verdict and its
-    strict window, fix gamma at first engagement, and build each constraint
-    with a fresh label and a fresh a = -grad.g."""
+    way that a `RegionTable`'s plans and resolved rows replace: test every
+    region at each query, find the segment over a list of its starts, test
+    the boundary's verdict and its strict window, fix gamma at first
+    engagement, and build each constraint with `cbf_constraint` or
+    `fcbf_constraint`, so with a fresh a = -grad.g."""
     out = []
     for sched in schedules:
         lo, hi = sched.region
@@ -370,6 +371,21 @@ def scan_constraints(schedules, t, x, sys, engagements, dyn=None):
                 rec = engagements[key]
                 out.append(fcbf_constraint(nxt, sys, rec.params, t, x, dyn))
     return out
+
+
+def region_cell(schedules, x_f) -> tuple:
+    """(lo, hi, schedules) of the cell (lo, hi] holding x_f, by the sorted
+    construction that `RegionTable.replan`'s walk must match: sort the
+    finite region bounds after -inf, take cell j = (bounds[j-1], bounds[j]]
+    (the last to +inf, inclusive) at j = bisect_left(bounds, x_f), and
+    keep, in list order, the schedules whose region covers the whole cell. x_f = -inf or NaN lands in cell 0,
+    the empty (inf, -inf] that no schedule covers."""
+    bounds = [-math.inf] + sorted({v for s in schedules for v in s.region if math.isfinite(v)})
+    j = bisect_left(bounds, x_f)
+    if not j:
+        return math.inf, -math.inf, ()
+    lo, hi = bounds[j - 1], bounds[j] if j < len(bounds) else math.inf
+    return lo, hi, tuple(s for s in schedules if s.region[0] <= lo and hi <= s.region[1])
 
 
 def bisect_dispatch(schedules, positions, t, x, sys, engagements, dyn=None):

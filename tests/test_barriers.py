@@ -310,7 +310,7 @@ class TestConstraintRowCache:
             t0 = float(math.floor(t))
             return t0, t0 + 1.0, [_row_spec(bar, label, t0, t0 + 1.0, alpha, params)]
 
-        table = RegionTable.of([SimpleNamespace(region=(-math.inf, math.inf), plan=plan)])
+        table = RegionTable([SimpleNamespace(region=(-math.inf, math.inf), plan=plan)])
         for k, x in enumerate(states):
             t = 0.5 * k
             dyn = (sys.f(t, x), sys.g(t, x)) if use_dyn else None
@@ -623,7 +623,7 @@ def parallel_cases(draw):
 
 def _plan_table(specs) -> RegionTable:
     """A table whose one schedule plans `specs` over [0, 1)."""
-    return RegionTable.of([SimpleNamespace(region=(-math.inf, math.inf),
+    return RegionTable([SimpleNamespace(region=(-math.inf, math.inf),
                                            plan=lambda t, x, engagements: (0.0, 1.0, specs))])
 
 

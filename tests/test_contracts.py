@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import re
-from bisect import bisect_left
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +13,7 @@ from oracles import (
     constraints_at,
     exact_extreme_direct,
     grid_set_check,
+    region_cell,
     scalar_check_intersection,
     scalar_check_subset,
     scalar_worst_engage_margin,
@@ -408,11 +408,11 @@ class TestActiveConstraints:
                                                   ledger)
         assert (a, label) == ((1.0,), "fcbf:v10") and b == pytest.approx(want, rel=1e-12)
         assert round(b, 3) == -4.983
-        table = RegionTable.of([sched])
+        table = RegionTable([sched])
         conjoin_groups(table, 46.0, (0.0, 28.0), ScalarSys)
         assert conjoin_groups(table, 47.0, (0.0, 12.0), ScalarSys)[1][1] == b
         assert table.engagements == ledger
-        fresh = conjoin_groups(RegionTable.of([sched]), 47.0, (0.0, 12.0), ScalarSys)
+        fresh = conjoin_groups(RegionTable([sched]), 47.0, (0.0, 12.0), ScalarSys)
         assert fresh[1][1] == pytest.approx(-4.0, rel=1e-12)
         with pytest.raises(TypeError, match="engagements"):
             constraints_at(sched, 47.0, (0.0, 12.0), ScalarSys)
@@ -421,7 +421,7 @@ class TestActiveConstraints:
         # one table queried back and forth around the 30 -> 25 window (45, 50):
         # a plan built on one side of tau or of t = 50 must not serve the other
         sched = self._sched()
-        table, ledger = RegionTable.of([sched]), {}
+        table, ledger = RegionTable([sched]), {}
         for t in (47.0, 45.0, math.nextafter(45.0, math.inf), 45.0, 44.0,
                   math.nextafter(50.0, -math.inf), 50.0, 47.0, 0.0, 46.0):
             got = conjoin_groups(table, t, (0.0, 20.0), ScalarSys)
@@ -471,7 +471,7 @@ class TestConjoinGroups:
         s2 = build_schedule(
             TaskGroup("G2", ((TimeInterval(0, 150), PredicateRef("v20")),)),
             reg, speed_cfg(150.0))
-        cons = conjoin_groups(RegionTable.of([s1, s2]), 20.0, (0.0, 15.0), ScalarSys)
+        cons = conjoin_groups(RegionTable([s1, s2]), 20.0, (0.0, 15.0), ScalarSys)
         assert [label for _, _, label in cons] == ["cbf:v30", "cbf:v20"]
 
     def test_vacuous_group_adds_nothing(self):
@@ -482,7 +482,7 @@ class TestConjoinGroups:
         s2 = build_schedule(
             TaskGroup("G2", ((TimeInterval(50, 60), PredicateRef("v10")),)),
             reg, speed_cfg(100.0))
-        cons = conjoin_groups(RegionTable.of([s1, s2]), 10.0, (0.0, 15.0), ScalarSys)
+        cons = conjoin_groups(RegionTable([s1, s2]), 10.0, (0.0, 15.0), ScalarSys)
         assert [label for _, _, label in cons] == ["cbf:v30"]
 
 
@@ -563,9 +563,9 @@ def _hexed(cons):
 
 
 class TestCompiledDispatchDifferential:
-    """`conjoin_groups` over a `RegionTable`, its plans and the compiled rows
-    against `oracles.scan_constraints`, which tests every region, verdict and
-    window at each query and builds every label and a afresh."""
+    """`conjoin_groups` over a `RegionTable`, its plans and their resolved
+    rows against `oracles.scan_constraints`, which tests every region, verdict
+    and window at each query and builds every label and a afresh."""
 
     @settings(max_examples=150, deadline=None)
     @given(gated_schedules(), st.data())
@@ -596,7 +596,7 @@ class TestCompiledDispatchDifferential:
                 times | st.floats(0.0, HORIZON, exclude_max=True),
                 x_fs | st.floats(-20.0, 20.0), st.floats(0.0, 40.0)), min_size=1, max_size=8))
 
-        table, want_led = RegionTable.of(scheds), {}
+        table, want_led = RegionTable(scheds), {}
         for t, x_f, v in queries:
             x = (x_f, v)
             dyn = (sys.f(t, x), sys.g(t, x)) if use_dyn else None
@@ -610,12 +610,22 @@ class TestCompiledDispatchDifferential:
                               st.sampled_from(REGION_BOUNDS + [math.nan])), max_size=6),
            st.sampled_from(_near([-10.0, -2.5, 0.0, 2.5, 10.0])
                            + [-math.inf, math.inf, math.nan, -0.0]))
-    def test_table_cell_holds_exactly_the_regions_that_admit_x(self, regions, x_f):
-        scheds = [SimpleNamespace(region=r, index=i) for i, r in enumerate(regions)]
-        table = RegionTable.of(scheds)
-        cell = table.cells[bisect_left(table.bounds, x_f)]
-        assert [s.index for s in cell] == [s.index for s in scheds
-                                           if s.region[0] < x_f <= s.region[1]]
+    def test_replan_uses_exactly_the_regions_that_admit_x(self, regions, x_f):
+        """`replan` plans the schedules whose region holds x[0], in list
+        order, and its (lo, hi] is `oracles.region_cell`'s cell."""
+        planned = []
+
+        def plan_of(i):
+            return lambda t, x, engagements: planned.append(i) or (-math.inf, math.inf, [])
+
+        scheds = [SimpleNamespace(region=r, index=i, plan=plan_of(i))
+                  for i, r in enumerate(regions)]
+        table = RegionTable(scheds)
+        table.replan(0.0, (x_f, 0.0))
+        lo, hi, cell = region_cell(scheds, x_f)
+        assert planned == [s.index for s in cell] == [
+            s.index for s in scheds if s.region[0] < x_f <= s.region[1]]
+        assert table.plan[2:4] == (lo, hi)
 
 
 class TestConstraintRowReuse:
@@ -630,7 +640,7 @@ class TestConstraintRowReuse:
         group = TaskGroup("G", ((TimeInterval(0.0, 10.0), PredicateRef(bar.id)),))
         n = len(states[0])
         cfg = ScheduleConfig(domain=StateBox((-1e3,) * n, (1e3,) * n), horizon=10.0)
-        table = RegionTable.of([build_schedule(group, registry_with(bar), cfg)])
+        table = RegionTable([build_schedule(group, registry_with(bar), cfg)])
         box = InputBox((-1e12,), (1e12,))
         for x in states:
             want = cbf_constraint(bar, sys, bar.alpha, t, x)

@@ -19,6 +19,7 @@ from stlcbf.sim import (
     ControlSystem,
     InitialConditionError,
     SimError,
+    Trace,
     integrate_step,
     run_simulation,
     step_count,
@@ -526,7 +527,7 @@ class TestLoopMakesNoWrapperCall:
 
         table = replans[0][0]
         assert all(other is table for other, _ in replans)
-        scheds = list({id(s): s for cell in table.cells for s in cell}.values())
+        scheds = table.schedules
         lines = sorted({v for s in scheds for v in s.region if math.isfinite(v)})
         taus = [(s, bd.tau) for s in scheds for bd in s.boundaries
                 if bd.verdict is Verdict.OVERLAP_DEADLINE]
@@ -756,25 +757,30 @@ class TestOneFcbfParamsPerEngagement:
 
 
 class TestLoopBuildsNoLabel:
-    """Each constraint's label is compiled with its schedule: over a run, a
-    label is the same str object at every step, whether the step clips in
-    the rows' own pass (the table's resolved rows hold the compiled labels)
+    """Each constraint's label is built when its plan is: every label a step
+    sees is one of the objects of the plan in force, whether the step clips
+    in the rows' own pass (the table's resolved rows hold the plan's labels)
     or takes `solve_qp` (the failure step), so none is built in the loop.
-    The failure record names the compiled objects too."""
+    The failure record names the plan's objects too."""
 
     @staticmethod
     def _labels_seen(cfg, monkeypatch):
-        """Run cfg; return the outcome, each label's first object and uses,
-        the label objects seen after an equal first one, the steps on each
-        path, and the labels compiled in the run's schedules."""
-        first, counts, fresh = {}, {}, []
+        """Run cfg; return the outcome, each label's uses, the label objects
+        seen that the plan in force does not hold, the steps on each path,
+        and the labels of the last plan."""
+        counts, fresh, in_force = {}, [], []
         paths, tables = {"clip": 0, "solve_qp": 0}, set()
-        clip, solve = sim.clip_groups, sim.solve_qp
+        clip, solve, replan = sim.clip_groups, sim.solve_qp, contracts.RegionTable.replan
+
+        def replan_spy(table, t, x):
+            specs = replan(table, t, x)
+            in_force[:] = [spec[0] for spec in specs]
+            return specs
 
         def see(path, labels):
             paths[path] += 1
             for label in labels:
-                if first.setdefault(label, label) is not label:
+                if not any(label is planned for planned in in_force):
                     fresh.append(label)
                 counts[label] = counts.get(label, 0) + 1
 
@@ -790,31 +796,29 @@ class TestLoopBuildsNoLabel:
             return solve(u_nom, cons, box)
 
         with monkeypatch.context() as mp:
+            mp.setattr(contracts.RegionTable, "replan", replan_spy)
             mp.setattr(sim, "clip_groups", clip_spy)
             mp.setattr(sim, "solve_qp", solve_spy)
             outcome = pipeline.run_pipeline(cfg)
-        (table,) = tables
-        compiled = {id(label) for cell in table.cells for sched in cell
-                    for cbf, window in sched._rows
-                    for label in ([cbf[2]] if cbf else []) + ([window.label] if window else [])}
-        return outcome, first, counts, fresh, paths, compiled
+        assert len(tables) == 1
+        return outcome, counts, fresh, paths, in_force
 
     def test_each_label_is_one_object(self, monkeypatch):
         for cfg in (_short_sec6(), load_config("infeasible_red")):
-            outcome, first, counts, fresh, paths, compiled = self._labels_seen(cfg, monkeypatch)
+            outcome, counts, fresh, paths, in_force = self._labels_seen(cfg, monkeypatch)
             failure = outcome.report.failure
             assert paths["clip"] + paths["solve_qp"] == outcome.trace.n_rows() - (failure is None)
             assert paths["solve_qp"] == (failure is not None) and paths["clip"] > 1
             assert fresh == []
-            assert all(id(label) in compiled for label in first.values())
             if failure is None:
                 assert outcome.trace.n_rows() == 8001
                 assert any(label.startswith("fcbf:") for label in counts)
                 assert any(label.startswith("cbf:!") for label in counts)
                 assert min(counts.values()) >= 2
-            else:  # the record names the compiled objects, seen at earlier steps too
+            else:  # the record names the plan's objects, seen at earlier steps too
                 assert failure.reason == "qp_infeasible" and len(failure.details) > 1
-                assert all(first[label] is label for label in failure.details)
+                assert all(any(label is planned for planned in in_force)
+                           for label in failure.details)
                 assert any(counts[label] > 1 for label in failure.details)
 
 
@@ -887,6 +891,18 @@ class TestTraceColumns:
             assert hexed(view.tolist()) == hexed(seen[name]), name
         active = outcome.report.summary["qp_active_steps"]
         assert active == qp_active_steps(seen["u_nom"], seen["u_safe"]) > 0
+
+    @pytest.mark.parametrize("vals, want", [
+        ([math.nan, -1.0], -1.0), ([-1.0, math.nan], -1.0),
+        ([0.0, -0.0], 0.0), ([-0.0, 0.0], -0.0),
+        ([math.nan, math.nan], math.inf), ([], math.inf),
+    ])
+    def test_min_margin_reads_nan_as_inf(self, vals, want):
+        """Wherever a NaN sits, it never wins; of equal values the first
+        does, so a signed zero prints as it was recorded."""
+        trace = Trace(1, 1, margins={"h": np.array(vals)})
+        assert trace.min_margin("h").hex() == want.hex()
+        assert Trace(1, 1).min_margin("h") == math.inf
 
     def test_qp_active_steps_on_the_reference_mission(self):
         outcome = pipeline.run_pipeline(load_config("paper_sec6"))

@@ -374,7 +374,7 @@ class TestSignalContracts:
         assert sched.span.start == 0.0 and sched.segments[0].barrier.id == "sig1.red"
         assert sched.boundaries[0].time == sigs[0].cycles_over(30.0)[1][3]  # red ends
         sys = make_vehicle_system(VP, LeadProfile(0.0))
-        cons = conjoin_groups(RegionTable.of([sched]), 0.0, (0.0, 0.0, 1e4), sys)
+        cons = conjoin_groups(RegionTable([sched]), 0.0, (0.0, 0.0, 1e4), sys)
         assert [label for _, _, label in cons] == ["cbf:sig1.red"]
 
     def test_green_onsets_are_subset(self):
@@ -398,20 +398,20 @@ class TestSignalContracts:
         lead = LeadProfile(0.0)
         sys = make_vehicle_system(VP, lead)
         # inside segment 1 at a red of signal 1
-        cons = conjoin_groups(RegionTable.of(scheds), 40.0, (100.0, 10.0, 0.0), sys)
+        cons = conjoin_groups(RegionTable(scheds), 40.0, (100.0, 10.0, 0.0), sys)
         assert [label for _, _, label in cons] == ["cbf:sig1.red"]
         # past signal 1, during signal 2's red (t=10): uses sig2's stop line
-        cons2 = conjoin_groups(RegionTable.of(scheds), 10.0, (250.0, 10.0, 0.0), sys)
+        cons2 = conjoin_groups(RegionTable(scheds), 10.0, (250.0, 10.0, 0.0), sys)
         assert [label for _, _, label in cons2] == ["cbf:sig2.red"]
         # past both signals: nothing
-        assert conjoin_groups(RegionTable.of(scheds), 10.0, (450.0, 10.0, 0.0), sys) == []
+        assert conjoin_groups(RegionTable(scheds), 10.0, (450.0, 10.0, 0.0), sys) == []
 
     def test_last_signal_not_red_is_vacuous(self):
         reg, sigs, scheds = self._build()
         lead = LeadProfile(0.0)
         sys = make_vehicle_system(VP, lead)
         # t=25: signal 2 green, ego between the lines: no constraint
-        assert conjoin_groups(RegionTable.of(scheds), 25.0, (250.0, 10.0, 0.0), sys) == []
+        assert conjoin_groups(RegionTable(scheds), 25.0, (250.0, 10.0, 0.0), sys) == []
 
     def test_case_study_instant_yields_four_constraints(self):
         # instant inside a yellow phase and inside a speed interval (outside
@@ -430,7 +430,7 @@ class TestSignalContracts:
                             reg, cfg)
         t, x = 33.0, (100.0, 12.0, 500.0)  # yellow of signal 1
         assert sigs[0].phase(t) == YELLOW
-        cons = conjoin_groups(RegionTable.of([g1, g2, *scheds]), t, x, sys)
+        cons = conjoin_groups(RegionTable([g1, g2, *scheds]), t, x, sys)
         labels = [label for _, _, label in cons]
         assert labels == ["cbf:h1", "cbf:vmax25", "cbf:sig1.notred",
                           "fcbf:sig1.red"]
@@ -485,7 +485,7 @@ class TestSignalDispatchDifferential:
         x = (x_f, data.draw(st.floats(0.0, 40.0)), 1e4)
         dyn = (sys.f(t, x), sys.g(t, x))
 
-        table, want_led = RegionTable.of(scheds), {}
+        table, want_led = RegionTable(scheds), {}
         got = conjoin_groups(table, t, x, sys, dyn)
         want = bisect_dispatch(scheds, positions, t, x, sys, want_led, dyn)
         assert [(label, [ai.hex() for ai in a], b.hex()) for a, b, label in got] == \
