@@ -610,7 +610,7 @@ class TestCompiledDispatchDifferential:
                               st.sampled_from(REGION_BOUNDS + [math.nan])), max_size=6),
            st.sampled_from(_near([-10.0, -2.5, 0.0, 2.5, 10.0])
                            + [-math.inf, math.inf, math.nan, -0.0]))
-    def test_replan_uses_exactly_the_regions_that_admit_x(self, regions, x_f):
+    def test_table_cell_holds_exactly_the_regions_that_admit_x(self, regions, x_f):
         """`replan` plans the schedules whose region holds x[0], in list
         order, and its (lo, hi] is `oracles.region_cell`'s cell."""
         planned = []
