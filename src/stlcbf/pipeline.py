@@ -120,7 +120,8 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
     c0, c1, c2 = vp.c0, vp.c1, vp.c2
 
     def nominal(t, x):
-        # one lead lookup; h1 and the friction F_r = c0 + c1 V + c2 V^2 inline
+        # V_l from the lead's held piece; h1 and the friction
+        # F_r = c0 + c1 V + c2 V^2 inline
         vl, v = motion(t)[0], x[1]
         return pid_nominal(spacing(vl, x), vl - v, pid, dt, mass, c0 + c1 * v + c2 * v * v)
 

@@ -179,7 +179,7 @@ def pid_nominal(spacing_error: float, relative_velocity: float, pid: PidState,
     """
     if dt <= 0:
         raise QpError(f"dt must be positive, got {dt}")
-    pid.integral = min(max(pid.integral + spacing_error * dt, -pid.windup_limit),
-                       pid.windup_limit)
+    integral, limit = pid.integral + spacing_error * dt, pid.windup_limit
+    pid.integral = -limit if integral < -limit else limit if limit < integral else integral
     return mass * (pid.k1 * relative_velocity + pid.k2 * spacing_error
                    + pid.k3 * pid.integral) + feedforward

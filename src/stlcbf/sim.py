@@ -40,7 +40,9 @@ clips it. Every other step (its rows or u_nom name a failure, or the system
 has m >= 2) takes the loop's one call of `conjoin_groups` and of
 `solve_qp`, after the nominal, and their (a, b, label) rows name what
 failed. The vehicle's f, h1 and the nominal controller read the lead from
-one cached lookup per t.
+the piece it holds, which is searched for again only when t leaves it. The
+clip, like the nominal controller's windup clamp, compares u with its bounds
+instead of calling `min` and `max`, and gives the same float.
 
 RK4 is one straight-line kernel per state and input dimension (n, m),
 generated from a source template and compiled at the first step of that
@@ -366,7 +368,8 @@ def run_simulation(
         u_n = nominal(t, x)
         u_n = (float(u_n),) if isinstance(u_n, float) else input_floats(u_n)
         if bounds and len(u_n) == 1 and isfinite(u := u_n[0]):  # solve_qp's checks of u_nom
-            u_s = (min(max(u, bounds[0]), bounds[1]),)
+            lo, hi = bounds  # min(max(u, lo), hi) as comparisons: the same float
+            u_s = (lo if u < lo else hi if hi < u else u,)
         else:  # the rows or u_nom name a failure, or m >= 2: the QP names it
             try:
                 cons = conjoin_groups(table, t, x, sys, dyn, h_floor)

@@ -91,7 +91,9 @@ class LeadProfile:
     braking piece that would push V_l negative stops the lead until a later
     piece accelerates again. Velocity is evaluated exactly from the resulting
     breakpoints; the lead's position is the state X_l, which the dynamics
-    integrate.
+    integrate. The profile holds the piece of its last scalar query
+    (`cached_motion`, and the vehicle's f), so a run at increasing t
+    searches the breakpoints once per piece it enters.
     """
 
     def __init__(self, v0: float, accel_rows: Sequence = ((0.0, 0.0),)):
@@ -122,20 +124,33 @@ class LeadProfile:
                 t = t_next
         self._bps = bps
         self._times = [b[0] for b in bps]
-        self._t, self._motion = math.nan, (0.0, 0.0)  # the last cached query
+        self._seek(0.0)
 
     def velocity(self, t):
         t0, v, a = step_lookup(self._times, self._bps, t)
         return v + a * (t - t0)
 
+    def _seek(self, t: float) -> tuple:
+        """Find the piece that holds t, hold it and return it: (lo, hi, t0,
+        v, a), where piece i covers [times[i], times[i+1]) with speed
+        v + a (t - t0). Piece 0 runs down to -inf and the last up to +inf,
+        so every t finds the piece `step_lookup` gives it."""
+        times = self._times
+        i = bisect_right(times, t) - 1
+        i = 0 if i < 0 else i
+        t0, v, a = self._bps[i]
+        self._piece = piece = (-math.inf if i == 0 else t0,
+                               times[i + 1] if i + 1 < len(times) else math.inf, t0, v, a)
+        return piece
+
     def cached_motion(self, t: float) -> tuple:
-        """(velocity(t), accel(t)) from one lookup of the piece, made only for
-        a new t: within a step the dynamics, h1 and the nominal controller
-        all read the lead at one t."""
-        if t != self._t:
-            t0, v, a = self._bps[max(bisect_right(self._times, t) - 1, 0)]
-            self._t, self._motion = t, (v + a * (t - t0), a)
-        return self._motion
+        """(velocity(t), accel(t)) from the held piece, searched for again
+        only when t leaves it: a run's steps read the lead at increasing t,
+        so they search once per breakpoint crossed."""
+        lo, hi, t0, v, a = self._piece
+        if not lo <= t < hi:
+            lo, hi, t0, v, a = self._seek(t)
+        return v + a * (t - t0), a
 
 
 class SpeedLimitSchedule:
@@ -343,14 +358,19 @@ class TrafficSignalBarrier(Barrier):
 
 def make_vehicle_system(vp: VehicleParams, lead: LeadProfile,
                         domain: StateBox = DEFAULT_DOMAIN) -> ControlSystem:
-    """Longitudinal dynamics: X_f' = V_f, V_f' = (u - F_r)/m, X_l' = V_l(t)."""
+    """Longitudinal dynamics: X_f' = V_f, V_f' = (u - F_r)/m, X_l' = V_l(t).
+    f reads V_l from the lead's held piece as `LeadProfile.cached_motion`
+    does, inline, and searches only when t leaves the piece."""
     inv_m = 1.0 / vp.mass
     g_mat = ((0.0,), (inv_m,), (0.0,))
-    c0, c1, c2, lead_motion = vp.c0, vp.c1, vp.c2, lead.cached_motion
+    c0, c1, c2 = vp.c0, vp.c1, vp.c2
 
     def f(t, x):
+        lo, hi, t0, vl, al = lead._piece
+        if not lo <= t < hi:
+            lo, hi, t0, vl, al = lead._seek(t)
         v = x[1]  # friction F_r = c0 + c1 V + c2 V^2
-        return (v, -(c0 + c1 * v + c2 * v * v) * inv_m, lead_motion(t)[0])
+        return (v, -(c0 + c1 * v + c2 * v * v) * inv_m, vl + al * (t - t0))
 
     def g(t, x):
         return g_mat

@@ -8,6 +8,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from itertools import repeat
 from operator import add, mul
@@ -225,6 +226,38 @@ def left_limit_lookup(starts, values, t):
         i = np.maximum(np.searchsorted(starts, t, "left") - 1, 0)
         return np.take(np.asarray(values), i)
     return values[max(bisect_left(starts, t) - 1, 0)]
+
+
+def min_max_clamp(u, lo, hi):
+    """u clamped to [lo, hi] with the builtins: the reference for the step
+    path's clamps, which compare instead. `max` keeps u unless lo is
+    greater, `min` keeps that unless hi is less, so the comparison form
+    returns the same object wherever lo <= hi (ties, +-0.0 and NaN
+    included)."""
+    return min(max(u, lo), hi)
+
+
+def grid_nonnegative(axes, coeffs, offset) -> np.ndarray:
+    """Whether c.x + offset >= 0 at each point of the grid over `axes` (one
+    1-D float array per dimension), decided in exact arithmetic on the same
+    floats. The float sum's sign is exact where its magnitude exceeds a bound
+    on its rounding error (1e-15 times the sum of the terms' magnitudes, plus
+    the underflow of a product); every other point is summed as
+    `fractions.Fraction`s, scaled to integers over one common denominator."""
+    grids = np.ix_(*axes)
+    shape = tuple(len(ax) for ax in axes)
+    value = sum(c * ax for c, ax in zip(coeffs, grids)) + offset
+    size = sum(abs(c) * np.abs(ax) for c, ax in zip(coeffs, grids)) + abs(offset)
+    inside = np.broadcast_to(value >= 0, shape).copy()
+    unsure = np.nonzero(np.broadcast_to(np.abs(value) <= 1e-15 * size + 1e-320, shape))
+    if len(unsure[0]):
+        terms = [[Fraction(c) * Fraction(float(v)) for v in ax] for c, ax in zip(coeffs, axes)]
+        scale = math.lcm(Fraction(offset).denominator,
+                         *(term.denominator for row in terms for term in row))
+        exact = sum(np.array([int(term * scale) for term in row], dtype=object)[j]
+                    for row, j in zip(terms, unsure)) + int(Fraction(offset) * scale)
+        inside[unsure] = exact >= 0
+    return inside
 
 
 # ---------------------------------------------------------------------------

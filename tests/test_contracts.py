@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import math
 import re
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +14,7 @@ from oracles import (
     active_constraints,
     constraints_at,
     exact_extreme_direct,
+    grid_nonnegative,
     grid_set_check,
     region_cell,
     scalar_check_intersection,
@@ -729,22 +732,30 @@ def affine_pairs(draw):
 
 class TestExactExtremeAgainstDenseGrid:
     """The exact extremes over the cut polytope against a 101-per-axis grid
-    that holds every box vertex (numpy's linspace ends on the bounds)."""
+    that holds every box vertex (numpy's linspace ends on the bounds). A grid
+    point lies in the polytope when the prev form reads >= 0 there in exact
+    arithmetic: near an ill-conditioned cut the float sum can round a point
+    just outside to 0.0."""
 
     N = 101
 
+    def axes(self, box):
+        return [np.linspace(lo, hi, self.N) for lo, hi in zip(box.lower, box.upper)]
+
     def grid_values(self, box, coeffs, offset):
-        axes = np.ix_(*[np.linspace(lo, hi, self.N) for lo, hi in zip(box.lower, box.upper)])
+        axes = np.ix_(*self.axes(box))
         return np.broadcast_to(sum(c * ax for c, ax in zip(coeffs, axes)) + offset,
                                (self.N,) * box.dim)
 
     @settings(max_examples=60, deadline=None)
     @given(affine_pairs())
+    @example(((StateBox((1.0, 0.0, 0.0), (2.0, 1.0, 1.0)),
+               ((-1.0, 1e-9, 0.0), 0.9999999995), ((0.0, 1.0, 0.0), -0.0))))
     def test_exact_extremes_bound_the_grid(self, case):
         box, prev_form, next_form = case
         bp = AffineBarrier("p", coeffs=prev_form[0], offset=prev_form[1])
         bn = AffineBarrier("n", coeffs=next_form[0], offset=next_form[1])
-        inside = self.grid_values(box, *prev_form) >= 0
+        inside = grid_nonnegative(self.axes(box), *prev_form)
         hn = self.grid_values(box, *next_form)
         worst, method = _worst_engage_margin(bp, bn, 0.0, box, self.N)
         witness = check_intersection(bp, bn, 0.0, box, self.N).witness
@@ -757,6 +768,18 @@ class TestExactExtremeAgainstDenseGrid:
         else:
             assert bp.h(0.0, witness) >= -1e-9
             assert bn.h(0.0, witness) >= hn[inside].max() - 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(affine_pairs(), st.integers(2, 9))
+    @example(((StateBox((1.0, 0.0, 0.0), (2.0, 1.0, 1.0)),
+               ((-1.0, 1e-9, 0.0), 0.9999999995), ((0.0, 1.0, 0.0), -0.0))), 3)
+    def test_grid_membership_is_exact(self, case, n):
+        # the oracle against a Fraction sum at every point of a small grid
+        box, (coeffs, offset), _ = case
+        axes = [np.linspace(lo, hi, n) for lo, hi in zip(box.lower, box.upper)]
+        want = [sum(map(lambda c, v: Fraction(c) * Fraction(float(v)), coeffs, point),
+                    Fraction(offset)) >= 0 for point in itertools.product(*axes)]
+        assert grid_nonnegative(axes, coeffs, offset).ravel().tolist() == want
 
     @settings(max_examples=60, deadline=None)
     @given(affine_pairs())

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import feasible_vertex, grid_qp, reference_clip
+from oracles import feasible_vertex, grid_qp, min_max_clamp, reference_clip
 from stlcbf.barriers import BarrierError
 from stlcbf.qp import InputBox, PidState, QpError, pid_nominal, solve_qp
 
 BOX1 = InputBox((-6000.0,), (6000.0,))
+SIGNED_ZERO = st.sampled_from([0.0, -0.0])
 
 
 def hs(a, b):
@@ -344,3 +345,22 @@ class TestPidNominal:
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(QpError):
             pid_nominal(0.0, 0.0, PidState(), 0.0, self.M, feedforward=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(integral=SIGNED_ZERO | st.floats(-200.0, 200.0) | st.integers(-200, 200),
+           error=SIGNED_ZERO | st.just(math.nan) | st.floats(-1e4, 1e4) | st.integers(-50, 50),
+           dt=st.sampled_from([0.01, 1.0, 1]),
+           limit=SIGNED_ZERO | st.sampled_from([1.0, 100.0]) | st.floats(0.0, 1e3)
+           | st.integers(0, 100))
+    @example(integral=-0.0, error=-0.0, dt=0.01, limit=0.0)
+    @example(integral=0.0, error=-1.0, dt=0.01, limit=0.0)
+    @example(integral=5.0, error=math.nan, dt=0.01, limit=0.0)
+    @example(integral=150, error=1, dt=1, limit=100)
+    def test_integral_clamp_matches_min_max(self, integral, error, dt, limit):
+        # the windup clamp compares instead of calling min and max: the same
+        # object, so the same type and bits, for ties, +-0.0, NaN and limit 0
+        pid = PidState(integral=integral, windup_limit=limit)
+        want = min_max_clamp(integral + error * dt, -limit, limit)
+        pid_nominal(error, 0.0, pid, dt, self.M, feedforward=0.0)
+        assert type(pid.integral) is type(want)
+        assert float(pid.integral).hex() == float(want).hex()

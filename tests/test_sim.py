@@ -1,4 +1,7 @@
+import ast
+import inspect
 import math
+import textwrap
 import tracemalloc
 from bisect import bisect_left
 from dataclasses import replace
@@ -6,15 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import qp_active_steps, reference_rk4
+from oracles import min_max_clamp, qp_active_steps, reference_rk4
 from stlcbf import barriers, contracts, pipeline, sim, vehicle
 from stlcbf.barriers import AffineBarrier, BarrierRegistry, StateBox
 from stlcbf.config import load_config, parse_config
 from stlcbf.contracts import ScheduleConfig, Verdict, build_schedule
-from stlcbf.qp import InputBox, QpError, solve_qp
+from stlcbf.qp import InputBox, QpError, pid_nominal, solve_qp
 from stlcbf.sim import (
     ControlSystem,
     InitialConditionError,
@@ -455,7 +458,7 @@ class TestLoopMakesNoWrapperCall:
     the loop only where a window first engages (to size its gamma), and the
     plan is rebuilt only where a segment or window switches or the ego
     crosses a stop line. The nominal controller computes h1 and the
-    friction force inline, from one lead lookup."""
+    friction force inline, from the lead's held piece."""
 
     def test_wrapper_calls_left_in_the_loop(self, monkeypatch):
         calls = {}  # (phase, name) -> count
@@ -543,6 +546,65 @@ class TestLoopMakesNoWrapperCall:
                 want.append(t)
         assert [t for _, t in replans] == want
         assert 5 < len(want) < 100 and len(outcome.report.engagements) > 1
+
+
+class TestLeadHeldPiece:
+    """A run reads the lead from the piece it holds (`LeadProfile._seek`
+    finds it): the vehicle's f at each RK4 stage, h1 and the nominal
+    controller read it at 3 distinct t a step, yet the lead searches its
+    breakpoints once per breakpoint the run crosses."""
+
+    def test_searches_once_per_breakpoint(self, monkeypatch):
+        seeks, seek = [], vehicle.LeadProfile._seek
+
+        def counting(lead, t):
+            seeks.append(t)
+            return seek(lead, t)
+
+        cfg = _short_sec6()
+        monkeypatch.setattr(vehicle.LeadProfile, "_seek", counting)
+        outcome = pipeline.run_pipeline(cfg)
+        assert outcome.exit_code == 0 and outcome.trace.n_rows() == 8001
+        crossed = sum(0 < b <= cfg.horizon for b in cfg.lead._times)
+        assert crossed == 2 and len(seeks) <= crossed + 2
+
+
+SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+CLAMPED = SIGNED_ZERO | st.sampled_from([1.0, -1.0]) | st.floats(-1e6, 1e6)
+
+
+class TestClampsCompare:
+    """The step path clamps as `lo if u < lo else hi if hi < u else u`, with
+    no builtin `min` or `max`: the loop's clip of u_nom, the PID's windup
+    clamp (`test_qp.py`) and the lead's piece index. The clip gives the float
+    that `oracles.min_max_clamp` gives, ties and +-0.0 included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(u=CLAMPED, ends=st.tuples(CLAMPED, CLAMPED), same=st.booleans())
+    @example(u=0.0, ends=(-0.0, 0.0), same=False)
+    @example(u=-0.0, ends=(0.0, -0.0), same=False)
+    @example(u=0.0, ends=(-0.0, -0.0), same=False)
+    @example(u=-0.0, ends=(0.0, 0.0), same=False)
+    @example(u=5.0, ends=(1.0, 1.0), same=False)
+    def test_loop_clip_matches_min_max(self, u, ends, same):
+        lo, hi = sorted(ends) if not same else (ends[0], ends[0])  # stable: 0.0 may lead -0.0
+        sys1 = ControlSystem(n=1, m=1, f=lambda t, x: (0.0,), g=lambda t, x: ((1.0,),),
+                             domain=StateBox((-1e9,), (1e9,)))
+        out = run_simulation(sys1, [], lambda t, x: u, InputBox((lo,), (hi,)), (0.0,),
+                             dt=1.0, t_max=1.0)
+        assert out.failure is None
+        assert out.trace.u_safe[0, 0].hex() == min_max_clamp(u, lo, hi).hex()
+
+    def test_step_path_calls_no_min_or_max(self):
+        def called(fn):
+            tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+            return {node.func.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+        f = make_vehicle_system(VehicleParams(), LeadProfile(0.0)).f
+        for fn in (run_simulation, pid_nominal, f, LeadProfile._seek):
+            assert called(fn) & {"min", "max"} == set(), fn.__qualname__
+        assert "range" in called(run_simulation)  # the check sees the calls
 
 
 def _clip_reads(monkeypatch) -> list:

@@ -106,30 +106,39 @@ def _lead(which):
 
 
 class TestLeadCache:
-    """`cached_motion` serves V_l and a_l from one lookup of the piece, kept
-    for the last t; it must equal `velocity` and the piece's acceleration
-    (`step_lookup` on the breakpoints) bit for bit, in any order of
-    queries."""
+    """The profile holds the piece of its last query, searched for again
+    only when t leaves it. `cached_motion` and the vehicle's f read the lead
+    from that one piece, in either order; they must equal `velocity` and the
+    piece's acceleration (`step_lookup` on the breakpoints) bit for bit, in
+    any order of queries."""
 
     def test_standstill_breakpoints_are_pieces(self):
         assert 30.0 in _lead(0)._times and 5.0 in _lead(1)._times
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 1), st.lists(
-        st.tuples(st.sampled_from(["on", "below", "above", "repeat", "back", "free"]),
-                  st.integers(0, 9), st.floats(0.0, 150.0)), min_size=1, max_size=12))
+        st.tuples(st.sampled_from(["on", "below", "above", "repeat", "back", "free",
+                                   "negative"]),
+                  st.integers(0, 9), st.floats(0.0, 150.0), st.booleans()),
+        min_size=1, max_size=12))
     def test_cached_motion_equals_velocity_and_accel(self, which, queries):
         lead = _lead(which)
+        f = make_vehicle_system(VP, lead).f
         breakpoints = lead._times
         t = 0.0
-        for kind, i, free in queries:
+        for kind, i, free, f_first in queries:
             bp = breakpoints[i % len(breakpoints)]
             t = {"on": bp, "below": math.nextafter(bp, -math.inf),
                  "above": math.nextafter(bp, math.inf), "repeat": t, "back": t - free,
-                 "free": free}[kind]
+                 "free": free, "negative": -free}[kind]
+            if f_first:
+                v_f = f(t, (0.0, 10.0, 50.0))[2]
             v, a = lead.cached_motion(t)
+            if not f_first:
+                v_f = f(t, (0.0, 10.0, 50.0))[2]
             accel = step_lookup(lead._times, lead._bps, t)[2]
-            assert (v.hex(), a.hex()) == (lead.velocity(t).hex(), accel.hex()), (kind, t)
+            want = lead.velocity(t).hex()
+            assert (v.hex(), v_f.hex(), a.hex()) == (want, want, accel.hex()), (kind, t)
 
 
 class TestSpacingBarrier:
