@@ -25,9 +25,10 @@ sink gives each row as the plain triple (a, b, label), which
 per input, and a zero a marks a vacuous row (b >= 0) or an infeasible one
 (b < 0). Its clip sink, for one input, cuts the input bounds row by row as
 `qp.solve_qp` would, reading each row's a as one float; `clip_rows` leaves
-out the rows whose bounds other rows bracket. Each dot product they take is
-`dot_for(n)`: a straight-line left fold from the int 0, compiled once per
-width n, so its bits do not depend on the Python version.
+out the rows whose bounds other rows bracket. Every dot product is a
+straight-line left fold from the int 0, compiled per width n (`dot_for`,
+and inline in the row evaluator of `evaluator_for`), so its bits do not
+depend on the Python version.
 
 `affine_on(t0, t1)` gives (coeffs, offset) when h = coeffs.x + offset, with
 zero dh/dt, over the whole of [t0, t1), and None otherwise (the default).
@@ -399,48 +400,44 @@ def clip_rows(rows):
     return tuple(kept)
 
 
-def eval_rows(rows, t, x, fv, floor, lo=None, hi=None, out=None):
-    """The one row evaluator: the `resolve_rows` rows at (t, x), f(t, x) =
-    fv, in order. Each row has a = -grad.g and b = dh/dt + grad.f + drift,
-    with drift kappa h or gamma sign(h)|h|^rho (sign(0) = 0: on the boundary
-    the invariance half handles the rest).
+_EVALS: dict = {}  # state width n -> compiled row evaluator
 
-    List sink, with a list `out`: it appends each row's (a, b, label) and
-    returns `out`; an invariance row whose h reads below `floor` raises
-    `BarrierViolation` (a finite-time row may start at any h). Clip sink,
-    for rows whose a1 are all set: it cuts [lo, hi] row by row as
-    `qp.solve_qp` clips one input, and returns (lo, hi), or None where the
-    list sink and `solve_qp` give no clip (an invariance row below the
-    floor, a non-finite row, a zero row with b < 0, crossed bounds).
 
-    Every dot product is `dot_for(len(x))`, a left fold from the int 0; a
-    `terms` gradient of another length is a `BarrierError` naming the row.
-    Rows cost two dot products per distinct gradient, plus one add and one
-    drift per row: a row that is not `fresh` reuses the Lie sums grad.x and
-    0.0 + grad.f of the affine row before it, with the float operations its
-    own dot products would make."""
-    isfinite, dot = math.isfinite, _DOTS.get(len(x)) or dot_for(len(x))
+def evaluator_for(n: int):
+    """`eval_rows` for n states, compiled on first use and cached by n, as
+    `dot_for` is. It unpacks x once, and a gradient and fv once per row that
+    reads them, into n locals, and writes each dot product out as
+    `dot_for(n)` does, with the same operands and order."""
+    evaluate = _EVALS.get(n)
+    if evaluate is None:
+        def fold(u, v):
+            return "(" + " + ".join(["0", *(f"{u}{i} * {v}{i}" for i in range(n))]) + ")"
+
+        x, f, g, c = (", ".join(f"{v}{i}" for i in range(n)) for v in "xfgc")
+        source = f"""\
+def eval_rows(rows, t, x, fv, floor, lo, hi, out):
+    [{x}] = x
     for label, bar, grad, offset, kappa, gamma, rho, fresh, a, a1 in rows:
         if grad is None:
             h, dh, grad = bar.terms(t, x)
             try:
-                lie_f = dh + dot(grad, fv)
+                [{g}] = grad
+                [{f}] = fv
             except ValueError:
-                raise BarrierError(f"{label}: gradient has {len(grad)} entries, "
-                                   f"the system has {len(x)} states") from None
+                raise BarrierError(f"{{label}}: gradient has {{len(grad)}} entries, "
+                                   "the system has {n} states") from None
+            lie_f = dh + {fold("g", "f")}
             if out is not None:  # a holds g's columns
-                a = tuple([-dot(grad, col) for col in a])
-            elif not isfinite(a1 := -dot(grad, a1)):  # a1 held g's column
-                return None
+                a = tuple([-{fold("g", "c")} for [{c}] in a])
+            else:  # a1 holds g's column
+                [{c}] = a1
+                if not isfinite(a1 := -{fold("g", "c")}):
+                    return None
         else:
-            # Equal coefficients may differ in the sign of a zero (0.0 ==
-            # -0.0), which flips only the sign of a zero product. The dot
-            # starts from the int 0 and a round-to-nearest sum is -0.0 only
-            # when both addends are, so no partial sum is -0.0 and a zero
-            # product of either sign leaves it the same: equal coefficients
-            # give bit-identical sums.
             if fresh:
-                lie_x, lie_f0 = dot(grad, x), 0.0 + dot(grad, fv)
+                [{g}] = grad
+                [{f}] = fv
+                lie_x, lie_f0 = {fold("g", "x")}, 0.0 + {fold("g", "f")}
             h, lie_f = lie_x + offset, lie_f0
         if gamma is None:
             if h < floor:
@@ -449,7 +446,7 @@ def eval_rows(rows, t, x, fv, floor, lo=None, hi=None, out=None):
                 raise BarrierViolation(label, h)
             b = lie_f + kappa * h
         else:
-            b = lie_f + (0.0 if h == 0 else gamma * math.copysign(abs(h) ** rho, h))
+            b = lie_f + (0.0 if h == 0 else gamma * copysign(abs(h) ** rho, h))
         if out is not None:
             out.append((a, b, label))
         elif not isfinite(b):
@@ -465,6 +462,37 @@ def eval_rows(rows, t, x, fv, floor, lo=None, hi=None, out=None):
     if out is not None:
         return out
     return None if lo > hi else (lo, hi)
+"""
+        scope = {"BarrierError": BarrierError, "BarrierViolation": BarrierViolation,
+                 "isfinite": math.isfinite, "copysign": math.copysign}
+        exec(compile(source, f"<stlcbf rows n={n}>", "exec"), scope)
+        evaluate = _EVALS[n] = scope["eval_rows"]
+    return evaluate
+
+
+def eval_rows(rows, t, x, fv, floor, lo=None, hi=None, out=None):
+    """The one row evaluator: the `resolve_rows` rows at (t, x), f(t, x) =
+    fv, in order, by the evaluator compiled for n = len(x) (`evaluator_for`).
+    Each row has a = -grad.g and b = dh/dt + grad.f + drift, with drift
+    kappa h or gamma sign(h)|h|^rho (sign(0) = 0: on the boundary the
+    invariance half handles the rest).
+
+    List sink, with a list `out`: it appends each row's (a, b, label) and
+    returns `out`; an invariance row whose h reads below `floor` raises
+    `BarrierViolation` (a finite-time row may start at any h). Clip sink,
+    for rows whose a1 are all set: it cuts [lo, hi] row by row as
+    `qp.solve_qp` clips one input, and returns (lo, hi), or None where the
+    list sink and `solve_qp` give no clip (an invariance row below the
+    floor, a non-finite row, a zero row with b < 0, crossed bounds).
+
+    Each dot product, and each length error, is that of `dot_for(n)`; a
+    `terms` gradient of another length is a `BarrierError` naming the row.
+    Rows cost two dot products per distinct gradient, plus one add and one
+    drift per row: a row that is not `fresh` reuses the Lie sums grad.x and
+    0.0 + grad.f of the affine row before it. Equal coefficients may differ
+    in the sign of a zero, but no partial sum of a fold from the int 0 is
+    -0.0, so a zero product of either sign gives the same bits."""
+    return evaluator_for(len(x))(rows, t, x, fv, floor, lo, hi, out)
 
 
 def cbf_constraint(bar: Barrier, sys, alpha: AlphaFn, t: float, x, dyn=None) -> tuple:

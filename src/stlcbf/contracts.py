@@ -42,7 +42,8 @@ one pass over the schedule list and one bisect per schedule that applies.
 sink). For one input, `clip_groups` clips the input box in one pass over the
 rows that can bind (the clip sink over `barriers.clip_rows`); a step whose
 rows name a failure or an error takes `conjoin_groups` and `qp.solve_qp`
-instead, which raise or record it.
+instead, which raise or record it. Both run the evaluator compiled for the
+state width (`barriers.evaluator_for`).
 
 The static checks at boundary time t read the set being left at t- =
 nextafter(t, -inf) and the one entered at t. Subset, intersection and the
@@ -84,7 +85,7 @@ from .barriers import (
     cbf_constraint,  # noqa: F401  callers import and patch both generators here
     clip_rows,
     convergence_time,
-    eval_rows,
+    evaluator_for,
     fcbf_constraint,  # noqa: F401
     gamma_for_deadline,
     resolve_rows,
@@ -640,7 +641,7 @@ def conjoin_groups(table: RegionTable, t, x, sys, dyn=None, floor=-math.inf) -> 
     plan and rows (`_rows_at`). `dyn` is (f(t, x), g(t, x)) when the caller
     has evaluated them already; `floor` as for `eval_rows`."""
     fv, gm = dyn if dyn is not None else (sys.f(t, x), sys.g(t, x))
-    return eval_rows(_rows_at(table, t, x, gm)[1], t, x, fv, floor, out=[])
+    return evaluator_for(len(x))(_rows_at(table, t, x, gm)[1], t, x, fv, floor, None, None, [])
 
 
 def clip_groups(table: RegionTable, t, x, fv, gm, floor, lo, hi):
@@ -654,7 +655,8 @@ def clip_groups(table: RegionTable, t, x, fv, gm, floor, lo, hi):
     _, rows, clip = _rows_at(table, t, x, gm)
     if clip is None:
         return None
-    bounds = eval_rows(clip, t, x, fv, floor, lo, hi)
+    evaluate = evaluator_for(len(x))
+    bounds = evaluate(clip, t, x, fv, floor, lo, hi, None)
     if bounds and clip is not rows and 0 in bounds:
-        return eval_rows(rows, t, x, fv, floor, lo, hi)
+        return evaluate(rows, t, x, fv, floor, lo, hi, None)
     return bounds

@@ -7,52 +7,46 @@ one step, and records time, state, inputs and QP status. An invariance row
 that reads h < -tol, an empty safe input set, a non-finite state or a domain
 exit ends the run with a timestamped failure; the trace prefix up to that
 point is preserved. The loop logs its clamp events; the engagement events
-come from the `RegionTable`, into the same list. The loop records no margin
-or scenario channel: the caller fills those columns afterwards with
-`Trace.fill_columns`, over all recorded rows at once (`Barrier.h_grid` with
-an array t), for a failed prefix as for a full run.
+come from the `RegionTable`, into the same list. The caller fills the margin
+and scenario columns afterwards with `Trace.fill_columns`, over all recorded
+rows at once (`Barrier.h_grid` with an array t), for a failed prefix too.
 
 The recorded columns are flat `array('d')` buffers (t; the n state floats
-of each row; the m floats of each input), extended in place at every step,
-so a row costs its floats and no per-row tuple is kept. `Trace.states`,
-`u_nom` and `u_safe` read them as (N, n) and (N, m) numpy views, with no
-copy, once the loop has ended.
+of each row; the m floats of each input), extended in place at every step.
+`Trace.states`, `u_nom` and `u_safe` read them as (N, n) and (N, m) numpy
+views, with no copy, once the loop has ended.
 
-Each schedule holds its resolved barriers, and the run's
-`RegionTable(schedules)` keeps its plan: the rows, labels included, of the
-schedules that apply at X_f, valid until the next segment bound, window
-onset or region crossing, and rebuilt only there. So a step tests no
-verdict, builds no label and looks no barrier up by name. The domain bounds
-are padded once. Each step evaluates f and g once, for every constraint's
-Lie terms and as RK4's k1 (f runs 4 times a step).
+The run's `RegionTable(schedules)` keeps its plan: the rows, labels
+included, of the schedules that apply at X_f, valid until the next segment
+bound, window onset or region crossing, rebuilt only there, and resolved
+once per plan and g object (each affine row's a = -grad.g, which rows share
+Lie sums, the drift gains). Each step evaluates f and g once, for every
+constraint's Lie terms and as RK4's k1 (f runs 4 times a step). With one
+input (m = 1), `clip_groups` tests that the plan still holds and clips the
+input bounds in the pass that evaluates its rows (`barriers.eval_rows`): a
+row whose barrier has an affine form over the plan (a speed limit, a stop
+line, or the negation of one) costs no call, two dot products per distinct
+gradient plus one add and one drift per row; any other row (h1) costs one
+`terms` call. The loop checks u_nom as `solve_qp` does and clips it. Every
+other step (its rows or u_nom name a failure, or the system has m >= 2)
+takes the loop's one call of `conjoin_groups` and of `solve_qp`, after the
+nominal, and their (a, b, label) rows name what failed. The vehicle's f, h1
+and the nominal controller read the lead from the piece it holds. The clip,
+like the windup clamp, compares u with its bounds instead of calling `min`
+and `max`, and gives the same float. After RK4, one chain of comparisons,
+`inside(x, lo, hi)`, stands for the finiteness, clamp and domain checks:
+the loop runs those only where it fails or a clamp was held at the last
+step, and they alone clamp and name a failure.
 
-The step's call chain is flat. The table resolves the plan's rows once per
-plan and g object: each affine row's a = -grad.g, which rows share Lie
-sums, and the drift gains. With one input (m = 1), `clip_groups` tests that
-the plan still holds (it is rebuilt only at a switch or a crossing) and
-clips the input bounds in the same pass that evaluates those rows. A row
-whose barrier has an affine form over the plan (a speed limit, a stop line,
-or the negation of one) costs no call: the one row evaluator,
-`barriers.eval_rows`, computes its h and b inline, with two dot products
-per distinct gradient, plus one add and one drift per row. Any other row
-(h1) costs one `terms` call. The loop checks u_nom as `solve_qp` does and
-clips it. Every other step (its rows or u_nom name a failure, or the system
-has m >= 2) takes the loop's one call of `conjoin_groups` and of
-`solve_qp`, after the nominal, and their (a, b, label) rows name what
-failed. The vehicle's f, h1 and the nominal controller read the lead from
-the piece it holds, which is searched for again only when t leaves it. The
-clip, like the nominal controller's windup clamp, compares u with its bounds
-instead of calling `min` and `max`, and gives the same float.
-
-RK4 is one straight-line kernel per state and input dimension (n, m),
-generated from a source template and compiled at the first step of that
-(n, m) (so building a scenario compiles nothing), then cached for every
-later run. x, f and each stage's k are n locals: a stage builds only the
-state tuple it hands to f and g, and runs no map or zip. Each (g u)_i is
-written out as a left fold from the int 0, as `barriers.dot_for` computes
-every dot product, formed again only when g returns another object. Float
-operations keep their order: the tests compare the kernel with the generic
-step bit for bit, and the reference mission's trace and report byte for
+Three pieces of the step are straight-line code generated per width,
+compiled at the first step that needs them (so building a scenario compiles
+nothing) and cached: RK4 per state and input dimension (n, m), the row
+evaluator per n (`barriers.evaluator_for`) and the state check per n. RK4
+keeps x, f and each stage's k in n locals, and each (g u)_i is a left fold
+from the int 0, as `barriers.dot_for` computes every dot product, formed
+again only when g returns another object. Float operations keep their
+operands and order: the tests compare the kernel and the evaluator with the
+generic forms bit for bit, and the reference mission's outputs byte for
 byte.
 """
 
@@ -62,6 +56,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from operator import le
+from sys import float_info
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -165,21 +160,40 @@ def _rk4_kernel(n: int, m: int):
     return kernel
 
 
+_INSIDE_CHECKS: dict = {}  # state dimension n -> compiled state check
+
+
+def _inside_check(n: int):
+    """Compile (once per n) and return `inside(x, lo, hi)` for n states: x,
+    lo and hi unpacked, then one chain `l0 <= x0 <= h0 and ...`."""
+    x, lo, hi = (", ".join(f"{v}{i}" for i in range(n)) for v in "xlh")
+    chain = " and ".join(f"l{i} <= x{i} <= h{i}" for i in range(n)) or "True"
+    scope = {}
+    exec(compile(f"def inside(x, lo, hi):\n    [{x}] = x\n    [{lo}] = lo\n    [{hi}] = hi\n"
+                 f"    return {chain}\n", f"<stlcbf inside n={n}>", "exec"), scope)
+    check = _INSIDE_CHECKS[n] = scope["inside"]
+    return check
+
+
+def _inside_bounds(floor, ceiling, lower, clamp_dims) -> tuple:
+    """(lo, hi) of the loop's state check: the padded domain, a clamped
+    axis's floor unpadded, capped at +-float max so that NaN and +-inf fail.
+    Inside them the loop's later checks all pass and clamp nothing."""
+    lo, top = list(floor), float_info.max
+    for i in clamp_dims:
+        lo[i] = lower[i]
+    return tuple(-top if v < -top else v for v in lo), tuple(top if top < v else v for v in ceiling)
+
+
 def integrate_step(sys: ControlSystem, t: float, x, u, dt: float, dyn=None):
     """One classical 4th-order step of dx/dt = f(t,x) + g(t,x) u with u held
     constant over the step. `dyn` is (f(t, x), g(t, x)) when the caller has
     evaluated them already; they then give k1 without a second evaluation.
-
-    The step runs the kernel generated for (sys.n, sys.m), compiled at the
-    first step of that pair. It unpacks x and f into n locals and writes
-    out, per component, each stage's k_i = f_i + (g u)_i, the next stage's
-    state x_i + h * k_i and the result x_i + dt/6 * (k1_i + 2 * k2_i + 2 *
-    k3_i + k4_i), so no stage runs a map or zip over the n components, and
-    the only tuples built are the states handed to f and g and the result.
-    (g u)_i is 0 + g_i0 u_0 + ... + g_i(m-1) u_(m-1), from the int 0 and
-    left to right, formed again only when g returns another object. Every
-    float operation keeps its operands and order, so the step returns the
-    same bits as the generic map/zip form, on every Python."""
+    The step runs the kernel generated for (sys.n, sys.m): no stage runs a
+    map or zip, and the only tuples built are the states handed to f and g
+    and the result. Each (g u)_i is 0 + g_i0 u_0 + ... + g_i(m-1) u_(m-1),
+    from the int 0 and left to right, so the step returns the bits of the
+    generic map/zip form on every Python."""
     if not 0 < dt < math.inf:
         raise SimError(f"dt must be positive and finite, got {dt}")
     n, m = sys.n, sys.m
@@ -345,6 +359,9 @@ def run_simulation(
     ceiling = tuple(hi + 1e-9 for hi in sys.domain.upper)
     u_n = u_s = (0.0,) * sys.m  # the final row repeats the last step's inputs
     clamped_prev = [False] * sys.n
+    held = False  # a clamp flag is set: the next step takes the clamp loop
+    x_lo, x_hi = _inside_bounds(floor, ceiling, lower, clamp_dims)
+    inside = _INSIDE_CHECKS.get(sys.n) or _inside_check(sys.n)
     failure = None
 
     add_t, add_x, add_u_nom, add_u_safe, add_status = (
@@ -386,6 +403,8 @@ def run_simulation(
         record(t, "ok", u_n, u_s)
 
         x = integrate_step(sys, t, x, u_s, dt, dyn)
+        if not held and inside(x, x_lo, x_hi):  # the checks below would pass and clamp nothing
+            continue
         if not all(map(isfinite, x)):
             failure = SimFailure(t + dt, "non_finite_state")
             break
@@ -397,6 +416,7 @@ def run_simulation(
                 clamped_prev[i] = True
             else:
                 clamped_prev[i] = False
+        held = True in clamped_prev
         if not (all(map(le, floor, x)) and all(map(le, x, ceiling))):
             bad = [
                 f"x[{i}]={v:g} outside [{lo:g},{hi:g}]"

@@ -11,16 +11,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
-from operator import add, mul
+from operator import add, le, mul
 
 import numpy as np
 
 from stlcbf.barriers import (
     Barrier,
     BarrierError,
+    BarrierViolation,
     FcbfParams,
     cbf_constraint,
     convergence_time,
+    dot_for,
     eval_rows,
     fcbf_constraint,
     gamma_for_deadline,
@@ -210,6 +212,48 @@ def exact_extreme_direct(domain, forms, lowest: bool):
     if best is None:
         return (math.inf if lowest else -math.inf), None, EXACT
     return _affine_value(*next_aff, best), best, EXACT
+
+
+# ---------------------------------------------------------------------------
+# One cut in exact arithmetic: the rational reference for the exact extremes
+# ---------------------------------------------------------------------------
+
+
+def exact_cut_vertices(box, coeffs, offset) -> list:
+    """The vertices of box cut by {coeffs.x + offset >= 0}, as tuples of
+    `fractions.Fraction`s of the same floats: the box vertices inside the
+    halfspace, then, on every box edge (one free axis, the others at their
+    bounds, in `itertools.product`'s order), the crossing of the cut plane
+    strictly between the edge's ends. The ends themselves are box vertices."""
+    lower, upper = [Fraction(v) for v in box.lower], [Fraction(v) for v in box.upper]
+    c, d = [Fraction(v) for v in coeffs], Fraction(offset)
+    verts = [p for p in itertools.product(*zip(lower, upper))
+             if sum(ci * pi for ci, pi in zip(c, p)) + d >= 0]
+    for free in range(len(c)):
+        if c[free] == 0:
+            continue
+        others = [i for i in range(len(c)) if i != free]
+        for combo in itertools.product(*[(lower[i], upper[i]) for i in others]):
+            xf = -(d + sum(c[i] * v for i, v in zip(others, combo))) / c[free]
+            if lower[free] < xf < upper[free]:
+                point = dict(zip(others, combo))
+                point[free] = xf
+                verts.append(tuple(point[i] for i in range(len(c))))
+    return verts
+
+
+def exact_cut_extremes(box, cut, objective):
+    """(value, x) at the first minimum and at the first maximum of the affine
+    `objective` = (coeffs, offset) over `exact_cut_vertices(box, *cut)`, each
+    value a `Fraction`; None when the cut leaves no point of the box."""
+    verts = exact_cut_vertices(box, *cut)
+    if not verts:
+        return None
+    c, d = [Fraction(v) for v in objective[0]], Fraction(objective[1])
+    vals = [sum(ci * pi for ci, pi in zip(c, p)) + d for p in verts]
+    lo = min(range(len(vals)), key=vals.__getitem__)
+    hi = max(range(len(vals)), key=vals.__getitem__)
+    return (vals[lo], verts[lo]), (vals[hi], verts[hi])
 
 
 # ---------------------------------------------------------------------------
@@ -530,3 +574,77 @@ def write_trace_csv_rows(trace, path) -> None:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for t, (xf, vf, xl), *rest in rows:
             fh.write(_ROW % (t, xf, vf, xl, *rest))
+
+
+# ---------------------------------------------------------------------------
+# The step path's generic forms: the references of the generated code
+# ---------------------------------------------------------------------------
+
+
+def reference_eval_rows(rows, t, x, fv, floor, lo=None, hi=None, out=None):
+    """`barriers.eval_rows` over `dot_for(len(x))` calls, one per dot product:
+    the generic evaluator that the one generated per state width replaces,
+    kept as its reference (results, exceptions and messages)."""
+    isfinite, dot = math.isfinite, dot_for(len(x))
+    for label, bar, grad, offset, kappa, gamma, rho, fresh, a, a1 in rows:
+        if grad is None:
+            h, dh, grad = bar.terms(t, x)
+            try:
+                lie_f = dh + dot(grad, fv)
+            except ValueError:
+                raise BarrierError(f"{label}: gradient has {len(grad)} entries, "
+                                   f"the system has {len(x)} states") from None
+            if out is not None:  # a holds g's columns
+                a = tuple([-dot(grad, col) for col in a])
+            elif not isfinite(a1 := -dot(grad, a1)):  # a1 held g's column
+                return None
+        else:
+            if fresh:
+                lie_x, lie_f0 = dot(grad, x), 0.0 + dot(grad, fv)
+            h, lie_f = lie_x + offset, lie_f0
+        if gamma is None:
+            if h < floor:
+                if out is None:
+                    return None
+                raise BarrierViolation(label, h)
+            b = lie_f + kappa * h
+        else:
+            b = lie_f + (0.0 if h == 0 else gamma * math.copysign(abs(h) ** rho, h))
+        if out is not None:
+            out.append((a, b, label))
+        elif not isfinite(b):
+            return None
+        elif a1 > 0:
+            if (bound := b / a1) < hi:
+                hi = bound
+        elif a1 < 0:
+            if (bound := b / a1) > lo:
+                lo = bound
+        elif b < 0:
+            return None
+    if out is not None:
+        return out
+    return None if lo > hi else (lo, hi)
+
+
+def reference_state_checks(x, lower, upper, clamp_dims, clamped_prev):
+    """The step loop's checks after RK4 as every step ran them before the
+    generated state check: finiteness, the clamp at the domain floor of each
+    axis in `clamp_dims`, then the domain padded by 1e-9. `clamped_prev`
+    (one flag per axis) is updated in place. Returns (x after the clamps,
+    the axes that log a clamp event, the failure reason or None)."""
+    if not all(map(math.isfinite, x)):
+        return x, [], "non_finite_state"
+    logged = []
+    for i in clamp_dims:
+        if x[i] < lower[i]:
+            x = x[:i] + (lower[i],) + x[i + 1:]
+            if not clamped_prev[i]:
+                logged.append(i)
+            clamped_prev[i] = True
+        else:
+            clamped_prev[i] = False
+    floor, ceiling = [lo - 1e-9 for lo in lower], [hi + 1e-9 for hi in upper]
+    if not (all(map(le, floor, x)) and all(map(le, x, ceiling))):
+        return x, logged, "domain_exit"
+    return x, logged, None

@@ -15,6 +15,7 @@ from oracles import (
     dot_fold,
     finite_diff_check,
     left_limit_lookup,
+    reference_eval_rows,
     simulate_scalar_pull,
 )
 from stlcbf.barriers import (
@@ -571,6 +572,105 @@ class TestClipSink:
         else:
             assert bounds is not None
             assert min(max(u, bounds[0]), bounds[1]).hex() == want[0].hex()
+
+
+class Fixed(Barrier):
+    """`terms` gives the same (h, dh/dt, gradient) at every (t, x)."""
+
+    def __init__(self, h, dh, grad):
+        super().__init__("fixed")
+        self.fixed = (h, dh, grad)
+
+    def terms(self, t, x):
+        return self.fixed
+
+
+@st.composite
+def evaluator_cases(draw):
+    """(rows, x, fv, floor, lo, hi) for n = 1 to 5 states and 1 or 2 inputs:
+    up to 6 resolved rows, affine ones over two drawn gradients (each row
+    its own tuple, a zero coefficient of either sign) and `terms` ones (a
+    fixed gradient or `Bowl`'s), with invariance or finite-time drifts, half
+    the time through `clip_rows`. Tiny, huge and non-finite numbers (`_num`)
+    come in one case in three; one time in seven each, the fixed gradient,
+    x or fv has another length than n."""
+    n, odd = draw(st.integers(1, 5)), draw(st.sampled_from((0, 0, 1)))
+
+    def vector(size):
+        return tuple(_num(draw, odd) for _ in range(size))
+
+    def length():
+        return max(n + draw(st.sampled_from((0,) * 12 + (-1, 1))), 0)
+
+    gm = tuple(vector(draw(st.shared(st.sampled_from((1, 1, 2)), key="m"))) for _ in range(n))
+    bases, specs = (vector(n), vector(n)), []
+    for i in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 3)) == 0:
+            bar = draw(st.sampled_from((Fixed(*vector(2), vector(length())),
+                                        Bowl(vector(n), _num(draw, odd)))))
+            coeffs = offset = None
+        else:
+            coeffs = tuple(-c if c == 0 and draw(st.booleans()) else c
+                           for c in draw(st.sampled_from(bases)))
+            bar, offset = None, _num(draw, odd)
+        if draw(st.booleans()):
+            alpha, params = None, FcbfParams(draw(st.sampled_from((0.0, 0.5, 0.9))), 2.0)
+        else:
+            alpha, params = AlphaFn(draw(st.sampled_from((0.5, 1.0, 1e300)))), None
+        specs.append((f"r{i}", bar, coeffs, offset, alpha, params))
+    rows = resolve_rows(specs, gm)
+    if draw(st.booleans()):
+        rows = clip_rows(rows) or rows
+    lo, hi = sorted(draw(st.sampled_from((-5.0, -0.0, 0.0, 5.0, -1e300, 1e300))) for _ in "lh")
+    floor = draw(st.sampled_from((-math.inf, -math.inf, -1e-3, 0.0)))
+    return rows, vector(length()), vector(length()), floor, lo, hi
+
+
+def _outcome(evaluate, rows, x, fv, floor, lo, hi, out):
+    """What an evaluator gives, by type and bits: its result, or its
+    exception's type, message and (for a `BarrierViolation`) label and h;
+    and the rows it appended to `out` before it returned or raised."""
+    def bits(v):
+        if isinstance(v, (tuple, list)):
+            return type(v).__name__, [bits(e) for e in v]
+        return type(v).__name__, v.hex() if isinstance(v, float) else repr(v)
+
+    try:
+        result = bits(evaluate(rows, 0.5, x, fv, floor, lo, hi, out))
+    except BarrierViolation as exc:
+        result = "BarrierViolation", str(exc), exc.label, exc.h.hex()
+    except (BarrierError, ValueError, TypeError) as exc:
+        result = type(exc).__name__, str(exc)
+    return result, None if out is None else bits(out)
+
+
+class TestGeneratedEvaluator:
+    """`eval_rows` runs the evaluator generated for the state width; both
+    sinks must give what the generic evaluator it replaced
+    (`oracles.reference_eval_rows`) gives, bit for bit, and raise what it
+    raises, with the same message, where a row falls below the floor or a
+    gradient, x or fv has another length."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(evaluator_cases(), st.booleans())
+    def test_both_sinks_match_the_reference(self, case, list_sink):
+        rows, x, fv, floor, lo, hi = case
+        got = _outcome(eval_rows, rows, x, fv, floor, lo, hi, [] if list_sink else None)
+        want = _outcome(reference_eval_rows, rows, x, fv, floor, lo, hi,
+                        [] if list_sink else None)
+        assert got == want
+
+    def test_a_short_fv_raises_at_the_first_row(self):
+        x, fv = (1.0, 2.0, 3.0), (1.0, 2.0)
+        bowl = ("cbf:bowl", Bowl((1.0, 0.5, 0.0), 40.0), None, None, IDENTITY_ALPHA, None)
+        cap = ("cbf:cap", None, (0.0, -1.0, 0.0), 5.0, IDENTITY_ALPHA, None)
+        gm = THREE_STATES.g(0.0, x)
+        with pytest.raises(BarrierError, match=r"^cbf:bowl: gradient has 3 entries, "
+                                               r"the system has 3 states$"):
+            eval_rows(resolve_rows((bowl, cap), gm), 0.0, x, fv, -math.inf, out=[])
+        with pytest.raises(ValueError, match=r"^not enough values to unpack"):
+            eval_rows(resolve_rows((cap, bowl), gm), 0.0, x, fv, -math.inf, out=[])
+        assert eval_rows((), 0.0, x, fv, -math.inf, out=[]) == []  # no row reads fv
 
 
 PARALLEL_OFFSETS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1e308, math.inf,

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from oracles import (
     active_constraints,
     constraints_at,
+    exact_cut_extremes,
+    exact_cut_vertices,
     exact_extreme_direct,
     grid_nonnegative,
     grid_set_check,
@@ -728,6 +730,65 @@ def affine_pairs(draw):
                             for c, f, lo, hi in zip(coeffs, fracs, lower, upper))
 
     return StateBox(lower, upper), form(), form()
+
+
+@st.composite
+def dyadic_cuts(draw):
+    """A 1- to 3-D box, a cut form and an objective form whose numbers are
+    all multiples of 1/256 below 2^12: bounds in eighths, coefficients in
+    quarters up to 4, and offsets that put each form's zero level at a drawn
+    point in or near the box. Every float step of the exact enumeration is
+    then exact except the division that places a crossing, and no exact cut
+    value or crossing falls within the enumeration's 1e-12 tolerance of 0
+    or of an edge's end unless it is there."""
+    dim = draw(st.integers(1, 3))
+    lower = tuple(draw(st.integers(-400, 400)) / 8 for _ in range(dim))
+    upper = tuple(lo + draw(st.integers(1, 480)) / 8 for lo in lower)
+
+    def form():
+        coeffs = tuple(draw(st.integers(-16, 16)) / 4 for _ in range(dim))
+        at = [lo + draw(st.integers(-2, 10)) / 8 * (hi - lo) for lo, hi in zip(lower, upper)]
+        return coeffs, -sum(c * v for c, v in zip(coeffs, at))
+
+    return StateBox(lower, upper), form(), form()
+
+
+class TestExactExtremesInExactArithmetic:
+    """`contracts._exact_extremes` against `oracles.exact_cut_extremes`,
+    which enumerates the cut box in `fractions.Fraction` arithmetic on the
+    same floats: the same emptiness, and the same first minimum and maximum
+    up to the rounding of a crossing (1e-9 here, on values below 2^13)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dyadic_cuts())
+    @example((StateBox((0.0, 0.0), (1.0, 1.0)), ((0.0, 0.0), -1.0), ((1.0, 1.0), 0.0)))
+    @example((StateBox((0.0, 0.0), (1.0, 1.0)), ((0.0, 0.0), 0.0), ((1.0, -1.0), 0.0)))
+    @example((StateBox((0.0, 0.0), (1.0, 1.0)), ((-1.0, -1.0), 0.0), ((1.0, 2.0), 0.0)))
+    @example((StateBox((0.0, 0.0, 0.0), (3.0, 3.0, 3.0)), ((1.0, 1.0, 1.0), -4.5),
+              ((0.25, -1.0, 0.0), 0.0)))
+    def test_extremes_match_the_rational_oracle(self, case):
+        box, cut, objective = case
+        low, high = contracts._exact_extremes(contracts._bits(*box.lower, *box.upper),
+                                              contracts._bits(*cut[0], cut[1]),
+                                              contracts._bits(*objective[0], objective[1]))
+        want = exact_cut_extremes(box, cut, objective)
+        if want is None:
+            assert (low[:2], high[:2]) == ((math.inf, None), (-math.inf, None))
+            return
+        for (value, x, method), (exact, _) in zip((low, high), want):
+            assert method == "exact" and box.contains(x)
+            assert abs(Fraction(value) - exact) <= 1e-9
+            assert sum(Fraction(c) * Fraction(v) for c, v in zip(cut[0], x)) + \
+                Fraction(cut[1]) >= -1e-9  # x lies in the cut, up to rounding
+
+    def test_vertices_of_a_cut_square(self):
+        # x + y >= 1 meets the unit square's edges at their ends: three box
+        # vertices; x + y >= 1/2 adds one crossing on each of two edges
+        verts = exact_cut_vertices(StateBox((0.0, 0.0), (1.0, 1.0)), (1.0, 1.0), -1.0)
+        assert sorted(verts) == [(0, 1), (1, 0), (1, 1)]
+        verts = exact_cut_vertices(StateBox((0.0, 0.0), (1.0, 1.0)), (1.0, 1.0), -0.5)
+        assert sorted(verts) == [(0, Fraction(1, 2)), (0, 1), (Fraction(1, 2), 0), (1, 0),
+                                 (1, 1)]
 
 
 class TestExactExtremeAgainstDenseGrid:

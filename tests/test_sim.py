@@ -3,16 +3,18 @@ import inspect
 import math
 import textwrap
 import tracemalloc
+import types
 from bisect import bisect_left
 from dataclasses import replace
 from pathlib import Path
+from sys import float_info
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import min_max_clamp, qp_active_steps, reference_rk4
+from oracles import min_max_clamp, qp_active_steps, reference_rk4, reference_state_checks
 from stlcbf import barriers, contracts, pipeline, sim, vehicle
 from stlcbf.barriers import AffineBarrier, BarrierRegistry, StateBox
 from stlcbf.config import load_config, parse_config
@@ -126,23 +128,32 @@ class TestRk4Kernel:
 
     def test_two_missions_compile_the_n3_kernel_once(self, monkeypatch):
         compiled = []
-        compile_kernel = sim._rk4_kernel
 
-        def counting(n, m):
-            compiled.append((n, m))
-            return compile_kernel(n, m)
+        def counting(name, compile_one):
+            def compiling(*width):
+                compiled.append((name, *width))
+                return compile_one(*width)
+            return compiling
 
-        monkeypatch.setattr(sim, "_RK4_KERNELS", {})
-        monkeypatch.setattr(sim, "_rk4_kernel", counting)
+        for owner, cache, name in ((sim, "_RK4_KERNELS", "_rk4_kernel"),
+                                   (sim, "_INSIDE_CHECKS", "_inside_check")):
+            monkeypatch.setattr(owner, cache, {})
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
         monkeypatch.setattr(barriers, "_DOTS", {})
+        monkeypatch.setattr(barriers, "_EVALS", {})
         cfg = _short_sec6()
         pipeline.build_scenario(cfg)
-        # the kernel and the dot compile at the first step, not in setup
-        assert compiled == [] and barriers._DOTS == {}
+        # the kernel, the state check, the row evaluator and the dot compile
+        # at the first step, not in setup
+        assert compiled == [] and barriers._DOTS == {} and barriers._EVALS == {}
+        evaluators = []
         for _ in range(2):
             assert pipeline.run_pipeline(cfg).trace.n_rows() == 8001
-        assert compiled == [(3, 1)] and list(sim._RK4_KERNELS) == [(3, 1)]
-        assert list(barriers._DOTS) == [3]
+            evaluators.append(barriers._EVALS[3])
+        assert compiled == [("_inside_check", 3), ("_rk4_kernel", 3, 1)]
+        assert list(sim._RK4_KERNELS) == [(3, 1)] and list(sim._INSIDE_CHECKS) == [3]
+        assert list(barriers._DOTS) == list(barriers._EVALS) == [3]
+        assert evaluators[0] is evaluators[1]  # compiled once, by the first mission
 
 
 def _speed_setup(values, horizon, domain=None):
@@ -601,23 +612,105 @@ class TestClampsCompare:
             return {node.func.id for node in ast.walk(tree)
                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
 
+        def names(code):  # the global and attribute names that compiled code reads
+            return set(code.co_names).union(
+                *(names(c) for c in code.co_consts if isinstance(c, types.CodeType)))
+
         f = make_vehicle_system(VehicleParams(), LeadProfile(0.0)).f
-        for fn in (run_simulation, pid_nominal, f, LeadProfile._seek):
+        for fn in (run_simulation, sim._inside_bounds, pid_nominal, f, LeadProfile._seek):
             assert called(fn) & {"min", "max"} == set(), fn.__qualname__
         assert "range" in called(run_simulation)  # the check sees the calls
+        # the generated step code, at each width the tests use
+        for n in range(1, 6):
+            for code in (sim._inside_check(n).__code__, barriers.evaluator_for(n).__code__,
+                         sim._rk4_kernel(n, 1).__code__, sim._rk4_kernel(n, 2).__code__):
+                assert names(code) & {"min", "max"} == set(), (code.co_filename, n)
+        assert {"isfinite", "copysign", "abs"} <= names(barriers.evaluator_for(3).__code__)
+
+
+FLOAT_MAX = float_info.max
+BOUNDS = (st.sampled_from([-math.inf, math.inf, -FLOAT_MAX, FLOAT_MAX, 0.0, -0.0, 1.0])
+          | st.floats(-1e3, 1e3))
+
+
+@st.composite
+def state_check_cases(draw):
+    """(x, lower, upper, clamp_dims) on 1 to 4 axes: bounds that may be
+    infinite or +-float max, any set of clamped axes, and each x_i NaN, +-inf,
+    +-0.0, +-float max, a moderate float, or one of the padded floor, the
+    floor and the padded ceiling or a one-ulp neighbour of one of them."""
+    n = draw(st.integers(1, 4))
+    lower, upper = zip(*(sorted((draw(BOUNDS), draw(BOUNDS))) for _ in range(n)))
+    clamp_dims = tuple(draw(st.sets(st.integers(0, n - 1))))
+    x = []
+    for lo, hi in zip(lower, upper):
+        near = draw(st.sampled_from([lo - 1e-9, lo, hi + 1e-9]))
+        x.append(draw(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, FLOAT_MAX,
+                                       -FLOAT_MAX, near, math.nextafter(near, -math.inf),
+                                       math.nextafter(near, math.inf)])
+                      | st.floats(-1e3, 1e3)))
+    return tuple(x), lower, upper, clamp_dims
+
+
+class TestStateCheck:
+    """After RK4 the loop runs one generated chain `inside(x, lo, hi)`, and
+    the finiteness, clamp and domain checks (`oracles.reference_state_checks`)
+    only where it fails or a clamp flag is held. Wherever it holds, those
+    checks must pass and clamp nothing."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(state_check_cases())
+    @example(((0.0,), (0.0,), (1.0,), (0,)))  # on a clamped floor
+    @example(((-1e-9,), (0.0,), (1.0,), ()))  # on the padded floor
+    @example(((-5e-324,), (0.0,), (1.0,), (0,)))  # one ulp under a clamped floor
+    @example(((FLOAT_MAX, 1.0), (0.0, -math.inf), (math.inf, math.inf), (1,)))
+    @example(((math.inf,), (-math.inf,), (math.inf,), ()))
+    @example(((math.nan,), (-math.inf,), (math.inf,), ()))
+    def test_inside_means_the_checks_pass_and_clamp_nothing(self, case):
+        x, lower, upper, clamp_dims = case
+        floor = tuple(lo - 1e-9 for lo in lower)
+        ceiling = tuple(hi + 1e-9 for hi in upper)
+        lo, hi = sim._inside_bounds(floor, ceiling, lower, clamp_dims)
+        if sim._inside_check(len(x))(x, lo, hi):
+            flags = [False] * len(x)
+            assert reference_state_checks(x, lower, upper, clamp_dims, flags) == (x, [], None)
+            assert flags == [False] * len(x)
+
+    def test_bounds(self):
+        floor, ceiling = (-1e-9, -math.inf, 1.0), (1.0 + 1e-9, math.inf, 2.0)
+        assert sim._inside_bounds(floor, ceiling, (0.0, -math.inf, 1.0 + 1e-9), (0, 1)) == (
+            (0.0, -FLOAT_MAX, 1.0), (1.0 + 1e-9, FLOAT_MAX, 2.0))
+
+    def test_clamps_again_after_leaving_the_floor(self):
+        # x' = u on [0, 10], clamped at 0: down to the floor, up, down again
+        sys1 = ControlSystem(n=1, m=1, f=lambda t, x: (0.0,), g=lambda t, x: ((1.0,),),
+                             domain=StateBox((0.0,), (10.0,)), clamp_min_dims=(0,))
+        res = run_simulation(sys1, [], lambda t, x: 1.0 if 1 <= t < 2 else -1.0,
+                             InputBox((-1.0,), (1.0,)), (0.5,), dt=0.25, t_max=4.0)
+        assert res.failure is None
+        assert res.trace.states[:, 0].tolist() == [
+            0.5, 0.25, 0.0, 0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 0.75, 0.5, 0.25, 0.0, 0.0, 0.0,
+            0.0, 0.0]
+        clamp = "state[0] clamped at domain floor"
+        assert res.trace.events == [(0.75, clamp), (3.25, clamp)]
 
 
 def _clip_reads(monkeypatch) -> list:
-    """Patch `contracts.eval_rows` to log how many rows each clip-sink pass
-    reads; return that log."""
-    reads, evaluate = [], contracts.eval_rows
+    """Patch `contracts.evaluator_for`, which `clip_groups` and
+    `conjoin_groups` call for the width's row evaluator, to log how many
+    rows each clip-sink pass reads; return that log."""
+    reads, fetch = [], contracts.evaluator_for
 
-    def reading(rows, *args, **kwargs):
-        if "out" not in kwargs:
-            reads.append(len(rows))
-        return evaluate(rows, *args, **kwargs)
+    def fetching(n):
+        evaluate = fetch(n)
 
-    monkeypatch.setattr(contracts, "eval_rows", reading)
+        def reading(rows, t, x, fv, floor, lo, hi, out):
+            if out is None:
+                reads.append(len(rows))
+            return evaluate(rows, t, x, fv, floor, lo, hi, out)
+        return reading
+
+    monkeypatch.setattr(contracts, "evaluator_for", fetching)
     return reads
 
 
@@ -639,15 +732,21 @@ class TestAffineRowsShareLieSums:
             reg.register(AffineBarrier(f"v{i}", coeffs=(0.0, -1.0), offset=20.0 + i))
             group = TaskGroup(f"G{i}", ((TimeInterval(0.0, horizon), PredicateRef(f"v{i}")),))
             scheds.append(build_schedule(group, reg, cfg))
+        calls, entries, tables, per_step = [0], [], [], []
+
+        class Coefficient(float):
+            """Counts the products it heads: a width-2 dot product makes 2."""
+
+            def __mul__(self, other):
+                calls[0] += 1
+                return float.__mul__(self, other)
+
+        for i in range(k):  # each barrier keeps its own tuple
+            bar = reg.get(f"v{i}")
+            bar.coeffs = tuple(map(Coefficient, bar.coeffs))
         g_mat = ((0.0,), (1.0,))
         sys = ControlSystem(n=2, m=1, f=lambda t, x: (x[1], 0.0), g=lambda t, x: g_mat,
                             domain=dom)
-        calls, entries, tables, per_step = [0], [], [], []
-        dot = barriers.dot_for(2)
-
-        def counting_dot(a, b):
-            calls[0] += 1
-            return dot(a, b)
 
         def entry(name, fn):
             def spy(table, *args):
@@ -659,7 +758,8 @@ class TestAffineRowsShareLieSums:
             return spy
 
         def step(*args, **kwargs):  # the step's rows are all evaluated by now
-            per_step.append((tuple(entries), len(tables[-1].plan[4]), calls[0], tuple(reads)))
+            per_step.append((tuple(entries), len(tables[-1].plan[4]), calls[0] / 2,
+                             tuple(reads)))
             reads.clear()
             return integrate(*args, **kwargs)
 
@@ -667,7 +767,6 @@ class TestAffineRowsShareLieSums:
         for name in ("clip_groups", "conjoin_groups"):
             monkeypatch.setattr(sim, name, entry(name, getattr(sim, name)))
         monkeypatch.setattr(sim, "integrate_step", step)
-        monkeypatch.setitem(barriers._DOTS, 2, counting_dot)
         reads = _clip_reads(monkeypatch)
         res = run_simulation(sys, scheds, lambda t, x: (1.0,), InputBox((-5.0,), (5.0,)),
                              (0.0, 10.0), dt=0.01, t_max=horizon)
