@@ -26,9 +26,9 @@ per input, and a zero a marks a vacuous row (b >= 0) or an infeasible one
 (b < 0). Its clip sink, for one input, cuts the input bounds row by row as
 `qp.solve_qp` would, reading each row's a as one float; `clip_rows` leaves
 out the rows whose bounds other rows bracket. Every dot product is a
-straight-line left fold from the int 0, compiled per width n (`dot_for`,
-and inline in the row evaluator of `evaluator_for`), so its bits do not
-depend on the Python version.
+left fold from the int 0: `dot` where a scenario is built or replanned,
+written out inline in the row evaluator that `evaluator_for` compiles once
+per state width. So its bits do not depend on the Python version.
 
 `affine_on(t0, t1)` gives (coeffs, offset) when h = coeffs.x + offset, with
 zero dh/dt, over the whole of [t0, t1), and None otherwise (the default).
@@ -51,7 +51,7 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from operator import add, mul
 
 import numpy as np
@@ -74,25 +74,13 @@ class BarrierError(ValueError):
     """Bad barrier parameters or evaluation outside template assumptions."""
 
 
-_DOTS: dict = {}  # vector width n -> compiled dot product
-
-
-def dot_for(n: int):
-    """The dot product of two n-vectors, 0 + a0 * b0 + ... + a{n-1} * b{n-1}:
-    one straight-line function per n, compiled on first use and cached by n
-    (so building a scenario compiles none). On every Python it makes the
-    float operations of `sum` over the products up to 3.11 (3.12's `sum`
-    compensates): the int 0 plus the first product, then plain adds from
-    the left. It raises ValueError where a or b has another length than n."""
-    dot = _DOTS.get(n)
-    if dot is None:
-        a, b = (", ".join(f"{v}{i}" for i in range(n)) for v in "ab")
-        terms = " + ".join(["0", *(f"a{i} * b{i}" for i in range(n))])
-        scope = {}
-        exec(compile(f"def dot(a, b):\n    [{a}] = a\n    [{b}] = b\n    return {terms}\n",
-                     f"<stlcbf dot n={n}>", "exec"), scope)
-        dot = _DOTS[n] = scope["dot"]
-    return dot
+def dot(a, b):
+    """a.b as a left fold from the int 0: the int 0 plus the first product,
+    then plain adds from the left. On every Python it makes the float
+    operations of `sum` over the products up to 3.11 (3.12's `sum`
+    compensates), and it works on scalars and numpy arrays alike. It stops
+    at the shorter of a and b: callers check the lengths."""
+    return reduce(add, map(mul, a, b), 0)
 
 
 class BarrierViolation(ValueError):
@@ -232,18 +220,15 @@ class AffineBarrier(Barrier):
         self._offsets = [d for _, d in self.pieces]  # offset(t): last piece started by t
 
     def h_grid(self, t, cols):
-        # the left fold from the int 0 that `dot_for` compiles, over arrays
-        h = reduce(add, map(mul, self.coeffs, cols), 0)
-        return h + step_lookup(self._starts, self._offsets, t)
+        return dot(self.coeffs, cols) + step_lookup(self._starts, self._offsets, t)
 
     def terms(self, t, x):
+        if len(x) != len(self.coeffs):
+            raise BarrierError(f"barrier {self.id!r} has {len(self.coeffs)} coefficients, "
+                               f"x has {len(x)} entries")
         # the scalar lookup of step_lookup, inlined
         offset = self._offsets[max(bisect_right(self._starts, t) - 1, 0)]
-        try:
-            return dot_for(len(self.coeffs))(self.coeffs, x) + offset, 0.0, self.coeffs
-        except ValueError:
-            raise BarrierError(f"barrier {self.id!r} has {len(self.coeffs)} coefficients, "
-                               f"x has {len(x)} entries") from None
+        return dot(self.coeffs, x) + offset, 0.0, self.coeffs
 
     def affine_on(self, t0, t1):
         # the offset at t0 holds up to the first piece start after t0
@@ -331,13 +316,13 @@ def resolve_rows(specs, gm):
     `terms`; alpha for an invariance row, or the `FcbfParams` of a
     finite-time one. `fresh` marks an affine row whose coefficients differ
     from the last affine row's: only it computes Lie sums. An affine row's
-    a = -coeffs.g is derived here, one `dot_for` product per column of g,
-    and coefficients of another number than g's rows are a `BarrierError`;
+    a = -coeffs.g is derived here, one `dot` product per column of g, and
+    coefficients of another number than g's rows are a `BarrierError`;
     a `terms` row's a holds g's columns. a1 is the same for one input, which
     the clip sink reads: an affine row's one float, a `terms` row's one
     column; None where g has another number of columns or an affine row's a
     is not finite."""
-    cols, dot = tuple(zip(*gm)), dot_for(len(gm))
+    cols = tuple(zip(*gm))
     one = len(cols) == 1
     rows, last = [], None
     for label, bar, grad, offset, alpha, params in specs:
@@ -400,21 +385,17 @@ def clip_rows(rows):
     return tuple(kept)
 
 
-_EVALS: dict = {}  # state width n -> compiled row evaluator
-
-
+@cache
 def evaluator_for(n: int):
-    """`eval_rows` for n states, compiled on first use and cached by n, as
-    `dot_for` is. It unpacks x once, and a gradient and fv once per row that
-    reads them, into n locals, and writes each dot product out as
-    `dot_for(n)` does, with the same operands and order."""
-    evaluate = _EVALS.get(n)
-    if evaluate is None:
-        def fold(u, v):
-            return "(" + " + ".join(["0", *(f"{u}{i} * {v}{i}" for i in range(n))]) + ")"
+    """`eval_rows` for n states, compiled once per n, on first use (so
+    building a scenario compiles none). It unpacks x once, and a gradient
+    and fv once per row that reads them, into n locals, and writes each dot
+    product out as `dot` folds it, with the same operands and order."""
+    def fold(u, v):
+        return "(" + " + ".join(["0", *(f"{u}{i} * {v}{i}" for i in range(n))]) + ")"
 
-        x, f, g, c = (", ".join(f"{v}{i}" for i in range(n)) for v in "xfgc")
-        source = f"""\
+    x, f, g, c = (", ".join(f"{v}{i}" for i in range(n)) for v in "xfgc")
+    source = f"""\
 def eval_rows(rows, t, x, fv, floor, lo, hi, out):
     [{x}] = x
     for label, bar, grad, offset, kappa, gamma, rho, fresh, a, a1 in rows:
@@ -463,11 +444,10 @@ def eval_rows(rows, t, x, fv, floor, lo, hi, out):
         return out
     return None if lo > hi else (lo, hi)
 """
-        scope = {"BarrierError": BarrierError, "BarrierViolation": BarrierViolation,
-                 "isfinite": math.isfinite, "copysign": math.copysign}
-        exec(compile(source, f"<stlcbf rows n={n}>", "exec"), scope)
-        evaluate = _EVALS[n] = scope["eval_rows"]
-    return evaluate
+    scope = {"BarrierError": BarrierError, "BarrierViolation": BarrierViolation,
+             "isfinite": math.isfinite, "copysign": math.copysign}
+    exec(compile(source, f"<stlcbf rows n={n}>", "exec"), scope)
+    return scope["eval_rows"]
 
 
 def eval_rows(rows, t, x, fv, floor, lo=None, hi=None, out=None):
@@ -485,8 +465,9 @@ def eval_rows(rows, t, x, fv, floor, lo=None, hi=None, out=None):
     list sink and `solve_qp` give no clip (an invariance row below the
     floor, a non-finite row, a zero row with b < 0, crossed bounds).
 
-    Each dot product, and each length error, is that of `dot_for(n)`; a
-    `terms` gradient of another length is a `BarrierError` naming the row.
+    Each dot product is `dot`'s fold; an x, fv or column of another length
+    than n is the ValueError of unpacking it into n names, and a `terms`
+    gradient of another length a `BarrierError` naming the row.
     Rows cost two dot products per distinct gradient, plus one add and one
     drift per row: a row that is not `fresh` reuses the Lie sums grad.x and
     0.0 + grad.f of the affine row before it. Equal coefficients may differ

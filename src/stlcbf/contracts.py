@@ -42,8 +42,8 @@ one pass over the schedule list and one bisect per schedule that applies.
 sink). For one input, `clip_groups` clips the input box in one pass over the
 rows that can bind (the clip sink over `barriers.clip_rows`); a step whose
 rows name a failure or an error takes `conjoin_groups` and `qp.solve_qp`
-instead, which raise or record it. Both run the evaluator compiled for the
-state width (`barriers.evaluator_for`).
+instead, which raise or record it. Both run the evaluator compiled once
+per state width (`barriers.evaluator_for`).
 
 The static checks at boundary time t read the set being left at t- =
 nextafter(t, -inf) and the one entered at t. Subset, intersection and the
@@ -70,7 +70,6 @@ import numbers
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import add, mul
 from typing import Optional
 
 import numpy as np
@@ -85,6 +84,8 @@ from .barriers import (
     cbf_constraint,  # noqa: F401  callers import and patch both generators here
     clip_rows,
     convergence_time,
+    dot,
+    eval_rows,
     evaluator_for,
     fcbf_constraint,  # noqa: F401
     gamma_for_deadline,
@@ -113,16 +114,17 @@ EXACT = "exact"
 DEADLINE_SLACK = 1e-9
 
 
-def _affine_value(coeffs, offset, x) -> float:
-    # `barriers.dot_for`'s left fold from the int 0, with no dot compiled at build time
-    return functools.reduce(add, map(mul, coeffs, x), 0) + offset
-
-
-def _forms(h_prev: Barrier, h_next: Barrier, t_prev: float, t_next: float):
-    """Both affine forms, each on the one ulp right of its time, or None."""
-    prev_aff = h_prev.affine_on(t_prev, math.nextafter(t_prev, math.inf))
-    next_aff = h_next.affine_on(t_next, math.nextafter(t_next, math.inf))
-    return None if prev_aff is None or next_aff is None else (prev_aff, next_aff)
+def _forms(h_prev: Barrier, h_next: Barrier, t_prev: float, t_next: float, dim: int):
+    """Both affine forms, each on the one ulp right of its time, or None. A
+    form with another number of coefficients than the domain's dim axes is
+    a `ContractError`."""
+    forms = (h_prev.affine_on(t_prev, math.nextafter(t_prev, math.inf)),
+             h_next.affine_on(t_next, math.nextafter(t_next, math.inf)))
+    for bar, form in zip((h_prev, h_next), forms):
+        if form is not None and len(form[0]) != dim:
+            raise ContractError(f"barrier {bar.id!r} has {len(form[0])} coefficients, "
+                                f"the domain has {dim} axes")
+    return None if None in forms else forms
 
 
 def _cut_vertices(box: StateBox, coeffs, offset):
@@ -130,7 +132,7 @@ def _cut_vertices(box: StateBox, coeffs, offset):
     vertices inside the halfspace and the cut hyperplane's crossings of box
     edges, among which a linear objective takes its minimum and maximum."""
     tol = 1e-12
-    verts = [v for v in box.vertices() if _affine_value(coeffs, offset, v) >= -tol]
+    verts = [v for v in box.vertices() if dot(coeffs, v) + offset >= -tol]
     if all(c == 0 for c in coeffs):
         return verts
     n = box.dim
@@ -140,7 +142,7 @@ def _cut_vertices(box: StateBox, coeffs, offset):
             continue
         others = [i for i in range(n) if i != free]
         for combo in itertools.product(*[(box.lower[i], box.upper[i]) for i in others]):
-            rest = offset + functools.reduce(add, map(mul, [coeffs[i] for i in others], combo), 0)
+            rest = offset + dot([coeffs[i] for i in others], combo)
             xf = -rest / c_free
             if box.lower[free] - tol <= xf <= box.upper[free] + tol:
                 point = [0.0] * n
@@ -172,7 +174,7 @@ def _exact_extremes(box_bits: bytes, prev_bits: bytes, next_bits: bytes):
     next form over `_polytope`'s vertices, or (+-inf, None, EXACT) if none."""
     verts = _polytope(box_bits, prev_bits)
     *coeffs, offset = memoryview(next_bits).cast("d")
-    vals = [_affine_value(coeffs, offset, v) for v in verts]
+    vals = [dot(coeffs, v) + offset for v in verts]
     if not vals:
         return (math.inf, None, EXACT), (-math.inf, None, EXACT)
     # min and max keep the first of equal values: the earlier vertex wins a tie
@@ -263,7 +265,7 @@ def check_subset(h_prev: Barrier, h_next: Barrier, t: float, domain: StateBox,
     h_next(t, x) >= 0? Exact for affine templates, else the first bad grid point."""
     _require_domain(domain)
     t_left = math.nextafter(t, -math.inf)
-    forms = _forms(h_prev, h_next, t_left, t)
+    forms = _forms(h_prev, h_next, t_left, t, domain.dim)
     if forms is not None:
         worst, x, _ = _extreme(h_prev, h_next, t_left, t, domain, resolution, forms, True)
         return SubsetCheck(True, EXACT) if worst >= -1e-9 else SubsetCheck(False, EXACT, x)
@@ -282,14 +284,14 @@ def check_intersection(h_prev: Barrier, h_next: Barrier, t: float, domain: State
     _require_domain(domain)
     t_left = math.nextafter(t, -math.inf)
     best, x, method = _extreme(h_prev, h_next, t_left, t, domain, resolution,
-                               _forms(h_prev, h_next, t_left, t), False)
+                               _forms(h_prev, h_next, t_left, t, domain.dim), False)
     return IntersectionCheck(x if best >= -1e-12 else None, method)
 
 
 def _worst_engage_margin(h_prev, h_next, tau, domain, resolution):
     """min h_next(tau, x) over C_prev(tau) in the domain (pessimistic; 0.0 if not finite)."""
     worst, _, method = _extreme(h_prev, h_next, tau, tau, domain, resolution,
-                                _forms(h_prev, h_next, tau, tau), True)
+                                _forms(h_prev, h_next, tau, tau, domain.dim), True)
     return (0.0 if math.isinf(worst) else worst), method
 
 
@@ -641,7 +643,7 @@ def conjoin_groups(table: RegionTable, t, x, sys, dyn=None, floor=-math.inf) -> 
     plan and rows (`_rows_at`). `dyn` is (f(t, x), g(t, x)) when the caller
     has evaluated them already; `floor` as for `eval_rows`."""
     fv, gm = dyn if dyn is not None else (sys.f(t, x), sys.g(t, x))
-    return evaluator_for(len(x))(_rows_at(table, t, x, gm)[1], t, x, fv, floor, None, None, [])
+    return eval_rows(_rows_at(table, t, x, gm)[1], t, x, fv, floor, out=[])
 
 
 def clip_groups(table: RegionTable, t, x, fv, gm, floor, lo, hi):

@@ -38,16 +38,16 @@ and `max`, and gives the same float. After RK4, one chain of comparisons,
 the loop runs those only where it fails or a clamp was held at the last
 step, and they alone clamp and name a failure.
 
-Three pieces of the step are straight-line code generated per width,
-compiled at the first step that needs them (so building a scenario compiles
-nothing) and cached: RK4 per state and input dimension (n, m), the row
-evaluator per n (`barriers.evaluator_for`) and the state check per n. RK4
-keeps x, f and each stage's k in n locals, and each (g u)_i is a left fold
-from the int 0, as `barriers.dot_for` computes every dot product, formed
-again only when g returns another object. Float operations keep their
-operands and order: the tests compare the kernel and the evaluator with the
-generic forms bit for bit, and the reference mission's outputs byte for
-byte.
+Three pieces of the step are straight-line code generated per width, each
+by a builder that compiles once per width, at the first step that needs it
+(so building a scenario compiles nothing): RK4 per state and input
+dimension (n, m), the row evaluator per n (`barriers.evaluator_for`) and the
+state check per n. RK4 keeps x, f and each stage's k in n locals, and each
+(g u)_i is a left fold from the int 0, as `barriers.dot` folds every dot
+product, formed again only when g returns another object. Float operations
+keep their operands and order: the tests compare the kernel and the
+evaluator with the generic forms bit for bit, and the reference mission's
+outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import cache
 from operator import le
 from sys import float_info
 from typing import Callable, Optional, Sequence
@@ -102,14 +103,11 @@ class ControlSystem:
             raise SimError(f"domain dimension {self.domain.dim} != n={self.n}")
 
 
-_RK4_KERNELS: dict = {}  # (state dimension n, input dimension m) -> compiled kernel
-
-
 def _rk4_source(n: int, m: int) -> str:
     """Source of the straight-line RK4 step for n states and m inputs: x, f,
     g u and each stage's k are n locals, u and g m and n * m locals, every
-    stage written out per component, each (g u)_i as `barriers.dot_for`
-    writes a dot product."""
+    stage written out per component, each (g u)_i as `barriers.dot` folds a
+    dot product."""
     def joined(fmt, **names):
         return ", ".join(fmt.format(i=i, **names) for i in range(n))
 
@@ -151,18 +149,16 @@ def _rk4_source(n: int, m: int) -> str:
     ])
 
 
+@cache
 def _rk4_kernel(n: int, m: int):
     """Compile (once per n and m) and return the RK4 kernel for n states and
     m inputs."""
     scope = {}
     exec(compile(_rk4_source(n, m), f"<stlcbf rk4 n={n} m={m}>", "exec"), scope)
-    kernel = _RK4_KERNELS[n, m] = scope["rk4"]
-    return kernel
+    return scope["rk4"]
 
 
-_INSIDE_CHECKS: dict = {}  # state dimension n -> compiled state check
-
-
+@cache
 def _inside_check(n: int):
     """Compile (once per n) and return `inside(x, lo, hi)` for n states: x,
     lo and hi unpacked, then one chain `l0 <= x0 <= h0 and ...`."""
@@ -171,8 +167,7 @@ def _inside_check(n: int):
     scope = {}
     exec(compile(f"def inside(x, lo, hi):\n    [{x}] = x\n    [{lo}] = lo\n    [{hi}] = hi\n"
                  f"    return {chain}\n", f"<stlcbf inside n={n}>", "exec"), scope)
-    check = _INSIDE_CHECKS[n] = scope["inside"]
-    return check
+    return scope["inside"]
 
 
 def _inside_bounds(floor, ceiling, lower, clamp_dims) -> tuple:
@@ -201,10 +196,9 @@ def integrate_step(sys: ControlSystem, t: float, x, u, dt: float, dyn=None):
         raise SimError(f"x has dimension {len(x)}, system has n={n}")
     if len(u) != m:
         raise SimError(f"u has dimension {len(u)}, system has m={m}")
-    kernel = _RK4_KERNELS.get((n, m)) or _rk4_kernel(n, m)
     f, g = sys.f, sys.g
     fv, gm = dyn if dyn is not None else (f(t, x), g(t, x))
-    return kernel(f, g, t, x, u, dt, fv, gm)
+    return _rk4_kernel(n, m)(f, g, t, x, u, dt, fv, gm)
 
 
 @dataclass
@@ -348,6 +342,8 @@ def run_simulation(
         raise SimError("x0 outside the system domain")
     if box.dim != sys.m:
         raise SimError(f"input box has dimension {box.dim}, system has m={sys.m}")
+    if len(fv := sys.f(0.0, x)) != sys.n:  # named here, not at the first row or RK4
+        raise SimError(f"f(t, x) has {len(fv)} entries, the system has n={sys.n}")
     check_opening_assumptions(schedules, x)
 
     table = RegionTable(schedules)
@@ -361,7 +357,7 @@ def run_simulation(
     clamped_prev = [False] * sys.n
     held = False  # a clamp flag is set: the next step takes the clamp loop
     x_lo, x_hi = _inside_bounds(floor, ceiling, lower, clamp_dims)
-    inside = _INSIDE_CHECKS.get(sys.n) or _inside_check(sys.n)
+    inside = _inside_check(sys.n)
     failure = None
 
     add_t, add_x, add_u_nom, add_u_safe, add_status = (

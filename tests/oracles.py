@@ -9,7 +9,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import repeat
 from operator import add, le, mul
 
@@ -22,7 +21,6 @@ from stlcbf.barriers import (
     FcbfParams,
     cbf_constraint,
     convergence_time,
-    dot_for,
     eval_rows,
     fcbf_constraint,
     gamma_for_deadline,
@@ -35,7 +33,6 @@ from stlcbf.contracts import (
     IntersectionCheck,
     SubsetCheck,
     Verdict,
-    _affine_value,
     _cut_vertices,
 )
 from stlcbf.pipeline import _ROW, TRACE_COLUMNS
@@ -207,11 +204,12 @@ def exact_extreme_direct(domain, forms, lowest: bool):
     `_cut_vertices` enumeration per call, and the first minimum (lowest) or
     maximum of the h_next form over the vertices, as `min`/`max` pick it."""
     prev_aff, next_aff = forms
+    coeffs, offset = next_aff
     best = (min if lowest else max)(_cut_vertices(domain, *prev_aff), default=None,
-                                    key=lambda v: _affine_value(*next_aff, v))
+                                    key=lambda v: dot_fold(coeffs, v) + offset)
     if best is None:
         return (math.inf if lowest else -math.inf), None, EXACT
-    return _affine_value(*next_aff, best), best, EXACT
+    return dot_fold(coeffs, best) + offset, best, EXACT
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +308,26 @@ def grid_nonnegative(axes, coeffs, offset) -> np.ndarray:
 
 
 def dot_fold(a, b):
-    """a.b as an explicit left fold from the int 0: the float operations that
-    `barriers.dot_for` compiles, and that `sum` made up to Python 3.11."""
-    return reduce(add, map(mul, a, b), 0)
+    """a.b as an explicit left fold from the int 0, one product at a time:
+    the float operations of `barriers.dot`, and of `sum` up to Python 3.11."""
+    acc = 0
+    for ai, bi in zip(a, b):
+        acc = acc + ai * bi
+    return acc
+
+
+def strict_dot(a, b, n):
+    """`dot_fold` of two n-vectors. Where a, then b, is no iterable or has
+    another length, the error, with CPython 3.11's message, of unpacking it
+    into n names, as the generated row evaluator does."""
+    vectors = []
+    for v in (a, b):
+        [*items] = v  # unpacking's TypeError where v is no iterable
+        if len(items) != n:
+            raise ValueError(f"not enough values to unpack (expected {n}, got {len(items)})"
+                             if len(items) < n else f"too many values to unpack (expected {n})")
+        vectors.append(items)
+    return dot_fold(*vectors)
 
 
 def reference_rk4(sys, t: float, x, u, dt: float, dyn=None):
@@ -582,10 +597,14 @@ def write_trace_csv_rows(trace, path) -> None:
 
 
 def reference_eval_rows(rows, t, x, fv, floor, lo=None, hi=None, out=None):
-    """`barriers.eval_rows` over `dot_for(len(x))` calls, one per dot product:
-    the generic evaluator that the one generated per state width replaces,
-    kept as its reference (results, exceptions and messages)."""
-    isfinite, dot = math.isfinite, dot_for(len(x))
+    """`barriers.eval_rows` over `strict_dot` calls, one per dot product: the
+    generic evaluator that the one generated per state width replaces, kept
+    as its reference (results, exceptions and messages)."""
+    isfinite, n = math.isfinite, len(x)
+
+    def dot(a, b):
+        return strict_dot(a, b, n)
+
     for label, bar, grad, offset, kappa, gamma, rho, fresh, a, a1 in rows:
         if grad is None:
             h, dh, grad = bar.terms(t, x)

@@ -18,8 +18,8 @@ with its line count (decorators included), and the total. A function nested
 in one that is listed is not listed again. What is listed is either
 reachable only from some other input or only from the tests.
 
-It is a script, not a test: pytest does not collect it. The paper_sec6 run
-takes about a minute under the profiler.
+It is a script, not a test: pytest does not collect it. The whole audit
+takes a few seconds (4-6 s on a 2-vCPU VM).
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from stlcbf.barriers import (
     cbf_constraint,
     clip_rows,
     convergence_time,
-    dot_for,
+    dot,
     eval_rows,
     fcbf_constraint,
     gamma_for_deadline,
@@ -178,8 +178,9 @@ def _dot_bits(v):
 
 
 class TestDotFor:
-    """`dot_for(n)` is a left fold from the int 0 over the products: the
-    float operations of `sum` up to Python 3.11, on every Python."""
+    """`dot` is a left fold from the int 0 over the products: the float
+    operations of `sum` up to Python 3.11, on every Python, and those that
+    the generated row evaluator writes out."""
 
     @settings(max_examples=500, deadline=None)
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(*[st.lists(DOT_ENTRIES, min_size=n,
@@ -187,22 +188,27 @@ class TestDotFor:
     def test_matches_the_left_fold_bit_for_bit(self, vectors):
         a, b = vectors
         with np.errstate(all="ignore"):
-            got = dot_for(len(a))(a, b)
+            got = dot(a, b)
             want = dot_fold(a, b)
             assert _dot_bits(got) == _dot_bits(want)
             if version_info < (3, 12):  # 3.12's sum compensates
                 assert _dot_bits(got) == _dot_bits(sum(map(mul, a, b)))
 
     def test_no_compensation(self):
-        assert dot_for(3)((1e16, 1.0, -1e16), (1.0, 1.0, 1.0)).hex() == (0.0).hex()
-        assert dot_for(2)((-0.0, -0.0), (1.0, 1.0)).hex() == (0.0).hex()
-
-    @pytest.mark.parametrize("a", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0)])
-    def test_another_length_raises(self, a):
-        with pytest.raises(ValueError):
-            dot_for(3)(a, (1.0, 1.0, 1.0))
-        with pytest.raises(ValueError):
-            dot_for(3)((1.0, 1.0, 1.0), a)
+        # a compensated sum gives 1.0 for the first, a fold from a float zero -0.0
+        # for the second
+        for a, b in (((1e16, 1.0, -1e16), (1.0, 1.0, 1.0)), ((-0.0, -0.0), (1.0, 1.0))):
+            assert dot(a, b).hex() == (0.0).hex()
+            # one affine row h = a.x over x = b, with g's column b and f(t, x) = 0:
+            # a = -(a.b) = -0.0, h = 0.0 and b = grad.f + h = 0.0
+            zeros, gm = (0.0,) * len(b), tuple((v,) for v in b)
+            rows = resolve_rows((("cbf:a", None, a, 0.0, IDENTITY_ALPHA, None),), gm)
+            assert [_row_bits(row) for row in eval_rows(rows, 0.0, b, zeros, -math.inf,
+                                                        out=[])] == [
+                ("cbf:a", [(-0.0).hex()], (0.0).hex())]
+            # the clip sink: h = 0.0 meets a floor of 0.0, and not one of 0.5
+            assert eval_rows(rows, 0.0, b, zeros, 0.0, -1.0, 1.0) == (-1.0, 1.0)
+            assert eval_rows(rows, 0.0, b, zeros, 0.5, -1.0, 1.0) is None
 
     def test_src_computes_no_dot_with_sum(self):
         # one dot idiom, whose bits do not depend on the Python version

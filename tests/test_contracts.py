@@ -166,6 +166,32 @@ class TestCheckIntersection:
         assert not res2.holds
 
 
+class TestFormLength:
+    """An affine form with another number of coefficients than the domain
+    has axes is a `ContractError` that names the barrier and both counts, on
+    either side of a boundary, not a verdict folded over the shorter of the
+    form and a vertex."""
+
+    DOM3 = StateBox((0.0, 0.0, 0.0), (40.0, 40.0, 40.0))
+
+    @pytest.mark.parametrize("coeffs", [(0.0, -1.0, 0.0, 1000.0), (0.0, -1.0)],
+                             ids=["long", "short"])
+    @pytest.mark.parametrize("bad_first", [True, False], ids=["prev", "next"])
+    def test_rejected_by_every_check(self, coeffs, bad_first):
+        good = AffineBarrier("a", coeffs=(0.0, -1.0, 0.0), offset=30.0)
+        bad = AffineBarrier("bad", coeffs=coeffs, offset=20.0)
+        pair = (bad, good) if bad_first else (good, bad)
+        message = rf"^barrier 'bad' has {len(coeffs)} coefficients, the domain has 3 axes$"
+        for check in (check_subset, check_intersection):
+            with pytest.raises(ContractError, match=message):
+                check(*pair, 50.0, self.DOM3)
+        group = TaskGroup("G1", tuple((TimeInterval(50.0 * i, 50.0 * (i + 1)),
+                                       PredicateRef(bar.id)) for i, bar in enumerate(pair)))
+        cfg = ScheduleConfig(domain=self.DOM3, horizon=100.0, rho=0.5, t_conv=5.0)
+        with pytest.raises(ContractError, match=message):
+            build_schedule(group, registry_with(*pair), cfg)
+
+
 def speed_group(values, each=50.0):
     preds = tuple(
         (TimeInterval(i * each, (i + 1) * each), PredicateRef(f"v{v:g}"))
@@ -781,6 +807,34 @@ class TestExactExtremesInExactArithmetic:
             assert sum(Fraction(c) * Fraction(v) for c, v in zip(cut[0], x)) + \
                 Fraction(cut[1]) >= -1e-9  # x lies in the cut, up to rounding
 
+    @settings(max_examples=300, deadline=None)
+    @given(dyadic_cuts())
+    @example((StateBox((0.0, 0.0), (1.0, 1.0)), ((0.0, 0.0), -1.0), ((1.0, 1.0), 0.0)))
+    @example((StateBox((0.0, 0.0), (1.0, 1.0)), ((1.0, 1.0), -1.5), ((-1.0, 0.0), 0.5)))
+    @example((StateBox((0.0, 0.0, 0.0), (3.0, 3.0, 3.0)), ((1.0, 1.0, 1.0), -4.5),
+              ((0.25, -1.0, 0.0), 0.0)))
+    def test_verdicts_match_the_rational_oracle(self, case):
+        # the exact branch's verdicts on the oracle's extremes: a subset holds
+        # where the least h_next over the cut is >= -1e-9, and a witness exists
+        # where the greatest is >= -1e-12
+        box, cut, objective = case
+
+        def exact(form, x):
+            return sum(Fraction(c) * Fraction(v) for c, v in zip(form[0], x)) + Fraction(form[1])
+
+        h_prev = AffineBarrier("p", coeffs=cut[0], offset=cut[1])
+        h_next = AffineBarrier("n", coeffs=objective[0], offset=objective[1])
+        want = exact_cut_extremes(box, cut, objective)
+        sub = check_subset(h_prev, h_next, 1.0, box)
+        assert sub.method == "exact"
+        assert sub.holds == (want is None or want[0][0] >= -1e-9)
+        if not sub.holds:
+            x = sub.counterexample
+            assert exact(objective, x) < -1e-9 and exact(cut, x) >= -1e-9
+        inter = check_intersection(h_prev, h_next, 1.0, box)
+        assert inter.method == "exact"
+        assert (inter.witness is None) == (want is None or want[1][0] < -1e-12)
+
     def test_vertices_of_a_cut_square(self):
         # x + y >= 1 meets the unit square's edges at their ends: three box
         # vertices; x + y >= 1/2 adds one crossing on each of two edges
@@ -849,7 +903,7 @@ class TestExactExtremeAgainstDenseGrid:
         top, bn = TopBarrier(box.dim), AffineBarrier("n", coeffs=next_form[0],
                                                      offset=next_form[1])
         hn = self.grid_values(box, *next_form)
-        forms = contracts._forms(top, bn, 0.0, 0.0)
+        forms = contracts._forms(top, bn, 0.0, 0.0, box.dim)
         worst, _ = _worst_engage_margin(top, bn, 0.0, box, self.N)
         best, _, method = contracts._extreme(top, bn, 0.0, 0.0, box, self.N, forms, False)
         assert method == "exact"
@@ -895,7 +949,7 @@ class TestExactExtremeMemo:
               AffineBarrier("p", coeffs=(1.0, 0.0, 0.0), offset=-1e6), TopBarrier(3)))
     def test_memo_matches_direct_enumeration(self, case):
         box, h_prev, h_next = case
-        forms = contracts._forms(h_prev, h_next, 0.0, 0.0)
+        forms = contracts._forms(h_prev, h_next, 0.0, 0.0, box.dim)
         for lowest in (True, False):
             got = contracts._extreme(h_prev, h_next, 0.0, 0.0, box, 101, forms, lowest)
             assert hexed_extreme(got) == hexed_extreme(exact_extreme_direct(box, forms, lowest))
@@ -907,7 +961,7 @@ class TestExactExtremeMemo:
     def test_signed_zero_bounds_get_their_own_entries(self):
         """0.0 == -0.0, yet a witness at the lower corner prints 0 or -0."""
         top, bn = TopBarrier(2), AffineBarrier("n", coeffs=(1.0, 1.0), offset=0.0)
-        forms = contracts._forms(top, bn, 0.0, 0.0)
+        forms = contracts._forms(top, bn, 0.0, 0.0, 2)
         for zero, shown in ((0.0, "0"), (-0.0, "-0"), (0.0, "0")):
             box = StateBox((zero, zero), (1.0, 1.0))
             _, x, _ = contracts._extreme(top, bn, 0.0, 0.0, box, 101, forms, True)
@@ -942,7 +996,7 @@ class TestExactExtremeMemo:
 
         def extreme(k):  # a distinct polytope, and so a distinct pair, for each k
             bp = AffineBarrier("p", coeffs=(-1.0, 0.5), offset=0.125 + k / 4096)
-            forms = contracts._forms(bp, bn, 0.0, 0.0)
+            forms = contracts._forms(bp, bn, 0.0, 0.0, box.dim)
             return contracts._extreme(bp, bn, 0.0, 0.0, box, 101, forms, True), forms
 
         for k in range(contracts._MEMO_SIZE + 64):

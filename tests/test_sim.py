@@ -126,34 +126,24 @@ class TestRk4Kernel:
         assert type(got) is tuple and len(got) == sys.n
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
-    def test_two_missions_compile_the_n3_kernel_once(self, monkeypatch):
-        compiled = []
-
-        def counting(name, compile_one):
-            def compiling(*width):
-                compiled.append((name, *width))
-                return compile_one(*width)
-            return compiling
-
-        for owner, cache, name in ((sim, "_RK4_KERNELS", "_rk4_kernel"),
-                                   (sim, "_INSIDE_CHECKS", "_inside_check")):
-            monkeypatch.setattr(owner, cache, {})
-            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
-        monkeypatch.setattr(barriers, "_DOTS", {})
-        monkeypatch.setattr(barriers, "_EVALS", {})
+    def test_two_missions_compile_the_n3_kernel_once(self):
+        builders = (sim._rk4_kernel, sim._inside_check, barriers.evaluator_for)
+        for build in builders:
+            build.cache_clear()
         cfg = _short_sec6()
         pipeline.build_scenario(cfg)
-        # the kernel, the state check, the row evaluator and the dot compile
-        # at the first step, not in setup
-        assert compiled == [] and barriers._DOTS == {} and barriers._EVALS == {}
-        evaluators = []
+        # the kernel, the state check and the row evaluator compile at the first
+        # step, not in setup
+        assert [build.cache_info().misses for build in builders] == [0, 0, 0]
+        compiled = []
         for _ in range(2):
             assert pipeline.run_pipeline(cfg).trace.n_rows() == 8001
-            evaluators.append(barriers._EVALS[3])
-        assert compiled == [("_inside_check", 3), ("_rk4_kernel", 3, 1)]
-        assert list(sim._RK4_KERNELS) == [(3, 1)] and list(sim._INSIDE_CHECKS) == [3]
-        assert list(barriers._DOTS) == list(barriers._EVALS) == [3]
-        assert evaluators[0] is evaluators[1]  # compiled once, by the first mission
+            # one miss per builder, at the first step of the first mission
+            assert [build.cache_info().misses for build in builders] == [1, 1, 1]
+            assert [build.cache_info().currsize for build in builders] == [1, 1, 1]
+            compiled.append((sim._rk4_kernel(3, 1), sim._inside_check(3),
+                             barriers.evaluator_for(3)))
+        assert all(a is b for a, b in zip(*compiled))  # the second mission ran the same code
 
 
 def _speed_setup(values, horizon, domain=None):
@@ -224,6 +214,20 @@ class TestRunSimulation:
         with pytest.raises(SimError, match="input box has dimension 2, system has m=1"):
             run_simulation(double_integrator, [], lambda t, x: (0.0, 0.0),
                            InputBox((-1.0, -1.0), (1.0, 1.0)), (0.0, 0.0), dt=0.01, t_max=1.0)
+
+    @pytest.mark.parametrize("fv", [(9.5,), (9.5, 0.0, 0.0)], ids=["short", "long"])
+    @pytest.mark.parametrize("rows", ["none", "affine"])
+    def test_f_of_another_length_is_named_before_the_first_step(self, fv, rows):
+        # it surfaced at the first row that read it (a bare unpack error for an
+        # affine row), or with no rows only in RK4
+        _, sched, sys = _speed_setup([10.0], horizon=1.0)
+        calls = []
+        with pytest.raises(SimError, match=rf"^f\(t, x\) has {len(fv)} entries, "
+                                           r"the system has n=2$"):
+            run_simulation(replace(sys, f=lambda t, x: fv), [sched] if rows == "affine" else [],
+                           lambda t, x: calls.append(t) or 0.0, InputBox((-5.0,), (5.0,)),
+                           (0.0, 9.5), dt=0.01, t_max=1.0)
+        assert calls == []
 
     def test_initial_assumption_violation_raises(self):
         _, sched, sys = _speed_setup([10.0], horizon=10.0)
@@ -696,9 +700,9 @@ class TestStateCheck:
 
 
 def _clip_reads(monkeypatch) -> list:
-    """Patch `contracts.evaluator_for`, which `clip_groups` and
-    `conjoin_groups` call for the width's row evaluator, to log how many
-    rows each clip-sink pass reads; return that log."""
+    """Patch `contracts.evaluator_for`, which `clip_groups` calls for the
+    width's row evaluator, to log how many rows each clip-sink pass reads;
+    return that log."""
     reads, fetch = [], contracts.evaluator_for
 
     def fetching(n):
