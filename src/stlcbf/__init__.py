@@ -10,8 +10,8 @@ from .barriers import (
     AlphaFn,
     Barrier,
     BarrierRegistry,
+    Box,
     FcbfParams,
-    StateBox,
     cbf_constraint,
     convergence_time,
     fcbf_constraint,
@@ -30,7 +30,7 @@ from .contracts import (
 )
 from .config import ScenarioConfig, load_config, parse_config
 from .pipeline import check_pipeline, run_pipeline, write_report, write_trace_csv
-from .qp import InputBox, PidState, pid_nominal, solve_qp
+from .qp import PidState, pid_nominal, solve_qp
 from .sim import ControlSystem, Trace, integrate_step, run_simulation
 from .stl import (
     StlSpec,

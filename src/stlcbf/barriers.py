@@ -42,7 +42,8 @@ Any input satisfying the FCBF inequality from h(t0, x0) < 0 reaches the safe
 set within T = |h0|^(1-rho) / (gamma (1-rho)) and stays there afterwards.
 
 Barriers are template-based: affine in state with piecewise-constant time
-offset, plus the vehicle templates in `vehicle`.
+offset, plus the vehicle templates in `vehicle`. One `Box` types both the
+state domain D and the input box U.
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ class BarrierViolation(ValueError):
 
 
 @dataclass(frozen=True)
-class StateBox:
-    """Axis-aligned box in state space, lower <= x <= upper componentwise."""
+class Box:
+    """Axis-aligned box lower <= x <= upper, finite and ordered: D and U alike."""
 
     lower: tuple
     upper: tuple
@@ -214,6 +215,8 @@ class AffineBarrier(Barrier):
             pieces = [(0.0, float(offset))]
         self.pieces = tuple((float(t0), float(d)) for t0, d in pieces)
         starts = [p[0] for p in self.pieces]
+        if not all(map(math.isfinite, starts)):
+            raise BarrierError(f"offset piece start times must be finite, got {starts}")
         if starts != sorted(starts) or len(set(starts)) != len(starts):
             raise BarrierError("offset pieces must have strictly increasing start times")
         self._starts = starts

@@ -34,13 +34,12 @@ from .pipeline import (
     write_trace_csv,
 )
 from .qp import QpError
-from .sim import InitialConditionError, SimError
+from .sim import SimError
 from .stl import StlError
 from .vehicle import VehicleError
 
-_USER_ERRORS = (ConfigError, InitialConditionError, PipelineError, StlError,
-                BarrierError, VehicleError, ContractError, QpError, SimError,
-                OSError)
+_USER_ERRORS = (ConfigError, PipelineError, StlError, BarrierError, VehicleError,
+                ContractError, QpError, SimError, OSError)
 
 log = logging.getLogger("stlcbf")
 

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .barriers import AffineBarrier, AlphaFn, GAMMA_MIN, StateBox
+from .barriers import AffineBarrier, AlphaFn, Box, GAMMA_MIN
 from .contracts import ScheduleConfig
-from .qp import InputBox, PidState
+from .qp import PidState
 from .sim import DEFAULT_DT
 from .stl import MONITOR_TOL
 from .vehicle import (
@@ -177,7 +177,7 @@ class ScenarioConfig:
     dt: float
     seed: int
     vp: VehicleParams
-    input_box: InputBox
+    input_box: Box
     x0: tuple
     pid: PidState             # gains; each scenario build runs a fresh copy
     rho_speed: float
@@ -185,7 +185,7 @@ class ScenarioConfig:
     t_conv_speed: float
     gamma_min: float
     margin_tol: float
-    domain: StateBox
+    domain: Box
     lead: LeadProfile
     limits: Optional[SpeedLimitSchedule]
     signals: list             # explicit SignalTimings; [] when generated or absent
@@ -255,7 +255,7 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
     input_box = None
     if vp is not None:
         limit = vp.mass * vp.a_max
-        input_box = inp.build(InputBox, (-limit if lo is None else lo,),
+        input_box = inp.build(Box, (-limit if lo is None else lo,),
                               (limit if hi is None else hi,))
 
     axes = ("x_f", "v_f", "x_l")
@@ -280,7 +280,7 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
 
     bounds = [dom.pair(key, default) for key, default in
               zip(axes, zip(DEFAULT_DOMAIN.lower, DEFAULT_DOMAIN.upper))]
-    domain = dom.build(StateBox, *zip(*bounds))
+    domain = dom.build(Box, *zip(*bounds))
     for key, v, (lo, hi) in zip(axes, x0, bounds):
         if not math.isfinite(v):
             errors.append(f"[initial] {key} must be finite, got {v}")

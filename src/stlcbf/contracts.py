@@ -77,9 +77,9 @@ import numpy as np
 from .barriers import (
     Barrier,
     BarrierError,
+    Box,
     FcbfParams,
     GAMMA_MIN,
-    StateBox,
     TopBarrier,
     cbf_constraint,  # noqa: F401  callers import and patch both generators here
     clip_rows,
@@ -127,7 +127,7 @@ def _forms(h_prev: Barrier, h_next: Barrier, t_prev: float, t_next: float, dim: 
     return None if None in forms else forms
 
 
-def _cut_vertices(box: StateBox, coeffs, offset):
+def _cut_vertices(box: Box, coeffs, offset):
     """Vertices of box intersected with {coeffs.x + offset >= 0}: the box
     vertices inside the halfspace and the cut hyperplane's crossings of box
     edges, among which a linear objective takes its minimum and maximum."""
@@ -165,7 +165,7 @@ def _bits(*nums) -> bytes:
 def _polytope(box_bits: bytes, form_bits: bytes) -> tuple:
     box, (*coeffs, offset) = memoryview(box_bits).cast("d"), memoryview(form_bits).cast("d")
     half = len(box) // 2
-    return tuple(_cut_vertices(StateBox(tuple(box[:half]), tuple(box[half:])), coeffs, offset))
+    return tuple(_cut_vertices(Box(tuple(box[:half]), tuple(box[half:])), coeffs, offset))
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -188,7 +188,7 @@ def _check_resolution(resolution) -> None:
         raise ContractError(f"grid resolution must be an integer >= 1, got {resolution!r}")
 
 
-def _grid_points(box: StateBox, resolution: int):
+def _grid_points(box: Box, resolution: int):
     """The grid, one slab per value of the first axis: that value and one
     array per other axis, broadcastable, in itertools.product's order when
     read in C order. Point k of an axis is lo + k * step (midpoint at 1)."""
@@ -233,7 +233,7 @@ class IntersectionCheck:
     method: str
 
 
-def _require_domain(domain: StateBox):
+def _require_domain(domain: Box):
     if domain.is_degenerate():
         raise ContractError("degenerate (zero-width) domain box")
 
@@ -259,7 +259,7 @@ def _extreme(h_prev, h_next, t_prev, t_next, domain, resolution, forms, lowest):
     return best_val, None if best_at is None else _slab_point(*best_at), f"sampled({resolution})"
 
 
-def check_subset(h_prev: Barrier, h_next: Barrier, t: float, domain: StateBox,
+def check_subset(h_prev: Barrier, h_next: Barrier, t: float, domain: Box,
                  resolution: int = 101) -> SubsetCheck:
     """Does every x in the domain with h_prev(t-, x) >= 0 satisfy
     h_next(t, x) >= 0? Exact for affine templates, else the first bad grid point."""
@@ -278,7 +278,7 @@ def check_subset(h_prev: Barrier, h_next: Barrier, t: float, domain: StateBox,
     return SubsetCheck(True, method)
 
 
-def check_intersection(h_prev: Barrier, h_next: Barrier, t: float, domain: StateBox,
+def check_intersection(h_prev: Barrier, h_next: Barrier, t: float, domain: Box,
                        resolution: int = 101) -> IntersectionCheck:
     """Witness x with h_prev(t-, x) >= 0 and h_next(t, x) >= 0, or None."""
     _require_domain(domain)
@@ -357,7 +357,7 @@ class ScheduleConfig:
     engagement is tau = t_i - t_conv. Every deadline, rho and gamma_min is
     checked here, whether or not some boundary comes to need a window."""
 
-    domain: StateBox
+    domain: Box
     horizon: float
     rho: float = 0.9
     t_conv: float = 5.0

@@ -1,7 +1,8 @@
 """Minimal-deviation safety filter and the nominal PID controller.
 
 The filter projects a nominal input onto the polytope cut out by the active
-halfspace constraints and the input box:
+halfspace constraints and the input box U (a `barriers.Box`, as the state
+domain D is):
 
     u_safe = argmin ||u - u_nom||^2   s.t.  a_k . u <= b_k,  lower <= u <= upper
 
@@ -25,34 +26,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .barriers import BarrierError
+from .barriers import BarrierError, Box
 
 _FEAS_TOL = 1e-9
 
 
 class QpError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class InputBox:
-    """Componentwise input bounds, finite and ordered."""
-
-    lower: tuple
-    upper: tuple
-
-    def __post_init__(self):
-        if len(self.lower) != len(self.upper):
-            raise QpError("input box bound dimensions differ")
-        for lo, hi in zip(self.lower, self.upper):
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise QpError("input bounds must be finite")
-            if lo > hi:
-                raise QpError(f"input lower bound {lo} exceeds upper {hi}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.lower)
 
 
 def input_floats(u) -> tuple:
@@ -66,7 +46,7 @@ def input_floats(u) -> tuple:
         raise QpError(f"nominal input {u!r} is not a number or a flat sequence") from None
 
 
-def solve_qp(u_nom, constraints: Sequence[tuple], box: InputBox):
+def solve_qp(u_nom, constraints: Sequence[tuple], box: Box):
     """Euclidean projection of u_nom (as `input_floats` reads it) onto the
     polytope of the (a, b, label) rows and the box, or None when it is
     empty. Output is a tuple of floats (length box.dim). A non-finite u_nom
@@ -177,7 +157,7 @@ def pid_nominal(spacing_error: float, relative_velocity: float, pid: PidState,
     `feedforward` is the force balancing friction at the current speed; the
     integral state is advanced by e*dt with anti-windup clamping.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise QpError(f"dt must be positive, got {dt}")
     integral, limit = pid.integral + spacing_error * dt, pid.windup_limit
     pid.integral = -limit if integral < -limit else limit if limit < integral else integral

@@ -6,7 +6,8 @@ group schedules, projects the nominal input through the QP filter, integrates
 one step, and records time, state, inputs and QP status. An invariance row
 that reads h < -tol, an empty safe input set, a non-finite state or a domain
 exit ends the run with a timestamped failure; the trace prefix up to that
-point is preserved. The loop logs its clamp events; the engagement events
+point is preserved. One `barriers.Box` types both the system's domain D and
+the input box U. The loop logs its clamp events; the engagement events
 come from the `RegionTable`, into the same list. The caller fills the margin
 and scenario columns afterwards with `Trace.fill_columns`, over all recorded
 rows at once (`Barrier.h_grid` with an array t), for a failed prefix too.
@@ -62,9 +63,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .barriers import BarrierViolation, StateBox
+from .barriers import BarrierViolation, Box
 from .contracts import RegionTable, clip_groups, conjoin_groups
-from .qp import InputBox, input_floats, solve_qp
+from .qp import input_floats, solve_qp
 from .stl import MONITOR_TOL
 
 DEFAULT_DT = 0.01
@@ -95,7 +96,7 @@ class ControlSystem:
     m: int
     f: Callable
     g: Callable
-    domain: StateBox
+    domain: Box
     clamp_min_dims: tuple = ()
 
     def __post_init__(self):
@@ -317,7 +318,7 @@ def run_simulation(
     sys: ControlSystem,
     schedules: Sequence,
     nominal: Callable,
-    box: InputBox,
+    box: Box,
     x0,
     dt: float = DEFAULT_DT,
     t_max: float = 0.0,

@@ -35,7 +35,7 @@ from .barriers import (
     AffineBarrier,
     AlphaFn,
     Barrier,
-    StateBox,
+    Box,
     step_lookup,
 )
 from .contracts import ScheduleConfig, TaskGroup, build_schedule
@@ -51,7 +51,7 @@ class VehicleError(ValueError):
 
 
 A_MAX_G = 0.4  # default braking capability a_max, as a fraction of g_grav
-DEFAULT_DOMAIN = StateBox((-1e4, 0.0, -1e4), (1e6, 80.0, 1e7))  # X_f, V_f, X_l
+DEFAULT_DOMAIN = Box((-1e4, 0.0, -1e4), (1e6, 80.0, 1e7))  # X_f, V_f, X_l
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,9 @@ class LeadProfile:
         if not 0 <= v0 < math.inf:
             raise VehicleError(f"lead initial speed must be finite and >= 0, got {v0}")
         rows = [(float(t), float(a)) for t, a in accel_rows]
+        for i, name in enumerate(("times", "accelerations")):
+            if not all(math.isfinite(row[i]) for row in rows):
+                raise VehicleError(f"lead profile {name} must be finite")
         if not rows or rows[0][0] > 0:
             rows.insert(0, (0.0, 0.0))
         if [t for t, _ in rows] != sorted({t for t, _ in rows}):
@@ -160,6 +163,9 @@ class SpeedLimitSchedule:
         rows = [(float(t), float(v)) for t, v in rows]
         if not rows:
             raise VehicleError("speed limit schedule is empty")
+        for i, name in enumerate(("start times", "values")):
+            if not all(math.isfinite(row[i]) for row in rows):
+                raise VehicleError(f"speed limit {name} must be finite")
         if rows[0][0] != 0.0:
             raise VehicleError("speed limit schedule must start at t=0")
         times = [t for t, _ in rows]
@@ -192,6 +198,9 @@ class SignalTimings:
     offset: float = 0.0
 
     def __post_init__(self):
+        for name in ("position", "green_dur", "yellow_dur", "red_dur", "offset"):
+            if not math.isfinite(getattr(self, name)):
+                raise VehicleError(f"{name} must be finite, got {getattr(self, name)}")
         if min(self.green_dur, self.yellow_dur, self.red_dur) <= 0:
             raise VehicleError("phase durations must be positive")
         if not 0 <= self.offset < self.period:
@@ -357,7 +366,7 @@ class TrafficSignalBarrier(Barrier):
 
 
 def make_vehicle_system(vp: VehicleParams, lead: LeadProfile,
-                        domain: StateBox = DEFAULT_DOMAIN) -> ControlSystem:
+                        domain: Box = DEFAULT_DOMAIN) -> ControlSystem:
     """Longitudinal dynamics: X_f' = V_f, V_f' = (u - F_r)/m, X_l' = V_l(t).
     f reads V_l from the lead's held piece as `LeadProfile.cached_motion`
     does, inline, and searches only when t leaves the piece."""

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from stlcbf.barriers import AffineBarrier, BarrierRegistry, StateBox
+from stlcbf.barriers import AffineBarrier, BarrierRegistry, Box
 from stlcbf.sim import ControlSystem
 
 
@@ -16,7 +16,7 @@ def double_integrator():
         n=2, m=1,
         f=lambda t, x: (x[1], 0.0),
         g=lambda t, x: ((0.0,), (1.0,)),
-        domain=StateBox((-1e6, -1e3), (1e6, 1e3)),
+        domain=Box((-1e6, -1e3), (1e6, 1e3)),
     )
 
 
@@ -31,4 +31,4 @@ def speed_registry():
 
 @pytest.fixture
 def unit_domain_2d():
-    return StateBox((0.0, 0.0), (40.0, 40.0))
+    return Box((0.0, 0.0), (40.0, 40.0))

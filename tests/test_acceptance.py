@@ -20,8 +20,8 @@ from oracles import (
 )
 from stlcbf.barriers import (
     AffineBarrier,
+    Box,
     FcbfParams,
-    StateBox,
     cbf_constraint,
     convergence_time,
     fcbf_constraint,
@@ -31,7 +31,7 @@ from stlcbf.cli import main as cli_main
 from stlcbf.config import load_config
 from stlcbf.contracts import check_intersection, check_subset
 from stlcbf.pipeline import run_pipeline
-from stlcbf.qp import InputBox, solve_qp
+from stlcbf.qp import solve_qp
 from stlcbf.sim import ControlSystem, integrate_step
 from stlcbf.stl import Globally, PredicateRef, StlSpec, TimeInterval, group_tasks
 from stlcbf.vehicle import (
@@ -102,9 +102,9 @@ def test_criterion_2_convergence_bound_in_closed_loop():
     rng = np.random.RandomState(101)
     dt = 0.01
     sys1 = ControlSystem(n=1, m=1, f=lambda t, x: (0.0,), g=lambda t, x: ((1.0,),),
-                         domain=StateBox((-1e9,), (1e9,)))
+                         domain=Box((-1e9,), (1e9,)))
     bar = AffineBarrier("x", coeffs=(1.0,), offset=0.0)
-    box = InputBox((-1e9,), (1e9,))
+    box = Box((-1e9,), (1e9,))
     for _ in range(100):
         rho = float(rng.uniform(0.0, 0.95))
         gamma = float(rng.uniform(0.1, 5.0))
@@ -205,7 +205,7 @@ def test_criterion_4_qp_grid_oracle():
     for k in range(200):
         m = 1 if k % 2 == 0 else 2
         lower, upper = (-2.0,) * m, (2.0,) * m
-        box = InputBox(lower, upper)
+        box = Box(lower, upper)
         make_infeasible = rng.rand() < 0.25
         anchor = rng.uniform(-1.5, 1.5, size=m)
         rows = []
@@ -263,7 +263,7 @@ def test_criterion_5_compatibility_grid_oracle():
         center = rng.uniform(-5, 5, size=2)
         half = rng.uniform(0.5, 5.0, size=2)
         lo, hi = center - half, center + half
-        box = StateBox(tuple(lo), tuple(hi))
+        box = Box(tuple(lo), tuple(hi))
         cp, cn = rng.uniform(-1, 1, size=2), rng.uniform(-1, 1, size=2)
         dp = float(rng.uniform(-4, 4))
         dn = float(rng.uniform(-4, 4))

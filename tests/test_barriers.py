@@ -25,10 +25,10 @@ from stlcbf.barriers import (
     BarrierError,
     BarrierRegistry,
     BarrierViolation,
+    Box,
     FcbfParams,
     IDENTITY_ALPHA,
     NegatedBarrier,
-    StateBox,
     TopBarrier,
     cbf_constraint,
     clip_rows,
@@ -49,7 +49,7 @@ from stlcbf.contracts import (
     clip_groups,
     conjoin_groups,
 )
-from stlcbf.qp import InputBox, QpError, solve_qp
+from stlcbf.qp import QpError, solve_qp
 from stlcbf.sim import ControlSystem, InitialConditionError, run_simulation
 from stlcbf.stl import PredicateRef, TaskGroup, TimeInterval
 from stlcbf.vehicle import (
@@ -65,7 +65,7 @@ def scalar_system():
     """x' = u on a 1-D state."""
     return ControlSystem(
         n=1, m=1, f=lambda t, x: (0.0,), g=lambda t, x: ((1.0,),),
-        domain=StateBox((-1e6,), (1e6,)),
+        domain=Box((-1e6,), (1e6,)),
     )
 
 
@@ -80,6 +80,23 @@ class TestParamTypes:
         with pytest.raises(BarrierError, match=rf"^alpha gain must be {need}, got {kappa}$"):
             AlphaFn(kappa)
 
+    @pytest.mark.parametrize("lower, upper, match", [
+        ((0.0, 0.0), (1.0,), "dimensions differ"),
+        ((math.nan,), (1.0,), "must be finite"), ((0.0,), (math.nan,), "must be finite"),
+        ((-math.inf,), (0.0,), "must be finite"), ((0.0,), (math.inf,), "must be finite"),
+        ((1.0,), (-1.0,), "lower 1.0 exceeds upper -1.0"),
+        ((2.0,), (2.0,), None),
+    ], ids=["unequal_lengths", "nan_lower", "nan_upper", "neg_inf_lower", "inf_upper",
+            "inverted", "zero_width"])
+    def test_box_bounds_validated(self, lower, upper, match):
+        """One check for the state domain D and the input box U: bounds of
+        equal length, finite and ordered; a zero-width box is a box."""
+        if match is None:
+            assert Box(lower, upper).is_degenerate()
+        else:
+            with pytest.raises(BarrierError, match=match):
+                Box(lower, upper)
+
     @pytest.mark.parametrize("rho,gamma", [(1.0, 1.0), (-0.1, 1.0), (0.5, 0.0)])
     def test_fcbf_params_validated(self, rho, gamma):
         with pytest.raises(BarrierError):
@@ -88,7 +105,7 @@ class TestParamTypes:
     def test_infeasible_marker(self):
         """A row (a, b, label) with a zero a marks an empty set when b < 0
         and is vacuous when b >= 0; solve_qp is what reads the marker."""
-        box = InputBox((-2.0,), (2.0,))
+        box = Box((-2.0,), (2.0,))
         assert solve_qp(0.5, [((0.0,), -1.0, "")], box) is None
         assert solve_qp(0.5, [((0.0,), 1.0, "")], box) == (0.5,)
         assert solve_qp(0.5, [((1.0,), -1.0, "")], box) == (-1.0,)
@@ -219,7 +236,7 @@ class TestDotFor:
 
 THREE_STATES = ControlSystem(n=3, m=1, f=lambda t, x: (1.0, 2.0, 0.0),
                              g=lambda t, x: ((0.0,), (1.0,), (0.0,)),
-                             domain=StateBox((-1e3,) * 3, (1e3,) * 3))
+                             domain=Box((-1e3,) * 3, (1e3,) * 3))
 
 
 class TestGradientLength:
@@ -297,7 +314,7 @@ class TestConstraintRowCache:
             "switching": lambda t, x: g0 if x[0] >= 0 else g1,  # two objects in turn
         }[data.draw(st.sampled_from(self.G_KINDS), "g")]
         sys = ControlSystem(n=n, m=m, f=lambda t, x: tuple(0.5 * xi - 1.0 for xi in x), g=g,
-                            domain=StateBox((-1e3,) * n, (1e3,) * n))
+                            domain=Box((-1e3,) * n, (1e3,) * n))
         coeffs = tuple(data.draw(entries) for _ in range(n))
         bar = data.draw(st.sampled_from(
             [AffineBarrier("aff", coeffs=coeffs, offset=3.0), Bowl(coeffs, 40.0)]), "barrier")
@@ -311,7 +328,7 @@ class TestConstraintRowCache:
             alpha, params = param, None
         use_dyn = data.draw(st.booleans(), "dyn")
         states = data.draw(st.lists(st.tuples(*[entries] * n), min_size=1, max_size=8), "xs")
-        u, box = data.draw(entries, "u"), InputBox((-5.0,), (5.0,))
+        u, box = data.draw(entries, "u"), Box((-5.0,), (5.0,))
 
         def plan(t, x, engagements):
             t0 = float(math.floor(t))
@@ -355,7 +372,7 @@ class TestSharedLieSums:
         fv = tuple(data.draw(SIGNED) for _ in range(3))
         gm = ((0.0, 1.0), (0.5, -0.0), (0.0, 2.0))
         sys = ControlSystem(n=3, m=2, f=lambda t, x: fv, g=lambda t, x: gm,
-                            domain=StateBox((-1e3,) * 3, (1e3,) * 3))
+                            domain=Box((-1e3,) * 3, (1e3,) * 3))
         specs = []
         for i in range(data.draw(st.integers(1, 8), "rows")):
             kind = data.draw(st.sampled_from(("copy", "negated", "drawn", "terms")))
@@ -398,7 +415,7 @@ class TestInvarianceFloor:
         reg = BarrierRegistry()
         reg.register(self.POS)
         group = TaskGroup("G", ((TimeInterval(0.0, 20.0), PredicateRef("pos")),))
-        return build_schedule(group, reg, ScheduleConfig(domain=StateBox((-50.0,), (50.0,)),
+        return build_schedule(group, reg, ScheduleConfig(domain=Box((-50.0,), (50.0,)),
                                                          horizon=20.0))
 
     def test_library_calls_never_raise_below_zero(self):
@@ -421,7 +438,7 @@ class TestInvarianceFloor:
         # u >= -h holds at each sample, but a 5 s step at u = -h overshoots:
         # x = 0.1, 0.1 - 5 * 0.1 = -0.4, -0.4 + 5 * 0.4 = 1.6, 1.6 - 5 * 1.6 = -6.4
         res = run_simulation(scalar_system(), [self._schedule()], lambda t, x: -10.0,
-                             InputBox((-10.0,), (10.0,)), (0.1,), dt=5.0, t_max=20.0, tol=tol)
+                             Box((-10.0,), (10.0,)), (0.1,), dt=5.0, t_max=20.0, tol=tol)
         assert res.failure.describe() == (
             f"barrier_violated at t={t_fail:.6f} [cbf:pos h={h:g}]")
         assert res.trace.qp_status[-1] == "violated" and math.isnan(res.trace.u_safe[-1, 0])
@@ -564,10 +581,10 @@ class TestClipSink:
     def test_pass_matches_list_sink_and_solve_qp(self, case):
         x, fv, gm, (lo, hi), floor, u, rows = case
         sys = ControlSystem(n=2, m=1, f=lambda t, x: fv, g=lambda t, x: gm,
-                            domain=StateBox((-1e3,) * 2, (1e3,) * 2))
+                            domain=Box((-1e3,) * 2, (1e3,) * 2))
         try:
             want = solve_qp(u, list_rows(_clip_specs(rows), 0.5, x, sys, (fv, gm), floor),
-                            InputBox((lo,), (hi,)))
+                            Box((lo,), (hi,)))
         except (BarrierViolation, BarrierError, QpError):
             want = None
         resolved = resolve_rows(_clip_specs(rows), gm)
@@ -918,6 +935,13 @@ class TestPiecewiseAffine:
         assert bar.h(LEFT_OF_50, x) == pytest.approx(20.0)  # left limit: old piece
         assert bar.affine_on(math.nextafter(50.0, 0.0), 50.0)[1] == 30.0
 
+    @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+    def test_non_finite_piece_start_rejected(self, start):
+        """The lookup took a NaN start as passed: h(5, x) read the second
+        piece's offset."""
+        with pytest.raises(BarrierError, match="offset piece start times must be finite"):
+            AffineBarrier("hv", (0.0, -1.0, 0.0), pieces=[(0.0, 30.0), (start, 20.0)])
+
     def test_negation_flips_everything(self):
         bar = AffineBarrier("v", coeffs=(0.0, -1.0), offset=10.0)
         neg = bar.negate()
@@ -1140,7 +1164,7 @@ class TestMinimalBarrier:
         assert a == (1.0,) and b == 2.0
 
     def test_grid_fallback_reads_the_left_limit(self):
-        box = StateBox((0.0,), (10.0,))
+        box = Box((0.0,), (10.0,))
         below6 = AffineBarrier("x<=6", coeffs=(-1.0,), offset=6.0)
         below4 = AffineBarrier("x<=4", coeffs=(-1.0,), offset=4.0)
         # C_prev(5-) = {x <= nextafter(5, -inf)}: inside {x <= 6}, not inside
@@ -1162,12 +1186,12 @@ class TestMinimalBarrier:
         group = TaskGroup("G", tuple((TimeInterval(t0, t0 + 4.0), PredicateRef(bid))
                                      for t0, bid in ((0.0, "ramp"), (4.0, "floor"),
                                                      (8.0, "ramp"))))
-        cfg = ScheduleConfig(domain=StateBox((-50.0,), (50.0,)), horizon=12.0, t_conv=2.0)
+        cfg = ScheduleConfig(domain=Box((-50.0,), (50.0,)), horizon=12.0, t_conv=2.0)
         sched = build_schedule(group, reg, cfg)
         assert [(b.verdict, b.method, b.tau) for b in sched.boundaries] == [
             (Verdict.OVERLAP_DEADLINE, "sampled(101)", 2.0),
             (Verdict.OVERLAP_DEADLINE, "sampled(101)", 6.0)]
-        box = InputBox((-10.0,), (10.0,))
+        box = Box((-10.0,), (10.0,))
         with pytest.raises(InitialConditionError, match=r"h\[sat\(ramp\)\]\(0, x0\) = -0.5"):
             run_simulation(scalar_system(), [sched], lambda t, x: 1.0, box, (0.5,),
                            dt=0.01, t_max=12.0)

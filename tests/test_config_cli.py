@@ -294,6 +294,14 @@ class TestConfigParsing:
         assert cli_main(["run", str(cfg)]) == 4
         assert "signal positions must increase" in capsys.readouterr().err
 
+    def test_inverted_input_box_is_config_error(self, tmp_path, capsys):
+        """The input box is a `Box`, as the domain is: its `BarrierError`
+        joins the error list under [input]."""
+        cfg = tmp_path / "inverted_input.cfg"
+        cfg.write_text(MINIMAL + "\n[input]\nlower = 5\nupper = 1\n")
+        assert cli_main(["check", str(cfg)]) == 4
+        assert "[input] box lower 5.0 exceeds upper 1.0" in capsys.readouterr().err
+
     def test_scenario_hash_tracks_overrides(self):
         cfg = parse_config(MINIMAL)
         assert cfg.scenario_hash() != replace(cfg, dt=0.02).scenario_hash()

@@ -29,8 +29,8 @@ from stlcbf.barriers import (
     Barrier,
     BarrierError,
     BarrierRegistry,
+    Box,
     FcbfParams,
-    StateBox,
     TopBarrier,
     cbf_constraint,
     convergence_time,
@@ -53,7 +53,7 @@ from stlcbf.contracts import (
     conjoin_groups,
 )
 from stlcbf.pipeline import build_scenario
-from stlcbf.qp import InputBox, solve_qp
+from stlcbf.qp import solve_qp
 from stlcbf.stl import PredicateRef, TaskGroup, TimeInterval
 from stlcbf.vehicle import (
     LeadProfile,
@@ -76,7 +76,7 @@ def registry_with(*bars):
     return reg
 
 
-DOM = StateBox((0.0, 0.0), (40.0, 40.0))
+DOM = Box((0.0, 0.0), (40.0, 40.0))
 
 
 class TestCheckSubset:
@@ -105,7 +105,7 @@ class TestCheckSubset:
         assert check_subset(a, c, 0.0, DOM).holds
 
     def test_degenerate_domain_rejected(self):
-        flat = StateBox((0.0, 5.0), (40.0, 5.0))
+        flat = Box((0.0, 5.0), (40.0, 5.0))
         with pytest.raises(ContractError, match="degenerate"):
             check_subset(vbar(10), vbar(20), 0.0, flat)
 
@@ -172,7 +172,7 @@ class TestFormLength:
     either side of a boundary, not a verdict folded over the shorter of the
     form and a vertex."""
 
-    DOM3 = StateBox((0.0, 0.0, 0.0), (40.0, 40.0, 40.0))
+    DOM3 = Box((0.0, 0.0, 0.0), (40.0, 40.0, 40.0))
 
     @pytest.mark.parametrize("coeffs", [(0.0, -1.0, 0.0, 1000.0), (0.0, -1.0)],
                              ids=["long", "short"])
@@ -670,9 +670,9 @@ class TestConstraintRowReuse:
         schedule that keeps bar on [0, 10)."""
         group = TaskGroup("G", ((TimeInterval(0.0, 10.0), PredicateRef(bar.id)),))
         n = len(states[0])
-        cfg = ScheduleConfig(domain=StateBox((-1e3,) * n, (1e3,) * n), horizon=10.0)
+        cfg = ScheduleConfig(domain=Box((-1e3,) * n, (1e3,) * n), horizon=10.0)
         table = RegionTable([build_schedule(group, registry_with(bar), cfg)])
-        box = InputBox((-1e12,), (1e12,))
+        box = Box((-1e12,), (1e12,))
         for x in states:
             want = cbf_constraint(bar, sys, bar.alpha, t, x)
             # the clips of -1e12 and of 1e12 give the bounds the row leaves
@@ -717,7 +717,7 @@ class TestConstraintRowReuse:
 class TestGridOracleAgreement:
     def test_exact_verdicts_match_grid_on_random_affine_pairs(self):
         rng = np.random.RandomState(7)
-        box = StateBox((-2.0, -2.0), (2.0, 2.0))
+        box = Box((-2.0, -2.0), (2.0, 2.0))
         xs = np.linspace(-2, 2, 201)
         gx, gy = np.meshgrid(xs, xs, indexing="ij")
         for _ in range(60):
@@ -755,7 +755,7 @@ def affine_pairs(draw):
         return coeffs, -sum(c * (lo + f * (hi - lo))
                             for c, f, lo, hi in zip(coeffs, fracs, lower, upper))
 
-    return StateBox(lower, upper), form(), form()
+    return Box(lower, upper), form(), form()
 
 
 @st.composite
@@ -776,7 +776,7 @@ def dyadic_cuts(draw):
         at = [lo + draw(st.integers(-2, 10)) / 8 * (hi - lo) for lo, hi in zip(lower, upper)]
         return coeffs, -sum(c * v for c, v in zip(coeffs, at))
 
-    return StateBox(lower, upper), form(), form()
+    return Box(lower, upper), form(), form()
 
 
 class TestExactExtremesInExactArithmetic:
@@ -787,10 +787,10 @@ class TestExactExtremesInExactArithmetic:
 
     @settings(max_examples=300, deadline=None)
     @given(dyadic_cuts())
-    @example((StateBox((0.0, 0.0), (1.0, 1.0)), ((0.0, 0.0), -1.0), ((1.0, 1.0), 0.0)))
-    @example((StateBox((0.0, 0.0), (1.0, 1.0)), ((0.0, 0.0), 0.0), ((1.0, -1.0), 0.0)))
-    @example((StateBox((0.0, 0.0), (1.0, 1.0)), ((-1.0, -1.0), 0.0), ((1.0, 2.0), 0.0)))
-    @example((StateBox((0.0, 0.0, 0.0), (3.0, 3.0, 3.0)), ((1.0, 1.0, 1.0), -4.5),
+    @example((Box((0.0, 0.0), (1.0, 1.0)), ((0.0, 0.0), -1.0), ((1.0, 1.0), 0.0)))
+    @example((Box((0.0, 0.0), (1.0, 1.0)), ((0.0, 0.0), 0.0), ((1.0, -1.0), 0.0)))
+    @example((Box((0.0, 0.0), (1.0, 1.0)), ((-1.0, -1.0), 0.0), ((1.0, 2.0), 0.0)))
+    @example((Box((0.0, 0.0, 0.0), (3.0, 3.0, 3.0)), ((1.0, 1.0, 1.0), -4.5),
               ((0.25, -1.0, 0.0), 0.0)))
     def test_extremes_match_the_rational_oracle(self, case):
         box, cut, objective = case
@@ -809,9 +809,9 @@ class TestExactExtremesInExactArithmetic:
 
     @settings(max_examples=300, deadline=None)
     @given(dyadic_cuts())
-    @example((StateBox((0.0, 0.0), (1.0, 1.0)), ((0.0, 0.0), -1.0), ((1.0, 1.0), 0.0)))
-    @example((StateBox((0.0, 0.0), (1.0, 1.0)), ((1.0, 1.0), -1.5), ((-1.0, 0.0), 0.5)))
-    @example((StateBox((0.0, 0.0, 0.0), (3.0, 3.0, 3.0)), ((1.0, 1.0, 1.0), -4.5),
+    @example((Box((0.0, 0.0), (1.0, 1.0)), ((0.0, 0.0), -1.0), ((1.0, 1.0), 0.0)))
+    @example((Box((0.0, 0.0), (1.0, 1.0)), ((1.0, 1.0), -1.5), ((-1.0, 0.0), 0.5)))
+    @example((Box((0.0, 0.0, 0.0), (3.0, 3.0, 3.0)), ((1.0, 1.0, 1.0), -4.5),
               ((0.25, -1.0, 0.0), 0.0)))
     def test_verdicts_match_the_rational_oracle(self, case):
         # the exact branch's verdicts on the oracle's extremes: a subset holds
@@ -838,9 +838,9 @@ class TestExactExtremesInExactArithmetic:
     def test_vertices_of_a_cut_square(self):
         # x + y >= 1 meets the unit square's edges at their ends: three box
         # vertices; x + y >= 1/2 adds one crossing on each of two edges
-        verts = exact_cut_vertices(StateBox((0.0, 0.0), (1.0, 1.0)), (1.0, 1.0), -1.0)
+        verts = exact_cut_vertices(Box((0.0, 0.0), (1.0, 1.0)), (1.0, 1.0), -1.0)
         assert sorted(verts) == [(0, 1), (1, 0), (1, 1)]
-        verts = exact_cut_vertices(StateBox((0.0, 0.0), (1.0, 1.0)), (1.0, 1.0), -0.5)
+        verts = exact_cut_vertices(Box((0.0, 0.0), (1.0, 1.0)), (1.0, 1.0), -0.5)
         assert sorted(verts) == [(0, Fraction(1, 2)), (0, 1), (Fraction(1, 2), 0), (1, 0),
                                  (1, 1)]
 
@@ -864,7 +864,7 @@ class TestExactExtremeAgainstDenseGrid:
 
     @settings(max_examples=60, deadline=None)
     @given(affine_pairs())
-    @example(((StateBox((1.0, 0.0, 0.0), (2.0, 1.0, 1.0)),
+    @example(((Box((1.0, 0.0, 0.0), (2.0, 1.0, 1.0)),
                ((-1.0, 1e-9, 0.0), 0.9999999995), ((0.0, 1.0, 0.0), -0.0))))
     def test_exact_extremes_bound_the_grid(self, case):
         box, prev_form, next_form = case
@@ -886,7 +886,7 @@ class TestExactExtremeAgainstDenseGrid:
 
     @settings(max_examples=100, deadline=None)
     @given(affine_pairs(), st.integers(2, 9))
-    @example(((StateBox((1.0, 0.0, 0.0), (2.0, 1.0, 1.0)),
+    @example(((Box((1.0, 0.0, 0.0), (2.0, 1.0, 1.0)),
                ((-1.0, 1e-9, 0.0), 0.9999999995), ((0.0, 1.0, 0.0), -0.0))), 3)
     def test_grid_membership_is_exact(self, case, n):
         # the oracle against a Fraction sum at every point of a small grid
@@ -929,7 +929,7 @@ def memo_cases(draw):
         offset = draw(SIGNED_ZERO | st.just(-1e6) | st.floats(-300.0, 300.0))
         return AffineBarrier(name, coeffs=coeffs, offset=offset)
 
-    return StateBox(lower, upper), barrier("p"), barrier("n")
+    return Box(lower, upper), barrier("p"), barrier("n")
 
 
 def hexed_extreme(result):
@@ -943,9 +943,9 @@ class TestExactExtremeMemo:
 
     @settings(max_examples=150, deadline=None)
     @given(memo_cases())
-    @example((StateBox((-0.0,) * 3, (1.0,) * 3), TopBarrier(3),
+    @example((Box((-0.0,) * 3, (1.0,) * 3), TopBarrier(3),
               AffineBarrier("n", coeffs=(-0.0, 0.0, -0.0), offset=-0.0)))
-    @example((StateBox((0.0,) * 3, (1.0,) * 3),
+    @example((Box((0.0,) * 3, (1.0,) * 3),
               AffineBarrier("p", coeffs=(1.0, 0.0, 0.0), offset=-1e6), TopBarrier(3)))
     def test_memo_matches_direct_enumeration(self, case):
         box, h_prev, h_next = case
@@ -963,7 +963,7 @@ class TestExactExtremeMemo:
         top, bn = TopBarrier(2), AffineBarrier("n", coeffs=(1.0, 1.0), offset=0.0)
         forms = contracts._forms(top, bn, 0.0, 0.0, 2)
         for zero, shown in ((0.0, "0"), (-0.0, "-0"), (0.0, "0")):
-            box = StateBox((zero, zero), (1.0, 1.0))
+            box = Box((zero, zero), (1.0, 1.0))
             _, x, _ = contracts._extreme(top, bn, 0.0, 0.0, box, 101, forms, True)
             assert [f"{c:g}" for c in x] == [shown, shown]
 
@@ -990,7 +990,7 @@ class TestExactExtremeMemo:
         assert enumerations[0] <= len(polytopes) < exact_calls[0]
 
     def test_memo_stays_within_its_bound(self):
-        box = StateBox((0.0, 0.0), (1.0, 1.0))
+        box = Box((0.0, 0.0), (1.0, 1.0))
         bn = AffineBarrier("n", coeffs=(1.0, -2.0), offset=0.5)
         caches = (contracts._polytope, contracts._exact_extremes)
 
@@ -1087,7 +1087,7 @@ def grid_cases(draw):
         lo = draw(st.floats(lo_min, lo_max))
         lower.append(lo)
         upper.append(lo + draw(st.floats(0.5, width)))
-    box = StateBox(tuple(lower), tuple(upper))
+    box = Box(tuple(lower), tuple(upper))
     center = tuple(0.5 * (lo + hi) for lo, hi in zip(lower, upper))
     span = math.dist(lower, upper)
 
@@ -1178,7 +1178,7 @@ class TestArrayGrid:
             monkeypatch.setattr(cls, "h", counted)
         h1 = SpacingBarrier(VP, LeadProfile(10.0))
         vmax = AffineBarrier("vmax10", coeffs=(0.0, -1.0, 0.0), offset=10.0)
-        box = StateBox((-1000.0, 0.0, -1000.0), (100000.0, 60.0, 1000000.0))
+        box = Box((-1000.0, 0.0, -1000.0), (100000.0, 60.0, 1000000.0))
         res = check_intersection(h1, vmax, 30.0, box, 101)
         assert res.method == "sampled(101)" and res.witness is not None
         assert calls == []
@@ -1194,7 +1194,7 @@ class TestGridResolution:
     def test_grid_rejects_bad_resolution(self, resolution):
         h1 = SpacingBarrier(VP, LEAD)
         vmax = AffineBarrier("vmax", coeffs=(0.0, -1.0, 0.0), offset=10.0)
-        box = StateBox((0.0, 0.0, 0.0), (100.0, 30.0, 200.0))
+        box = Box((0.0, 0.0, 0.0), (100.0, 30.0, 200.0))
         with pytest.raises(ContractError, match=f"got {resolution}"):
             _grid_points(box, resolution)
         with pytest.raises(ContractError, match=f"got {resolution}"):

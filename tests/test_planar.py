@@ -8,10 +8,9 @@ written as four affine conjuncts. The filter runs the m >= 2 QP end to end.
 from stlcbf import (
     AffineBarrier,
     BarrierRegistry,
+    Box,
     ControlSystem,
-    InputBox,
     ScheduleConfig,
-    StateBox,
     build_schedule,
     contracts,
     group_tasks,
@@ -21,7 +20,7 @@ from stlcbf import (
 
 BOXES = {"a": ((0.0, 0.0), (2.0, 2.0)), "b": ((6.0, 4.0), (8.0, 6.0))}
 SIDES = ("xlo", "xhi", "ylo", "yhi")
-DOMAIN = StateBox((-10.0, -10.0), (20.0, 20.0))
+DOMAIN = Box((-10.0, -10.0), (20.0, 20.0))
 IDENTITY = ((1.0, 0.0), (0.0, 1.0))
 
 
@@ -50,7 +49,7 @@ def run_planar(half_width=2.0):
     """The mission from x0 = (1, 1) under a zero nominal input and the box
     +-half_width on each input, at dt = 0.01."""
     system, schedules = planar_mission()
-    box = InputBox((-half_width,) * 2, (half_width,) * 2)
+    box = Box((-half_width,) * 2, (half_width,) * 2)
     return schedules, run_simulation(system, schedules, lambda t, x: (0.0, 0.0), box,
                                      (1.0, 1.0), dt=0.01, t_max=30.0)
 

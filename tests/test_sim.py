@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 from oracles import min_max_clamp, qp_active_steps, reference_rk4, reference_state_checks
 from stlcbf import barriers, contracts, pipeline, sim, vehicle
-from stlcbf.barriers import AffineBarrier, BarrierRegistry, StateBox
+from stlcbf.barriers import AffineBarrier, BarrierRegistry, Box
 from stlcbf.config import load_config, parse_config
 from stlcbf.contracts import ScheduleConfig, Verdict, build_schedule
-from stlcbf.qp import InputBox, QpError, pid_nominal, solve_qp
+from stlcbf.qp import QpError, pid_nominal, solve_qp
 from stlcbf.sim import (
     ControlSystem,
     InitialConditionError,
@@ -44,7 +44,7 @@ class TestIntegrateStep:
     def test_zero_drift_zero_input_fixed_point(self):
         sys = ControlSystem(n=1, m=1, f=lambda t, x: (0.0,),
                             g=lambda t, x: ((1.0,),),
-                            domain=StateBox((-10.0,), (10.0,)))
+                            domain=Box((-10.0,), (10.0,)))
         assert integrate_step(sys, 0.0, (3.0,), (0.0,), 0.5) == (3.0,)
 
     def test_vehicle_step_halving_self_consistent(self):
@@ -97,7 +97,7 @@ def _poly_system(coeffs, gains, growing):
         return tuple(tuple(gij + 0.01 * x[i] * x[i] for gij in row)
                      for i, row in enumerate(gains))
 
-    return ControlSystem(n=n, m=m, f=f, g=g, domain=StateBox((-1e9,) * n, (1e9,) * n))
+    return ControlSystem(n=n, m=m, f=f, g=g, domain=Box((-1e9,) * n, (1e9,) * n))
 
 
 @st.composite
@@ -150,7 +150,7 @@ def _speed_setup(values, horizon, domain=None):
     reg = BarrierRegistry()
     for v in set(values):
         reg.register(AffineBarrier(f"v{v:g}", coeffs=(0.0, -1.0), offset=float(v)))
-    dom = domain or StateBox((-1e6, -1e3), (1e6, 1e3))
+    dom = domain or Box((-1e6, -1e3), (1e6, 1e3))
     each = horizon / len(values)
     group = TaskGroup("G1", tuple(
         (TimeInterval(i * each, (i + 1) * each), PredicateRef(f"v{v:g}"))
@@ -186,12 +186,12 @@ class TestRunSimulation:
 
     def test_zero_horizon_single_row(self, double_integrator):
         res = run_simulation(double_integrator, [], lambda t, x: 0.0,
-                             InputBox((-1.0,), (1.0,)), (0.0, 0.0), dt=0.01, t_max=0.0)
+                             Box((-1.0,), (1.0,)), (0.0, 0.0), dt=0.01, t_max=0.0)
         assert res.failure is None and res.trace.n_rows() == 1
 
     def test_row_count_and_uniform_grid(self, double_integrator):
         res = run_simulation(double_integrator, [], lambda t, x: 0.5,
-                             InputBox((-1.0,), (1.0,)), (0.0, 0.0), dt=0.01, t_max=1.0)
+                             Box((-1.0,), (1.0,)), (0.0, 0.0), dt=0.01, t_max=1.0)
         assert res.trace.n_rows() == 101
         diffs = {round(b - a, 9) for a, b in zip(res.trace.ts, res.trace.ts[1:])}
         assert diffs == {0.01}
@@ -202,7 +202,7 @@ class TestRunSimulation:
         calls = []
         with pytest.raises(SimError, match=f"dt={dt:g} does not divide the horizon {t_max:g}"):
             run_simulation(double_integrator, [], lambda t, x: calls.append(t) or 0.0,
-                           InputBox((-1.0,), (1.0,)), (0.0, 0.0), dt=dt, t_max=t_max)
+                           Box((-1.0,), (1.0,)), (0.0, 0.0), dt=dt, t_max=t_max)
         assert calls == []
 
     @pytest.mark.parametrize("dt", [0.005, 0.01, 0.05, 0.2, 0.5, 1.0])
@@ -213,7 +213,7 @@ class TestRunSimulation:
         # each recorded row holds m inputs; a 2-D box would give 2 per row
         with pytest.raises(SimError, match="input box has dimension 2, system has m=1"):
             run_simulation(double_integrator, [], lambda t, x: (0.0, 0.0),
-                           InputBox((-1.0, -1.0), (1.0, 1.0)), (0.0, 0.0), dt=0.01, t_max=1.0)
+                           Box((-1.0, -1.0), (1.0, 1.0)), (0.0, 0.0), dt=0.01, t_max=1.0)
 
     @pytest.mark.parametrize("fv", [(9.5,), (9.5, 0.0, 0.0)], ids=["short", "long"])
     @pytest.mark.parametrize("rows", ["none", "affine"])
@@ -225,7 +225,7 @@ class TestRunSimulation:
         with pytest.raises(SimError, match=rf"^f\(t, x\) has {len(fv)} entries, "
                                            r"the system has n=2$"):
             run_simulation(replace(sys, f=lambda t, x: fv), [sched] if rows == "affine" else [],
-                           lambda t, x: calls.append(t) or 0.0, InputBox((-5.0,), (5.0,)),
+                           lambda t, x: calls.append(t) or 0.0, Box((-5.0,), (5.0,)),
                            (0.0, 9.5), dt=0.01, t_max=1.0)
         assert calls == []
 
@@ -233,12 +233,12 @@ class TestRunSimulation:
         _, sched, sys = _speed_setup([10.0], horizon=10.0)
         with pytest.raises(InitialConditionError, match="v10"):
             run_simulation(sys, [sched], lambda t, x: 0.0,
-                           InputBox((-5.0,), (5.0,)), (0.0, 15.0), dt=0.01, t_max=10.0)
+                           Box((-5.0,), (5.0,)), (0.0, 15.0), dt=0.01, t_max=10.0)
 
     def test_constraint_enforced_along_run(self):
         reg, sched, sys = _speed_setup([10.0], horizon=5.0)
         res = run_simulation(sys, [sched], lambda t, x: 50.0,
-                             InputBox((-50.0,), (50.0,)), (0.0, 9.5), dt=0.01, t_max=5.0)
+                             Box((-50.0,), (50.0,)), (0.0, 9.5), dt=0.01, t_max=5.0)
         res.trace.fill_columns([reg.get("v10")])
         assert res.failure is None
         assert res.trace.min_margin("v10") >= -1e-3
@@ -253,7 +253,7 @@ class TestRunSimulation:
         _, sched, sys = _speed_setup([10.0], horizon=1.0)
         with pytest.raises(QpError, match=message):
             run_simulation(sys, [sched], lambda t, x: bad if t >= 0.05 else 1.0,
-                           InputBox((-5.0,), (5.0,)), (0.0, 9.5), dt=0.01, t_max=1.0)
+                           Box((-5.0,), (5.0,)), (0.0, 9.5), dt=0.01, t_max=1.0)
 
     @pytest.mark.parametrize("numpy_form", [lambda u: np.array([u]), np.float32, np.array],
                              ids=["1d_array", "numpy_scalar", "0d_array"])
@@ -266,7 +266,7 @@ class TestRunSimulation:
         def u(t):  # quarters, so a float32 holds each one exactly
             return 50.0 - round(t * 100) / 4
 
-        runs = [run_simulation(sys, [sched], nominal, InputBox((-5.0,), (5.0,)), (0.0, 9.5),
+        runs = [run_simulation(sys, [sched], nominal, Box((-5.0,), (5.0,)), (0.0, 9.5),
                                dt=0.01, t_max=1.0)
                 for nominal in (lambda t, x: numpy_form(u(t)), lambda t, x: u(t))]
         got, want = (res.trace for res in runs)
@@ -275,14 +275,14 @@ class TestRunSimulation:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_numpy_nominal_runs_as_its_floats_at_m2(self):
-        dom = StateBox((-1e3, -1e3), (1e3, 1e3))
+        dom = Box((-1e3, -1e3), (1e3, 1e3))
         sys = ControlSystem(n=2, m=2, f=lambda t, x: (0.0, 0.0),
                             g=lambda t, x: ((1.0, 0.0), (0.0, 1.0)), domain=dom)
         reg, cfg = BarrierRegistry(), ScheduleConfig(domain=dom, horizon=1.0)
         reg.register(AffineBarrier("cap", coeffs=(-1.0, -1.0), offset=1.0))
         sched = build_schedule(TaskGroup("G", ((TimeInterval(0.0, 1.0), PredicateRef("cap")),)),
                                reg, cfg)
-        runs = [run_simulation(sys, [sched], nominal, InputBox((-2.0, -2.0), (2.0, 2.0)),
+        runs = [run_simulation(sys, [sched], nominal, Box((-2.0, -2.0), (2.0, 2.0)),
                                (0.0, 0.0), dt=0.1, t_max=1.0)
                 for nominal in (lambda t, x: np.array([1.5, 0.5]), lambda t, x: (1.5, 0.5))]
         got, want = (res.trace for res in runs)
@@ -295,14 +295,14 @@ class TestRunSimulation:
         # forced to satisfy u >= 10 with a box capped at 5
         reg = BarrierRegistry()
         reg.register(AffineBarrier("drive", coeffs=(1.0, 0.0), offset=0.0))
-        dom = StateBox((-1e6, -1e3), (1e6, 1e3))
+        dom = Box((-1e6, -1e3), (1e6, 1e3))
         group = TaskGroup("G1", ((TimeInterval(0.0, 10.0), PredicateRef("drive")),))
         cfg = ScheduleConfig(domain=dom, horizon=10.0, rho=0.5, t_conv=1.0)
         sched = build_schedule(group, reg, cfg)
         sys = ControlSystem(n=2, m=1, f=lambda t, x: (-20.0 - x[0], 0.0),
                             g=lambda t, x: ((1.0,), (0.0,)), domain=dom)
         res = run_simulation(sys, [sched], lambda t, x: 0.0,
-                             InputBox((-5.0,), (5.0,)), (30.0, 0.0), dt=0.01, t_max=10.0)
+                             Box((-5.0,), (5.0,)), (30.0, 0.0), dt=0.01, t_max=10.0)
         assert res.failure is not None
         assert res.failure.reason == "qp_infeasible"
         assert "cbf:sat(drive)" in res.failure.details or any(
@@ -314,9 +314,9 @@ class TestRunSimulation:
         # X = t^2 / 2 leaves [-1, 1] in the step from t = 1.41: the failure
         # is stamped at the step's end, and the last row is that step's
         small = ControlSystem(n=2, m=1, f=double_integrator.f, g=double_integrator.g,
-                              domain=StateBox((-1.0, -10.0), (1.0, 10.0)))
+                              domain=Box((-1.0, -10.0), (1.0, 10.0)))
         res = run_simulation(small, [], lambda t, x: 1.0,
-                             InputBox((-5.0,), (5.0,)), (0.0, 0.0), dt=0.01, t_max=10.0)
+                             Box((-5.0,), (5.0,)), (0.0, 0.0), dt=0.01, t_max=10.0)
         assert res.failure is not None and res.failure.reason == "domain_exit"
         assert res.failure.time == 141 * 0.01 + 0.01
         assert res.failure.details == ("x[0]=1.0082 outside [-1,1]",)
@@ -327,9 +327,9 @@ class TestRunSimulation:
         # f jumps to 1e308 after t = 0.5: three stages of the step from
         # t = 0.5 read it, and their weighted sum overflows to inf
         sys = ControlSystem(n=1, m=1, f=lambda t, x: (1e308 if t > 0.5 else 0.0,),
-                            g=lambda t, x: ((1.0,),), domain=StateBox((-1.0,), (1.0,)))
+                            g=lambda t, x: ((1.0,),), domain=Box((-1.0,), (1.0,)))
         res = run_simulation(sys, [], lambda t, x: 0.0,
-                             InputBox((-1.0,), (1.0,)), (0.0,), dt=0.1, t_max=1.0)
+                             Box((-1.0,), (1.0,)), (0.0,), dt=0.1, t_max=1.0)
         assert res.failure.reason == "non_finite_state" and res.failure.details == ()
         assert res.failure.time == 5 * 0.1 + 0.1
         assert res.trace.n_rows() == 6 and res.trace.ts[-1] == 5 * 0.1
@@ -337,7 +337,7 @@ class TestRunSimulation:
 
     def test_final_row_repeats_the_last_steps_inputs(self, double_integrator):
         res = run_simulation(double_integrator, [], lambda t, x: t,
-                             InputBox((-5.0,), (5.0,)), (0.0, 0.0), dt=0.1, t_max=1.0)
+                             Box((-5.0,), (5.0,)), (0.0, 0.0), dt=0.1, t_max=1.0)
         assert res.failure is None and res.trace.n_rows() == 11 and res.trace.ts[-1] == 1.0
         assert res.trace.u_nom[-1, 0] == res.trace.u_nom[-2, 0] == 9 * 0.1
         assert res.trace.u_safe[-1, 0] == res.trace.u_safe[-2, 0] == 9 * 0.1
@@ -348,10 +348,10 @@ class TestRunSimulation:
         # t in [1, 2) and [16, 17); the 20 -> 5 window engages at 15.01 and
         # then caps the second pulse's throttle near 0.002
         _, sched, sys = _speed_setup([20.0, 5.0], horizon=40.0,
-                                     domain=StateBox((-1e6, 0.0), (1e6, 1e3)))
+                                     domain=Box((-1e6, 0.0), (1e6, 1e3)))
         sys = replace(sys, clamp_min_dims=(1,))
         res = run_simulation(sys, [sched], lambda t, x: 1.0 if 1 <= t < 2 or 16 <= t < 17
-                             else -1.0, InputBox((-5.0,), (5.0,)), (0.0, 0.0), dt=0.01,
+                             else -1.0, Box((-5.0,), (5.0,)), (0.0, 0.0), dt=0.01,
                              t_max=40.0)
         clamp = "state[1] clamped at domain floor"
         assert res.failure is None
@@ -368,7 +368,7 @@ class TestRunSimulation:
         sys = make_vehicle_system(vp, lead)
         # strong braking would push V_f < 0; the floor clamp keeps it at rest
         res = run_simulation(sys, [], lambda t, x: -3000.0,
-                             InputBox((-3000.0,), (3000.0,)), (0.0, 1.0, 500.0),
+                             Box((-3000.0,), (3000.0,)), (0.0, 1.0, 500.0),
                              dt=0.01, t_max=2.0)
         assert res.failure is None
         assert any("clamped" in msg for _, msg in res.trace.events)
@@ -377,7 +377,7 @@ class TestRunSimulation:
     def test_margins_recorded_for_every_row(self):
         reg, sched, sys = _speed_setup([10.0], horizon=2.0)
         res = run_simulation(sys, [sched], lambda t, x: 0.0,
-                             InputBox((-5.0,), (5.0,)), (0.0, 0.0), dt=0.01, t_max=2.0)
+                             Box((-5.0,), (5.0,)), (0.0, 0.0), dt=0.01, t_max=2.0)
         res.trace.fill_columns([reg.get("v10")])
         assert len(res.trace.margins["v10"]) == res.trace.n_rows()
 
@@ -387,7 +387,7 @@ class TestFcbfRealizedInClosedLoop:
         # 20 -> 5 drop with a quarter-interval window; nominal pushes full throttle
         reg, sched, sys = _speed_setup([20.0, 5.0], horizon=40.0)
         res = run_simulation(sys, [sched], lambda t, x: 100.0,
-                             InputBox((-200.0,), (200.0,)), (0.0, 18.0), dt=0.01,
+                             Box((-200.0,), (200.0,)), (0.0, 18.0), dt=0.01,
                              t_max=40.0)
         res.trace.fill_columns([reg.get("v5"), reg.get("v20")])
         assert res.failure is None
@@ -407,7 +407,7 @@ class TestFcbfRealizedInClosedLoop:
         # 5 s budget, so its bound lands at 20.01, past the switch at 20
         reg, sched, sys = _speed_setup([20.0, 5.0], horizon=40.0)
         res = run_simulation(sys, [sched], lambda t, x: 100.0,
-                             InputBox((-200.0,), (200.0,)), (0.0, 18.0), dt=0.01,
+                             Box((-200.0,), (200.0,)), (0.0, 18.0), dt=0.01,
                              t_max=40.0)
         assert res.failure is None and sched.boundaries[0].tau == 15.0
         rec = res.engagements[("G1", 0)]
@@ -604,8 +604,8 @@ class TestClampsCompare:
     def test_loop_clip_matches_min_max(self, u, ends, same):
         lo, hi = sorted(ends) if not same else (ends[0], ends[0])  # stable: 0.0 may lead -0.0
         sys1 = ControlSystem(n=1, m=1, f=lambda t, x: (0.0,), g=lambda t, x: ((1.0,),),
-                             domain=StateBox((-1e9,), (1e9,)))
-        out = run_simulation(sys1, [], lambda t, x: u, InputBox((lo,), (hi,)), (0.0,),
+                             domain=Box((-1e9,), (1e9,)))
+        out = run_simulation(sys1, [], lambda t, x: u, Box((lo,), (hi,)), (0.0,),
                              dt=1.0, t_max=1.0)
         assert out.failure is None
         assert out.trace.u_safe[0, 0].hex() == min_max_clamp(u, lo, hi).hex()
@@ -688,9 +688,9 @@ class TestStateCheck:
     def test_clamps_again_after_leaving_the_floor(self):
         # x' = u on [0, 10], clamped at 0: down to the floor, up, down again
         sys1 = ControlSystem(n=1, m=1, f=lambda t, x: (0.0,), g=lambda t, x: ((1.0,),),
-                             domain=StateBox((0.0,), (10.0,)), clamp_min_dims=(0,))
+                             domain=Box((0.0,), (10.0,)), clamp_min_dims=(0,))
         res = run_simulation(sys1, [], lambda t, x: 1.0 if 1 <= t < 2 else -1.0,
-                             InputBox((-1.0,), (1.0,)), (0.5,), dt=0.25, t_max=4.0)
+                             Box((-1.0,), (1.0,)), (0.5,), dt=0.25, t_max=4.0)
         assert res.failure is None
         assert res.trace.states[:, 0].tolist() == [
             0.5, 0.25, 0.0, 0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 0.75, 0.5, 0.25, 0.0, 0.0, 0.0,
@@ -729,7 +729,7 @@ class TestAffineRowsShareLieSums:
 
     def test_two_sums_a_step_for_k_rows(self, monkeypatch):
         k, horizon = 6, 0.5
-        dom = StateBox((-1e6, -1e3), (1e6, 1e3))
+        dom = Box((-1e6, -1e3), (1e6, 1e3))
         reg, cfg = BarrierRegistry(), ScheduleConfig(domain=dom, horizon=horizon)
         scheds = []
         for i in range(k):  # equal coefficients, each barrier its own tuple
@@ -772,7 +772,7 @@ class TestAffineRowsShareLieSums:
             monkeypatch.setattr(sim, name, entry(name, getattr(sim, name)))
         monkeypatch.setattr(sim, "integrate_step", step)
         reads = _clip_reads(monkeypatch)
-        res = run_simulation(sys, scheds, lambda t, x: (1.0,), InputBox((-5.0,), (5.0,)),
+        res = run_simulation(sys, scheds, lambda t, x: (1.0,), Box((-5.0,), (5.0,)),
                              (0.0, 10.0), dt=0.01, t_max=horizon)
 
         assert res.failure is None and len(per_step) == 50
@@ -813,7 +813,7 @@ def _fresh_g_case():
     and drops its gain at t = 6, inside a plan, under a 10 -> 5 speed window (cbf and fcbf rows), and a speed cap and a
     position cap whose offsets drop at t = 2.5, inside a plan (`terms` rows
     there, the position cap's a zero)."""
-    dom = StateBox((-1e6, -1e3), (1e6, 1e3))
+    dom = Box((-1e6, -1e3), (1e6, 1e3))
     reg = BarrierRegistry()
     reg.register(AffineBarrier("v10", coeffs=(0.0, -1.0), offset=10.0))
     reg.register(AffineBarrier("v5", coeffs=(0.0, -1.0), offset=5.0))
@@ -827,7 +827,7 @@ def _fresh_g_case():
     sys = ControlSystem(n=2, m=1, f=lambda t, x: (x[1], -0.1 * x[1]),
                         g=lambda t, x: ((0.0,), (1.0 if t < 6.0 else 0.8,)), domain=dom)
     scheds = [build_schedule(group, reg, cfg) for group in [speed] + caps]
-    return (sys, scheds, lambda t, x: 3.0 - 0.3 * x[1], InputBox((-40.0,), (40.0,)), (0.0, 9.0),
+    return (sys, scheds, lambda t, x: 3.0 - 0.3 * x[1], Box((-40.0,), (40.0,)), (0.0, 9.0),
             0.01, 10.0)
 
 

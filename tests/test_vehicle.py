@@ -16,8 +16,8 @@ from oracles import (
 from stlcbf.barriers import (
     AlphaFn,
     BarrierRegistry,
+    Box,
     FcbfParams,
-    StateBox,
     cbf_constraint,
     fcbf_constraint,
     gamma_for_deadline,
@@ -53,7 +53,7 @@ from stlcbf.vehicle import (
 )
 
 VP = VehicleParams()  # published values: m=1650, c=(0.1, 5, 0.25), a_max=3.92
-DOMAIN = StateBox((-1000.0, 0.0, -1000.0), (1e5, 60.0, 1e6))
+DOMAIN = Box((-1000.0, 0.0, -1000.0), (1e5, 60.0, 1e6))
 
 
 def left_of(t):
@@ -95,6 +95,16 @@ class TestLeadProfile:
     def test_negative_initial_speed_rejected(self):
         with pytest.raises(VehicleError):
             LeadProfile(-1.0)
+
+    @pytest.mark.parametrize("rows, name", [
+        ([(math.nan, 1.0)], "times"), ([(0.0, 1.0), (math.inf, -1.0)], "times"),
+        ([(0.0, math.nan)], "accelerations"), ([(5.0, -math.inf)], "accelerations"),
+    ])
+    def test_non_finite_rows_rejected(self, rows, name):
+        """A NaN time used to read as t = 0, and a non-finite acceleration
+        went through."""
+        with pytest.raises(VehicleError, match=f"lead profile {name} must be finite"):
+            LeadProfile(1.0, rows)
 
 
 def _lead(which):
@@ -204,6 +214,16 @@ class TestSpeedLimitBarrier:
     def test_unordered_rows_rejected(self):
         with pytest.raises(VehicleError):
             SpeedLimitSchedule([(0.0, 30.0), (60.0, 25.0), (50.0, 10.0)], 100.0)
+
+    @pytest.mark.parametrize("row, name", [
+        ((math.nan, 20.0), "start times"), ((math.inf, 20.0), "start times"),
+        ((50.0, math.nan), "values"), ((50.0, math.inf), "values"),
+    ])
+    def test_non_finite_rows_rejected(self, row, name):
+        """The lookup took a NaN start time as passed (`value(5.0)` read the
+        second row's limit), and a NaN limit went through."""
+        with pytest.raises(VehicleError, match=f"speed limit {name} must be finite"):
+            SpeedLimitSchedule([(0.0, 30.0), row], math.inf)
 
 
 def two_signals():
@@ -519,6 +539,14 @@ class TestPhaseQueries:
     def test_invalid_durations(self):
         with pytest.raises(VehicleError):
             SignalTimings(100.0, 0.0, 2.0, 8.0)
+
+    @pytest.mark.parametrize("field", ["position", "green_dur", "yellow_dur", "red_dur",
+                                       "offset"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_timings_rejected(self, field, value):
+        timings = dict(position=100.0, green_dur=10.0, yellow_dur=2.0, red_dur=8.0)
+        with pytest.raises(VehicleError, match=f"^{field} must be finite, got {value}$"):
+            SignalTimings(**{**timings, field: value})
 
     def test_every_onset_reads_the_new_phase(self):
         """At each switch time of `cycles_over`, the time the signal schedules
