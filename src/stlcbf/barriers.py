@@ -15,20 +15,21 @@ given (t, x):
   finite-time (FCBF):    dh/dt + grad.f + grad.g u + gamma sign(h)|h|^rho >= 0
 
 `resolve_rows` resolves a plan's row specs once for one g matrix: each
-row's label, its affine form or `terms`, its gains, which rows share Lie
-sums, and each affine row's a = -grad.g (h1, whose gradient moves every
-step, derives its a from g's columns at every step). `eval_rows` is the one
-evaluator of the resolved rows: it reads (h, dh/dt, grad) from one `terms`
-call, or from the affine form, and applies alpha as kappa * h. Its list
-sink gives each row as the plain triple (a, b, label), which
+row's label, its affine form (equal ones share an object, and Lie sums) or
+`terms`, its gains, and each affine row's a = -grad.g (h1, whose gradient
+moves every step, derives its a from g's columns at every step). `eval_rows`
+is the one evaluator of the resolved rows: it reads (h, dh/dt, grad) from
+one `terms` call, or from the affine form, and applies alpha as kappa * h.
+Its list sink gives each row as the plain triple (a, b, label), which
 `cbf_constraint` and `fcbf_constraint` return: a is a tuple with one entry
 per input, and a zero a marks a vacuous row (b >= 0) or an infeasible one
 (b < 0). Its clip sink, for one input, cuts the input bounds row by row as
-`qp.solve_qp` would, reading each row's a as one float; `clip_rows` leaves
-out the rows whose bounds other rows bracket. Every dot product is a
-left fold from the int 0: `dot` where a scenario is built or replanned,
-written out inline in the row evaluator that `evaluator_for` compiles once
-per state width. So its bits do not depend on the Python version.
+`qp.solve_qp` would, reading each row's a[0] as one float; `clip_rows`
+admits the rows and leaves out those whose bounds other rows bracket. Every
+dot product is a left fold from the int 0: `dot` where a scenario is built
+or replanned, written out inline in the row evaluator that `evaluator_for`
+compiles once per state width. So its bits do not depend on the Python
+version.
 
 `affine_on(t0, t1)` gives (coeffs, offset) when h = coeffs.x + offset, with
 zero dh/dt, over the whole of [t0, t1), and None otherwise (the default).
@@ -313,63 +314,55 @@ class BarrierRegistry:
 
 def resolve_rows(specs, gm):
     """The specs resolved once for the g matrix gm, one tuple (label,
-    barrier, coeffs, offset, kappa, gamma, rho, fresh, a, a1) per spec. A
-    spec is (label, barrier, coeffs, offset, alpha, params): the barrier's
-    affine form over an interval (dh/dt = 0.0), or None twice, which reads
+    barrier, coeffs, offset, kappa, gamma, rho, a) per spec. A spec is
+    (label, barrier, coeffs, offset, alpha, params): the barrier's affine
+    form over an interval (dh/dt = 0.0), or None twice, which reads
     `terms`; alpha for an invariance row, or the `FcbfParams` of a
-    finite-time one. `fresh` marks an affine row whose coefficients differ
-    from the last affine row's: only it computes Lie sums. An affine row's
-    a = -coeffs.g is derived here, one `dot` product per column of g, and
-    coefficients of another number than g's rows are a `BarrierError`;
-    a `terms` row's a holds g's columns. a1 is the same for one input, which
-    the clip sink reads: an affine row's one float, a `terms` row's one
-    column; None where g has another number of columns or an affine row's a
-    is not finite."""
+    finite-time one. Equal coefficients become one object, the first's.
+    An affine row's a = -coeffs.g is derived here, one `dot` per column of
+    g, and coefficients of another number than g's rows are a
+    `BarrierError`; a `terms` row's a holds g's columns."""
     cols = tuple(zip(*gm))
-    one = len(cols) == 1
-    rows, last = [], None
+    rows, seen = [], {}
     for label, bar, grad, offset, alpha, params in specs:
-        fresh = False
         if grad is None:
             a = cols
-            a1 = cols[0] if one else None
         else:
             if len(grad) != len(gm):
                 raise BarrierError(f"{label}: {len(grad)} coefficients, "
                                    f"the system has {len(gm)} states")
-            if grad != last:
-                last, fresh = grad, True
+            grad = seen.setdefault(tuple(grad), grad)
             a = tuple([-dot(grad, col) for col in cols])
-            a1 = a[0] if one and math.isfinite(a[0]) else None
         if params is None:
             kappa, gamma, rho = alpha.kappa, None, None
         else:
             kappa, gamma, rho = None, params.gamma, params.rho
-        rows.append((label, bar, grad, offset, kappa, gamma, rho, fresh, a, a1))
+        rows.append((label, bar, grad, offset, kappa, gamma, rho, a))
     return tuple(rows)
 
 
 def clip_rows(rows):
     """The `resolve_rows` rows that `eval_rows`' clip sink reads, or None
-    where a row has no a1. Affine invariance rows with equal coefficients
-    and kappa share grad.x, grad.f and a1, so their h, b and bound b / a1
-    are monotone in the offset. Of each such class with finite offsets, the
-    first row of least offset sets the bound and meets the floor and zero-a1
-    tests first, and a non-finite b shows at it or at the first row of
-    greatest offset: only these two stay. Other rows stay, in order, with
-    `fresh` derived again; `rows` itself when none drops. A zero bound's
-    sign can still come from a dropped row (see `contracts.clip_groups`)."""
+    where it may not: g has another number of columns than one, or an
+    affine row's a[0] is not finite. Affine invariance rows with equal
+    coefficients and kappa share grad.x, grad.f and a[0], so their h, b
+    and bound b / a[0] are monotone in the offset. Of each such class with
+    finite offsets, the first row of least offset sets the bound and meets
+    the floor and zero-a tests first, and a non-finite b shows at it or at
+    the first row of greatest offset: only these two stay. Other rows stay,
+    in order; `rows` itself when none drops. A zero bound's sign can still
+    come from a dropped row (see `contracts.clip_groups`)."""
     affine = 0
-    for row in rows:
-        if row[9] is None:
+    for _, _, grad, _, _, gamma, _, a in rows:
+        if len(a) != 1 or grad is not None and not math.isfinite(a[0]):
             return None
-        affine += row[2] is not None and row[5] is None
+        affine += grad is not None and gamma is None
     if affine < 3:  # no class can drop a row
         return rows
     classes = {}
     for i, (_, _, grad, offset, kappa, gamma, *_) in enumerate(rows):
         if grad is not None and gamma is None:
-            classes.setdefault((tuple(grad), kappa), []).append(i)
+            classes.setdefault((id(grad), kappa), []).append(i)
     drop = set()
     for members in classes.values():
         offsets = [rows[i][3] for i in members]
@@ -377,15 +370,7 @@ def clip_rows(rows):
             # min, max and index all give the first of equal offsets
             ends = {members[offsets.index(min(offsets))], members[offsets.index(max(offsets))]}
             drop.update(i for i in members if i not in ends)
-    if not drop:
-        return rows
-    kept, last = [], None
-    for i, row in enumerate(rows):
-        if i not in drop:
-            if row[2] is not None:
-                row, last = row[:7] + (row[2] != last,) + row[8:], row[2]
-            kept.append(row)
-    return tuple(kept)
+    return tuple(row for i, row in enumerate(rows) if i not in drop) if drop else rows
 
 
 @cache
@@ -393,7 +378,8 @@ def evaluator_for(n: int):
     """`eval_rows` for n states, compiled once per n, on first use (so
     building a scenario compiles none). It unpacks x once, and a gradient
     and fv once per row that reads them, into n locals, and writes each dot
-    product out as `dot` folds it, with the same operands and order."""
+    product out as `dot` folds it, with the same operands and order. Its
+    clip sink reads the one input's a of each row into the local a1."""
     def fold(u, v):
         return "(" + " + ".join(["0", *(f"{u}{i} * {v}{i}" for i in range(n))]) + ")"
 
@@ -401,7 +387,8 @@ def evaluator_for(n: int):
     source = f"""\
 def eval_rows(rows, t, x, fv, floor, lo, hi, out):
     [{x}] = x
-    for label, bar, grad, offset, kappa, gamma, rho, fresh, a, a1 in rows:
+    last = None
+    for label, bar, grad, offset, kappa, gamma, rho, a in rows:
         if grad is None:
             h, dh, grad = bar.terms(t, x)
             try:
@@ -413,16 +400,18 @@ def eval_rows(rows, t, x, fv, floor, lo, hi, out):
             lie_f = dh + {fold("g", "f")}
             if out is not None:  # a holds g's columns
                 a = tuple([-{fold("g", "c")} for [{c}] in a])
-            else:  # a1 holds g's column
-                [{c}] = a1
+            else:  # a[0] holds g's one column
+                [{c}] = a[0]
                 if not isfinite(a1 := -{fold("g", "c")}):
                     return None
         else:
-            if fresh:
-                [{g}] = grad
+            if grad is not last:
+                [{g}] = last = grad
                 [{f}] = fv
                 lie_x, lie_f0 = {fold("g", "x")}, 0.0 + {fold("g", "f")}
             h, lie_f = lie_x + offset, lie_f0
+            if out is None:  # a[0] is one finite float
+                a1 = a[0]
         if gamma is None:
             if h < floor:
                 if out is None:
@@ -463,7 +452,7 @@ def eval_rows(rows, t, x, fv, floor, lo=None, hi=None, out=None):
     List sink, with a list `out`: it appends each row's (a, b, label) and
     returns `out`; an invariance row whose h reads below `floor` raises
     `BarrierViolation` (a finite-time row may start at any h). Clip sink,
-    for rows whose a1 are all set: it cuts [lo, hi] row by row as
+    for rows that `clip_rows` admits: it cuts [lo, hi] row by row as
     `qp.solve_qp` clips one input, and returns (lo, hi), or None where the
     list sink and `solve_qp` give no clip (an invariance row below the
     floor, a non-finite row, a zero row with b < 0, crossed bounds).
@@ -472,10 +461,11 @@ def eval_rows(rows, t, x, fv, floor, lo=None, hi=None, out=None):
     than n is the ValueError of unpacking it into n names, and a `terms`
     gradient of another length a `BarrierError` naming the row.
     Rows cost two dot products per distinct gradient, plus one add and one
-    drift per row: a row that is not `fresh` reuses the Lie sums grad.x and
-    0.0 + grad.f of the affine row before it. Equal coefficients may differ
-    in the sign of a zero, but no partial sum of a fold from the int 0 is
-    -0.0, so a zero product of either sign gives the same bits."""
+    drift per row: an affine row whose coefficients are the object of the
+    affine row before it reuses that row's Lie sums grad.x and 0.0 + grad.f.
+    Equal coefficients may differ in the sign of a zero, but no partial sum
+    of a fold from the int 0 is -0.0, so a zero product of either sign gives
+    the same bits."""
     return evaluator_for(len(x))(rows, t, x, fv, floor, lo, hi, out)
 
 

@@ -179,7 +179,7 @@ class ScenarioConfig:
     vp: VehicleParams
     input_box: Box
     x0: tuple
-    pid: PidState             # gains; each scenario build runs a fresh copy
+    pid: PidState             # gains; each scenario build runs a new copy
     rho_speed: float
     rho_signal: float
     t_conv_speed: float
@@ -251,12 +251,19 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
         vehicle["a_max"] = (A_MAX_G if a_max_g is None else a_max_g) * g_grav
     vp = veh.build(VehicleParams, **vehicle)
 
-    lo, hi = inp.num("lower"), inp.num("upper")
-    input_box = None
-    if vp is not None:
+    given, input_box = inp.nums("lower", "upper"), None
+    for key, v in given.items():
+        if not math.isfinite(v):
+            errors.append(f"[input] {key} must be finite, got {v}")
+    if vp is not None and all(map(math.isfinite, given.values())):
         limit = vp.mass * vp.a_max
-        input_box = inp.build(Box, (-limit if lo is None else lo,),
-                              (limit if hi is None else hi,))
+        lo, hi = given.get("lower", -limit), given.get("upper", limit)
+        if lo > hi:  # a bound the file leaves out is named, not quoted
+            errors.append("[input] " + " exceeds ".join(
+                f"{key} {given[key]}" if key in given else f"the default {key} {sign}mass * a_max"
+                for key, sign in (("lower", "-"), ("upper", ""))))
+        else:
+            input_box = inp.build(Box, (lo,), (hi,))
 
     axes = ("x_f", "v_f", "x_l")
     x0 = tuple(ini.num(key, default) for key, default in zip(axes, (0.0, 0.0, 55.0)))
@@ -280,7 +287,10 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
 
     bounds = [dom.pair(key, default) for key, default in
               zip(axes, zip(DEFAULT_DOMAIN.lower, DEFAULT_DOMAIN.upper))]
-    domain = dom.build(Box, *zip(*bounds))
+    inverted = [f"[domain] {key} lower {lo} exceeds upper {hi}"
+                for key, (lo, hi) in zip(axes, bounds) if lo > hi]
+    errors += inverted
+    domain = None if inverted else dom.build(Box, *zip(*bounds))
     for key, v, (lo, hi) in zip(axes, x0, bounds):
         if not math.isfinite(v):
             errors.append(f"[initial] {key} must be finite, got {v}")

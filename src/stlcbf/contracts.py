@@ -545,17 +545,15 @@ def _classify_boundary(segments, idx, cfg: ScheduleConfig) -> BoundaryDecision:
         )
 
     tau, t_target = cfg.boundary_windows.get(t_i, (t_i - cfg.t_conv, cfg.t_conv))
-    if tau < prev.interval.start - 1e-9 or t_target > (t_i - prev.interval.start) + 1e-9:
+    length, reason = t_i - prev.interval.start, None
+    if tau < prev.interval.start - 1e-9 or t_target > length + 1e-9:
+        reason = f"t_conv={t_target:g} exceeds interval length {length:g}"
+    elif tau + t_target > t_i + DEADLINE_SLACK:
+        reason = f"tau+t_conv={tau + t_target:g} > {t_i:g}"
+    if reason is not None:
         return BoundaryDecision(
             verdict=Verdict.INCOMPATIBLE, method=inter.method, witness=inter.witness,
-            reason=(f"deadline violated: t_conv={t_target:g} exceeds "
-                    f"interval length {t_i - prev.interval.start:g}"),
-            tau=tau, t_target=t_target, rho=cfg.rho, **base,
-        )
-    if tau + t_target > t_i + DEADLINE_SLACK:
-        return BoundaryDecision(
-            verdict=Verdict.INCOMPATIBLE, method=inter.method, witness=inter.witness,
-            reason=f"deadline violated: tau+t_conv={tau + t_target:g} > {t_i:g}",
+            reason="deadline violated: " + reason,
             tau=tau, t_target=t_target, rho=cfg.rho, **base,
         )
 
@@ -650,10 +648,11 @@ def clip_groups(table: RegionTable, t, x, fv, gm, floor, lo, hi):
     """For one input (m = 1): the (lo, hi) that the rows of `conjoin_groups`
     leave of [lo, hi], in one pass over the same rows (`eval_rows`' clip
     sink). None where the step must take `conjoin_groups` and `solve_qp`
-    instead: g has another number of columns, or the rows name a failure or
-    an error (they raise or record it). The pass reads the plan's
-    `clip_rows`; a zero bound, whose sign a dropped row may have set first,
-    takes a second pass over every row."""
+    instead: `clip_rows` refuses the rows (g has another number of columns,
+    or an affine row's a is not finite), or they name a failure or an error
+    (they raise or record it). The pass reads the plan's `clip_rows`; a zero
+    bound, whose sign a dropped row may have set first, takes a second pass
+    over every row."""
     _, rows, clip = _rows_at(table, t, x, gm)
     if clip is None:
         return None

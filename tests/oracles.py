@@ -599,13 +599,16 @@ def write_trace_csv_rows(trace, path) -> None:
 def reference_eval_rows(rows, t, x, fv, floor, lo=None, hi=None, out=None):
     """`barriers.eval_rows` over `strict_dot` calls, one per dot product: the
     generic evaluator that the one generated per state width replaces, kept
-    as its reference (results, exceptions and messages)."""
+    as its reference (results, exceptions and messages). An affine row
+    computes Lie sums where its coefficients differ (`!=`) from the last
+    affine row's, whatever objects hold them; the clip sink reads a[0]."""
     isfinite, n = math.isfinite, len(x)
+    last = None
 
     def dot(a, b):
         return strict_dot(a, b, n)
 
-    for label, bar, grad, offset, kappa, gamma, rho, fresh, a, a1 in rows:
+    for label, bar, grad, offset, kappa, gamma, rho, a in rows:
         if grad is None:
             h, dh, grad = bar.terms(t, x)
             try:
@@ -615,12 +618,15 @@ def reference_eval_rows(rows, t, x, fv, floor, lo=None, hi=None, out=None):
                                    f"the system has {len(x)} states") from None
             if out is not None:  # a holds g's columns
                 a = tuple([-dot(grad, col) for col in a])
-            elif not isfinite(a1 := -dot(grad, a1)):  # a1 held g's column
+            elif not isfinite(a1 := -dot(grad, a[0])):  # a[0] holds g's column
                 return None
         else:
-            if fresh:
+            if grad != last:
+                last = grad
                 lie_x, lie_f0 = dot(grad, x), 0.0 + dot(grad, fv)
             h, lie_f = lie_x + offset, lie_f0
+            if out is None:
+                a1 = a[0]
         if gamma is None:
             if h < floor:
                 if out is None:

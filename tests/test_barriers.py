@@ -282,9 +282,11 @@ def list_rows(specs, t, x, sys, dyn=None, floor=-math.inf) -> list:
 
 
 def clip_sink_reads(rows) -> bool:
-    """Whether `eval_rows`' clip sink may read `resolve_rows` rows: every
-    row carries its one-input form a1 (`clip_rows`' test)."""
-    return all(row[9] is not None for row in rows)
+    """Whether `eval_rows`' clip sink may read `resolve_rows` rows, by
+    `clip_rows`' rule: g has one column, and every affine row's a[0] is
+    finite."""
+    return all(len(a) == 1 and (grad is None or math.isfinite(a[0]))
+               for _, _, grad, *_, a in rows)
 
 
 class TestConstraintRowCache:
@@ -695,6 +697,56 @@ class TestGeneratedEvaluator:
             eval_rows(resolve_rows((cap, bowl), gm), 0.0, x, fv, -math.inf, out=[])
         assert eval_rows((), 0.0, x, fv, -math.inf, out=[]) == []  # no row reads fv
 
+    @staticmethod
+    def _assert_sinks_match_reference(rows, x, fv):
+        for x, fv in ((x, fv), ((math.inf, 2.0), fv), (x, (math.nan, -1.0))):
+            for list_sink in (True, False):
+                got, want = (_outcome(evaluate, rows, x, fv, -1e-3, -5.0, 5.0,
+                                      [] if list_sink else None)
+                             for evaluate in (eval_rows, reference_eval_rows))
+                assert got == want
+
+    @pytest.mark.parametrize("forms", [
+        # equal coefficients in distinct tuples, around another gradient
+        [tuple([0.5, -1.0]), tuple([0.5, -1.0]), (1.0, 1.0), tuple([0.5, -1.0])],
+        # list-valued forms, equal to each other and to a tuple
+        [[0.5, -1.0], (0.5, -1.0), [0.5, -1.0], [1.0, 1.0]],
+        # +-0.0 twins
+        [(0.0, -1.0), (-0.0, -1.0), (-0.0, -1.0), (1.0, -0.0), (1.0, 0.0)],
+        # NaN coefficients: one NaN object in two tuples, then another NaN object
+        [(math.nan, -1.0), (math.nan, -1.0), (float("nan"), -1.0), (0.5, math.nan)],
+    ], ids=["distinct-objects", "lists", "signed-zeros", "nans"])
+    def test_shared_coefficients_match_the_reference(self, forms):
+        """Equal coefficients share one object, and the generated evaluator
+        reuses Lie sums by identity where the reference compares values."""
+        specs = [(f"cbf:r{i}", None, form, float(i), AlphaFn(1.0 + i % 2), None)
+                 for i, form in enumerate(forms)]
+        specs.insert(2, ("cbf:bowl", Bowl((1.0, 0.5), 40.0), None, None, IDENTITY_ALPHA, None))
+        specs.append(("fcbf:w", None, forms[0], 0.25, None, FcbfParams(0.5, 2.0)))
+        rows = resolve_rows(specs, UNIT_G)
+        for i, (_, _, form, *_) in enumerate(specs):
+            for j in range(i):
+                if form is not None and specs[j][2] is not None:
+                    # shared exactly where the values compare equal
+                    assert (rows[i][2] is rows[j][2]) == (tuple(form) == tuple(specs[j][2]))
+        self._assert_sinks_match_reference(rows, (0.25, -1.5), (0.5, 2.0))
+        self._assert_sinks_match_reference(clip_rows(rows) or rows, (0.25, -1.5), (0.5, 2.0))
+
+    @pytest.mark.parametrize("gm, want", [
+        (((), ()), [("cbf:cap", [], (4.0).hex()), ("cbf:t", [], (1.0).hex())]),
+        (((1.0, 0.0), (0.0, 2.0)),
+         [("cbf:cap", [(-0.0).hex(), (2.0).hex()], (4.0).hex()),
+          ("cbf:t", [(-1.0).hex(), (-0.0).hex()], (1.0).hex())]),
+    ], ids=["m=0", "m=2"])
+    def test_list_sink_takes_any_number_of_inputs(self, gm, want):
+        specs = [("cbf:cap", None, (0.0, -1.0), 5.0, IDENTITY_ALPHA, None),
+                 ("cbf:t", AffineBarrier("t", coeffs=(1.0, 0.0), offset=-0.5), None, None,
+                  IDENTITY_ALPHA, None)]
+        rows = resolve_rows(specs, gm)
+        got = eval_rows(rows, 0.0, (1.0, 2.0), (0.5, -1.0), -math.inf, out=[])
+        assert [_row_bits(row) for row in got] == want
+        assert clip_rows(rows) is None  # the clip sink reads one input only
+
 
 PARALLEL_OFFSETS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1e308, math.inf,
                     -math.inf, math.nan)
@@ -810,13 +862,16 @@ class TestClipRows:
         specs = _unit_specs([3.0, 1.0, 2.0, 1.0, 4.0, 4.0], terms_at=2)
         specs.append(("cbf:k", None, (0.0, -1.0), 0.5, AlphaFn(2.0), None))  # another kappa
         specs.append(("cbf:d", None, (-1.0, -1.8), 0.5, IDENTITY_ALPHA, None))
-        kept = clip_rows(resolve_rows(specs, UNIT_G))
         # c1 and c4 hold the least and greatest offsets first; c1 now opens the Lie sums
-        assert [(row[0], row[7]) for row in kept] == [
-            ("cbf:c1", True), ("cbf:t", False), ("cbf:c4", False), ("cbf:k", False),
-            ("cbf:d", True)]
-        kept = clip_rows(resolve_rows(_unit_specs([2.0, 1.0, 3.0]), UNIT_G))
-        assert [(row[0], row[7]) for row in kept] == [("cbf:c1", True), ("cbf:c2", False)]
+        for specs, labels in ((specs, ["cbf:c1", "cbf:t", "cbf:c4", "cbf:k", "cbf:d"]),
+                              (_unit_specs([2.0, 1.0, 3.0]), ["cbf:c1", "cbf:c2"])):
+            kept = clip_rows(resolve_rows(specs, UNIT_G))
+            assert [row[0] for row in kept] == labels
+            for list_sink in (True, False):
+                got, want = (_outcome(evaluate, kept, (0.25, -1.5), (0.5, 2.0), -math.inf,
+                                      -5.0, 5.0, [] if list_sink else None)
+                             for evaluate in (eval_rows, reference_eval_rows))
+                assert got == want
 
     def test_classes_that_stay_whole(self):
         for specs in (_unit_specs([1.0, 2.0]),  # nothing to drop

@@ -295,12 +295,25 @@ class TestConfigParsing:
         assert "signal positions must increase" in capsys.readouterr().err
 
     def test_inverted_input_box_is_config_error(self, tmp_path, capsys):
-        """The input box is a `Box`, as the domain is: its `BarrierError`
-        joins the error list under [input]."""
+        """An inverted input box joins the error list under [input]."""
         cfg = tmp_path / "inverted_input.cfg"
         cfg.write_text(MINIMAL + "\n[input]\nlower = 5\nupper = 1\n")
         assert cli_main(["check", str(cfg)]) == 4
-        assert "[input] box lower 5.0 exceeds upper 1.0" in capsys.readouterr().err
+        assert "[input] lower 5.0 exceeds upper 1.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entries, message", [
+        ("[domain]\nv_f = 10 0\n", "[domain] v_f lower 10.0 exceeds upper 0.0"),
+        # the default bound -mass * a_max is named, not quoted as if the file gave it
+        ("[input]\nupper = -1e9\n",
+         "[input] the default lower -mass * a_max exceeds upper -1000000000.0"),
+        ("[input]\nlower = 1e9\n",
+         "[input] lower 1000000000.0 exceeds the default upper mass * a_max"),
+        ("[input]\nlower = -inf\n", "[input] lower must be finite, got -inf"),
+    ], ids=["domain", "input-upper", "input-lower", "input-non-finite"])
+    def test_box_error_names_its_key(self, entries, message):
+        with pytest.raises(ConfigError) as raised:
+            parse_config(MINIMAL + entries)
+        assert str(raised.value).splitlines() == ["invalid config:", f"  {message}"]
 
     def test_scenario_hash_tracks_overrides(self):
         cfg = parse_config(MINIMAL)
