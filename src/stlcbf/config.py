@@ -295,7 +295,8 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
         if not math.isfinite(v):
             errors.append(f"[initial] {key} must be finite, got {v}")
         elif domain is not None and not lo - 1e-9 <= v <= hi + 1e-9:  # run_simulation's pad
-            errors.append(f"[initial] {key} = {v} lies outside [domain] {key} = {lo} {hi}")
+            where = "[domain]" if dom.get(key) is not None else "the default domain"
+            errors.append(f"[initial] {key} = {v} lies outside {where} {key} = {lo} {hi}")
 
     v0, lead_rows = lead.num("v0", 0.0), lead.rows("row", 2)
     profile = None

@@ -203,16 +203,15 @@ def _grid_points(box: Box, resolution: int):
     return (head + rest for head in itertools.product(*axes[:1]))
 
 
-def _first_best(vals, slab, fill, pick):
+def _first_best(vals, fill, pick):
     """(C-order index, value) of the first point where `pick` (np.argmax or
-    np.argmin) finds the extreme of values on a slab (or a scalar), NaN read
-    as `fill`: the point a point-by-point scan with strict comparisons keeps."""
-    vals = np.broadcast_to(vals, np.broadcast_shapes(*map(np.shape, slab))).ravel()
+    np.argmin) finds the extreme in a slab's buffer, NaN read as `fill` (and
+    overwritten): the point a point-by-point scan with strict comparisons keeps."""
     i = int(pick(vals))
-    if np.isnan(vals[i]):  # argmax and argmin stop at the first NaN
-        vals = np.where(np.isnan(vals), fill, vals)
+    if math.isnan(vals.flat[i]):  # argmax and argmin stop at the first NaN
+        np.copyto(vals, fill, where=np.isnan(vals))
         i = int(pick(vals))
-    return i, vals[i]
+    return i, vals.flat[i]
 
 
 def _slab_point(slab, flat_index: int) -> tuple:
@@ -250,10 +249,14 @@ def _extreme(h_prev, h_next, t_prev, t_next, domain, resolution, forms, lowest):
                                _bits(*prev_coeffs, prev_offset),
                                _bits(*next_coeffs, next_offset))[0 if lowest else 1]
     pick, fill = (np.argmin, math.inf) if lowest else (np.argmax, -math.inf)
-    best_val, best_at = fill, None
-    for slab in _grid_points(domain, resolution):
-        vals = np.where(h_prev.h_grid(t_prev, slab) >= 0, h_next.h_grid(t_next, slab), fill)
-        i, val = _first_best(vals, slab, fill, pick)
+    best_val, best_at, slabs = fill, None, _grid_points(domain, resolution)
+    shape = (resolution,) * (domain.dim - 1)  # a slab's: each slab refills both buffers
+    vals, keep = np.empty(shape), np.empty(shape, dtype=bool)
+    for slab in slabs:
+        np.copyto(vals, h_next.h_grid(t_next, slab))  # never write into h_grid's array
+        np.greater_equal(h_prev.h_grid(t_prev, slab), 0, out=keep)
+        vals[~keep] = fill
+        i, val = _first_best(vals, fill, pick)
         if (val < best_val) if lowest else (val > best_val):
             best_val, best_at = float(val), (slab, i)
     return best_val, None if best_at is None else _slab_point(*best_at), f"sampled({resolution})"
@@ -269,11 +272,12 @@ def check_subset(h_prev: Barrier, h_next: Barrier, t: float, domain: Box,
     if forms is not None:
         worst, x, _ = _extreme(h_prev, h_next, t_left, t, domain, resolution, forms, True)
         return SubsetCheck(True, EXACT) if worst >= -1e-9 else SubsetCheck(False, EXACT, x)
-    method = f"sampled({resolution})"
-    for slab in _grid_points(domain, resolution):
-        i, bad = _first_best((h_prev.h_grid(t_left, slab) >= 0)
-                             & (h_next.h_grid(t, slab) < -1e-9), slab, False, np.argmax)
-        if bad:
+    slabs, method = _grid_points(domain, resolution), f"sampled({resolution})"
+    bad = np.empty((resolution,) * (domain.dim - 1), dtype=bool)  # refilled by each slab
+    for slab in slabs:
+        np.logical_and(h_prev.h_grid(t_left, slab) >= 0, h_next.h_grid(t, slab) < -1e-9, out=bad)
+        i = int(np.argmax(bad))
+        if bad.flat[i]:
             return SubsetCheck(False, method, counterexample=_slab_point(slab, i))
     return SubsetCheck(True, method)
 

@@ -670,7 +670,12 @@ class TestCli:
          r"\[initial\] v_f = 61.0 lies outside \[domain\] v_f = 0.0 60.0"),
         ("[domain]\nx_l = 200 300\n",
          r"\[initial\] x_l = 100.0 lies outside \[domain\] x_l = 200.0 300.0"),
-    ], ids=["v_f", "x_l"])
+        # a bound the file leaves out is the default domain's, not [domain]'s
+        ("[initial]\nv_f = 100\n",
+         r"\[initial\] v_f = 100.0 lies outside the default domain v_f = 0.0 80.0"),
+        ("[initial]\nv_f = 100\n[domain]\nx_l = 0 300\n",
+         r"\[initial\] v_f = 100.0 lies outside the default domain v_f = 0.0 80.0"),
+    ], ids=["v_f", "x_l", "v_f-default", "v_f-default-beside-x_l"])
     def test_initial_state_outside_domain_names_its_key(self, entries, message, tmp_path,
                                                         capsys):
         # `check` used to pass these, and `run` fail without naming the key

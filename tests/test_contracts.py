@@ -1050,7 +1050,9 @@ class Patchy(Barrier):
 
 
 class Opaque(Barrier):
-    """A template with its affine form hidden, so a check takes the grid path."""
+    """A template with its affine form hidden, so a check takes the grid path.
+    Its h_grid returns a read-only array, as a cached one would be: the
+    checks copy what h_grid returns and never write into it."""
 
     def __init__(self, inner):
         super().__init__(inner.id)
@@ -1060,7 +1062,9 @@ class Opaque(Barrier):
         return self.inner.terms(t, x)
 
     def h_grid(self, t, cols):
-        return self.inner.h_grid(t, cols)
+        out = np.array(self.inner.h_grid(t, cols))
+        out.flags.writeable = False
+        return out
 
 
 def _grid_templates():
@@ -1145,6 +1149,27 @@ def _fields(result):
 class TestArrayGrid:
     @settings(max_examples=250, deadline=None)
     @given(grid_cases())
+    # dim 1: every slab is one point, so the values and the mask are 0-d
+    @example((Patchy(105.0), AffineBarrier("lin", coeffs=(-1.0,), offset=108.0), 5.0,
+              Box((100.5,), (110.5,)), 21))
+    @example((Opaque(AffineBarrier("lin", coeffs=(1.0,), offset=-250.0)), TopBarrier(1), 5.0,
+              Box((100.0,), (500.0,)), 7))
+    # TopBarrier's h_grid is the scalar 1.0, as h_prev and as h_next
+    @example((TopBarrier(3), SpacingBarrier(VP, LEAD), 24.0,
+              Box((100.0, 0.0, 0.0), (500.0, 30.0, 700.0)), 7))
+    @example((SpacingBarrier(VP, LEAD), TopBarrier(3), 24.0,
+              Box((100.0, 0.0, 0.0), (500.0, 30.0, 700.0)), 7))
+    # NaN on the even stripes 0, 2, 4 and 6 of the last axis, where both
+    # extremes of offset - x would lie
+    @example((TopBarrier(2), Patchy(20.0), 5.0, Box((100.0, 0.0), (500.0, 6.0)), 7))
+    @example((Patchy(20.0), Patchy(20.0).negate(), 5.0, Box((100.0, 0.0), (500.0, 6.0)), 7))
+    # an h_grid that returns a read-only array, as a cached one may be
+    @example((TopBarrier(2), Opaque(Patchy(20.0)), 5.0, Box((100.0, 0.0), (500.0, 6.0)), 7))
+    # resolution 1: one slab of one point, at the box's center
+    @example((SpacingBarrier(VP, LEAD), AffineBarrier("lin", coeffs=(0.0, -1.0, 0.0), offset=20.0),
+              10.0, Box((100.0, 0.0, 0.0), (500.0, 30.0, 700.0)), 1))
+    @example((Patchy(105.0), TopBarrier(1), 5.0, Box((100.5,), (110.5,)), 1))
+    @example((TopBarrier(1), Patchy(105.0), 5.0, Box((101.5,), (102.5,)), 1))
     def test_array_checks_equal_scalar_loops(self, case):
         h_prev, h_next, t, box, res = case
         assert (_fields(check_subset(h_prev, h_next, t, box, res))
