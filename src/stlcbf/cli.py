@@ -1,8 +1,8 @@
 """Command line front end.
 
     synth run <config> [--trace out.csv] [--report out.txt] [--dt X] [--seed N]
-    synth check <config>
-    synth monitor <trace.csv> <config>
+    synth check <config> [--dt X] [--seed N]
+    synth monitor <trace.csv> <config> [--dt X] [--seed N]
 
 <config> is a file path or the name of a shipped preset (paper_sec6,
 infeasible_red, incompatible_static). Exit codes: 0 success, 2 static
@@ -48,18 +48,21 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="synth", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    scenario = argparse.ArgumentParser(add_help=False)  # every command builds the scenario
+    scenario.add_argument("--dt", type=float, help="override the integration step")
+    scenario.add_argument("--seed", type=int, help="override the generator seed")
 
-    run = sub.add_parser("run", help="synthesize, simulate, and monitor a scenario")
+    run = sub.add_parser("run", parents=[scenario],
+                         help="synthesize, simulate, and monitor a scenario")
     run.add_argument("config")
     run.add_argument("--trace", help="write the trace CSV here")
     run.add_argument("--report", help="write the run report here")
-    run.add_argument("--dt", type=float, help="override the integration step")
-    run.add_argument("--seed", type=int, help="override the generator seed")
 
-    check = sub.add_parser("check", help="static compatibility check only")
+    check = sub.add_parser("check", parents=[scenario], help="static compatibility check only")
     check.add_argument("config")
 
-    mon = sub.add_parser("monitor", help="offline-monitor a trace CSV against a scenario")
+    mon = sub.add_parser("monitor", parents=[scenario],
+                         help="offline-monitor a trace CSV against a scenario")
     mon.add_argument("trace")
     mon.add_argument("config")
     return parser
@@ -67,11 +70,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args):
     cfg = load_config(args.config)
-    if getattr(args, "dt", None) is not None:
+    if args.dt is not None:
         if not (math.isfinite(args.dt) and args.dt > 0):
             raise ConfigError(f"--dt must be positive and finite, got {args.dt}")
         cfg = replace(cfg, dt=args.dt)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
 

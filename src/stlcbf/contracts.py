@@ -48,16 +48,16 @@ per state width (`barriers.evaluator_for`).
 The static checks at boundary time t read the set being left at t- =
 nextafter(t, -inf) and the one entered at t. Subset, intersection and the
 worst engage margin all ask for one extreme of h_next over C_prev in the
-domain, and `_extreme` finds it: exactly for affine-in-state barriers, at the
-vertices of the box-and-halfspace polytope (`affine_on` over the ulp right
-of t- or t), else on a deterministic N-per-axis grid, `sampled(N)` in the
-verdict, one numpy slab per value of the first axis (`Barrier.h_grid`). An
+domain, and `_extreme` alone finds it: exactly for affine-in-state barriers,
+at the vertices of the box-and-halfspace polytope (`affine_on` over the ulp
+right of t- or t), else on a `GRID_RESOLUTION`-per-axis grid, `sampled(101)`
+in the verdict, one numpy slab per value of the first axis (`h_grid`). An
 exact answer depends only on the domain and the forms, so a process
 enumerates each (domain, h_prev form) polytope once and scans it once per
 h_next form, memoized by their exact bits (`_MEMO_SIZE` entries each). The
-sampled subset check scans the grid itself, to stop at the first bad point.
-A sampled verdict is evidence, not a proof: a violation can hide between
-grid points.
+subset check's grid scan stops after the first slab with a violation, whose
+first minimum is the counterexample. A sampled verdict is evidence, not a
+proof: a violation can hide between grid points.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ import enum
 import functools
 import itertools
 import math
-import numbers
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -183,22 +182,15 @@ def _exact_extremes(box_bits: bytes, prev_bits: bytes, next_bits: bytes):
     return (vals[lo], verts[lo], EXACT), (vals[hi], verts[hi], EXACT)
 
 
-def _check_resolution(resolution) -> None:
-    if not (isinstance(resolution, numbers.Integral) and resolution >= 1):
-        raise ContractError(f"grid resolution must be an integer >= 1, got {resolution!r}")
+GRID_RESOLUTION = 101  # points per axis of a sampled check
 
 
 def _grid_points(box: Box, resolution: int):
     """The grid, one slab per value of the first axis: that value and one
     array per other axis, broadcastable, in itertools.product's order when
-    read in C order. Point k of an axis is lo + k * step (midpoint at 1)."""
-    _check_resolution(resolution)
-    axes = []
-    for lo, hi in zip(box.lower, box.upper):
-        if resolution == 1:
-            axes.append(np.array([0.5 * (lo + hi)]))
-        else:
-            axes.append(lo + np.arange(resolution) * ((hi - lo) / (resolution - 1)))
+    read in C order. Point k of an axis is lo + k * step (resolution >= 2)."""
+    axes = [lo + np.arange(resolution) * ((hi - lo) / (resolution - 1))
+            for lo, hi in zip(box.lower, box.upper)]
     rest = np.ix_(*axes[1:])
     return (head + rest for head in itertools.product(*axes[:1]))
 
@@ -232,25 +224,25 @@ class IntersectionCheck:
     method: str
 
 
-def _require_domain(domain: Box):
-    if domain.is_degenerate():
-        raise ContractError("degenerate (zero-width) domain box")
-
-
-def _extreme(h_prev, h_next, t_prev, t_next, domain, resolution, forms, lowest):
+def _extreme(h_prev, h_next, t_prev, t_next, domain, lowest, stop=-math.inf):
     """(value, x, method): the first minimum (lowest) or maximum of
     h_next(t_next, x) over the x in the domain with h_prev(t_prev, x) >= 0,
     or (inf, None) or (-inf, None) when there is none. Exact, and memoized,
-    when `forms` holds both affine forms (`_forms`), else over the grid,
-    where NaN never wins."""
+    when both barriers have affine forms (`_forms`), else over the
+    `GRID_RESOLUTION`-per-axis grid, where NaN never wins and the scan ends
+    after the first slab where the running minimum falls below `stop`."""
+    if domain.is_degenerate():
+        raise ContractError("degenerate (zero-width) domain box")
+    forms = _forms(h_prev, h_next, t_prev, t_next, domain.dim)
     if forms is not None:
         (prev_coeffs, prev_offset), (next_coeffs, next_offset) = forms
         return _exact_extremes(_bits(*domain.lower, *domain.upper),
                                _bits(*prev_coeffs, prev_offset),
                                _bits(*next_coeffs, next_offset))[0 if lowest else 1]
+    n = GRID_RESOLUTION
     pick, fill = (np.argmin, math.inf) if lowest else (np.argmax, -math.inf)
-    best_val, best_at, slabs = fill, None, _grid_points(domain, resolution)
-    shape = (resolution,) * (domain.dim - 1)  # a slab's: each slab refills both buffers
+    best_val, best_at, slabs = fill, None, _grid_points(domain, n)
+    shape = (n,) * (domain.dim - 1)  # a slab's: each slab refills both buffers
     vals, keep = np.empty(shape), np.empty(shape, dtype=bool)
     for slab in slabs:
         np.copyto(vals, h_next.h_grid(t_next, slab))  # never write into h_grid's array
@@ -259,43 +251,30 @@ def _extreme(h_prev, h_next, t_prev, t_next, domain, resolution, forms, lowest):
         i, val = _first_best(vals, fill, pick)
         if (val < best_val) if lowest else (val > best_val):
             best_val, best_at = float(val), (slab, i)
-    return best_val, None if best_at is None else _slab_point(*best_at), f"sampled({resolution})"
+            if best_val < stop:
+                break
+    return best_val, None if best_at is None else _slab_point(*best_at), f"sampled({n})"
 
 
-def check_subset(h_prev: Barrier, h_next: Barrier, t: float, domain: Box,
-                 resolution: int = 101) -> SubsetCheck:
+def check_subset(h_prev: Barrier, h_next: Barrier, t: float, domain: Box) -> SubsetCheck:
     """Does every x in the domain with h_prev(t-, x) >= 0 satisfy
-    h_next(t, x) >= 0? Exact for affine templates, else the first bad grid point."""
-    _require_domain(domain)
-    t_left = math.nextafter(t, -math.inf)
-    forms = _forms(h_prev, h_next, t_left, t, domain.dim)
-    if forms is not None:
-        worst, x, _ = _extreme(h_prev, h_next, t_left, t, domain, resolution, forms, True)
-        return SubsetCheck(True, EXACT) if worst >= -1e-9 else SubsetCheck(False, EXACT, x)
-    slabs, method = _grid_points(domain, resolution), f"sampled({resolution})"
-    bad = np.empty((resolution,) * (domain.dim - 1), dtype=bool)  # refilled by each slab
-    for slab in slabs:
-        np.logical_and(h_prev.h_grid(t_left, slab) >= 0, h_next.h_grid(t, slab) < -1e-9, out=bad)
-        i = int(np.argmax(bad))
-        if bad.flat[i]:
-            return SubsetCheck(False, method, counterexample=_slab_point(slab, i))
-    return SubsetCheck(True, method)
+    h_next(t, x) >= 0? Read from the lowest h_next there (`_extreme`): on
+    the grid, the first minimum of the first slab that holds a violation."""
+    worst, x, method = _extreme(h_prev, h_next, math.nextafter(t, -math.inf), t, domain,
+                                True, -1e-9)
+    return SubsetCheck(True, method) if worst >= -1e-9 else SubsetCheck(False, method, x)
 
 
-def check_intersection(h_prev: Barrier, h_next: Barrier, t: float, domain: Box,
-                       resolution: int = 101) -> IntersectionCheck:
+def check_intersection(h_prev: Barrier, h_next: Barrier, t: float,
+                       domain: Box) -> IntersectionCheck:
     """Witness x with h_prev(t-, x) >= 0 and h_next(t, x) >= 0, or None."""
-    _require_domain(domain)
-    t_left = math.nextafter(t, -math.inf)
-    best, x, method = _extreme(h_prev, h_next, t_left, t, domain, resolution,
-                               _forms(h_prev, h_next, t_left, t, domain.dim), False)
+    best, x, method = _extreme(h_prev, h_next, math.nextafter(t, -math.inf), t, domain, False)
     return IntersectionCheck(x if best >= -1e-12 else None, method)
 
 
-def _worst_engage_margin(h_prev, h_next, tau, domain, resolution):
+def _worst_engage_margin(h_prev, h_next, tau, domain):
     """min h_next(tau, x) over C_prev(tau) in the domain (pessimistic; 0.0 if not finite)."""
-    worst, _, method = _extreme(h_prev, h_next, tau, tau, domain, resolution,
-                                _forms(h_prev, h_next, tau, tau, domain.dim), True)
+    worst, _, method = _extreme(h_prev, h_next, tau, tau, domain, True)
     return (0.0 if math.isinf(worst) else worst), method
 
 
@@ -367,10 +346,8 @@ class ScheduleConfig:
     t_conv: float = 5.0
     gamma_min: float = GAMMA_MIN
     boundary_windows: dict = field(default_factory=dict)
-    grid_resolution: int = 101
 
     def __post_init__(self):
-        _check_resolution(self.grid_resolution)
         for t_i, (tau, _) in self.boundary_windows.items():
             if not (math.isfinite(t_i) and math.isfinite(tau)):
                 raise BarrierError(
@@ -537,11 +514,11 @@ def _classify_boundary(segments, idx, cfg: ScheduleConfig) -> BoundaryDecision:
     prev_bar, next_bar = prev.barrier or top, nxt.barrier or top
     base = dict(time=t_i, prev_id=prev.barrier_id, next_id=nxt.barrier_id)
 
-    sub = check_subset(prev_bar, next_bar, t_i, cfg.domain, cfg.grid_resolution)
+    sub = check_subset(prev_bar, next_bar, t_i, cfg.domain)
     if sub.holds:
         return BoundaryDecision(verdict=Verdict.SUBSET, method=sub.method, **base)
 
-    inter = check_intersection(prev_bar, next_bar, t_i, cfg.domain, cfg.grid_resolution)
+    inter = check_intersection(prev_bar, next_bar, t_i, cfg.domain)
     if inter.witness is None:
         return BoundaryDecision(
             verdict=Verdict.INCOMPATIBLE, method=inter.method,
@@ -561,9 +538,7 @@ def _classify_boundary(segments, idx, cfg: ScheduleConfig) -> BoundaryDecision:
             tau=tau, t_target=t_target, rho=cfg.rho, **base,
         )
 
-    worst, margin_method = _worst_engage_margin(
-        prev_bar, next_bar, tau, cfg.domain, cfg.grid_resolution
-    )
+    worst, margin_method = _worst_engage_margin(prev_bar, next_bar, tau, cfg.domain)
     return BoundaryDecision(
         verdict=Verdict.OVERLAP_DEADLINE, method=margin_method, witness=inter.witness,
         tau=tau, t_target=t_target, rho=cfg.rho, gamma_min=cfg.gamma_min,

@@ -87,7 +87,7 @@ class VehicleParams:
 class LeadProfile:
     """Lead vehicle driven by a piecewise-constant acceleration profile.
 
-    `accel_rows` is a sorted list of (t, a). Speed is clamped at zero: a
+    `accel_rows` is a sorted list of (t, a), t >= 0. Speed is clamped at zero: a
     braking piece that would push V_l negative stops the lead until a later
     piece accelerates again. Velocity is evaluated exactly from the resulting
     breakpoints; the lead's position is the state X_l, which the dynamics
@@ -103,6 +103,8 @@ class LeadProfile:
         for i, name in enumerate(("times", "accelerations")):
             if not all(math.isfinite(row[i]) for row in rows):
                 raise VehicleError(f"lead profile {name} must be finite")
+        if rows and min(rows)[0] < 0:
+            raise VehicleError(f"lead profile times must be >= 0, got {min(rows)[0]}")
         if not rows or rows[0][0] > 0:
             rows.insert(0, (0.0, 0.0))
         if [t for t, _ in rows] != sorted({t for t, _ in rows}):

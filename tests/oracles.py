@@ -151,21 +151,27 @@ def scalar_grid_points(box, resolution: int):
     """Grid points one by one, in itertools.product order over the axes."""
     axes = []
     for lo, hi in zip(box.lower, box.upper):
-        if resolution == 1:
-            axes.append([0.5 * (lo + hi)])
-        else:
-            step = (hi - lo) / (resolution - 1)
-            axes.append([lo + k * step for k in range(resolution)])
+        step = (hi - lo) / (resolution - 1)
+        axes.append([lo + k * step for k in range(resolution)])
     return itertools.product(*axes)
 
 
 def scalar_check_subset(h_prev, h_next, t, domain, resolution) -> SubsetCheck:
-    """The sampled path of `check_subset`, one h call per point."""
+    """The sampled path of `check_subset`, one h call per point: slab by
+    slab (one value of the first axis), the first point with the lowest
+    h_next among those with h_prev >= 0; the first slab where that falls
+    below -1e-9 gives the counterexample."""
     method = f"sampled({resolution})"
     t_left = math.nextafter(t, -math.inf)
-    for pt in scalar_grid_points(domain, resolution):
-        if h_prev.h(t_left, pt) >= 0 and h_next.h(t, pt) < -1e-9:
-            return SubsetCheck(False, method, counterexample=pt)
+    points = list(scalar_grid_points(domain, resolution))
+    per_slab = len(points) // resolution
+    for k in range(0, len(points), per_slab):
+        worst_pt, worst = None, math.inf
+        for pt in points[k:k + per_slab]:
+            if h_prev.h(t_left, pt) >= 0 and (val := h_next.h(t, pt)) < worst:
+                worst_pt, worst = pt, val
+        if worst < -1e-9:
+            return SubsetCheck(False, method, counterexample=worst_pt)
     return SubsetCheck(True, method)
 
 

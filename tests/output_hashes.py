@@ -7,10 +7,11 @@ PYTHONPATH and a fresh temporary directory as the working directory:
 `synth run` with and without `--trace/--report` and `synth check` on the
 three shipped presets, on the benchmark's `dense_contracts` and
 `static_sampled` missions at seed 3 and on the configs of `CUSTOM`, then
-`synth monitor` on the `paper_sec6` trace. For each command it prints the exit code and one line
-per artifact (stdout, stderr, each file written) with its sha256. Every path
-passed is relative to the working directory, so no output holds a temporary
-path. Run it on two checkouts and `diff` the outputs: a line that differs
+`synth monitor` on the `paper_sec6` trace, and last `synth run` and
+`synth monitor` on `paper_sec6` at `--seed 7`. For each command it prints
+the exit code and one line per artifact (stdout, stderr, each file written)
+with its sha256. Every path passed is relative to the working directory, so
+no output holds a temporary path. Run it on two checkouts and `diff` the outputs: a line that differs
 names an artifact whose bytes moved.
 
 It is a script, not a test: pytest does not collect it. It takes about a
@@ -112,6 +113,9 @@ def commands(tmp: Path):
         out.append((["run", cfg, "--trace", files[0], "--report", files[1]], files))
         out.append((["check", cfg], ()))
     out.append((["monitor", "paper_sec6.csv", "paper_sec6"], ()))
+    out.append((["run", "paper_sec6", "--seed", "7", "--trace", "paper_sec6_seed7.csv"],
+                ("paper_sec6_seed7.csv",)))
+    out.append((["monitor", "paper_sec6_seed7.csv", "paper_sec6", "--seed", "7"], ()))
     return out
 
 

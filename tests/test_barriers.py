@@ -3,6 +3,7 @@ from operator import mul
 from pathlib import Path
 from sys import version_info
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from stlcbf.barriers import (
     gamma_for_deadline,
     resolve_rows,
 )
+from stlcbf import contracts
 from stlcbf.contracts import (
     RegionTable,
     ScheduleConfig,
@@ -1225,10 +1227,12 @@ class TestMinimalBarrier:
         # C_prev(5-) = {x <= nextafter(5, -inf)}: inside {x <= 6}, not inside
         # {x <= 4}; the grid point x = 5 lies just outside it
         assert Ramp().h(math.nextafter(5.0, -math.inf), (5.0,)) < 0
-        assert check_subset(Ramp(), below6, 5.0, box, 11).holds
-        res = check_subset(Ramp(), below4, 5.0, box, 11)
+        with mock.patch.object(contracts, "GRID_RESOLUTION", 11):
+            assert check_subset(Ramp(), below6, 5.0, box).holds
+            res = check_subset(Ramp(), below4, 5.0, box)
         assert res.method == "sampled(11)" and res.holds  # no grid point in (4, 5)
-        res = check_subset(Ramp(), below4, 5.0, box, 21)
+        with mock.patch.object(contracts, "GRID_RESOLUTION", 21):
+            res = check_subset(Ramp(), below4, 5.0, box)
         assert res.method == "sampled(21)" and res.counterexample == (4.5,)
 
     def test_schedule_and_run(self):

@@ -248,6 +248,18 @@ class TestConfigParsing:
         said = parse_config(BARE + "[signals]\ngenerate = true\ncount = 3\n")
         assert said.signal_plan == plain.signal_plan == {"count": 3} and said.signals == []
 
+    def test_negative_lead_row_time_names_lead(self, tmp_path, capsys):
+        """A row before t = 0 used to build breakpoints that run backwards
+        in time."""
+        text = MINIMAL.replace("v0 = 0\n", "v0 = 10\nrow = -5 1\n")
+        with pytest.raises(ConfigError, match=r"\[lead\] lead profile times must be >= 0, "
+                                              r"got -5\.0"):
+            parse_config(text)
+        cfg = tmp_path / "negative_lead.cfg"
+        cfg.write_text(text)
+        assert cli_main(["check", str(cfg)]) == 4
+        assert "[lead] lead profile times must be >= 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section, entry", [
         ("speed_limits", "row = 0 nan"), ("speed_limits", "row = 0 inf"),
         ("signals", "signal = nan 0 30 5 25"), ("signals", "signal = 200 0 30 -inf 25"),
@@ -777,6 +789,24 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(["monitor", str(trace), str(cfg_path)]) == 0
         assert "satisfied=true" in capsys.readouterr().out
+
+    def test_check_and_monitor_take_seed_and_dt(self, tmp_path, capsys):
+        """`check` and `monitor` used to drop --seed and --dt: `monitor`
+        rebuilt the config seed's signal plan and read a seed-7 trace as
+        violated."""
+        trace = tmp_path / "t.csv"
+        assert cli_main(["run", "paper_sec6", "--seed", "7", "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        assert cli_main(["monitor", str(trace), "paper_sec6", "--seed", "7"]) == 0
+        assert capsys.readouterr().out.startswith("satisfied=true\n")
+        assert cli_main(["check", "paper_sec6", "--seed", "7", "--dt", "0.05"]) == 0
+        cfg = replace(load_config("paper_sec6"), seed=7, dt=0.05)
+        out = capsys.readouterr().out
+        assert out == format_report(check_pipeline(cfg).report)
+        assert "dt=0.050000\nseed=7\n" in out
+        for command in (["check", "paper_sec6"], ["monitor", str(trace), "paper_sec6"]):
+            assert cli_main([*command, "--dt", "0"]) == 4
+            assert "--dt must be positive and finite, got 0.0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad_row, why", [
         ("0.02,0.2,0.0", "3 fields"),          # short row

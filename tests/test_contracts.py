@@ -4,6 +4,7 @@ import math
 import re
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,7 +42,6 @@ from stlcbf.config import load_config
 from stlcbf.contracts import (
     ContractError,
     RegionTable,
-    _grid_points,
     _worst_engage_margin,
     ScheduleConfig,
     ScheduleQueryError,
@@ -114,8 +114,8 @@ class TestCheckSubset:
             def affine_on(self, t0, t1):
                 return None
 
-        res = check_subset(Curvy("c", coeffs=(0.0, -1.0), offset=25.0), vbar(30),
-                           0.0, DOM, resolution=21)
+        with mock.patch.object(contracts, "GRID_RESOLUTION", 21):
+            res = check_subset(Curvy("c", coeffs=(0.0, -1.0), offset=25.0), vbar(30), 0.0, DOM)
         assert res.holds and res.method == "sampled(21)"
 
 
@@ -567,8 +567,7 @@ def gated_schedules(draw):
     few shared bounds, so they overlap, touch, nest, repeat or are empty."""
     reg = registry_with(vbar(10), vbar(20), vbar(30), Cap("cap", 450.0),
                         draw(stepped_barriers()))
-    cfg = ScheduleConfig(domain=DOM, horizon=HORIZON, rho=0.9, t_conv=2.0,
-                         grid_resolution=11)
+    cfg = ScheduleConfig(domain=DOM, horizon=HORIZON, rho=0.9, t_conv=2.0)
     scheds = []
     for k in range(draw(st.integers(1, 5))):
         edges = [0] + sorted(draw(st.sets(st.integers(1, 39), max_size=4))) + [40]
@@ -577,7 +576,8 @@ def gated_schedules(draw):
             pred = draw(st.sampled_from(PREDICATES))
             if pred is not None:
                 preds.append((TimeInterval(float(start), float(end)), pred))
-        sched = build_schedule(TaskGroup(f"G{k + 1}", tuple(preds)), reg, cfg)
+        with mock.patch.object(contracts, "GRID_RESOLUTION", 11):  # Cap takes the grid
+            sched = build_schedule(TaskGroup(f"G{k + 1}", tuple(preds)), reg, cfg)
         region = (draw(st.sampled_from(REGION_BOUNDS)), draw(st.sampled_from(REGION_BOUNDS)))
         scheds.append(dataclasses.replace(sched, region=region))
     return scheds
@@ -872,8 +872,8 @@ class TestExactExtremeAgainstDenseGrid:
         bn = AffineBarrier("n", coeffs=next_form[0], offset=next_form[1])
         inside = grid_nonnegative(self.axes(box), *prev_form)
         hn = self.grid_values(box, *next_form)
-        worst, method = _worst_engage_margin(bp, bn, 0.0, box, self.N)
-        witness = check_intersection(bp, bn, 0.0, box, self.N).witness
+        worst, method = _worst_engage_margin(bp, bn, 0.0, box)
+        witness = check_intersection(bp, bn, 0.0, box).witness
         assert method == "exact"
         if not inside.any():
             return
@@ -904,8 +904,8 @@ class TestExactExtremeAgainstDenseGrid:
                                                      offset=next_form[1])
         hn = self.grid_values(box, *next_form)
         forms = contracts._forms(top, bn, 0.0, 0.0, box.dim)
-        worst, _ = _worst_engage_margin(top, bn, 0.0, box, self.N)
-        best, _, method = contracts._extreme(top, bn, 0.0, 0.0, box, self.N, forms, False)
+        worst, _ = _worst_engage_margin(top, bn, 0.0, box)
+        best, _, method = contracts._extreme(top, bn, 0.0, 0.0, box, False)
         assert method == "exact"
         assert math.isclose(worst, hn.min(), rel_tol=1e-9, abs_tol=1e-9)
         assert math.isclose(best, hn.max(), rel_tol=1e-9, abs_tol=1e-9)
@@ -951,10 +951,10 @@ class TestExactExtremeMemo:
         box, h_prev, h_next = case
         forms = contracts._forms(h_prev, h_next, 0.0, 0.0, box.dim)
         for lowest in (True, False):
-            got = contracts._extreme(h_prev, h_next, 0.0, 0.0, box, 101, forms, lowest)
+            got = contracts._extreme(h_prev, h_next, 0.0, 0.0, box, lowest)
             assert hexed_extreme(got) == hexed_extreme(exact_extreme_direct(box, forms, lowest))
         hits = contracts._exact_extremes.cache_info().hits
-        again = contracts._extreme(h_prev, h_next, 0.0, 0.0, box, 101, forms, True)
+        again = contracts._extreme(h_prev, h_next, 0.0, 0.0, box, True)
         assert contracts._exact_extremes.cache_info().hits == hits + 1
         assert hexed_extreme(again) == hexed_extreme(exact_extreme_direct(box, forms, True))
 
@@ -964,7 +964,7 @@ class TestExactExtremeMemo:
         forms = contracts._forms(top, bn, 0.0, 0.0, 2)
         for zero, shown in ((0.0, "0"), (-0.0, "-0"), (0.0, "0")):
             box = Box((zero, zero), (1.0, 1.0))
-            _, x, _ = contracts._extreme(top, bn, 0.0, 0.0, box, 101, forms, True)
+            _, x, _ = contracts._extreme(top, bn, 0.0, 0.0, box, True)
             assert [f"{c:g}" for c in x] == [shown, shown]
 
     def test_paper_sec6_enumerates_each_polytope_once(self, monkeypatch):
@@ -973,12 +973,13 @@ class TestExactExtremeMemo:
         polytopes, exact_calls, enumerations = set(), [0], [0]
         real_extreme, real_cut = contracts._extreme, contracts._cut_vertices
 
-        def extreme(h_prev, h_next, t_prev, t_next, domain, resolution, forms, lowest):
+        def extreme(h_prev, h_next, t_prev, t_next, domain, *args):
+            forms = contracts._forms(h_prev, h_next, t_prev, t_next, domain.dim)
             if forms is not None:
                 exact_calls[0] += 1
                 polytopes.add((contracts._bits(*domain.lower, *domain.upper),
                                contracts._bits(*forms[0][0], forms[0][1])))
-            return real_extreme(h_prev, h_next, t_prev, t_next, domain, resolution, forms, lowest)
+            return real_extreme(h_prev, h_next, t_prev, t_next, domain, *args)
 
         def cut_vertices(*args):
             enumerations[0] += 1
@@ -997,7 +998,7 @@ class TestExactExtremeMemo:
         def extreme(k):  # a distinct polytope, and so a distinct pair, for each k
             bp = AffineBarrier("p", coeffs=(-1.0, 0.5), offset=0.125 + k / 4096)
             forms = contracts._forms(bp, bn, 0.0, 0.0, box.dim)
-            return contracts._extreme(bp, bn, 0.0, 0.0, box, 101, forms, True), forms
+            return contracts._extreme(bp, bn, 0.0, 0.0, box, True), forms
 
         for k in range(contracts._MEMO_SIZE + 64):
             extreme(k)
@@ -1128,7 +1129,7 @@ def grid_cases(draw):
     if h_prev.affine_on(*tiny) is not None and h_next.affine_on(*tiny) is not None:
         h_prev = Opaque(h_prev)
     t = draw(st.sampled_from(TIMES) | st.floats(0.0, 80.0))
-    resolution = draw(st.sampled_from([1, 2, 3, 7, 21]))
+    resolution = draw(st.sampled_from([2, 3, 7, 21]))
     return h_prev, h_next, t, box, resolution
 
 
@@ -1165,19 +1166,36 @@ class TestArrayGrid:
     @example((Patchy(20.0), Patchy(20.0).negate(), 5.0, Box((100.0, 0.0), (500.0, 6.0)), 7))
     # an h_grid that returns a read-only array, as a cached one may be
     @example((TopBarrier(2), Opaque(Patchy(20.0)), 5.0, Box((100.0, 0.0), (500.0, 6.0)), 7))
-    # resolution 1: one slab of one point, at the box's center
-    @example((SpacingBarrier(VP, LEAD), AffineBarrier("lin", coeffs=(0.0, -1.0, 0.0), offset=20.0),
-              10.0, Box((100.0, 0.0, 0.0), (500.0, 30.0, 700.0)), 1))
-    @example((Patchy(105.0), TopBarrier(1), 5.0, Box((100.5,), (110.5,)), 1))
-    @example((TopBarrier(1), Patchy(105.0), 5.0, Box((101.5,), (102.5,)), 1))
     def test_array_checks_equal_scalar_loops(self, case):
         h_prev, h_next, t, box, res = case
-        assert (_fields(check_subset(h_prev, h_next, t, box, res))
-                == _fields(scalar_check_subset(h_prev, h_next, t, box, res)))
-        assert (_fields(check_intersection(h_prev, h_next, t, box, res))
-                == _fields(scalar_check_intersection(h_prev, h_next, t, box, res)))
-        assert (_bits(_worst_engage_margin(h_prev, h_next, t, box, res))
-                == _bits(scalar_worst_engage_margin(h_prev, h_next, t, box, res)))
+        with mock.patch.object(contracts, "GRID_RESOLUTION", res):
+            got = (check_subset(h_prev, h_next, t, box), check_intersection(h_prev, h_next, t, box),
+                   _worst_engage_margin(h_prev, h_next, t, box))
+        assert _fields(got[0]) == _fields(scalar_check_subset(h_prev, h_next, t, box, res))
+        assert _fields(got[1]) == _fields(scalar_check_intersection(h_prev, h_next, t, box, res))
+        assert _bits(got[2]) == _bits(scalar_worst_engage_margin(h_prev, h_next, t, box, res))
+
+    def test_sampled_subset_stops_after_the_first_bad_slab(self):
+        """V <= 30 into V <= 10: every slab holds a violation, so the scan reads
+        the first slab only, and its first minimum is the counterexample;
+        V <= 10 into V <= 30 holds, so the scan reads all 101 slabs."""
+        calls = []
+
+        class Counted(Opaque):
+            def h_grid(self, t, cols):
+                calls.append(self.id)
+                return super().h_grid(t, cols)
+
+        loose, tight = Counted(vbar(30, "loose")), Counted(vbar(10, "tight"))
+        res = check_subset(loose, tight, 5.0, DOM)
+        assert not res.holds and res.method == "sampled(101)"
+        assert sorted(calls) == ["loose", "tight"]
+        assert _fields(res) == _fields(scalar_check_subset(loose, tight, 5.0, DOM, 101))
+        cx = res.counterexample
+        assert cx[0] == 0.0 and loose.h(5.0, cx) >= 0 and tight.h(5.0, cx) < -1e-9
+        calls.clear()
+        assert check_subset(tight, loose, 5.0, DOM).holds
+        assert sorted(calls) == ["loose"] * 101 + ["tight"] * 101
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(GRID_TEMPLATES), st.sampled_from(TIMES) | st.floats(0.0, 80.0),
@@ -1204,23 +1222,6 @@ class TestArrayGrid:
         h1 = SpacingBarrier(VP, LeadProfile(10.0))
         vmax = AffineBarrier("vmax10", coeffs=(0.0, -1.0, 0.0), offset=10.0)
         box = Box((-1000.0, 0.0, -1000.0), (100000.0, 60.0, 1000000.0))
-        res = check_intersection(h1, vmax, 30.0, box, 101)
+        res = check_intersection(h1, vmax, 30.0, box)
         assert res.method == "sampled(101)" and res.witness is not None
         assert calls == []
-
-
-class TestGridResolution:
-    @pytest.mark.parametrize("resolution", [0, -3, 2.5])
-    def test_schedule_config_rejects_bad_resolution(self, resolution):
-        with pytest.raises(ContractError, match=f"got {resolution}"):
-            ScheduleConfig(domain=DOM, horizon=10.0, grid_resolution=resolution)
-
-    @pytest.mark.parametrize("resolution", [0, -3, 2.5])
-    def test_grid_rejects_bad_resolution(self, resolution):
-        h1 = SpacingBarrier(VP, LEAD)
-        vmax = AffineBarrier("vmax", coeffs=(0.0, -1.0, 0.0), offset=10.0)
-        box = Box((0.0, 0.0, 0.0), (100.0, 30.0, 200.0))
-        with pytest.raises(ContractError, match=f"got {resolution}"):
-            _grid_points(box, resolution)
-        with pytest.raises(ContractError, match=f"got {resolution}"):
-            check_subset(h1, vmax, 5.0, box, resolution)

@@ -106,6 +106,16 @@ class TestLeadProfile:
         with pytest.raises(VehicleError, match=f"lead profile {name} must be finite"):
             LeadProfile(1.0, rows)
 
+    @pytest.mark.parametrize("rows", [[(-5.0, 1.0), (-2.0, 0.0)], [(0.0, 1.0), (-1e-300, 0.0)]])
+    def test_negative_times_rejected(self, rows):
+        """[(-5, 1), (-2, 0)] used to build breakpoints running backwards
+        in time, and read V_l = 8 from t = 0 on."""
+        with pytest.raises(VehicleError, match=r"lead profile times must be >= 0, got -"):
+            LeadProfile(10.0, rows)
+
+    def test_zero_time_rows_accepted(self):
+        assert LeadProfile(10.0, [(-0.0, 1.0)]).velocity(2.0) == 12.0
+
 
 def _lead(which):
     """Two profiles, each with a standstill breakpoint: the first brakes to
@@ -415,7 +425,7 @@ class TestSignalContracts:
     def test_signal_config_keeps_every_base_field(self):
         reg = BarrierRegistry()
         cfg = ScheduleConfig(domain=DOMAIN, horizon=120.0, rho=0.5, t_conv=5.0,
-                             gamma_min=0.25, grid_resolution=7)
+                             gamma_min=0.25)
         scheds = build_signal_contracts(two_signals(), VP, reg, cfg, rho_signal=0.9, label="G3")
         overlaps = [b for s in scheds for b in s.boundaries
                     if b.verdict is Verdict.OVERLAP_DEADLINE]
