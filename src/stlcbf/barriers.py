@@ -96,7 +96,8 @@ class BarrierViolation(ValueError):
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box lower <= x <= upper, finite and ordered: D and U alike."""
+    """Axis-aligned box lower <= x <= upper, finite and ordered, with a
+    finite width upper - lower on every axis: D and U alike."""
 
     lower: tuple
     upper: tuple
@@ -109,6 +110,8 @@ class Box:
                 raise BarrierError("box bounds must be finite")
             if lo > hi:
                 raise BarrierError(f"box lower {lo} exceeds upper {hi}")
+            if hi - lo == math.inf:  # a sampled axis would read NaN and inf
+                raise BarrierError(f"box width {hi} - ({lo}) overflows")
 
     @property
     def dim(self) -> int:

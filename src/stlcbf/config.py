@@ -287,10 +287,11 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
 
     bounds = [dom.pair(key, default) for key, default in
               zip(axes, zip(DEFAULT_DOMAIN.lower, DEFAULT_DOMAIN.upper))]
-    inverted = [f"[domain] {key} lower {lo} exceeds upper {hi}"
-                for key, (lo, hi) in zip(axes, bounds) if lo > hi]
-    errors += inverted
-    domain = None if inverted else dom.build(Box, *zip(*bounds))
+    bad_axes = [f"[domain] {key} lower {lo} exceeds upper {hi}" if lo > hi else
+                f"[domain] {key} width {hi} - ({lo}) overflows"
+                for key, (lo, hi) in zip(axes, bounds) if not 0 <= hi - lo < math.inf]
+    errors += bad_axes
+    domain = None if bad_axes else dom.build(Box, *zip(*bounds))
     for key, v, (lo, hi) in zip(axes, x0, bounds):
         if not math.isfinite(v):
             errors.append(f"[initial] {key} must be finite, got {v}")

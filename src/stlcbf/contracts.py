@@ -54,10 +54,12 @@ right of t- or t), else on a `GRID_RESOLUTION`-per-axis grid, `sampled(101)`
 in the verdict, one numpy slab per value of the first axis (`h_grid`). An
 exact answer depends only on the domain and the forms, so a process
 enumerates each (domain, h_prev form) polytope once and scans it once per
-h_next form, memoized by their exact bits (`_MEMO_SIZE` entries each). The
-subset check's grid scan stops after the first slab with a violation, whose
-first minimum is the counterexample. A sampled verdict is evidence, not a
-proof: a violation can hide between grid points.
+h_next form, memoized by their exact bits (`_MEMO_SIZE` entries each). When
+only h_prev lacks a form, the grid skips every slab that the h_next form
+bounds away from the running extreme. The subset check's grid scan stops
+after the first slab with a violation, whose first minimum is the
+counterexample. A sampled verdict is evidence, not a proof: a violation can
+hide between grid points.
 """
 
 from __future__ import annotations
@@ -114,16 +116,16 @@ DEADLINE_SLACK = 1e-9
 
 
 def _forms(h_prev: Barrier, h_next: Barrier, t_prev: float, t_next: float, dim: int):
-    """Both affine forms, each on the one ulp right of its time, or None. A
-    form with another number of coefficients than the domain's dim axes is
-    a `ContractError`."""
+    """The pair of affine forms, each on the one ulp right of its time, or
+    None where a barrier has none. A form with another number of
+    coefficients than the domain's dim axes is a `ContractError`."""
     forms = (h_prev.affine_on(t_prev, math.nextafter(t_prev, math.inf)),
              h_next.affine_on(t_next, math.nextafter(t_next, math.inf)))
     for bar, form in zip((h_prev, h_next), forms):
         if form is not None and len(form[0]) != dim:
             raise ContractError(f"barrier {bar.id!r} has {len(form[0])} coefficients, "
                                 f"the domain has {dim} axes")
-    return None if None in forms else forms
+    return forms
 
 
 def _cut_vertices(box: Box, coeffs, offset):
@@ -230,21 +232,32 @@ def _extreme(h_prev, h_next, t_prev, t_next, domain, lowest, stop=-math.inf):
     or (inf, None) or (-inf, None) when there is none. Exact, and memoized,
     when both barriers have affine forms (`_forms`), else over the
     `GRID_RESOLUTION`-per-axis grid, where NaN never wins and the scan ends
-    after the first slab where the running minimum falls below `stop`."""
+    after the first slab where the running minimum falls below `stop`. With
+    an h_next form, a slab is skipped when the form at its best corner (each
+    axis' first or last value, by the coefficient's sign) cannot strictly
+    beat the running extreme: the fold is monotone in each coordinate, and a
+    tie keeps the earlier point, so the scan's result is unchanged. A NaN
+    bound compares false, and its slab is scanned. Like the exact branch,
+    this needs the form's fold to equal h_grid, up to the sign of a zero."""
     if domain.is_degenerate():
         raise ContractError("degenerate (zero-width) domain box")
-    forms = _forms(h_prev, h_next, t_prev, t_next, domain.dim)
-    if forms is not None:
-        (prev_coeffs, prev_offset), (next_coeffs, next_offset) = forms
+    prev_form, next_form = _forms(h_prev, h_next, t_prev, t_next, domain.dim)
+    if prev_form is not None and next_form is not None:
         return _exact_extremes(_bits(*domain.lower, *domain.upper),
-                               _bits(*prev_coeffs, prev_offset),
-                               _bits(*next_coeffs, next_offset))[0 if lowest else 1]
+                               _bits(*prev_form[0], prev_form[1]),
+                               _bits(*next_form[0], next_form[1]))[0 if lowest else 1]
     n = GRID_RESOLUTION
     pick, fill = (np.argmin, math.inf) if lowest else (np.argmax, -math.inf)
     best_val, best_at, slabs = fill, None, _grid_points(domain, n)
     shape = (n,) * (domain.dim - 1)  # a slab's: each slab refills both buffers
     vals, keep = np.empty(shape), np.empty(shape, dtype=bool)
     for slab in slabs:
+        if next_form is not None:  # h_next's form at the slab's best corner
+            corner = [float(a.flat[0] if (c > 0) == lowest else a.flat[-1])
+                      for c, a in zip(next_form[0], slab)]
+            bound = dot(next_form[0], corner) + next_form[1]
+            if (bound >= best_val) if lowest else (bound <= best_val):
+                continue  # no point of the slab beats the running extreme
         np.copyto(vals, h_next.h_grid(t_next, slab))  # never write into h_grid's array
         np.greater_equal(h_prev.h_grid(t_prev, slab), 0, out=keep)
         vals[~keep] = fill

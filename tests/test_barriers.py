@@ -87,12 +87,14 @@ class TestParamTypes:
         ((math.nan,), (1.0,), "must be finite"), ((0.0,), (math.nan,), "must be finite"),
         ((-math.inf,), (0.0,), "must be finite"), ((0.0,), (math.inf,), "must be finite"),
         ((1.0,), (-1.0,), "lower 1.0 exceeds upper -1.0"),
+        ((0.0, -1e308), (1.0, 1e308), r"width 1e\+308 - \(-1e\+308\) overflows"),
         ((2.0,), (2.0,), None),
     ], ids=["unequal_lengths", "nan_lower", "nan_upper", "neg_inf_lower", "inf_upper",
-            "inverted", "zero_width"])
+            "inverted", "width_overflows", "zero_width"])
     def test_box_bounds_validated(self, lower, upper, match):
         """One check for the state domain D and the input box U: bounds of
-        equal length, finite and ordered; a zero-width box is a box."""
+        equal length, finite and ordered, and a finite width on each axis; a
+        zero-width box is a box."""
         if match is None:
             assert Box(lower, upper).is_degenerate()
         else:

@@ -313,6 +313,19 @@ class TestConfigParsing:
         assert cli_main(["check", str(cfg)]) == 4
         assert "[input] lower 5.0 exceeds upper 1.0" in capsys.readouterr().err
 
+    def test_overflowing_domain_width_exits_as_config_error(self, tmp_path, capsys):
+        """A static check on a domain axis whose width overflows would sample
+        NaN and inf there, mask every point out and print verdict=subset:
+        the config is refused before any check runs."""
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("[domain]\nx_f = -1e308 1e308\n[speed_limits]\nrow = 0 25\n"
+                       "[scenario]\nhorizon = 80\n[initial]\nx_l = 62\n[lead]\nv0 = 2\n"
+                       "[stl]\nG[0,29) sat(h1)\nG[29,80) sat(vmax25)\n")
+        assert cli_main(["check", str(cfg)]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("error: invalid config:\n"
+                                     "  [domain] x_f width 1e+308 - (-1e+308) overflows\n")
+
     @pytest.mark.parametrize("entries, message", [
         ("[domain]\nv_f = 10 0\n", "[domain] v_f lower 10.0 exceeds upper 0.0"),
         # the default bound -mass * a_max is named, not quoted as if the file gave it

@@ -975,7 +975,7 @@ class TestExactExtremeMemo:
 
         def extreme(h_prev, h_next, t_prev, t_next, domain, *args):
             forms = contracts._forms(h_prev, h_next, t_prev, t_next, domain.dim)
-            if forms is not None:
+            if None not in forms:
                 exact_calls[0] += 1
                 polytopes.add((contracts._bits(*domain.lower, *domain.upper),
                                contracts._bits(*forms[0][0], forms[0][1])))
@@ -1019,6 +1019,8 @@ LEAD = LeadProfile(12.0, [(0.0, 1.0), (10.0, 0.0), (20.0, -2.0), (40.0, 0.5)])
 SIGNALS = [SignalTimings(200.0, 20.0, 4.0, 16.0), SignalTimings(500.0, 20.0, 4.0, 16.0)]
 # per axis: range of the lower bound, largest width (X_f, V_f, X_l scales)
 AXES = [(100.0, 550.0, 400.0), (0.0, 30.0, 30.0), (0.0, 700.0, 300.0)]
+# the domain of the benchmark's static_sampled workload
+STATIC_DOMAIN = Box((-1000.0, 0.0, -1000.0), (100000.0, 60.0, 1000000.0))
 SWITCHES = [10.0, 20.0, 24.0, 25.0, 40.0, 64.0]  # pieces, lead and signal phases
 TIMES = [0.0] + [math.nextafter(ts, to) for ts in SWITCHES
                  for to in (-math.inf, ts, math.inf)]  # before, on and after
@@ -1147,6 +1149,17 @@ def _fields(result):
     return tuple(_bits(getattr(result, f.name)) for f in dataclasses.fields(result))
 
 
+def assert_checks_equal_scalar_loops(h_prev, h_next, t, box, res):
+    """The three checks on a res-per-axis grid equal the scalar reference
+    loops bit for bit."""
+    with mock.patch.object(contracts, "GRID_RESOLUTION", res):
+        got = (check_subset(h_prev, h_next, t, box), check_intersection(h_prev, h_next, t, box),
+               _worst_engage_margin(h_prev, h_next, t, box))
+    assert _fields(got[0]) == _fields(scalar_check_subset(h_prev, h_next, t, box, res))
+    assert _fields(got[1]) == _fields(scalar_check_intersection(h_prev, h_next, t, box, res))
+    assert _bits(got[2]) == _bits(scalar_worst_engage_margin(h_prev, h_next, t, box, res))
+
+
 class TestArrayGrid:
     @settings(max_examples=250, deadline=None)
     @given(grid_cases())
@@ -1166,14 +1179,32 @@ class TestArrayGrid:
     @example((Patchy(20.0), Patchy(20.0).negate(), 5.0, Box((100.0, 0.0), (500.0, 6.0)), 7))
     # an h_grid that returns a read-only array, as a cached one may be
     @example((TopBarrier(2), Opaque(Patchy(20.0)), 5.0, Box((100.0, 0.0), (500.0, 6.0)), 7))
+    # an affine h_next bounds each slab at its best corner: here every slab
+    # ties at the bound, so the first slab's extreme stands and the rest are skipped
+    @example((Opaque(TopBarrier(2)), AffineBarrier("lin", coeffs=(0.0, -1.0), offset=3.0), 5.0,
+              Box((100.0, 0.0), (500.0, 6.0)), 7))
+    # x0 >= x1 masks each slab's lowest corner (x1 = 6) up to the last slab
+    @example((Opaque(AffineBarrier("p", coeffs=(1.0, -1.0), offset=0.0)),
+              AffineBarrier("lin", coeffs=(0.0, -1.0), offset=0.0), 5.0,
+              Box((0.0, 0.0), (6.0, 6.0)), 7))
+    # the negated form's coefficients are (-0.0, -1.0); x0 - x1 >= 100
+    # leaves the first slab x1 = 0 alone
+    @example((Opaque(AffineBarrier("p", coeffs=(1.0, -1.0), offset=-100.0)),
+              AffineBarrier("lin", coeffs=(0.0, 1.0), offset=-3.0).negate(), 5.0,
+              Box((100.0, 0.0), (500.0, 6.0)), 7))
     def test_array_checks_equal_scalar_loops(self, case):
-        h_prev, h_next, t, box, res = case
-        with mock.patch.object(contracts, "GRID_RESOLUTION", res):
-            got = (check_subset(h_prev, h_next, t, box), check_intersection(h_prev, h_next, t, box),
-                   _worst_engage_margin(h_prev, h_next, t, box))
-        assert _fields(got[0]) == _fields(scalar_check_subset(h_prev, h_next, t, box, res))
-        assert _fields(got[1]) == _fields(scalar_check_intersection(h_prev, h_next, t, box, res))
-        assert _bits(got[2]) == _bits(scalar_worst_engage_margin(h_prev, h_next, t, box, res))
+        assert_checks_equal_scalar_loops(*case)
+
+    @pytest.mark.parametrize("coeffs", [(-1e308, 1.0), (1e308, -1e308)], ids=["-inf", "nan"])
+    def test_overflowing_bounds_equal_scalar_loops(self, coeffs):
+        """Coefficients near 1e308, whose corner products overflow: past the
+        first slab, -inf bounds where x0 > 0 alone overflows, NaN ones where
+        inf meets -inf. h_grid overflows at the same points, so numpy's
+        overflow and invalid warnings are expected here, and only here."""
+        h_next = AffineBarrier("big", coeffs=coeffs, offset=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_checks_equal_scalar_loops(Opaque(TopBarrier(2)), h_next, 5.0,
+                                             Box((0.0, 0.0), (4.0, 6.0)), 7)
 
     def test_sampled_subset_stops_after_the_first_bad_slab(self):
         """V <= 30 into V <= 10: every slab holds a violation, so the scan reads
@@ -1196,6 +1227,32 @@ class TestArrayGrid:
         calls.clear()
         assert check_subset(tight, loose, 5.0, DOM).holds
         assert sorted(calls) == ["loose"] * 101 + ["tight"] * 101
+
+    def test_affine_h_next_skips_slabs_that_cannot_win(self, monkeypatch):
+        """h1 into V <= 25 on the static_sampled workload's domain (its seed
+        7): h_next's form bounds every slab by its best corner, so each of
+        the three checks reads the first slab only, where a full scan reads
+        1 + 101 + 101, and the boundary line keeps the full scan's text.
+        Into h1, which has no form, the intersection reads every slab."""
+        calls = []
+        for cls in (SpacingBarrier, AffineBarrier):
+            def counted(self, t, cols, _h_grid=cls.h_grid):
+                calls.append(self.id)
+                return _h_grid(self, t, cols)
+            monkeypatch.setattr(cls, "h_grid", counted)
+        h1 = SpacingBarrier(VP, LeadProfile(2.0, [(0.0, 0.0)]))
+        vmax = AffineBarrier("vmax25", coeffs=(0.0, -1.0, 0.0), offset=25.0)
+        group = TaskGroup("G1", ((TimeInterval(0.0, 29.0), PredicateRef("h1")),
+                                 (TimeInterval(29.0, 80.0), PredicateRef("vmax25"))))
+        cfg = ScheduleConfig(domain=STATIC_DOMAIN, horizon=80.0, rho=0.91, t_conv=5.0)
+        (bd,) = build_schedule(group, registry_with(h1, vmax), cfg).boundaries
+        assert sorted(calls) == ["h1"] * 3 + ["vmax25"] * 3
+        assert bd.describe() == ("t=29 sat(h1)->sat(vmax25) verdict=overlap_deadline "
+                                 "method=sampled(101) tau=24 t_conv=5 worst_margin=-35 "
+                                 "witness=(-1000,0,9010)")
+        calls.clear()
+        assert check_intersection(vmax, h1, 29.0, STATIC_DOMAIN).witness is not None
+        assert sorted(calls) == ["h1"] * 101 + ["vmax25"] * 101
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(GRID_TEMPLATES), st.sampled_from(TIMES) | st.floats(0.0, 80.0),
