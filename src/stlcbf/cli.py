@@ -7,7 +7,8 @@
 <config> is a file path or the name of a shipped preset (paper_sec6,
 infeasible_red, incompatible_static). Exit codes: 0 success, 2 static
 incompatibility, 3 runtime failure, 4 config error; `monitor` exits 1 when a
-task is violated. Set STLCBF_LOG=debug|info|warning for log verbosity.
+task is violated. Set STLCBF_LOG=debug|info|warning|error (any case; default
+warning) for log verbosity; any other value is a config error.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ _USER_ERRORS = (ConfigError, PipelineError, StlError, BarrierError, VehicleError
                 ContractError, QpError, SimError, OSError)
 
 log = logging.getLogger("stlcbf")
+_LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -80,10 +82,11 @@ def _load(args):
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=getattr(logging, os.environ.get("STLCBF_LOG", "warning").upper(), logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = os.environ.get("STLCBF_LOG", "warning")
+    if level.lower() not in _LOG_LEVELS:
+        sys.stderr.write(f"error: STLCBF_LOG={level} is not one of {', '.join(_LOG_LEVELS)}\n")
+        return EXIT_CONFIG_ERROR
+    logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load(args)

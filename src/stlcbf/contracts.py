@@ -55,9 +55,10 @@ in the verdict, one numpy slab per value of the first axis (`h_grid`). An
 exact answer depends only on the domain and the forms, so a process
 enumerates each (domain, h_prev form) polytope once and scans it once per
 h_next form, memoized by their exact bits (`_MEMO_SIZE` entries each). When
-only h_prev lacks a form, the grid skips every slab that the h_next form
-bounds away from the running extreme. The subset check's grid scan stops
-after the first slab with a violation, whose first minimum is the
+only h_prev lacks a form, the h_next form bounds every slab in one numpy
+fold before the scan, and the grid skips, at one float compare each, the
+slabs that it bounds away from the running extreme. The subset check's grid
+scan stops after the first slab with a violation, whose first minimum is the
 counterexample. A sampled verdict is evidence, not a proof: a violation can
 hide between grid points.
 """
@@ -187,14 +188,32 @@ def _exact_extremes(box_bits: bytes, prev_bits: bytes, next_bits: bytes):
 GRID_RESOLUTION = 101  # points per axis of a sampled check
 
 
+def _axis(lo: float, hi: float, resolution: int):
+    """An axis of the grid: point k is lo + k * step (resolution >= 2)."""
+    return lo + np.arange(resolution) * ((hi - lo) / (resolution - 1))
+
+
 def _grid_points(box: Box, resolution: int):
     """The grid, one slab per value of the first axis: that value and one
     array per other axis, broadcastable, in itertools.product's order when
-    read in C order. Point k of an axis is lo + k * step (resolution >= 2)."""
-    axes = [lo + np.arange(resolution) * ((hi - lo) / (resolution - 1))
-            for lo, hi in zip(box.lower, box.upper)]
+    read in C order (`_axis` per axis)."""
+    axes = [_axis(lo, hi, resolution) for lo, hi in zip(box.lower, box.upper)]
     rest = np.ix_(*axes[1:])
     return (head + rest for head in itertools.product(*axes[:1]))
+
+
+def _slab_bounds(form, box: Box, resolution: int, lowest: bool) -> list:
+    """The affine form at each slab's best corner for the scan (per other
+    axis its first or last value, by the coefficient's sign; the slab's own
+    value on the first axis), as floats in slab order: one `dot` over the
+    first axis' array, whose elementwise products and adds round as the
+    per-slab float fold would. That fold never warns, so neither does this."""
+    coeffs, offset = form
+    axes = [_axis(lo, hi, resolution) for lo, hi in zip(box.lower, box.upper)]
+    corner = [axes[0]] + [float(a[0] if (c > 0) == lowest else a[-1])
+                          for c, a in zip(coeffs[1:], axes[1:])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (dot(coeffs, corner) + offset).tolist()
 
 
 def _first_best(vals, fill, pick):
@@ -209,8 +228,16 @@ def _first_best(vals, fill, pick):
 
 
 def _slab_point(slab, flat_index: int) -> tuple:
-    """The grid point at a C-order index of a slab, as a tuple of floats."""
-    return tuple(float(c.flat[flat_index]) for c in np.broadcast_arrays(*slab))
+    """The grid point at a C-order index of a `_grid_points` slab, as a
+    tuple of floats: the slab's first-axis value, then per other axis the
+    value at that axis' digit of the index (the last axis' digit is the
+    lowest)."""
+    head, *rest = slab
+    point = []
+    for a in reversed(rest):
+        flat_index, i = divmod(flat_index, a.size)
+        point.append(float(a.flat[i]))
+    return (float(head), *reversed(point))
 
 
 @dataclass(frozen=True)
@@ -233,12 +260,14 @@ def _extreme(h_prev, h_next, t_prev, t_next, domain, lowest, stop=-math.inf):
     when both barriers have affine forms (`_forms`), else over the
     `GRID_RESOLUTION`-per-axis grid, where NaN never wins and the scan ends
     after the first slab where the running minimum falls below `stop`. With
-    an h_next form, a slab is skipped when the form at its best corner (each
-    axis' first or last value, by the coefficient's sign) cannot strictly
-    beat the running extreme: the fold is monotone in each coordinate, and a
-    tie keeps the earlier point, so the scan's result is unchanged. A NaN
-    bound compares false, and its slab is scanned. Like the exact branch,
-    this needs the form's fold to equal h_grid, up to the sign of a zero."""
+    an h_next form, every slab's bound, the form at its best corner, is
+    folded before the scan (`_slab_bounds`), and a slab whose bound cannot
+    strictly beat the running extreme costs one float compare: the fold is
+    monotone in each coordinate, and a tie keeps the earlier point, so the
+    scan's result is unchanged. A NaN bound compares false, and its slab is
+    scanned; without an h_next form every bound is NaN. Like the exact
+    branch, this needs the form's fold to equal h_grid, up to the sign of a
+    zero."""
     if domain.is_degenerate():
         raise ContractError("degenerate (zero-width) domain box")
     prev_form, next_form = _forms(h_prev, h_next, t_prev, t_next, domain.dim)
@@ -249,15 +278,13 @@ def _extreme(h_prev, h_next, t_prev, t_next, domain, lowest, stop=-math.inf):
     n = GRID_RESOLUTION
     pick, fill = (np.argmin, math.inf) if lowest else (np.argmax, -math.inf)
     best_val, best_at, slabs = fill, None, _grid_points(domain, n)
+    bounds = (itertools.repeat(math.nan) if next_form is None
+              else _slab_bounds(next_form, domain, n, lowest))
     shape = (n,) * (domain.dim - 1)  # a slab's: each slab refills both buffers
     vals, keep = np.empty(shape), np.empty(shape, dtype=bool)
-    for slab in slabs:
-        if next_form is not None:  # h_next's form at the slab's best corner
-            corner = [float(a.flat[0] if (c > 0) == lowest else a.flat[-1])
-                      for c, a in zip(next_form[0], slab)]
-            bound = dot(next_form[0], corner) + next_form[1]
-            if (bound >= best_val) if lowest else (bound <= best_val):
-                continue  # no point of the slab beats the running extreme
+    for slab, bound in zip(slabs, bounds):
+        if (bound >= best_val) if lowest else (bound <= best_val):
+            continue  # no point of the slab beats the running extreme
         np.copyto(vals, h_next.h_grid(t_next, slab))  # never write into h_grid's array
         np.greater_equal(h_prev.h_grid(t_prev, slab), 0, out=keep)
         vals[~keep] = fill

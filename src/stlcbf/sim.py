@@ -305,12 +305,16 @@ def check_opening_assumptions(schedules: Sequence, x0) -> None:
 
 def step_count(t_max: float, dt: float) -> int:
     """The number of steps of size dt that span [0, t_max]; a SimError
-    unless t_max / dt is within 1e-9 relative of an integer."""
+    unless t_max / dt is finite and within 1e-9 relative of an integer."""
     if not (0 < dt < math.inf and 0 <= t_max < math.inf):
         raise SimError(f"need 0 < dt < inf and 0 <= t_max < inf, got dt={dt}, t_max={t_max}")
-    n = round(t_max / dt)
-    if abs(t_max / dt - n) > 1e-9 * (t_max / dt):
-        raise SimError(f"dt={dt:g} does not divide the horizon {t_max:g} ({t_max / dt:g} steps)")
+    steps = t_max / dt
+    if steps == math.inf:
+        raise SimError(f"dt={dt} is too small for the horizon {t_max:g}: "
+                       "the step count overflows")
+    n = round(steps)
+    if abs(steps - n) > 1e-9 * steps:
+        raise SimError(f"dt={dt:g} does not divide the horizon {t_max:g} ({steps:g} steps)")
     return n
 
 

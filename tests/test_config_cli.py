@@ -662,6 +662,17 @@ class TestCli:
         assert not trace.exists()
         assert capsys.readouterr().err.count(f"dt={dt} does not divide the horizon 1 ") == 3
 
+    def test_subnormal_dt_exits_as_config_error(self, tmp_path, capsys):
+        """500 / 1e-320 overflows: both ways of setting dt used to end in
+        an OverflowError traceback and exit 1."""
+        cfg = tmp_path / "tiny_dt.cfg"
+        cfg.write_text(MINIMAL.replace("horizon = 5", "horizon = 5\ndt = 1e-320"))
+        assert cli_main(["check", str(cfg)]) == 4
+        assert cli_main(["check", "paper_sec6", "--dt", "1e-320"]) == 4
+        assert capsys.readouterr().err == (
+            "error: dt=1e-320 is too small for the horizon 5: the step count overflows\n"
+            "error: dt=1e-320 is too small for the horizon 500: the step count overflows\n")
+
     @pytest.mark.parametrize("dt", ["nan", "inf", "0", "-0.01"])
     def test_bad_dt_override_is_config_error(self, dt, capsys):
         assert cli_main(["run", "infeasible_red", "--dt", dt]) == 4
@@ -835,6 +846,20 @@ class TestCli:
         assert cli_main(["monitor", str(trace), str(cfg_path)]) == 4
         err = capsys.readouterr().err
         assert f"trace {trace} line 4:" in err and why in err
+
+    @pytest.mark.parametrize("value", ["basic_format", "verbose", ""])
+    def test_unknown_log_level_is_config_error(self, value, monkeypatch, capsys):
+        """basic_format used to name logging.BASIC_FORMAT, a format string,
+        which basicConfig rejected with a traceback; verbose read as warning."""
+        monkeypatch.setenv("STLCBF_LOG", value)
+        assert cli_main(["check", "incompatible_static"]) == 4
+        assert capsys.readouterr() == (
+            "", f"error: STLCBF_LOG={value} is not one of debug, info, warning, error\n")
+
+    @pytest.mark.parametrize("value", ["debug", "INFO", "Warning", "error"])
+    def test_log_levels_are_read_in_any_case(self, value, monkeypatch):
+        monkeypatch.setenv("STLCBF_LOG", value)
+        assert cli_main(["check", "incompatible_static"]) == 2
 
     def test_entry_point_installed(self):
         # the child imports stlcbf from where this process did

@@ -35,6 +35,7 @@ from stlcbf.barriers import (
     TopBarrier,
     cbf_constraint,
     convergence_time,
+    dot,
     gamma_for_deadline,
 )
 from stlcbf import contracts
@@ -1206,6 +1207,20 @@ class TestArrayGrid:
             assert_checks_equal_scalar_loops(Opaque(TopBarrier(2)), h_next, 5.0,
                                              Box((0.0, 0.0), (4.0, 6.0)), 7)
 
+    def test_bounds_that_overflow_only_in_skipped_slabs_do_not_warn(self):
+        """Into x1 - 1e308 * x0 the intersection scans the first slab alone:
+        every later bound is below its maximum 6, and from x0 = 2 on the
+        product overflows to -inf. Only the bounds overflow there, not
+        h_grid, so no warning may escape (filterwarnings turns one into a
+        failure), as none escapes the scalar loops."""
+        h_prev, h_next = Opaque(TopBarrier(2)), AffineBarrier("big", coeffs=(-1e308, 1.0),
+                                                             offset=0.0)
+        box = Box((0.0, 0.0), (4.0, 6.0))
+        with mock.patch.object(contracts, "GRID_RESOLUTION", 7):
+            got = check_intersection(h_prev, h_next, 5.0, box)
+        assert got.witness == (0.0, 6.0)
+        assert _fields(got) == _fields(scalar_check_intersection(h_prev, h_next, 5.0, box, 7))
+
     def test_sampled_subset_stops_after_the_first_bad_slab(self):
         """V <= 30 into V <= 10: every slab holds a violation, so the scan reads
         the first slab only, and its first minimum is the counterexample;
@@ -1233,13 +1248,16 @@ class TestArrayGrid:
         7): h_next's form bounds every slab by its best corner, so each of
         the three checks reads the first slab only, where a full scan reads
         1 + 101 + 101, and the boundary line keeps the full scan's text.
-        Into h1, which has no form, the intersection reads every slab."""
-        calls = []
+        The bounds of all 101 slabs are one `dot` call per check, so a
+        skipped slab makes none. Into h1, which has no form, the
+        intersection bounds nothing and reads every slab."""
+        calls, dots = [], []
         for cls in (SpacingBarrier, AffineBarrier):
             def counted(self, t, cols, _h_grid=cls.h_grid):
                 calls.append(self.id)
                 return _h_grid(self, t, cols)
             monkeypatch.setattr(cls, "h_grid", counted)
+        monkeypatch.setattr(contracts, "dot", lambda a, b: dots.append(len(b)) or dot(a, b))
         h1 = SpacingBarrier(VP, LeadProfile(2.0, [(0.0, 0.0)]))
         vmax = AffineBarrier("vmax25", coeffs=(0.0, -1.0, 0.0), offset=25.0)
         group = TaskGroup("G1", ((TimeInterval(0.0, 29.0), PredicateRef("h1")),
@@ -1247,12 +1265,15 @@ class TestArrayGrid:
         cfg = ScheduleConfig(domain=STATIC_DOMAIN, horizon=80.0, rho=0.91, t_conv=5.0)
         (bd,) = build_schedule(group, registry_with(h1, vmax), cfg).boundaries
         assert sorted(calls) == ["h1"] * 3 + ["vmax25"] * 3
+        assert dots == [3, 3, 3]  # one 3-term fold per check, not one per slab
         assert bd.describe() == ("t=29 sat(h1)->sat(vmax25) verdict=overlap_deadline "
                                  "method=sampled(101) tau=24 t_conv=5 worst_margin=-35 "
                                  "witness=(-1000,0,9010)")
         calls.clear()
+        dots.clear()
         assert check_intersection(vmax, h1, 29.0, STATIC_DOMAIN).witness is not None
         assert sorted(calls) == ["h1"] * 101 + ["vmax25"] * 101
+        assert dots == []
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(GRID_TEMPLATES), st.sampled_from(TIMES) | st.floats(0.0, 80.0),

@@ -205,6 +205,12 @@ class TestRunSimulation:
                            Box((-1.0,), (1.0,)), (0.0, 0.0), dt=dt, t_max=t_max)
         assert calls == []
 
+    @pytest.mark.parametrize("dt", [1e-320, 5e-324])
+    def test_subnormal_dt_names_dt_and_the_horizon(self, dt):
+        # t_max / dt overflows to inf, and round(inf) used to raise OverflowError
+        with pytest.raises(SimError, match=f"^dt={dt} is too small for the horizon 500: "):
+            step_count(500.0, dt)
+
     @pytest.mark.parametrize("dt", [0.005, 0.01, 0.05, 0.2, 0.5, 1.0])
     def test_paper_sec6_steps_divide_its_horizon(self, dt):
         assert step_count(500.0, dt) == round(500.0 / dt)
