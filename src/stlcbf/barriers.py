@@ -36,8 +36,9 @@ zero dh/dt, over the whole of [t0, t1), and None otherwise (the default).
 The static checks read it on the one-ulp interval right of t- or of t; a
 schedule asks it once for each row of a plan (see `contracts`), and the
 step loop then evaluates such a row with no `terms` call. `AffineBarrier`
-gives its form wherever no piece starts strictly inside the interval,
-`TopBarrier` everywhere, and `NegatedBarrier` wherever its inner has one.
+gives its form wherever no piece starts strictly inside the interval (so
+`TopBarrier`, the form 0.x + 1, everywhere from t = 0 on), and
+`NegatedBarrier` wherever its inner has one.
 
 Any input satisfying the FCBF inequality from h(t0, x0) < 0 reaches the safe
 set within T = |h0|^(1-rho) / (gamma (1-rho)) and stays there afterwards.
@@ -174,15 +175,11 @@ class Barrier:
 
     def h_grid(self, t, cols):
         """h(t, x) at every point of broadcastable arrays: `t` (a scalar or an
-        array) and `cols`, one per state axis. Point by point here; templates
-        override it with arrays, in `terms`' float order."""
-        shape = np.broadcast_shapes(np.shape(t), *map(np.shape, cols))
-        ts = np.broadcast_to(t, shape)
-        cols = [np.broadcast_to(c, shape) for c in cols]
-        out = np.empty(shape)
-        for idx in np.ndindex(shape):
-            out[idx] = self.h(float(ts[idx]), tuple(float(c[idx]) for c in cols))
-        return out
+        array) and `cols`, one per state axis. Point by point here, on Python
+        floats; templates override it with arrays, in `terms`' float order."""
+        with np.errstate(all="ignore"):  # the ufunc would report h's own float flags
+            return np.vectorize(lambda t, *x: self.h(float(t), tuple(map(float, x))),
+                                otypes=[float])(t, *cols)
 
     def terms(self, t: float, x) -> tuple:
         """(h, dh/dt, grad_x h) at (t, x): everything a CBF constraint needs,
@@ -245,21 +242,14 @@ class AffineBarrier(Barrier):
         return self.coeffs, self._offsets[max(j - 1, 0)]
 
 
-class TopBarrier(Barrier):
-    """Vacuous barrier h == 1: its safe set is the whole domain."""
+class TopBarrier(AffineBarrier):
+    """Vacuous barrier h == 1, the form 0.x + 1: its safe set is the whole domain."""
 
     def __init__(self, dim: int):
-        super().__init__("__top__")
-        self.dim = dim
+        super().__init__("__top__", (0.0,) * dim, offset=1.0)
 
     def h_grid(self, t, cols):
         return 1.0
-
-    def terms(self, t, x):
-        return 1.0, 0.0, (0.0,) * self.dim
-
-    def affine_on(self, t0, t1):
-        return (0.0,) * self.dim, 1.0
 
 
 class NegatedBarrier(Barrier):

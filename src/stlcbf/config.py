@@ -288,8 +288,9 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
     bounds = [dom.pair(key, default) for key, default in
               zip(axes, zip(DEFAULT_DOMAIN.lower, DEFAULT_DOMAIN.upper))]
     bad_axes = [f"[domain] {key} lower {lo} exceeds upper {hi}" if lo > hi else
+                f"[domain] {key} has zero width: lower {lo} equals upper {hi}" if lo == hi else
                 f"[domain] {key} width {hi} - ({lo}) overflows"
-                for key, (lo, hi) in zip(axes, bounds) if not 0 <= hi - lo < math.inf]
+                for key, (lo, hi) in zip(axes, bounds) if not 0 < hi - lo < math.inf]
     errors += bad_axes
     domain = None if bad_axes else dom.build(Box, *zip(*bounds))
     for key, v, (lo, hi) in zip(axes, x0, bounds):
@@ -388,10 +389,14 @@ def _row(value, width):
 
 def _affine_barrier(barrier_id, value):
     """`<id> = affine <c1> <c2> <c3> offset=<d> [alpha=<kappa>]` as an
-    AffineBarrier; a ValueError names what is wrong with the declaration."""
+    AffineBarrier, each token at most once; a ValueError names what is
+    wrong with the declaration."""
     toks = value.split()
     if not toks or toks[0] != "affine":
         raise ConfigError("only the `affine` template is declarable")
+    for key in ("offset=", "alpha="):  # a second value would silently win
+        if sum(tok.startswith(key) for tok in toks) > 1:
+            raise ConfigError(f"{key} given twice")
     coeffs = []
     offset = None
     kappa = 1.0

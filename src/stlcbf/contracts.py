@@ -135,8 +135,6 @@ def _cut_vertices(box: Box, coeffs, offset):
     edges, among which a linear objective takes its minimum and maximum."""
     tol = 1e-12
     verts = [v for v in box.vertices() if dot(coeffs, v) + offset >= -tol]
-    if all(c == 0 for c in coeffs):
-        return verts
     n = box.dim
     for free in range(n):
         c_free = coeffs[free]
@@ -188,28 +186,27 @@ def _exact_extremes(box_bits: bytes, prev_bits: bytes, next_bits: bytes):
 GRID_RESOLUTION = 101  # points per axis of a sampled check
 
 
-def _axis(lo: float, hi: float, resolution: int):
-    """An axis of the grid: point k is lo + k * step (resolution >= 2)."""
-    return lo + np.arange(resolution) * ((hi - lo) / (resolution - 1))
+def _axes(box: Box, resolution: int) -> list:
+    """The grid's axes, one per box axis: point k is lo + k * step (resolution >= 2)."""
+    return [lo + np.arange(resolution) * ((hi - lo) / (resolution - 1))
+            for lo, hi in zip(box.lower, box.upper)]
 
 
-def _grid_points(box: Box, resolution: int):
-    """The grid, one slab per value of the first axis: that value and one
-    array per other axis, broadcastable, in itertools.product's order when
-    read in C order (`_axis` per axis)."""
-    axes = [_axis(lo, hi, resolution) for lo, hi in zip(box.lower, box.upper)]
+def _grid_points(axes):
+    """The grid of `_axes`, one slab per value of the first axis: that value
+    and one array per other axis, broadcastable, in itertools.product's
+    order when read in C order."""
     rest = np.ix_(*axes[1:])
     return (head + rest for head in itertools.product(*axes[:1]))
 
 
-def _slab_bounds(form, box: Box, resolution: int, lowest: bool) -> list:
+def _slab_bounds(form, axes, lowest: bool) -> list:
     """The affine form at each slab's best corner for the scan (per other
     axis its first or last value, by the coefficient's sign; the slab's own
     value on the first axis), as floats in slab order: one `dot` over the
     first axis' array, whose elementwise products and adds round as the
     per-slab float fold would. That fold never warns, so neither does this."""
     coeffs, offset = form
-    axes = [_axis(lo, hi, resolution) for lo, hi in zip(box.lower, box.upper)]
     corner = [axes[0]] + [float(a[0] if (c > 0) == lowest else a[-1])
                           for c, a in zip(coeffs[1:], axes[1:])]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -277,12 +274,12 @@ def _extreme(h_prev, h_next, t_prev, t_next, domain, lowest, stop=-math.inf):
                                _bits(*next_form[0], next_form[1]))[0 if lowest else 1]
     n = GRID_RESOLUTION
     pick, fill = (np.argmin, math.inf) if lowest else (np.argmax, -math.inf)
-    best_val, best_at, slabs = fill, None, _grid_points(domain, n)
+    best_val, best_at, axes = fill, None, _axes(domain, n)
     bounds = (itertools.repeat(math.nan) if next_form is None
-              else _slab_bounds(next_form, domain, n, lowest))
+              else _slab_bounds(next_form, axes, lowest))
     shape = (n,) * (domain.dim - 1)  # a slab's: each slab refills both buffers
     vals, keep = np.empty(shape), np.empty(shape, dtype=bool)
-    for slab, bound in zip(slabs, bounds):
+    for slab, bound in zip(_grid_points(axes), bounds):
         if (bound >= best_val) if lowest else (bound <= best_val):
             continue  # no point of the slab beats the running extreme
         np.copyto(vals, h_next.h_grid(t_next, slab))  # never write into h_grid's array
@@ -524,9 +521,9 @@ def build_schedule(group: TaskGroup, registry, cfg: ScheduleConfig) -> ContractS
         if t_i not in times:
             raise ContractError(f"group {group.label}: boundary window at t={t_i!r} "
                                 "is not a boundary time of the group")
-    boundaries = []
-    for idx in range(len(segments) - 1):
-        boundaries.append(_classify_boundary(segments, idx, cfg))
+    top = TopBarrier(cfg.domain.dim)
+    boundaries = [_classify_boundary(segments, idx, cfg, top)
+                  for idx in range(len(segments) - 1)]
     return ContractSchedule(label=group.label, segments=segments, boundaries=boundaries)
 
 
@@ -547,10 +544,9 @@ def _tile_segments(group: TaskGroup, horizon: float, registry) -> list:
     return segments
 
 
-def _classify_boundary(segments, idx, cfg: ScheduleConfig) -> BoundaryDecision:
+def _classify_boundary(segments, idx, cfg: ScheduleConfig, top) -> BoundaryDecision:
     prev, nxt = segments[idx], segments[idx + 1]
     t_i = prev.interval.end
-    top = TopBarrier(cfg.domain.dim)
     prev_bar, next_bar = prev.barrier or top, nxt.barrier or top
     base = dict(time=t_i, prev_id=prev.barrier_id, next_id=nxt.barrier_id)
 

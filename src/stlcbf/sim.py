@@ -69,6 +69,8 @@ from .qp import input_floats, solve_qp
 from .stl import MONITOR_TOL
 
 DEFAULT_DT = 0.01
+# a trace row holds 6 doubles and one status reference: 56 GB at this count
+MAX_STEPS = 10**9
 
 
 class SimError(ValueError):
@@ -305,7 +307,8 @@ def check_opening_assumptions(schedules: Sequence, x0) -> None:
 
 def step_count(t_max: float, dt: float) -> int:
     """The number of steps of size dt that span [0, t_max]; a SimError
-    unless t_max / dt is finite and within 1e-9 relative of an integer."""
+    unless t_max / dt is finite, at most `MAX_STEPS` and within 1e-9
+    relative of an integer."""
     if not (0 < dt < math.inf and 0 <= t_max < math.inf):
         raise SimError(f"need 0 < dt < inf and 0 <= t_max < inf, got dt={dt}, t_max={t_max}")
     steps = t_max / dt
@@ -313,6 +316,9 @@ def step_count(t_max: float, dt: float) -> int:
         raise SimError(f"dt={dt} is too small for the horizon {t_max:g}: "
                        "the step count overflows")
     n = round(steps)
+    if n > MAX_STEPS:
+        raise SimError(f"dt={dt:g} is too small for the horizon {t_max:g}: "
+                       f"{steps:g} steps exceed the ceiling of {MAX_STEPS:g}")
     if abs(steps - n) > 1e-9 * steps:
         raise SimError(f"dt={dt:g} does not divide the horizon {t_max:g} ({steps:g} steps)")
     return n

@@ -143,6 +143,23 @@ def simulate_scalar_pull(h0: float, gamma: float, rho: float, dt: float = 1e-4,
 
 
 # ---------------------------------------------------------------------------
+# Point-by-point h_grid: the reference for `Barrier.h_grid`'s default
+# ---------------------------------------------------------------------------
+
+
+def pointwise_h_grid(bar, t, cols):
+    """h(t, x) at every point of the broadcast of t and cols, one `bar.h`
+    call per point in C order, each coordinate read as a Python float."""
+    shape = np.broadcast_shapes(np.shape(t), *map(np.shape, cols))
+    ts = np.broadcast_to(t, shape)
+    cols = [np.broadcast_to(c, shape) for c in cols]
+    out = np.empty(shape)
+    for idx in np.ndindex(shape):
+        out[idx] = bar.h(float(ts[idx]), tuple(float(c[idx]) for c in cols))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Scalar grid checks: the per-point reference for contracts' array grid
 # ---------------------------------------------------------------------------
 

@@ -89,7 +89,36 @@ row = 15 0
 G[0,20) sat(slow)
 G[20,60) sat(h1)
 """
-CUSTOM = {"negated_affine": NEGATED_AFFINE, "h1_window": H1_WINDOW}
+# gaps between a group's intervals are the vacuous barrier (h == 1): h1's
+# group opens with one and has another, so its boundaries into and out of
+# h1 take the sampled check, and the gap between the two speed caps gives an
+# exact <top> -> cap boundary whose FCBF window engages with h < 0
+VACUOUS_GAP = """\
+[scenario]
+name = vacuous_gap
+horizon = 100
+[input]
+lower = -200000
+upper = 200000
+[domain]
+x_f = -1000 100000
+v_f = 0 60
+x_l = -1000 1000000
+[barriers]
+cap20 = affine 0 -1 0 offset=20
+cap15 = affine 0 -1 0 offset=15
+[lead]
+v0 = 0
+row = 0 1.2
+row = 15 0
+[stl]
+G[10,50) sat(h1)
+G[60,100) sat(h1)
+G[0,30) sat(cap20)
+G[40,100) sat(cap15)
+"""
+CUSTOM = {"negated_affine": NEGATED_AFFINE, "h1_window": H1_WINDOW,
+          "vacuous_gap": VACUOUS_GAP}
 
 
 def commands(tmp: Path):

@@ -10,7 +10,7 @@ Runs, in this process and under `sys.setprofile`:
 - `synth run` on the benchmark's `dense_contracts` mission and
   `synth check` on its `static_sampled` mission, both at seed 3;
 - `synth run` on each config of `output_hashes.CUSTOM` (`negated_affine`,
-  `h1_window`);
+  `h1_window`, `vacuous_gap`);
 - the library runs of `library_runs`: the planar m = 2 mission of
   `test_planar.py`, which reaches the m >= 2 QP.
 Then it prints every `def` in `src/stlcbf` that none of these runs entered,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
 from oracles import (
     SafeSet,
@@ -16,6 +17,7 @@ from oracles import (
     dot_fold,
     finite_diff_check,
     left_limit_lookup,
+    pointwise_h_grid,
     reference_eval_rows,
     simulate_scalar_pull,
 )
@@ -1010,9 +1012,21 @@ class TestPiecewiseAffine:
         assert coeffs == (0.0, 1.0) and offset == -10.0
 
     def test_top_barrier_is_always_safe(self):
+        """TopBarrier is the affine form 0.x + 1, with the bits of +0.0 and
+        1.0, and overrides only h_grid, which gives the scalar 1.0."""
         top = TopBarrier(2)
+        assert isinstance(top, AffineBarrier) and top.id == "__top__"
+        assert [name for name, v in vars(TopBarrier).items() if callable(v)] == [
+            "__init__", "h_grid"]
         assert top.h(0.0, (5.0, 5.0)) == 1.0
-        assert top.affine_on(0.0, 1.0) == ((0.0, 0.0), 1.0)
+        for t0 in (0.0, 7.5, math.nextafter(1e9, -math.inf)):
+            coeffs, offset = top.affine_on(t0, math.nextafter(t0, math.inf))
+            assert [c.hex() for c in coeffs] == [(0.0).hex()] * 2 and offset.hex() == (1.0).hex()
+        for x in ((5.0, 5.0), (-3.0, -0.0), (-1e308, 1e308)):
+            h, dh, grad = top.terms(2.0, x)
+            assert _bits(h, dh, grad) == _bits(1.0, 0.0, (0.0, 0.0))
+        got = top.h_grid(3.0, (np.zeros((4, 1)), np.ones((1, 5))))
+        assert type(got) is float and got == 1.0
 
     def test_safe_set_membership_and_left_limit(self):
         bar = AffineBarrier("hv", coeffs=(0.0, -1.0), pieces=[(0.0, 30.0), (50.0, 25.0)])
@@ -1092,10 +1106,8 @@ def closed_form(bar, t, x):
     if isinstance(bar, NegatedBarrier):
         dh, grad = closed_form(bar.inner, t, x)
         return -dh, tuple(-g for g in grad)
-    if isinstance(bar, AffineBarrier):
+    if isinstance(bar, AffineBarrier):  # TopBarrier too: coeffs (0.0, 0.0, 0.0)
         return 0.0, bar.coeffs
-    if isinstance(bar, TopBarrier):
-        return 0.0, (0.0, 0.0, 0.0)
     if isinstance(bar, SpacingBarrier):
         # h1: V_l a_l / a_max and (-1, -t_hw - V_f/a_max, 1)
         return (LEAD.velocity(t) * LEAD.cached_motion(t)[1] / VP.a_max,
@@ -1210,6 +1222,59 @@ class Ramp(Barrier):
     def terms(self, t, x):
         s = 2.0 if t >= 5.0 else 1.0
         return s * t - x[0], s, (-1.0,)
+
+
+class FloatsOnly(Barrier):
+    """h = t - x[0] * x[-1], less each of x[1:], read from Python floats
+    only: `terms` asserts the types that the default `h_grid` passes it."""
+
+    def __init__(self):
+        super().__init__("floats_only")
+
+    def terms(self, t, x):
+        assert type(t) is float and type(x) is tuple and all(type(v) is float for v in x)
+        h = t - x[0] * x[-1]
+        for v in x[1:]:
+            h -= v
+        return h, 1.0, (0.0,) * len(x)
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0, 5e-324])
+
+
+@st.composite
+def h_grid_inputs(draw):
+    """(t, cols) of broadcastable shapes, 0-d and size-0 ones included: t a
+    Python float or an array, and one to three state columns."""
+    n = draw(st.integers(1, 3))
+    shapes = draw(npst.mutually_broadcastable_shapes(num_shapes=n + 1, min_dims=0,
+                                                     max_dims=3, min_side=0, max_side=3))
+    t_shape, *col_shapes = shapes.input_shapes
+    arrays = [draw(npst.arrays(np.float64, shape, elements=FLOATS))
+              for shape in (t_shape, *col_shapes)]
+    t = arrays[0]
+    if t.shape == () and draw(st.booleans()):
+        t = float(t)
+    return t, tuple(arrays[1:])
+
+
+class TestDefaultHGrid:
+    """`Barrier.h_grid`'s default (`np.vectorize` over `h`) against the
+    point-by-point loop it replaced, `oracles.pointwise_h_grid`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(h_grid_inputs())
+    @example((2.0, (np.array(1.0),)))
+    @example((np.zeros((0, 2)), (np.ones((3, 1, 1)), np.ones(2))))
+    @example((np.array([-0.0, math.inf]), (np.array([math.inf, -0.0]), np.array(math.nan))))
+    # h's own float overflow, which the loop never reported as a numpy warning
+    @example((0.0, (np.array([1e200]), np.array(1e200))))
+    def test_default_equals_the_pointwise_loop_bit_for_bit(self, case):
+        t, cols = case
+        bar = FloatsOnly()
+        got, want = bar.h_grid(t, cols), pointwise_h_grid(bar, t, cols)
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype == np.float64
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestMinimalBarrier:

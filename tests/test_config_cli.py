@@ -177,6 +177,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="reserved"):
             parse_config(MINIMAL + "\n[barriers]\nh1 = affine 0 -1 0 offset=10\n")
 
+    @pytest.mark.parametrize("token", ["offset", "alpha"])
+    def test_repeated_barrier_token_names_its_line(self, token, tmp_path, capsys):
+        """A second value used to win silently: `offset=10 offset=20` gave
+        the cap offset 20."""
+        decl = f"affine 0 -1 0 offset=10 alpha=1 {token}=2"
+        text = MINIMAL + f"\n[barriers]\ncap = {decl}\n"
+        with pytest.raises(ConfigError) as raised:
+            parse_config(text)
+        assert str(raised.value).splitlines() == [
+            "invalid config:", f"  [barriers] line 12: {token}= given twice"]
+        cfg = tmp_path / "repeated.cfg"
+        cfg.write_text(text)
+        for command in ("run", "check"):
+            assert cli_main([command, str(cfg)]) == 4
+            out, err = capsys.readouterr()
+            assert out == "" and err == (f"error: invalid config:\n"
+                                         f"  [barriers] line 12: {token}= given twice\n")
+
     def test_bad_signal_timing_exits_as_config_error(self, tmp_path):
         cfg = tmp_path / "bad_signal.cfg"
         cfg.write_text(MINIMAL + "\n[signals]\nsignal = 65 0 1 0 18.5\n")
@@ -328,17 +346,33 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("entries, message", [
         ("[domain]\nv_f = 10 0\n", "[domain] v_f lower 10.0 exceeds upper 0.0"),
+        ("[domain]\nv_f = 0 0\n", "[domain] v_f has zero width: lower 0.0 equals upper 0.0"),
         # the default bound -mass * a_max is named, not quoted as if the file gave it
         ("[input]\nupper = -1e9\n",
          "[input] the default lower -mass * a_max exceeds upper -1000000000.0"),
         ("[input]\nlower = 1e9\n",
          "[input] lower 1000000000.0 exceeds the default upper mass * a_max"),
         ("[input]\nlower = -inf\n", "[input] lower must be finite, got -inf"),
-    ], ids=["domain", "input-upper", "input-lower", "input-non-finite"])
+    ], ids=["domain", "domain-zero-width", "input-upper", "input-lower", "input-non-finite"])
     def test_box_error_names_its_key(self, entries, message):
         with pytest.raises(ConfigError) as raised:
             parse_config(MINIMAL + entries)
         assert str(raised.value).splitlines() == ["invalid config:", f"  {message}"]
+
+    @pytest.mark.parametrize("stl", ["G[0,5) sat(h1)\n", "G[0,2) sat(h1)\nG[2,5) sat(vmax25)\n"],
+                             ids=["no-boundary", "boundary"])
+    def test_zero_width_domain_axis_exits_as_config_error(self, stl, tmp_path, capsys):
+        """Without a boundary, `check` used to exit 0 and `run` to end in a
+        domain exit; with one, both exited 4 with a message that named no
+        key."""
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text(MINIMAL.replace("G[0,5) sat(h1)\n", stl)
+                       + "[speed_limits]\nrow = 0 25\n[domain]\nv_f = 0 0\n")
+        for command in ("check", "run"):
+            assert cli_main([command, str(cfg)]) == 4
+            out, err = capsys.readouterr()
+            assert out == "" and err == ("error: invalid config:\n  [domain] v_f has zero "
+                                         "width: lower 0.0 equals upper 0.0\n")
 
     def test_scenario_hash_tracks_overrides(self):
         cfg = parse_config(MINIMAL)
@@ -672,6 +706,15 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: dt=1e-320 is too small for the horizon 5: the step count overflows\n"
             "error: dt=1e-320 is too small for the horizon 500: the step count overflows\n")
+
+    def test_dt_past_the_step_ceiling_exits_as_config_error(self, capsys):
+        """500 / 1e-300 is finite and whole, but a run of 5e302 steps never
+        ends: `check` used to exit 0 with status=compatible."""
+        assert cli_main(["check", "paper_sec6", "--dt", "1e-300"]) == 4
+        assert cli_main(["run", "paper_sec6", "--dt", "1e-300"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err == 2 * ("error: dt=1e-300 is too small for the horizon 500: "
+                                         "5e+302 steps exceed the ceiling of 1e+09\n")
 
     @pytest.mark.parametrize("dt", ["nan", "inf", "0", "-0.01"])
     def test_bad_dt_override_is_config_error(self, dt, capsys):

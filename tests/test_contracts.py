@@ -845,6 +845,22 @@ class TestExactExtremesInExactArithmetic:
         assert sorted(verts) == [(0, Fraction(1, 2)), (0, 1), (Fraction(1, 2), 0), (1, 0),
                                  (1, 1)]
 
+    @pytest.mark.parametrize("coeffs", [(0.0,), (-0.0,), (0.0, -0.0), (-0.0, 0.0, -0.0),
+                                        (0.0, 0.0, 0.0)])
+    @pytest.mark.parametrize("offset", [1.0, 5e-324, 0.0, -0.0, -1.0, -1e-12 + 1e-13, -1e-12,
+                                        -1e-12 - 1e-13])
+    def test_zero_coefficients_cut_no_edge(self, coeffs, offset):
+        """A zero form (of either sign per coefficient) crosses no edge: the
+        cut keeps every box vertex or none, as the rational oracle does once
+        it is shifted by the float test's tolerance 1e-12 (0 + 0.0 + offset
+        >= -1e-12 reads the offset exactly)."""
+        dim = len(coeffs)
+        box = Box((-0.0, -2.5, 1.0)[:dim], (3.0, 0.0, 1.5)[:dim])
+        got = contracts._cut_vertices(box, coeffs, offset)
+        assert got == (box.vertices() if offset >= -1e-12 else [])
+        want = exact_cut_vertices(box, coeffs, Fraction(offset) + Fraction(1e-12))
+        assert [tuple(map(Fraction, v)) for v in got] == want
+
 
 class TestExactExtremeAgainstDenseGrid:
     """The exact extremes over the cut polytope against a 101-per-axis grid

@@ -21,6 +21,7 @@ from stlcbf.config import load_config, parse_config
 from stlcbf.contracts import ScheduleConfig, Verdict, build_schedule
 from stlcbf.qp import QpError, pid_nominal, solve_qp
 from stlcbf.sim import (
+    MAX_STEPS,
     ControlSystem,
     InitialConditionError,
     SimError,
@@ -210,6 +211,17 @@ class TestRunSimulation:
         # t_max / dt overflows to inf, and round(inf) used to raise OverflowError
         with pytest.raises(SimError, match=f"^dt={dt} is too small for the horizon 500: "):
             step_count(500.0, dt)
+
+    def test_step_count_has_a_ceiling(self):
+        # a run of 5e302 steps (500 / 1e-300) would never end; MAX_STEPS is its cap
+        assert MAX_STEPS == 10**9
+        assert step_count(1e9, 1.0) == 10**9
+        assert step_count(500.0, 5e-7) == 10**9
+        for t_max, dt, steps in [(2e9, 1.0, "2e+09"), (500.0, 1e-300, "5e+302")]:
+            with pytest.raises(SimError) as raised:
+                step_count(t_max, dt)
+            assert str(raised.value) == (f"dt={dt:g} is too small for the horizon {t_max:g}: "
+                                         f"{steps} steps exceed the ceiling of 1e+09")
 
     @pytest.mark.parametrize("dt", [0.005, 0.01, 0.05, 0.2, 0.5, 1.0])
     def test_paper_sec6_steps_divide_its_horizon(self, dt):
