@@ -1,8 +1,8 @@
 """Scenario configuration: a line-based text format with [section] headers.
 
-Within a section, entries are `key = value`; repeatable keys (`row`, `line`,
-`signal`) accumulate in order. Values are whitespace-separated tokens. The
-[stl] section also accepts bare task lines. `#` starts a comment anywhere.
+Within a section, entries are `key = value`; repeatable keys (`row`,
+`signal`) accumulate in order. Values are whitespace-separated tokens. Every
+line of the [stl] section is a task line. `#` starts a comment anywhere.
 Unknown sections or keys are errors. `parse_config` is the one input stage:
 it builds every object the file gives (vehicle parameters, input box, domain,
 PID gains, lead profile, speed limits, explicit signals, custom barriers),
@@ -35,7 +35,7 @@ class ConfigError(ValueError):
     pass
 
 
-_REPEATABLE = {"row", "line", "signal"}
+_REPEATABLE = {"row", "signal"}
 
 # the [signals] keys that describe a generated plan; none goes with signal rows
 _PLAN_KEYS = ("generate", "count", "first_position", "spacing", "green", "yellow", "red")
@@ -53,7 +53,7 @@ _KNOWN_KEYS = {
     "speed_limits": {"row"},
     "signals": {*_PLAN_KEYS, "signal"},
     "lead": {"v0", "row"},
-    "stl": {"line"},
+    "stl": {"task"},
     "barriers": None,  # free-form ids
 }
 
@@ -62,7 +62,8 @@ def _parse_sections(text: str):
     sections: dict = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        raw = raw.split("#", 1)[0].rstrip()
+        line = raw.lstrip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -74,12 +75,9 @@ def _parse_sections(text: str):
         if current is None:
             raise ConfigError(f"line {lineno}: entry before any [section]")
         if current == "stl":
-            # the whole line is a task line (tasks may contain `=` themselves)
-            key, value = "line", line
-            if line.startswith("line"):
-                head, _, rest = line.partition("=")
-                if head.strip() == "line":
-                    value = rest.strip()
+            # the whole line is a task line (tasks may contain `=` themselves);
+            # its indent stays, so a task error names the column of the file
+            key, value = "task", raw
         elif "=" in line:
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
@@ -190,7 +188,7 @@ class ScenarioConfig:
     limits: Optional[SpeedLimitSchedule]
     signals: list             # explicit SignalTimings; [] when generated or absent
     signal_plan: Optional[dict]
-    stl_text: str
+    stl_text: str             # the [stl] task lines, each at its line of the file
     barriers: list            # AffineBarrier, one per [barriers] entry
     raw_text: str = ""
 
@@ -229,12 +227,11 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
     slim = sec("speed_limits")
     sig = sec("signals")
     lead = sec("lead")
-    stl = sec("stl")
 
     name = scn.get("name", default_name)
     horizon = scn.num("horizon")
-    if horizon is None or not (math.isfinite(horizon) and horizon >= 0):
-        errors.append("[scenario] horizon must be a finite number >= 0")
+    if horizon is None or not (math.isfinite(horizon) and horizon > 0):
+        errors.append("[scenario] horizon must be a finite number > 0")
         horizon = math.inf  # no speed-limit row can start beyond it
     dt = scn.num("dt", DEFAULT_DT)
     if not (math.isfinite(dt) and dt > 0):
@@ -339,11 +336,15 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
             for key in ("spacing", "green", "yellow", "red"):
                 if (span := sig.pair(key)) is not None:
                     signal_plan[key] = span
+                    if not 0 < span[0] <= span[1]:  # uniform(hi, lo) draws another plan
+                        errors.append(f"[signals] {key} must satisfy 0 < lower <= upper, "
+                                      f"got {sig.get(key)!r}")
 
-    stl_lines = [value for _, value, _ in stl.entries]  # every [stl] entry is a line
-    if not stl_lines:
+    # each task sits at its own line of the file, so a task error names it
+    tasks = {lineno: value for _, value, lineno in sections.get("stl", [])}
+    if not tasks:
         errors.append("[stl] at least one task line is required")
-    stl_text = "\n".join(stl_lines)
+    stl_text = "\n".join(tasks.get(n, "") for n in range(1, max(tasks, default=0) + 1))
 
     # ids are checked here, not as keys: `bars` only files the build errors
     barriers, bars = [], _Section(None, "barriers", errors)

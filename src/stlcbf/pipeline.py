@@ -87,8 +87,7 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
 
     sys = make_vehicle_system(vp, lead, cfg.domain)
 
-    spec_src = f"horizon {cfg.horizon!r}\n" + cfg.stl_text
-    spec = parse_spec(spec_src, registry)
+    spec = parse_spec(cfg.stl_text, registry, cfg.horizon)
 
     sched_cfg = ScheduleConfig(
         domain=cfg.domain, horizon=cfg.horizon, rho=cfg.rho_speed,
@@ -438,13 +437,15 @@ def read_trace_csv(path: str) -> TraceView:
         for lineno, line in enumerate(fh, start=2):
             toks = line.rstrip("\n").split(",")
             try:
-                ts.append(float(toks[it]))
-                states.append((float(toks[ixf]), float(toks[ivf]), float(toks[ixl])))
-            except IndexError:
-                raise PipelineError(f"trace {path} line {lineno}: {len(toks)} fields, "
-                                    f"header has {len(header)}") from None
+                if len(toks) != len(header):
+                    raise ValueError(f"{len(toks)} fields, header has {len(header)}")
+                row = [float(toks[i]) for i in (it, ixf, ivf, ixl)]
+                if not all(map(math.isfinite, row)):  # the monitor reads NaN as satisfied
+                    raise ValueError(f"t, X_f, V_f and X_l must be finite, got {row}")
             except ValueError as exc:
                 raise PipelineError(f"trace {path} line {lineno}: {exc}") from None
+            ts.append(row[0])
+            states.append(tuple(row[1:]))
     return TraceView(ts=ts, states=states)
 
 

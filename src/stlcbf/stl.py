@@ -8,9 +8,9 @@ barrier. An eventually task names its time of satisfaction t_s, and the
 parser turns it into the globally task over [t_s, t_s + eps): every later
 stage, the monitor and the report included, sees only globally tasks.
 
-Spec source grammar (line oriented, whitespace-insensitive, `#` comments):
+Spec source grammar (line oriented, whitespace-insensitive, `#` comments);
+the horizon T is given to the parser, and every interval lies in [0, T):
 
-    horizon <T>
     G[a,b) sat(<id>)
     G[a,b) !sat(<id>)
     F[a,b) sat(<id>) @ts=<t> eps=<e>     # eps optional, default 0.5 s
@@ -113,7 +113,6 @@ class TaskGroup:
 # Parser
 # ---------------------------------------------------------------------------
 
-_HORIZON_RE = re.compile(r"horizon\s+([-+0-9.eE]+)\s*$")
 _TASK_RE = re.compile(
     r"([GF])\s*\[\s*([-+0-9.eE]+)\s*,\s*([-+0-9.eE]+)\s*\)\s*"
     r"(!?)\s*sat\(\s*([A-Za-z_][A-Za-z0-9_.:-]*)\s*\)\s*"
@@ -121,41 +120,28 @@ _TASK_RE = re.compile(
 )
 
 
-def parse_spec(text: str, registry) -> StlSpec:
-    """Parse spec source into an StlSpec with resolved barrier references.
+def parse_spec(text: str, registry, horizon: float) -> StlSpec:
+    """Parse task lines into an StlSpec over [0, horizon] with resolved
+    barrier references.
 
     `registry` only needs to support `id in registry`. Raises StlParseError
     with line/column on malformed input, unknown barrier ids, intervals
     violating 0 <= a < b <= horizon, or satisfaction windows that are empty
     or leave their eventually interval. Every task comes back as `Globally`.
     """
-    horizon: Optional[float] = None
     tasks: list = []
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]
+        if not line.strip():
             continue
-        m = _HORIZON_RE.fullmatch(line)
-        if m:
-            if horizon is not None:
-                raise StlParseError("duplicate horizon header", lineno)
-            horizon = _num(m.group(1), lineno)
-            if not (math.isfinite(horizon) and horizon > 0):
-                raise StlParseError(f"horizon must be positive and finite, got {horizon}", lineno)
-            continue
-        if horizon is None:
-            raise StlParseError("expected `horizon <T>` header before task lines", lineno)
         col = 1
         for part in line.split("&"):
             chunk = part.strip()
             if not chunk:
                 raise StlParseError("empty conjunct", lineno, col)
-            tasks.append(_parse_task(chunk, lineno, col, horizon, registry))
+            indent = len(part) - len(part.lstrip())
+            tasks.append(_parse_task(chunk, lineno, col + indent, horizon, registry))
             col += len(part) + 1
-
-    if horizon is None:
-        raise StlParseError("missing `horizon <T>` header", 1)
     return StlSpec(tasks=tuple(tasks), horizon=horizon)
 
 

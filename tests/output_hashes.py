@@ -11,11 +11,12 @@ three shipped presets, on the benchmark's `dense_contracts` and
 `synth monitor` on `paper_sec6` at `--seed 7`. For each command it prints
 the exit code and one line per artifact (stdout, stderr, each file written)
 with its sha256. Every path passed is relative to the working directory, so
-no output holds a temporary path. Run it on two checkouts and `diff` the outputs: a line that differs
-names an artifact whose bytes moved.
+no output holds a temporary path. Run it on two checkouts and `diff` the
+outputs: a line that differs names an artifact whose bytes moved.
 
-It is a script, not a test: pytest does not collect it. It takes about a
-minute.
+`tests/output_hashes.txt` holds its output, and
+`test_output_hashes.py` runs it and compares, so every test run checks the
+determinism contract. It takes about 10 s.
 """
 
 from __future__ import annotations

@@ -379,6 +379,71 @@ class TestConfigParsing:
         assert cfg.scenario_hash() != replace(cfg, dt=0.02).scenario_hash()
         assert cfg.scenario_hash() == parse_config(MINIMAL).scenario_hash()
 
+    @pytest.mark.parametrize("value", ["0", "-0", "-5", "inf"])
+    def test_horizon_must_be_positive(self, value, tmp_path, capsys):
+        """A zero horizon admits no task; it used to pass `parse_config` and
+        fail as `line 1, col 1` of a line the file does not have."""
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(MINIMAL.replace("horizon = 5", f"horizon = {value}"))
+        for command in ("check", "run"):
+            assert cli_main([command, str(cfg)]) == 4
+            assert capsys.readouterr() == (
+                "", "error: invalid config:\n  [scenario] horizon must be a finite number > 0\n")
+
+    @pytest.mark.parametrize("key, value", [
+        ("green", "0 0"), ("yellow", "0 6"), ("red", "30 15"),
+        ("spacing", "-800 -300"), ("spacing", "800 300"),
+    ])
+    def test_plan_pair_must_be_positive_and_ordered(self, key, value, tmp_path, capsys):
+        """`green = 0 0` and `spacing = -800 -300` used to exit 4 with a
+        message that named no key, and `spacing = 800 300` drew another plan
+        than `300 800`."""
+        cfg = tmp_path / "pair.cfg"
+        cfg.write_text(MINIMAL + f"\n[signals]\n{key} = {value}\n")
+        for command in ("check", "run"):
+            assert cli_main([command, str(cfg)]) == 4
+            assert capsys.readouterr() == (
+                "", f"error: invalid config:\n  [signals] {key} must satisfy "
+                    f"0 < lower <= upper, got '{value}'\n")
+        assert parse_config(MINIMAL + f"\n[signals]\n{key} = 7 7\n").signal_plan == \
+            {key: (7.0, 7.0)}
+
+
+# a task on file line 5 under a 60 s horizon: its error names line 5 of the
+# file (a parser fed `horizon 60` and the task lines would name line 3)
+STL_LINE_5 = """\
+[scenario]
+horizon = 60
+[stl]
+G[0,60) sat(h1)
+{task}
+[barriers]
+slow = affine 0 -1 0 offset=10
+"""
+
+
+@pytest.mark.parametrize("task, message", [
+    ("G[0,70) sat(h1)", "line 5, col 5: interval [0,70) exceeds horizon 60"),
+    ("G[0,60) sat(nope)", "line 5, col 13: unknown barrier id 'nope'"),
+    ("F[0,60) sat(slow) @ts=58 eps=5",
+     "line 5, col 23: satisfaction window [58,63) not contained in [0,60)"),
+    ("horizon 50", "line 5, col 1: cannot parse task 'horizon 50'"),
+    ("line = G[0,5) sat(h1)", "line 5, col 1: cannot parse task 'line = G[0,5) sat(h1)'"),
+    ("    G[0,70) sat(h1)", "line 5, col 9: interval [0,70) exceeds horizon 60"),
+    ("G[0,60) sat(h1) &  G[0,70) sat(h1)", "line 5, col 24: interval [0,70) exceeds horizon 60"),
+], ids=["interval", "unknown-id", "window", "horizon-header", "line-alias", "indented",
+        "second-conjunct"])
+def test_stl_error_names_its_file_line(task, message, tmp_path, capsys):
+    cfg = tmp_path / "task.cfg"
+    cfg.write_text(STL_LINE_5.format(task=task))
+    for command in ("check", "run"):
+        assert cli_main([command, str(cfg)]) == 4
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    # a comment and a blank line above the task move the line it names
+    cfg.write_text(STL_LINE_5.format(task=f"# note\n\n{task}"))
+    assert cli_main(["check", str(cfg)]) == 4
+    assert capsys.readouterr().err == f"error: {message.replace('line 5', 'line 7', 1)}\n"
+
 
 # sha256 of the paper_sec6 trace CSV and report, as perfbench/workloads.py
 # records them: the README's determinism contract, guarded byte for byte.
@@ -879,6 +944,8 @@ class TestCli:
         ("0.02,0.2,0.0", "3 fields"),          # short row
         ("0.02,0.2,,100.0", "could not convert"),  # blank field
         ("0.02,0.2,fast,100.0", "could not convert"),  # non-numeric field
+        ("0.02,0.2,0.0,100.0,7", "5 fields, header has 4"),  # long row
+        ("0.02,nan,0.0,100.0", "t, X_f, V_f and X_l must be finite"),  # read as satisfied
     ])
     def test_monitor_cli_malformed_trace_is_config_error(self, tmp_path, capsys,
                                                          bad_row, why):

@@ -35,9 +35,9 @@ def planar_mission():
             registry.register(AffineBarrier(f"{name}{axis}lo", unit, offset=-lo[i]))
             registry.register(AffineBarrier(f"{name}{axis}hi", tuple(-c for c in unit),
                                             offset=hi[i]))
-    spec = parse_spec("horizon 30\n" + "\n".join(
+    spec = parse_spec("\n".join(
         f"G[{a},{b}) sat({name}{side})" for name, a, b in (("a", 0, 10), ("b", 20, 30))
-        for side in SIDES), registry)
+        for side in SIDES), registry, 30.0)
     cfg = ScheduleConfig(domain=DOMAIN, horizon=30.0, t_conv=8.0, rho=0.5)
     schedules = [build_schedule(group, registry, cfg) for group in group_tasks(spec)]
     system = ControlSystem(n=2, m=2, f=lambda t, x: (0.0, 0.0), g=lambda t, x: IDENTITY,

@@ -54,65 +54,77 @@ class TestTimeInterval:
 
 class TestParser:
     def test_globally_line(self):
-        spec = parse_spec("horizon 300\nG[0,300) sat(h1)", REG)
+        spec = parse_spec("G[0,300) sat(h1)", REG, 300)
         assert spec.tasks == (Globally(TimeInterval(0, 300), PredicateRef("h1")),)
         assert spec.horizon == 300
 
     def test_eventually_line_with_window(self):
         # F[a,b) with time of satisfaction t_s parses as G[t_s, t_s + eps)
-        spec = parse_spec("horizon 10\nF[2,8) sat(reach) @ts=4 eps=0.5", REG)
+        spec = parse_spec("F[2,8) sat(reach) @ts=4 eps=0.5", REG, 10)
         assert spec.tasks == (Globally(TimeInterval(4.0, 4.5), PredicateRef("reach")),)
 
     def test_empty_interval_is_error(self):
         with pytest.raises(StlParseError, match="interval"):
-            parse_spec("horizon 10\nG[5,5) sat(h1)", REG)
+            parse_spec("G[5,5) sat(h1)", REG, 10)
 
     def test_negation_and_conjunction_on_one_line(self):
-        spec = parse_spec("horizon 10\nG[0,5) !sat(a) & G[5,10) sat(b)", REG)
+        spec = parse_spec("G[0,5) !sat(a) & G[5,10) sat(b)", REG, 10)
         assert spec.tasks[0].pred == PredicateRef("a", negated=True)
         assert len(spec.tasks) == 2
 
     def test_eps_default(self):
-        spec = parse_spec("horizon 10\nF[2,8) sat(reach) @ts=4", REG)
+        spec = parse_spec("F[2,8) sat(reach) @ts=4", REG, 10)
         assert spec.tasks[0].interval == TimeInterval(4.0, 4.0 + 0.5)
 
     def test_unknown_barrier(self):
         with pytest.raises(StlParseError, match="unknown barrier"):
-            parse_spec("horizon 10\nG[0,5) sat(nope)", REG)
+            parse_spec("G[0,5) sat(nope)", REG, 10)
 
     def test_nested_temporal_rejected(self):
         with pytest.raises(StlParseError, match="nested"):
-            parse_spec("horizon 10\nG[0,5) F[0,2) sat(a)", REG)
+            parse_spec("G[0,5) F[0,2) sat(a)", REG, 10)
 
     def test_ts_outside_interval_rejected(self):
         with pytest.raises(StlParseError, match="not contained"):
-            parse_spec("horizon 10\nF[2,8) sat(reach) @ts=7.8 eps=0.5", REG)
+            parse_spec("F[2,8) sat(reach) @ts=7.8 eps=0.5", REG, 10)
 
-    @pytest.mark.parametrize("text", [
-        "horizon 1e17\nF[0,1e17) sat(x) @ts=1e16 eps=0.5",  # 1e16 + 0.5 == 1e16
-        "horizon 10\nF[2,8) sat(x) @ts=4 eps=1e-300",
+    @pytest.mark.parametrize("text, horizon", [
+        ("F[0,1e17) sat(x) @ts=1e16 eps=0.5", 1e17),  # 1e16 + 0.5 == 1e16
+        ("F[2,8) sat(x) @ts=4 eps=1e-300", 10),
     ])
-    def test_window_that_rounds_empty_names_its_line(self, text):
+    def test_window_that_rounds_empty_names_its_line(self, text, horizon):
         # t_s + eps rounds to t_s: the G window would be empty
         with pytest.raises(StlParseError, match="empty or inverted") as exc:
-            parse_spec(text, REG)
-        assert (exc.value.line, exc.value.column) == (2, 1 + text.splitlines()[1].index("@ts") + 4)
+            parse_spec("\n" + text, REG, horizon)
+        assert (exc.value.line, exc.value.column) == (2, 1 + text.index("@ts") + 4)
 
     def test_error_carries_line_number(self):
         with pytest.raises(StlParseError, match="line 3"):
-            parse_spec("horizon 10\nG[0,5) sat(a)\nwhat is this", REG)
+            parse_spec("G[0,5) sat(a)\n\nwhat is this", REG, 10)
+
+    @pytest.mark.parametrize("line", ["horizon 50", "line = G[0,5) sat(a)"])
+    def test_only_task_lines_parse(self, line):
+        # the horizon is an argument, and a task has one spelling
+        with pytest.raises(StlParseError, match=r"^line 2, col \d+: cannot parse task"):
+            parse_spec(f"G[0,5) sat(a)\n{line}", REG, 10)
+
+    def test_horizon_is_checked_by_the_spec(self):
+        with pytest.raises(StlError, match="horizon must be finite"):
+            parse_spec("G[0,5) sat(a)", REG, math.inf)
+
+    @pytest.mark.parametrize("text", ["   G[0,70) sat(a)", "G[0,5) sat(a) &  G[0,70) sat(a)"])
+    def test_column_counts_leading_blanks(self, text):
+        with pytest.raises(StlParseError, match="exceeds horizon") as exc:
+            parse_spec(text, REG, 10)
+        assert exc.value.column == 1 + text.index("70")
 
     def test_comments_and_blanks_ignored(self):
-        spec = parse_spec("# intro\nhorizon 10\n\nG[0,5) sat(a)  # trailing\n", REG)
+        spec = parse_spec("# intro\n\nG[0,5) sat(a)  # trailing\n", REG, 10)
         assert len(spec.tasks) == 1
-
-    def test_missing_horizon(self):
-        with pytest.raises(StlParseError, match="horizon"):
-            parse_spec("G[0,5) sat(a)", REG)
 
     def test_interval_beyond_horizon(self):
         with pytest.raises(StlParseError, match="exceeds horizon"):
-            parse_spec("horizon 4\nG[0,5) sat(a)", REG)
+            parse_spec("G[0,5) sat(a)", REG, 4)
 
 
 class TestEventuallyToGlobally:
@@ -121,25 +133,25 @@ class TestEventuallyToGlobally:
 
     def test_window_becomes_globally(self):
         # the window ends at the float sum t_s + eps; a negation is kept
-        spec = parse_spec("horizon 10\nF[0,1) !sat(reach) @ts=0.1 eps=0.2", REG)
+        spec = parse_spec("F[0,1) !sat(reach) @ts=0.1 eps=0.2", REG, 10)
         assert spec.tasks == (Globally(TimeInterval(0.1, 0.1 + 0.2),
                                        PredicateRef("reach", negated=True)),)
         assert spec.tasks[0].interval.end == 0.30000000000000004
 
     def test_no_eventually_is_identity(self):
-        spec = parse_spec("horizon 10\nG[0,10) sat(a) & G[2,8) !sat(b)", REG)
+        spec = parse_spec("G[0,10) sat(a) & G[2,8) !sat(b)", REG, 10)
         assert spec.tasks == (Globally(TimeInterval(0, 10), PredicateRef("a")),
                               Globally(TimeInterval(2, 8), PredicateRef("b", negated=True)))
 
     def test_idempotent_and_preserves_count(self):
-        spec = parse_spec("horizon 10\nF[2,8) sat(reach) @ts=4\nG[0,10) sat(a)", REG)
+        spec = parse_spec("F[2,8) sat(reach) @ts=4\nG[0,10) sat(a)", REG, 10)
         assert len(spec.tasks) == 2
-        again = parse_spec("\n".join(["horizon 10", *map(str, spec.tasks)]), REG)
+        again = parse_spec("\n".join(map(str, spec.tasks)), REG, 10)
         assert again == spec
 
     def test_missing_window_is_error(self):
         with pytest.raises(StlParseError, match="requires @ts"):
-            parse_spec("horizon 10\nF[2,8) sat(reach)", REG)
+            parse_spec("F[2,8) sat(reach)", REG, 10)
 
     def test_window_exiting_interval_rejected_at_construction(self):
         for line, why in [("F[2,8) sat(reach) @ts=7.8 eps=0.5",
@@ -147,8 +159,8 @@ class TestEventuallyToGlobally:
                           ("F[2,8) sat(reach) @ts=1 eps=0.5", "not contained"),
                           ("F[2,8) sat(reach) @ts=4 eps=0", "eps must be positive")]:
             with pytest.raises(StlParseError, match=why) as exc:
-                parse_spec("horizon 10\n" + line, REG)
-            assert (exc.value.line, exc.value.column) == (2, 1 + line.index("@ts") + 4)
+                parse_spec(line, REG, 10)
+            assert (exc.value.line, exc.value.column) == (1, 1 + line.index("@ts") + 4)
 
 
 def _group_ids(groups):
