@@ -33,11 +33,12 @@ it applies only while lo < x[0] <= hi (default: every finite x[0]). The
 traffic signal contracts use it to gate each signal's schedule to the
 stretch of road where its stop line is the first at or ahead of the ego.
 A `RegionTable(schedules)` keeps one run's engagement records and events,
-its plan and the plan's rows: the specs of the schedules whose region holds
-x[0], valid while t stays in the intersection of their intervals and x[0]
-in the cell between the nearest region bounds, resolved once per plan and
-g object. Only when t or x[0] leaves the plan does a query `replan`, with
-one pass over the schedule list and one bisect per schedule that applies.
+the plan each schedule last made, and its own plan, which joins those, with
+its rows: the specs of the schedules whose region holds x[0], valid while t
+stays in the intersection of their intervals and x[0] in the cell between
+the nearest region bounds, resolved once per plan and g object. Only when t
+or x[0] leaves the plan does a query `replan`: one pass over the schedule
+list, one bisect per schedule that applies and whose own plan has ended.
 `conjoin_groups` evaluates the rows into a list (`barriers.eval_rows`' list
 sink). For one input, `clip_groups` clips the input box in one pass over the
 rows that can bind (the clip sink over `barriers.clip_rows`); a step whose
@@ -410,20 +411,22 @@ class ContractSchedule:
     boundaries: list
     region: tuple = (-math.inf, math.inf)
 
-    @property
-    def span(self) -> TimeInterval:
-        return TimeInterval(self.segments[0].interval.start, self.segments[-1].interval.end)
-
     def failures(self) -> list:
         return [b for b in self.boundaries if b.verdict is Verdict.INCOMPATIBLE]
 
+    @functools.cached_property
+    def _bounds(self) -> list:
+        """The segment starts, then the span's end: segment i covers
+        [_bounds[i], _bounds[i + 1])."""
+        return [seg.interval.start for seg in self.segments] + [self.segments[-1].interval.end]
+
     def _segment_index(self, t: float) -> int:
-        """Index of the segment holding t: segment i covers [its start, the
-        next segment's start), the last one to the span's end."""
-        span = self.span
-        if not (span.start <= t < span.end):
+        """Index of the segment holding t, by one bisect of `_bounds`."""
+        bounds = self._bounds
+        if not (bounds[0] <= t < bounds[-1]):
+            span = TimeInterval(bounds[0], bounds[-1])
             raise ScheduleQueryError(f"{self.label}: t={t:g} outside schedule span {span}")
-        return bisect_right(self.segments, t, key=lambda seg: seg.interval.start) - 1
+        return bisect_right(bounds, t) - 1
 
     def assumption_margin(self, x0):
         """(barrier_id, margin) of the first segment's entry assumption, or
@@ -444,9 +447,8 @@ class ContractSchedule:
         one starts it there. A window's first query sizes its gamma from
         h(t, x), kept in `engagements` under (label, boundary index)."""
         i = self._segment_index(t)
-        segs = self.segments
-        bar, t_from = segs[i].barrier, segs[i].interval.start
-        until = segs[i + 1].interval.start if i + 1 < len(segs) else segs[i].interval.end
+        segs, bounds = self.segments, self._bounds
+        bar, t_from, until = segs[i].barrier, bounds[i], bounds[i + 1]
         bd = self.boundaries[i] if i < len(self.boundaries) else None
         window = bd is not None and bd.verdict is Verdict.OVERLAP_DEADLINE
         engaged = window and bd.tau < t
@@ -584,7 +586,7 @@ def _classify_boundary(segments, idx, cfg: ScheduleConfig, top) -> BoundaryDecis
 
 class RegionTable:
     """One run's query state over a schedule list: its engagement records,
-    its plan and the plan's rows.
+    the plan each schedule last made, and its own plan and that plan's rows.
 
     `plan` is (t_from, until, lo, hi, specs): the specs of the schedules
     whose region holds x[0], in list order, valid on the intersection
@@ -599,31 +601,41 @@ class RegionTable:
     query. `engagements` maps (schedule label, boundary index) to
     `EngagementRecord`s, in engagement order. The table logs its engagement
     events: `replan` appends to `events` (t, text) for each record it makes,
-    and a `deadline-risk` one where its bound lands past the switch."""
+    and a `deadline-risk` one where its bound lands past the switch.
 
-    __slots__ = ("schedules", "engagements", "events", "plan", "rows")
+    `held[k]` is schedule k's last `plan`, (t_from, until, specs), queried
+    again only once t leaves [t_from, until). A plan depends on t alone but
+    at a window's first query after its onset, which bounds the pending
+    plan, so each engagement is sized at the (t, x) and in the order that a
+    query of every schedule would give."""
+
+    __slots__ = ("schedules", "engagements", "events", "plan", "rows", "held")
 
     def __init__(self, schedules):
         self.schedules = tuple(schedules)
         self.engagements, self.events = {}, []
         self.plan = (math.inf, -math.inf, math.inf, -math.inf, ())  # holds nowhere
         self.rows = None
+        self.held = [(math.inf, -math.inf, ())] * len(self.schedules)  # each holds nowhere
 
     def replan(self, t, x) -> tuple:
-        """Plan the rows at (t, x) into `plan`, and return their specs. Log
+        """Plan the rows at (t, x) into `plan`, from each schedule's held
+        plan or a new one where that has ended, and return their specs. Log
         the engagements the plan makes into `events`."""
         x_f, engagements = x[0], self.engagements
         # x[0] = -inf or NaN: an empty (lo, hi], so the next query replans
         lo, hi = (-math.inf, math.inf) if x_f > -math.inf else (math.inf, -math.inf)
         t_from, until, specs, n_engaged = -math.inf, math.inf, [], len(engagements)
-        for sched in self.schedules:
+        for k, sched in enumerate(self.schedules):
             for v in sched.region:  # each bound cuts the cell on its side of x[0]
                 if v < x_f:
                     lo = max(lo, v)
                 elif v >= x_f:
                     hi = min(hi, v)
             if sched.region[0] < x_f <= sched.region[1]:
-                s_from, s_until, s_specs = sched.plan(t, x, engagements)
+                s_from, s_until, s_specs = self.held[k]
+                if not s_from <= t < s_until:  # its own plan ended: query it again
+                    s_from, s_until, s_specs = self.held[k] = sched.plan(t, x, engagements)
                 t_from, until = max(t_from, s_from), min(until, s_until)
                 specs += s_specs
         for rec in list(engagements.values())[n_engaged:]:

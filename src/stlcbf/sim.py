@@ -19,7 +19,8 @@ views, with no copy, once the loop has ended.
 
 The run's `RegionTable(schedules)` keeps its plan: the rows, labels
 included, of the schedules that apply at X_f, valid until the next segment
-bound, window onset or region crossing, rebuilt only there, and resolved
+bound, window onset or region crossing, rebuilt only there from the plans
+the schedules hold (each plans again only at its own bounds), and resolved
 once per plan and g object (each affine row's a = -grad.g, which rows share
 Lie sums, the drift gains). Each step evaluates f and g once, for every
 constraint's Lie terms and as RK4's k1 (f runs 4 times a step). With one

@@ -266,14 +266,20 @@ def monitor_trace(trace, spec: StlSpec, registry, tol: float = MONITOR_TOL) -> S
     [0, horizon]. An eventually task is checked as the globally task over
     its satisfaction window, the form `parse_spec` gives it. Each task
     evaluates its barrier once, with `h_grid`, over the samples inside its
-    interval (the earliest row wins a tie).
+    interval (the earliest row wins a tie). A row whose t or state is not
+    finite is an `StlError` naming the first such row: a NaN margin would
+    read as satisfied.
     """
     ts = np.asarray(trace.ts, dtype=float)
+    cols = np.asarray(trace.states, dtype=float).T  # (n, N), a view of a Trace's rows
+    if not (np.isfinite(ts).all() and np.isfinite(cols).all()):
+        i = int(np.argmin(np.isfinite(ts) & np.isfinite(cols).all(axis=0)))
+        raise StlError(f"trace row {i}: t and the state must be finite, got t={_fmt(ts[i])} "
+                       f"x=({', '.join(map(_fmt, cols[:, i]))})")
     lo, hi = (ts.min(), ts.max()) if ts.size else (math.nan, math.nan)
     if not (lo <= 1e-9 and hi >= spec.horizon - 1e-9):  # an empty trace stops here
         raise StlError(f"trace covers [{_fmt(lo)}, {_fmt(hi)}], "
                        f"needs [0, {_fmt(spec.horizon)}]")
-    cols = np.asarray(trace.states, dtype=float).T  # (n, N), a view of a Trace's rows
     reports = [_monitor_task(task, ts, cols, registry, tol) for task in spec.tasks]
     return SatisfactionReport(
         satisfied=all(r.satisfied for r in reports), per_task=tuple(reports)

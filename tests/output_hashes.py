@@ -6,7 +6,8 @@ Runs `synth` in subprocesses, with `src` of this checkout first on
 PYTHONPATH and a fresh temporary directory as the working directory:
 `synth run` with and without `--trace/--report` and `synth check` on the
 three shipped presets, on the benchmark's `dense_contracts` and
-`static_sampled` missions at seed 3 and on the configs of `CUSTOM`, then
+`static_sampled` missions at seed 3, on `dense_contracts` at seed 61 (the
+first seed of the benchmark's pairs) and on the configs of `CUSTOM`, then
 `synth monitor` on the `paper_sec6` trace, and last `synth run` and
 `synth monitor` on `paper_sec6` at `--seed 7`. For each command it prints
 the exit code and one line per artifact (stdout, stderr, each file written)
@@ -30,8 +31,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PRESETS = ("paper_sec6", "infeasible_red", "incompatible_static")
-GENERATED = ("dense_contracts", "static_sampled")
 SEED = 3
+# (workload, seed); a config at another seed than SEED is named <workload>_<seed>
+GENERATED = (("dense_contracts", SEED), ("static_sampled", SEED), ("dense_contracts", 61))
 # h1 (a row read through `terms`) beside two negated custom affine barriers
 # (rows with an affine form); the lead reaches 18 m/s, so the window into
 # !sat(fast), V <= 10, engages with h < 0
@@ -129,9 +131,10 @@ def commands(tmp: Path):
     import workloads
 
     configs = list(PRESETS)
-    for name in GENERATED:
-        (tmp / f"{name}.cfg").write_text(workloads.WORKLOADS[name](SEED).config_text)
-        configs.append(f"{name}.cfg")
+    for name, seed in GENERATED:
+        cfg = f"{name}.cfg" if seed == SEED else f"{name}_{seed}.cfg"
+        (tmp / cfg).write_text(workloads.WORKLOADS[name](seed).config_text)
+        configs.append(cfg)
     for name, text in CUSTOM.items():
         (tmp / f"{name}.cfg").write_text(text)
         configs.append(f"{name}.cfg")

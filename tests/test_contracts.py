@@ -660,6 +660,70 @@ class TestCompiledDispatchDifferential:
         assert table.plan[2:4] == (lo, hi)
 
 
+def _windows(scheds) -> list:
+    """(schedule, boundary index, decision) of every overlap_deadline window."""
+    return [(s, i, bd) for s in scheds for i, bd in enumerate(s.boundaries)
+            if bd.verdict is Verdict.OVERLAP_DEADLINE]
+
+
+class TestHeldPlans:
+    """A `RegionTable` holds each schedule's plan and queries a schedule
+    again only once t leaves that plan's interval. Along a path of (t, x),
+    its rows must be bit for bit those of `oracles.scan_constraints`, which
+    queries every schedule that applies at every step, its engagements and
+    events those that the long way makes, and its plan the cell of
+    `oracles.region_cell` and the intersection of fresh plans' intervals."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(gated_schedules().filter(_windows), st.data())
+    def test_held_plans_match_the_long_way(self, scheds, data):
+        """The path opens with a detour where it can: at one window's tau
+        inside its schedule's region, just past tau outside it, and back
+        inside later in the window, where that window must engage. Then a
+        walk, forward mostly, over x[0] near every region bound, -inf and
+        NaN included."""
+        sys = data.draw(st.sampled_from([ScalarSys, GrowingGainSys]))
+        speeds = st.floats(0.0, 40.0)
+        path, detour = [], None
+        sched, i, bd = data.draw(st.sampled_from(_windows(scheds)), label="window")
+        lo, hi = sched.region
+        if lo < hi and (math.isfinite(lo) or math.isfinite(hi)):
+            inside = hi if math.isfinite(hi) else lo + 1.0
+            outside = lo if math.isfinite(lo) else hi + 1.0
+            back = data.draw(st.sampled_from([(bd.tau + bd.time) / 2,
+                                              math.nextafter(bd.time, -math.inf)]))
+            path += [(bd.tau, inside), (math.nextafter(bd.tau, math.inf), outside),
+                     (back, inside)]
+            detour = (sched.label, i), back
+        x_fs = st.sampled_from(_near([v for v in REGION_BOUNDS if math.isfinite(v)])
+                               + [-math.inf, math.nan, math.inf])
+        t = data.draw(st.floats(0.0, HORIZON, exclude_max=True))
+        for _ in range(data.draw(st.integers(1, 40))):
+            path.append((t, data.draw(x_fs | st.floats(-20.0, 20.0))))
+            t = min(max(t + data.draw(st.sampled_from([0.01, 0.25, 1.0, 3.0, -2.0])), 0.0),
+                    math.nextafter(HORIZON, 0.0))
+
+        table, want_led = RegionTable(scheds), {}
+        for t, x_f in path:
+            x = (x_f, data.draw(speeds))
+            got = conjoin_groups(table, t, x, sys)
+            assert _hexed(got) == _hexed(scan_constraints(scheds, t, x, sys, want_led))
+            lo, hi, cell = region_cell(scheds, x_f)
+            fresh = [s.plan(t, x, dict(want_led)) for s in cell]
+            assert table.plan[:4] == (max([p[0] for p in fresh], default=-math.inf),
+                                      min([p[1] for p in fresh], default=math.inf), lo, hi)
+            assert list(table.engagements.items()) == list(want_led.items())
+        if detour is not None:
+            key, back = detour
+            assert want_led[key].time == back
+        events = []
+        for rec in want_led.values():
+            events.append((rec.time, rec.describe()))
+            if rec.time + rec.t_conv_bound > rec.boundary_time + 1e-9:
+                events.append((rec.time, f"deadline-risk {rec.describe()}"))
+        assert table.events == events
+
+
 class TestConstraintRowReuse:
     """One `RegionTable` serves a plan's rows, resolved once per plan and g
     object, at every query: with a new gradient or a new g at each query,

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import inspect
 import math
 import textwrap
@@ -579,6 +580,44 @@ class TestLoopMakesNoWrapperCall:
                 want.append(t)
         assert [t for _, t in replans] == want
         assert 5 < len(want) < 100 and len(outcome.report.engagements) > 1
+
+    def test_each_schedule_plans_only_at_its_own_bounds(self, monkeypatch):
+        """On the benchmark's dense_contracts mission at seed 61 (h1 and 8
+        chains of speed caps), a replan queries only the schedules whose
+        own plan has ended: one `ContractSchedule.plan` call per segment
+        piece a step enters, the pieces being each segment split at its
+        window's onset (tau < t), 121 here, where querying every schedule
+        at each of the 113 replans makes 1,017."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        cfg = parse_config(workloads.WORKLOADS["dense_contracts"](61).config_text)
+        calls = {"plan": 0, "replan": 0}
+
+        def counting(name, fn):
+            def spy(obj, *args):
+                calls[name] += 1
+                return fn(obj, *args)
+            return spy
+
+        for owner, name in ((contracts.ContractSchedule, "plan"),
+                            (contracts.RegionTable, "replan")):
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        outcome = pipeline.run_pipeline(cfg)
+        assert outcome.exit_code == 0
+
+        ts, x_fs = list(outcome.trace.ts)[:-1], outcome.trace.states[:-1, 0].tolist()
+        pieces = 0
+        for sched in outcome.bundle.schedules:
+            starts = [seg.interval.start for seg in sched.segments]
+            seen = set()
+            for t, x_f in zip(ts, x_fs):
+                if sched.region[0] < x_f <= sched.region[1]:
+                    i = bisect_left(starts, math.nextafter(t, math.inf)) - 1  # start <= t
+                    bd = sched.boundaries[i] if i < len(sched.boundaries) else None
+                    seen.add((i, bd is not None and bd.verdict is Verdict.OVERLAP_DEADLINE
+                              and bd.tau < t))
+            pieces += len(seen)
+        assert calls == {"plan": pieces, "replan": 113} and pieces == 121
 
 
 class TestLeadHeldPiece:

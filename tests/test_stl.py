@@ -246,6 +246,30 @@ class ValueRegistry:
         return _B(pred.barrier_id)
 
 
+class MarginRegistry:
+    """Registry whose barriers read each sample's margin from `values`, at
+    the sample index that its one state coordinate holds: margins that no
+    finite state gives here (NaN, +-inf) reach the monitor from finite
+    states, which is all it accepts."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def resolve(self, pred):
+        values, sign = self.values, -1.0 if pred.negated else 1.0
+
+        class _B(Barrier):
+            def terms(self, t, x):
+                return sign * values[int(x[0])], 0.0, (0.0,)
+
+        return _B(pred.barrier_id)
+
+
+def _indexed(ts):
+    """A trace over ts whose state at each sample is that sample's index."""
+    return FakeTrace(ts, [(float(k),) for k in range(len(ts))])
+
+
 class TestMonitor:
     def _trace(self, values, dt=1.0):
         ts = [i * dt for i in range(len(values))]
@@ -311,6 +335,22 @@ class TestMonitor:
                        horizon=1)
         assert monitor_trace(trace, spec, ValueRegistry(m=0)).satisfied
 
+    @pytest.mark.parametrize("ts, states, message", [
+        # a NaN state reads as a NaN margin, which the monitor skips
+        ([0.0, 60.0], [(0.0, 0.0, 55.0), (math.nan, 0.0, 55.0)],
+         r"trace row 1: t and the state must be finite, got t=60 x=\(nan, 0, 55\)"),
+        ([0.0, 60.0], [(0.0, math.inf, 55.0), (1.0, 0.0, 55.0)],
+         r"trace row 0: .* got t=0 x=\(0, inf, 55\)"),
+        # a NaN time would read as a trace that covers [nan, nan]
+        ([0.0, math.nan, 60.0], [(0.0, 0.0, 55.0)] * 3,
+         r"trace row 1: .* got t=nan x=\(0, 0, 55\)"),
+        ([-math.inf, 0.0, 60.0], [(0.0, 0.0, math.nan)] * 3, r"trace row 0: .* got t=-inf"),
+    ])
+    def test_non_finite_row_rejected(self, ts, states, message):
+        spec = spec_of(Globally(TimeInterval(0, 60), PredicateRef("m")), horizon=60)
+        with pytest.raises(StlError, match=message):
+            monitor_trace(FakeTrace(ts, states), spec, ValueRegistry(m=0))
+
 
 class TestMonitorEdges:
     """Edge semantics of the array monitor, each against the row-by-row scan
@@ -318,11 +358,11 @@ class TestMonitorEdges:
 
     @staticmethod
     def _report(values, ts, task, horizon):
-        trace = FakeTrace(ts, [(v,) for v in values])
-        rep = monitor_trace(trace, spec_of(task, horizon=horizon), ValueRegistry(m=0))
+        trace, reg = _indexed(ts), MarginRegistry(values)
+        rep = monitor_trace(trace, spec_of(task, horizon=horizon), reg)
         task_rep = rep.per_task[0]
         assert (task_rep.satisfied, task_rep.worst_margin, task_rep.t_worst) == \
-            scalar_monitor_task(task, trace, ValueRegistry(m=0), 1e-3)
+            scalar_monitor_task(task, trace, reg, 1e-3)
         return task_rep
 
     def test_all_inf_window_reports_no_t_worst(self):
@@ -331,8 +371,8 @@ class TestMonitorEdges:
         rep = self._report([math.inf] * 4, [0.0, 1.0, 2.0, 3.0], g, 3)
         assert rep.satisfied and rep.worst_margin == math.inf and rep.t_worst is None
         # NaN margins only: the same vacuous report, printed without a time
-        text = str(monitor_trace(FakeTrace([0.0, 1.0], [(math.nan,), (math.nan,)]),
-                                 spec_of(g, horizon=1), ValueRegistry(m=0)))
+        text = str(monitor_trace(_indexed([0.0, 1.0]), spec_of(g, horizon=1),
+                                 MarginRegistry([math.nan, math.nan])))
         assert text.endswith(": satisfied=true worst_margin=inf")
 
     def test_nan_margins_are_skipped(self):

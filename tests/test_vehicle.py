@@ -410,7 +410,8 @@ class TestSignalContracts:
         cfg = ScheduleConfig(domain=DOMAIN, horizon=30.0, rho=0.9, t_conv=5.0)
         sched = build_signal_contracts(sigs, VP, BarrierRegistry(), cfg, rho_signal=0.9,
                                        label="G3")[0]
-        assert sched.span.start == 0.0 and sched.segments[0].barrier.id == "sig1.red"
+        assert sched.segments[0].interval.start == 0.0
+        assert sched.segments[0].barrier.id == "sig1.red"
         assert sched.boundaries[0].time == sigs[0].cycles_over(30.0)[1][3]  # red ends
         sys = make_vehicle_system(VP, LeadProfile(0.0))
         cons = conjoin_groups(RegionTable([sched]), 0.0, (0.0, 0.0, 1e4), sys)
